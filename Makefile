@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check ci fmt vet build test race verify fuzz smoke-server smoke-store smoke-cluster smoke-jobs smoke-strategies smoke-corpus bench bench-server bench-cluster benchdiff benchdiff-soft
+.PHONY: check ci fmt vet build test test-bench-harness race verify fuzz smoke-server smoke-store smoke-cluster smoke-jobs smoke-strategies smoke-corpus bench bench-server bench-cluster benchdiff benchdiff-soft
 
-check: fmt vet build test race verify fuzz smoke-strategies smoke-server smoke-store smoke-cluster smoke-jobs smoke-corpus
+check: fmt vet build test test-bench-harness race verify fuzz smoke-strategies smoke-server smoke-store smoke-cluster smoke-jobs smoke-corpus
 
 # ci runs exactly what .github/workflows/ci.yml runs, in the same
 # order: the gates, the fuzz smoke, the strategy-matrix smoke, the
@@ -15,7 +15,7 @@ check: fmt vet build test race verify fuzz smoke-strategies smoke-server smoke-s
 # regression comparison against the committed baselines. The comparison
 # is soft here as in CI (shared runners are noisy) — run `make
 # benchdiff` for the hard-failing version.
-ci: fmt vet build test race fuzz smoke-strategies smoke-server smoke-store smoke-cluster smoke-jobs smoke-corpus bench bench-server bench-cluster benchdiff-soft
+ci: fmt vet build test test-bench-harness race fuzz smoke-strategies smoke-server smoke-store smoke-cluster smoke-jobs smoke-corpus bench bench-server bench-cluster benchdiff-soft
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -31,6 +31,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# test-bench-harness vets and unit-tests the benchmark harness. bench/
+# is a module of its own, so the ./... patterns above never reach it;
+# -short skips its timed smoke runs.
+test-bench-harness:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # The batch driver allocates routines concurrently; the race detector
 # guards the no-shared-mutable-state contract of core.Allocate (and,

@@ -8,6 +8,7 @@ package bitset
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -22,13 +23,25 @@ type Set struct {
 
 // New returns an empty set with capacity for elements 0..n-1.
 func New(n int) *Set {
+	s := new(Set)
+	s.Reset(n)
+	return s
+}
+
+// Reset empties s and sets its capacity to n, reusing its storage when
+// that is large enough, so a set resized to at most its largest earlier
+// capacity allocates nothing. The zero value may be Reset.
+func (s *Set) Reset(n int) {
 	if n < 0 {
 		panic("bitset: negative capacity")
 	}
-	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
+	w := (n + wordBits - 1) / wordBits
+	s.words = slices.Grow(s.words[:0], w)[:w]
+	clear(s.words)
+	s.n = n
 }
 
-// Len returns the capacity of the set (the n passed to New).
+// Len returns the capacity of the set (the n passed to New or Reset).
 func (s *Set) Len() int { return s.n }
 
 // Add inserts i into the set.

@@ -6,6 +6,23 @@ import (
 	"testing/quick"
 )
 
+func TestResetEmptiesAndReusesStorage(t *testing.T) {
+	var s Set // the zero value may be Reset
+	s.Reset(130)
+	s.Add(129)
+	s.Reset(64)
+	if !s.Empty() || s.Len() != 64 || s.Has(129) {
+		t.Fatalf("after Reset(64): len %d, elements %v", s.Len(), s.Elements())
+	}
+	s.Add(63)
+	if n := testing.AllocsPerRun(10, func() { s.Reset(130); s.Reset(10) }); n != 0 {
+		t.Fatalf("Reset within the largest earlier capacity allocated %v times", n)
+	}
+	if !s.Empty() || s.Len() != 10 {
+		t.Fatal("Reset did not empty the set")
+	}
+}
+
 func TestNewEmpty(t *testing.T) {
 	s := New(130)
 	if !s.Empty() {

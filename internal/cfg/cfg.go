@@ -6,6 +6,7 @@ package cfg
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/iloc"
 )
@@ -97,23 +98,49 @@ func pruneUnreachable(rt *iloc.Routine) {
 // the entry. Every block is reachable after Build, so the result covers
 // the whole routine.
 func ReversePostorder(rt *iloc.Routine) []*iloc.Block {
-	seen := make([]bool, len(rt.Blocks))
-	post := make([]*iloc.Block, 0, len(rt.Blocks))
-	var dfs func(b *iloc.Block)
-	dfs = func(b *iloc.Block) {
-		seen[b.Index] = true
-		for _, s := range b.Succs {
-			if !seen[s.Index] {
-				dfs(s)
-			}
+	return new(Orderer).ReversePostorder(rt)
+}
+
+// An Orderer computes reverse postorders in storage it keeps from one
+// call to the next, so ordering a routine again allocates nothing. The
+// zero value is ready to use.
+type Orderer struct {
+	seen  []bool
+	stack []dfsFrame
+	order []*iloc.Block
+}
+
+// dfsFrame is a block on the DFS path and its next successor to visit.
+type dfsFrame struct {
+	b    *iloc.Block
+	next int
+}
+
+// ReversePostorder is the package's ReversePostorder in o's storage. The
+// result is valid until o's next call.
+func (o *Orderer) ReversePostorder(rt *iloc.Routine) []*iloc.Block {
+	o.seen = slices.Grow(o.seen[:0], len(rt.Blocks))[:len(rt.Blocks)]
+	clear(o.seen)
+	o.order = slices.Grow(o.order[:0], len(rt.Blocks))
+	entry := rt.Entry()
+	o.seen[entry.Index] = true
+	o.stack = append(o.stack[:0], dfsFrame{b: entry})
+	for len(o.stack) > 0 {
+		top := &o.stack[len(o.stack)-1]
+		if top.next == len(top.b.Succs) {
+			o.order = append(o.order, top.b)
+			o.stack = o.stack[:len(o.stack)-1]
+			continue
 		}
-		post = append(post, b)
+		s := top.b.Succs[top.next]
+		top.next++
+		if !o.seen[s.Index] {
+			o.seen[s.Index] = true
+			o.stack = append(o.stack, dfsFrame{b: s})
+		}
 	}
-	dfs(rt.Entry())
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
-	return post
+	slices.Reverse(o.order)
+	return o.order
 }
 
 // SplitCriticalEdges inserts an empty jmp-block on every edge whose source

@@ -1,10 +1,26 @@
 package core
 
 import (
+	"slices"
+
+	"repro/internal/bitset"
 	"repro/internal/ig"
 	"repro/internal/liveness"
 	"repro/internal/remat"
 )
+
+// classScratch is the storage one register class's liveness solves and
+// graph builds reuse. It lives in one allocator, so its lifetime is one
+// allocate call and nothing in it is shared between calls: renumber,
+// build and every coalesce rebuild of every round overwrite it, and a
+// rebuild allocates only where the routine outgrew every earlier one.
+type classScratch struct {
+	live       liveness.Info
+	graph      ig.Graph
+	lv         bitset.Set // the backward walk's live set
+	inCode     []bool
+	acrossCall []bool
+}
 
 // buildGraph constructs the interference graph for one class with
 // Chaitin's backward walk: starting from each block's live-out set, a
@@ -14,13 +30,17 @@ import (
 func (a *allocator) buildGraph(cs *classState) {
 	c := cs.c
 	n := a.rt.NumRegs(c)
-	cs.graph = ig.New(n)
-	cs.inCode = make([]bool, n)
-	cs.acrossCall = make([]bool, n)
-	live := liveness.Compute(a.rt, c)
+	s := &a.scratch[c]
+	s.graph.Reset(n)
+	s.inCode = resetFlags(s.inCode, n)
+	s.acrossCall = resetFlags(s.acrossCall, n)
+	cs.graph, cs.inCode, cs.acrossCall = &s.graph, s.inCode, s.acrossCall
+	liveness.ComputeInto(&s.live, a.rt, c)
 
+	lv := &s.lv
+	lv.Reset(n)
 	for _, b := range a.rt.Blocks {
-		lv := live.LiveOut[b.Index].Copy()
+		lv.CopyFrom(s.live.LiveOut[b.Index])
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := b.Instrs[i]
 			if in.Op.IsCall() {
@@ -56,11 +76,39 @@ func (a *allocator) buildGraph(cs *classState) {
 	}
 }
 
-// coalescePass scans for removable copies of one kind. The pipeline's
-// two coalescing passes drive it to a fixpoint — unrestricted over
-// ordinary copies, then (in ModeRemat) conservative over split copies —
-// rebuilding the interference graph between scans; see pipeline.go.
-// Ordinary copies
+// resetFlags returns n false flags in f's storage when it is large
+// enough.
+func resetFlags(f []bool, n int) []bool {
+	f = slices.Grow(f[:0], n)[:n]
+	clear(f)
+	return f
+}
+
+// coalesceToFixpoint runs one of the pipeline's two coalescing rounds
+// over every class: coalescePass repeats until a scan removes nothing,
+// and the graph is rebuilt after each scan that removed a copy. The
+// graph must be exact on entry and is exact on return, because the
+// last scan changed nothing. The build pass leaves it exact for the
+// first round, and the first round leaves it exact for the second, so
+// neither round starts with a rebuild.
+func (a *allocator) coalesceToFixpoint(splitRound bool) int {
+	removed := 0
+	for _, cs := range a.classes {
+		for {
+			m := a.coalescePass(cs, splitRound)
+			removed += m
+			if m == 0 {
+				break
+			}
+			a.buildGraph(cs)
+		}
+	}
+	return removed
+}
+
+// coalescePass scans for removable copies of one kind, for
+// coalesceToFixpoint: unrestricted over ordinary copies, then (in
+// ModeRemat) conservative over split copies. Ordinary copies
 // (splitRound false) coalesce whenever the ends do not interfere; split
 // copies additionally require the merged node to have fewer than k
 // neighbors of significant degree, so the combined range provably still

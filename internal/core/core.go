@@ -211,7 +211,8 @@ type classState struct {
 	c    iloc.Class
 	sets *disjoint.Sets
 	tags []remat.Tag
-	// graph, cost, mustNot, inCode, stack, colors are rebuilt each round.
+	// graph, cost, mustNot, inCode, stack, colors are rebuilt each round;
+	// graph, inCode and acrossCall live in the allocator's scratch.
 	graph    *ig.Graph
 	cost     []float64
 	mustNot  []bool
@@ -237,6 +238,7 @@ type allocator struct {
 	res  *Result
 
 	classes   [iloc.NumClasses]*classState
+	scratch   [iloc.NumClasses]classScratch
 	frameBase int64 // first fp offset free for spill slots
 	nextSlot  int
 	slots     [iloc.NumClasses]map[int]int64 // live range -> fp offset

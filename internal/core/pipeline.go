@@ -165,19 +165,9 @@ var passCoalesceAggressive = &Pass{
 	name:  "coalesce",
 	times: func(t *PhaseTimes) *time.Duration { return &t.Build },
 	run: func(a *allocator, _ *roundCtx, st *IterationStats, ps *PassStat) error {
-		// Unrestricted coalescing of ordinary copies to a fixpoint,
-		// rebuilding the graph between passes (§4.2's first round). The
-		// graph for this round was just built by the build pass.
-		for _, cs := range a.classes {
-			for {
-				m := a.coalescePass(cs, false)
-				ps.Coalesced += m
-				if m == 0 {
-					break
-				}
-				a.buildGraph(cs)
-			}
-		}
+		// Unrestricted coalescing of ordinary copies (§4.2's first
+		// round), on the graph the build pass just built.
+		ps.Coalesced = a.coalesceToFixpoint(false)
 		st.Coalesced += ps.Coalesced
 		a.graphStats(ps)
 		return nil
@@ -193,17 +183,9 @@ var passCoalesceConservative = &Pass{
 	run: func(a *allocator, _ *roundCtx, st *IterationStats, ps *PassStat) error {
 		// Conservative coalescing of split copies (§4.2's second round):
 		// a split merges only when the combined range provably still
-		// simplifies.
-		for _, cs := range a.classes {
-			for {
-				a.buildGraph(cs)
-				m := a.coalescePass(cs, true)
-				ps.Coalesced += m
-				if m == 0 {
-					break
-				}
-			}
-		}
+		// simplifies. The first round's last scan left the graph exact,
+		// so this round starts on it without a rebuild.
+		ps.Coalesced = a.coalesceToFixpoint(true)
 		st.Coalesced += ps.Coalesced
 		a.graphStats(ps)
 		return nil

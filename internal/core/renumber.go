@@ -28,13 +28,12 @@ import (
 func (a *allocator) renumber(tree *dom.Tree, loops []*cfg.Loop) (splits int, err error) {
 	// Liveness for both classes must precede SSA construction (the
 	// liveness solver rejects φ-nodes).
-	var lives [iloc.NumClasses]*liveness.Info
 	for c := iloc.Class(0); c < iloc.NumClasses; c++ {
-		lives[c] = liveness.Compute(a.rt, c)
+		liveness.ComputeInto(&a.scratch[c].live, a.rt, c)
 	}
 	var graphs [iloc.NumClasses]*ssa.Graph
 	for c := iloc.Class(0); c < iloc.NumClasses; c++ {
-		g, err := ssa.Build(a.rt, c, tree, lives[c])
+		g, err := ssa.Build(a.rt, c, tree, &a.scratch[c].live)
 		if err != nil {
 			return 0, fmt.Errorf("core: renumber: %w", err)
 		}

@@ -71,7 +71,8 @@ func (a *allocator) applyLoopSplits(cs *classState, loops []*cfg.Loop) int {
 	splits := 0
 	alreadySplit := make(map[int]bool) // scheme 3: outermost loop only
 	for _, l := range selected {
-		live := liveness.Compute(a.rt, cs.c)
+		live := &a.scratch[cs.c].live
+		liveness.ComputeInto(live, a.rt, cs.c)
 		inLoop := make(map[*iloc.Block]bool, len(l.Blocks))
 		for _, b := range l.Blocks {
 			inLoop[b] = true

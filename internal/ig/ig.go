@@ -7,6 +7,7 @@ package ig
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Graph is an undirected interference graph over nodes 0..n-1. Node ids
@@ -21,12 +22,27 @@ type Graph struct {
 
 // New returns an empty graph over n nodes.
 func New(n int) *Graph {
+	g := new(Graph)
+	g.Reset(n)
+	return g
+}
+
+// Reset empties g and resizes it to n nodes. It reuses the matrix, the
+// degrees and every adjacency vector of earlier builds where they are
+// large enough, so resetting to at most the largest earlier n allocates
+// nothing, and neither does adding back edges the vectors held before.
+// Vectors returned by Neighbors before the call are overwritten.
+func (g *Graph) Reset(n int) {
+	g.n = n
 	words := (n*(n-1)/2 + 63) / 64
-	return &Graph{
-		n:      n,
-		matrix: make([]uint64, words),
-		adj:    make([][]int32, n),
-		degree: make([]int32, n),
+	g.matrix = slices.Grow(g.matrix[:0], words)[:words]
+	clear(g.matrix)
+	g.degree = slices.Grow(g.degree[:0], n)[:n]
+	clear(g.degree)
+	// Growing keeps the vectors past the old length, and so their storage.
+	g.adj = slices.Grow(g.adj[:0], n)[:n]
+	for i := range g.adj {
+		g.adj[i] = g.adj[i][:0]
 	}
 }
 
@@ -113,7 +129,7 @@ func (g *Graph) Merge(a, b int) {
 		g.removeFromAdj(a, b)
 		g.degree[a]--
 	}
-	g.adj[b] = nil
+	g.adj[b] = g.adj[b][:0]
 	g.degree[b] = 0
 }
 
@@ -145,26 +161,29 @@ func (g *Graph) SignificantNeighbors(i, k int) int {
 // neighbor's degree as its current degree. Conservative coalescing
 // combines a and b only when this count is < k.
 func (g *Graph) CombinedSignificant(a, b, k int) int {
-	seen := make(map[int32]bool, len(g.adj[a])+len(g.adj[b]))
 	c := 0
-	count := func(from, other int) {
-		for _, nb := range g.adj[from] {
-			if int(nb) == other || seen[nb] {
-				continue
-			}
-			seen[nb] = true
-			deg := int(g.degree[nb])
-			// A neighbor of both a and b sees them merge into one node;
-			// its degree drops by one.
-			if g.Interfere(int(nb), a) && g.Interfere(int(nb), b) {
-				deg--
-			}
-			if deg >= k {
-				c++
-			}
+	for _, nb := range g.adj[a] {
+		if int(nb) == b {
+			continue
+		}
+		deg := int(g.degree[nb])
+		// A neighbor of both a and b sees them merge into one node; its
+		// degree drops by one.
+		if g.Interfere(int(nb), b) {
+			deg--
+		}
+		if deg >= k {
+			c++
 		}
 	}
-	count(a, b)
-	count(b, a)
+	for _, nb := range g.adj[b] {
+		// Shared neighbors were counted with a's.
+		if int(nb) == a || g.Interfere(int(nb), a) {
+			continue
+		}
+		if int(g.degree[nb]) >= k {
+			c++
+		}
+	}
 	return c
 }

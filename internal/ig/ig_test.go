@@ -2,6 +2,7 @@ package ig
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -16,6 +17,43 @@ func TestEmpty(t *testing.T) {
 	}
 	if g.Degree(1) != 0 {
 		t.Fatal("degree wrong")
+	}
+}
+
+func TestResetEmptiesAndReusesStorage(t *testing.T) {
+	edges := [][2]int{{1, 2}, {2, 7}, {1, 7}, {3, 9}, {9, 1}}
+	g := New(10)
+	build := func() {
+		for _, e := range edges {
+			g.AddEdge(e[0], e[1])
+		}
+	}
+	build()
+	g.Merge(1, 3)
+	g.Reset(10)
+	if g.Len() != 10 || g.NumEdges() != 0 || g.Interfere(1, 2) || g.Degree(7) != 0 || len(g.Neighbors(1)) != 0 {
+		t.Fatal("Reset left edges behind")
+	}
+	// A rebuild after Reset lists neighbors in the order a fresh graph
+	// does, which keeps allocation byte-identical.
+	build()
+	fresh := New(10)
+	for _, e := range edges {
+		fresh.AddEdge(e[0], e[1])
+	}
+	for v := 0; v < 10; v++ {
+		if got, want := g.Neighbors(v), fresh.Neighbors(v); !slices.Equal(got, want) {
+			t.Fatalf("node %d: %v after Reset, %v fresh", v, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { g.Reset(10); build() }); n != 0 {
+		t.Fatalf("Reset to the same n and rebuilding allocated %v times", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { g.Reset(4) }); n != 0 {
+		t.Fatalf("Reset to a smaller n allocated %v times", n)
+	}
+	if g.Len() != 4 || g.NumEdges() != 0 {
+		t.Fatal("Reset to a smaller n left edges behind")
 	}
 }
 

@@ -248,45 +248,44 @@ func TestVerifyCatchesBadRoutines(t *testing.T) {
 		t.Fatalf("good routine failed verify: %v", err)
 	}
 
-	// Branch to unknown label.
-	bad := good.Clone()
-	bad.Blocks[1].Instrs[5].Label = "nowhere"
-	if err := Verify(bad, false); err == nil {
-		t.Fatal("unknown branch target not caught")
+	mutate := func(f func(rt *Routine)) *Routine {
+		rt := good.Clone()
+		f(rt)
+		return rt
 	}
-
-	// Final block without terminator.
-	bad2 := good.Clone()
-	last := bad2.Blocks[len(bad2.Blocks)-1]
-	last.Instrs = last.Instrs[:0]
-	if err := Verify(bad2, false); err == nil {
-		t.Fatal("missing terminator not caught")
+	// Verify builds its location prefix only on failure; the wants pin
+	// the whole message byte for byte.
+	cases := []struct {
+		name string
+		rt   *Routine
+		want string
+	}{
+		{"unknown branch target", mutate(func(rt *Routine) { rt.Blocks[1].Instrs[5].Label = "nowhere" }),
+			`sumabs/loop[5] "br ge r5, nowhere, done": branch to unknown label`},
+		{"missing terminator", mutate(func(rt *Routine) {
+			last := rt.Blocks[len(rt.Blocks)-1]
+			last.Instrs = last.Instrs[:0]
+		}), `sumabs: final block done does not end in a terminator`},
+		{"φ outside SSA", mutate(func(rt *Routine) {
+			phi := &Instr{Op: OpPhi, Dst: IntReg(3), Phi: &Phi{Args: []Reg{IntReg(3), IntReg(3)}}}
+			rt.Blocks[1].Instrs = append([]*Instr{phi}, rt.Blocks[1].Instrs...)
+		}), `sumabs/loop[0] "phi r3, r3, r3": φ outside SSA form`},
+		{"register out of range", mutate(func(rt *Routine) { rt.Blocks[0].Instrs[0].Dst = IntReg(99) }),
+			`sumabs/entry[0] "ldi r99, 8": dst: register r99 outside virtual space [0,6)`},
+		{"rload from rw data", MustParse("routine a()\ndata t rw 2\nx:\n rload r1, t, 0\n retr r1\n"),
+			`a/x[0] "rload r1, t, 0": rload from writable data "t"`},
+		{"bad param index", MustParse("routine a(r1)\nx:\n getparam r2, 5\n retr r2\n"),
+			`a/x[0] "getparam r2, 5": parameter index 5 out of range`},
 	}
-
-	// φ outside SSA.
-	bad3 := good.Clone()
-	bad3.Blocks[1].Instrs = append([]*Instr{{Op: OpPhi, Dst: IntReg(3), Phi: &Phi{Args: []Reg{IntReg(3), IntReg(3)}}}}, bad3.Blocks[1].Instrs...)
-	if err := Verify(bad3, false); err == nil {
-		t.Fatal("φ outside SSA not caught")
-	}
-
-	// Register outside virtual space.
-	bad4 := good.Clone()
-	bad4.Blocks[0].Instrs[0].Dst = IntReg(99)
-	if err := Verify(bad4, false); err == nil {
-		t.Fatal("register out of range not caught")
-	}
-
-	// rload from writable data.
-	rt := MustParse("routine a()\ndata t rw 2\nx:\n rload r1, t, 0\n retr r1\n")
-	if err := Verify(rt, false); err == nil {
-		t.Fatal("rload from rw data not caught")
-	}
-
-	// getparam with bad index.
-	rt2 := MustParse("routine a(r1)\nx:\n getparam r2, 5\n retr r2\n")
-	if err := Verify(rt2, false); err == nil {
-		t.Fatal("bad param index not caught")
+	for _, c := range cases {
+		err := Verify(c.rt, false)
+		if err == nil {
+			t.Errorf("%s: not caught", c.name)
+			continue
+		}
+		if err.Error() != c.want {
+			t.Errorf("%s: error %q, want %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ package liveness
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/cfg"
@@ -23,27 +24,32 @@ type Info struct {
 	LiveOut []*bitset.Set
 	UEVar   []*bitset.Set // upward-exposed uses per block
 	Kill    []*bitset.Set // registers defined per block
+
+	tmp   bitset.Set  // the transfer function's scratch set
+	order cfg.Orderer // storage for the solver's visiting order
 }
 
 // Compute solves liveness for class c. CFG edges must be built, and the
 // code must not contain φ-nodes (renumber removes them before liveness is
 // next needed).
 func Compute(rt *iloc.Routine, c iloc.Class) *Info {
+	info := new(Info)
+	ComputeInto(info, rt, c)
+	return info
+}
+
+// ComputeInto is Compute solving into info, reusing the sets and scratch
+// an earlier solve left there: a solve over at most as many blocks and
+// registers as an earlier one allocates nothing. It overwrites every set
+// of the earlier solution, including any a caller still holds.
+func ComputeInto(info *Info, rt *iloc.Routine, c iloc.Class) {
 	nb := len(rt.Blocks)
 	n := rt.NumRegs(c)
-	info := &Info{
-		Class:   c,
-		LiveIn:  make([]*bitset.Set, nb),
-		LiveOut: make([]*bitset.Set, nb),
-		UEVar:   make([]*bitset.Set, nb),
-		Kill:    make([]*bitset.Set, nb),
-	}
-	for i := 0; i < nb; i++ {
-		info.LiveIn[i] = bitset.New(n)
-		info.LiveOut[i] = bitset.New(n)
-		info.UEVar[i] = bitset.New(n)
-		info.Kill[i] = bitset.New(n)
-	}
+	info.Class = c
+	info.LiveIn = resetSets(info.LiveIn, nb, n)
+	info.LiveOut = resetSets(info.LiveOut, nb, n)
+	info.UEVar = resetSets(info.UEVar, nb, n)
+	info.Kill = resetSets(info.Kill, nb, n)
 
 	for _, b := range rt.Blocks {
 		ue, kill := info.UEVar[b.Index], info.Kill[b.Index]
@@ -64,8 +70,9 @@ func Compute(rt *iloc.Routine, c iloc.Class) *Info {
 
 	// Backward problem: iterate blocks in postorder (reverse RPO) until
 	// the fixpoint.
-	rpo := cfg.ReversePostorder(rt)
-	tmp := bitset.New(n)
+	rpo := info.order.ReversePostorder(rt)
+	tmp := &info.tmp
+	tmp.Reset(n)
 	for changed := true; changed; {
 		changed = false
 		for i := len(rpo) - 1; i >= 0; i-- {
@@ -86,7 +93,20 @@ func Compute(rt *iloc.Routine, c iloc.Class) *Info {
 			}
 		}
 	}
-	return info
+}
+
+// resetSets returns nb empty sets of capacity n, reusing the sets in
+// sets and their storage.
+func resetSets(sets []*bitset.Set, nb, n int) []*bitset.Set {
+	sets = slices.Grow(sets[:0], nb)[:nb]
+	for i, s := range sets {
+		if s == nil {
+			sets[i] = bitset.New(n)
+		} else {
+			s.Reset(n)
+		}
+	}
+	return sets
 }
 
 // LiveAcross reports whether register r is live out of block b.

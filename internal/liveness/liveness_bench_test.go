@@ -1,0 +1,88 @@
+package liveness
+
+import (
+	"testing"
+
+	"repro/internal/cfg"
+	"repro/internal/corpus"
+	"repro/internal/iloc"
+)
+
+// benchSpec is the corpus the layer microbenchmarks run over; a fixed
+// spec keeps their ns/op and allocs/op comparable between commits.
+const benchSpec = "count=50,seed=7"
+
+var sink *Info
+
+// corpusRoutines generates the benchmark corpus with CFGs built.
+func corpusRoutines(tb testing.TB) []*iloc.Routine {
+	tb.Helper()
+	spec, err := corpus.ParseSpec(benchSpec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	units, err := corpus.Generate(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rts := corpus.Routines(units)
+	for _, rt := range rts {
+		if err := cfg.Build(rt); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return rts
+}
+
+// BenchmarkCompute solves both classes of every corpus routine per op:
+// "fresh" with Compute, "reused" with ComputeInto on the storage earlier
+// solves left, as the allocator's rounds solve.
+func BenchmarkCompute(b *testing.B) {
+	rts := corpusRoutines(b)
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, rt := range rts {
+				for c := iloc.Class(0); c < iloc.NumClasses; c++ {
+					sink = Compute(rt, c)
+				}
+			}
+		}
+	})
+	b.Run("reused", func(b *testing.B) {
+		var infos [iloc.NumClasses]Info
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, rt := range rts {
+				for c := iloc.Class(0); c < iloc.NumClasses; c++ {
+					ComputeInto(&infos[c], rt, c)
+				}
+			}
+		}
+	})
+}
+
+// ComputeInto must give Compute's solution whatever the storage held,
+// and a re-solve into storage of the same shape must not allocate.
+func TestComputeIntoReusesStorage(t *testing.T) {
+	rts := corpusRoutines(t)
+	var info Info
+	for _, rt := range rts {
+		for c := iloc.Class(0); c < iloc.NumClasses; c++ {
+			ComputeInto(&info, rt, c)
+			want := Compute(rt, c)
+			for _, b := range rt.Blocks {
+				i := b.Index
+				if !info.LiveIn[i].Equal(want.LiveIn[i]) || !info.LiveOut[i].Equal(want.LiveOut[i]) ||
+					!info.UEVar[i].Equal(want.UEVar[i]) || !info.Kill[i].Equal(want.Kill[i]) {
+					t.Fatalf("%s class %d block %s: reused solve differs from a fresh one", rt.Name, c, b.Label)
+				}
+			}
+		}
+	}
+	rt := rts[0]
+	ComputeInto(&info, rt, iloc.ClassInt)
+	if n := testing.AllocsPerRun(10, func() { ComputeInto(&info, rt, iloc.ClassInt) }); n != 0 {
+		t.Fatalf("re-solving into same-shape storage allocated %v times, want 0", n)
+	}
+}

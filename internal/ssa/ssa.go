@@ -45,38 +45,44 @@ func Build(rt *iloc.Routine, c iloc.Class, tree *dom.Tree, live *liveness.Info) 
 	df := dom.Frontiers(tree, rt)
 	nOrig := rt.NumRegs(c)
 
-	// Definition sites per original register.
-	defBlocks := make([][]*iloc.Block, nOrig)
-	for _, b := range rt.Blocks {
-		for _, in := range b.Instrs {
-			if d := in.Def(); d.Valid() && d.Class == c && d.N != 0 {
-				defBlocks[d.N] = append(defBlocks[d.N], b)
-			}
-		}
-	}
+	// Definition sites per original register. nNames[v] counts the names
+	// v is given: one per definition, and below one per φ-node.
+	nNames := make([]int, nOrig)
+	nDefs := 0
+	forEachDef(rt, c, func(v int, _ *iloc.Block) {
+		nNames[v]++
+		nDefs++
+	})
+	defBlocks := carve[*iloc.Block](nNames, nDefs)
+	forEachDef(rt, c, func(v int, b *iloc.Block) {
+		defBlocks[v] = append(defBlocks[v], b)
+	})
 
 	// Insert pruned φ-nodes. phiOrig remembers which original register a
-	// φ merges, for the renaming walk.
+	// φ merges, for the renaming walk. hasPhi[b] and inWork[b] hold the
+	// last register that put a φ in block b or queued b, so one pair of
+	// arrays serves every register.
 	phiOrig := make(map[*iloc.Instr]int)
+	hasPhi := make([]int, len(rt.Blocks))
+	inWork := make([]int, len(rt.Blocks))
+	var work []*iloc.Block
 	for v := 1; v < nOrig; v++ {
 		if len(defBlocks[v]) == 0 {
 			continue
 		}
-		hasPhi := make([]bool, len(rt.Blocks))
-		work := append([]*iloc.Block(nil), defBlocks[v]...)
-		inWork := make([]bool, len(rt.Blocks))
+		work = append(work[:0], defBlocks[v]...)
 		for _, b := range work {
-			inWork[b.Index] = true
+			inWork[b.Index] = v
 		}
 		for len(work) > 0 {
 			d := work[len(work)-1]
 			work = work[:len(work)-1]
 			for _, fi := range df[d.Index] {
 				f := rt.Blocks[fi]
-				if hasPhi[fi] || !live.LiveIn[fi].Has(v) {
+				if hasPhi[fi] == v || !live.LiveIn[fi].Has(v) {
 					continue // pruning: dead φ never inserted
 				}
-				hasPhi[fi] = true
+				hasPhi[fi] = v
 				phi := &iloc.Instr{
 					Op:  iloc.OpPhi,
 					Dst: iloc.Reg{Class: c, N: v},
@@ -87,37 +93,48 @@ func Build(rt *iloc.Routine, c iloc.Class, tree *dom.Tree, live *liveness.Info) 
 				}
 				f.InsertBefore(0, phi)
 				phiOrig[phi] = v
-				if !inWork[fi] {
-					inWork[fi] = true
+				nNames[v]++
+				if inWork[fi] != v {
+					inWork[fi] = v
 					work = append(work, f)
 				}
 			}
 		}
 	}
 
-	// Rename over the dominator tree.
+	// Rename over the dominator tree. Every definition and every φ mints
+	// one value, so the value tables and name stacks are sized up front.
+	names := nDefs + len(phiOrig)
 	g := &Graph{
 		Class:      c,
-		DefOf:      []*iloc.Instr{nil},
-		DefBlockOf: []*iloc.Block{nil},
-		OrigOf:     []int{0},
+		DefOf:      append(make([]*iloc.Instr, 0, 1+names), nil),
+		DefBlockOf: append(make([]*iloc.Block, 0, 1+names), nil),
+		OrigOf:     append(make([]int, 0, 1+names), 0),
 	}
-	stacks := make([][]int, nOrig)
+	stacks := carve[int](nNames, names)
+	defined := make([]int, 0, names) // originals defined along the dominator-tree path, in order
 	newName := func(orig int, def *iloc.Instr, b *iloc.Block) int {
 		v := len(g.DefOf)
 		g.DefOf = append(g.DefOf, def)
 		g.DefBlockOf = append(g.DefBlockOf, b)
 		g.OrigOf = append(g.OrigOf, orig)
 		stacks[orig] = append(stacks[orig], v)
+		defined = append(defined, orig)
 		return v
 	}
 	var renameErr error
-	top := func(orig int, where string) int {
+	// top returns the value orig names at a use in the block labelled
+	// label, or in one of its φ arguments when phi is set. The error's
+	// location is formatted only when there is an error.
+	top := func(orig int, label string, phi bool) int {
 		st := stacks[orig]
 		if len(st) == 0 {
 			if renameErr == nil {
+				if phi {
+					label += "(φ)"
+				}
 				renameErr = fmt.Errorf("ssa: use of undefined register %s%d at %s",
-					map[iloc.Class]string{iloc.ClassInt: "r", iloc.ClassFlt: "f"}[c], orig, where)
+					map[iloc.Class]string{iloc.ClassInt: "r", iloc.ClassFlt: "f"}[c], orig, label)
 			}
 			return 0
 		}
@@ -127,26 +144,22 @@ func Build(rt *iloc.Routine, c iloc.Class, tree *dom.Tree, live *liveness.Info) 
 	var walk func(bi int)
 	walk = func(bi int) {
 		b := rt.Blocks[bi]
-		var popped []int
+		mark := len(defined)
 		for _, in := range b.Instrs {
 			if in.Op == iloc.OpPhi {
 				if in.Dst.Class != c {
 					continue
 				}
-				orig := phiOrig[in]
-				in.Dst = iloc.Reg{Class: c, N: newName(orig, in, b)}
-				popped = append(popped, orig)
+				in.Dst = iloc.Reg{Class: c, N: newName(phiOrig[in], in, b)}
 				continue
 			}
 			for i := range in.Src[:in.Op.NSrc()] {
 				if in.Src[i].Class == c && in.Src[i].N != 0 {
-					in.Src[i] = iloc.Reg{Class: c, N: top(in.Src[i].N, b.Label)}
+					in.Src[i] = iloc.Reg{Class: c, N: top(in.Src[i].N, b.Label, false)}
 				}
 			}
 			if d := in.Def(); d.Valid() && d.Class == c && d.N != 0 {
-				orig := d.N
-				in.Dst = iloc.Reg{Class: c, N: newName(orig, in, b)}
-				popped = append(popped, orig)
+				in.Dst = iloc.Reg{Class: c, N: newName(d.N, in, b)}
 			}
 		}
 		for _, s := range b.Succs {
@@ -162,15 +175,16 @@ func Build(rt *iloc.Routine, c iloc.Class, tree *dom.Tree, live *liveness.Info) 
 				if v, named := phiOrig[in]; named {
 					orig = v
 				}
-				in.Phi.Args[pi] = iloc.Reg{Class: c, N: top(orig, s.Label+"(φ)")}
+				in.Phi.Args[pi] = iloc.Reg{Class: c, N: top(orig, s.Label, true)}
 			}
 		}
 		for _, child := range tree.Children[bi] {
 			walk(child)
 		}
-		for _, orig := range popped {
+		for _, orig := range defined[mark:] {
 			stacks[orig] = stacks[orig][:len(stacks[orig])-1]
 		}
+		defined = defined[:mark]
 	}
 	walk(rt.Entry().Index)
 	if renameErr != nil {
@@ -180,16 +194,57 @@ func Build(rt *iloc.Routine, c iloc.Class, tree *dom.Tree, live *liveness.Info) 
 	g.NumValues = len(g.DefOf)
 	rt.NextReg[c] = g.NumValues
 
-	// Def-use chains.
-	g.UsesOf = make([][]*iloc.Instr, g.NumValues)
+	// Def-use chains: count each value's uses, then fill in code order.
+	nUses := make([]int, g.NumValues)
+	total := 0
+	forEachUse(rt, c, func(v int, _ *iloc.Instr) {
+		nUses[v]++
+		total++
+	})
+	g.UsesOf = carve[*iloc.Instr](nUses, total)
+	forEachUse(rt, c, func(v int, in *iloc.Instr) {
+		g.UsesOf[v] = append(g.UsesOf[v], in)
+	})
+	return g, nil
+}
+
+// carve returns one empty slice per count, all cut from one array of
+// total elements, the slice for count n with capacity n: appending up to
+// that many fills it in place, without allocating.
+func carve[T any](counts []int, total int) [][]T {
+	flat := make([]T, total)
+	out := make([][]T, len(counts))
+	off := 0
+	for i, n := range counts {
+		if n > 0 {
+			out[i] = flat[off : off : off+n]
+			off += n
+		}
+	}
+	return out
+}
+
+// forEachDef calls f for every definition of a class-c register, with
+// its block, in code order.
+func forEachDef(rt *iloc.Routine, c iloc.Class, f func(v int, b *iloc.Block)) {
+	for _, b := range rt.Blocks {
+		for _, in := range b.Instrs {
+			if d := in.Def(); d.Valid() && d.Class == c && d.N != 0 {
+				f(d.N, b)
+			}
+		}
+	}
+}
+
+// forEachUse calls f for every use of a class-c value, in code order.
+func forEachUse(rt *iloc.Routine, c iloc.Class, f func(v int, in *iloc.Instr)) {
 	for _, b := range rt.Blocks {
 		for _, in := range b.Instrs {
 			for _, u := range in.Uses() {
 				if u.Class == c && u.N != 0 {
-					g.UsesOf[u.N] = append(g.UsesOf[u.N], in)
+					f(u.N, in)
 				}
 			}
 		}
 	}
-	return g, nil
 }

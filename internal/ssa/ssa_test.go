@@ -221,8 +221,43 @@ entry:
 	}
 	tree := dom.Compute(rt)
 	live := liveness.Compute(rt, iloc.ClassInt)
-	if _, err := Build(rt, iloc.ClassInt, tree, live); err == nil {
+	_, err := Build(rt, iloc.ClassInt, tree, live)
+	if err == nil {
 		t.Fatal("use of undefined register not reported")
+	}
+	if want := "ssa: use of undefined register r1 at entry"; err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
+	}
+}
+
+// A register defined on one path only reaches the join through a φ
+// whose argument from the other path has no definition; the error names
+// the φ's block.
+func TestUseOfUndefinedRegisterInPhi(t *testing.T) {
+	rt := iloc.MustParse(`
+routine f(r2)
+entry:
+    getparam r2, 0
+    br gt r2, a, b
+a:
+    ldi r1, 1
+    jmp c
+b:
+    jmp c
+c:
+    retr r1
+`)
+	if err := cfg.Build(rt); err != nil {
+		t.Fatal(err)
+	}
+	tree := dom.Compute(rt)
+	live := liveness.Compute(rt, iloc.ClassInt)
+	_, err := Build(rt, iloc.ClassInt, tree, live)
+	if err == nil {
+		t.Fatal("undefined φ argument not reported")
+	}
+	if want := "ssa: use of undefined register r1 at c(φ)"; err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
 	}
 }
 
