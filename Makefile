@@ -56,6 +56,7 @@ verify:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 5s ./internal/iloc
 	$(GO) test -run '^$$' -fuzz FuzzAllocate -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzLookupStrategy -fuzztime 5s ./internal/core
 
 # smoke-strategies runs one small kernel through every registered
 # allocation strategy with the verifier on and degradation disabled:

@@ -50,11 +50,11 @@ func BenchmarkTable1Row(b *testing.B) {
 	m := target.WithRegs(6)
 	for _, name := range []string{"fehl", "decomp", "bilan", "inithx", "sgemm", "tomcatv"} {
 		k := suite.ByName(name)
-		for _, mode := range []core.Mode{core.ModeChaitin, core.ModeRemat} {
-			b.Run(name+"/"+mode.String(), func(b *testing.B) {
+		for _, mode := range []string{"chaitin", "remat"} {
+			b.Run(name+"/"+mode, func(b *testing.B) {
 				var cycles int64
 				for i := 0; i < b.N; i++ {
-					res, err := core.Allocate(context.Background(), k.Routine(), core.Options{Machine: m, Mode: mode})
+					res, err := core.Allocate(context.Background(), k.Routine(), core.Options{Machine: m, Strategy: mode})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -77,16 +77,16 @@ func BenchmarkTable2(b *testing.B) {
 	m := target.Standard()
 	for _, name := range experiments.Table2Routines {
 		k := suite.ByName(name)
-		for _, mode := range []core.Mode{core.ModeChaitin, core.ModeRemat} {
+		for _, mode := range []string{"chaitin", "remat"} {
 			label := "old"
-			if mode == core.ModeRemat {
+			if mode == "remat" {
 				label = "new"
 			}
 			b.Run(name+"/"+label, func(b *testing.B) {
 				var res *core.Result
 				var err error
 				for i := 0; i < b.N; i++ {
-					res, err = core.Allocate(context.Background(), k.Routine(), core.Options{Machine: m, Mode: mode})
+					res, err = core.Allocate(context.Background(), k.Routine(), core.Options{Machine: m, Strategy: mode})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -136,7 +136,7 @@ func BenchmarkSplitting(b *testing.B) {
 		b.Run(s.String(), func(b *testing.B) {
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				res, err := core.Allocate(context.Background(), k.Routine(), core.Options{Machine: m, Mode: core.ModeRemat, Split: s})
+				res, err := core.Allocate(context.Background(), k.Routine(), core.Options{Machine: m, Strategy: "remat:split=" + s.String()})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -160,24 +160,15 @@ func BenchmarkSplitting(b *testing.B) {
 // barely move the number.
 func BenchmarkAblation(b *testing.B) {
 	m := target.WithRegs(6)
-	base := core.Options{Machine: m, Mode: core.ModeRemat, Split: core.SplitAtPhis}
-	with := func(f func(*core.Options)) core.Options {
-		o := base
-		f(&o)
-		return o
-	}
 	configs := []struct {
-		name string
-		opts core.Options
+		name     string
+		strategy string
 	}{
-		{"full", base},
-		{"no-conservative-coalescing", with(func(o *core.Options) { o.DisableConservativeCoalescing = true })},
-		{"no-biased-coloring", with(func(o *core.Options) { o.DisableBiasedColoring = true })},
-		{"no-lookahead", with(func(o *core.Options) { o.DisableLookahead = true })},
-		{"no-coalescing-no-bias", with(func(o *core.Options) {
-			o.DisableConservativeCoalescing = true
-			o.DisableBiasedColoring = true
-		})},
+		{"full", "remat:split=all-phis"},
+		{"no-conservative-coalescing", "remat:split=all-phis,no-coalesce"},
+		{"no-biased-coloring", "remat:split=all-phis,no-bias"},
+		{"no-lookahead", "remat:split=all-phis,no-lookahead"},
+		{"no-coalescing-no-bias", "remat:split=all-phis,no-coalesce,no-bias"},
 	}
 	for _, cfg := range configs {
 		b.Run(cfg.name, func(b *testing.B) {
@@ -185,7 +176,7 @@ func BenchmarkAblation(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				total = 0
 				for _, k := range suite.All() {
-					res, err := core.Allocate(context.Background(), k.Routine(), cfg.opts)
+					res, err := core.Allocate(context.Background(), k.Routine(), core.Options{Machine: m, Strategy: cfg.strategy})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -205,7 +196,7 @@ func BenchmarkAblation(b *testing.B) {
 // driver at -j 1 and -j NumCPU, cold and against a warm result cache —
 // the throughput surface BENCH_driver.json snapshots via `make bench`.
 func BenchmarkDriverSuite(b *testing.B) {
-	opts := core.Options{Machine: target.WithRegs(6), Mode: core.ModeRemat}
+	opts := core.Options{Machine: target.WithRegs(6), Strategy: "remat"}
 	var units []driver.Unit
 	for _, k := range suite.All() {
 		units = append(units, driver.Unit{Name: k.Name, Routine: k.Routine()})
@@ -264,12 +255,12 @@ func BenchmarkInterp(b *testing.B) {
 // BenchmarkAllocateSuite measures allocator throughput over the whole
 // suite (both modes) — the compile-time cost the paper's §5.4 discusses.
 func BenchmarkAllocateSuite(b *testing.B) {
-	for _, mode := range []core.Mode{core.ModeChaitin, core.ModeRemat} {
-		b.Run(mode.String(), func(b *testing.B) {
+	for _, mode := range []string{"chaitin", "remat"} {
+		b.Run(mode, func(b *testing.B) {
 			m := target.Standard()
 			for i := 0; i < b.N; i++ {
 				for _, k := range suite.All() {
-					if _, err := core.Allocate(context.Background(), k.Routine(), core.Options{Machine: m, Mode: mode}); err != nil {
+					if _, err := core.Allocate(context.Background(), k.Routine(), core.Options{Machine: m, Strategy: mode}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -291,7 +282,7 @@ func BenchmarkSpillMetric(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				total = 0
 				for _, k := range suite.All() {
-					res, err := core.Allocate(context.Background(), k.Routine(), core.Options{Machine: m, Mode: core.ModeRemat, Metric: metric})
+					res, err := core.Allocate(context.Background(), k.Routine(), core.Options{Machine: m, Strategy: "remat:metric=" + metric.String()})
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -68,7 +68,7 @@ func runCmdFail(t *testing.T, bin string, args ...string) string {
 
 func TestCLIRallocAllocatesFile(t *testing.T) {
 	bin := buildCmd(t, "ralloc")
-	out, stderr := runCmd(t, bin, "", "-mode", "remat", "-regs", "4", "-stats", "testdata/sumabs.iloc")
+	out, stderr := runCmd(t, bin, "", "-strategy", "remat", "-regs", "4", "-stats", "testdata/sumabs.iloc")
 	if !strings.Contains(out, "routine sumabs") {
 		t.Fatalf("no routine in output:\n%s", out)
 	}
@@ -118,7 +118,7 @@ func TestCLIRallocEmitsC(t *testing.T) {
 func TestCLIRallocSplitSchemes(t *testing.T) {
 	bin := buildCmd(t, "ralloc")
 	for _, s := range []string{"none", "all-loops", "outer-loops", "inactive-loops", "all-phis"} {
-		out, _ := runCmd(t, bin, "", "-split", s, "-regs", "6", "testdata/fig1.iloc")
+		out, _ := runCmd(t, bin, "", "-strategy", "remat:split="+s, "-regs", "6", "testdata/fig1.iloc")
 		if !strings.Contains(out, "routine fig1") {
 			t.Fatalf("scheme %s: no output", s)
 		}
@@ -151,9 +151,11 @@ func TestCLIRallocMultiFile(t *testing.T) {
 }
 
 // Duplicate inputs hit the content-addressed cache; -stats reports it.
+// One worker: two workers can allocate both copies at once, and the
+// cache does not merge in-flight misses.
 func TestCLIRallocCache(t *testing.T) {
 	bin := buildCmd(t, "ralloc")
-	out, stderr := runCmd(t, bin, "", "-cache", "-stats", "-regs", "6",
+	out, stderr := runCmd(t, bin, "", "-j", "1", "-cache", "-stats", "-regs", "6",
 		"testdata/sumabs.iloc", "testdata/sumabs.iloc")
 	if strings.Count(out, "routine sumabs") != 2 {
 		t.Fatalf("both copies should be printed:\n%s", out)
@@ -207,15 +209,6 @@ func TestCLIRallocStrategyBackCompat(t *testing.T) {
 		if def != byStrategy {
 			t.Fatalf("%s: -strategy remat differs from default:\n--- default\n%s--- strategy\n%s", file, def, byStrategy)
 		}
-		byMode, _ := runCmd(t, bin, "", "-mode", "remat", file)
-		if def != byMode {
-			t.Fatalf("%s: -mode remat differs from default", file)
-		}
-		chaitinMode, _ := runCmd(t, bin, "", "-mode", "chaitin", file)
-		chaitinStrat, _ := runCmd(t, bin, "", "-strategy", "chaitin", file)
-		if chaitinMode != chaitinStrat {
-			t.Fatalf("%s: -strategy chaitin differs from -mode chaitin", file)
-		}
 	}
 }
 
@@ -252,7 +245,7 @@ func TestCLIIlocrunStdinAndAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain, _ := runCmd(t, bin, string(src), "-args", "8", "-")
-	alloc, _ := runCmd(t, bin, string(src), "-args", "8", "-mode", "remat", "-regs", "4", "-")
+	alloc, _ := runCmd(t, bin, string(src), "-args", "8", "-strategy", "remat", "-regs", "4", "-")
 	if !strings.Contains(plain, "float=18.5") || !strings.Contains(alloc, "float=18.5") {
 		t.Fatalf("allocation changed the answer:\n%s\n%s", plain, alloc)
 	}
@@ -260,7 +253,7 @@ func TestCLIIlocrunStdinAndAllocate(t *testing.T) {
 
 func TestCLIIlocrunKernel(t *testing.T) {
 	bin := buildCmd(t, "ilocrun")
-	out, _ := runCmd(t, bin, "", "-kernel", "sgemm", "-mode", "chaitin", "-regs", "8")
+	out, _ := runCmd(t, bin, "", "-kernel", "sgemm", "-strategy", "chaitin", "-regs", "8")
 	if !strings.Contains(out, "result:") || !strings.Contains(out, "cycles") {
 		t.Fatalf("kernel run output wrong:\n%s", out)
 	}
@@ -284,7 +277,7 @@ func TestCLIIlocrunProgramWithCalls(t *testing.T) {
 	if !strings.Contains(plain, "int=41") {
 		t.Fatalf("6²+5 = 41 expected:\n%s", plain)
 	}
-	alloc, _ := runCmd(t, bin, "", "-args", "6", "-mode", "remat", "-regs", "8", "testdata/program.iloc")
+	alloc, _ := runCmd(t, bin, "", "-args", "6", "-strategy", "remat", "-regs", "8", "testdata/program.iloc")
 	if !strings.Contains(alloc, "int=41") {
 		t.Fatalf("allocated program wrong:\n%s", alloc)
 	}

@@ -4,14 +4,15 @@
 // cache, and writes the measurements as JSON (BENCH_driver.json in CI;
 // see `make bench` and cmd/benchdiff for the regression gate).
 //
-//	driverbench [-out BENCH_driver.json] [-reps 3] [-mode remat]
+//	driverbench [-out BENCH_driver.json] [-reps 3]
 //	            [-strategy spec] [-machine name] [-regs 6]
 //	            [-corpus spec] [-cache-dir dir]
 //	            [-trace out.json] [-metrics] [-pprof addr]
 //
-// -strategy selects a registered allocation strategy by spec (see
-// `ralloc -list-strategies`), overriding -mode; the report records it
-// so benchmark files from different strategies never compare silently.
+// -strategy selects a registered allocation strategy by spec (default
+// "remat"; see `ralloc -list-strategies`); the report records its
+// canonical form so benchmark files from different strategies never
+// compare silently.
 // -machine selects a zoo machine by name (see `ralloc -list-machines`)
 // or a regs=N sweep point, overriding -regs; it too lands in the
 // report.
@@ -79,7 +80,6 @@ type report struct {
 	GeneratedUnix int64  `json:"generated_unix"`
 	GoVersion     string `json:"go_version"`
 	NumCPU        int    `json:"num_cpu"`
-	Mode          string `json:"mode"`
 	Strategy      string `json:"strategy"`
 	Machine       string `json:"machine,omitempty"`
 	Regs          int    `json:"regs"`
@@ -114,8 +114,7 @@ type report struct {
 func main() {
 	out := flag.String("out", "BENCH_driver.json", "output file (- for stdout)")
 	reps := flag.Int("reps", 3, "repetitions per configuration (best wall time wins)")
-	mode := flag.String("mode", "remat", "allocator mode: remat or chaitin")
-	strategy := flag.String("strategy", "", "allocation strategy spec (overrides -mode; see ralloc -list-strategies)")
+	strategy := flag.String("strategy", "remat", "allocation strategy spec (see ralloc -list-strategies)")
 	machine := flag.String("machine", "", "target machine: a zoo name (see ralloc -list-machines) or regs=N; overrides -regs")
 	regs := flag.Int("regs", 6, "registers per class (6 = the calibrated pressure point)")
 	corpusSpec := flag.String("corpus", "", "add a corpus-replay leg over this generated-corpus spec (see internal/corpus; e.g. count=200,seed=7)")
@@ -125,27 +124,16 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 	flag.Parse()
 
-	opts := core.Options{Machine: target.WithRegs(*regs)}
+	if _, err := core.LookupStrategy(*strategy); err != nil {
+		fail(err)
+	}
+	opts := core.Options{Machine: target.WithRegs(*regs), Strategy: *strategy}
 	if *machine != "" {
 		m, err := machines.Lookup(*machine)
 		if err != nil {
 			fail(err)
 		}
 		opts.Machine = m
-	}
-	switch *mode {
-	case "remat":
-		opts.Mode = core.ModeRemat
-	case "chaitin":
-		opts.Mode = core.ModeChaitin
-	default:
-		fail(fmt.Errorf("unknown mode %q", *mode))
-	}
-	if *strategy != "" {
-		if _, err := core.LookupStrategy(*strategy); err != nil {
-			fail(err)
-		}
-		opts.Strategy = *strategy
 	}
 
 	// Telemetry: the registry always exists so expvar has something to
@@ -193,7 +181,6 @@ func main() {
 		GeneratedUnix: time.Now().Unix(),
 		GoVersion:     runtime.Version(),
 		NumCPU:        runtime.NumCPU(),
-		Mode:          *mode,
 		Strategy:      opts.Canonical().Strategy,
 		Machine:       opts.Machine.Name,
 		Regs:          *regs,

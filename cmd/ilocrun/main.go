@@ -4,13 +4,13 @@
 //	ilocrun [-args v1,v2,...] [-counts] file.iloc
 //
 // A file may hold several routines; the first is the entry point and
-// the rest are callees (allocated with the same options when -mode is
-// given). Arguments match the routine's declared parameters in order;
+// the rest are callees (allocated with the same options when -strategy
+// is given). Arguments match the routine's declared parameters in order;
 // values containing '.' are floats, others integers. Suite kernels are
 // also runnable by name with -kernel (their Setup provides the
 // arguments):
 //
-//	ilocrun -kernel sgemm [-regs N -mode remat]
+//	ilocrun -kernel sgemm [-regs N -strategy remat]
 package main
 
 import (
@@ -34,16 +34,16 @@ func main() {
 	argsFlag := flag.String("args", "", "comma-separated routine arguments")
 	counts := flag.Bool("counts", false, "print per-opcode dynamic counts")
 	kernel := flag.String("kernel", "", "run a suite kernel by name instead of a file")
-	mode := flag.String("mode", "", "allocate first: remat or chaitin (default: run virtual-register code)")
+	strategy := flag.String("strategy", "", "allocate first under this strategy spec, e.g. remat or chaitin (default: run virtual-register code)")
 	regs := flag.Int("regs", 16, "registers per class when allocating")
 	flag.Parse()
 
 	var out *interp.Outcome
 	var err error
 	if *kernel != "" {
-		out, err = runKernel(*kernel, *mode, *regs)
+		out, err = runKernel(*kernel, *strategy, *regs)
 	} else {
-		out, err = runFile(flag.Arg(0), *argsFlag, *mode, *regs)
+		out, err = runFile(flag.Arg(0), *argsFlag, *strategy, *regs)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ilocrun:", err)
@@ -72,27 +72,18 @@ func main() {
 	}
 }
 
-func maybeAllocate(rt *iloc.Routine, mode string, regs int) (*iloc.Routine, error) {
-	if mode == "" {
+func maybeAllocate(rt *iloc.Routine, strategy string, regs int) (*iloc.Routine, error) {
+	if strategy == "" {
 		return rt, nil
 	}
-	opts := core.Options{Machine: target.WithRegs(regs)}
-	switch mode {
-	case "remat":
-		opts.Mode = core.ModeRemat
-	case "chaitin":
-		opts.Mode = core.ModeChaitin
-	default:
-		return nil, fmt.Errorf("unknown mode %q", mode)
-	}
-	res, err := core.Allocate(context.Background(), rt, opts)
+	res, err := core.Allocate(context.Background(), rt, core.Options{Machine: target.WithRegs(regs), Strategy: strategy})
 	if err != nil {
 		return nil, err
 	}
 	return res.Routine, nil
 }
 
-func runKernel(name, mode string, regs int) (*interp.Outcome, error) {
+func runKernel(name, strategy string, regs int) (*interp.Outcome, error) {
 	k := suite.ByName(name)
 	if k == nil {
 		var names []string
@@ -101,14 +92,14 @@ func runKernel(name, mode string, regs int) (*interp.Outcome, error) {
 		}
 		return nil, fmt.Errorf("no kernel %q (have: %s)", name, strings.Join(names, ", "))
 	}
-	rt, err := maybeAllocate(k.Routine(), mode, regs)
+	rt, err := maybeAllocate(k.Routine(), strategy, regs)
 	if err != nil {
 		return nil, err
 	}
 	return k.Execute(rt)
 }
 
-func runFile(path, argsFlag, mode string, regs int) (*interp.Outcome, error) {
+func runFile(path, argsFlag, strategy string, regs int) (*interp.Outcome, error) {
 	var src []byte
 	var err error
 	if path == "" || path == "-" {
@@ -123,13 +114,13 @@ func runFile(path, argsFlag, mode string, regs int) (*interp.Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt, err := maybeAllocate(rts[0], mode, regs)
+	rt, err := maybeAllocate(rts[0], strategy, regs)
 	if err != nil {
 		return nil, err
 	}
 	var callees []*iloc.Routine
 	for _, c := range rts[1:] {
-		ac, err := maybeAllocate(c, mode, regs)
+		ac, err := maybeAllocate(c, strategy, regs)
 		if err != nil {
 			return nil, err
 		}

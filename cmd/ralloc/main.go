@@ -1,19 +1,20 @@
 // Command ralloc allocates the registers of one or more ILOC routines
 // and prints the result.
 //
-//	ralloc [-strategy spec] [-machine name] [-mode remat|chaitin]
-//	       [-regs N] [-split scheme] [-j N] [-cache] [-c] [-stats]
-//	       [-verify] [-strict] [-trace out.json] [-metrics]
+//	ralloc [-strategy spec] [-machine name] [-regs N] [-j N] [-cache]
+//	       [-c] [-stats] [-verify] [-strict] [-trace out.json] [-metrics]
 //	       [-list-strategies] [-list-machines] [file.iloc ...]
 //
 // With no file it reads standard input; "-" names standard input
 // explicitly.
 //
-// -strategy selects a registered allocation strategy by spec: a name
-// from -list-strategies, optionally with parameters after ":"
-// ("remat:split=all-loops,no-bias"). It overrides -mode and -split; an
-// unknown name fails listing the valid ones. -list-strategies prints
-// the registered strategies, one per line, and exits.
+// -strategy selects a registered allocation strategy by spec (default
+// "remat", the paper's allocator): a name from -list-strategies,
+// optionally with parameters after ":" ("remat:split=all-loops,no-bias"
+// for §6's splitting schemes, the spill metric and the ablation
+// switches). An unknown name fails listing the valid ones.
+// -list-strategies prints the registered strategies, one per line, and
+// exits.
 //
 // -machine selects a target machine from the zoo by name (see
 // -list-machines), or a "regs=N" sweep point; it overrides -regs. An
@@ -60,13 +61,11 @@ import (
 )
 
 func main() {
-	strategy := flag.String("strategy", "", "allocation strategy spec (see -list-strategies); overrides -mode and -split")
+	strategy := flag.String("strategy", "remat", "allocation strategy spec, e.g. chaitin or remat:split=all-loops (see -list-strategies)")
 	listStrategies := flag.Bool("list-strategies", false, "list the registered allocation strategies and exit")
 	machine := flag.String("machine", "", "target machine from the zoo (see -list-machines), or regs=N; overrides -regs")
 	listMachines := flag.Bool("list-machines", false, "list the registered target machines and exit")
-	mode := flag.String("mode", "remat", "allocator mode: remat (the paper) or chaitin (baseline)")
 	regs := flag.Int("regs", 16, "registers per class (16 = the paper's standard machine)")
-	split := flag.String("split", "none", "splitting scheme: none, all-loops, outer-loops, inactive-loops, all-phis")
 	jobs := flag.Int("j", 0, "worker pool size for multi-file batches (0 = number of CPUs)")
 	cache := flag.Bool("cache", false, "reuse allocations of identical routines (content-addressed cache)")
 	cacheDir := flag.String("cache-dir", "", "persist the result cache on disk under this directory, shared across runs (implies -cache)")
@@ -103,35 +102,12 @@ func main() {
 	}
 	opts.Verify = *verify || *strict
 	opts.DisableDegradation = *strict
-	switch *mode {
-	case "remat":
-		opts.Mode = core.ModeRemat
-	case "chaitin":
-		opts.Mode = core.ModeChaitin
-	default:
-		fail(fmt.Errorf("unknown mode %q", *mode))
+	// Validate up front so a typo fails before any input is read, with
+	// the error naming every registered strategy.
+	if _, err := core.LookupStrategy(*strategy); err != nil {
+		fail(err)
 	}
-	switch *split {
-	case "none":
-	case "all-loops":
-		opts.Split = core.SplitAllLoops
-	case "outer-loops":
-		opts.Split = core.SplitOuterLoops
-	case "inactive-loops":
-		opts.Split = core.SplitInactiveLoops
-	case "all-phis":
-		opts.Split = core.SplitAtPhis
-	default:
-		fail(fmt.Errorf("unknown split scheme %q", *split))
-	}
-	if *strategy != "" {
-		// Validate up front so a typo fails before any input is read,
-		// with the error naming every registered strategy.
-		if _, err := core.LookupStrategy(*strategy); err != nil {
-			fail(err)
-		}
-		opts.Strategy = *strategy
-	}
+	opts.Strategy = *strategy
 
 	// Every positional argument is an input file; none means stdin.
 	paths := flag.Args()

@@ -2,7 +2,7 @@
 // allocator over HTTP (see internal/server).
 //
 //	rallocd [-addr host:port] [-addr-file path] [-instance-id name]
-//	        [-mode remat|chaitin] [-machine name]
+//	        [-strategy spec] [-machine name]
 //	        [-regs N] [-verify=false] [-j N] [-cache-size N]
 //	        [-cache-dir dir] [-warm-from file|url]
 //	        [-max-inflight N] [-max-queue N]
@@ -80,7 +80,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8347", "listen address (port 0 picks an ephemeral port)")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening")
-	mode := flag.String("mode", "remat", "default allocator mode: remat or chaitin")
+	strategy := flag.String("strategy", "remat", "default allocation strategy spec, e.g. chaitin or remat:split=all-loops (GET /v1/strategies lists them)")
 	machine := flag.String("machine", "", "default target machine: a zoo name from GET /v1/machines, or regs=N; overrides -regs")
 	regs := flag.Int("regs", 16, "default registers per class")
 	verify := flag.Bool("verify", true, "run the post-allocation verifier on every result by default")
@@ -106,21 +106,16 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON file on clean shutdown")
 	flag.Parse()
 
-	opts := core.Options{Machine: target.WithRegs(*regs), Verify: *verify}
+	if _, err := core.LookupStrategy(*strategy); err != nil {
+		fail(err)
+	}
+	opts := core.Options{Machine: target.WithRegs(*regs), Strategy: *strategy, Verify: *verify}
 	if *machine != "" {
 		m, err := machines.Lookup(*machine)
 		if err != nil {
 			fail(err)
 		}
 		opts.Machine = m
-	}
-	switch *mode {
-	case "remat":
-		opts.Mode = core.ModeRemat
-	case "chaitin":
-		opts.Mode = core.ModeChaitin
-	default:
-		fail(fmt.Errorf("unknown mode %q", *mode))
 	}
 
 	sink := &telemetry.Sink{Metrics: telemetry.NewRegistry()}

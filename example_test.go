@@ -73,8 +73,8 @@ entry:
     retr r5
 `)
 	res, err := regalloc.Allocate(rt, regalloc.Options{
-		Machine: regalloc.MachineWithRegs(3), // two allocatable colors
-		Mode:    regalloc.ModeRemat,
+		Machine:  regalloc.MachineWithRegs(3), // two allocatable colors
+		Strategy: "remat",
 	})
 	if err != nil {
 		panic(err)

@@ -44,8 +44,8 @@ func main() {
 	}
 	main, square := rts[0], rts[1]
 
-	for _, mode := range []regalloc.Mode{regalloc.ModeChaitin, regalloc.ModeRemat} {
-		opts := regalloc.Options{Machine: regalloc.StandardMachine(), Mode: mode}
+	for _, strategy := range []string{"chaitin", "remat"} {
+		opts := regalloc.Options{Machine: regalloc.StandardMachine(), Strategy: strategy}
 		am, err := regalloc.Allocate(main, opts)
 		if err != nil {
 			log.Fatal(err)
@@ -59,12 +59,12 @@ func main() {
 			log.Fatal(err)
 		}
 		// 6² + 7² + 1000 = 1085
-		fmt.Printf("%-8v n=6 -> %d (%d cycles)\n", mode, out.RetInt, out.Cycles(2, 1))
+		fmt.Printf("%-8v n=6 -> %d (%d cycles)\n", strategy, out.RetInt, out.Cycles(2, 1))
 	}
 
 	// Show the allocated driver: the across-call values sit in
 	// callee-save colors (> 6 on the standard machine).
-	am, _ := regalloc.Allocate(main, regalloc.Options{Machine: regalloc.StandardMachine(), Mode: regalloc.ModeRemat})
+	am, _ := regalloc.Allocate(main, regalloc.Options{Machine: regalloc.StandardMachine(), Strategy: "remat"})
 	fmt.Println("\n--- allocated driver ---")
 	fmt.Print(regalloc.Print(am.Routine))
 }

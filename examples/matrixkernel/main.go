@@ -19,7 +19,7 @@ func main() {
 
 	// Baseline: the 128-register huge machine approximates a perfect
 	// allocation (§5.2 of the paper).
-	base, err := measure(k, regalloc.HugeMachine(), regalloc.ModeRemat)
+	base, err := measure(k, regalloc.HugeMachine(), "remat")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -28,11 +28,11 @@ func main() {
 
 	for _, regs := range []int{6, 8, 10, 12, 16} {
 		m := regalloc.MachineWithRegs(regs)
-		ch, err := measure(k, m, regalloc.ModeChaitin)
+		ch, err := measure(k, m, "chaitin")
 		if err != nil {
 			log.Fatal(err)
 		}
-		re, err := measure(k, m, regalloc.ModeRemat)
+		re, err := measure(k, m, "remat")
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -44,8 +44,8 @@ func main() {
 	}
 }
 
-func measure(k *regalloc.Kernel, m *regalloc.Machine, mode regalloc.Mode) (int64, error) {
-	res, err := regalloc.Allocate(k.Routine(), regalloc.Options{Machine: m, Mode: mode})
+func measure(k *regalloc.Kernel, m *regalloc.Machine, strategy string) (int64, error) {
+	res, err := regalloc.Allocate(k.Routine(), regalloc.Options{Machine: m, Strategy: strategy})
 	if err != nil {
 		return 0, err
 	}

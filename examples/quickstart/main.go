@@ -50,11 +50,11 @@ func main() {
 	}
 	fmt.Printf("virtual registers : dot = %g in %d cycles\n", before.RetFloat, before.Cycles(2, 1))
 
-	// Allocate for a tight 4-register machine in both modes.
-	for _, mode := range []regalloc.Mode{regalloc.ModeChaitin, regalloc.ModeRemat} {
+	// Allocate for a tight 4-register machine under both strategies.
+	for _, strategy := range []string{"chaitin", "remat"} {
 		res, err := regalloc.Allocate(rt, regalloc.Options{
-			Machine: regalloc.MachineWithRegs(4),
-			Mode:    mode,
+			Machine:  regalloc.MachineWithRegs(4),
+			Strategy: strategy,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -64,12 +64,12 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-18v: dot = %g in %d cycles (%d ranges spilled, %d rematerialized)\n",
-			mode, after.RetFloat, after.Cycles(2, 1), res.SpilledRanges, res.RematSpills)
+			strategy, after.RetFloat, after.Cycles(2, 1), res.SpilledRanges, res.RematSpills)
 	}
 
 	// The allocated code is ordinary ILOC; print it or translate it to
 	// the instrumented C of the paper's Figure 4.
-	res, _ := regalloc.Allocate(rt, regalloc.Options{Machine: regalloc.StandardMachine(), Mode: regalloc.ModeRemat})
+	res, _ := regalloc.Allocate(rt, regalloc.Options{Machine: regalloc.StandardMachine(), Strategy: "remat"})
 	fmt.Println("\n--- allocated ILOC (16 registers) ---")
 	fmt.Print(regalloc.Print(res.Routine))
 }

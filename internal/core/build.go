@@ -108,7 +108,7 @@ func (a *allocator) coalesceToFixpoint(splitRound bool) int {
 
 // coalescePass scans for removable copies of one kind, for
 // coalesceToFixpoint: unrestricted over ordinary copies, then (in
-// ModeRemat) conservative over split copies. Ordinary copies
+// remat) conservative over split copies. Ordinary copies
 // (splitRound false) coalesce whenever the ends do not interfere; split
 // copies additionally require the merged node to have fewer than k
 // neighbors of significant degree, so the combined range provably still

@@ -25,7 +25,7 @@ func benchCorpus(b *testing.B) ([]*iloc.Routine, Options) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return corpus.Routines(units), Options{Machine: m, Mode: ModeRemat}.withDefaults()
+	return corpus.Routines(units), Options{Machine: m, Strategy: "remat"}.withDefaults()
 }
 
 // BenchmarkBuildGraph builds the interference graphs of both classes of
@@ -36,7 +36,7 @@ func BenchmarkBuildGraph(b *testing.B) {
 	rts, opts := benchCorpus(b)
 	allocs := make([]*allocator, len(rts))
 	for i, rt := range rts {
-		a := &allocator{rt: rt.Clone(), opts: opts}
+		a := &allocator{rt: rt.Clone(), opts: opts, params: strategyParams{remat: true}}
 		ctx := &roundCtx{}
 		for _, p := range []*Pass{passCFA, passRenumber} {
 			if err := p.run(a, ctx, &IterationStats{}, &PassStat{}); err != nil {

@@ -59,8 +59,8 @@ entry:
     add r4, r4, r3
     retr r4
 `
-	for _, mode := range []Mode{ModeChaitin, ModeRemat} {
-		out := runProgram(t, callerSrc, squareSrc, Options{Machine: target.Standard(), Mode: mode}, interp.Int(6))
+	for _, mode := range []string{"chaitin", "remat"} {
+		out := runProgram(t, callerSrc, squareSrc, Options{Machine: target.Standard(), Strategy: mode}, interp.Int(6))
 		if out.RetInt != 36+100+7 {
 			t.Fatalf("mode %v: result = %d, want 143", mode, out.RetInt)
 		}
@@ -96,8 +96,8 @@ entry:
     retr r10
 `
 	for _, regs := range []int{16, 10, 8} {
-		for _, mode := range []Mode{ModeChaitin, ModeRemat} {
-			out := runProgram(t, callerSrc, squareSrc, Options{Machine: target.WithRegs(regs), Mode: mode}, interp.Int(3))
+		for _, mode := range []string{"chaitin", "remat"} {
+			out := runProgram(t, callerSrc, squareSrc, Options{Machine: target.WithRegs(regs), Strategy: mode}, interp.Int(3))
 			if out.RetInt != 9+36 {
 				t.Fatalf("regs=%d mode=%v: result = %d, want 45", regs, mode, out.RetInt)
 			}
@@ -121,7 +121,7 @@ entry:
     add r3, r3, r4
     retr r3
 `
-	out := runProgram(t, callerSrc, squareSrc, Options{Machine: target.WithRegs(8), Mode: ModeRemat})
+	out := runProgram(t, callerSrc, squareSrc, Options{Machine: target.WithRegs(8), Strategy: "remat"})
 	if out.RetInt != 25+9 {
 		t.Fatalf("result = %d, want 34", out.RetInt)
 	}
@@ -150,8 +150,8 @@ body:
 done:
     retr r3
 `
-	for _, mode := range []Mode{ModeChaitin, ModeRemat} {
-		out := runProgram(t, callerSrc, squareSrc, Options{Machine: target.Standard(), Mode: mode}, interp.Int(5))
+	for _, mode := range []string{"chaitin", "remat"} {
+		out := runProgram(t, callerSrc, squareSrc, Options{Machine: target.Standard(), Strategy: mode}, interp.Int(5))
 		if out.RetInt != 0+1+4+9+16 {
 			t.Fatalf("mode %v: Σi² = %d, want 30", mode, out.RetInt)
 		}
@@ -182,7 +182,7 @@ rec:
     add r4, r4, r5
     retr r4
 `
-	res, err := Allocate(context.Background(), iloc.MustParse(fibSrc), Options{Machine: target.Standard(), Mode: ModeRemat})
+	res, err := Allocate(context.Background(), iloc.MustParse(fibSrc), Options{Machine: target.Standard(), Strategy: "remat"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,14 +70,14 @@ entry:
     retr r4
 `
 	for _, m := range []*target.Machine{target.Standard(), target.WithRegs(3)} {
-		for _, mode := range []Mode{ModeChaitin, ModeRemat} {
-			res, err := Allocate(context.Background(), iloc.MustParse(callerSrc), Options{Machine: m, Mode: mode})
+		for _, mode := range []string{"chaitin", "remat"} {
+			res, err := Allocate(context.Background(), iloc.MustParse(callerSrc), Options{Machine: m, Strategy: mode})
 			if err != nil {
 				t.Fatalf("machine %s mode %v: %v", m, mode, err)
 			}
 			checkNoCallerSaveAcrossCalls(t, res.Routine, m)
 
-			callee, err := Allocate(context.Background(), iloc.MustParse(squareSrc), Options{Machine: m, Mode: mode})
+			callee, err := Allocate(context.Background(), iloc.MustParse(squareSrc), Options{Machine: m, Strategy: mode})
 			if err != nil {
 				t.Fatalf("callee on %s: %v", m, err)
 			}
@@ -113,7 +113,7 @@ entry:
     retr r3
 `
 	m := target.WithRegs(3)
-	res, err := Allocate(context.Background(), iloc.MustParse(callerSrc), Options{Machine: m, Mode: ModeRemat})
+	res, err := Allocate(context.Background(), iloc.MustParse(callerSrc), Options{Machine: m, Strategy: "remat"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ func (a *allocator) simplify(cs *classState) {
 			if bestAny == -1 {
 				bestAny = v
 			}
-			metric := a.opts.Metric.evaluate(cs.cost[v], deg[v])
+			metric := a.params.metric.evaluate(cs.cost[v], deg[v])
 			if !cs.mustNot[v] && metric < bestMetric {
 				best, bestMetric = v, metric
 			}
@@ -163,7 +163,7 @@ func (a *allocator) selectColors(cs *classState) (spilled []int) {
 		}
 
 		choice := 0
-		if !a.opts.DisableBiasedColoring {
+		if !a.params.noBias {
 			// Bias: a color already given to a partner.
 			for _, p := range cs.partners[v] {
 				if col := cs.colors[p]; col != 0 && !forbidden[col] {
@@ -173,7 +173,7 @@ func (a *allocator) selectColors(cs *classState) (spilled []int) {
 			}
 			// Lookahead: prefer a color an uncolored partner could still
 			// take, so the later biased pick can match it.
-			if choice == 0 && !a.opts.DisableLookahead {
+			if choice == 0 && !a.params.noLookahead {
 				for _, p := range cs.partners[v] {
 					if cs.colors[p] != 0 {
 						continue

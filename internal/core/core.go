@@ -5,8 +5,8 @@
 // coalescing, biased coloring with lookahead, and spill code that
 // recomputes never-killed values instead of storing and reloading them.
 //
-// The same code also runs in "Chaitin mode", which reproduces the
-// baseline of Table 1: live ranges are formed by unioning every value
+// The same code also runs as the "chaitin" strategy, which reproduces
+// the baseline of Table 1: live ranges are formed by unioning every value
 // reaching each φ-node (no splits), and a live range is rematerializable
 // only when all of its definitions are identical never-killed
 // instructions.
@@ -27,62 +27,16 @@ import (
 	"repro/internal/verify"
 )
 
-// Mode selects the rematerialization strategy.
-type Mode int
-
-// Allocator modes.
-const (
-	// ModeChaitin is the baseline: Chaitin's limited rematerialization
-	// (whole live ranges, no splitting). The "Optimistic" column of
-	// Table 1.
-	ModeChaitin Mode = iota
-	// ModeRemat is the paper's contribution: per-value tags, splits,
-	// conservative coalescing and biased coloring. The
-	// "Rematerialization" column of Table 1.
-	ModeRemat
-)
-
-func (m Mode) String() string {
-	switch m {
-	case ModeChaitin:
-		return "chaitin"
-	case ModeRemat:
-		return "remat"
-	}
-	return fmt.Sprintf("mode(%d)", int(m))
-}
-
 // Options configures an allocation.
 type Options struct {
 	Machine *target.Machine
-	Mode    Mode
 
-	// Strategy selects the allocation strategy by registered name,
+	// Strategy selects the allocator by strategy spec: a registered name,
 	// optionally parameterized ("remat", "chaitin", "spill-everywhere",
 	// "ssa-spill", "remat:split=all-loops,no-bias"; see strategy.go).
-	// When set it wins over Mode and the strategy's parameters shape the
-	// fields below; when empty it is derived from Mode, so existing
-	// Mode-based callers behave exactly as before. An out-of-range Mode
-	// derives an unregistered name and Allocate reports it as an error.
+	// Empty means "chaitin". An unknown spec is an Allocate error.
 	Strategy string
 
-	// DisableConservativeCoalescing keeps the splits renumber inserted
-	// (ablation switch; normally conservative coalescing runs in
-	// ModeRemat).
-	DisableConservativeCoalescing bool
-	// DisableBiasedColoring turns off partner-color preference in select.
-	DisableBiasedColoring bool
-	// DisableLookahead turns off the one-level partner lookahead.
-	DisableLookahead bool
-	// Split selects one of §6's experimental live-range splitting
-	// schemes (ModeRemat only); SplitNone is the paper's main
-	// configuration.
-	Split SplitScheme
-	// Metric selects the spill-candidate metric. The paper uses
-	// Chaitin's cost/degree ("the metric for picking spill candidates is
-	// critical", §2); the alternatives come from the spill-minimization
-	// literature it cites (Bernstein et al.).
-	Metric SpillMetric
 	// MaxIterations bounds the spill/color loop (default 32).
 	MaxIterations int
 
@@ -116,23 +70,22 @@ func (o Options) withDefaults() Options {
 		o.MaxIterations = 32
 	}
 	if o.Strategy == "" {
-		o.Strategy = o.Mode.String()
+		o.Strategy = "chaitin"
 	}
 	return o
 }
 
 // Canonical returns the options as Allocate uses them, with defaults
 // applied (nil Machine becomes the standard machine, zero MaxIterations
-// the default bound, an empty Strategy derived from Mode), the strategy
-// spec normalized and its parameters folded onto the option fields, and
-// the non-semantic Telemetry sink cleared. Two Options values with
-// equal Canonical semantic fields configure identical allocations — the
-// property the driver's content-addressed result cache keys on.
+// the default bound, an empty Strategy "chaitin"), a valid strategy spec
+// rewritten to its canonical Spec, and the non-semantic Telemetry sink
+// cleared. Two Options values with equal Canonical semantic fields
+// configure identical allocations — the property the driver's
+// content-addressed result cache keys on.
 func (o Options) Canonical() Options {
 	c := o.withDefaults()
 	if strat, err := LookupStrategy(c.Strategy); err == nil {
-		strat.applyTo(&c)
-		c.Strategy = strat.specFor(c)
+		c.Strategy = strat.Spec()
 	}
 	c.Telemetry = nil
 	return c
@@ -180,7 +133,6 @@ type Result struct {
 	// RematSpills the subset handled by rematerialization.
 	SpilledRanges int
 	RematSpills   int
-	Mode          Mode
 	// Strategy is the canonical spec of the strategy that produced the
 	// allocation ("remat", "ssa-spill", "remat:split=all-loops", ...).
 	Strategy string
@@ -232,10 +184,11 @@ func (cs *classState) find(n int) int { return cs.sets.Find(n) }
 func (cs *classState) tagOf(n int) remat.Tag { return cs.tags[cs.find(n)] }
 
 type allocator struct {
-	ctx  context.Context
-	rt   *iloc.Routine
-	opts Options
-	res  *Result
+	ctx    context.Context
+	rt     *iloc.Routine
+	opts   Options
+	params strategyParams
+	res    *Result
 
 	classes   [iloc.NumClasses]*classState
 	scratch   [iloc.NumClasses]classScratch
@@ -274,8 +227,7 @@ func Allocate(ctx context.Context, rt *iloc.Routine, opts Options) (*Result, err
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	strat.applyTo(&opts)
-	opts.Strategy = strat.specFor(opts)
+	opts.Strategy = strat.Spec()
 	if err := opts.Machine.Validate(); err != nil {
 		return nil, err
 	}
@@ -286,7 +238,6 @@ func Allocate(ctx context.Context, rt *iloc.Routine, opts Options) (*Result, err
 	sp := tel.StartSpan(telemetry.CatAlloc, rt.Name)
 	res, err := allocateOrDegrade(ctx, rt, opts, strat)
 	if sp.Active() {
-		sp.StrArg("mode", opts.Mode.String())
 		sp.StrArg("strategy", opts.Strategy)
 		if res != nil {
 			sp.Arg("iterations", int64(len(res.Iterations)))
@@ -372,7 +323,7 @@ func runStrategy(ctx context.Context, rt *iloc.Routine, opts Options, strat *Str
 	if err := ctx.Err(); err != nil {
 		return nil, &AllocError{Routine: rt.Name, Pass: "context", Err: err}
 	}
-	res, err := strat.run(ctx, rt, opts)
+	res, err := strat.run(ctx, rt, opts, strat.params)
 	if err != nil {
 		return nil, err
 	}
@@ -390,17 +341,18 @@ func runStrategy(ctx context.Context, rt *iloc.Routine, opts Options, strat *Str
 // allocate runs the iterated build–color–spill pipeline with panic
 // containment: any panic escaping a pass (or the loop scaffolding)
 // surfaces as an *AllocError instead of unwinding into the caller.
-func allocate(ctx context.Context, rt *iloc.Routine, opts Options) (res *Result, err error) {
+func allocate(ctx context.Context, rt *iloc.Routine, opts Options, params strategyParams) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, recovered(rt.Name, "", 0, r)
 		}
 	}()
 	a := &allocator{
-		ctx:  ctx,
-		rt:   rt.Clone(),
-		opts: opts,
-		res:  &Result{Mode: opts.Mode, Machine: opts.Machine},
+		ctx:    ctx,
+		rt:     rt.Clone(),
+		opts:   opts,
+		params: params,
+		res:    &Result{Machine: opts.Machine},
 	}
 	for c := range a.slots {
 		a.slots[c] = make(map[int]int64)

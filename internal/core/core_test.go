@@ -45,7 +45,7 @@ func runBoth(t *testing.T, rt *iloc.Routine, opts Options, args ...interp.Value)
 
 	res, err := Allocate(context.Background(), rt, opts)
 	if err != nil {
-		t.Fatalf("allocate (%v): %v", opts.Mode, err)
+		t.Fatalf("allocate (%v): %v", opts.Strategy, err)
 	}
 	if !res.Routine.Allocated {
 		t.Fatal("result not marked allocated")
@@ -102,9 +102,9 @@ done:
 `
 
 func TestAllocateFig1NoPressure(t *testing.T) {
-	for _, mode := range []Mode{ModeChaitin, ModeRemat} {
+	for _, mode := range []string{"chaitin", "remat"} {
 		rt := iloc.MustParse(fig1Src)
-		want, got := runBoth(t, rt, Options{Machine: target.Standard(), Mode: mode}, interp.Int(8))
+		want, got := runBoth(t, rt, Options{Machine: target.Standard(), Strategy: mode}, interp.Int(8))
 		if want.RetFloat != 8*3.5*2 {
 			t.Fatalf("reference result wrong: %g", want.RetFloat)
 		}
@@ -127,9 +127,9 @@ entry:
     add r6, r6, r5
     retr r6
 `
-	for _, mode := range []Mode{ModeChaitin, ModeRemat} {
+	for _, mode := range []string{"chaitin", "remat"} {
 		rt := iloc.MustParse(src)
-		_, got := runBoth(t, rt, Options{Machine: target.WithRegs(4), Mode: mode})
+		_, got := runBoth(t, rt, Options{Machine: target.WithRegs(4), Strategy: mode})
 		if got.RetInt != 15 {
 			t.Fatalf("ret = %d", got.RetInt)
 		}
@@ -147,13 +147,13 @@ func TestFig1RematBeatsChaitin(t *testing.T) {
 	m := target.WithRegs(3)
 	n := int64(10)
 
-	results := map[Mode]*interp.Outcome{}
-	for _, mode := range []Mode{ModeChaitin, ModeRemat} {
+	results := map[string]*interp.Outcome{}
+	for _, mode := range []string{"chaitin", "remat"} {
 		rt := iloc.MustParse(fig1Src)
-		_, got := runBoth(t, rt, Options{Machine: m, Mode: mode}, interp.Int(n))
+		_, got := runBoth(t, rt, Options{Machine: m, Strategy: mode}, interp.Int(n))
 		results[mode] = got
 	}
-	ch, re := results[ModeChaitin], results[ModeRemat]
+	ch, re := results["chaitin"], results["remat"]
 	if ch.RetFloat != re.RetFloat {
 		t.Fatal("modes disagree on the answer")
 	}
@@ -195,14 +195,14 @@ join:
     add r3, r2, r1
     retr r3
 `
-	for _, mode := range []Mode{ModeChaitin, ModeRemat} {
+	for _, mode := range []string{"chaitin", "remat"} {
 		for _, n := range []int64{5, -5} {
 			rt := iloc.MustParse(src)
 			want := n + 10
 			if n <= 0 {
 				want = n + 20
 			}
-			_, got := runBoth(t, rt, Options{Machine: target.WithRegs(4), Mode: mode}, interp.Int(n))
+			_, got := runBoth(t, rt, Options{Machine: target.WithRegs(4), Strategy: mode}, interp.Int(n))
 			if got.RetInt != want {
 				t.Fatalf("mode %v n=%d: ret %d, want %d", mode, n, got.RetInt, want)
 			}
@@ -230,9 +230,9 @@ entry:
     fadd f7, f7, f2
     retf f7
 `
-	for _, mode := range []Mode{ModeChaitin, ModeRemat} {
+	for _, mode := range []string{"chaitin", "remat"} {
 		rt := iloc.MustParse(src)
-		_, got := runBoth(t, rt, Options{Machine: target.WithRegs(3), Mode: mode}, interp.Int(7))
+		_, got := runBoth(t, rt, Options{Machine: target.WithRegs(3), Strategy: mode}, interp.Int(7))
 		if got.RetFloat != 24 {
 			t.Fatalf("ret = %g, want 24", got.RetFloat)
 		}
@@ -263,13 +263,17 @@ body:
 done:
     retr r2
 `
-	for _, mode := range []Mode{ModeChaitin, ModeRemat} {
+	for _, mode := range []string{"chaitin", "remat"} {
 		for _, split := range []SplitScheme{SplitNone, SplitAtPhis, SplitAllLoops, SplitOuterLoops, SplitInactiveLoops} {
-			if mode == ModeChaitin && split != SplitNone {
+			if mode == "chaitin" && split != SplitNone {
 				continue
 			}
+			strategy := mode
+			if split != SplitNone {
+				strategy += ":split=" + split.String()
+			}
 			rt := iloc.MustParse(src)
-			_, got := runBoth(t, rt, Options{Machine: target.WithRegs(4), Mode: mode, Split: split}, interp.Int(10))
+			_, got := runBoth(t, rt, Options{Machine: target.WithRegs(4), Strategy: strategy}, interp.Int(10))
 			if got.RetInt != 55 { // fib(10)
 				t.Fatalf("mode %v split=%v: fib(10) = %d, want 55", mode, split, got.RetInt)
 			}
@@ -279,7 +283,7 @@ done:
 
 func TestStatsPopulated(t *testing.T) {
 	rt := iloc.MustParse(fig1Src)
-	res, err := Allocate(context.Background(), rt, Options{Machine: target.WithRegs(4), Mode: ModeRemat})
+	res, err := Allocate(context.Background(), rt, Options{Machine: target.WithRegs(4), Strategy: "remat"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +305,7 @@ func TestStatsPopulated(t *testing.T) {
 func TestInputRoutineNotModified(t *testing.T) {
 	rt := iloc.MustParse(fig1Src)
 	before := iloc.Print(rt)
-	if _, err := Allocate(context.Background(), rt, Options{Machine: target.WithRegs(4), Mode: ModeRemat}); err != nil {
+	if _, err := Allocate(context.Background(), rt, Options{Machine: target.WithRegs(4), Strategy: "remat"}); err != nil {
 		t.Fatal(err)
 	}
 	if iloc.Print(rt) != before {

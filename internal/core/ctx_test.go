@@ -23,7 +23,7 @@ func TestDeadlineDegradesToSpillEverywhere(t *testing.T) {
 	defer cancel()
 	reg := telemetry.NewRegistry()
 	res, err := Allocate(ctx, rt, Options{
-		Machine: m, Mode: ModeRemat, Verify: true,
+		Machine: m, Strategy: "remat", Verify: true,
 		Telemetry: &telemetry.Sink{Metrics: reg},
 	})
 	if err != nil {
@@ -60,7 +60,7 @@ func TestDeadlineMidPipelineDegrades(t *testing.T) {
 	rt := iloc.MustParse(fig1Src)
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
-	res, err := Allocate(ctx, rt, Options{Machine: target.WithRegs(4), Mode: ModeRemat})
+	res, err := Allocate(ctx, rt, Options{Machine: target.WithRegs(4), Strategy: "remat"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestCancelReturnsErrorWithoutDegrading(t *testing.T) {
 	rt := iloc.MustParse(fig1Src)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Allocate(ctx, rt, Options{Machine: target.WithRegs(4), Mode: ModeRemat})
+	res, err := Allocate(ctx, rt, Options{Machine: target.WithRegs(4), Strategy: "remat"})
 	if res != nil || err == nil {
 		t.Fatalf("cancelled allocation returned (%v, %v)", res, err)
 	}
@@ -95,7 +95,7 @@ func TestDeadlineWithDegradationDisabled(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	_, err := Allocate(ctx, rt, Options{
-		Machine: target.WithRegs(4), Mode: ModeRemat, DisableDegradation: true,
+		Machine: target.WithRegs(4), Strategy: "remat", DisableDegradation: true,
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("error does not wrap context.DeadlineExceeded: %v", err)
@@ -106,7 +106,7 @@ func TestDeadlineWithDegradationDisabled(t *testing.T) {
 // facade entry points rely on it.
 func TestNilContextAllocates(t *testing.T) {
 	rt := iloc.MustParse(fig1Src)
-	res, err := Allocate(nil, rt, Options{Machine: target.WithRegs(4), Mode: ModeRemat}) //nolint:staticcheck
+	res, err := Allocate(nil, rt, Options{Machine: target.WithRegs(4), Strategy: "remat"}) //nolint:staticcheck
 	if err != nil || res.Degraded {
 		t.Fatalf("nil-context allocation: res=%+v err=%v", res, err)
 	}

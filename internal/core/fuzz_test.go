@@ -69,7 +69,7 @@ func FuzzAllocate(f *testing.F) {
 		defined := cfg.Build(probe) == nil && cfg.CheckDefined(probe) == nil
 
 		for _, m := range machines {
-			res, err := Allocate(context.Background(), rt, Options{Machine: m, Mode: ModeRemat})
+			res, err := Allocate(context.Background(), rt, Options{Machine: m, Strategy: "remat"})
 			if err != nil {
 				// Even the spill-everywhere fallback refused: allowed,
 				// but the failure must be a structured AllocError.

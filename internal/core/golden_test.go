@@ -24,9 +24,9 @@ func TestGoldenFig1Allocations(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"fig1_remat_r3", Options{Machine: target.WithRegs(3), Mode: ModeRemat}},
-		{"fig1_chaitin_r3", Options{Machine: target.WithRegs(3), Mode: ModeChaitin}},
-		{"fig1_remat_r16", Options{Machine: target.Standard(), Mode: ModeRemat}},
+		{"fig1_remat_r3", Options{Machine: target.WithRegs(3), Strategy: "remat"}},
+		{"fig1_chaitin_r3", Options{Machine: target.WithRegs(3), Strategy: "chaitin"}},
+		{"fig1_remat_r16", Options{Machine: target.Standard(), Strategy: "remat"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -53,7 +53,7 @@ entry:
     add r5, r5, r1
     retr r5
 `
-	res, err := Allocate(context.Background(), iloc.MustParse(src), Options{Machine: target.WithRegs(3), Mode: ModeRemat})
+	res, err := Allocate(context.Background(), iloc.MustParse(src), Options{Machine: target.WithRegs(3), Strategy: "remat"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ entry:
     add r6, r6, r1
     retr r6
 `
-	res, err := Allocate(context.Background(), iloc.MustParse(src), Options{Machine: target.WithRegs(3), Mode: ModeRemat})
+	res, err := Allocate(context.Background(), iloc.MustParse(src), Options{Machine: target.WithRegs(3), Strategy: "remat"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func mustRun(t *testing.T, rt *iloc.Routine, args ...interp.Value) (*interp.Outc
 }
 
 // Chaitin's rule: a live range whose two definitions are the *same*
-// never-killed instruction rematerializes even in ModeChaitin; with
+// never-killed instruction rematerializes even under chaitin; with
 // different constants it must fall back to store/reload.
 func TestChaitinWholeRangeRule(t *testing.T) {
 	build := func(c2 int64) string {
@@ -156,7 +156,7 @@ join:
 	}
 	// Same constant on both arms: r2's range is never-killed under
 	// Chaitin's rule; no stores appear even when spilled.
-	res, err := Allocate(context.Background(), iloc.MustParse(build(7)), Options{Machine: target.WithRegs(3), Mode: ModeChaitin})
+	res, err := Allocate(context.Background(), iloc.MustParse(build(7)), Options{Machine: target.WithRegs(3), Strategy: "chaitin"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ join:
 	// Different constants: the merged range is ⊥ for Chaitin. If it
 	// spills, stores appear. (It has the most uses, so it may survive;
 	// assert only that execution stays correct on both paths.)
-	res2, err := Allocate(context.Background(), iloc.MustParse(build(9)), Options{Machine: target.WithRegs(3), Mode: ModeChaitin})
+	res2, err := Allocate(context.Background(), iloc.MustParse(build(9)), Options{Machine: target.WithRegs(3), Strategy: "chaitin"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ entry:
     add r5, r5, r1
     retr r5
 `
-	res, err := Allocate(context.Background(), iloc.MustParse(src), Options{Machine: target.WithRegs(3), Mode: ModeRemat})
+	res, err := Allocate(context.Background(), iloc.MustParse(src), Options{Machine: target.WithRegs(3), Strategy: "remat"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ entry:
     add r5, r5, r7
     retr r5
 `
-	res, err := Allocate(context.Background(), iloc.MustParse(src), Options{Machine: target.WithRegs(3), Mode: ModeRemat})
+	res, err := Allocate(context.Background(), iloc.MustParse(src), Options{Machine: target.WithRegs(3), Strategy: "remat"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ entry:
 // match the partners (low pressure): they are either coalesced or
 // deleted as same-color copies.
 func TestSplitsVanishWithoutPressure(t *testing.T) {
-	res, err := Allocate(context.Background(), iloc.MustParse(fig1Src), Options{Machine: target.Huge(), Mode: ModeRemat})
+	res, err := Allocate(context.Background(), iloc.MustParse(fig1Src), Options{Machine: target.Huge(), Strategy: "remat"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestSplitsVanishWithoutPressure(t *testing.T) {
 func TestMaxIterationsRespected(t *testing.T) {
 	rt := iloc.MustParse(fig1Src)
 	_, err := Allocate(context.Background(), rt, Options{
-		Machine: target.WithRegs(3), Mode: ModeRemat,
+		Machine: target.WithRegs(3), Strategy: "remat",
 		MaxIterations: 1, DisableDegradation: true,
 	})
 	if err == nil {
@@ -318,7 +318,7 @@ entry:
     addi r5, r4, 1
     retr r5
 `
-	res, err := Allocate(context.Background(), iloc.MustParse(src), Options{Machine: target.Standard(), Mode: ModeRemat})
+	res, err := Allocate(context.Background(), iloc.MustParse(src), Options{Machine: target.Standard(), Strategy: "remat"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,8 +345,8 @@ entry:
     add r3, r1, r2
     retr r3
 `
-	for _, mode := range []Mode{ModeChaitin, ModeRemat} {
-		res, err := Allocate(context.Background(), iloc.MustParse(src), Options{Machine: target.Standard(), Mode: mode})
+	for _, mode := range []string{"chaitin", "remat"} {
+		res, err := Allocate(context.Background(), iloc.MustParse(src), Options{Machine: target.Standard(), Strategy: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,7 +376,7 @@ entry:
     fadd f5, f5, f1
     retf f5
 `
-	res, err := Allocate(context.Background(), iloc.MustParse(src), Options{Machine: target.WithRegs(3), Mode: ModeRemat})
+	res, err := Allocate(context.Background(), iloc.MustParse(src), Options{Machine: target.WithRegs(3), Strategy: "remat"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ done:
     retr r5
 `
 	res, err := Allocate(context.Background(), iloc.MustParse(src), Options{
-		Machine: target.Standard(), Mode: ModeRemat, Split: SplitInactiveLoops,
+		Machine: target.Standard(), Strategy: "remat:split=inactive-loops",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -440,7 +440,7 @@ entry:
     add r5, r5, r1
     retr r5
 `
-	res, err := Allocate(context.Background(), iloc.MustParse(src), Options{Machine: target.WithRegs(3), Mode: ModeRemat})
+	res, err := Allocate(context.Background(), iloc.MustParse(src), Options{Machine: target.WithRegs(3), Strategy: "remat"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +477,7 @@ entry:
     add r5, r5, r3
     retr r5
 `
-	res, err := Allocate(context.Background(), iloc.MustParse(src), Options{Machine: target.WithRegs(3), Mode: ModeRemat})
+	res, err := Allocate(context.Background(), iloc.MustParse(src), Options{Machine: target.WithRegs(3), Strategy: "remat"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,10 +504,10 @@ entry:
 // Allocation is deterministic: identical inputs produce byte-identical
 // code (tables and figures must be reproducible run to run).
 func TestAllocationDeterministic(t *testing.T) {
-	for _, mode := range []Mode{ModeChaitin, ModeRemat} {
+	for _, mode := range []string{"chaitin", "remat"} {
 		var first string
 		for trial := 0; trial < 3; trial++ {
-			res, err := Allocate(context.Background(), iloc.MustParse(fig1Src), Options{Machine: target.WithRegs(3), Mode: mode})
+			res, err := Allocate(context.Background(), iloc.MustParse(fig1Src), Options{Machine: target.WithRegs(3), Strategy: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -525,7 +525,7 @@ func TestAllocationDeterministic(t *testing.T) {
 func TestSpillMetricsPreserveSemantics(t *testing.T) {
 	for _, m := range []SpillMetric{MetricCostOverDegree, MetricCostOverDegreeSquared, MetricCost} {
 		res, err := Allocate(context.Background(), iloc.MustParse(fig1Src), Options{
-			Machine: target.WithRegs(3), Mode: ModeRemat, Metric: m,
+			Machine: target.WithRegs(3), Strategy: "remat:metric=" + m.String(),
 		})
 		if err != nil {
 			t.Fatalf("metric %v: %v", m, err)
@@ -576,7 +576,7 @@ done:
 		}
 		for _, split := range []SplitScheme{SplitNone, SplitAtPhis, SplitAllLoops} {
 			res, err := Allocate(context.Background(), iloc.MustParse(src), Options{
-				Machine: target.WithRegs(4), Mode: ModeRemat, Split: split,
+				Machine: target.WithRegs(4), Strategy: "remat:split=" + split.String(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -593,11 +593,8 @@ done:
 	}
 }
 
-// Mode and scheme names used in output paths.
+// Scheme names used in output paths and strategy specs.
 func TestEnumStrings(t *testing.T) {
-	if ModeChaitin.String() != "chaitin" || ModeRemat.String() != "remat" {
-		t.Fatal("mode names wrong")
-	}
 	names := map[SplitScheme]string{
 		SplitNone: "none", SplitAllLoops: "all-loops", SplitOuterLoops: "outer-loops",
 		SplitInactiveLoops: "inactive-loops", SplitAtPhis: "all-phis",
@@ -651,7 +648,7 @@ entry:
 // Empty critical-edge blocks must not survive to allocated code: no
 // block may consist of a single jmp reachable from another jmp/br.
 func TestJumpThreadingRemovesEmptyBlocks(t *testing.T) {
-	res, err := Allocate(context.Background(), iloc.MustParse(fig1Src), Options{Machine: target.WithRegs(3), Mode: ModeRemat})
+	res, err := Allocate(context.Background(), iloc.MustParse(fig1Src), Options{Machine: target.WithRegs(3), Strategy: "remat"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -692,7 +689,7 @@ done:
     add r6, r6, r4
     retr r6
 `
-	res, err := Allocate(context.Background(), iloc.MustParse(src), Options{Machine: target.Standard(), Mode: ModeRemat})
+	res, err := Allocate(context.Background(), iloc.MustParse(src), Options{Machine: target.Standard(), Strategy: "remat"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -734,7 +731,7 @@ entry:
     ldi r2, 2
     retr r2
 `
-	res, err := Allocate(context.Background(), iloc.MustParse(src), Options{Machine: target.Standard(), Mode: ModeRemat})
+	res, err := Allocate(context.Background(), iloc.MustParse(src), Options{Machine: target.Standard(), Strategy: "remat"})
 	if err != nil {
 		t.Fatal(err)
 	}

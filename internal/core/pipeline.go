@@ -178,7 +178,7 @@ var passCoalesceConservative = &Pass{
 	name:  "coalesce-cons",
 	times: func(t *PhaseTimes) *time.Duration { return &t.Build },
 	when: func(a *allocator, _ *roundCtx) bool {
-		return a.opts.Mode == ModeRemat && !a.opts.DisableConservativeCoalescing
+		return a.params.remat && !a.params.noCoalesce
 	},
 	run: func(a *allocator, _ *roundCtx, st *IterationStats, ps *PassStat) error {
 		// Conservative coalescing of split copies (§4.2's second round):
@@ -195,7 +195,7 @@ var passCoalesceConservative = &Pass{
 var passChaitinTags = &Pass{
 	name:  "tags",
 	times: func(t *PhaseTimes) *time.Duration { return &t.Build },
-	when:  func(a *allocator, _ *roundCtx) bool { return a.opts.Mode == ModeChaitin },
+	when:  func(a *allocator, _ *roundCtx) bool { return !a.params.remat },
 	run: func(a *allocator, _ *roundCtx, _ *IterationStats, _ *PassStat) error {
 		// Chaitin's whole-range rule: a live range rematerializes only
 		// if all of its remaining definitions are the same never-killed

@@ -22,7 +22,7 @@ import (
 //  6. unioning φ operands with the φ's tag and inserting splits for the
 //     rest, then removing φ-nodes.
 //
-// In ModeChaitin steps 4–6 collapse to "union every value reaching each
+// In chaitin steps 4–6 collapse to "union every value reaching each
 // φ" with no splits, recreating Chaitin's live ranges, and tags are
 // computed afterwards by his whole-range rule.
 func (a *allocator) renumber(tree *dom.Tree, loops []*cfg.Loop) (splits int, err error) {
@@ -46,7 +46,7 @@ func (a *allocator) renumber(tree *dom.Tree, loops []*cfg.Loop) (splits int, err
 		g := graphs[c]
 		cs.sets = disjoint.New(g.NumValues)
 
-		if a.opts.Mode == ModeRemat {
+		if a.params.remat {
 			cs.tags = remat.Propagate(g)
 			splits += a.renumberRemat(cs)
 		} else {
@@ -55,7 +55,7 @@ func (a *allocator) renumber(tree *dom.Tree, loops []*cfg.Loop) (splits int, err
 		}
 
 		a.rewriteToRoots(cs)
-		// In ModeChaitin tags are computed after coalescing (the whole-
+		// In chaitin tags are computed after coalescing (the whole-
 		// range rule must not see copies that coalescing will delete);
 		// see round().
 	}
@@ -63,8 +63,8 @@ func (a *allocator) renumber(tree *dom.Tree, loops []*cfg.Loop) (splits int, err
 	// only in the first round: re-splitting ranges that spill code
 	// already fragmented compounds pressure every iteration and can keep
 	// a tight machine from ever converging.
-	if a.opts.Mode == ModeRemat && a.roundNo == 0 &&
-		a.opts.Split != SplitNone && a.opts.Split != SplitAtPhis {
+	if a.params.remat && a.roundNo == 0 &&
+		a.params.split != SplitNone && a.params.split != SplitAtPhis {
 		for _, cs := range a.classes {
 			splits += a.applyLoopSplits(cs, loops)
 		}
@@ -107,7 +107,7 @@ func (a *allocator) renumberRemat(cs *classState) int {
 			}
 			res := in.Dst.N
 			for i, arg := range in.Phi.Args {
-				if a.opts.Split != SplitAtPhis && remat.Equal(cs.tags[arg.N], cs.tags[res]) {
+				if a.params.split != SplitAtPhis && remat.Equal(cs.tags[arg.N], cs.tags[res]) {
 					root, _ := cs.sets.Union(arg.N, res)
 					cs.tags[root] = remat.Meet(cs.tags[arg.N], cs.tags[res])
 					continue

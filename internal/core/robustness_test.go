@@ -37,7 +37,7 @@ func runSame(t *testing.T, input, allocated *iloc.Routine, args ...interp.Value)
 func TestDegradationOnNonConvergence(t *testing.T) {
 	rt := iloc.MustParse(fig1Src)
 	m := target.WithRegs(3)
-	res, err := Allocate(context.Background(), rt, Options{Machine: m, Mode: ModeRemat, MaxIterations: 1, Verify: true})
+	res, err := Allocate(context.Background(), rt, Options{Machine: m, Strategy: "remat", MaxIterations: 1, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestPanicContainment(t *testing.T) {
 	defer func() { PanicHook = nil }()
 
 	rt := iloc.MustParse(fig1Src)
-	_, err := Allocate(context.Background(), rt, Options{Machine: target.Standard(), Mode: ModeRemat, DisableDegradation: true})
+	_, err := Allocate(context.Background(), rt, Options{Machine: target.Standard(), Strategy: "remat", DisableDegradation: true})
 	if err == nil {
 		t.Fatal("expected the injected panic to surface as an error")
 	}
@@ -83,7 +83,7 @@ func TestPanicContainment(t *testing.T) {
 		t.Fatalf("error message lost the panic value: %v", err)
 	}
 
-	res, err := Allocate(context.Background(), rt, Options{Machine: target.Standard(), Mode: ModeRemat, Verify: true})
+	res, err := Allocate(context.Background(), rt, Options{Machine: target.Standard(), Strategy: "remat", Verify: true})
 	if err != nil {
 		t.Fatalf("degradation did not rescue the poisoned pipeline: %v", err)
 	}
@@ -100,7 +100,7 @@ func TestPanicContainment(t *testing.T) {
 func TestSpillEverywhereDirect(t *testing.T) {
 	for _, m := range []*target.Machine{target.Standard(), target.WithRegs(3)} {
 		rt := iloc.MustParse(fig1Src)
-		res, err := spillEverywhere(rt, Options{Machine: m, Mode: ModeRemat}.withDefaults())
+		res, err := spillEverywhere(rt, Options{Machine: m, Strategy: "remat"}.withDefaults())
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
@@ -122,7 +122,7 @@ func TestFaultInRewriteDegrades(t *testing.T) {
 	}
 	defer func() { PanicHook = nil }()
 	rt := iloc.MustParse(fig1Src)
-	res, err := Allocate(context.Background(), rt, Options{Machine: target.Standard(), Mode: ModeRemat, Verify: true})
+	res, err := Allocate(context.Background(), rt, Options{Machine: target.Standard(), Strategy: "remat", Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}

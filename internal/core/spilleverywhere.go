@@ -113,7 +113,6 @@ func spillEverywhere(input *iloc.Routine, opts Options) (res *Result, err error)
 		Routine:       rt,
 		Iterations:    []IterationStats{st},
 		SpilledRanges: ranges,
-		Mode:          opts.Mode,
 		Machine:       m,
 	}, nil
 }

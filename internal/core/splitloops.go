@@ -47,7 +47,7 @@ func (s SplitScheme) String() string {
 // rematerialize or spill each portion on its own.
 func (a *allocator) applyLoopSplits(cs *classState, loops []*cfg.Loop) int {
 	var selected []*cfg.Loop
-	switch a.opts.Split {
+	switch a.params.split {
 	case SplitAllLoops, SplitInactiveLoops:
 		selected = loops
 	case SplitOuterLoops:
@@ -80,7 +80,7 @@ func (a *allocator) applyLoopSplits(cs *classState, loops []*cfg.Loop) int {
 		var candidates []int
 		live.LiveIn[l.Header.Index].ForEach(func(r int) {
 			r = cs.find(r)
-			if a.opts.Split == SplitInactiveLoops {
+			if a.params.split == SplitInactiveLoops {
 				if alreadySplit[r] || rangeActiveIn(l, cs.c, r, cs) {
 					return
 				}

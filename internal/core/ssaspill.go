@@ -190,7 +190,6 @@ func ssaSpill(input *iloc.Routine, opts Options) (res *Result, err error) {
 		Routine:       rt,
 		Iterations:    []IterationStats{st},
 		SpilledRanges: ranges,
-		Mode:          opts.Mode,
 		Machine:       m,
 	}, nil
 }

@@ -3,63 +3,59 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/iloc"
 )
 
 // This file is the allocation-strategy layer: a named, registered
-// pipeline constructor per allocator variant. A Strategy bundles a name,
-// a description, an option-shaping step (the per-strategy configuration:
-// mode, splitting scheme, spill metric, ablation switches) and the
-// pipeline itself (the iterated build–color–spill loop, or a one-pass
-// construction like spill-everywhere). Everything above core — the
-// driver's cache keys, the regalloc facade, the HTTP service, the CLIs
-// and the experiments — selects allocator behaviour through this
-// registry rather than through loose Options booleans, so a new
-// allocator variant plugs in by registering one value.
+// pipeline per allocator variant. A strategy spec — a registered name,
+// optionally followed by ":" and comma-separated parameters
+// ("remat:split=all-loops,no-bias") — is the one way to say which
+// allocator runs: Table 1's two columns (chaitin, remat), §6's
+// splitting schemes, §2's spill metric, §4's ablation switches, and the
+// spill-everywhere baselines. LookupStrategy parses a spec once into a
+// strategyParams value the pipeline passes read; Spec renders that
+// value back as the canonical text the driver's cache key, audit
+// records and Result.Strategy all carry.
 
-// StrategyRun is a strategy's pipeline: it allocates one routine under
-// fully-shaped options. The context bounds the allocation where the
-// pipeline can run for long.
-type StrategyRun func(ctx context.Context, rt *iloc.Routine, opts Options) (*Result, error)
+// strategyParams is the allocator configuration one strategy spec
+// selects.
+type strategyParams struct {
+	// remat selects the paper's per-value tags, splits and conservative
+	// coalescing (Table 1's "Rematerialization" column); false is
+	// Chaitin's whole-range rule (the "Optimistic" column).
+	remat bool
+	// split is one of §6's experimental live-range splitting schemes;
+	// SplitNone is the paper's main configuration.
+	split SplitScheme
+	// metric is the spill-candidate metric. The paper uses Chaitin's
+	// cost/degree ("the metric for picking spill candidates is
+	// critical", §2); the alternatives come from the spill-minimization
+	// literature it cites (Bernstein et al.).
+	metric SpillMetric
+	// noCoalesce keeps the splits renumber inserted (§4.2); noBias turns
+	// off partner-color preference in select and noLookahead the
+	// one-level partner lookahead (§4.3).
+	noCoalesce, noBias, noLookahead bool
+}
 
-// Strategy is one registered allocation strategy. Construct external
-// strategies with NewStrategy; the built-ins (chaitin, remat,
-// spill-everywhere, ssa-spill) are registered by this package's init.
+// Strategy is one registered allocation strategy, or a parameterized
+// derivation of one (LookupStrategy of a "name:k=v,..." spec). The
+// built-ins — chaitin, remat, spill-everywhere, ssa-spill — are the
+// whole registry.
 type Strategy struct {
 	name        string
 	description string
-	// apply shapes the options before allocation (sets the mode, the
-	// splitting scheme, the ablation switches); nil means the strategy
-	// takes the options as given.
-	apply func(o *Options)
-	// run is the pipeline constructor.
-	run StrategyRun
-	// param maps one "key=value" (or bare flag) parameter onto an
-	// option-shaping step; nil means the strategy takes no parameters.
-	param func(key, val string) (func(o *Options), error)
-	// canon derives the canonical parameter texts back out of
-	// fully-shaped options; nil means the base name is always the
-	// canonical spec.
-	canon func(o Options) []string
-	// params holds the canonicalized parameters of a derived strategy
-	// (LookupStrategy of a "name:k=v,..." spec), sorted by text.
-	params []strategyParam
-}
-
-// strategyParam is one applied parameter of a derived strategy.
-type strategyParam struct {
-	text string // canonical "key" or "key=value" form
-	set  func(o *Options)
-}
-
-// NewStrategy builds a strategy for registration. The run function is
-// the whole pipeline; apply (optional) shapes the options first.
-func NewStrategy(name, description string, apply func(o *Options), run StrategyRun) *Strategy {
-	return &Strategy{name: name, description: description, apply: apply, run: run}
+	// run is the pipeline: it allocates one routine under defaulted
+	// options and the strategy's parameters.
+	run func(ctx context.Context, rt *iloc.Routine, opts Options, p strategyParams) (*Result, error)
+	// param applies one "key" (hasVal false) or "key=value" parameter
+	// to p; nil means the strategy takes no parameters.
+	param func(p *strategyParams, key, val string, hasVal bool) error
+	// params is the parsed configuration and spec its canonical text.
+	params strategyParams
+	spec   string
 }
 
 // Name returns the strategy's registered (base) name.
@@ -68,85 +64,56 @@ func (s *Strategy) Name() string { return s.name }
 // Description returns the one-line human description.
 func (s *Strategy) Description() string { return s.description }
 
-// Spec returns the canonical spec naming this exact strategy: the base
-// name, plus any parameters sorted into a stable order
-// ("remat:no-bias,split=all-loops"). Two specs are equal exactly when
-// the strategies configure identical allocations — the property the
-// driver's cache key relies on.
-func (s *Strategy) Spec() string {
-	if len(s.params) == 0 {
-		return s.name
-	}
-	texts := make([]string, len(s.params))
-	for i, p := range s.params {
-		texts[i] = p.text
-	}
-	return s.name + ":" + strings.Join(texts, ",")
-}
+// Spec returns the canonical spec naming this exact configuration: the
+// base name plus the parameters that differ from the defaults, in
+// sorted order, with the metric spelled in ASCII
+// ("remat:metric=cost/degree2,no-bias,split=all-loops"). Two specs are
+// equal exactly when they configure identical allocations — the
+// property the driver's cache key relies on.
+func (s *Strategy) Spec() string { return s.spec }
 
-// specFor returns the canonical spec of this strategy as configured by
-// fully-shaped options: the base name plus the parameters implied by
-// the option fields the strategy accepts, sorted. Unlike Spec, which
-// renders only explicitly-spelled parameters, specFor folds loose
-// option fields (a Split set directly on Options rather than via
-// "split=") into the same canonical text, so every spelling of one
-// configuration shares one spec — the property the driver's cache key
-// relies on.
-func (s *Strategy) specFor(o Options) string {
-	if s.canon == nil {
-		return s.name
+// canonicalSpec renders name and p as Spec describes.
+func canonicalSpec(name string, p strategyParams) string {
+	var params []string
+	if p.metric != MetricCostOverDegree {
+		params = append(params, "metric="+spillMetricNames[p.metric])
 	}
-	params := s.canon(o)
+	if p.noBias {
+		params = append(params, "no-bias")
+	}
+	if p.noCoalesce {
+		params = append(params, "no-coalesce")
+	}
+	if p.noLookahead {
+		params = append(params, "no-lookahead")
+	}
+	if p.split != SplitNone {
+		params = append(params, "split="+p.split.String())
+	}
 	if len(params) == 0 {
-		return s.name
+		return name
 	}
-	sort.Strings(params)
-	return s.name + ":" + strings.Join(params, ",")
+	return name + ":" + strings.Join(params, ",")
 }
 
-// applyTo shapes the options: the base strategy's apply step, then each
-// parameter in canonical order.
-func (s *Strategy) applyTo(o *Options) {
-	if s.apply != nil {
-		s.apply(o)
-	}
-	for _, p := range s.params {
-		p.set(o)
-	}
-}
-
-// withParams derives a parameterized copy of the strategy. Parameters
-// are deduplicated by key (last one wins) and sorted, so every spelling
-// of the same configuration canonicalizes to one Spec.
+// withParams derives a parameterized copy of the strategy, applying the
+// parameters in order (a repeated key's last value wins).
 func (s *Strategy) withParams(raw []string) (*Strategy, error) {
 	if s.param == nil {
 		return nil, fmt.Errorf("strategy %q takes no parameters", s.name)
 	}
-	byKey := map[string]strategyParam{}
+	d := *s
 	for _, p := range raw {
 		p = strings.TrimSpace(p)
 		if p == "" {
 			continue
 		}
-		key, val := p, ""
-		if i := strings.IndexByte(p, '='); i >= 0 {
-			key, val = p[:i], p[i+1:]
-		}
-		set, err := s.param(key, val)
-		if err != nil {
+		key, val, hasVal := strings.Cut(p, "=")
+		if err := s.param(&d.params, key, val, hasVal); err != nil {
 			return nil, fmt.Errorf("strategy %q: %w", s.name, err)
 		}
-		byKey[key] = strategyParam{text: p, set: set}
 	}
-	if len(byKey) == 0 {
-		return s, nil
-	}
-	d := *s
-	d.params = make([]strategyParam, 0, len(byKey))
-	for _, p := range byKey {
-		d.params = append(d.params, p)
-	}
-	sort.Slice(d.params, func(i, j int) bool { return d.params[i].text < d.params[j].text })
+	d.spec = canonicalSpec(d.name, d.params)
 	return &d, nil
 }
 
@@ -161,49 +128,19 @@ func (e *UnknownStrategyError) Error() string {
 	return fmt.Sprintf("unknown strategy %q (registered: %s)", e.Name, strings.Join(e.Registered, ", "))
 }
 
-var (
-	strategyMu    sync.RWMutex
-	strategyReg   = map[string]*Strategy{}
-	strategyOrder []string
-)
-
-// RegisterStrategy adds a strategy to the registry. Registering a nil
-// strategy, an empty or parameterized name, or a duplicate panics —
-// registration is init-time wiring, and a bad registration is a
-// programming error.
-func RegisterStrategy(s *Strategy) {
-	if s == nil || s.name == "" || s.run == nil {
-		panic("core: RegisterStrategy: strategy needs a name and a run function")
-	}
-	if strings.ContainsAny(s.name, ":,= \t\n") {
-		panic(fmt.Sprintf("core: RegisterStrategy: invalid name %q", s.name))
-	}
-	strategyMu.Lock()
-	defer strategyMu.Unlock()
-	if _, dup := strategyReg[s.name]; dup {
-		panic(fmt.Sprintf("core: RegisterStrategy: duplicate strategy %q", s.name))
-	}
-	strategyReg[s.name] = s
-	strategyOrder = append(strategyOrder, s.name)
-}
-
 // Strategies lists the registered strategies in registration order.
 func Strategies() []*Strategy {
-	strategyMu.RLock()
-	defer strategyMu.RUnlock()
-	out := make([]*Strategy, len(strategyOrder))
-	for i, name := range strategyOrder {
-		out[i] = strategyReg[name]
-	}
-	return out
+	return append([]*Strategy(nil), strategies...)
 }
 
 // StrategyNames lists the registered strategy names in registration
 // order.
 func StrategyNames() []string {
-	strategyMu.RLock()
-	defer strategyMu.RUnlock()
-	return append([]string(nil), strategyOrder...)
+	names := make([]string, len(strategies))
+	for i, s := range strategies {
+		names[i] = s.name
+	}
+	return names
 }
 
 // LookupStrategy resolves a strategy spec: a registered name, optionally
@@ -212,29 +149,26 @@ func StrategyNames() []string {
 // listing the valid names; a parameter the strategy does not accept is
 // an ordinary error.
 func LookupStrategy(spec string) (*Strategy, error) {
-	name, rest := spec, ""
-	if i := strings.IndexByte(spec, ':'); i >= 0 {
-		name, rest = spec[:i], spec[i+1:]
+	name, rest, _ := strings.Cut(spec, ":")
+	for _, s := range strategies {
+		if s.name != name {
+			continue
+		}
+		if rest == "" {
+			return s, nil
+		}
+		return s.withParams(strings.Split(rest, ","))
 	}
-	strategyMu.RLock()
-	s, ok := strategyReg[name]
-	strategyMu.RUnlock()
-	if !ok {
-		return nil, &UnknownStrategyError{Name: name, Registered: StrategyNames()}
-	}
-	if rest == "" {
-		return s, nil
-	}
-	return s.withParams(strings.Split(rest, ","))
+	return nil, &UnknownStrategyError{Name: name, Registered: StrategyNames()}
 }
 
 // runIterated is the shared pipeline of the chaitin and remat
 // strategies: the iterated build–color–spill loop of Figure 2.
-func runIterated(ctx context.Context, rt *iloc.Routine, opts Options) (*Result, error) {
-	return allocate(ctx, rt, opts)
+func runIterated(ctx context.Context, rt *iloc.Routine, opts Options, p strategyParams) (*Result, error) {
+	return allocate(ctx, rt, opts, p)
 }
 
-// splitSchemeByName maps the wire/CLI names of the §6 schemes.
+// splitSchemeByName maps the spec names of the §6 schemes.
 func splitSchemeByName(name string) (SplitScheme, error) {
 	for _, s := range []SplitScheme{SplitNone, SplitAllLoops, SplitOuterLoops, SplitInactiveLoops, SplitAtPhis} {
 		if s.String() == name {
@@ -244,114 +178,104 @@ func splitSchemeByName(name string) (SplitScheme, error) {
 	return SplitNone, fmt.Errorf("unknown split scheme %q", name)
 }
 
-// spillMetricByName maps the CLI names of the spill-candidate metrics.
+// spillMetricNames are the canonical spec spellings of the spill
+// metrics, indexed by SpillMetric.
+var spillMetricNames = [...]string{
+	MetricCostOverDegree:        "cost/degree",
+	MetricCostOverDegreeSquared: "cost/degree2",
+	MetricCost:                  "cost",
+}
+
+// spillMetricByName maps the spec names of the spill-candidate metrics,
+// accepting "cost/degree²" for "cost/degree2".
 func spillMetricByName(name string) (SpillMetric, error) {
-	switch name {
-	case "cost/degree":
-		return MetricCostOverDegree, nil
-	case "cost/degree2", "cost/degree²":
-		return MetricCostOverDegreeSquared, nil
-	case "cost":
-		return MetricCost, nil
+	if name == "cost/degree²" {
+		name = "cost/degree2"
+	}
+	for m, n := range spillMetricNames {
+		if n == name {
+			return SpillMetric(m), nil
+		}
 	}
 	return MetricCostOverDegree, fmt.Errorf("unknown spill metric %q", name)
 }
 
 // metricParam is the one parameter chaitin and remat share.
-func metricParam(key, val string) (func(o *Options), error) {
+func metricParam(p *strategyParams, key, val string, _ bool) error {
 	if key != "metric" {
-		return nil, fmt.Errorf("unknown parameter %q", key)
+		return fmt.Errorf("unknown parameter %q", key)
 	}
 	m, err := spillMetricByName(val)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return func(o *Options) { o.Metric = m }, nil
-}
-
-// metricCanon renders the metric parameter when it differs from the
-// default, in the ASCII spelling spillMetricByName accepts.
-func metricCanon(o Options) []string {
-	switch o.Metric {
-	case MetricCostOverDegreeSquared:
-		return []string{"metric=cost/degree2"}
-	case MetricCost:
-		return []string{"metric=cost"}
-	}
+	p.metric = m
 	return nil
 }
 
-// rematCanon derives remat's canonical parameters from the option
-// fields its pipeline consults.
-func rematCanon(o Options) []string {
-	params := metricCanon(o)
-	if o.Split != SplitNone {
-		params = append(params, "split="+o.Split.String())
-	}
-	if o.DisableConservativeCoalescing {
-		params = append(params, "no-coalesce")
-	}
-	if o.DisableBiasedColoring {
-		params = append(params, "no-bias")
-	}
-	if o.DisableLookahead {
-		params = append(params, "no-lookahead")
-	}
-	return params
-}
-
-// rematParam maps the remat strategy's parameters — §6's splitting
-// schemes, the spill metric, and the paper's ablation switches — onto
-// the option fields the pipeline passes consult.
-func rematParam(key, val string) (func(o *Options), error) {
+// rematParam parses the remat strategy's parameters: §6's splitting
+// schemes, the spill metric, and the paper's ablation switches. The
+// switches are bare flags and reject any "=value".
+func rematParam(p *strategyParams, key, val string, hasVal bool) error {
+	var flag *bool
 	switch key {
 	case "split":
 		s, err := splitSchemeByName(val)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return func(o *Options) { o.Split = s }, nil
-	case "metric":
-		return metricParam(key, val)
+		p.split = s
+		return nil
 	case "no-coalesce":
-		return func(o *Options) { o.DisableConservativeCoalescing = true }, nil
+		flag = &p.noCoalesce
 	case "no-bias":
-		return func(o *Options) { o.DisableBiasedColoring = true }, nil
+		flag = &p.noBias
 	case "no-lookahead":
-		return func(o *Options) { o.DisableLookahead = true }, nil
+		flag = &p.noLookahead
+	default:
+		return metricParam(p, key, val, hasVal)
 	}
-	return nil, fmt.Errorf("unknown parameter %q", key)
+	if hasVal {
+		return fmt.Errorf("parameter %q is a flag and takes no value", key)
+	}
+	*flag = true
+	return nil
 }
 
+// strategies is the registry, in registration order.
+var strategies []*Strategy
+
 func init() {
-	RegisterStrategy(&Strategy{
-		name:        "chaitin",
-		description: "Chaitin-style optimistic coloring with whole-range rematerialization (the paper's Table 1 baseline)",
-		apply:       func(o *Options) { o.Mode = ModeChaitin },
-		run:         runIterated,
-		param:       metricParam,
-		canon:       metricCanon,
-	})
-	RegisterStrategy(&Strategy{
-		name:        "remat",
-		description: "the paper's allocator: per-value tags, splits, conservative coalescing, biased coloring (default)",
-		apply:       func(o *Options) { o.Mode = ModeRemat },
-		run:         runIterated,
-		param:       rematParam,
-		canon:       rematCanon,
-	})
-	RegisterStrategy(&Strategy{
-		name:        "spill-everywhere",
-		description: "guaranteed-terminating baseline: every value lives in a frame slot, reloaded per use (Bouchez/Darte/Rastello)",
-		run: func(_ context.Context, rt *iloc.Routine, opts Options) (*Result, error) {
-			return spillEverywhere(rt, opts)
+	strategies = []*Strategy{
+		{
+			name:        "chaitin",
+			description: "Chaitin-style optimistic coloring with whole-range rematerialization (the paper's Table 1 baseline)",
+			run:         runIterated,
+			param:       metricParam,
 		},
-	})
-	RegisterStrategy(&Strategy{
-		name:        "ssa-spill",
-		description: "SSA-form spill-everywhere: one slot per φ-congruence web, dead stores elided, sparse-liveness-pruned φs",
-		run: func(_ context.Context, rt *iloc.Routine, opts Options) (*Result, error) {
-			return ssaSpill(rt, opts)
+		{
+			name:        "remat",
+			description: "the paper's allocator: per-value tags, splits, conservative coalescing, biased coloring",
+			run:         runIterated,
+			param:       rematParam,
+			params:      strategyParams{remat: true},
 		},
-	})
+		{
+			name:        "spill-everywhere",
+			description: "guaranteed-terminating baseline: every value lives in a frame slot, reloaded per use (Bouchez/Darte/Rastello)",
+			run: func(_ context.Context, rt *iloc.Routine, opts Options, _ strategyParams) (*Result, error) {
+				return spillEverywhere(rt, opts)
+			},
+		},
+		{
+			name:        "ssa-spill",
+			description: "SSA-form spill-everywhere: one slot per φ-congruence web, dead stores elided, sparse-liveness-pruned φs",
+			run: func(_ context.Context, rt *iloc.Routine, opts Options, _ strategyParams) (*Result, error) {
+				return ssaSpill(rt, opts)
+			},
+		},
+	}
+	for _, s := range strategies {
+		s.spec = s.name
+	}
 }

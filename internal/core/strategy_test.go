@@ -12,35 +12,6 @@ import (
 	"repro/internal/verify"
 )
 
-// Mode.String must name only the modes that exist; an out-of-range
-// value renders as mode(N) instead of silently claiming to be remat.
-func TestModeString(t *testing.T) {
-	cases := []struct {
-		mode Mode
-		want string
-	}{
-		{ModeChaitin, "chaitin"},
-		{ModeRemat, "remat"},
-		{Mode(7), "mode(7)"},
-		{Mode(-1), "mode(-1)"},
-	}
-	for _, c := range cases {
-		if got := c.mode.String(); got != c.want {
-			t.Errorf("Mode(%d).String() = %q, want %q", int(c.mode), got, c.want)
-		}
-	}
-}
-
-// An out-of-range Mode derives an unregistered strategy name, so it
-// surfaces as an error rather than silently allocating as remat.
-func TestAllocateRejectsUnknownMode(t *testing.T) {
-	rt := iloc.MustParse(fig1Src)
-	_, err := Allocate(context.Background(), rt, Options{Mode: Mode(7)})
-	if err == nil || !strings.Contains(err.Error(), `"mode(7)"`) {
-		t.Fatalf("Allocate with Mode(7) = %v, want unknown-strategy error", err)
-	}
-}
-
 // The registry serves the four built-ins, in registration order, and a
 // lookup miss names every valid choice.
 func TestStrategyRegistry(t *testing.T) {
@@ -73,6 +44,10 @@ func TestStrategyRegistry(t *testing.T) {
 	if len(use.Registered) < 4 || !strings.Contains(err.Error(), "ssa-spill") {
 		t.Fatalf("unknown-strategy error does not list the registry: %v", err)
 	}
+	_, err = Allocate(context.Background(), iloc.MustParse(fig1Src), Options{Strategy: "bogus"})
+	if !errors.As(err, &use) {
+		t.Fatalf("Allocate with an unknown strategy = %v, want *UnknownStrategyError", err)
+	}
 }
 
 // Parameterized specs canonicalize: every spelling of the same
@@ -94,38 +69,42 @@ func TestStrategySpecCanonicalization(t *testing.T) {
 		t.Fatalf("plain spec = %q", plain.Spec())
 	}
 
-	var o Options
-	a.applyTo(&o)
-	if o.Mode != ModeRemat || o.Split != SplitAllLoops || !o.DisableBiasedColoring {
-		t.Fatalf("parameters not applied: %+v", o)
+	if p := a.params; !p.remat || p.split != SplitAllLoops || !p.noBias {
+		t.Fatalf("parameters not applied: %+v", p)
 	}
 
-	for _, bad := range []string{"remat:frobnicate", "remat:split=sideways", "spill-everywhere:split=all-loops", "ssa-spill:x=1"} {
+	for _, bad := range []string{
+		"remat:frobnicate", "remat:split=sideways", "spill-everywhere:split=all-loops", "ssa-spill:x=1",
+		// The ablation switches are bare flags: a value, even one that
+		// reads as "off", is rejected rather than silently turning the
+		// switch on.
+		"remat:no-bias=false", "remat:no-coalesce=no", "remat:no-lookahead=1", "remat:no-bias=",
+	} {
 		if _, err := LookupStrategy(bad); err == nil {
 			t.Errorf("LookupStrategy(%q) succeeded, want error", bad)
 		}
 	}
 }
 
-// Back compatibility: Mode-based options and the equivalent strategy
-// name produce byte-identical allocations, and parameterized strategy
-// specs match the loose Options fields they replace.
+// Back compatibility of the spec grammar: spellings clients already
+// send — explicit defaults, the Unicode metric name, repeated or
+// reordered parameters, stray spaces — allocate byte-identically to
+// their canonical spec.
 func TestStrategyBackCompatByteIdentical(t *testing.T) {
 	cases := []struct {
-		name     string
-		old, new Options
+		name       string
+		old, canon Options
 	}{
-		{"remat", Options{Mode: ModeRemat}, Options{Strategy: "remat"}},
-		{"chaitin", Options{Mode: ModeChaitin}, Options{Strategy: "chaitin"}},
-		{"remat-starved", Options{Mode: ModeRemat, Machine: target.WithRegs(3)},
+		{"remat", Options{Strategy: "remat:split=none,metric=cost/degree"}, Options{Strategy: "remat"}},
+		{"chaitin", Options{Strategy: "chaitin:metric=cost/degree"}, Options{Strategy: "chaitin"}},
+		{"remat-starved", Options{Strategy: "remat:split=none", Machine: target.WithRegs(3)},
 			Options{Strategy: "remat", Machine: target.WithRegs(3)}},
-		{"split-param", Options{Mode: ModeRemat, Split: SplitAllLoops},
+		{"split-param", Options{Strategy: "remat:split=outer-loops,split=all-loops"},
 			Options{Strategy: "remat:split=all-loops"}},
-		{"ablation-params",
-			Options{Mode: ModeRemat, DisableBiasedColoring: true, DisableConservativeCoalescing: true},
+		{"ablation-params", Options{Strategy: "remat: no-coalesce ,no-bias"},
 			Options{Strategy: "remat:no-bias,no-coalesce"}},
-		{"metric-param", Options{Mode: ModeChaitin, Metric: MetricCost},
-			Options{Strategy: "chaitin:metric=cost"}},
+		{"metric-param", Options{Strategy: "remat:metric=cost/degree²"},
+			Options{Strategy: "remat:metric=cost/degree2"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -133,12 +112,16 @@ func TestStrategyBackCompatByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			newRes, err := Allocate(context.Background(), iloc.MustParse(fig1Src), c.new)
+			newRes, err := Allocate(context.Background(), iloc.MustParse(fig1Src), c.canon)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := iloc.Print(newRes.Routine), iloc.Print(oldRes.Routine); got != want {
-				t.Fatalf("strategy output differs from Mode-based output:\n--- mode\n%s\n--- strategy\n%s", want, got)
+			if oldRes.Strategy != newRes.Strategy || newRes.Strategy != c.canon.Strategy {
+				t.Fatalf("Result.Strategy = %q and %q, want %q", oldRes.Strategy, newRes.Strategy, c.canon.Strategy)
+			}
+			if got, want := iloc.Print(oldRes.Routine), iloc.Print(newRes.Routine); got != want {
+				t.Fatalf("spelling %q allocates differently from %q:\n--- canonical\n%s\n--- spelling\n%s",
+					c.old.Strategy, c.canon.Strategy, want, got)
 			}
 		})
 	}
@@ -213,20 +196,90 @@ L0:
 
 // Strategy resolution participates in option canonicalization: the
 // spellings of one configuration collapse, distinct strategies stay
-// distinct.
+// distinct, and an empty spec means chaitin.
 func TestStrategyCanonicalOptions(t *testing.T) {
-	a := Options{Mode: ModeRemat}.Canonical()
-	b := Options{Strategy: "remat"}.Canonical()
-	if a.Strategy != "remat" || b.Strategy != "remat" || a.Mode != b.Mode {
-		t.Fatalf("canonical forms differ: %+v vs %+v", a, b)
+	if a := (Options{}).Canonical(); a.Strategy != "chaitin" {
+		t.Fatalf("empty strategy canonicalizes to %q, want chaitin", a.Strategy)
+	}
+	if b := (Options{Strategy: "remat"}).Canonical(); b.Strategy != "remat" {
+		t.Fatalf("remat canonicalizes to %q", b.Strategy)
 	}
 	c := Options{Strategy: "remat:split=all-loops,no-bias"}.Canonical()
 	d := Options{Strategy: "remat:no-bias,split=all-loops"}.Canonical()
-	if c.Strategy != d.Strategy || c.Split != SplitAllLoops || !c.DisableBiasedColoring {
-		t.Fatalf("parameterized canonical forms differ: %+v vs %+v", c, d)
+	if c.Strategy != d.Strategy || c.Strategy != "remat:no-bias,split=all-loops" {
+		t.Fatalf("parameterized canonical forms differ: %q vs %q", c.Strategy, d.Strategy)
 	}
 	e := Options{Strategy: "ssa-spill"}.Canonical()
 	if e.Strategy != "ssa-spill" {
 		t.Fatalf("ssa-spill canonical strategy = %q", e.Strategy)
 	}
+}
+
+// canonicalSpecs pins how specs canonicalize: defaults vanish, a
+// repeated key's last value wins, blank parameters and surrounding
+// spaces are ignored, parameters sort, and the metric is spelled in
+// ASCII. The fuzz target seeds from it.
+var canonicalSpecs = []struct{ in, want string }{
+	{"", "chaitin"},
+	{"chaitin", "chaitin"},
+	{"remat", "remat"},
+	{"remat:", "remat"},
+	{"remat:split=none", "remat"},
+	{"remat:metric=cost/degree", "remat"},
+	{"remat:split=all-loops,split=none", "remat"},
+	{"remat:metric=cost/degree²", "remat:metric=cost/degree2"},
+	{"remat:metric=cost/degree2", "remat:metric=cost/degree2"},
+	{"chaitin:metric=cost", "chaitin:metric=cost"},
+	{"remat: no-bias , ,split=all-loops", "remat:no-bias,split=all-loops"},
+	{"remat:split=all-phis,no-lookahead,no-coalesce,no-bias,metric=cost",
+		"remat:metric=cost,no-bias,no-coalesce,no-lookahead,split=all-phis"},
+	{"ssa-spill", "ssa-spill"},
+}
+
+// Every spelling in the table canonicalizes as pinned, and the
+// strategy's Spec and the options' Canonical strategy are one string.
+func TestCanonicalSpecTable(t *testing.T) {
+	for _, c := range canonicalSpecs {
+		got := Options{Strategy: c.in}.Canonical().Strategy
+		if got != c.want {
+			t.Errorf("Canonical(%q).Strategy = %q, want %q", c.in, got, c.want)
+		}
+		if c.in == "" {
+			continue // the empty spec is an Options default, not a spec
+		}
+		s, err := LookupStrategy(c.in)
+		if err != nil {
+			t.Errorf("LookupStrategy(%q): %v", c.in, err)
+			continue
+		}
+		if s.Spec() != got {
+			t.Errorf("LookupStrategy(%q).Spec() = %q, Canonical().Strategy = %q", c.in, s.Spec(), got)
+		}
+	}
+}
+
+// FuzzLookupStrategy feeds arbitrary spec text — it arrives from HTTP
+// bodies and CLI flags — to LookupStrategy: it must never panic, and an
+// accepted spec's canonical form must be a fixed point, resolving to
+// itself.
+func FuzzLookupStrategy(f *testing.F) {
+	for _, c := range canonicalSpecs {
+		f.Add(c.in)
+	}
+	f.Add("remat:no-bias=false")
+	f.Add("spill-everywhere:,")
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := LookupStrategy(spec)
+		if err != nil {
+			return
+		}
+		again, err := LookupStrategy(s.Spec())
+		if err != nil {
+			t.Fatalf("canonical spec %q of %q does not resolve: %v", s.Spec(), spec, err)
+		}
+		if again.Spec() != s.Spec() || again.params != s.params {
+			t.Fatalf("canonical spec %q of %q resolves to %q (%+v vs %+v)",
+				s.Spec(), spec, again.Spec(), again.params, s.params)
+		}
+	})
 }

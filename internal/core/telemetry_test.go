@@ -43,7 +43,7 @@ func signature(e telemetry.Event) string {
 // same events, same order, same args. This is what makes traces
 // diffable across runs.
 func TestTraceDeterminism(t *testing.T) {
-	opts := Options{Machine: target.WithRegs(3), Mode: ModeRemat, Verify: true}
+	opts := Options{Machine: target.WithRegs(3), Strategy: "remat", Verify: true}
 	ev1, _, _ := traceOf(t, fig1Src, opts)
 	ev2, _, _ := traceOf(t, fig1Src, opts)
 	if len(ev1) == 0 {
@@ -64,7 +64,7 @@ func TestTraceDeterminism(t *testing.T) {
 // the -stats source of truth), one iteration span per round, one alloc
 // span, and — with Verify on — verifier rule spans.
 func TestTraceCoversPipeline(t *testing.T) {
-	events, res, reg := traceOf(t, fig1Src, Options{Machine: target.WithRegs(3), Mode: ModeRemat, Verify: true})
+	events, res, reg := traceOf(t, fig1Src, Options{Machine: target.WithRegs(3), Strategy: "remat", Verify: true})
 
 	var passes, iters, allocs, verifies []telemetry.Event
 	for _, e := range events {
@@ -122,7 +122,7 @@ func TestTraceCoversPipeline(t *testing.T) {
 // duration exactly — the span replaced the ad-hoc time.Now pair, so the
 // -stats table and the trace cannot disagree.
 func TestSpanIsTheTimingSource(t *testing.T) {
-	events, res, _ := traceOf(t, fig1Src, Options{Machine: target.WithRegs(3), Mode: ModeRemat})
+	events, res, _ := traceOf(t, fig1Src, Options{Machine: target.WithRegs(3), Strategy: "remat"})
 	var spans []telemetry.Event
 	for _, e := range events {
 		if e.Cat == telemetry.CatPass {
@@ -169,7 +169,7 @@ func BenchmarkAllocateTelemetry(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Allocate(context.Background(), rt, Options{Machine: m, Mode: ModeRemat}); err != nil {
+			if _, err := Allocate(context.Background(), rt, Options{Machine: m, Strategy: "remat"}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -178,7 +178,7 @@ func BenchmarkAllocateTelemetry(b *testing.B) {
 		sink := &telemetry.Sink{Metrics: telemetry.NewRegistry(), Trace: telemetry.NewTracer()}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Allocate(context.Background(), rt, Options{Machine: m, Mode: ModeRemat, Telemetry: sink}); err != nil {
+			if _, err := Allocate(context.Background(), rt, Options{Machine: m, Strategy: "remat", Telemetry: sink}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -29,7 +29,7 @@ func TestTranslateWholeSuite(t *testing.T) {
 				t.Fatal("function name missing")
 			}
 
-			res, err := core.Allocate(context.Background(), k.Routine(), core.Options{Machine: target.WithRegs(6), Mode: core.ModeRemat})
+			res, err := core.Allocate(context.Background(), k.Routine(), core.Options{Machine: target.WithRegs(6), Strategy: "remat"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +57,7 @@ func TestTranslationCompilesWithGCC(t *testing.T) {
 	for _, k := range suite.All() {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
-			res, err := core.Allocate(context.Background(), k.Routine(), core.Options{Machine: target.Standard(), Mode: core.ModeRemat})
+			res, err := core.Allocate(context.Background(), k.Routine(), core.Options{Machine: target.Standard(), Strategy: "remat"})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,11 +17,11 @@ import (
 // the same source, or two Options values that differ only in
 // presentation (a machine's Name, an explicit MaxIterations equal to the
 // default), therefore share one entry, while anything that can change
-// the allocator's output — the strategy spec, register counts, mode,
-// splitting scheme, spill metric, the ablation switches — separates
-// keys. The strategy contributes its canonical Spec, so two spellings
-// of one parameterized strategy share an entry while two strategies
-// never do.
+// the allocator's output — the strategy spec (which carries the
+// splitting scheme, spill metric and ablation switches), register
+// counts, the cost model — separates keys. The strategy contributes its
+// canonical Spec, so two spellings of one configuration share an entry
+// while two configurations never do.
 
 // Key identifies one (routine, options) allocation in the cache.
 type Key string
@@ -48,10 +48,9 @@ func CanonicalOptionsKey(opts core.Options) string { return optionsKey(opts) }
 func optionsKey(opts core.Options) string {
 	o := opts.Canonical()
 	m := o.Machine
-	return fmt.Sprintf("strategy=%s mode=%d regs=%d,%d callersave=%d mem=%d other=%d nocoalesce=%t nobias=%t nolookahead=%t split=%d metric=%d maxiter=%d verify=%t nodegrade=%t",
-		o.Strategy, o.Mode, m.Regs[0], m.Regs[1], m.CallerSave, m.MemCycles, m.OtherCycles,
-		o.DisableConservativeCoalescing, o.DisableBiasedColoring, o.DisableLookahead,
-		o.Split, o.Metric, o.MaxIterations, o.Verify, o.DisableDegradation)
+	return fmt.Sprintf("strategy=%s regs=%d,%d callersave=%d mem=%d other=%d maxiter=%d verify=%t nodegrade=%t",
+		o.Strategy, m.Regs[0], m.Regs[1], m.CallerSave, m.MemCycles, m.OtherCycles,
+		o.MaxIterations, o.Verify, o.DisableDegradation)
 }
 
 // ResultCache is what the engine needs from a cache: the in-memory

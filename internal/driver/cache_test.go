@@ -27,6 +27,8 @@ func TestKeyCanonicalization(t *testing.T) {
 		{Machine: target.WithRegs(16)},
 		{Machine: renamed},
 		{Machine: target.Standard(), MaxIterations: 32},
+		{Strategy: "chaitin"},
+		{Strategy: "chaitin:metric=cost/degree"},
 	}
 	base := KeyFor(rt, same[0])
 	for i, o := range same[1:] {
@@ -35,16 +37,16 @@ func TestKeyCanonicalization(t *testing.T) {
 		}
 	}
 
-	// Different semantics: register count, mode, split scheme, metric,
-	// ablation switches, iteration bound.
+	// Different semantics: register count, strategy, split scheme,
+	// metric, ablation switches, iteration bound.
 	different := []core.Options{
 		{Machine: target.WithRegs(8)},
-		{Mode: core.ModeRemat},
-		{Split: core.SplitAllLoops},
-		{Metric: core.MetricCost},
-		{DisableBiasedColoring: true},
-		{DisableConservativeCoalescing: true},
-		{DisableLookahead: true},
+		{Strategy: "remat"},
+		{Strategy: "remat:split=all-loops"},
+		{Strategy: "chaitin:metric=cost"},
+		{Strategy: "remat:no-bias"},
+		{Strategy: "remat:no-coalesce"},
+		{Strategy: "remat:no-lookahead"},
 		{MaxIterations: 5},
 	}
 	seen := map[Key]int{base: -1}
@@ -111,7 +113,7 @@ func TestCacheCounters(t *testing.T) {
 func TestCacheHitSemanticallyIdentical(t *testing.T) {
 	for _, name := range []string{"fehl", "sgemm"} {
 		k := suite.ByName(name)
-		opts := core.Options{Machine: target.WithRegs(6), Mode: core.ModeRemat}
+		opts := core.Options{Machine: target.WithRegs(6), Strategy: "remat"}
 
 		fresh, err := core.Allocate(context.Background(), k.Routine(), opts)
 		if err != nil {
@@ -224,8 +226,8 @@ func TestNilCacheIsInert(t *testing.T) {
 }
 
 // TestKeyStrategySeparation: the cache key separates every registered
-// strategy for identical input, ties the Mode-based spelling to its
-// strategy name, and collapses equivalent parameter spellings.
+// strategy for identical input and collapses equivalent parameter
+// spellings.
 func TestKeyStrategySeparation(t *testing.T) {
 	rt := suite.ByName("fehl").Routine()
 
@@ -238,16 +240,8 @@ func TestKeyStrategySeparation(t *testing.T) {
 		seen[k] = s.Name()
 	}
 
-	// Mode-based options and the equivalent strategy name are one entry.
-	if KeyFor(rt, core.Options{Mode: core.ModeRemat}) != KeyFor(rt, core.Options{Strategy: "remat"}) {
-		t.Fatal("Mode-based and strategy-named options diverged")
-	}
-	if KeyFor(rt, core.Options{Mode: core.ModeChaitin}) != KeyFor(rt, core.Options{Strategy: "chaitin"}) {
-		t.Fatal("chaitin Mode and strategy diverged")
-	}
-
 	// Parameter spellings of one configuration collapse; a parameterized
-	// strategy separates from its base and matches the loose-field form.
+	// strategy separates from its base.
 	a := KeyFor(rt, core.Options{Strategy: "remat:split=all-loops,no-bias"})
 	b := KeyFor(rt, core.Options{Strategy: "remat:no-bias,split=all-loops"})
 	if a != b {
@@ -255,8 +249,5 @@ func TestKeyStrategySeparation(t *testing.T) {
 	}
 	if a == KeyFor(rt, core.Options{Strategy: "remat"}) {
 		t.Fatal("parameterized strategy shares the base strategy's key")
-	}
-	if a != KeyFor(rt, core.Options{Mode: core.ModeRemat, Split: core.SplitAllLoops, DisableBiasedColoring: true}) {
-		t.Fatal("strategy parameters and loose option fields diverged")
 	}
 }

@@ -44,7 +44,7 @@ func TestCorpusReplayAcrossZoo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := core.Options{Machine: m, Mode: core.ModeRemat, Verify: true}
+		opts := core.Options{Machine: m, Strategy: "remat", Verify: true}
 
 		// Cache keys for this machine must be fresh: no routine's key
 		// under this machine may collide with any key under another.
@@ -77,7 +77,7 @@ func TestCorpusReplayAcrossZoo(t *testing.T) {
 	// A second pass on one machine is pure cache traffic: same corpus,
 	// same machine, every unit hits.
 	m, _ := machines.Lookup(zoo[0])
-	opts := core.Options{Machine: m, Mode: core.ModeRemat, Verify: true}
+	opts := core.Options{Machine: m, Strategy: "remat", Verify: true}
 	batch := Allocate(context.Background(), work, Config{Options: opts, Cache: cache})
 	for i, r := range batch.Results {
 		if r.Err != nil {

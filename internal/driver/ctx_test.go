@@ -25,7 +25,7 @@ func TestCancelAbortsBatchMidFlight(t *testing.T) {
 	if len(units) < 4 {
 		t.Fatalf("need >= 4 test units, have %d", len(units))
 	}
-	opts := core.Options{Machine: target.WithRegs(6), Mode: core.ModeRemat}
+	opts := core.Options{Machine: target.WithRegs(6), Strategy: "remat"}
 
 	// Reference run: the results a cancelled batch must preserve for the
 	// units it finished.
@@ -118,7 +118,7 @@ func TestDeadlineBatchDegradesAndSkipsCache(t *testing.T) {
 	if k == nil {
 		t.Fatal("kernel sgemm missing")
 	}
-	opts := core.Options{Machine: target.WithRegs(6), Mode: core.ModeRemat}
+	opts := core.Options{Machine: target.WithRegs(6), Strategy: "remat"}
 	cache := NewCache(0)
 	eng := New(Config{Options: opts, Workers: 1, Cache: cache})
 

@@ -29,7 +29,7 @@ import (
 
 // Unit is one routine of a batch. Options, when non-nil, override the
 // engine's default options for this unit (the experiment drivers mix
-// machines and modes within one batch).
+// machines and strategies within one batch).
 type Unit struct {
 	// Name labels the unit in results and error messages (a file name, a
 	// kernel name); it does not contribute to the cache key.

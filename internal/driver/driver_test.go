@@ -71,7 +71,7 @@ func fingerprintOf(res *core.Result) fingerprint {
 // results come back in input order with byte-identical content no
 // matter how many workers run the batch.
 func TestBatchOrderAndWorkerSweep(t *testing.T) {
-	opts := core.Options{Machine: target.WithRegs(6), Mode: core.ModeRemat}
+	opts := core.Options{Machine: target.WithRegs(6), Strategy: "remat"}
 	units := testUnits(t)
 
 	ref := New(Config{Options: opts, Workers: 1}).Run(context.Background(), units)
@@ -111,7 +111,7 @@ func TestBatchOrderAndWorkerSweep(t *testing.T) {
 // output and identical Result statistics.
 func TestSameRoutineTwiceDeterministic(t *testing.T) {
 	k := suite.ByName("tomcatv")
-	opts := core.Options{Machine: target.WithRegs(6), Mode: core.ModeRemat}
+	opts := core.Options{Machine: target.WithRegs(6), Strategy: "remat"}
 	units := []Unit{
 		{Name: "tomcatv/a", Routine: k.Routine()},
 		{Name: "tomcatv/b", Routine: k.Routine()},
@@ -157,8 +157,8 @@ func TestSharedInputRoutine(t *testing.T) {
 // experiment drivers do.
 func TestPerUnitOptionsOverride(t *testing.T) {
 	k := suite.ByName("fehl")
-	small := core.Options{Machine: target.WithRegs(6), Mode: core.ModeRemat}
-	huge := core.Options{Machine: target.Huge(), Mode: core.ModeRemat}
+	small := core.Options{Machine: target.WithRegs(6), Strategy: "remat"}
+	huge := core.Options{Machine: target.Huge(), Strategy: "remat"}
 	b := New(Config{Options: small}).Run(context.Background(), []Unit{
 		{Name: "small", Routine: k.Routine()},
 		{Name: "huge", Routine: k.Routine(), Options: &huge},
@@ -238,7 +238,7 @@ func TestStatsAccounting(t *testing.T) {
 // TestFullSuiteDeterminism is the acceptance check: the driver over the
 // complete suite at -j NumCPU produces byte-identical output to -j 1.
 func TestFullSuiteDeterminism(t *testing.T) {
-	opts := core.Options{Machine: target.WithRegs(6), Mode: core.ModeRemat}
+	opts := core.Options{Machine: target.WithRegs(6), Strategy: "remat"}
 	var units []Unit
 	for _, k := range suite.All() {
 		units = append(units, Unit{Name: k.Name, Routine: k.Routine()})

@@ -17,7 +17,7 @@ import (
 // every other unit's output is byte-identical to a fault-free run.
 func TestBatchIsolatesSeededPanic(t *testing.T) {
 	units := testUnits(t)
-	cfg := Config{Options: core.Options{Machine: target.Standard(), Mode: core.ModeRemat, Verify: true}, Workers: 4}
+	cfg := Config{Options: core.Options{Machine: target.Standard(), Strategy: "remat", Verify: true}, Workers: 4}
 
 	clean := New(cfg).Run(context.Background(), units)
 	if err := clean.FirstErr(); err != nil {
@@ -67,7 +67,7 @@ func TestBatchIsolatesSeededPanic(t *testing.T) {
 // matches a fault-free run byte for byte.
 func TestBatchIsolatesNonConvergence(t *testing.T) {
 	units := testUnits(t)
-	cfg := Config{Options: core.Options{Machine: target.Standard(), Mode: core.ModeRemat, Verify: true}, Workers: 4}
+	cfg := Config{Options: core.Options{Machine: target.Standard(), Strategy: "remat", Verify: true}, Workers: 4}
 
 	clean := New(cfg).Run(context.Background(), units)
 	if err := clean.FirstErr(); err != nil {
@@ -75,7 +75,7 @@ func TestBatchIsolatesNonConvergence(t *testing.T) {
 	}
 
 	victim := 1
-	poisoned := &core.Options{Machine: target.WithRegs(3), Mode: core.ModeRemat, MaxIterations: 1, Verify: true}
+	poisoned := &core.Options{Machine: target.WithRegs(3), Strategy: "remat", MaxIterations: 1, Verify: true}
 	faultyUnits := append([]Unit(nil), units...)
 	faultyUnits[victim].Options = poisoned
 
@@ -112,7 +112,7 @@ func TestWorkerPanicContained(t *testing.T) {
 	units = append(units, Unit{Name: "corrupt", Routine: corrupt})
 
 	cfg := Config{
-		Options: core.Options{Machine: target.Standard(), Mode: core.ModeRemat},
+		Options: core.Options{Machine: target.Standard(), Strategy: "remat"},
 		Workers: 2,
 		Cache:   NewCache(0),
 	}

@@ -17,7 +17,7 @@ func TestBatchTraceCoversEveryUnit(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tr := telemetry.NewTracer()
 	eng := New(Config{
-		Options:   core.Options{Machine: target.WithRegs(6), Mode: core.ModeRemat},
+		Options:   core.Options{Machine: target.WithRegs(6), Strategy: "remat"},
 		Workers:   3,
 		Telemetry: &telemetry.Sink{Metrics: reg, Trace: tr},
 	})
@@ -81,7 +81,7 @@ func TestCacheTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tr := telemetry.NewTracer()
 	eng := New(Config{
-		Options:   core.Options{Machine: target.WithRegs(6), Mode: core.ModeRemat},
+		Options:   core.Options{Machine: target.WithRegs(6), Strategy: "remat"},
 		Workers:   2,
 		Cache:     NewCache(0),
 		Telemetry: &telemetry.Sink{Metrics: reg, Trace: tr},
@@ -125,7 +125,7 @@ func TestCacheTelemetry(t *testing.T) {
 	// Telemetry must not split cache keys: an engine with a different
 	// sink (or none) sharing the cache still hits.
 	eng2 := New(Config{
-		Options: core.Options{Machine: target.WithRegs(6), Mode: core.ModeRemat},
+		Options: core.Options{Machine: target.WithRegs(6), Strategy: "remat"},
 		Cache:   eng.Cache(),
 	})
 	b2 := eng2.Run(context.Background(), units)

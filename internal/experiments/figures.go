@@ -77,12 +77,12 @@ func Figure1() (*Figure1Result, error) {
 	iters := int64(10)
 	r := &Figure1Result{Source: Figure1Source}
 
-	run := func(mode core.Mode) (string, *interp.Outcome, error) {
+	run := func(strategy string) (string, *interp.Outcome, error) {
 		rt, err := iloc.Parse(Figure1Source)
 		if err != nil {
 			return "", nil, err
 		}
-		res, err := core.Allocate(context.Background(), rt, core.Options{Machine: m, Mode: mode})
+		res, err := core.Allocate(context.Background(), rt, core.Options{Machine: m, Strategy: strategy})
 		if err != nil {
 			return "", nil, err
 		}
@@ -99,10 +99,10 @@ func Figure1() (*Figure1Result, error) {
 
 	var outC, outR *interp.Outcome
 	var err error
-	if r.Chaitin, outC, err = run(core.ModeChaitin); err != nil {
+	if r.Chaitin, outC, err = run("chaitin"); err != nil {
 		return nil, fmt.Errorf("figure1 chaitin: %w", err)
 	}
-	if r.Remat, outR, err = run(core.ModeRemat); err != nil {
+	if r.Remat, outR, err = run("remat"); err != nil {
 		return nil, fmt.Errorf("figure1 remat: %w", err)
 	}
 	if outC.RetFloat != outR.RetFloat {
@@ -142,7 +142,7 @@ func Figure2() (string, error) {
 		return "", err
 	}
 	res, err := core.Allocate(context.Background(), rt, core.Options{
-		Machine: target.WithRegs(3), Mode: core.ModeRemat,
+		Machine: target.WithRegs(3), Strategy: "remat",
 	})
 	if err != nil {
 		return "", err
@@ -212,7 +212,7 @@ func Figure3() (*Figure3Result, error) {
 		return nil, err
 	}
 	res, err := core.Allocate(context.Background(), fresh, core.Options{
-		Machine: target.Huge(), Mode: core.ModeRemat,
+		Machine: target.Huge(), Strategy: "remat",
 	})
 	if err != nil {
 		return nil, err

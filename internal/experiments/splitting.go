@@ -13,10 +13,10 @@ import (
 	"repro/internal/target"
 )
 
-// runMode allocates the kernel and its callees under one configuration
-// and executes the allocated program.
-func runMode(k *suite.Kernel, m *target.Machine, mode core.Mode) (*interp.Outcome, error) {
-	opts := core.Options{Machine: m, Mode: mode}
+// runStrategy allocates the kernel and its callees under one strategy
+// spec and executes the allocated program.
+func runStrategy(k *suite.Kernel, m *target.Machine, strategy string) (*interp.Outcome, error) {
+	opts := core.Options{Machine: m, Strategy: strategy}
 	res, err := core.Allocate(context.Background(), k.Routine(), opts)
 	if err != nil {
 		return nil, err
@@ -64,21 +64,21 @@ func SplittingStudy(m *target.Machine) ([]SplittingRow, error) {
 	baseMachine := target.Huge()
 	var rows []SplittingRow
 	for _, k := range suite.All() {
-		base, err := runMode(k, baseMachine, core.ModeRemat)
+		base, err := runStrategy(k, baseMachine, "remat")
 		if err != nil {
 			return nil, fmt.Errorf("splitting %s baseline: %w", k.Name, err)
 		}
 		baseCycles := base.Cycles(int64(m.MemCycles), int64(m.OtherCycles))
 
 		row := SplittingRow{Program: k.Program, Routine: k.Name}
-		plain, err := runMode(k, m, core.ModeRemat)
+		plain, err := runStrategy(k, m, "remat")
 		if err != nil {
 			return nil, fmt.Errorf("splitting %s plain: %w", k.Name, err)
 		}
 		row.Baseline = plain.Cycles(int64(m.MemCycles), int64(m.OtherCycles)) - baseCycles
 
 		for _, s := range SplittingSchemes {
-			res, err := core.Allocate(context.Background(), k.Routine(), core.Options{Machine: m, Mode: core.ModeRemat, Split: s})
+			res, err := core.Allocate(context.Background(), k.Routine(), core.Options{Machine: m, Strategy: "remat:split=" + s.String()})
 			if err != nil {
 				return nil, fmt.Errorf("splitting %s %v: %w", k.Name, s, err)
 			}

@@ -101,7 +101,7 @@ func Table1(cfg Table1Config) ([]Table1Row, error) {
 		cfg.Baseline = target.Huge()
 	}
 	machines := [table1Configs]*target.Machine{cfg.Baseline, cfg.Standard, cfg.Standard}
-	modes := [table1Configs]core.Mode{core.ModeRemat, core.ModeChaitin, core.ModeRemat}
+	strategies := [table1Configs]string{"remat", "chaitin", "remat"}
 
 	kernels := suite.All()
 	var units []driver.Unit
@@ -112,16 +112,16 @@ func Table1(cfg Table1Config) ([]Table1Row, error) {
 		for ci := 0; ci < table1Configs; ci++ {
 			// Callees are allocated with the same options, so the measured
 			// program is consistently compiled end to end.
-			opts := core.Options{Machine: machines[ci], Mode: modes[ci]}
+			opts := core.Options{Machine: machines[ci], Strategy: strategies[ci]}
 			plan[ki][ci].main = len(units)
 			units = append(units, driver.Unit{
-				Name:    fmt.Sprintf("%s/%s@%s", k.Name, modes[ci], machines[ci].Name),
+				Name:    fmt.Sprintf("%s/%s@%s", k.Name, strategies[ci], machines[ci].Name),
 				Routine: rt, Options: &opts,
 			})
 			for i, crt := range calleeRts {
 				plan[ki][ci].callees = append(plan[ki][ci].callees, len(units))
 				units = append(units, driver.Unit{
-					Name:    fmt.Sprintf("%s/callee%d/%s@%s", k.Name, i, modes[ci], machines[ci].Name),
+					Name:    fmt.Sprintf("%s/callee%d/%s@%s", k.Name, i, strategies[ci], machines[ci].Name),
 					Routine: crt, Options: &opts,
 				})
 			}

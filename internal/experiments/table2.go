@@ -54,7 +54,7 @@ type Table2Column struct {
 
 // table2Modes is the column order within one routine: the paper's Old
 // (Chaitin) allocator, then New (rematerialization).
-var table2Modes = []core.Mode{core.ModeChaitin, core.ModeRemat}
+var table2Modes = []string{"chaitin", "remat"}
 
 // Table2 reproduces the paper's allocation-time table: each routine is
 // allocated `runs` times per mode (the paper uses 10) and the phase times
@@ -88,7 +88,7 @@ func Table2Jobs(m *target.Machine, runs, jobs int) ([]Table2Column, error) {
 		}
 		rt := k.Routine()
 		for _, mode := range table2Modes {
-			opts := core.Options{Machine: m, Mode: mode}
+			opts := core.Options{Machine: m, Strategy: mode}
 			for r := 0; r < runs; r++ {
 				units = append(units, driver.Unit{
 					Name:    fmt.Sprintf("%s/%s/run%d", name, mode, r),

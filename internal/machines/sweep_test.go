@@ -41,7 +41,7 @@ func TestSuiteVerifiesAcrossZoo(t *testing.T) {
 				degraded := 0
 				for _, u := range units {
 					res, err := core.Allocate(context.Background(), u.rt, core.Options{
-						Machine: v.m, Mode: core.ModeRemat, Verify: true,
+						Machine: v.m, Strategy: "remat", Verify: true,
 					})
 					if err != nil {
 						t.Errorf("%s @ %s: %v", u.name, v.m.Name, err)

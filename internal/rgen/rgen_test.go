@@ -56,10 +56,10 @@ func TestAllocationPreservesSemantics(t *testing.T) {
 	cfg := Config{}
 	machines := []*target.Machine{target.Standard(), target.WithRegs(4)}
 	optsList := []core.Options{
-		{Mode: core.ModeChaitin},
-		{Mode: core.ModeRemat},
-		{Mode: core.ModeRemat, Split: core.SplitAtPhis},
-		{Mode: core.ModeRemat, Split: core.SplitAllLoops},
+		{Strategy: "chaitin"},
+		{Strategy: "remat"},
+		{Strategy: "remat:split=all-phis"},
+		{Strategy: "remat:split=all-loops"},
 	}
 	for seed := int64(0); seed < seeds; seed++ {
 		rt := Generate(rand.New(rand.NewSource(seed)), cfg)
@@ -70,12 +70,12 @@ func TestAllocationPreservesSemantics(t *testing.T) {
 				opts.Machine = m
 				res, err := core.Allocate(context.Background(), rt, opts)
 				if err != nil {
-					t.Fatalf("seed %d, %s/%v/%v: %v\n%s", seed, m.Name, opts.Mode, opts.Split, err, iloc.Print(rt))
+					t.Fatalf("seed %d, %s/%s: %v\n%s", seed, m.Name, opts.Strategy, err, iloc.Print(rt))
 				}
 				got := image(t, res.Routine, cfg.withDefaults().DataWords)
 				if !equalImages(want, got) {
-					t.Fatalf("seed %d, %s/%v/%v: behaviour changed\n--- input ---\n%s\n--- allocated ---\n%s",
-						seed, m.Name, opts.Mode, opts.Split, iloc.Print(rt), iloc.Print(res.Routine))
+					t.Fatalf("seed %d, %s/%s: behaviour changed\n--- input ---\n%s\n--- allocated ---\n%s",
+						seed, m.Name, opts.Strategy, iloc.Print(rt), iloc.Print(res.Routine))
 				}
 			}
 		}
@@ -156,8 +156,8 @@ func TestProgramAllocationPreservesSemantics(t *testing.T) {
 		main, callees := GenerateProgram(rand.New(rand.NewSource(seed)), cfg)
 		want := programImage(t, main, callees, cfg.withDefaults().DataWords)
 		for _, m := range machines {
-			for _, mode := range []core.Mode{core.ModeChaitin, core.ModeRemat} {
-				opts := core.Options{Machine: m, Mode: mode}
+			for _, mode := range []string{"chaitin", "remat"} {
+				opts := core.Options{Machine: m, Strategy: mode}
 				aMain, err := core.Allocate(context.Background(), main, opts)
 				if err != nil {
 					t.Fatalf("seed %d main: %v", seed, err)

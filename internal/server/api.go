@@ -27,7 +27,7 @@ type AllocateRequest struct {
 
 // BatchRequest is the body of POST /v1/batch: a module of named units,
 // each optionally carrying its own options (the experiment drivers mix
-// machines and modes within one batch; remote callers can too).
+// machines and strategies within one batch; remote callers can too).
 type BatchRequest struct {
 	Units []BatchUnit `json:"units"`
 	// Options is the default for units that do not carry their own.
@@ -49,11 +49,10 @@ type BatchUnit struct {
 type OptionsRequest struct {
 	// Strategy selects a registered allocation strategy by spec — a name
 	// from GET /v1/strategies, optionally with parameters
-	// ("remat:split=all-loops"). It wins over Mode when both are set; an
+	// ("remat:split=all-loops,no-bias"; the parameters cover §6's
+	// splitting schemes, the spill metric and the ablation switches). An
 	// unknown name is a 400 whose error body lists the registered names.
 	Strategy string `json:"strategy,omitempty"`
-	// Mode is "remat" (the paper, default) or "chaitin" (the baseline).
-	Mode string `json:"mode,omitempty"`
 	// Machine selects a target machine from the zoo by name — an entry
 	// of GET /v1/machines, or the parameterized "regs=N" spelling. An
 	// unknown name is a 400 whose error body lists the registered names.
@@ -62,9 +61,6 @@ type OptionsRequest struct {
 	// Regs is the register count per class (16 = the paper's standard
 	// machine) — shorthand for machine "regs=N".
 	Regs int `json:"regs,omitempty"`
-	// Split names one of §6's live-range splitting schemes: "none",
-	// "all-loops", "outer-loops", "inactive-loops", "all-phis".
-	Split string `json:"split,omitempty"`
 	// Verify runs the independent post-allocation checker; nil inherits
 	// the server default (on).
 	Verify *bool `json:"verify,omitempty"`
@@ -91,20 +87,6 @@ func (o *OptionsRequest) Resolve(def core.Options) (core.Options, error) {
 		}
 		opts.Strategy = o.Strategy
 	}
-	switch o.Mode {
-	case "":
-	case "remat":
-		opts.Mode = core.ModeRemat
-	case "chaitin":
-		opts.Mode = core.ModeChaitin
-	default:
-		return opts, fmt.Errorf("unknown mode %q", o.Mode)
-	}
-	if o.Mode != "" && o.Strategy == "" {
-		// An explicit mode without a strategy overrides any inherited
-		// batch-level strategy; the strategy re-derives from the mode.
-		opts.Strategy = ""
-	}
 	if o.Machine != "" && o.Regs != 0 {
 		return opts, fmt.Errorf("machine %q and regs %d are mutually exclusive (regs is shorthand for machine \"regs=N\")", o.Machine, o.Regs)
 	}
@@ -121,21 +103,6 @@ func (o *OptionsRequest) Resolve(def core.Options) (core.Options, error) {
 			return opts, err
 		}
 		opts.Machine = m
-	}
-	switch o.Split {
-	case "":
-	case "none":
-		opts.Split = core.SplitNone
-	case "all-loops":
-		opts.Split = core.SplitAllLoops
-	case "outer-loops":
-		opts.Split = core.SplitOuterLoops
-	case "inactive-loops":
-		opts.Split = core.SplitInactiveLoops
-	case "all-phis":
-		opts.Split = core.SplitAtPhis
-	default:
-		return opts, fmt.Errorf("unknown split scheme %q", o.Split)
 	}
 	if o.Verify != nil {
 		opts.Verify = *o.Verify

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/audit"
-	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/iloc"
 	"repro/internal/jobs"
@@ -123,7 +122,7 @@ func (s *Server) auditUnit(reqID, jobID string, u driver.Unit, r driver.UnitResu
 	}
 	if u.Options != nil {
 		rec.ContentKey = string(driver.KeyFor(u.Routine, *u.Options))
-		rec.Strategy = strategySpec(*u.Options)
+		rec.Strategy = u.Options.Canonical().Strategy
 	}
 	switch {
 	case r.Err != nil:
@@ -134,19 +133,6 @@ func (s *Server) auditUnit(reqID, jobID string, u driver.Unit, r driver.UnitResu
 		rec.DegradeReason = r.Result.DegradeReason
 	}
 	log.Log(rec)
-}
-
-// strategySpec names the strategy an options value selects — the
-// explicit spec when one was requested, the mode's canonical strategy
-// otherwise.
-func strategySpec(o core.Options) string {
-	if o.Strategy != "" {
-		return o.Strategy
-	}
-	if o.Mode == core.ModeChaitin {
-		return "chaitin"
-	}
-	return "remat"
 }
 
 // handleJobSubmit serves POST /v1/jobs: admit the batch, answer with

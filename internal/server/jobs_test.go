@@ -21,8 +21,8 @@ func jobBatchBody(t *testing.T) BatchRequest {
 	src := testSource(t)
 	return BatchRequest{Units: []BatchUnit{
 		{Name: "u0", ILOC: src},
-		{Name: "u1", ILOC: src, Options: &OptionsRequest{Mode: "chaitin"}},
-		{Name: "u2", ILOC: src, Options: &OptionsRequest{Split: "all-loops"}},
+		{Name: "u1", ILOC: src, Options: &OptionsRequest{Strategy: "chaitin"}},
+		{Name: "u2", ILOC: src, Options: &OptionsRequest{Strategy: "remat:split=all-loops"}},
 	}}
 }
 
@@ -429,6 +429,32 @@ func TestAuditRecordsEveryVerdict(t *testing.T) {
 	}
 	if !sawChaitin {
 		t.Fatal("per-unit strategy not recorded")
+	}
+
+	// Two spellings of one configuration share a content key, so they
+	// must share the canonical strategy label too.
+	spellings := BatchRequest{Units: []BatchUnit{
+		{Name: "s1", ILOC: body.Units[0].ILOC, Options: &OptionsRequest{Strategy: "remat:split=all-loops,no-bias"}},
+		{Name: "s2", ILOC: body.Units[0].ILOC, Options: &OptionsRequest{Strategy: "remat:no-bias, split=all-loops,"}},
+	}}
+	if status, _, raw := post(t, ts.URL+"/v1/batch", spellings, nil); status != http.StatusOK {
+		t.Fatalf("spellings = %d\n%s", status, raw)
+	}
+	if resp, err := http.Get(ts.URL + "/v1/audit?flush=1"); err != nil {
+		t.Fatal(err)
+	} else {
+		resp.Body.Close()
+	}
+	byUnit := map[string]audit.Record{}
+	for _, r := range sink.records(t) {
+		byUnit[r.Unit] = r
+	}
+	s1, s2 := byUnit["s1"], byUnit["s2"]
+	if s1.Strategy != "remat:no-bias,split=all-loops" || s2.Strategy != s1.Strategy {
+		t.Fatalf("spelling labels = %q, %q, want both canonical", s1.Strategy, s2.Strategy)
+	}
+	if s1.ContentKey == "" || s2.ContentKey != s1.ContentKey {
+		t.Fatalf("spelling content keys differ: %q vs %q", s1.ContentKey, s2.ContentKey)
 	}
 }
 

@@ -56,8 +56,8 @@ import (
 // has a production-shaped default.
 type Config struct {
 	// Options is the default allocation configuration; request options
-	// merge over it. A zero Options gets the standard machine, ModeRemat
-	// and Verify on — the serving default is verified allocations.
+	// merge over it. A zero Options gets the standard machine, the remat
+	// strategy and Verify on — the serving default is verified allocations.
 	Options core.Options
 	// DefaultOptionsSet marks Options as deliberately zero-configured;
 	// when false and Options is entirely zero, the serving defaults
@@ -115,11 +115,11 @@ type Config struct {
 }
 
 // DefaultOptions is the serving default allocation configuration: the
-// standard machine, the paper's remat mode, and the independent
+// standard machine, the paper's remat strategy, and the independent
 // verifier on. The routing proxy uses the same value to compute
 // routing keys, so proxy and backend agree on request identity.
 func DefaultOptions() core.Options {
-	return core.Options{Machine: target.Standard(), Mode: core.ModeRemat, Verify: true}
+	return core.Options{Machine: target.Standard(), Strategy: "remat", Verify: true}
 }
 
 func (c Config) withDefaults() Config {

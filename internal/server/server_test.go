@@ -135,7 +135,7 @@ func TestBatchWithPerUnitOptions(t *testing.T) {
 	req := BatchRequest{
 		Units: []BatchUnit{
 			{Name: "remat-side", ILOC: src},
-			{Name: "chaitin-side", ILOC: src, Options: &OptionsRequest{Mode: "chaitin", Regs: 8}},
+			{Name: "chaitin-side", ILOC: src, Options: &OptionsRequest{Strategy: "chaitin", Regs: 8}},
 		},
 	}
 	status, _, body := post(t, ts.URL+"/v1/batch", req, nil)
@@ -196,12 +196,14 @@ func TestBadRequests(t *testing.T) {
 			return post(t, ts.URL+"/v1/allocate", AllocateRequest{ILOC: "not iloc at all"}, nil)
 		}},
 		{"unknown mode", func() (int, http.Header, []byte) {
+			// "mode" is not an options field: the strategy spec says
+			// which allocator runs.
 			return post(t, ts.URL+"/v1/allocate",
-				AllocateRequest{ILOC: src, Options: &OptionsRequest{Mode: "linear-scan"}}, nil)
+				map[string]any{"iloc": src, "options": map[string]any{"mode": "chaitin"}}, nil)
 		}},
 		{"unknown split", func() (int, http.Header, []byte) {
 			return post(t, ts.URL+"/v1/allocate",
-				AllocateRequest{ILOC: src, Options: &OptionsRequest{Split: "sideways"}}, nil)
+				AllocateRequest{ILOC: src, Options: &OptionsRequest{Strategy: "remat:split=sideways"}}, nil)
 		}},
 		{"bad deadline header", func() (int, http.Header, []byte) {
 			return post(t, ts.URL+"/v1/allocate", AllocateRequest{ILOC: src},
@@ -212,7 +214,7 @@ func TestBadRequests(t *testing.T) {
 		}},
 		{"bad unit options", func() (int, http.Header, []byte) {
 			return post(t, ts.URL+"/v1/batch", BatchRequest{
-				Units: []BatchUnit{{ILOC: src, Options: &OptionsRequest{Mode: "bogus"}}},
+				Units: []BatchUnit{{ILOC: src, Options: &OptionsRequest{Strategy: "bogus"}}},
 			}, nil)
 		}},
 	}
@@ -518,7 +520,7 @@ func TestOptionsMergeOverDefaults(t *testing.T) {
 	// Server-level defaults (chaitin, 8 regs) apply when the request
 	// carries nothing, and request options win when present.
 	cfg := Config{
-		Options:           core.Options{Machine: target.WithRegs(8), Mode: core.ModeChaitin, Verify: true},
+		Options:           core.Options{Machine: target.WithRegs(8), Strategy: "chaitin", Verify: true},
 		DefaultOptionsSet: true,
 	}
 	ts := newTestServer(t, cfg)
@@ -531,7 +533,7 @@ func TestOptionsMergeOverDefaults(t *testing.T) {
 		t.Fatalf("unit = %+v", u)
 	}
 	status, _, body = post(t, ts.URL+"/v1/allocate",
-		AllocateRequest{ILOC: src, Options: &OptionsRequest{Mode: "remat", Regs: 6, Split: "all-loops"}}, nil)
+		AllocateRequest{ILOC: src, Options: &OptionsRequest{Strategy: "remat:split=all-loops", Regs: 6}}, nil)
 	if status != 200 {
 		t.Fatalf("status = %d\n%s", status, body)
 	}

@@ -2,8 +2,8 @@ package server
 
 import (
 	"encoding/json"
-
 	"net/http"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -102,6 +102,18 @@ func TestUnknownStrategyRejected(t *testing.T) {
 			AllocateRequest{ILOC: src, Options: &OptionsRequest{Strategy: "ssa-spill:split=all-loops"}}, nil)
 		if status != http.StatusBadRequest {
 			t.Fatalf("status = %d\n%s", status, body)
+		}
+	})
+
+	// The ablation switches are bare flags: a value, even one that reads
+	// as "off", is a 400 rather than a silently enabled switch.
+	t.Run("flag-with-value", func(t *testing.T) {
+		for _, spec := range []string{"remat:no-bias=false", "remat:no-coalesce=no"} {
+			status, _, body := post(t, ts.URL+"/v1/allocate",
+				AllocateRequest{ILOC: src, Options: &OptionsRequest{Strategy: spec}}, nil)
+			if status != http.StatusBadRequest || !strings.Contains(string(body), "takes no value") {
+				t.Fatalf("%s: status = %d\n%s", spec, status, body)
+			}
 		}
 	})
 }

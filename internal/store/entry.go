@@ -49,7 +49,6 @@ const (
 type entryMeta struct {
 	Name          string                `json:"name"`
 	Strategy      string                `json:"strategy,omitempty"`
-	Mode          core.Mode             `json:"mode"`
 	SpilledRanges int                   `json:"spilled_ranges,omitempty"`
 	RematSpills   int                   `json:"remat_spills,omitempty"`
 	Degraded      bool                  `json:"degraded,omitempty"`
@@ -73,7 +72,6 @@ func encodeResult(res *core.Result, optionsKey string) ([]byte, error) {
 	meta := entryMeta{
 		Name:          res.Routine.Name,
 		Strategy:      res.Strategy,
-		Mode:          res.Mode,
 		SpilledRanges: res.SpilledRanges,
 		RematSpills:   res.RematSpills,
 		Degraded:      res.Degraded,
@@ -175,7 +173,6 @@ func (e *decodedEntry) result() (*core.Result, error) {
 		Iterations:    e.Meta.Iterations,
 		SpilledRanges: e.Meta.SpilledRanges,
 		RematSpills:   e.Meta.RematSpills,
-		Mode:          e.Meta.Mode,
 		Strategy:      e.Meta.Strategy,
 		Machine:       e.Meta.Machine,
 		Degraded:      e.Meta.Degraded,

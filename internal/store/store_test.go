@@ -23,7 +23,7 @@ import (
 // store's tests exercise genuine results, not synthetic stand-ins.
 func allocateKernel(t *testing.T, name string) (*core.Result, driver.Key, string) {
 	t.Helper()
-	opts := core.Options{Machine: target.WithRegs(6), Mode: core.ModeRemat}
+	opts := core.Options{Machine: target.WithRegs(6), Strategy: "remat"}
 	rt := suite.ByName(name).Routine()
 	res, err := core.Allocate(context.Background(), rt, opts)
 	if err != nil {
@@ -61,7 +61,7 @@ func TestEntryRoundTrip(t *testing.T) {
 		t.Fatal("print-invisible routine fields not restored")
 	}
 	if got.SpilledRanges != res.SpilledRanges || got.RematSpills != res.RematSpills ||
-		got.Strategy != res.Strategy || got.Mode != res.Mode ||
+		got.Strategy != res.Strategy ||
 		len(got.Iterations) != len(res.Iterations) {
 		t.Fatalf("result fields differ: got %+v", got)
 	}
@@ -407,7 +407,7 @@ func TestBundleHostileMembers(t *testing.T) {
 	}
 	corrupt := append([]byte(nil), good...)
 	corrupt[len(corrupt)-1] ^= 0xff
-	otherKey := driver.KeyFor(suite.ByName("sgemm").Routine(), core.Options{Machine: target.WithRegs(6), Mode: core.ModeRemat})
+	otherKey := driver.KeyFor(suite.ByName("sgemm").Routine(), core.Options{Machine: target.WithRegs(6), Strategy: "remat"})
 
 	bundle := buildBundle(t, []bundleMember{
 		{name: "objects/" + string(key[:2]) + "/" + string(key), data: good},

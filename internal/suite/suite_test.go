@@ -41,8 +41,8 @@ func TestKernelsSurviveAllocation(t *testing.T) {
 		k := k
 		t.Run(k.Program+"/"+k.Name, func(t *testing.T) {
 			for _, m := range machines {
-				for _, mode := range []core.Mode{core.ModeChaitin, core.ModeRemat} {
-					res, err := core.Allocate(context.Background(), k.Routine(), core.Options{Machine: m, Mode: mode})
+				for _, mode := range []string{"chaitin", "remat"} {
+					res, err := core.Allocate(context.Background(), k.Routine(), core.Options{Machine: m, Strategy: mode})
 					if err != nil {
 						t.Fatalf("%s %v: %v", m.Name, mode, err)
 					}
@@ -66,7 +66,7 @@ func TestKernelsSurviveSplittingSchemes(t *testing.T) {
 		t.Run(k.Program+"/"+k.Name, func(t *testing.T) {
 			for _, s := range schemes {
 				for _, m := range []*target.Machine{target.Standard(), target.WithRegs(6)} {
-					res, err := core.Allocate(context.Background(), k.Routine(), core.Options{Machine: m, Mode: core.ModeRemat, Split: s})
+					res, err := core.Allocate(context.Background(), k.Routine(), core.Options{Machine: m, Strategy: "remat:split=" + s.String()})
 					if err != nil {
 						t.Fatalf("scheme %v on %s: %v", s, m.Name, err)
 					}
@@ -113,7 +113,7 @@ func TestKernelsDefiniteAssignment(t *testing.T) {
 		if err := cfg.CheckDefined(rt); err != nil {
 			t.Errorf("%s: %v", k.Name, err)
 		}
-		res, err := core.Allocate(context.Background(), k.Routine(), core.Options{Machine: target.WithRegs(6), Mode: core.ModeRemat})
+		res, err := core.Allocate(context.Background(), k.Routine(), core.Options{Machine: target.WithRegs(6), Strategy: "remat"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,14 +134,14 @@ func TestKernelsExtremePressure(t *testing.T) {
 	for _, k := range All() {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
-			for _, mode := range []core.Mode{core.ModeChaitin, core.ModeRemat} {
-				res, err := core.Allocate(context.Background(), k.Routine(), core.Options{Machine: m, Mode: mode})
+			for _, mode := range []string{"chaitin", "remat"} {
+				res, err := core.Allocate(context.Background(), k.Routine(), core.Options{Machine: m, Strategy: mode})
 				if err != nil {
 					t.Fatalf("mode %v: %v", mode, err)
 				}
 				var callees []*iloc.Routine
 				for _, c := range k.CalleeRoutines() {
-					cr, err := core.Allocate(context.Background(), c, core.Options{Machine: m, Mode: mode})
+					cr, err := core.Allocate(context.Background(), c, core.Options{Machine: m, Strategy: mode})
 					if err != nil {
 						t.Fatalf("mode %v callee: %v", mode, err)
 					}
@@ -165,8 +165,8 @@ func TestKernelsVerifyCleanly(t *testing.T) {
 	for _, k := range All() {
 		k := k
 		t.Run(k.Program+"/"+k.Name, func(t *testing.T) {
-			for _, mode := range []core.Mode{core.ModeChaitin, core.ModeRemat} {
-				opts := core.Options{Machine: target.Standard(), Mode: mode, Verify: true}
+			for _, mode := range []string{"chaitin", "remat"} {
+				opts := core.Options{Machine: target.Standard(), Strategy: mode, Verify: true}
 				res, err := core.Allocate(context.Background(), k.Routine(), opts)
 				if err != nil {
 					t.Fatalf("mode %v: %v", mode, err)

@@ -20,9 +20,9 @@ func TestKernelsVerifyUnderPressure(t *testing.T) {
 		k := k
 		t.Run(k.Program+"/"+k.Name, func(t *testing.T) {
 			for _, m := range machines {
-				for _, mode := range []core.Mode{core.ModeChaitin, core.ModeRemat} {
+				for _, mode := range []string{"chaitin", "remat"} {
 					_, err := core.Allocate(context.Background(), k.Routine(), core.Options{
-						Machine: m, Mode: mode, Verify: true, DisableDegradation: true,
+						Machine: m, Strategy: mode, Verify: true, DisableDegradation: true,
 					})
 					if err != nil {
 						t.Errorf("%s %v: %v", m.Name, mode, err)
@@ -33,7 +33,7 @@ func TestKernelsVerifyUnderPressure(t *testing.T) {
 				core.SplitAllLoops, core.SplitOuterLoops, core.SplitInactiveLoops, core.SplitAtPhis,
 			} {
 				_, err := core.Allocate(context.Background(), k.Routine(), core.Options{
-					Machine: target.WithRegs(6), Mode: core.ModeRemat, Split: s,
+					Machine: target.WithRegs(6), Strategy: "remat:split=" + s.String(),
 					Verify: true, DisableDegradation: true,
 				})
 				if err != nil {

@@ -28,7 +28,7 @@ entry:
 
 // loadHeavy defines more simultaneously-live non-rematerializable
 // values (loads) than a 2-color machine holds, forcing store/reload
-// spill code under ModeChaitin.
+// spill code under the chaitin strategy.
 const loadHeavy = `
 routine k()
 data a rw 8 = 1 2 3 4 5 6 7 8
@@ -111,8 +111,8 @@ func findOp(t *testing.T, rt *iloc.Routine, op iloc.Op, imm int64) *iloc.Instr {
 func TestAcceptsGoodAllocations(t *testing.T) {
 	for _, src := range []string{selfContained, loadHeavy} {
 		for _, m := range []*target.Machine{target.Standard(), target.WithRegs(3)} {
-			for _, mode := range []core.Mode{core.ModeChaitin, core.ModeRemat} {
-				input, alloc := allocate(t, src, core.Options{Machine: m, Mode: mode})
+			for _, mode := range []string{"chaitin", "remat"} {
+				input, alloc := allocate(t, src, core.Options{Machine: m, Strategy: mode})
 				if err := verify.Check(input, alloc, m, verify.Options{Differential: true}); err != nil {
 					t.Fatalf("%s %v: %v", m.Name, mode, err)
 				}
@@ -123,14 +123,14 @@ func TestAcceptsGoodAllocations(t *testing.T) {
 
 func TestRejectsUnallocatedFlag(t *testing.T) {
 	m := target.Standard()
-	input, alloc := allocate(t, selfContained, core.Options{Machine: m, Mode: core.ModeRemat})
+	input, alloc := allocate(t, selfContained, core.Options{Machine: m, Strategy: "remat"})
 	alloc.Allocated = false
 	expectRule(t, input, alloc, m, "structure")
 }
 
 func TestRejectsOutOfBankRegister(t *testing.T) {
 	m := target.Standard()
-	input, alloc := allocate(t, selfContained, core.Options{Machine: m, Mode: core.ModeRemat})
+	input, alloc := allocate(t, selfContained, core.Options{Machine: m, Strategy: "remat"})
 	findOp(t, alloc, iloc.OpLdi, 5).Dst.N = m.Regs[iloc.ClassInt] // first color past the bank
 	expectRule(t, input, alloc, m, "bounds")
 }
@@ -140,7 +140,7 @@ func TestRejectsOutOfBankRegister(t *testing.T) {
 // target undefined on the path to its use.
 func TestRejectsClobberedLiveRegister(t *testing.T) {
 	m := target.Standard()
-	input, alloc := allocate(t, selfContained, core.Options{Machine: m, Mode: core.ModeRemat})
+	input, alloc := allocate(t, selfContained, core.Options{Machine: m, Strategy: "remat"})
 	five := findOp(t, alloc, iloc.OpLdi, 5)
 	seven := findOp(t, alloc, iloc.OpLdi, 7)
 	if five.Dst == seven.Dst {
@@ -154,7 +154,7 @@ func TestRejectsClobberedLiveRegister(t *testing.T) {
 // falls to the interpreter differential.
 func TestDifferentialCatchesWrongConstant(t *testing.T) {
 	m := target.Standard()
-	input, alloc := allocate(t, selfContained, core.Options{Machine: m, Mode: core.ModeRemat})
+	input, alloc := allocate(t, selfContained, core.Options{Machine: m, Strategy: "remat"})
 	findOp(t, alloc, iloc.OpLdi, 7).Imm = 8
 	expectRule(t, input, alloc, m, "differential")
 }
@@ -163,7 +163,7 @@ func TestDifferentialCatchesWrongConstant(t *testing.T) {
 // wrote: the restore-without-save half of the classic spill bug.
 func TestRejectsDroppedSpillStore(t *testing.T) {
 	m := target.WithRegs(3)
-	input, alloc := allocate(t, loadHeavy, core.Options{Machine: m, Mode: core.ModeChaitin})
+	input, alloc := allocate(t, loadHeavy, core.Options{Machine: m, Strategy: "chaitin"})
 	dropped := false
 	for _, b := range alloc.Blocks {
 		for i, in := range b.Instrs {
@@ -184,7 +184,7 @@ func TestRejectsDroppedSpillStore(t *testing.T) {
 // locals or fall off the frame entirely.
 func TestRejectsOutOfFrameSlot(t *testing.T) {
 	m := target.WithRegs(3)
-	input, alloc := allocate(t, loadHeavy, core.Options{Machine: m, Mode: core.ModeChaitin})
+	input, alloc := allocate(t, loadHeavy, core.Options{Machine: m, Strategy: "chaitin"})
 	findOp(t, alloc, iloc.OpStoreai, -1).Imm = int64(alloc.FrameWords)*8 + 64
 	expectRule(t, input, alloc, m, "spill-slots")
 }
@@ -193,7 +193,7 @@ func TestRejectsOutOfFrameSlot(t *testing.T) {
 // across the call, where the callee may clobber it.
 func TestRejectsCallerSaveViolation(t *testing.T) {
 	m := target.Standard()
-	input, alloc := allocate(t, acrossCall, core.Options{Machine: m, Mode: core.ModeRemat})
+	input, alloc := allocate(t, acrossCall, core.Options{Machine: m, Strategy: "remat"})
 	cs := findOp(t, alloc, iloc.OpLdi, 7).Dst.N
 	if cs <= m.CallerSave {
 		t.Fatalf("test premise broken: value across call in caller-save color %d", cs)
@@ -238,7 +238,7 @@ func TestRejectsCallerSaveViolation(t *testing.T) {
 // a never-killed value is not a legitimate rematerialization.
 func TestRejectsRematTamper(t *testing.T) {
 	m := target.Standard()
-	input, alloc := allocate(t, selfContained, core.Options{Machine: m, Mode: core.ModeRemat})
+	input, alloc := allocate(t, selfContained, core.Options{Machine: m, Strategy: "remat"})
 	findOp(t, alloc, iloc.OpAdd, -1).IsSpill = true
 	expectRule(t, input, alloc, m, "remat")
 }
@@ -247,7 +247,7 @@ func TestRejectsRematTamper(t *testing.T) {
 // is not always available at its reload points.
 func TestRejectsRematWithUnavailableOperand(t *testing.T) {
 	m := target.Standard()
-	input, alloc := allocate(t, selfContained, core.Options{Machine: m, Mode: core.ModeRemat})
+	input, alloc := allocate(t, selfContained, core.Options{Machine: m, Strategy: "remat"})
 	// Insert "addi cX, cX, 0" tagged as spill code right after cX's
 	// definition: structurally sound, but its operand is a real
 	// register, which a rematerialized value may not read.
@@ -269,7 +269,7 @@ func TestRejectsRematWithUnavailableOperand(t *testing.T) {
 // The verifier reports every violation, not just the first.
 func TestReportsAllViolations(t *testing.T) {
 	m := target.Standard()
-	input, alloc := allocate(t, selfContained, core.Options{Machine: m, Mode: core.ModeRemat})
+	input, alloc := allocate(t, selfContained, core.Options{Machine: m, Strategy: "remat"})
 	alloc.Allocated = false
 	// Widen the virtual space so the out-of-bank colors still pass the
 	// structural register check and reach the bounds rule.

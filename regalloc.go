@@ -8,9 +8,10 @@
 //
 //   - ILOC, the paper's low-level intermediate language (Parse, Print,
 //     Verify, the Builder);
-//   - the allocator itself (Allocate with ModeChaitin for the paper's
-//     baseline or ModeRemat for its contribution, or any registered
-//     strategy by name via Options.Strategy — see Strategies);
+//   - the allocator itself (Allocate, with Options.Strategy naming the
+//     configuration: "chaitin" for the paper's baseline, "remat" for its
+//     contribution, parameterized variants such as
+//     "remat:split=all-loops,no-bias" — see Strategies);
 //   - the execution harness that replaces the paper's translate-to-C
 //     methodology (Run, NewEnv) plus the Figure 4 C translator
 //     (TranslateC);
@@ -21,8 +22,8 @@
 //
 //	rt, err := regalloc.Parse(src)
 //	res, err := regalloc.Allocate(rt, regalloc.Options{
-//	    Machine: regalloc.StandardMachine(),
-//	    Mode:    regalloc.ModeRemat,
+//	    Machine:  regalloc.StandardMachine(),
+//	    Strategy: "remat",
 //	})
 //	out, err := regalloc.Run(res.Routine, regalloc.Int(100))
 package regalloc
@@ -67,31 +68,19 @@ type Machine = target.Machine
 type (
 	Options        = core.Options
 	Result         = core.Result
-	Mode           = core.Mode
 	IterationStats = core.IterationStats
 	PassStat       = core.PassStat
 	PhaseTimes     = core.PhaseTimes
 )
 
-// Allocator modes: the paper's baseline and its contribution.
-const (
-	// ModeChaitin reproduces Chaitin's limited rematerialization: a live
-	// range is recomputed only when all of its definitions are the same
-	// never-killed instruction (the "Optimistic" column of Table 1).
-	ModeChaitin = core.ModeChaitin
-	// ModeRemat is the paper's approach: per-value tags propagated over
-	// the SSA graph, split insertion, conservative coalescing, biased
-	// coloring (the "Rematerialization" column of Table 1).
-	ModeRemat = core.ModeRemat
-)
-
 // Strategy is a named, registered allocation pipeline: the unit of
 // selection for Options.Strategy, the server's per-request "strategy"
-// field and the CLIs' -strategy flag. The built-ins are "chaitin",
-// "remat" (whose split/metric/ablation variants are strategy
-// parameters, e.g. "remat:split=all-loops,no-bias"), "spill-everywhere"
-// and "ssa-spill". An Options value with only Mode set resolves to the
-// matching strategy, so existing callers allocate byte-identically.
+// field and the CLIs' -strategy flag. The built-ins are "chaitin"
+// (Chaitin's limited rematerialization, the "Optimistic" column of
+// Table 1), "remat" (the paper's allocator, the "Rematerialization"
+// column; its split/metric/ablation variants are strategy parameters,
+// e.g. "remat:split=all-loops,no-bias"), "spill-everywhere" and
+// "ssa-spill". An empty Options.Strategy means "chaitin".
 type Strategy = core.Strategy
 
 // UnknownStrategyError reports a strategy lookup miss; Registered lists
@@ -110,18 +99,6 @@ func StrategyNames() []string { return core.StrategyNames() }
 // optionally with ":"-prefixed parameters ("remat:split=all-loops").
 // A miss returns *UnknownStrategyError listing the valid names.
 func StrategyByName(spec string) (*Strategy, error) { return core.LookupStrategy(spec) }
-
-// NewStrategy builds an allocation strategy for RegisterStrategy: run
-// is the whole pipeline, apply (optional) shapes the options first.
-func NewStrategy(name, description string, apply func(o *Options), run func(ctx context.Context, rt *Routine, opts Options) (*Result, error)) *Strategy {
-	return core.NewStrategy(name, description, apply, run)
-}
-
-// RegisterStrategy adds a strategy to the registry, making it
-// selectable by name through Options.Strategy, the server and the
-// CLIs. Duplicate or malformed registrations panic; register at init
-// time.
-func RegisterStrategy(s *Strategy) { core.RegisterStrategy(s) }
 
 // Execution harness types.
 type (

@@ -23,7 +23,7 @@ func TestParseAllocateRun(t *testing.T) {
 	if err := Verify(rt); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Allocate(rt, Options{Machine: StandardMachine(), Mode: ModeRemat})
+	res, err := Allocate(rt, Options{Machine: StandardMachine(), Strategy: "remat"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestDriverFacade(t *testing.T) {
 	}
 	cache := NewResultCache(0)
 	d := NewDriver(DriverConfig{
-		Options: Options{Machine: StandardMachine(), Mode: ModeRemat},
+		Options: Options{Machine: StandardMachine(), Strategy: "remat"},
 		Workers: 4,
 		Cache:   cache,
 	})
