@@ -193,8 +193,9 @@ func BenchmarkAblation(b *testing.B) {
 }
 
 // BenchmarkDriverSuite allocates the whole suite through the batch
-// driver at -j 1 and -j NumCPU, cold and against a warm result cache —
-// the throughput surface BENCH_driver.json snapshots via `make bench`.
+// driver at -j 1 and -j NumCPU, cold and against a warm result cache.
+// `make bench` runs it once; bench/ measures driver throughput on
+// generated corpora.
 func BenchmarkDriverSuite(b *testing.B) {
 	opts := core.Options{Machine: target.WithRegs(6), Strategy: "remat"}
 	var units []driver.Unit

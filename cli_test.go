@@ -2,7 +2,6 @@ package regalloc_test
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -373,38 +372,6 @@ func TestCLIRallocTraceAndMetrics(t *testing.T) {
 	}
 }
 
-// benchdiff: identical reports pass, a >threshold routines/sec drop
-// fails with exit 1.
-func TestCLIBenchdiff(t *testing.T) {
-	bin := buildCmd(t, "benchdiff")
-	dir := t.TempDir()
-	report := func(scale float64) string {
-		return fmt.Sprintf(`{
-  "num_cpu": 1, "routines": 35,
-  "sequential": {"wall_ms": 10, "routines_per_sec": %g},
-  "parallel":   {"wall_ms": 9,  "routines_per_sec": %g},
-  "warm_cache": {"wall_ms": 1,  "routines_per_sec": %g}
-}`, 3000*scale, 3500*scale, 40000*scale)
-	}
-	base := filepath.Join(dir, "base.json")
-	if err := os.WriteFile(base, []byte(report(1)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	same := filepath.Join(dir, "same.json")
-	if err := os.WriteFile(same, []byte(report(0.9)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out, _ := runCmd(t, bin, "", "-baseline", base, "-current", same)
-	if !strings.Contains(out, "benchdiff: ok") {
-		t.Fatalf("10%% drop should pass the 20%% gate:\n%s", out)
-	}
-	slow := filepath.Join(dir, "slow.json")
-	if err := os.WriteFile(slow, []byte(report(0.5)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	runCmdFail(t, bin, "-baseline", base, "-current", slow)
-}
-
 // ilocrun error paths: a missing file, an unknown kernel and a bad
 // argument must each exit nonzero with a message naming the culprit —
 // not a panic, not a zero-exit with garbage output.
@@ -439,55 +406,6 @@ func TestCLIIlocrunKernelCounts(t *testing.T) {
 	if !strings.Contains(out, "result:") || !strings.Contains(out, "fmul") {
 		t.Fatalf("kernel -counts output wrong:\n%s", out)
 	}
-}
-
-// benchdiff -pair gates several reports in one invocation, sniffing the
-// shape of each: driver reports on routines/sec, server reports on
-// req/s and p99 latency.
-func TestCLIBenchdiffMultiPair(t *testing.T) {
-	bin := buildCmd(t, "benchdiff")
-	dir := t.TempDir()
-	driverReport := func(scale float64) string {
-		return fmt.Sprintf(`{
-  "num_cpu": 1, "routines": 35,
-  "sequential": {"wall_ms": 10, "routines_per_sec": %g},
-  "parallel":   {"wall_ms": 9,  "routines_per_sec": %g},
-  "warm_cache": {"wall_ms": 1,  "routines_per_sec": %g}
-}`, 3000*scale, 3500*scale, 40000*scale)
-	}
-	serverReport := func(rps, p99 float64, errors int) string {
-		return fmt.Sprintf(`{
-  "num_cpu": 1, "concurrency": 4, "ok": 1000, "shed": 5, "errors": %d,
-  "requests_per_sec": %g, "p50_ms": 1.0, "p99_ms": %g
-}`, errors, rps, p99)
-	}
-	write := func(name, content string) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	dbase := write("dbase.json", driverReport(1))
-	dcur := write("dcur.json", driverReport(0.95))
-	sbase := write("sbase.json", serverReport(5000, 2.0, 0))
-	scur := write("scur.json", serverReport(4600, 2.2, 0))
-
-	out, _ := runCmd(t, bin, "", "-pair", dbase+":"+dcur, "-pair", sbase+":"+scur)
-	if !strings.Contains(out, "benchdiff: ok") || !strings.Contains(out, "p99_ms") {
-		t.Fatalf("multi-pair comparison wrong:\n%s", out)
-	}
-
-	// A p99 blowup on the server pair alone must gate the whole run.
-	slow := write("slow.json", serverReport(5000, 3.5, 0))
-	runCmdFail(t, bin, "-pair", dbase+":"+dcur, "-pair", sbase+":"+slow)
-
-	// So must contract errors recorded in the current server report.
-	viol := write("viol.json", serverReport(5000, 2.0, 3))
-	runCmdFail(t, bin, "-pair", sbase+":"+viol)
-
-	// A malformed -pair value is a usage error.
-	runCmdFail(t, bin, "-pair", "only-one-path.json")
 }
 
 // End-to-end serving: boot rallocd on an ephemeral port, drive it with

@@ -1,8 +1,9 @@
-// Command rallocload is the closed-loop load generator for rallocd: a
-// fixed set of workers each keeps exactly one allocation request in
-// flight against POST /v1/allocate, and the tool reports throughput and
-// latency quantiles as JSON (BENCH_server.json in CI; cmd/benchdiff
-// gates it against the committed baseline).
+// Command rallocload checks the serving contract of rallocd and
+// rallocproxy: a fixed set of workers each keeps exactly one allocation
+// request in flight against POST /v1/allocate, every answer is held to
+// the contract below, and the tool reports counts, throughput and
+// latency quantiles as JSON. The smoke scripts and CLI tests drive it;
+// the benchmark lives in bench/.
 //
 //	rallocload -url http://host:port[,http://host:port...]
 //	           [-input file.iloc | -corpus dir] [-c 4] [-jobs]
@@ -11,7 +12,7 @@
 //	           [-machine name] [-require-machine name]
 //	           [-phases cold,warm] [-expect-verified]
 //	           [-require-cache-hits N] [-require-disk-hits N]
-//	           [-code-out file] [-out BENCH_server.json]
+//	           [-code-out file] [-out file]
 //
 // -url accepts a comma-separated target list; workers spread requests
 // round-robin across them (a set of rallocd replicas, or one or more
@@ -66,9 +67,7 @@
 // against the same daemon, and reports each phase separately in the
 // output's "phases" array (the top-level numbers stay the aggregate).
 // The canonical use is "-phases cold,warm": the first pass populates
-// the server's result cache, the second measures warm serving, and
-// cmd/benchdiff gates the warm phase's throughput and p99 on their own
-// baselines.
+// the server's result cache and the second exercises warm serving.
 //
 // -require-cache-hits / -require-disk-hits fail the run unless the
 // servers' 200 responses reported at least N cache hits (respectively
@@ -106,10 +105,9 @@ import (
 	"repro/internal/server"
 )
 
-// report is the BENCH_server.json shape. cmd/benchdiff recognizes it by
-// the requests_per_sec/p99_ms pair. With -phases the top level stays
+// report is the JSON the tool writes. With -phases the top level stays
 // the aggregate across all phases and "phases" carries the per-phase
-// breakdown benchdiff gates individually.
+// breakdown.
 type report struct {
 	GoVersion   string `json:"go_version"`
 	NumCPU      int    `json:"num_cpu"`
@@ -201,7 +199,7 @@ func main() {
 	requireAuditClean := flag.Bool("require-audit-clean", false, "after the run, fail unless GET /v1/audit?flush=1 reports records logged, zero dropped, all flushed")
 	codeOut := flag.String("code-out", "", "write the allocated code of the first successful response to this file")
 	waitReady := flag.Duration("wait-ready", 0, "poll GET /readyz until 200 for up to this long before shooting (0 = don't wait)")
-	out := flag.String("out", "BENCH_server.json", "output file (- for stdout)")
+	out := flag.String("out", "-", "output file (- for stdout)")
 	flag.Parse()
 	if *url == "" {
 		fail(fmt.Errorf("-url is required"))

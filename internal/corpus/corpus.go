@@ -20,9 +20,10 @@
 //	words=W      static data words per array (default 16)
 //
 // Two corpora with the same canonical spec are byte-identical; two
-// specs differing in any knob diverge. The driver and the serving
-// stack replay corpora through driverbench -corpus and
-// rallocload -corpus; cmd/rcorpus generates and inspects them.
+// specs differing in any knob diverge. The bench/ harness replays
+// corpora through the driver and the serving stack, rallocload -corpus
+// replays a written one over HTTP, and cmd/rcorpus generates and
+// inspects them.
 package corpus
 
 import (

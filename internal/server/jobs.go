@@ -161,7 +161,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request, info *r
 		writeError(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), RequestID: info.id})
 		return
 	}
-	writeJSON(w, http.StatusOK, s.jobResponse(j, info.id))
+	writeJSON(w, http.StatusOK, s.jobResponse(j))
 }
 
 // shed answers 429 + Retry-After — the admission verdict for both the
@@ -179,12 +179,13 @@ func (s *Server) shed(w http.ResponseWriter, info *requestInfo, msg string) {
 	})
 }
 
-// jobResponse shapes one job snapshot for the wire.
-func (s *Server) jobResponse(j *jobs.Job, reqID string) JobResponse {
+// jobResponse shapes one job snapshot for the wire, stamped with the
+// submitting request's ID.
+func (s *Server) jobResponse(j *jobs.Job) JobResponse {
 	snap := j.Snapshot()
 	resp := JobResponse{
 		JobID:     snap.ID,
-		RequestID: reqID,
+		RequestID: jobRequestID(j),
 		State:     string(snap.State),
 		Units:     snap.Units,
 		Completed: snap.Completed,
@@ -205,36 +206,46 @@ func (s *Server) jobResponse(j *jobs.Job, reqID string) JobResponse {
 	return resp
 }
 
-// lookupJob resolves {id}, answering 404 for IDs never issued and 410
-// (code "job_expired") for jobs reaped by retention — so a slow poller
-// can tell "poll sooner or raise -job-retention" from "wrong ID".
-func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) *jobs.Job {
-	id := r.PathValue("id")
-	j, p := s.jobs.Get(id)
-	switch p {
-	case jobs.Found:
-		return j
-	case jobs.Expired:
+// jobRequestID is the ID of the request that submitted j.
+func jobRequestID(j *jobs.Job) string {
+	if meta, _ := j.Payload.(*jobMeta); meta != nil {
+		return meta.requestID
+	}
+	return ""
+}
+
+// writeJobMissing answers for a job ID that did not resolve: 404 for
+// IDs never issued and 410 (code "job_expired") for jobs reaped by
+// retention — so a slow poller can tell "poll sooner or raise
+// -job-retention" from "wrong ID".
+func (s *Server) writeJobMissing(w http.ResponseWriter, id string, p jobs.Presence) {
+	if p == jobs.Expired {
 		writeError(w, http.StatusGone, ErrorResponse{
 			Error: fmt.Sprintf("job %s expired (results are retained for %s after completion)", id, s.cfg.JobRetention),
 			Code:  "job_expired",
 		})
-	default:
-		writeError(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("unknown job %s", id)})
+		return
 	}
-	return nil
+	writeError(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("unknown job %s", id)})
+}
+
+// lookupJob resolves {id}, answering through writeJobMissing when it
+// does not.
+func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) *jobs.Job {
+	id := r.PathValue("id")
+	j, p := s.jobs.Get(id)
+	if p != jobs.Found {
+		s.writeJobMissing(w, id, p)
+		return nil
+	}
+	return j
 }
 
 // handleJobStatus serves GET /v1/jobs/{id}: the job's state and
 // partial progress.
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	if j := s.lookupJob(w, r); j != nil {
-		meta, _ := j.Payload.(*jobMeta)
-		reqID := ""
-		if meta != nil {
-			reqID = meta.requestID
-		}
-		writeJSON(w, http.StatusOK, s.jobResponse(j, reqID))
+		writeJSON(w, http.StatusOK, s.jobResponse(j))
 	}
 }
 
@@ -277,17 +288,11 @@ func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, p := s.jobs.Cancel(id)
-	switch p {
-	case jobs.Found:
-		writeJSON(w, http.StatusOK, s.jobResponse(j, ""))
-	case jobs.Expired:
-		writeError(w, http.StatusGone, ErrorResponse{
-			Error: fmt.Sprintf("job %s expired", id),
-			Code:  "job_expired",
-		})
-	default:
-		writeError(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("unknown job %s", id)})
+	if p != jobs.Found {
+		s.writeJobMissing(w, id, p)
+		return
 	}
+	writeJSON(w, http.StatusOK, s.jobResponse(j))
 }
 
 // handleAudit serves GET /v1/audit: the audit stream's delivery

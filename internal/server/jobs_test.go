@@ -236,6 +236,10 @@ func TestJobCancelMidFlight(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel = %d\n%s", resp.StatusCode, buf.String())
 	}
+	// The cancel answer names the submitting request, like a status poll.
+	if cr := decodeJob(t, buf.Bytes()); jr.RequestID == "" || cr.RequestID != jr.RequestID {
+		t.Fatalf("cancel request_id = %q, want the submit's %q", cr.RequestID, jr.RequestID)
+	}
 
 	final := pollJob(t, ts.URL, jr.JobID)
 	if final.State != "canceled" {

@@ -177,8 +177,7 @@ func (t *Tiered) Stats() Stats {
 
 // PublishMetrics writes the current per-tier stats into a telemetry
 // registry as store.* gauges — the server calls it on every /metrics
-// scrape, driverbench before dumping, so the registry view is always
-// current at read time.
+// scrape, so the registry view is always current at read time.
 func (t *Tiered) PublishMetrics(reg *telemetry.Registry) {
 	if t == nil || reg == nil {
 		return
