@@ -55,6 +55,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 5s ./internal/iloc
 	$(GO) test -run '^$$' -fuzz FuzzAllocate -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzLookupStrategy -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 5s ./internal/server
 
 # smoke-strategies runs one small kernel through every registered
 # allocation strategy with the verifier on and degradation disabled:

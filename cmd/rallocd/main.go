@@ -137,17 +137,16 @@ func main() {
 	}
 	var tiered *store.Tiered
 	cfg := server.Config{
-		Options:           opts,
-		DefaultOptionsSet: true,
-		Workers:           *jobs,
-		MaxInFlight:       *maxInflight,
-		MaxQueue:          *maxQueue,
-		MaxJobs:           *maxJobs,
-		JobRetention:      *jobRetention,
-		DefaultDeadline:   *defaultDeadline,
-		MaxDeadline:       *maxDeadline,
-		Telemetry:         sink,
-		InstanceID:        *instanceID,
+		Options:         opts,
+		Workers:         *jobs,
+		MaxInFlight:     *maxInflight,
+		MaxQueue:        *maxQueue,
+		MaxJobs:         *maxJobs,
+		JobRetention:    *jobRetention,
+		DefaultDeadline: *defaultDeadline,
+		MaxDeadline:     *maxDeadline,
+		Telemetry:       sink,
+		InstanceID:      *instanceID,
 	}
 
 	// The audit stream: one record per allocation verdict, batched to a

@@ -17,8 +17,12 @@
 //
 // Endpoints: POST /v1/allocate and /v1/batch (routed; batches whose
 // units hash to different owners are scattered and merged),
-// GET /v1/strategies (forwarded), GET /v1/cluster (ring + breaker
-// status), /healthz, /readyz, /metrics.
+// POST /v1/jobs (routed by the batch's combined key; the accepting
+// backend is remembered), GET /v1/jobs/{id}, GET /v1/jobs/{id}/results
+// and DELETE /v1/jobs/{id} (forwarded to the job's backend),
+// GET /v1/audit (every backend's audit counters, summed),
+// GET /v1/strategies and GET /v1/machines (forwarded), GET /v1/cluster
+// (ring + breaker status), /healthz, /readyz, /metrics.
 //
 // The serving contract matches a single rallocd, extended cluster-wide:
 // every request is answered with 200, the backend's own 4xx, or

@@ -11,8 +11,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/driver"
-	"repro/internal/iloc"
 	"repro/internal/server"
 )
 
@@ -40,36 +38,14 @@ import (
 // error).
 const maxJobRoutes = 8192
 
-// contextWithTimeout derives a bounded context from the request's.
-func contextWithTimeout(r *http.Request, d time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(r.Context(), d)
-}
-
-// JobKey computes the routing key for a POST /v1/jobs body: the
+// jobKey computes the routing key for a POST /v1/jobs body: the
 // combined content key of all units — each unit's driver-cache key
 // hashed in order — so the whole batch routes as one and lands where
-// its units' cached results live. An undecodable body routes by raw
-// hash (the backend owns the 400).
-func (p *Proxy) JobKey(body []byte) string {
-	var req server.BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil || len(req.Units) == 0 {
-		return rawKey(body)
-	}
-	def, err := req.Options.Resolve(p.cfg.KeyOptions)
-	if err != nil {
-		return rawKey(body)
-	}
+// its units' cached results live.
+func jobKey(body []byte) string {
 	h := sha256.New()
-	for _, bu := range req.Units {
-		opts, err := bu.Options.Resolve(def)
-		if err != nil {
-			return rawKey(body)
-		}
-		rt, err := iloc.Parse(bu.ILOC)
-		if err != nil {
-			return rawKey(body)
-		}
-		fmt.Fprintf(h, "%s\x00", driver.KeyFor(rt, opts))
+	for _, key := range routeKeys(body, &server.BatchRequest{}, 0) {
+		fmt.Fprintf(h, "%s\x00", key)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -102,33 +78,17 @@ func (p *Proxy) jobBackend(id string) string {
 // failover) to the ring owner of its combined content key, remember
 // which backend accepted it, relay the answer.
 func (p *Proxy) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	tel := p.cfg.Telemetry
-	tel.Count("proxy.requests", 1)
-	tel.Count("proxy.jobs.submitted", 1)
+	p.cfg.Telemetry.Count("proxy.jobs.submitted", 1)
 	body, ok := p.readBody(w, r)
 	if !ok {
 		return
 	}
-	deadline, ok := p.deadlineFor(r)
-	if !ok {
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: "bad X-Deadline-Ms header", RequestID: p.requestID(r)})
-		return
-	}
-	ctx, cancel := contextWithTimeout(r, deadline)
-	defer cancel()
-
-	ur, err := p.do(ctx, http.MethodPost, "/v1/jobs", r.Header, body, p.JobKey(body))
-	if err != nil {
-		p.shed(w, p.requestID(r), err)
-		return
-	}
-	if ur.status == http.StatusOK {
+	p.routeOne(w, r, body, jobKey(body), func(ur *upstreamResponse) {
 		var jr server.JobResponse
-		if err := json.Unmarshal(ur.body, &jr); err == nil {
+		if ur.status == http.StatusOK && json.Unmarshal(ur.body, &jr) == nil {
 			p.rememberJob(jr.JobID, ur.backend.id)
 		}
-	}
-	p.relay(w, ur)
+	})
 }
 
 // handleJobForward serves GET /v1/jobs/{id}, GET /v1/jobs/{id}/results
@@ -171,7 +131,7 @@ func (p *Proxy) broadcastJob(w http.ResponseWriter, r *http.Request, id string) 
 			return
 		}
 	}
-	writeJSON(w, http.StatusNotFound, server.ErrorResponse{
+	server.WriteJSON(w, http.StatusNotFound, server.ErrorResponse{
 		Error: fmt.Sprintf("unknown job %s (no backend claims it)", id),
 	})
 	p.cfg.Telemetry.Count("proxy.status.4xx", 1)
@@ -181,7 +141,7 @@ func (p *Proxy) broadcastJob(w http.ResponseWriter, r *http.Request, id string) 
 // GET of its status) without committing to relaying the answer.
 func (p *Proxy) probeJob(r *http.Request, b *Backend) (status int, ok bool) {
 	id := r.PathValue("id")
-	ctx, cancel := contextWithTimeout(r, 5*time.Second)
+	ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base.String()+"/v1/jobs/"+id, nil)
 	if err != nil {
@@ -255,7 +215,7 @@ func (p *Proxy) forwardStream(w http.ResponseWriter, r *http.Request, b *Backend
 func (p *Proxy) handleAudit(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		writeJSON(w, http.StatusMethodNotAllowed, server.ErrorResponse{Error: "GET only"})
+		server.WriteJSON(w, http.StatusMethodNotAllowed, server.ErrorResponse{Error: "GET only"})
 		return
 	}
 	query := ""
@@ -266,7 +226,7 @@ func (p *Proxy) handleAudit(w http.ResponseWriter, r *http.Request) {
 	found := 0
 	for _, bid := range p.ring.Backends() {
 		b := p.backends[bid]
-		ctx, cancel := contextWithTimeout(r, 10*time.Second)
+		ctx, cancel := context.WithTimeout(r.Context(), 10*time.Second)
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base.String()+"/v1/audit"+query, nil)
 		if err != nil {
 			cancel()
@@ -297,9 +257,9 @@ func (p *Proxy) handleAudit(w http.ResponseWriter, r *http.Request) {
 		cancel()
 	}
 	if found == 0 {
-		writeJSON(w, http.StatusNotFound, server.ErrorResponse{Error: "no backend has an audit stream"})
+		server.WriteJSON(w, http.StatusNotFound, server.ErrorResponse{Error: "no backend has an audit stream"})
 		return
 	}
 	w.Header().Set("X-Ralloc-Audit-Backends", strconv.Itoa(found))
-	writeJSON(w, http.StatusOK, total)
+	server.WriteJSON(w, http.StatusOK, total)
 }

@@ -51,9 +51,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/driver"
-	"repro/internal/iloc"
 	"repro/internal/server"
 	"repro/internal/telemetry"
 )
@@ -96,12 +94,6 @@ type Config struct {
 	MaxBodyBytes int64
 	// RetryAfter is the backoff hint for proxy-originated 429s (0: 1s).
 	RetryAfter time.Duration
-	// KeyOptions is the default allocation configuration assumed when
-	// computing routing keys (zero unless KeyOptionsSet: the serving
-	// defaults). It only shapes routing — backends still apply their
-	// own defaults — so a mismatch costs locality, never correctness.
-	KeyOptions    core.Options
-	KeyOptionsSet bool
 	// Transport performs the upstream requests (nil:
 	// http.DefaultTransport). The fault-injection tests hook
 	// faultnet.Transport here.
@@ -144,9 +136,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if !c.KeyOptionsSet && c.KeyOptions == (core.Options{}) {
-		c.KeyOptions = server.DefaultOptions()
 	}
 	if c.Transport == nil {
 		c.Transport = http.DefaultTransport
@@ -298,27 +287,26 @@ func (p *Proxy) Backend(id string) *Backend { return p.backends[id] }
 // Owner returns the backend ID owning a routing key.
 func (p *Proxy) Owner(key string) string { return p.ring.Owner(key) }
 
-// AllocateKey computes the routing key for a POST /v1/allocate body:
-// the driver-cache content key of its first routine under the proxy's
-// key options — the same address the backend will cache the result
-// under. A body that fails to parse routes by its raw hash instead
-// (the backend owns producing the 400; the proxy stays transparent).
-func (p *Proxy) AllocateKey(body []byte) string {
-	var req server.AllocateRequest
-	if err := json.Unmarshal(body, &req); err == nil && req.ILOC != "" {
-		if opts, err := req.Options.Resolve(p.cfg.KeyOptions); err == nil {
-			if routines, err := iloc.ParseProgram(req.ILOC); err == nil && len(routines) > 0 {
-				return string(driver.KeyFor(routines[0], opts))
-			}
-		}
+// routeKeys returns the routing keys of a request body: each unit's
+// driver-cache content key, from the backend's own decoder under the
+// serving default options — the address the backend will cache the
+// unit under. limit > 0 keys only the first limit units. A body that
+// does not decode routes whole by the hash of its bytes (one key); the
+// backend produces the authoritative 400.
+func routeKeys(body []byte, req server.Request, limit int) []string {
+	units, err := server.DecodeUnits(bytes.NewReader(body), req, server.DefaultOptions())
+	if err != nil {
+		sum := sha256.Sum256(body)
+		return []string{hex.EncodeToString(sum[:])}
 	}
-	return rawKey(body)
-}
-
-// rawKey addresses an unparseable body by its bytes.
-func rawKey(body []byte) string {
-	sum := sha256.Sum256(body)
-	return hex.EncodeToString(sum[:])
+	if limit > 0 && len(units) > limit {
+		units = units[:limit]
+	}
+	keys := make([]string, len(units))
+	for i, u := range units {
+		keys[i] = string(driver.KeyFor(u.Routine, *u.Options))
+	}
+	return keys
 }
 
 // --- request handling ---
@@ -331,30 +319,11 @@ func (p *Proxy) requestID(r *http.Request) string {
 	return fmt.Sprintf("proxy-%06d", p.reqSeq.Add(1))
 }
 
-// deadlineFor mirrors the backend's budget resolution: X-Deadline-Ms
-// clamped to MaxDeadline, DefaultDeadline when absent. The budget
-// covers every retry this request makes.
-func (p *Proxy) deadlineFor(r *http.Request) (time.Duration, bool) {
-	h := r.Header.Get("X-Deadline-Ms")
-	if h == "" {
-		return p.cfg.DefaultDeadline, true
-	}
-	ms, err := strconv.ParseInt(h, 10, 64)
-	if err != nil || ms <= 0 {
-		return 0, false
-	}
-	d := time.Duration(ms) * time.Millisecond
-	if d > p.cfg.MaxDeadline {
-		d = p.cfg.MaxDeadline
-	}
-	return d, true
-}
-
 // readBody drains a bounded request body.
 func (p *Proxy) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, p.cfg.MaxBodyBytes))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: "bad request body: " + err.Error()})
+		server.WriteJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: "bad request body: " + err.Error()})
 		return nil, false
 	}
 	return body, true
@@ -363,30 +332,31 @@ func (p *Proxy) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) 
 func (p *Proxy) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, server.ErrorResponse{Error: "POST only"})
+		server.WriteJSON(w, http.StatusMethodNotAllowed, server.ErrorResponse{Error: "POST only"})
 		return
 	}
 	body, ok := p.readBody(w, r)
 	if !ok {
 		return
 	}
-	p.routeOne(w, r, body, p.AllocateKey(body))
+	// Keyed by the first routine alone: the callees of a multi-routine
+	// program follow it to the same backend.
+	p.routeOne(w, r, body, routeKeys(body, &server.AllocateRequest{}, 1)[0], nil)
 }
 
 // routeOne relays one request to the ring with failover and answers
-// with whatever coherent response the cluster produced.
-func (p *Proxy) routeOne(w http.ResponseWriter, r *http.Request, body []byte, key string) {
+// with whatever coherent response the cluster produced. onAnswer, when
+// non-nil, sees the backend's answer before it is relayed.
+func (p *Proxy) routeOne(w http.ResponseWriter, r *http.Request, body []byte, key string, onAnswer func(*upstreamResponse)) {
 	tel := p.cfg.Telemetry
 	sp := tel.StartSpan(telemetry.CatServer, "proxy"+r.URL.Path)
 	defer func() { tel.Observe("proxy.request.wall", sp.End().Nanoseconds()) }()
 	tel.Count("proxy.requests", 1)
 
-	deadline, ok := p.deadlineFor(r)
+	ctx, cancel, ok := p.budget(w, r)
 	if !ok {
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: "bad X-Deadline-Ms header", RequestID: p.requestID(r)})
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
 	defer cancel()
 
 	ur, err := p.do(ctx, r.Method, r.URL.Path, r.Header, body, key)
@@ -394,7 +364,23 @@ func (p *Proxy) routeOne(w http.ResponseWriter, r *http.Request, body []byte, ke
 		p.shed(w, p.requestID(r), err)
 		return
 	}
+	if onAnswer != nil {
+		onAnswer(ur)
+	}
 	p.relay(w, ur)
+}
+
+// budget derives the request's deadline-budget context from its
+// X-Deadline-Ms header; the budget covers every retry the request
+// makes. A malformed header is answered 400 and ok is false.
+func (p *Proxy) budget(w http.ResponseWriter, r *http.Request) (ctx context.Context, cancel context.CancelFunc, ok bool) {
+	deadline, ok := server.ParseDeadline(r, p.cfg.DefaultDeadline, p.cfg.MaxDeadline)
+	if !ok {
+		server.WriteJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: "bad X-Deadline-Ms header", RequestID: p.requestID(r)})
+		return nil, nil, false
+	}
+	ctx, cancel = context.WithTimeout(r.Context(), deadline)
+	return ctx, cancel, true
 }
 
 // upstreamResponse is one fully-read backend answer.
@@ -595,16 +581,7 @@ func (p *Proxy) relay(w http.ResponseWriter, ur *upstreamResponse) {
 // Retry-After, never a 5xx — the cluster-level mirror of the backend's
 // admission contract. err says why (budget, exhausted, unavailable).
 func (p *Proxy) shed(w http.ResponseWriter, id string, err error) {
-	sec := int(p.cfg.RetryAfter / time.Second)
-	if sec < 1 {
-		sec = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(sec))
-	writeJSON(w, http.StatusTooManyRequests, server.ErrorResponse{
-		Error:         "cluster cannot serve the request now: " + err.Error(),
-		RequestID:     id,
-		RetryAfterSec: sec,
-	})
+	server.WriteShed(w, p.cfg.RetryAfter, "cluster cannot serve the request now: "+err.Error(), id)
 	p.cfg.Telemetry.Count("proxy.shed", 1)
 	p.cfg.Telemetry.Count("proxy.status.4xx", 1)
 }
@@ -614,7 +591,7 @@ func (p *Proxy) shed(w http.ResponseWriter, id string, err error) {
 func (p *Proxy) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, server.ErrorResponse{Error: "POST only"})
+		server.WriteJSON(w, http.StatusMethodNotAllowed, server.ErrorResponse{Error: "POST only"})
 		return
 	}
 	body, ok := p.readBody(w, r)
@@ -622,33 +599,10 @@ func (p *Proxy) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Per-unit routing wants each unit's content key; anything that
-	// does not decode cleanly is routed whole by raw hash and the
-	// backend produces the authoritative 400.
+	// Each unit routes by its own content key. A body that does not
+	// decode has one raw key, so it relays whole to one owner.
 	var req server.BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil || len(req.Units) == 0 {
-		p.routeOne(w, r, body, rawKey(body))
-		return
-	}
-	def, err := req.Options.Resolve(p.cfg.KeyOptions)
-	if err != nil {
-		p.routeOne(w, r, body, rawKey(body))
-		return
-	}
-	keys := make([]string, len(req.Units))
-	for i, bu := range req.Units {
-		opts, err := bu.Options.Resolve(def)
-		if err != nil {
-			p.routeOne(w, r, body, rawKey(body))
-			return
-		}
-		rt, err := iloc.Parse(bu.ILOC)
-		if err != nil {
-			p.routeOne(w, r, body, rawKey(body))
-			return
-		}
-		keys[i] = string(driver.KeyFor(rt, opts))
-	}
+	keys := routeKeys(body, &req, 0)
 
 	// Group unit indices by ring owner. One owner: the whole batch
 	// relays as-is (with failover); several: scatter sub-batches and
@@ -659,7 +613,7 @@ func (p *Proxy) handleBatch(w http.ResponseWriter, r *http.Request) {
 		groups[owner] = append(groups[owner], i)
 	}
 	if len(groups) == 1 {
-		p.routeOne(w, r, body, keys[0])
+		p.routeOne(w, r, body, keys[0], nil)
 		return
 	}
 	p.scatter(w, r, &req, keys, groups)
@@ -679,14 +633,12 @@ func (p *Proxy) scatter(w http.ResponseWriter, r *http.Request, req *server.Batc
 	tel.Count("proxy.requests", 1)
 	tel.Count("proxy.scatter", 1)
 
-	reqID := p.requestID(r)
-	deadline, ok := p.deadlineFor(r)
+	ctx, cancel, ok := p.budget(w, r)
 	if !ok {
-		writeJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: "bad X-Deadline-Ms header", RequestID: reqID})
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
 	defer cancel()
+	reqID := p.requestID(r)
 
 	type subResult struct {
 		idxs []int
@@ -694,8 +646,7 @@ func (p *Proxy) scatter(w http.ResponseWriter, r *http.Request, req *server.Batc
 		err  error
 	}
 	results := make(chan subResult, len(groups))
-	for owner, idxs := range groups {
-		owner, idxs := owner, idxs
+	for _, idxs := range groups {
 		go func() {
 			sub := server.BatchRequest{Units: make([]server.BatchUnit, len(idxs)), Options: req.Options}
 			for j, i := range idxs {
@@ -709,7 +660,6 @@ func (p *Proxy) scatter(w http.ResponseWriter, r *http.Request, req *server.Batc
 			// The group key is its first unit's key: the ring maps it
 			// to this owner, and failover walks the owner's successors.
 			ur, err := p.do(ctx, http.MethodPost, "/v1/batch", r.Header, body, keys[idxs[0]])
-			_ = owner
 			results <- subResult{idxs: idxs, ur: ur, err: err}
 		}()
 	}
@@ -775,7 +725,7 @@ func (p *Proxy) scatter(w http.ResponseWriter, r *http.Request, req *server.Batc
 	sort.Strings(ids)
 	w.Header().Set(server.BackendHeader, strings.Join(ids, ","))
 	w.Header().Set("X-Request-ID", reqID)
-	writeJSON(w, http.StatusOK, merged)
+	server.WriteJSON(w, http.StatusOK, merged)
 	tel.Count("proxy.status.2xx", 1)
 }
 
@@ -806,10 +756,10 @@ func mergeStats(dst *server.BatchStats, src server.BatchStats) {
 func (p *Proxy) handleForwardGET(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		writeJSON(w, http.StatusMethodNotAllowed, server.ErrorResponse{Error: "GET only"})
+		server.WriteJSON(w, http.StatusMethodNotAllowed, server.ErrorResponse{Error: "GET only"})
 		return
 	}
-	p.routeOne(w, r, nil, r.URL.Path)
+	p.routeOne(w, r, nil, r.URL.Path, nil)
 }
 
 // handleCluster reports the cluster's shape: ring backends in failover
@@ -817,10 +767,10 @@ func (p *Proxy) handleForwardGET(w http.ResponseWriter, r *http.Request) {
 func (p *Proxy) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		writeJSON(w, http.StatusMethodNotAllowed, server.ErrorResponse{Error: "GET only"})
+		server.WriteJSON(w, http.StatusMethodNotAllowed, server.ErrorResponse{Error: "GET only"})
 		return
 	}
-	writeJSON(w, http.StatusOK, ClusterStatus{Ready: p.ready.Load(), Backends: p.Status()})
+	server.WriteJSON(w, http.StatusOK, ClusterStatus{Ready: p.ready.Load(), Backends: p.Status()})
 }
 
 // ClusterStatus is the GET /v1/cluster body.
@@ -892,14 +842,4 @@ func metricName(id string) string {
 			return '_'
 		}
 	}, id)
-}
-
-// writeJSON mirrors the backend's response shaping so proxy-origin
-// bodies read the same as backend ones.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
 }

@@ -310,13 +310,17 @@ func TestProxyShedsOnDeadlineBudget(t *testing.T) {
 	}
 }
 
+// TestProxyBadDeadlineHeader: the proxy reads X-Deadline-Ms with the
+// backend's parser, so the values rallocd rejects are rejected here.
 func TestProxyBadDeadlineHeader(t *testing.T) {
 	c := newTestCluster(t, 2, nil)
-	status, _, body := postJSON(t, c.front.URL+"/v1/allocate",
-		server.AllocateRequest{ILOC: unitSource(0)},
-		map[string]string{"X-Deadline-Ms": "soon"})
-	if status != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400\n%s", status, body)
+	for _, h := range []string{"soon", "5s", "1e3"} {
+		status, _, body := postJSON(t, c.front.URL+"/v1/allocate",
+			server.AllocateRequest{ILOC: unitSource(0)},
+			map[string]string{"X-Deadline-Ms": h})
+		if status != http.StatusBadRequest {
+			t.Fatalf("X-Deadline-Ms %q: status = %d, want 400\n%s", h, status, body)
+		}
 	}
 }
 

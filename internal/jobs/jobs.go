@@ -124,10 +124,9 @@ type Job struct {
 	// suffix keeps IDs from colliding across backend instances, so a
 	// routing proxy can map an ID to the one backend that owns it.
 	ID string
-	// Payload is the submitter's opaque per-job data (the HTTP layer
-	// stores per-unit response-shaping state here). Immutable after
-	// Submit.
-	Payload any
+	// RequestID is the ID of the request that submitted the job (the
+	// HTTP layer stamps it on job answers and audit records).
+	RequestID string
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -271,7 +270,8 @@ func NewManager(cfg Config) (*Manager, error) {
 
 // Submit admits one batch as a job, returning as soon as it is queued.
 // The returned Job is live — its runner goroutine is already started.
-func (m *Manager) Submit(units []driver.Unit, payload any) (*Job, error) {
+// requestID names the submitting request.
+func (m *Manager) Submit(units []driver.Unit, requestID string) (*Job, error) {
 	if len(units) == 0 {
 		return nil, errors.New("jobs: empty batch")
 	}
@@ -288,13 +288,13 @@ func (m *Manager) Submit(units []driver.Unit, payload any) (*Job, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &Job{
-		ID:      m.newID(),
-		Payload: payload,
-		state:   StateQueued,
-		created: m.cfg.Now(),
-		units:   units,
-		results: make([]*driver.UnitResult, len(units)),
-		cancel:  cancel,
+		ID:        m.newID(),
+		RequestID: requestID,
+		state:     StateQueued,
+		created:   m.cfg.Now(),
+		units:     units,
+		results:   make([]*driver.UnitResult, len(units)),
+		cancel:    cancel,
 	}
 	j.cond = sync.NewCond(&j.mu)
 	m.jobs[j.ID] = j

@@ -93,15 +93,15 @@ func TestJobRunsToDoneWithOrderedResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	j, err := m.Submit(mkUnits("a", "b", "c"), "payload")
+	j, err := m.Submit(mkUnits("a", "b", "c"), "req-7")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(j.ID, "job-") {
 		t.Fatalf("ID = %q", j.ID)
 	}
-	if j.Payload != "payload" {
-		t.Fatalf("payload lost: %v", j.Payload)
+	if j.RequestID != "req-7" {
+		t.Fatalf("request ID lost: %q", j.RequestID)
 	}
 	s := waitState(t, j, StateDone)
 	if s.Completed != 3 || s.Failed != 0 {
@@ -133,7 +133,7 @@ func TestCancelMidFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	j, err := m.Submit(mkUnits("a", "b", "c"), nil)
+	j, err := m.Submit(mkUnits("a", "b", "c"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestCancelWhileQueuedFailsEveryUnit(t *testing.T) {
 	}
 	defer close(unblock)
 	defer m.Close()
-	j, err := m.Submit(mkUnits("a", "b"), nil)
+	j, err := m.Submit(mkUnits("a", "b"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,11 +242,11 @@ func TestSubmitShedsBeyondMaxActive(t *testing.T) {
 	}
 	defer m.Close()
 	for i := 0; i < 2; i++ {
-		if _, err := m.Submit(mkUnits("slow"), nil); err != nil {
+		if _, err := m.Submit(mkUnits("slow"), ""); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := m.Submit(mkUnits("x"), nil); !errors.Is(err, ErrQueueFull) {
+	if _, err := m.Submit(mkUnits("x"), ""); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third submit: %v, want ErrQueueFull", err)
 	}
 	if reg.Counter("jobs.rejected").Value() != 1 {
@@ -268,10 +268,10 @@ func TestRetentionExpiresIntoTombstones(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	j1, _ := m.Submit(mkUnits("a"), nil)
+	j1, _ := m.Submit(mkUnits("a"), "")
 	waitState(t, j1, StateDone)
 	now.Add(int64(30 * time.Second)) // j2 finishes 30s after j1
-	j2, _ := m.Submit(mkUnits("b"), nil)
+	j2, _ := m.Submit(mkUnits("b"), "")
 	waitState(t, j2, StateDone)
 
 	// Within retention: still found.
@@ -309,9 +309,9 @@ func TestMaxRetainedEvictsOldestFinished(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	j1, _ := m.Submit(mkUnits("a"), nil)
+	j1, _ := m.Submit(mkUnits("a"), "")
 	waitState(t, j1, StateDone)
-	j2, _ := m.Submit(mkUnits("b"), nil)
+	j2, _ := m.Submit(mkUnits("b"), "")
 	waitState(t, j2, StateDone)
 	if _, p := m.Get(j1.ID); p != Expired {
 		t.Fatalf("evicted job: %v, want Expired", p)
@@ -330,7 +330,7 @@ func TestWaitUnitHonorsCallerContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	j, _ := m.Submit(mkUnits("slow"), nil)
+	j, _ := m.Submit(mkUnits("slow"), "")
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if _, err := j.WaitUnit(ctx, 0); !errors.Is(err, context.DeadlineExceeded) {
@@ -357,7 +357,7 @@ func TestOnUnitDoneSeesEveryVerdict(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	j, _ := m.Submit(mkUnits("a", "b"), nil)
+	j, _ := m.Submit(mkUnits("a", "b"), "")
 	waitState(t, j, StateDone)
 	if seen.Load() != 2 {
 		t.Fatalf("OnUnitDone fired %d times, want 2", seen.Load())
@@ -371,7 +371,7 @@ func TestCloseCancelsLiveJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, _ := m.Submit(mkUnits("stuck"), nil)
+	j, _ := m.Submit(mkUnits("stuck"), "")
 	done := make(chan struct{})
 	go func() { m.Close(); close(done) }()
 	select {
@@ -382,7 +382,7 @@ func TestCloseCancelsLiveJobs(t *testing.T) {
 	if s := j.Snapshot(); s.State != StateCanceled {
 		t.Fatalf("state after Close: %s", s.State)
 	}
-	if _, err := m.Submit(mkUnits("x"), nil); !errors.Is(err, ErrQueueFull) {
+	if _, err := m.Submit(mkUnits("x"), ""); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("submit after Close: %v", err)
 	}
 }
@@ -399,7 +399,7 @@ func TestGateIsAcquiredAndReleased(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	j, _ := m.Submit(mkUnits("a"), nil)
+	j, _ := m.Submit(mkUnits("a"), "")
 	waitState(t, j, StateDone)
 	deadline := time.Now().Add(time.Second)
 	for held.Load() != 0 {

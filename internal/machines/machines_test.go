@@ -64,10 +64,15 @@ func TestLookupRegsSweep(t *testing.T) {
 
 	// Degenerate sweep points fail with the validator's story, not a
 	// misallocation downstream.
-	for _, bad := range []string{"regs=1", "regs=0", "regs=-3", "regs=x"} {
+	// A bank above target.MaxRegs is rejected before anything sizes
+	// per-color state by it.
+	for _, bad := range []string{"regs=1", "regs=0", "regs=-3", "regs=x", "regs=1025", "regs=1073741824"} {
 		if _, err := Lookup(bad); err == nil {
 			t.Errorf("Lookup(%q) succeeded, want error", bad)
 		}
+	}
+	if _, err := Lookup("regs=1024"); err != nil {
+		t.Errorf("Lookup(regs=1024) = %v, want the largest bank accepted", err)
 	}
 }
 

@@ -2,16 +2,16 @@ package server
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/machines"
-	"repro/internal/target"
 )
 
 // This file is the wire schema of the allocation service: the JSON
 // bodies of POST /v1/allocate and POST /v1/batch and their responses.
 // The types are plain data so cmd/rallocload (and any other client) can
-// share them without importing the serving machinery.
+// share them; request.go turns a request into driver units.
 
 // AllocateRequest is the body of POST /v1/allocate: one ILOC source
 // text holding one or more routines (the multi-routine form follows
@@ -73,9 +73,6 @@ type OptionsRequest struct {
 
 // Resolve merges the request options over def (the server defaults,
 // or — for per-unit batch options — the batch-level resolution).
-// Exported because the routing proxy (internal/cluster) performs the
-// same resolution to compute the content key a request will cache
-// under, so cluster routing and backend caching agree on identity.
 func (o *OptionsRequest) Resolve(def core.Options) (core.Options, error) {
 	opts := def
 	if o == nil {
@@ -90,16 +87,13 @@ func (o *OptionsRequest) Resolve(def core.Options) (core.Options, error) {
 	if o.Machine != "" && o.Regs != 0 {
 		return opts, fmt.Errorf("machine %q and regs %d are mutually exclusive (regs is shorthand for machine \"regs=N\")", o.Machine, o.Regs)
 	}
-	if o.Machine != "" {
-		m, err := machines.Lookup(o.Machine)
-		if err != nil {
-			return opts, err
-		}
-		opts.Machine = m
-	}
+	machine := o.Machine
 	if o.Regs != 0 {
-		m := target.WithRegs(o.Regs)
-		if err := m.Validate(); err != nil {
+		machine = "regs=" + strconv.Itoa(o.Regs)
+	}
+	if machine != "" {
+		m, err := machines.Lookup(machine)
+		if err != nil {
 			return opts, err
 		}
 		opts.Machine = m

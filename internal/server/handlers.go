@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -14,19 +13,16 @@ import (
 	"repro/internal/machines"
 )
 
-// decodeStrict decodes a request body rejecting unknown fields, so a
-// misspelled option name ("stratgy") is a 400 rather than a silent
-// fall-through to the server defaults.
-func decodeStrict(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
-
-// optionsError shapes a request-options failure as a 400. An unknown
-// strategy or machine name additionally lists the registered names in
-// the body so a client can self-correct without a second round trip.
-func optionsError(w http.ResponseWriter, info *requestInfo, err error) {
+// decodeUnits is the decode-or-400 step of every allocation endpoint:
+// req's units under the server defaults, or false after answering 400.
+// An unknown strategy or machine name additionally lists the
+// registered names in the body so a client can self-correct without a
+// second round trip.
+func (s *Server) decodeUnits(w http.ResponseWriter, r *http.Request, info *requestInfo, req Request) ([]driver.Unit, bool) {
+	units, err := DecodeUnits(r.Body, req, s.cfg.Options)
+	if err == nil {
+		return units, true
+	}
 	resp := ErrorResponse{Error: err.Error(), RequestID: info.id}
 	var unknownStrategy *core.UnknownStrategyError
 	if errors.As(err, &unknownStrategy) {
@@ -36,70 +32,32 @@ func optionsError(w http.ResponseWriter, info *requestInfo, err error) {
 	if errors.As(err, &unknownMachine) {
 		resp.Machines = unknownMachine.Registered
 	}
-	writeError(w, http.StatusBadRequest, resp)
+	WriteJSON(w, http.StatusBadRequest, resp)
+	return nil, false
 }
 
 // handleAllocate serves POST /v1/allocate: one ILOC source text holding
 // one or more routines, all allocated under the same options.
 func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request, info *requestInfo) {
-	var req AllocateRequest
-	if err := decodeStrict(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error(), RequestID: info.id})
-		return
+	if units, ok := s.decodeUnits(w, r, info, &AllocateRequest{}); ok {
+		s.serve(w, r, info, units)
 	}
-	if req.ILOC == "" {
-		writeError(w, http.StatusBadRequest, ErrorResponse{Error: "empty iloc source", RequestID: info.id})
-		return
-	}
-	opts, err := req.Options.Resolve(s.cfg.Options)
-	if err != nil {
-		optionsError(w, info, err)
-		return
-	}
-	routines, err := iloc.ParseProgram(req.ILOC)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrorResponse{Error: "parse: " + err.Error(), RequestID: info.id})
-		return
-	}
-	units := make([]driver.Unit, len(routines))
-	verify := make([]bool, len(routines))
-	for i, rt := range routines {
-		o := opts
-		units[i] = driver.Unit{Name: rt.Name, Routine: rt, Options: &o}
-		verify[i] = o.Verify
-	}
-	s.serve(w, r, info, units, verify)
 }
 
 // handleBatch serves POST /v1/batch: named units, each optionally
 // carrying its own options.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, info *requestInfo) {
-	var req BatchRequest
-	if err := decodeStrict(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error(), RequestID: info.id})
-		return
+	if units, ok := s.decodeUnits(w, r, info, &BatchRequest{}); ok {
+		s.serve(w, r, info, units)
 	}
-	if len(req.Units) == 0 {
-		writeError(w, http.StatusBadRequest, ErrorResponse{Error: "empty batch", RequestID: info.id})
-		return
-	}
-	units, verify, err := s.buildBatchUnits(req)
-	if err != nil {
-		optionsError(w, info, err)
-		return
-	}
-	s.serve(w, r, info, units, verify)
 }
 
 // serve is the shared allocation path: admission, deadline, engine run,
-// response shaping. verify[i] records whether unit i ran under the
-// post-allocation checker (a verified 200 means the checker accepted
-// the code; rejected allocations never reach a response body — they
-// degrade or error inside the allocator).
-func (s *Server) serve(w http.ResponseWriter, r *http.Request, info *requestInfo, units []driver.Unit, verify []bool) {
-	deadline, ok := s.deadlineFor(r)
+// response shaping.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, info *requestInfo, units []driver.Unit) {
+	deadline, ok := ParseDeadline(r, s.cfg.DefaultDeadline, s.cfg.MaxDeadline)
 	if !ok {
-		writeError(w, http.StatusBadRequest, ErrorResponse{Error: "bad X-Deadline-Ms header", RequestID: info.id})
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad X-Deadline-Ms header", RequestID: info.id})
 		return
 	}
 
@@ -143,11 +101,11 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, info *requestInfo
 		},
 	}
 	for i, ur := range batch.Results {
-		resp.Results[i] = s.unitResponse(ur, verify[i])
+		resp.Results[i] = s.unitResponse(units[i], ur)
 	}
 	if s.cfg.Audit != nil {
 		for i, ur := range batch.Results {
-			s.auditUnit(info.id, "", units[i], ur, verify[i])
+			s.auditUnit(info.id, "", units[i], ur)
 		}
 	}
 	tel := s.cfg.Telemetry
@@ -155,14 +113,17 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, info *requestInfo
 	if batch.Stats.Degraded > 0 {
 		tel.Count("server.degraded", int64(batch.Stats.Degraded))
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
-// unitResponse shapes one driver result as the wire's UnitResponse —
-// the element of the sync endpoints' results array and the line of the
-// async results stream, so the two paths are byte-identical per unit.
-func (s *Server) unitResponse(ur driver.UnitResult, verified bool) UnitResponse {
-	u := UnitResponse{
+// unitResponse shapes unit u's driver result as the wire's
+// UnitResponse — the element of the sync endpoints' results array and
+// the line of the async results stream, so the two paths are
+// byte-identical per unit. A result is verified when u's options ran
+// the post-allocation checker: a rejected allocation never reaches a
+// response body (it degrades or errors inside the allocator).
+func (s *Server) unitResponse(u driver.Unit, ur driver.UnitResult) UnitResponse {
+	resp := UnitResponse{
 		Name:      ur.Name,
 		Backend:   s.cfg.InstanceID,
 		CacheHit:  ur.CacheHit,
@@ -171,18 +132,18 @@ func (s *Server) unitResponse(ur driver.UnitResult, verified bool) UnitResponse 
 	}
 	switch {
 	case ur.Err != nil:
-		u.Error = ur.Err.Error()
+		resp.Error = ur.Err.Error()
 	case ur.Result != nil:
-		u.Code = iloc.Print(ur.Result.Routine)
-		u.Verified = verified
-		u.Degraded = ur.Result.Degraded
-		u.DegradeReason = ur.Result.DegradeReason
-		u.Iterations = len(ur.Result.Iterations)
-		u.Spilled = ur.Result.SpilledRanges
-		u.Remat = ur.Result.RematSpills
-		u.FrameWords = ur.Result.Routine.FrameWords
+		resp.Code = iloc.Print(ur.Result.Routine)
+		resp.Verified = u.Options.Verify
+		resp.Degraded = ur.Result.Degraded
+		resp.DegradeReason = ur.Result.DegradeReason
+		resp.Iterations = len(ur.Result.Iterations)
+		resp.Spilled = ur.Result.SpilledRanges
+		resp.Remat = ur.Result.RematSpills
+		resp.FrameWords = ur.Result.Routine.FrameWords
 	}
-	return u
+	return resp
 }
 
 // handleStrategies serves GET /v1/strategies: the registered allocation
@@ -191,7 +152,7 @@ func (s *Server) unitResponse(ur driver.UnitResult, verified bool) UnitResponse 
 func (s *Server) handleStrategies(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "GET only"})
+		WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "GET only"})
 		return
 	}
 	strategies := core.Strategies()
@@ -199,7 +160,7 @@ func (s *Server) handleStrategies(w http.ResponseWriter, r *http.Request) {
 	for i, st := range strategies {
 		resp.Strategies[i] = StrategyInfo{Name: st.Name(), Description: st.Description()}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleMachines serves GET /v1/machines: the target-machine zoo, in
@@ -209,7 +170,7 @@ func (s *Server) handleStrategies(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMachines(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "GET only"})
+		WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "GET only"})
 		return
 	}
 	zoo := machines.All()
@@ -224,7 +185,7 @@ func (s *Server) handleMachines(w http.ResponseWriter, r *http.Request) {
 			OtherCycles: e.Machine.OtherCycles,
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleHealthz is liveness: the process is up and serving.
@@ -293,12 +254,12 @@ func (s *Server) publishCacheMetrics() {
 func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "GET only"})
+		WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "GET only"})
 		return
 	}
 	st := s.cfg.Store
 	if st == nil || st.Disk() == nil {
-		writeError(w, http.StatusNotFound, ErrorResponse{Error: "no persistent cache tier (start rallocd with -cache-dir)"})
+		WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "no persistent cache tier (start rallocd with -cache-dir)"})
 		return
 	}
 	w.Header().Set("Content-Type", "application/gzip")

@@ -237,3 +237,14 @@ func TestCorpusReplayServedAcrossZoo(t *testing.T) {
 		t.Fatalf("replay: %d/%d cache hits, want all", ar.Stats.CacheHits, len(units))
 	}
 }
+
+// TestResolveRejectsOversizedBank: a register count above
+// target.MaxRegs is a client error in both spellings, caught before
+// any allocator state is sized by it.
+func TestResolveRejectsOversizedBank(t *testing.T) {
+	for _, o := range []*OptionsRequest{{Regs: 1 << 30}, {Machine: "regs=1073741824"}} {
+		if _, err := o.Resolve(DefaultOptions()); err == nil {
+			t.Errorf("Resolve(%+v) accepted a 2^30-register bank", *o)
+		}
+	}
+}

@@ -31,7 +31,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
@@ -59,10 +58,6 @@ type Config struct {
 	// merge over it. A zero Options gets the standard machine, the remat
 	// strategy and Verify on — the serving default is verified allocations.
 	Options core.Options
-	// DefaultOptionsSet marks Options as deliberately zero-configured;
-	// when false and Options is entirely zero, the serving defaults
-	// above are applied.
-	DefaultOptionsSet bool
 	// Workers bounds each batch's worker pool (<= 0: GOMAXPROCS).
 	Workers int
 	// Cache is the shared content-addressed result cache; nil builds an
@@ -123,7 +118,7 @@ func DefaultOptions() core.Options {
 }
 
 func (c Config) withDefaults() Config {
-	if !c.DefaultOptionsSet && c.Options == (core.Options{}) {
+	if c.Options == (core.Options{}) {
 		c.Options = DefaultOptions()
 	}
 	if c.InstanceID == "" {
@@ -358,25 +353,6 @@ func (s *Server) admit(done <-chan struct{}) (release func(), err error) {
 	}, nil
 }
 
-// deadlineFor resolves a request's time budget: the X-Deadline-Ms
-// header clamped to MaxDeadline, or DefaultDeadline when absent. The
-// returned bool reports a malformed header.
-func (s *Server) deadlineFor(r *http.Request) (time.Duration, bool) {
-	h := r.Header.Get("X-Deadline-Ms")
-	if h == "" {
-		return s.cfg.DefaultDeadline, true
-	}
-	var ms int64
-	if _, err := fmt.Sscanf(h, "%d", &ms); err != nil || ms <= 0 {
-		return 0, false
-	}
-	d := time.Duration(ms) * time.Millisecond
-	if d > s.cfg.MaxDeadline {
-		d = s.cfg.MaxDeadline
-	}
-	return d, true
-}
-
 // statusWriter records the status code a handler wrote so the
 // instrumentation can count outcomes per class.
 type statusWriter struct {
@@ -419,7 +395,7 @@ func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Reque
 				tel.Count("server.panics", 1)
 				// Best effort: if the handler already wrote, the client
 				// sees a truncated body; either way the process survives.
-				writeError(sw, http.StatusInternalServerError, ErrorResponse{
+				WriteJSON(sw, http.StatusInternalServerError, ErrorResponse{
 					Error:     fmt.Sprintf("internal error: %v", v),
 					RequestID: id,
 				})
@@ -436,7 +412,7 @@ func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Reque
 
 		if r.Method != http.MethodPost {
 			sw.Header().Set("Allow", http.MethodPost)
-			writeError(sw, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only", RequestID: id})
+			WriteJSON(sw, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only", RequestID: id})
 			return
 		}
 		r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
@@ -448,18 +424,4 @@ func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Reque
 type requestInfo struct {
 	id   string
 	sink *telemetry.Sink
-}
-
-// writeJSON marshals v as the response body with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v) // the connection owns delivery; nothing to do on error
-}
-
-// writeError answers with the service's uniform error body.
-func writeError(w http.ResponseWriter, status int, e ErrorResponse) {
-	writeJSON(w, status, e)
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/target"
@@ -130,28 +131,69 @@ func TestAllocateMultiRoutineProgram(t *testing.T) {
 }
 
 func TestBatchWithPerUnitOptions(t *testing.T) {
-	ts := newTestServer(t, Config{})
+	sink := &collectSink{}
+	logger, err := audit.New(audit.Config{Sink: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer logger.Close()
+	ts := newTestServer(t, Config{Audit: logger})
 	src := testSource(t)
+	noVerify := false
 	req := BatchRequest{
 		Units: []BatchUnit{
 			{Name: "remat-side", ILOC: src},
 			{Name: "chaitin-side", ILOC: src, Options: &OptionsRequest{Strategy: "chaitin", Regs: 8}},
+			{Name: "unverified", ILOC: src, Options: &OptionsRequest{Verify: &noVerify}},
 		},
+	}
+	// Only the unit that turned the checker off reads unverified, on
+	// every surface that reports the verdict.
+	checkVerified := func(where string, u UnitResponse) {
+		t.Helper()
+		if u.Error != "" || u.Code == "" || u.Verified != (u.Name != "unverified") {
+			t.Fatalf("%s: unit = %+v", where, u)
+		}
 	}
 	status, _, body := post(t, ts.URL+"/v1/batch", req, nil)
 	if status != http.StatusOK {
 		t.Fatalf("status = %d\n%s", status, body)
 	}
 	ar := decodeAllocate(t, body)
-	if len(ar.Results) != 2 {
-		t.Fatalf("want 2 units, got %d", len(ar.Results))
+	if len(ar.Results) != 3 {
+		t.Fatalf("want 3 units, got %d", len(ar.Results))
 	}
-	if ar.Results[0].Name != "remat-side" || ar.Results[1].Name != "chaitin-side" {
-		t.Fatalf("names = %q, %q", ar.Results[0].Name, ar.Results[1].Name)
+	for i, name := range []string{"remat-side", "chaitin-side", "unverified"} {
+		if ar.Results[i].Name != name {
+			t.Fatalf("unit %d name = %q, want %q", i, ar.Results[i].Name, name)
+		}
+		checkVerified("batch", ar.Results[i])
 	}
-	for _, u := range ar.Results {
-		if u.Error != "" || u.Code == "" || !u.Verified {
-			t.Fatalf("unit = %+v", u)
+
+	status, _, raw := post(t, ts.URL+"/v1/jobs", req, nil)
+	if status != http.StatusOK {
+		t.Fatalf("submit status = %d\n%s", status, raw)
+	}
+	jr := decodeJob(t, raw)
+	pollJob(t, ts.URL, jr.JobID)
+	streamed := streamResults(t, ts.URL, jr.JobID)
+	if len(streamed) != 3 {
+		t.Fatalf("streamed %d units, want 3", len(streamed))
+	}
+	for _, u := range streamed {
+		checkVerified("job stream", u)
+	}
+
+	if err := logger.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	recs := sink.records(t)
+	if len(recs) != 6 {
+		t.Fatalf("%d audit records, want 6 (3 sync + 3 async)", len(recs))
+	}
+	for _, r := range recs {
+		if r.Verified != (r.Unit != "unverified") {
+			t.Fatalf("audit record verdict: %+v", r)
 		}
 	}
 }
@@ -208,6 +250,16 @@ func TestBadRequests(t *testing.T) {
 		{"bad deadline header", func() (int, http.Header, []byte) {
 			return post(t, ts.URL+"/v1/allocate", AllocateRequest{ILOC: src},
 				map[string]string{"X-Deadline-Ms": "soon"})
+		}},
+		// The header is a plain count of milliseconds: a unit suffix or
+		// an exponent is malformed, not read up to its first non-digit.
+		{"deadline with unit", func() (int, http.Header, []byte) {
+			return post(t, ts.URL+"/v1/allocate", AllocateRequest{ILOC: src},
+				map[string]string{"X-Deadline-Ms": "5s"})
+		}},
+		{"deadline in exponent form", func() (int, http.Header, []byte) {
+			return post(t, ts.URL+"/v1/allocate", AllocateRequest{ILOC: src},
+				map[string]string{"X-Deadline-Ms": "1e3"})
 		}},
 		{"empty batch", func() (int, http.Header, []byte) {
 			return post(t, ts.URL+"/v1/batch", BatchRequest{}, nil)
@@ -520,8 +572,7 @@ func TestOptionsMergeOverDefaults(t *testing.T) {
 	// Server-level defaults (chaitin, 8 regs) apply when the request
 	// carries nothing, and request options win when present.
 	cfg := Config{
-		Options:           core.Options{Machine: target.WithRegs(8), Strategy: "chaitin", Verify: true},
-		DefaultOptionsSet: true,
+		Options: core.Options{Machine: target.WithRegs(8), Strategy: "chaitin", Verify: true},
 	}
 	ts := newTestServer(t, cfg)
 	src := testSource(t)

@@ -77,17 +77,25 @@ func (m *Machine) Clone() *Machine {
 	return &c
 }
 
+// MaxRegs bounds a register bank. The allocator sizes per-color state
+// by the bank, so an unbounded bank would let a tiny request ("regs":
+// 1<<30) allocate gigabytes; the largest shipped machine, Huge, has 128.
+const MaxRegs = 1024
+
 // Validate checks that the machine is one the allocator can actually
 // color for. Spilled binary operations need two register operands alive
-// at once, so each class must expose at least two colors; the
-// caller-save count must leave the partition well formed (a negative
-// callee-save remainder would let the allocator hand out colors that do
-// not survive the calls they are live across).
+// at once, so each class must expose at least two colors; no bank may
+// exceed MaxRegs; the caller-save count must leave the partition well
+// formed (a negative callee-save remainder would let the allocator hand
+// out colors that do not survive the calls they are live across).
 func (m *Machine) Validate() error {
 	if m.CallerSave < 0 {
 		return fmt.Errorf("target: %s: negative caller-save count %d", m.Name, m.CallerSave)
 	}
 	for c := iloc.Class(0); c < iloc.NumClasses; c++ {
+		if m.Regs[c] > MaxRegs {
+			return fmt.Errorf("target: %s: class %s bank of %d registers exceeds the bound of %d", m.Name, c, m.Regs[c], MaxRegs)
+		}
 		k := m.K(c)
 		if k < 1 {
 			return fmt.Errorf("target: %s: class %s has no allocatable registers (bank of %d leaves k = %d after the reserved register 0)", m.Name, c, m.Regs[c], k)

@@ -44,6 +44,7 @@ func TestValidateErrorsAreDescriptive(t *testing.T) {
 		{&Machine{Name: "part", Regs: [iloc.NumClasses]int{4, 4}, CallerSave: 5, MemCycles: 2, OtherCycles: 1}, "callee-save partition"},
 		{&Machine{Name: "ncs", Regs: [iloc.NumClasses]int{4, 4}, CallerSave: -2, MemCycles: 2, OtherCycles: 1}, "negative caller-save"},
 		{&Machine{Name: "cost", Regs: [iloc.NumClasses]int{4, 4}, CallerSave: 1}, "cycle costs"},
+		{&Machine{Name: "big", Regs: [iloc.NumClasses]int{16, MaxRegs + 1}, CallerSave: 1, MemCycles: 2, OtherCycles: 1}, "exceeds the bound"},
 	}
 	for _, tc := range cases {
 		err := tc.m.Validate()
