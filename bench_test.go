@@ -24,6 +24,7 @@ import (
 	"context"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/driver"
@@ -91,10 +92,15 @@ func BenchmarkTable2(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				t := res.TotalTimes()
-				b.ReportMetric(float64(t.Renumber.Microseconds()), "renum-µs")
-				b.ReportMetric(float64(t.Build.Microseconds()), "build-µs")
-				b.ReportMetric(float64(t.Color.Microseconds()), "color-µs")
+				phase := map[string]time.Duration{}
+				for _, it := range res.Iterations {
+					for _, ps := range it.Passes {
+						phase[core.PassPhase(ps.Name)] += ps.Time
+					}
+				}
+				b.ReportMetric(float64(phase["renum"].Microseconds()), "renum-µs")
+				b.ReportMetric(float64(phase["build"].Microseconds()), "build-µs")
+				b.ReportMetric(float64(phase["color"].Microseconds()), "color-µs")
 			})
 		}
 	}

@@ -49,6 +49,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/ctrans"
@@ -202,9 +203,16 @@ func main() {
 		if *stats {
 			fmt.Fprintf(os.Stderr, "%s: strategy=%s machine=%s iterations=%d spilled=%d (remat %d) frame=%d words\n",
 				r.Name, res.Strategy, res.Machine.Name, len(res.Iterations), res.SpilledRanges, res.RematSpills, res.Routine.FrameWords)
-			t := res.TotalTimes()
+			phase := map[string]time.Duration{}
+			var total time.Duration
+			for _, it := range res.Iterations {
+				for _, ps := range it.Passes {
+					phase[core.PassPhase(ps.Name)] += ps.Time
+					total += ps.Time
+				}
+			}
 			fmt.Fprintf(os.Stderr, "phases: cfa=%v renum=%v build=%v costs=%v color=%v spill=%v total=%v\n",
-				t.CFA, t.Renumber, t.Build, t.Costs, t.Color, t.Spill, t.Total())
+				phase["cfa"], phase["renum"], phase["build"], phase["costs"], phase["color"], phase["spill"], total)
 			fmt.Fprint(os.Stderr, core.FormatStats(res))
 		}
 	}

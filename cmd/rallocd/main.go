@@ -49,7 +49,7 @@
 //
 // SIGINT/SIGTERM starts a graceful shutdown: /readyz flips to 503, the
 // listener stops accepting, and in-flight batches get up to
-// -drain-timeout (alias -drain) to finish before the process exits. A
+// -drain-timeout to finish before the process exits. A
 // request still running when the timeout fires is abandoned — its count
 // is logged and its connection closed — but the exit status stays 0: a
 // wedged request must not turn a routine SIGTERM into a failed deploy.
@@ -99,9 +99,7 @@ func main() {
 	auditBlock := flag.Bool("audit-block", false, "block allocations instead of dropping audit records when the stream is full (lossless, but a stalled sink stalls serving)")
 	defaultDeadline := flag.Duration("default-deadline", 30*time.Second, "per-request deadline when the client sends no X-Deadline-Ms")
 	maxDeadline := flag.Duration("max-deadline", 2*time.Minute, "upper clamp on client-requested deadlines")
-	var drain time.Duration
-	flag.DurationVar(&drain, "drain", 30*time.Second, "grace period for in-flight requests on shutdown (alias of -drain-timeout)")
-	flag.DurationVar(&drain, "drain-timeout", 30*time.Second, "grace period for in-flight requests on shutdown; when it fires, remaining requests are abandoned (logged) and the process still exits 0")
+	drain := flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight requests on shutdown; when it fires, remaining requests are abandoned (logged) and the process still exits 0")
 	instanceID := flag.String("instance-id", "", "name stamped on every response as X-Ralloc-Backend (empty: <hostname>-<pid>)")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON file on clean shutdown")
 	flag.Parse()
@@ -252,14 +250,14 @@ func main() {
 	// outlives the grace period is abandoned — logged and cut off — so a
 	// wedged allocation cannot hang SIGTERM forever; the exit status
 	// stays 0 because the *daemon* did its part of the contract.
-	fmt.Fprintf(os.Stderr, "rallocd: shutting down (drain %v)\n", drain)
+	fmt.Fprintf(os.Stderr, "rallocd: shutting down (drain %v)\n", *drain)
 	srv.SetReady(false)
-	shutCtx, cancel := context.WithTimeout(context.Background(), drain)
+	shutCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := hs.Shutdown(shutCtx); err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			fmt.Fprintf(os.Stderr, "rallocd: drain timeout after %v: abandoning %d in-flight request(s)\n",
-				drain, srv.InFlight())
+				*drain, srv.InFlight())
 			hs.Close()
 		} else {
 			fail(fmt.Errorf("drain: %w", err))

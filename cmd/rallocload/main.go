@@ -1,16 +1,15 @@
 // Command rallocload checks the serving contract of rallocd and
 // rallocproxy: a fixed set of workers each keeps exactly one allocation
 // request in flight against POST /v1/allocate, every answer is held to
-// the contract below, and the tool reports counts, throughput and
-// latency quantiles as JSON. The smoke scripts and CLI tests drive it;
-// the benchmark lives in bench/.
+// the contract below, and the tool reports the counts as JSON. The smoke
+// scripts and CLI tests drive it; the benchmark, with every latency and
+// throughput figure, lives in bench/.
 //
 //	rallocload -url http://host:port[,http://host:port...]
 //	           [-input file.iloc | -corpus dir] [-c 4] [-jobs]
-//	           [-duration 5s] [-requests N] [-deadline-ms N]
+//	           [-duration 5s] [-requests N]
 //	           [-retry-429 N] [-strategy name] [-require-strategy name]
-//	           [-machine name] [-require-machine name]
-//	           [-phases cold,warm] [-expect-verified]
+//	           [-machine name] [-require-machine name] [-expect-verified]
 //	           [-require-cache-hits N] [-require-disk-hits N]
 //	           [-code-out file] [-out file]
 //
@@ -58,16 +57,10 @@
 // -duration. Shed responses (429) are counted and retried-by-looping —
 // they are part of the server's overload contract, not failures. Any
 // other non-200, a transport error, a body that fails to decode, or
-// (under -expect-verified) a 200 carrying an unverified or failed unit
-// is an error; the tool exits nonzero if any occurred, which is how the
-// smoke test asserts the "only 200 or 429, every 200 verified"
-// contract.
-//
-// -phases runs the same workload once per named phase, back to back
-// against the same daemon, and reports each phase separately in the
-// output's "phases" array (the top-level numbers stay the aggregate).
-// The canonical use is "-phases cold,warm": the first pass populates
-// the server's result cache and the second exercises warm serving.
+// a 200 carrying no units, a failed unit or (under -expect-verified) an
+// unverified one is an error; the tool exits nonzero if any occurred,
+// which is how the smoke test asserts the "only 200 or 429, every 200
+// verified" contract. The same per-unit check holds for -jobs results.
 //
 // -require-cache-hits / -require-disk-hits fail the run unless the
 // servers' 200 responses reported at least N cache hits (respectively
@@ -92,8 +85,7 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -105,33 +97,21 @@ import (
 	"repro/internal/server"
 )
 
-// report is the JSON the tool writes. With -phases the top level stays
-// the aggregate across all phases and "phases" carries the per-phase
-// breakdown.
+// report is the JSON the tool writes.
 type report struct {
-	GoVersion   string `json:"go_version"`
-	NumCPU      int    `json:"num_cpu"`
 	URL         string `json:"url"`
 	Concurrency int    `json:"concurrency"`
-	DeadlineMs  int    `json:"deadline_ms,omitempty"`
 	// JobsMode marks a run driven through the async job API
 	// (submit/poll/stream) instead of POST /v1/allocate; JobsExpired
 	// counts polls answered 410 "job_expired" — jobs reaped by
 	// retention before this tool read their results.
-	JobsMode       bool    `json:"jobs_mode,omitempty"`
-	JobsExpired    int64   `json:"jobs_expired,omitempty"`
-	DurationSec    float64 `json:"duration_sec"`
-	Requests       int64   `json:"requests"`
-	OK             int64   `json:"ok"`
-	Shed           int64   `json:"shed"`
-	Retries429     int64   `json:"retries_429,omitempty"`
-	Errors         int64   `json:"errors"`
-	RequestsPerSec float64 `json:"requests_per_sec"`
-	MeanMs         float64 `json:"mean_ms"`
-	P50Ms          float64 `json:"p50_ms"`
-	P90Ms          float64 `json:"p90_ms"`
-	P99Ms          float64 `json:"p99_ms"`
-	MaxMs          float64 `json:"max_ms"`
+	JobsMode    bool  `json:"jobs_mode,omitempty"`
+	JobsExpired int64 `json:"jobs_expired,omitempty"`
+	Requests    int64 `json:"requests"`
+	OK          int64 `json:"ok"`
+	Shed        int64 `json:"shed"`
+	Retries429  int64 `json:"retries_429,omitempty"`
+	Errors      int64 `json:"errors"`
 	// CacheHits/CacheDiskHits total what the 200 responses reported:
 	// units served from the daemon's result cache, and the subset served
 	// by its persistent disk tier.
@@ -141,31 +121,10 @@ type report struct {
 	// through the routing proxy this is the observed request spread, and
 	// the cluster smoke test greps it to pick a victim that is serving.
 	Backends map[string]int64 `json:"backends,omitempty"`
-	// Phases carries the per-phase breakdown when -phases is set.
-	Phases []phaseReport `json:"phases,omitempty"`
 	// ServerStore is the daemon's store.* metrics (per-tier cache
 	// counters) scraped from GET /metrics after the run; absent when the
 	// endpoint has none.
 	ServerStore map[string]int64 `json:"server_store,omitempty"`
-}
-
-// phaseReport is one -phases leg.
-type phaseReport struct {
-	Name           string  `json:"name"`
-	DurationSec    float64 `json:"duration_sec"`
-	Requests       int64   `json:"requests"`
-	OK             int64   `json:"ok"`
-	Shed           int64   `json:"shed"`
-	Retries429     int64   `json:"retries_429,omitempty"`
-	Errors         int64   `json:"errors"`
-	RequestsPerSec float64 `json:"requests_per_sec"`
-	MeanMs         float64 `json:"mean_ms"`
-	P50Ms          float64 `json:"p50_ms"`
-	P90Ms          float64 `json:"p90_ms"`
-	P99Ms          float64 `json:"p99_ms"`
-	MaxMs          float64 `json:"max_ms"`
-	CacheHits      int64   `json:"cache_hits"`
-	CacheDiskHits  int64   `json:"cache_disk_hits,omitempty"`
 }
 
 // shotResult is what one request contributed beyond its status code.
@@ -183,16 +142,14 @@ func main() {
 	input := flag.String("input", "testdata/sumabs.iloc", "ILOC source file to allocate")
 	conc := flag.Int("c", 4, "concurrent closed-loop workers")
 	jobsMode := flag.Bool("jobs", false, "drive the async job API (submit, poll, stream results) instead of POST /v1/allocate")
-	duration := flag.Duration("duration", 5*time.Second, "how long to run each phase (ignored with -requests)")
-	requests := flag.Int64("requests", 0, "send exactly this many requests per phase instead of running for -duration")
-	deadlineMs := flag.Int("deadline-ms", 0, "X-Deadline-Ms header to send (0 = none)")
+	duration := flag.Duration("duration", 5*time.Second, "how long to run (ignored with -requests)")
+	requests := flag.Int64("requests", 0, "send exactly this many requests instead of running for -duration")
 	retry429 := flag.Int("retry-429", 0, "retry a shed (429) request up to N times, honoring Retry-After")
 	strategy := flag.String("strategy", "", "allocation strategy to request (empty = server default)")
 	requireStrategy := flag.String("require-strategy", "", "fail unless GET /v1/strategies lists this name")
 	machine := flag.String("machine", "", "target machine to request: a zoo name or regs=N (empty = server default)")
 	requireMachine := flag.String("require-machine", "", "fail unless GET /v1/machines lists this name")
 	corpusDir := flag.String("corpus", "", "replay a written corpus directory (see cmd/rcorpus) instead of -input; units round-robin as request bodies")
-	phases := flag.String("phases", "", "comma-separated phase names; the workload runs once per phase (e.g. cold,warm)")
 	expectVerified := flag.Bool("expect-verified", false, "treat an unverified unit in a 200 as an error")
 	requireCacheHits := flag.Int64("require-cache-hits", -1, "fail unless responses reported at least N cache hits in total")
 	requireDiskHits := flag.Int64("require-disk-hits", -1, "fail unless responses reported at least N disk-tier cache hits in total")
@@ -222,6 +179,9 @@ func main() {
 		}
 	}
 
+	// One bounded client for every call, so a wedged daemon fails the
+	// run instead of hanging it.
+	client := &http.Client{Timeout: 2 * time.Minute}
 	for _, t := range targets {
 		if *waitReady > 0 {
 			if err := awaitReady(t, *waitReady); err != nil {
@@ -229,12 +189,12 @@ func main() {
 			}
 		}
 		if *requireStrategy != "" {
-			if err := checkStrategyListed(t, *requireStrategy); err != nil {
+			if err := checkListed(client, t, "/v1/strategies", *requireStrategy); err != nil {
 				fail(err)
 			}
 		}
 		if *requireMachine != "" {
-			if err := checkMachineListed(t, *requireMachine); err != nil {
+			if err := checkListed(client, t, "/v1/machines", *requireMachine); err != nil {
 				fail(err)
 			}
 		}
@@ -284,70 +244,25 @@ func main() {
 		bodies[i] = body
 	}
 
-	phaseNames := []string{""}
-	if *phases != "" {
-		phaseNames = strings.Split(*phases, ",")
-		for _, n := range phaseNames {
-			if strings.TrimSpace(n) == "" {
-				fail(fmt.Errorf("-phases: empty phase name in %q", *phases))
-			}
-		}
-	}
-
-	run := runner{
-		client:         &http.Client{Timeout: 2 * time.Minute},
+	rn := &runner{
+		client:         client,
 		urls:           targets,
 		bodies:         bodies,
-		conc:           *conc,
-		duration:       *duration,
-		requests:       *requests,
-		deadlineMs:     *deadlineMs,
 		retry429:       *retry429,
 		jobs:           *jobsMode,
 		expectVerified: *expectVerified,
-		backends:       make(map[string]int64),
 	}
-
-	r := report{
-		GoVersion:   runtime.Version(),
-		NumCPU:      runtime.NumCPU(),
-		URL:         *url,
-		Concurrency: *conc,
-		DeadlineMs:  *deadlineMs,
-		JobsMode:    *jobsMode,
-	}
-	var allLats []time.Duration
-	for _, name := range phaseNames {
-		pr, lats := run.phase(name)
-		if name != "" {
-			r.Phases = append(r.Phases, pr)
-			fmt.Fprintf(os.Stderr, "rallocload: phase %s: %d ok, %d shed, %d error(s) in %.2fs (%.0f req/s, p99 %.2fms, %d cache hits, %d from disk)\n",
-				pr.Name, pr.OK, pr.Shed, pr.Errors, pr.DurationSec, pr.RequestsPerSec, pr.P99Ms, pr.CacheHits, pr.CacheDiskHits)
-		}
-		r.DurationSec += pr.DurationSec
-		r.Requests += pr.Requests
-		r.OK += pr.OK
-		r.Shed += pr.Shed
-		r.Retries429 += pr.Retries429
-		r.Errors += pr.Errors
-		r.CacheHits += pr.CacheHits
-		r.CacheDiskHits += pr.CacheDiskHits
-		allLats = append(allLats, lats...)
-	}
-	if r.DurationSec > 0 {
-		r.RequestsPerSec = float64(r.OK) / r.DurationSec
-	}
-	r.MeanMs, r.P50Ms, r.P90Ms, r.P99Ms, r.MaxMs = quantiles(allLats)
-	r.JobsExpired = run.jobsExpired.Load()
-	r.Backends = run.snapshotBackends()
-	r.ServerStore = scrapeStoreMetrics(run.client, targets[0])
+	rn.run(*conc, *requests, *duration)
+	r := rn.rep
+	r.URL, r.Concurrency, r.JobsMode = *url, *conc, *jobsMode
+	r.JobsExpired = rn.jobsExpired.Load()
+	r.ServerStore = scrapeStoreMetrics(client, targets[0])
 
 	if *codeOut != "" {
-		code, _ := run.firstCode.Load().(string)
-		if code == "" {
+		if rn.firstCode == "" {
 			fail(fmt.Errorf("-code-out: no successful response carried code"))
 		}
-		if err := os.WriteFile(*codeOut, []byte(code), 0o644); err != nil {
+		if err := os.WriteFile(*codeOut, []byte(rn.firstCode), 0o644); err != nil {
 			fail(err)
 		}
 	}
@@ -362,11 +277,10 @@ func main() {
 	} else if err := os.WriteFile(*out, data, 0o644); err != nil {
 		fail(err)
 	}
-	fmt.Fprintf(os.Stderr, "rallocload: %d ok, %d shed (%d retried), %d error(s) in %.2fs (%.0f req/s, p50 %.2fms, p99 %.2fms, %d cache hits, %d from disk)\n",
-		r.OK, r.Shed, r.Retries429, r.Errors, r.DurationSec, r.RequestsPerSec, r.P50Ms, r.P99Ms, r.CacheHits, r.CacheDiskHits)
+	fmt.Fprintf(os.Stderr, "rallocload: %d ok, %d shed (%d retried), %d error(s), %d cache hits, %d from disk\n",
+		r.OK, r.Shed, r.Retries429, r.Errors, r.CacheHits, r.CacheDiskHits)
 	if r.Errors > 0 {
-		err, _ := run.firstErr.Load().(error)
-		fail(fmt.Errorf("%d request(s) violated the 200-or-429 contract (first: %v)", r.Errors, err))
+		fail(fmt.Errorf("%d request(s) violated the 200-or-429 contract (first: %v)", r.Errors, rn.firstErr))
 	}
 	if r.OK == 0 {
 		fail(fmt.Errorf("no request succeeded"))
@@ -378,7 +292,7 @@ func main() {
 		fail(fmt.Errorf("responses reported %d disk-tier hit(s), want at least %d", r.CacheDiskHits, *requireDiskHits))
 	}
 	if *requireAuditClean {
-		if err := checkAuditClean(run.client, targets[0]); err != nil {
+		if err := checkAuditClean(client, targets[0]); err != nil {
 			fail(err)
 		}
 	}
@@ -413,254 +327,196 @@ func checkAuditClean(client *http.Client, base string) error {
 	return nil
 }
 
-// runner holds the fixed workload shared by all phases plus the
-// cross-phase capture slots (first error, first allocated code) and the
-// cross-phase per-backend attribution counts.
+// runner holds the fixed workload and folds every request's outcome
+// into the report, with the first error and the first allocated code.
 type runner struct {
 	client         *http.Client
 	urls           []string
 	bodies         [][]byte
-	conc           int
-	duration       time.Duration
-	requests       int64
-	deadlineMs     int
 	retry429       int
 	jobs           bool
 	expectVerified bool
-	firstErr       atomic.Value
-	firstCode      atomic.Value
 	next           atomic.Int64
-	nextBody       atomic.Int64
 	jobsExpired    atomic.Int64
 
-	mu       sync.Mutex
-	backends map[string]int64
+	mu        sync.Mutex
+	rep       report
+	firstErr  error
+	firstCode string
 }
 
-// snapshotBackends copies the per-backend 200 counts for the report.
-func (rn *runner) snapshotBackends() map[string]int64 {
-	rn.mu.Lock()
-	defer rn.mu.Unlock()
-	if len(rn.backends) == 0 {
-		return nil
+// run drives conc closed-loop workers, each keeping one request in
+// flight, until requests have been sent (when > 0) or d has passed.
+func (rn *runner) run(conc int, requests int64, d time.Duration) {
+	var sent atomic.Int64
+	deadline := time.Now().Add(d)
+	more := func() bool {
+		if requests > 0 {
+			return sent.Add(1) <= requests
+		}
+		return !time.Now().After(deadline)
 	}
-	out := make(map[string]int64, len(rn.backends))
-	for k, v := range rn.backends {
-		out[k] = v
-	}
-	return out
-}
-
-// phase runs one closed-loop leg of the workload and summarizes it.
-func (rn *runner) phase(name string) (phaseReport, []time.Duration) {
-	var (
-		sent, ok, shed, errs atomic.Int64
-		retries              atomic.Int64
-		hits, diskHits       atomic.Int64
-		mu                   sync.Mutex
-		lats                 []time.Duration
-	)
-	deadline := time.Now().Add(rn.duration)
 	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < rn.conc; w++ {
+	for w := 0; w < conc; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var local []time.Duration
-			for {
-				if rn.requests > 0 {
-					if sent.Add(1) > rn.requests {
-						break
-					}
-				} else {
-					if time.Now().After(deadline) {
-						break
-					}
-					sent.Add(1)
-				}
-				t0 := time.Now()
-				sr, rerr := rn.shoot()
-				lat := time.Since(t0)
-				retries.Add(sr.retries)
-				switch {
-				case rerr != nil:
-					errs.Add(1)
-					rn.firstErr.CompareAndSwap(nil, rerr)
-				case sr.status == http.StatusTooManyRequests:
-					shed.Add(1)
-				default:
-					ok.Add(1)
-					hits.Add(sr.hits)
-					diskHits.Add(sr.diskHits)
-					if sr.code != "" {
-						rn.firstCode.CompareAndSwap(nil, sr.code)
-					}
-					if sr.backend != "" {
-						rn.mu.Lock()
-						rn.backends[sr.backend]++
-						rn.mu.Unlock()
-					}
-					local = append(local, lat)
-				}
+			for more() {
+				rn.record(rn.shoot())
 			}
-			mu.Lock()
-			lats = append(lats, local...)
-			mu.Unlock()
 		}()
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-
-	pr := phaseReport{
-		Name:          name,
-		DurationSec:   elapsed.Seconds(),
-		Requests:      ok.Load() + shed.Load() + errs.Load(),
-		OK:            ok.Load(),
-		Shed:          shed.Load(),
-		Retries429:    retries.Load(),
-		Errors:        errs.Load(),
-		CacheHits:     hits.Load(),
-		CacheDiskHits: diskHits.Load(),
-	}
-	if elapsed > 0 {
-		pr.RequestsPerSec = float64(pr.OK) / elapsed.Seconds()
-	}
-	pr.MeanMs, pr.P50Ms, pr.P90Ms, pr.P99Ms, pr.MaxMs = quantiles(lats)
-	return pr, lats
 }
 
-// shoot sends one allocation request — round-robin across the targets —
-// and classifies the answer. A 429 is retried up to -retry-429 times,
-// honoring the response's Retry-After (capped so a hostile hint cannot
-// stall a worker); sr.retries counts the retries spent. Any error
-// return counts against the serving contract.
+// record folds one request's outcome into the report.
+func (rn *runner) record(sr shotResult, err error) {
+	rn.mu.Lock()
+	defer rn.mu.Unlock()
+	r := &rn.rep
+	r.Requests++
+	r.Retries429 += sr.retries
+	switch {
+	case err != nil:
+		r.Errors++
+		if rn.firstErr == nil {
+			rn.firstErr = err
+		}
+	case sr.status == http.StatusTooManyRequests:
+		r.Shed++
+	default:
+		r.OK++
+		r.CacheHits += sr.hits
+		r.CacheDiskHits += sr.diskHits
+		if rn.firstCode == "" {
+			rn.firstCode = sr.code
+		}
+		if sr.backend != "" {
+			if r.Backends == nil {
+				r.Backends = make(map[string]int64)
+			}
+			r.Backends[sr.backend]++
+		}
+	}
+}
+
+// shoot sends one request — round-robin across the targets and bodies —
+// and classifies the answer. Any error return counts against the
+// serving contract.
 func (rn *runner) shoot() (shotResult, error) {
-	base := rn.urls[int(rn.next.Add(1)-1)%len(rn.urls)]
-	body := rn.bodies[int(rn.nextBody.Add(1)-1)%len(rn.bodies)]
+	i := int(rn.next.Add(1) - 1)
+	base, body := rn.urls[i%len(rn.urls)], rn.bodies[i%len(rn.bodies)]
 	if rn.jobs {
 		return rn.shootJob(base, body)
 	}
 	return rn.shootSync(base, body)
 }
 
-// shootSync drives one synchronous POST /v1/allocate round trip.
-func (rn *runner) shootSync(base string, body []byte) (shotResult, error) {
-	var sr shotResult
+// post sends body to url, retrying a 429 up to -retry-429 times and
+// honoring its Retry-After; sr.retries counts the retries spent. The
+// caller reads and closes the returned response, which is a 429 only
+// once the budget is spent.
+func (rn *runner) post(sr *shotResult, url string, body []byte) (*http.Response, error) {
 	for {
-		req, err := http.NewRequest(http.MethodPost, base+"/v1/allocate", bytes.NewReader(body))
+		resp, err := rn.client.Post(url, "application/json", bytes.NewReader(body))
 		if err != nil {
-			return sr, err
+			return nil, err
 		}
-		req.Header.Set("Content-Type", "application/json")
-		if rn.deadlineMs > 0 {
-			req.Header.Set("X-Deadline-Ms", fmt.Sprintf("%d", rn.deadlineMs))
+		sr.status = resp.StatusCode
+		if resp.StatusCode != http.StatusTooManyRequests || sr.retries >= int64(rn.retry429) {
+			return resp, nil
 		}
-		resp, err := rn.client.Do(req)
-		if err != nil {
-			return sr, err
-		}
-		done, err := rn.classify(&sr, resp)
-		if done || err != nil {
-			return sr, err
-		}
-		// Shed with retry budget left: honor Retry-After, go again.
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
 		sr.retries++
 		time.Sleep(retryWait(resp.Header))
 	}
 }
 
 // retryWait turns a 429's Retry-After into a bounded sleep: the header's
-// delay-seconds capped at 2s, or 100ms when absent/unparseable.
+// delay-seconds capped at 2s (so a hostile hint cannot stall a worker),
+// or 100ms when absent/unparseable.
 func retryWait(h http.Header) time.Duration {
 	if sec, err := strconv.Atoi(h.Get("Retry-After")); err == nil && sec > 0 {
-		d := time.Duration(sec) * time.Second
-		if d > 2*time.Second {
-			d = 2 * time.Second
-		}
-		return d
+		return min(time.Duration(sec)*time.Second, 2*time.Second)
 	}
 	return 100 * time.Millisecond
 }
 
-// classify consumes one response. done=false means "shed, and the retry
-// budget allows another attempt".
-func (rn *runner) classify(sr *shotResult, resp *http.Response) (done bool, err error) {
+// shootSync drives one synchronous POST /v1/allocate round trip.
+func (rn *runner) shootSync(base string, body []byte) (shotResult, error) {
+	var sr shotResult
+	resp, err := rn.post(&sr, base+"/v1/allocate", body)
+	if err != nil {
+		return sr, err
+	}
 	defer resp.Body.Close()
-	sr.status = resp.StatusCode
 	switch resp.StatusCode {
 	case http.StatusTooManyRequests:
-		io.Copy(io.Discard, resp.Body)
-		return sr.retries >= int64(rn.retry429), nil
+		return sr, nil
 	case http.StatusOK:
 		var ar server.AllocateResponse
 		if err := json.NewDecoder(resp.Body).Decode(&ar); err != nil {
-			return true, fmt.Errorf("bad 200 body: %w", err)
+			return sr, fmt.Errorf("bad 200 body: %w", err)
 		}
-		var code strings.Builder
-		for _, u := range ar.Results {
-			if u.Error != "" {
-				return true, fmt.Errorf("unit %s failed: %s", u.Name, u.Error)
-			}
-			if rn.expectVerified && !u.Verified {
-				return true, fmt.Errorf("unit %s not verified", u.Name)
-			}
-			code.WriteString(u.Code)
-		}
-		sr.hits = int64(ar.Stats.CacheHits)
-		sr.diskHits = int64(ar.Stats.CacheDiskHits)
-		sr.code = code.String()
 		sr.backend = resp.Header.Get(server.BackendHeader)
-		return true, nil
+		return sr, rn.checkUnits(&sr, ar.Results)
 	default:
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return true, fmt.Errorf("status %d: %s", resp.StatusCode, b)
+		return sr, fmt.Errorf("status %d: %s", resp.StatusCode, b)
 	}
 }
 
+// checkUnits holds the units of a 200 (a sync response or a job's
+// result stream) to the contract: at least one unit, none failed, and
+// under -expect-verified every one verified. It folds their cache hits
+// and code into sr.
+func (rn *runner) checkUnits(sr *shotResult, units []server.UnitResponse) error {
+	if len(units) == 0 {
+		return fmt.Errorf("200 carried no units")
+	}
+	var code strings.Builder
+	for _, u := range units {
+		if u.Error != "" {
+			return fmt.Errorf("unit %s failed: %s", u.Name, u.Error)
+		}
+		if rn.expectVerified && !u.Verified {
+			return fmt.Errorf("unit %s not verified", u.Name)
+		}
+		if u.CacheHit {
+			sr.hits++
+			if u.CacheTier == "l2" {
+				sr.diskHits++
+			}
+		}
+		code.WriteString(u.Code)
+	}
+	sr.code = code.String()
+	return nil
+}
+
 // shootJob drives one full async job lifecycle: submit, poll until
-// terminal, stream results, and hold every streamed unit to the same
-// verified/no-error bar as a sync 200. Submit sheds retry under the
-// -retry-429 budget like the sync path; poll and stream must answer
-// 200 (a 410 "job_expired" is the explicit retention-expiry verdict,
-// counted in jobs_expired).
+// terminal, stream results, and hold the streamed units to the sync
+// path's checks. Submit sheds retry under the -retry-429 budget like the
+// sync path; poll and stream must answer 200 (a 410 "job_expired" is
+// the explicit retention-expiry verdict, counted in jobs_expired).
 func (rn *runner) shootJob(base string, body []byte) (shotResult, error) {
 	var sr shotResult
+	resp, err := rn.post(&sr, base+"/v1/jobs", body)
+	if err != nil {
+		return sr, err
+	}
+	b, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	resp.Body.Close()
+	if err != nil || resp.StatusCode == http.StatusTooManyRequests {
+		return sr, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return sr, fmt.Errorf("job submit: status %d: %s", resp.StatusCode, b)
+	}
 	var jr server.JobResponse
-	for {
-		req, err := http.NewRequest(http.MethodPost, base+"/v1/jobs", bytes.NewReader(body))
-		if err != nil {
-			return sr, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if rn.deadlineMs > 0 {
-			req.Header.Set("X-Deadline-Ms", fmt.Sprintf("%d", rn.deadlineMs))
-		}
-		resp, err := rn.client.Do(req)
-		if err != nil {
-			return sr, err
-		}
-		body, rerr := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		if rerr != nil {
-			return sr, rerr
-		}
-		sr.status = resp.StatusCode
-		if resp.StatusCode == http.StatusTooManyRequests {
-			if sr.retries >= int64(rn.retry429) {
-				return sr, nil
-			}
-			sr.retries++
-			time.Sleep(retryWait(resp.Header))
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			return sr, fmt.Errorf("job submit: status %d: %s", resp.StatusCode, body)
-		}
-		if err := json.Unmarshal(body, &jr); err != nil {
-			return sr, fmt.Errorf("job submit: bad 200 body: %w", err)
-		}
-		break
+	if err := json.Unmarshal(b, &jr); err != nil {
+		return sr, fmt.Errorf("job submit: bad 200 body: %w", err)
 	}
 	if jr.JobID == "" {
 		return sr, fmt.Errorf("job submit: 200 without job_id")
@@ -674,7 +530,11 @@ func (rn *runner) shootJob(base string, body []byte) (shotResult, error) {
 		return sr, fmt.Errorf("job %s finished %s, want done", jr.JobID, final.State)
 	}
 	sr.backend = final.Backend
-	return sr, rn.streamJob(&sr, base, jr.JobID)
+	units, err := rn.streamJob(base, jr.JobID)
+	if err != nil {
+		return sr, err
+	}
+	return sr, rn.checkUnits(&sr, units)
 }
 
 // pollJob polls a job's status through to a terminal state.
@@ -707,50 +567,31 @@ func (rn *runner) pollJob(base, id string) (server.JobResponse, error) {
 	}
 }
 
-// streamJob reads the job's NDJSON result stream and applies the sync
-// path's per-unit checks, accumulating cache-hit attribution into sr.
-func (rn *runner) streamJob(sr *shotResult, base, id string) error {
+// streamJob reads the job's NDJSON result stream.
+func (rn *runner) streamJob(base, id string) ([]server.UnitResponse, error) {
 	resp, err := rn.client.Get(base + "/v1/jobs/" + id + "/results")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		return rn.jobLookupErr(id, resp.StatusCode, body)
+		return nil, rn.jobLookupErr(id, resp.StatusCode, body)
 	}
-	var code strings.Builder
-	units := 0
+	var units []server.UnitResponse
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		var u server.UnitResponse
 		if err := json.Unmarshal(sc.Bytes(), &u); err != nil {
-			return fmt.Errorf("job results: bad NDJSON line: %w", err)
+			return nil, fmt.Errorf("job results: bad NDJSON line: %w", err)
 		}
-		units++
-		if u.Error != "" {
-			return fmt.Errorf("unit %s failed: %s", u.Name, u.Error)
-		}
-		if rn.expectVerified && !u.Verified {
-			return fmt.Errorf("unit %s not verified", u.Name)
-		}
-		if u.CacheHit {
-			sr.hits++
-			if u.CacheTier == "l2" {
-				sr.diskHits++
-			}
-		}
-		code.WriteString(u.Code)
+		units = append(units, u)
 	}
 	if err := sc.Err(); err != nil {
-		return fmt.Errorf("job results: %w", err)
+		return nil, fmt.Errorf("job results: %w", err)
 	}
-	if units == 0 {
-		return fmt.Errorf("job %s streamed no units", id)
-	}
-	sr.code = code.String()
-	return nil
+	return units, nil
 }
 
 // jobLookupErr classifies a non-200 job poll/stream answer. A 410
@@ -765,24 +606,6 @@ func (rn *runner) jobLookupErr(id string, status int, body []byte) error {
 		return fmt.Errorf("job %s expired before its results were read (410 %s): raise the daemon's -job-retention or poll sooner", id, er.Code)
 	}
 	return fmt.Errorf("job %s lookup: status %d: %s", id, status, body)
-}
-
-// quantiles summarizes a latency sample as (mean, p50, p90, p99, max)
-// in milliseconds. An empty sample is all zeros.
-func quantiles(lats []time.Duration) (mean, p50, p90, p99, max float64) {
-	if len(lats) == 0 {
-		return
-	}
-	sorted := make([]time.Duration, len(lats))
-	copy(sorted, lats)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var sum time.Duration
-	for _, l := range sorted {
-		sum += l
-	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	q := func(p float64) time.Duration { return sorted[int(p*float64(len(sorted)-1))] }
-	return ms(sum / time.Duration(len(sorted))), ms(q(0.50)), ms(q(0.90)), ms(q(0.99)), ms(sorted[len(sorted)-1])
 }
 
 // scrapeStoreMetrics fetches GET /metrics from the first target and
@@ -850,56 +673,36 @@ func awaitReady(base string, timeout time.Duration) error {
 	}
 }
 
-// checkStrategyListed asserts GET /v1/strategies answers 200 and lists
-// the named strategy.
-func checkStrategyListed(base, name string) error {
-	resp, err := http.Get(base + "/v1/strategies")
+// checkListed asserts GET base+path (/v1/strategies or /v1/machines)
+// answers 200 and lists an entry with the given name.
+func checkListed(client *http.Client, base, path, name string) error {
+	resp, err := client.Get(base + path)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("GET /v1/strategies: status %d: %s", resp.StatusCode, b)
+		return fmt.Errorf("GET %s: status %d: %s", path, resp.StatusCode, b)
 	}
-	var sr server.StrategiesResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return fmt.Errorf("GET /v1/strategies: bad body: %w", err)
+	var l struct {
+		server.StrategiesResponse
+		server.MachinesResponse
 	}
-	listed := make([]string, len(sr.Strategies))
-	for i, si := range sr.Strategies {
-		listed[i] = si.Name
-		if si.Name == name {
-			return nil
-		}
+	if err := json.NewDecoder(resp.Body).Decode(&l); err != nil {
+		return fmt.Errorf("GET %s: bad body: %w", path, err)
 	}
-	return fmt.Errorf("GET /v1/strategies does not list %q (got %v)", name, listed)
-}
-
-// checkMachineListed asserts GET /v1/machines answers 200 and lists the
-// named target machine.
-func checkMachineListed(base, name string) error {
-	resp, err := http.Get(base + "/v1/machines")
-	if err != nil {
-		return err
+	var listed []string
+	for _, si := range l.Strategies {
+		listed = append(listed, si.Name)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("GET /v1/machines: status %d: %s", resp.StatusCode, b)
+	for _, mi := range l.Machines {
+		listed = append(listed, mi.Name)
 	}
-	var mr server.MachinesResponse
-	if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
-		return fmt.Errorf("GET /v1/machines: bad body: %w", err)
+	if slices.Contains(listed, name) {
+		return nil
 	}
-	listed := make([]string, len(mr.Machines))
-	for i, mi := range mr.Machines {
-		listed[i] = mi.Name
-		if mi.Name == name {
-			return nil
-		}
-	}
-	return fmt.Errorf("GET /v1/machines does not list %q (got %v)", name, listed)
+	return fmt.Errorf("GET %s does not list %q (got %v)", path, name, listed)
 }
 
 func fail(err error) {

@@ -16,11 +16,10 @@ import (
 
 func testRunner(url string) *runner {
 	return &runner{
-		client:   &http.Client{Timeout: 10 * time.Second},
-		urls:     []string{url},
-		jobs:     true,
-		bodies:   [][]byte{[]byte(`{"units":[{"iloc":"x"}]}`)},
-		backends: make(map[string]int64),
+		client: &http.Client{Timeout: 10 * time.Second},
+		urls:   []string{url},
+		jobs:   true,
+		bodies: [][]byte{[]byte(`{"units":[{"iloc":"x"}]}`)},
 	}
 }
 
@@ -53,6 +52,102 @@ func fakeJobServer(t *testing.T, states []string, results []server.UnitResponse)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts, &polls
+}
+
+// contractFake serves both allocation paths: POST /v1/allocate answers
+// 200 with units, and POST /v1/jobs accepts a job that is done at the
+// first poll and streams the same units. With shed set, both POSTs
+// answer 429 instead; posts counts them.
+func contractFake(t *testing.T, shed bool, units []server.UnitResponse, posts *atomic.Int64) *httptest.Server {
+	t.Helper()
+	mux := http.NewServeMux()
+	accept := func(w http.ResponseWriter, body any) {
+		posts.Add(1)
+		if shed {
+			w.WriteHeader(http.StatusTooManyRequests)
+			return
+		}
+		w.Header().Set(server.BackendHeader, "fake-1")
+		json.NewEncoder(w).Encode(body)
+	}
+	mux.HandleFunc("POST /v1/allocate", func(w http.ResponseWriter, r *http.Request) {
+		accept(w, server.AllocateResponse{Results: units})
+	})
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		accept(w, server.JobResponse{JobID: "job-000003-00000000", State: "queued", Units: len(units)})
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(server.JobResponse{JobID: r.PathValue("id"), State: "done", Units: len(units), Backend: "fake-1"})
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/results", func(w http.ResponseWriter, r *http.Request) {
+		enc := json.NewEncoder(w)
+		for _, u := range units {
+			enc.Encode(u)
+		}
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestShootHoldsBothPathsToOneContract: the sync and the job path share
+// the 429 retry budget and the per-unit check, so an unverified unit and
+// a 200 without units fail either way.
+func TestShootHoldsBothPathsToOneContract(t *testing.T) {
+	hit := server.UnitResponse{Name: "a", Code: "nop\n", Verified: true, CacheHit: true, CacheTier: "l2"}
+	cases := []struct {
+		name    string
+		shed    bool
+		units   []server.UnitResponse
+		wantErr string
+	}{
+		{"verified", false, []server.UnitResponse{hit}, ""},
+		{"shed-past-budget", true, nil, ""},
+		{"unverified", false, []server.UnitResponse{{Name: "a", Code: "nop\n"}}, "not verified"},
+		{"no-units", false, nil, "no units"},
+	}
+	for _, mode := range []string{"allocate", "jobs"} {
+		for _, tc := range cases {
+			t.Run(mode+"/"+tc.name, func(t *testing.T) {
+				var posts atomic.Int64
+				rn := testRunner(contractFake(t, tc.shed, tc.units, &posts).URL)
+				rn.jobs, rn.expectVerified, rn.retry429 = mode == "jobs", true, 2
+				sr, err := rn.shoot()
+				if tc.wantErr != "" {
+					if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+						t.Fatalf("err = %v, want %q", err, tc.wantErr)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.shed {
+					if sr.status != http.StatusTooManyRequests || sr.retries != 2 || posts.Load() != 3 {
+						t.Fatalf("shot %+v after %d posts, want a 429 after 2 retries", sr, posts.Load())
+					}
+					return
+				}
+				if sr.status != http.StatusOK || sr.hits != 1 || sr.diskHits != 1 || sr.code != "nop\n" || sr.backend != "fake-1" {
+					t.Fatalf("shot %+v", sr)
+				}
+			})
+		}
+	}
+}
+
+// TestRunCountsEveryRequest: concurrent workers send exactly -requests
+// requests and the report counts each one once.
+func TestRunCountsEveryRequest(t *testing.T) {
+	var posts atomic.Int64
+	hit := server.UnitResponse{Name: "a", Code: "nop\n", Verified: true, CacheHit: true}
+	rn := testRunner(contractFake(t, false, []server.UnitResponse{hit}, &posts).URL)
+	rn.jobs = false
+	rn.run(4, 40, 0)
+	r := rn.rep
+	if posts.Load() != 40 || r.Requests != 40 || r.OK != 40 || r.CacheHits != 40 || r.Backends["fake-1"] != 40 || rn.firstCode != "nop\n" {
+		t.Fatalf("%d posts, report %+v, first code %q", posts.Load(), r, rn.firstCode)
+	}
 }
 
 func TestShootJobHappyPath(t *testing.T) {

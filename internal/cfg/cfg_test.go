@@ -301,69 +301,6 @@ func TestDominanceFrontiers(t *testing.T) {
 	}
 }
 
-func TestPostdominators(t *testing.T) {
-	rt := build(t, diamondSrc)
-	tree := dom.ComputePost(rt)
-	idx := func(l string) int { return rt.BlockByLabel(l).Index }
-	if tree.Idom[idx("exit")] != -1 {
-		t.Fatal("exit is the postdom root")
-	}
-	if tree.Idom[idx("left")] != idx("join") || tree.Idom[idx("right")] != idx("join") {
-		t.Fatal("join must postdominate the arms")
-	}
-	if tree.Idom[idx("entry")] != idx("join") {
-		t.Fatalf("postidom(entry) = %d, want join", tree.Idom[idx("entry")])
-	}
-	if !tree.Dominates(idx("exit"), idx("entry")) {
-		t.Fatal("exit postdominates everything")
-	}
-}
-
-func TestPostdominatorsMultiExit(t *testing.T) {
-	rt := build(t, `
-routine f(r1)
-a:
-    br gt r1, b, c
-b:
-    retr r1
-c:
-    ldi r2, 0
-    retr r2
-`)
-	tree := dom.ComputePost(rt)
-	idx := func(l string) int { return rt.BlockByLabel(l).Index }
-	if tree.Idom[idx("b")] != -1 || tree.Idom[idx("c")] != -1 {
-		t.Fatal("both exits are roots")
-	}
-	// a's two succ chains reach different roots -> virtual root.
-	if tree.Idom[idx("a")] != -1 {
-		t.Fatalf("postidom(a) = %d, want virtual root (-1)", tree.Idom[idx("a")])
-	}
-}
-
-func TestPostFrontiers(t *testing.T) {
-	rt := build(t, diamondSrc)
-	tree := dom.ComputePost(rt)
-	pdf := dom.PostFrontiers(tree, rt)
-	idx := func(l string) int { return rt.BlockByLabel(l).Index }
-	has := func(b, j int) bool {
-		for _, x := range pdf[b] {
-			if x == j {
-				return true
-			}
-		}
-		return false
-	}
-	// The arms are control dependent on entry.
-	if !has(idx("left"), idx("entry")) || !has(idx("right"), idx("entry")) {
-		t.Fatalf("arms should have entry in their reverse DF: %v", pdf)
-	}
-	// join is control dependent on itself (loop).
-	if !has(idx("join"), idx("join")) {
-		t.Fatal("join should be control dependent on itself")
-	}
-}
-
 func TestDomOrderCoversAll(t *testing.T) {
 	rt := build(t, nestedLoopSrc)
 	tree := dom.Compute(rt)

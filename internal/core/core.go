@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/disjoint"
 	"repro/internal/ig"
@@ -91,27 +90,11 @@ func (o Options) Canonical() Options {
 	return c
 }
 
-// PhaseTimes records wall-clock time per allocator phase for one
-// iteration, mirroring the rows of Table 2.
-type PhaseTimes struct {
-	CFA      time.Duration // control-flow analysis: CFG, dominators, loops
-	Renumber time.Duration // SSA, tags, unions, splits
-	Build    time.Duration // the build–coalesce loop
-	Costs    time.Duration // spill cost estimation
-	Color    time.Duration // simplify + select
-	Spill    time.Duration // spill code insertion
-}
-
-// Total sums the phases.
-func (p PhaseTimes) Total() time.Duration {
-	return p.CFA + p.Renumber + p.Build + p.Costs + p.Color + p.Spill
-}
-
-// IterationStats describes one round of the allocator: the coarse phase
-// times Table 2 prints, aggregate counts, and the per-pass breakdown the
-// pipeline runner records (see pipeline.go).
+// IterationStats describes one round of the allocator: aggregate counts
+// and the per-pass breakdown the pipeline runner records (see
+// pipeline.go). Each PassStat's Time is the round's only timing record;
+// Table 2 groups it by PassPhase.
 type IterationStats struct {
-	Times     PhaseTimes
 	Spilled   [iloc.NumClasses]int // live ranges spilled this round
 	Remat     [iloc.NumClasses]int // subset of Spilled handled by rematerialization
 	Coalesced int                  // copies removed by coalescing
@@ -142,20 +125,6 @@ type Result struct {
 	// DegradeReason records why (the original failure's message).
 	Degraded      bool
 	DegradeReason string
-}
-
-// TotalTimes sums phase times over all iterations.
-func (r *Result) TotalTimes() PhaseTimes {
-	var t PhaseTimes
-	for _, it := range r.Iterations {
-		t.CFA += it.Times.CFA
-		t.Renumber += it.Times.Renumber
-		t.Build += it.Times.Build
-		t.Costs += it.Times.Costs
-		t.Color += it.Times.Color
-		t.Spill += it.Times.Spill
-	}
-	return t
 }
 
 // classState is the allocator's view of one register class.

@@ -68,9 +68,9 @@ type Pass struct {
 	// metric is the pass's timing-histogram name ("core.pass.<name>"),
 	// precomputed by init so the hot loop never builds strings.
 	metric string
-	// times selects the Table 2 phase row this pass's wall time accrues
-	// to, keeping the coarse PhaseTimes breakdown the experiments print.
-	times func(*PhaseTimes) *time.Duration
+	// phase names the Table 2 row this pass's wall time accrues to
+	// (see PassPhase).
+	phase string
 	// when gates the pass; nil means always run. Skipped passes do not
 	// appear in the iteration's stats.
 	when func(a *allocator, ctx *roundCtx) bool
@@ -116,9 +116,22 @@ func PassNames() []string {
 	return names
 }
 
+// PassPhase names the Table 2 row a pipeline pass's time accrues to:
+// "cfa", "renum", "build", "costs", "color" or "spill". It is empty for
+// a name outside the pipeline, such as the untimed records of the
+// spill-everywhere and ssa-spill strategies.
+func PassPhase(name string) string {
+	for _, p := range allocPipeline {
+		if p.name == name {
+			return p.phase
+		}
+	}
+	return ""
+}
+
 var passCFA = &Pass{
 	name:  "cfa",
-	times: func(t *PhaseTimes) *time.Duration { return &t.CFA },
+	phase: "cfa",
 	run: func(a *allocator, ctx *roundCtx, _ *IterationStats, _ *PassStat) error {
 		if err := cfg.Build(a.rt); err != nil {
 			return err
@@ -137,7 +150,7 @@ var passCFA = &Pass{
 
 var passRenumber = &Pass{
 	name:  "renumber",
-	times: func(t *PhaseTimes) *time.Duration { return &t.Renumber },
+	phase: "renum",
 	run: func(a *allocator, ctx *roundCtx, st *IterationStats, ps *PassStat) error {
 		splits, err := a.renumber(ctx.tree, ctx.loops)
 		if err != nil {
@@ -151,7 +164,7 @@ var passRenumber = &Pass{
 
 var passBuild = &Pass{
 	name:  "build",
-	times: func(t *PhaseTimes) *time.Duration { return &t.Build },
+	phase: "build",
 	run: func(a *allocator, _ *roundCtx, _ *IterationStats, ps *PassStat) error {
 		for _, cs := range a.classes {
 			a.buildGraph(cs)
@@ -163,7 +176,7 @@ var passBuild = &Pass{
 
 var passCoalesceAggressive = &Pass{
 	name:  "coalesce",
-	times: func(t *PhaseTimes) *time.Duration { return &t.Build },
+	phase: "build",
 	run: func(a *allocator, _ *roundCtx, st *IterationStats, ps *PassStat) error {
 		// Unrestricted coalescing of ordinary copies (§4.2's first
 		// round), on the graph the build pass just built.
@@ -176,7 +189,7 @@ var passCoalesceAggressive = &Pass{
 
 var passCoalesceConservative = &Pass{
 	name:  "coalesce-cons",
-	times: func(t *PhaseTimes) *time.Duration { return &t.Build },
+	phase: "build",
 	when: func(a *allocator, _ *roundCtx) bool {
 		return a.params.remat && !a.params.noCoalesce
 	},
@@ -194,7 +207,7 @@ var passCoalesceConservative = &Pass{
 
 var passChaitinTags = &Pass{
 	name:  "tags",
-	times: func(t *PhaseTimes) *time.Duration { return &t.Build },
+	phase: "build",
 	when:  func(a *allocator, _ *roundCtx) bool { return !a.params.remat },
 	run: func(a *allocator, _ *roundCtx, _ *IterationStats, _ *PassStat) error {
 		// Chaitin's whole-range rule: a live range rematerializes only
@@ -210,7 +223,7 @@ var passChaitinTags = &Pass{
 
 var passCosts = &Pass{
 	name:  "costs",
-	times: func(t *PhaseTimes) *time.Duration { return &t.Costs },
+	phase: "costs",
 	run: func(a *allocator, _ *roundCtx, _ *IterationStats, _ *PassStat) error {
 		for _, cs := range a.classes {
 			a.computeCosts(cs)
@@ -221,7 +234,7 @@ var passCosts = &Pass{
 
 var passProfitableSpills = &Pass{
 	name:  "spill-profitable",
-	times: func(t *PhaseTimes) *time.Duration { return &t.Spill },
+	phase: "spill",
 	run: func(a *allocator, ctx *roundCtx, st *IterationStats, ps *PassStat) error {
 		// Profitable spills (§5.2: "some spills are profitable"): a
 		// rematerializable range whose deleted definitions outweigh its
@@ -251,7 +264,7 @@ var passProfitableSpills = &Pass{
 
 var passSimplify = &Pass{
 	name:  "simplify",
-	times: func(t *PhaseTimes) *time.Duration { return &t.Color },
+	phase: "color",
 	run: func(a *allocator, _ *roundCtx, _ *IterationStats, _ *PassStat) error {
 		for _, cs := range a.classes {
 			a.simplify(cs)
@@ -262,7 +275,7 @@ var passSimplify = &Pass{
 
 var passSelect = &Pass{
 	name:  "select",
-	times: func(t *PhaseTimes) *time.Duration { return &t.Color },
+	phase: "color",
 	run: func(a *allocator, ctx *roundCtx, st *IterationStats, ps *PassStat) error {
 		for ci, cs := range a.classes {
 			ctx.spilled[ci] = a.selectColors(cs)
@@ -278,7 +291,7 @@ var passSelect = &Pass{
 
 var passRewrite = &Pass{
 	name:  "rewrite",
-	times: func(t *PhaseTimes) *time.Duration { return &t.Color },
+	phase: "color",
 	when:  func(_ *allocator, ctx *roundCtx) bool { return !ctx.anySpill },
 	run: func(a *allocator, ctx *roundCtx, _ *IterationStats, _ *PassStat) error {
 		if err := a.rewriteColors(); err != nil {
@@ -294,7 +307,7 @@ var passRewrite = &Pass{
 
 var passSpillInsert = &Pass{
 	name:  "spill",
-	times: func(t *PhaseTimes) *time.Duration { return &t.Spill },
+	phase: "spill",
 	when:  func(_ *allocator, ctx *roundCtx) bool { return ctx.anySpill },
 	run: func(a *allocator, ctx *roundCtx, st *IterationStats, ps *PassStat) error {
 		a.resetSlots()
@@ -340,7 +353,6 @@ func (a *allocator) round() (IterationStats, bool, error) {
 		if tel.Enabled() {
 			tel.Observe(p.metric, ps.Time.Nanoseconds())
 		}
-		*p.times(&st.Times) += ps.Time
 		st.Passes = append(st.Passes, ps)
 		if err != nil {
 			iterSpan.End()
@@ -460,7 +472,11 @@ func FormatStats(res *Result) string {
 		}
 	}
 	spilled, remat := 0, 0
+	var total time.Duration
 	for _, it := range res.Iterations {
+		for _, ps := range it.Passes {
+			total += ps.Time
+		}
 		for _, n := range it.Spilled {
 			spilled += n
 		}
@@ -469,6 +485,6 @@ func FormatStats(res *Result) string {
 		}
 	}
 	fmt.Fprintf(&b, "%d iteration(s), %d range(s) spilled (%d rematerialized), total %v\n",
-		len(res.Iterations), spilled, remat, res.TotalTimes().Total())
+		len(res.Iterations), spilled, remat, total)
 	return b.String()
 }

@@ -1,9 +1,8 @@
 // Package dom computes dominator trees and dominance frontiers using the
 // iterative algorithm of Cooper, Harvey and Kennedy ("A Simple, Fast
-// Dominance Algorithm") and the frontier construction of Cytron et al.
-// Both forward and reverse (postdominance) variants are provided; the
-// paper's control-flow-analysis phase ("cfa" in Table 2) computes forward
-// and reverse dominators plus dominance frontiers.
+// Dominance Algorithm") and the frontier construction of Cytron et al.,
+// the dominance information the paper's control-flow-analysis phase
+// ("cfa" in Table 2) computes.
 package dom
 
 import (
@@ -19,7 +18,7 @@ type Tree struct {
 	Idom []int
 	// Children[b] lists the blocks immediately dominated by b.
 	Children [][]int
-	// Order is a reverse postorder of the (possibly reversed) CFG; the
+	// Order is a reverse postorder of the CFG; the
 	// renaming walk in SSA construction uses Children, while iterative
 	// dataflow uses Order.
 	Order []*iloc.Block
@@ -28,35 +27,9 @@ type Tree struct {
 }
 
 // Compute returns the dominator tree of the routine's CFG (edges must be
-// built). Blocks[0] is the root.
+// built), rooted at the entry block.
 func Compute(rt *iloc.Routine) *Tree {
 	n := len(rt.Blocks)
-	succs := func(b *iloc.Block) []*iloc.Block { return b.Succs }
-	preds := func(b *iloc.Block) []*iloc.Block { return b.Preds }
-	return compute(rt.Blocks, []*iloc.Block{rt.Entry()}, succs, preds, n)
-}
-
-// ComputePost returns the postdominator tree. Because a routine may have
-// several exit blocks (ret/retr/retf), the walk starts from all of them;
-// Idom of an exit block is -1. Infinite loops (blocks that cannot reach an
-// exit) would be unpostdominated; Verify-clean routines produced by the
-// suite always reach an exit.
-func ComputePost(rt *iloc.Routine) *Tree {
-	var exits []*iloc.Block
-	for _, b := range rt.Blocks {
-		if t := b.Terminator(); t != nil && t.Op.IsRet() {
-			exits = append(exits, b)
-		}
-	}
-	succs := func(b *iloc.Block) []*iloc.Block { return b.Preds }
-	preds := func(b *iloc.Block) []*iloc.Block { return b.Succs }
-	return compute(rt.Blocks, exits, succs, preds, len(rt.Blocks))
-}
-
-// compute implements Cooper-Harvey-Kennedy over an abstract edge
-// orientation. roots lists the entry nodes of the walk (several for the
-// reverse graph); a virtual super-root with index -1 dominates them all.
-func compute(blocks []*iloc.Block, roots []*iloc.Block, succs, preds func(*iloc.Block) []*iloc.Block, n int) *Tree {
 	t := &Tree{
 		Idom:     make([]int, n),
 		Children: make([][]int, n),
@@ -67,24 +40,21 @@ func compute(blocks []*iloc.Block, roots []*iloc.Block, succs, preds func(*iloc.
 		t.rpoNum[i] = -1
 	}
 
-	// Reverse postorder from the roots.
+	// Reverse postorder from the entry.
 	seen := make([]bool, n)
 	var post []*iloc.Block
 	var dfs func(b *iloc.Block)
 	dfs = func(b *iloc.Block) {
 		seen[b.Index] = true
-		for _, s := range succs(b) {
+		for _, s := range b.Succs {
 			if !seen[s.Index] {
 				dfs(s)
 			}
 		}
 		post = append(post, b)
 	}
-	for _, r := range roots {
-		if !seen[r.Index] {
-			dfs(r)
-		}
-	}
+	root := rt.Entry()
+	dfs(root)
 	order := make([]*iloc.Block, len(post))
 	for i, b := range post {
 		order[len(post)-1-i] = b
@@ -94,18 +64,13 @@ func compute(blocks []*iloc.Block, roots []*iloc.Block, succs, preds func(*iloc.
 		t.rpoNum[b.Index] = i
 	}
 
-	// Roots hang off a virtual super-root represented by index -1; their
-	// Idom stays -1 (this also makes multi-exit postdominator trees
-	// well-defined). processed marks nodes whose Idom chain is valid.
-	isRoot := make([]bool, n)
+	// The root's Idom stays -1. processed marks nodes whose Idom chain is
+	// valid.
 	processed := make([]bool, n)
-	for _, r := range roots {
-		isRoot[r.Index] = true
-		processed[r.Index] = true
-	}
+	processed[root.Index] = true
 
-	// intersect walks both chains up to the common ancestor; reaching the
-	// virtual root on either side yields the virtual root.
+	// intersect walks both chains up to the common ancestor; walking off
+	// the root on either side yields -1.
 	intersect := func(a, b int) int {
 		for a != b {
 			if a == -1 || b == -1 {
@@ -123,15 +88,15 @@ func compute(blocks []*iloc.Block, roots []*iloc.Block, succs, preds func(*iloc.
 	for changed := true; changed; {
 		changed = false
 		for _, b := range order {
-			if isRoot[b.Index] {
+			if b == root {
 				continue
 			}
 			newIdom := -1
 			first := true
-			for _, p := range preds(b) {
+			for _, p := range b.Preds {
 				pi := p.Index
 				if t.rpoNum[pi] < 0 || !processed[pi] {
-					continue // unreachable in this orientation or not yet processed
+					continue // unreachable or not yet processed
 				}
 				if first {
 					newIdom, first = pi, false
@@ -187,34 +152,6 @@ func Frontiers(t *Tree, rt *iloc.Routine) [][]int {
 			continue
 		}
 		for _, p := range b.Preds {
-			runner := p.Index
-			for runner != -1 && runner != t.Idom[b.Index] {
-				add(runner, b.Index)
-				runner = t.Idom[runner]
-			}
-		}
-	}
-	return df
-}
-
-// PostFrontiers returns reverse dominance frontiers (control dependence),
-// used by splitting scheme 5 in §6 of the paper.
-func PostFrontiers(t *Tree, rt *iloc.Routine) [][]int {
-	n := len(rt.Blocks)
-	df := make([][]int, n)
-	add := func(b, j int) {
-		for _, x := range df[b] {
-			if x == j {
-				return
-			}
-		}
-		df[b] = append(df[b], j)
-	}
-	for _, b := range rt.Blocks {
-		if len(b.Succs) < 2 {
-			continue
-		}
-		for _, p := range b.Succs {
 			runner := p.Index
 			for runner != -1 && runner != t.Idom[b.Index] {
 				add(runner, b.Index)

@@ -141,87 +141,3 @@ func TestQuickFrontierDefinition(t *testing.T) {
 		}
 	}
 }
-
-// Property: postdominator tree computed on the reversed graph matches
-// brute force on the reversed reachability (to any exit).
-func TestQuickPostdominators(t *testing.T) {
-	for seed := int64(60); seed < 75; seed++ {
-		rt := rgen.Generate(rand.New(rand.NewSource(seed)), rgen.Config{Regions: 4})
-		if err := cfg.Build(rt); err != nil {
-			t.Fatal(err)
-		}
-		tr := ComputePost(rt)
-		exits := map[int]bool{}
-		for _, b := range rt.Blocks {
-			if tt := b.Terminator(); tt != nil && tt.Op.IsRet() {
-				exits[b.Index] = true
-			}
-		}
-		// a postdominates b iff every path from b to an exit passes a.
-		brute := func(a, b int) bool {
-			if a == b {
-				return true
-			}
-			seen := make([]bool, len(rt.Blocks))
-			reached := false
-			var walk func(x *iloc.Block)
-			walk = func(x *iloc.Block) {
-				if seen[x.Index] || x.Index == a || reached {
-					return
-				}
-				seen[x.Index] = true
-				if exits[x.Index] {
-					reached = true
-					return
-				}
-				for _, s := range x.Succs {
-					walk(s)
-				}
-			}
-			walk(rt.Blocks[b])
-			return !reached
-		}
-		for a := 0; a < len(rt.Blocks); a++ {
-			for b := 0; b < len(rt.Blocks); b++ {
-				if got, want := tr.Dominates(a, b), brute(a, b); got != want {
-					t.Fatalf("seed %d: PostDominates(%d,%d) = %v, brute says %v", seed, a, b, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestPostFrontiersDiamond(t *testing.T) {
-	rt := build(t, `
-routine f(r1)
-entry:
-    getparam r1, 0
-    br gt r1, a, b
-a:
-    ldi r2, 1
-    jmp join
-b:
-    ldi r2, 2
-    jmp join
-join:
-    retr r2
-`)
-	tr := ComputePost(rt)
-	pdf := PostFrontiers(tr, rt)
-	idx := func(l string) int { return rt.BlockByLabel(l).Index }
-	has := func(b, j int) bool {
-		for _, x := range pdf[b] {
-			if x == j {
-				return true
-			}
-		}
-		return false
-	}
-	// The arms are control dependent on the entry's branch.
-	if !has(idx("a"), idx("entry")) || !has(idx("b"), idx("entry")) {
-		t.Fatalf("control dependence wrong: %v", pdf)
-	}
-	if has(idx("join"), idx("entry")) {
-		t.Fatal("join postdominates entry; must not be control dependent on it")
-	}
-}

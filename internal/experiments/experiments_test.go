@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/target"
 )
 
@@ -89,6 +91,16 @@ func TestTable2Runs(t *testing.T) {
 	for _, w := range []string{"repvid", "tomcatv", "twldrv", "renum", "build", "total"} {
 		if !strings.Contains(text, w) {
 			t.Fatalf("Table 2 text missing %q:\n%s", w, text)
+		}
+	}
+}
+
+// TestTable2RowsCoverEveryPass: a pipeline pass whose time maps to no
+// Table 2 row would silently vanish from the table and its totals.
+func TestTable2RowsCoverEveryPass(t *testing.T) {
+	for _, name := range core.PassNames() {
+		if phase := core.PassPhase(name); !slices.Contains(table2Rows, phase) {
+			t.Errorf("pass %s maps to Table 2 row %q, want one of %v", name, phase, table2Rows)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-
 	"fmt"
 	"strings"
 	"time"
@@ -129,36 +128,33 @@ func newPassTally() *passTally {
 	return &passTally{time: make(map[string]time.Duration), runs: make(map[string]int)}
 }
 
+// table2Rows are Table 2's phase rows in print order; core.PassPhase
+// maps every pipeline pass to one of them.
+var table2Rows = []string{"cfa", "renum", "build", "costs", "color", "spill"}
+
 // averageIterations folds one mode's repeated allocations (already done
-// by the driver) into per-iteration phase averages and a per-pass tally.
-func averageIterations(results []*core.Result) ([]core.PhaseTimes, *passTally) {
+// by the driver) into per-iteration phase averages, keyed by Table 2
+// row, and a per-pass tally.
+func averageIterations(results []*core.Result) ([]map[string]time.Duration, *passTally) {
 	runs := len(results)
-	var acc []core.PhaseTimes
+	var acc []map[string]time.Duration
 	tally := newPassTally()
 	for _, res := range results {
 		for i, it := range res.Iterations {
 			if i >= len(acc) {
-				acc = append(acc, core.PhaseTimes{})
+				acc = append(acc, make(map[string]time.Duration))
 			}
-			acc[i].CFA += it.Times.CFA
-			acc[i].Renumber += it.Times.Renumber
-			acc[i].Build += it.Times.Build
-			acc[i].Costs += it.Times.Costs
-			acc[i].Color += it.Times.Color
-			acc[i].Spill += it.Times.Spill
 			for _, ps := range it.Passes {
+				acc[i][core.PassPhase(ps.Name)] += ps.Time
 				tally.time[ps.Name] += ps.Time
 				tally.runs[ps.Name]++
 			}
 		}
 	}
-	for i := range acc {
-		acc[i].CFA /= time.Duration(runs)
-		acc[i].Renumber /= time.Duration(runs)
-		acc[i].Build /= time.Duration(runs)
-		acc[i].Costs /= time.Duration(runs)
-		acc[i].Color /= time.Duration(runs)
-		acc[i].Spill /= time.Duration(runs)
+	for _, phases := range acc {
+		for phase := range phases {
+			phases[phase] /= time.Duration(runs)
+		}
 	}
 	for name := range tally.time {
 		tally.time[name] /= time.Duration(runs)
@@ -186,28 +182,24 @@ func table2Column(name string, oldResults, newResults []*core.Result) Table2Colu
 		})
 	}
 
-	iters := len(old)
-	if len(nw) > iters {
-		iters = len(nw)
-	}
-	get := func(ts []core.PhaseTimes, i int) core.PhaseTimes {
+	iters := max(len(old), len(nw))
+	get := func(ts []map[string]time.Duration, i int, phase string) time.Duration {
 		if i < len(ts) {
-			return ts[i]
+			return ts[i][phase]
 		}
-		return core.PhaseTimes{}
+		return 0
 	}
-	// cfa is reported once (first iteration), like the paper.
-	col.Cells = append(col.Cells, Table2Cell{Phase: "cfa", Old: get(old, 0).CFA, New: get(nw, 0).CFA})
+	cell := func(i int, phase string) Table2Cell {
+		return Table2Cell{Phase: phase, Old: get(old, i, phase), New: get(nw, i, phase)}
+	}
+	// cfa is reported once (first iteration), like the paper; the spill
+	// row only for iterations that spilled.
+	col.Cells = append(col.Cells, cell(0, "cfa"))
 	for i := 0; i < iters; i++ {
-		o, n := get(old, i), get(nw, i)
-		col.Cells = append(col.Cells,
-			Table2Cell{Phase: "renum", Old: o.Renumber, New: n.Renumber},
-			Table2Cell{Phase: "build", Old: o.Build, New: n.Build},
-			Table2Cell{Phase: "costs", Old: o.Costs, New: n.Costs},
-			Table2Cell{Phase: "color", Old: o.Color, New: n.Color},
-		)
-		if o.Spill > 0 || n.Spill > 0 {
-			col.Cells = append(col.Cells, Table2Cell{Phase: "spill", Old: o.Spill, New: n.Spill})
+		for _, phase := range table2Rows[1:] {
+			if c := cell(i, phase); phase != "spill" || c.Old > 0 || c.New > 0 {
+				col.Cells = append(col.Cells, c)
+			}
 		}
 	}
 	for _, c := range col.Cells {
@@ -217,8 +209,8 @@ func table2Column(name string, oldResults, newResults []*core.Result) Table2Colu
 	// cfa accrues every iteration in reality; fold the remainder into the
 	// totals so they reflect true cost.
 	for i := 1; i < iters; i++ {
-		col.OldTotal += get(old, i).CFA
-		col.NewTotal += get(nw, i).CFA
+		col.OldTotal += get(old, i, "cfa")
+		col.NewTotal += get(nw, i, "cfa")
 	}
 	return col
 }

@@ -144,10 +144,10 @@ func NeverKilled(in *iloc.Instr) bool {
 	return true
 }
 
-// InitialTag gives a value's tag before propagation, from its defining
+// initialTag gives a value's tag before propagation, from its defining
 // instruction: ⊤ for copies and φ-nodes, inst for never-killed
 // instructions, ⊥ for everything else (§3.2).
-func InitialTag(in *iloc.Instr) Tag {
+func initialTag(in *iloc.Instr) Tag {
 	switch {
 	case in.Op == iloc.OpPhi:
 		return TopTag()
@@ -183,12 +183,12 @@ func Propagate(g *ssa.Graph) []Tag {
 			}
 			return tags[in.Src[0].N]
 		default:
-			return InitialTag(in)
+			return initialTag(in)
 		}
 	}
 
 	for v := 1; v < g.NumValues; v++ {
-		tags[v] = InitialTag(g.DefOf[v])
+		tags[v] = initialTag(g.DefOf[v])
 		if tags[v].Kind != Top {
 			work = append(work, v)
 		}

@@ -38,7 +38,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -65,9 +64,8 @@ type Config struct {
 	// cached.
 	Cache driver.ResultCache
 	// Store, when non-nil, is the tiered persistent result store: it
-	// becomes the Cache, its per-tier stats feed /metrics and
-	// /debug/vars, and its disk tier is exported via
-	// GET /v1/cache/bundle.
+	// becomes the Cache, its per-tier stats feed the store.* gauges on
+	// /metrics, and its disk tier is exported via GET /v1/cache/bundle.
 	Store *store.Tiered
 	// MaxInFlight bounds requests allocating concurrently (<= 0:
 	// GOMAXPROCS).
@@ -242,30 +240,8 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s.mux.Handle("/debug/vars", expvar.Handler())
-
-	// Publish the store's per-tier stats as one expvar so /debug/vars
-	// carries them alongside memstats. expvar is process-global and
-	// panics on duplicate names, so the var is registered once and
-	// reads whichever server was constructed last (in production there
-	// is exactly one).
-	if cfg.Store != nil {
-		expStore.Store(cfg.Store)
-		expPublishOnce.Do(func() {
-			expvar.Publish("ralloc.cache", expvar.Func(func() any {
-				if st, _ := expStore.Load().(*store.Tiered); st != nil {
-					return st.Stats()
-				}
-				return nil
-			}))
-		})
-	}
 	return s
 }
-
-var (
-	expPublishOnce sync.Once
-	expStore       atomic.Value // *store.Tiered
-)
 
 // Handler returns the service's HTTP handler tree, ready to mount on an
 // http.Server (or httptest). Every response — allocations, health,

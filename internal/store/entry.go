@@ -45,7 +45,9 @@ const (
 )
 
 // entryMeta is the JSON metadata section: the Result fields (and
-// Routine fields) that the printed code does not carry.
+// Routine fields) that the printed code does not carry. Entries written
+// before PassStat became the only timing record also carry a "Times"
+// object per iteration; decoding ignores it.
 type entryMeta struct {
 	Name          string                `json:"name"`
 	Strategy      string                `json:"strategy,omitempty"`
@@ -87,9 +89,11 @@ func encodeResult(res *core.Result, optionsKey string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: encode meta: %w", err)
 	}
-	code := []byte(iloc.Print(res.Routine))
-	opt := []byte(optionsKey)
+	return frameEntry([]byte(optionsKey), metaJSON, []byte(iloc.Print(res.Routine))), nil
+}
 
+// frameEntry lays out the header and the three sections.
+func frameEntry(opt, metaJSON, code []byte) []byte {
 	h := sha256.New()
 	h.Write(opt)
 	h.Write(metaJSON)
@@ -105,7 +109,7 @@ func encodeResult(res *core.Result, optionsKey string) ([]byte, error) {
 	buf = append(buf, opt...)
 	buf = append(buf, metaJSON...)
 	buf = append(buf, code...)
-	return buf, nil
+	return buf
 }
 
 // decodedEntry is a validated, parsed entry.

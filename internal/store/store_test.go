@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -64,6 +66,46 @@ func TestEntryRoundTrip(t *testing.T) {
 		got.Strategy != res.Strategy ||
 		len(got.Iterations) != len(res.Iterations) {
 		t.Fatalf("result fields differ: got %+v", got)
+	}
+}
+
+// TestEntryWithOldTimesDecodes: entries written before pass timing
+// moved to PassStat alone carry a per-iteration "Times" object in their
+// meta JSON. Such an entry (an old -cache-dir tree or bundle) must still
+// decode and serve byte-identical code.
+func TestEntryWithOldTimesDecodes(t *testing.T) {
+	res, _, optKey := allocateKernel(t, "fehl")
+	data, err := encodeResult(res, optKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := decodeEntry(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := json.Marshal(e.Meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.ReplaceAll(string(meta), `{"Spilled":`,
+		`{"Times":{"CFA":1200,"Renumber":3400,"Build":5600,"Costs":700,"Color":800,"Spill":900},"Spilled":`)
+	if n := strings.Count(old, `"Times"`); n != len(res.Iterations) || n == 0 {
+		t.Fatalf("injected %d Times objects for %d iterations", n, len(res.Iterations))
+	}
+	e, err = decodeEntry(frameEntry([]byte(optKey), []byte(old), e.Code))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if iloc.Print(got.Routine) != iloc.Print(res.Routine) {
+		t.Fatal("old-format entry serves different code")
+	}
+	if got.Routine.FrameWords != res.Routine.FrameWords || len(got.Iterations) != len(res.Iterations) ||
+		got.Iterations[0].Passes[0] != res.Iterations[0].Passes[0] {
+		t.Fatalf("old-format entry lost result fields: got %+v", got)
 	}
 }
 

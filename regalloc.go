@@ -63,14 +63,13 @@ type (
 type Machine = target.Machine
 
 // Options configures Allocate; Result is a finished allocation.
-// IterationStats, PassStat and PhaseTimes expose the instrumented pass
-// pipeline's per-iteration records (Result.Iterations).
+// IterationStats and PassStat expose the instrumented pass pipeline's
+// per-iteration records (Result.Iterations).
 type (
 	Options        = core.Options
 	Result         = core.Result
 	IterationStats = core.IterationStats
 	PassStat       = core.PassStat
-	PhaseTimes     = core.PhaseTimes
 )
 
 // Strategy is a named, registered allocation pipeline: the unit of

@@ -64,12 +64,12 @@ proxypid=$!
 await_file "$tmp/proxy.addr"
 paddr=$(cat "$tmp/proxy.addr")
 
-# Phase 1: multi-phase load through the proxy. The single workload key
-# must route stickily to its ring owner, so the warm phase serves from
-# that backend's cache — locality through the proxy, asserted with
+# Phase 1: load through the proxy. The single workload key must route
+# stickily to its ring owner, so repeat requests serve from that
+# backend's cache — locality through the proxy, asserted with
 # -require-cache-hits. Any non-200/429 or unverified 200 fails here.
 "$tmp/rallocload" -url "http://$paddr" -input testdata/sumabs.iloc \
-    -wait-ready 10s -phases cold,warm -requests 10 -c 2 \
+    -wait-ready 10s -requests 20 -c 2 \
     -expect-verified -retry-429 3 -require-cache-hits 1 \
     -out "$tmp/cluster_phase1.json"
 
