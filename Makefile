@@ -52,7 +52,8 @@ verify:
 # fuzz gives each native fuzz target a short smoke run; longer runs are
 # the same commands with a bigger -fuzztime.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 5s ./internal/iloc
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/iloc
+	$(GO) test -run '^$$' -fuzz '^FuzzParseProgram$$' -fuzztime 5s ./internal/iloc
 	$(GO) test -run '^$$' -fuzz FuzzAllocate -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzLookupStrategy -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 5s ./internal/server

@@ -28,6 +28,7 @@ func Build(rt *iloc.Routine) error {
 		from.Succs = append(from.Succs, to)
 		to.Preds = append(to.Preds, from)
 	}
+	byLabel := rt.BlockIndex()
 	for i, b := range rt.Blocks {
 		t := b.Terminator()
 		if t == nil {
@@ -39,13 +40,13 @@ func Build(rt *iloc.Routine) error {
 		}
 		switch t.Op {
 		case iloc.OpJmp:
-			to := rt.BlockByLabel(t.Label)
+			to := byLabel[t.Label]
 			if to == nil {
 				return fmt.Errorf("cfg: jmp to unknown label %q", t.Label)
 			}
 			addEdge(b, to)
 		case iloc.OpBr:
-			to1, to2 := rt.BlockByLabel(t.Label), rt.BlockByLabel(t.Label2)
+			to1, to2 := byLabel[t.Label], byLabel[t.Label2]
 			if to1 == nil || to2 == nil {
 				return fmt.Errorf("cfg: br to unknown label in %s", b.Label)
 			}

@@ -4,7 +4,7 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/core"
@@ -31,26 +31,58 @@ type Key string
 // round-trips, so formatting of the original source is irrelevant); the
 // options contribute their semantic fields after defaulting, with the
 // machine identified by its register file and cost model rather than its
-// display name.
+// display name. The digest is SHA-256 over the options key, a NUL and
+// the printed routine, appended into one reused buffer.
 func KeyFor(rt *iloc.Routine, opts core.Options) Key {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s", optionsKey(opts), iloc.Print(rt))
-	return Key(hex.EncodeToString(h.Sum(nil)))
+	bp := keyBufs.Get().(*[]byte)
+	buf := appendOptionsKey((*bp)[:0], opts)
+	buf = append(buf, 0)
+	buf = iloc.AppendPrint(buf, rt)
+	sum := sha256.Sum256(buf)
+	if cap(buf) <= maxKeyBuf {
+		*bp = buf
+		keyBufs.Put(bp)
+	}
+	var hexSum [2 * sha256.Size]byte
+	hex.Encode(hexSum[:], sum[:])
+	return Key(hexSum[:])
 }
+
+// keyBufs holds KeyFor's buffers; one larger than maxKeyBuf, from an
+// unusually long routine, is left to the collector.
+var keyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
+
+const maxKeyBuf = 1 << 20
 
 // CanonicalOptionsKey renders the semantic content of opts
 // deterministically — the options half of the cache key. The disk
 // store records it inside each entry so `ralloc-bundle inspect` can
 // say what configuration produced an allocation.
-func CanonicalOptionsKey(opts core.Options) string { return optionsKey(opts) }
+func CanonicalOptionsKey(opts core.Options) string { return string(appendOptionsKey(nil, opts)) }
 
-// optionsKey renders the semantic content of opts deterministically.
-func optionsKey(opts core.Options) string {
+// appendOptionsKey appends the semantic content of opts, rendered
+// deterministically, to dst.
+func appendOptionsKey(dst []byte, opts core.Options) []byte {
 	o := opts.Canonical()
 	m := o.Machine
-	return fmt.Sprintf("strategy=%s regs=%d,%d callersave=%d mem=%d other=%d maxiter=%d verify=%t nodegrade=%t",
-		o.Strategy, m.Regs[0], m.Regs[1], m.CallerSave, m.MemCycles, m.OtherCycles,
-		o.MaxIterations, o.Verify, o.DisableDegradation)
+	dst = append(dst, "strategy="...)
+	dst = append(dst, o.Strategy...)
+	dst = append(dst, " regs="...)
+	dst = strconv.AppendInt(dst, int64(m.Regs[0]), 10)
+	dst = append(dst, ',')
+	dst = strconv.AppendInt(dst, int64(m.Regs[1]), 10)
+	dst = append(dst, " callersave="...)
+	dst = strconv.AppendInt(dst, int64(m.CallerSave), 10)
+	dst = append(dst, " mem="...)
+	dst = strconv.AppendInt(dst, int64(m.MemCycles), 10)
+	dst = append(dst, " other="...)
+	dst = strconv.AppendInt(dst, int64(m.OtherCycles), 10)
+	dst = append(dst, " maxiter="...)
+	dst = strconv.AppendInt(dst, int64(o.MaxIterations), 10)
+	dst = append(dst, " verify="...)
+	dst = strconv.AppendBool(dst, o.Verify)
+	dst = append(dst, " nodegrade="...)
+	return strconv.AppendBool(dst, o.DisableDegradation)
 }
 
 // ResultCache is what the engine needs from a cache: the in-memory

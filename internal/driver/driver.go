@@ -401,7 +401,7 @@ func (e *Engine) allocateUnit(ctx context.Context, u Unit, wsink *telemetry.Sink
 		return res, false, "", nil
 	}
 	if op, persists := cache.(OptionsPutter); persists {
-		op.PutOptions(key, res, optionsKey(opts))
+		op.PutOptions(key, res, CanonicalOptionsKey(opts))
 	} else {
 		cache.Put(key, res)
 	}

@@ -92,6 +92,68 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
+// FuzzParseProgram fuzzes the multi-routine reader the serving hops
+// decode request bodies with. An error must be a *ParseError whose line
+// lies in the source; a program whose routines all verify must print
+// and reparse stably, and the concatenation of its printed routines
+// must read back as the same routines in order.
+func FuzzParseProgram(f *testing.F) {
+	f.Add(sampleSrc)
+	f.Add("routine a(r1,)\nx:\n ret\n")
+	f.Add("routine a()\nx:\n ldi r1, 2,\n retr r1\n")
+	f.Add("routine\ta()\nx:\n\tldi\tr1,\t2\n\tretr\tr1\n")
+	f.Add("routine a()\r\nx:\r\n ldi r1, 2\r\n retr r1\r\n")
+	f.Add("routine a(r1)\nx:\n mov r2, r1    ; split    ; spill\n retr r2 # done\n")
+	f.Add("# routine b()\nroutine a()\nx:\n ret ; routine c()\n")
+	f.Add("routine a()\nx:\n ret\nroutine a()\ny:\n ret\n")
+	f.Add("\u00a0routine a()\nx:\n ret\n\u2003routine b()\ny:\n ret\n")
+	f.Add("routine main(r1)\nentry:\n getparam r1, 0\n setarg r1, 0\n call leaf\n getret r2\n retr r2\n" +
+		"; leaf\nroutine leaf(r1)\ndata k ro 2 = 1.5 2\nentry:\n getparam r1, 0\n frload f1, k, 8\n retf f1\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 1<<14 {
+			t.Skip("oversized input")
+		}
+		rts, err := ParseProgram(src)
+		if err != nil {
+			var pe *ParseError
+			if !errors.As(err, &pe) {
+				t.Fatalf("ParseProgram error is not a *ParseError: %T %v", err, err)
+			}
+			if pe.Line < 0 || pe.Line > strings.Count(src, "\n")+1 {
+				t.Fatalf("ParseError line %d out of range for input", pe.Line)
+			}
+			return
+		}
+		var all strings.Builder
+		for _, rt := range rts {
+			if Verify(rt, false) != nil {
+				return
+			}
+			text := Print(rt)
+			again, err := ParseProgram(text)
+			if err != nil {
+				t.Fatalf("reparse of valid routine failed: %v\n%s", err, text)
+			}
+			if len(again) != 1 || Print(again[0]) != text {
+				t.Fatalf("print/reparse unstable:\n%s", text)
+			}
+			all.WriteString(text)
+		}
+		again, err := ParseProgram(all.String())
+		if err != nil {
+			t.Fatalf("reparse of printed program failed: %v\n%s", err, all.String())
+		}
+		if len(again) != len(rts) {
+			t.Fatalf("printed program reads back as %d routines, want %d", len(again), len(rts))
+		}
+		for i, rt := range again {
+			if Print(rt) != Print(rts[i]) {
+				t.Fatalf("routine %d of the printed program reads back as\n%s\nwant\n%s", i, Print(rt), Print(rts[i]))
+			}
+		}
+	})
+}
+
 // TestParseErrorLocation pins the error API the tools rely on: a
 // per-line failure carries its 1-based line number, whole-source
 // failures use line 0, and Unwrap exposes the cause.

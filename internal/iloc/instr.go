@@ -1,10 +1,5 @@
 package iloc
 
-import (
-	"strconv"
-	"strings"
-)
-
 // Reg names a register: a class plus a number. Before allocation the
 // number is a virtual register id; after allocation it is a physical
 // register (color). Integer register 0 is the reserved frame pointer in
@@ -28,16 +23,8 @@ func (r Reg) IsFP() bool { return r == FP }
 
 // String renders r in assembly syntax: r4, f7, or fp.
 func (r Reg) String() string {
-	switch {
-	case !r.Valid():
-		return "<none>"
-	case r.IsFP():
-		return "fp"
-	case r.Class == ClassInt:
-		return "r" + strconv.Itoa(r.N)
-	default:
-		return "f" + strconv.Itoa(r.N)
-	}
+	var buf [24]byte
+	return string(r.appendTo(buf[:0]))
 }
 
 // IntReg returns the integer register with number n.
@@ -105,59 +92,8 @@ func (in *Instr) Clone() *Instr {
 // String renders the instruction in the canonical assembly syntax used by
 // the parser and printer.
 func (in *Instr) String() string {
-	var b strings.Builder
-	b.WriteString(in.Op.String())
-	ops := make([]string, 0, 4)
-	switch in.Op {
-	case OpPhi:
-		ops = append(ops, in.Dst.String())
-		for _, a := range in.Phi.Args {
-			ops = append(ops, a.String())
-		}
-	case OpBr:
-		b.WriteByte(' ')
-		b.WriteString(in.Cond.String())
-		ops = append(ops, in.Src[0].String(), in.Label, in.Label2)
-	case OpJmp:
-		ops = append(ops, in.Label)
-	default:
-		if in.Op.HasDst() {
-			ops = append(ops, in.Dst.String())
-		}
-		for i := 0; i < in.Op.NSrc(); i++ {
-			ops = append(ops, in.Src[i].String())
-		}
-		if in.Op.HasLabel() {
-			ops = append(ops, in.Label)
-		}
-		if in.Op.HasImm() {
-			ops = append(ops, strconv.FormatInt(in.Imm, 10))
-		}
-		if in.Op.HasFImm() {
-			ops = append(ops, formatFloat(in.FImm))
-		}
-	}
-	if len(ops) > 0 {
-		b.WriteByte(' ')
-		b.WriteString(strings.Join(ops, ", "))
-	}
-	if in.IsSplit {
-		b.WriteString("    ; split")
-	}
-	if in.IsSpill {
-		b.WriteString("    ; spill")
-	}
-	return b.String()
-}
-
-func formatFloat(f float64) string {
-	s := strconv.FormatFloat(f, 'g', -1, 64)
-	// Make sure the token reads as a float (round-trips through the parser
-	// as a float immediate, and as a C double in the translator).
-	if !strings.ContainsAny(s, ".eE") && !strings.Contains(s, "Inf") && !strings.Contains(s, "NaN") {
-		s += ".0"
-	}
-	return s
+	var buf [64]byte
+	return string(in.appendTo(buf[:0]))
 }
 
 // Convenience constructors used by the builder, the spill phase and tests.

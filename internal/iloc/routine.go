@@ -121,6 +121,19 @@ func (r *Routine) BlockByLabel(label string) *Block {
 	return nil
 }
 
+// BlockIndex maps each block label to its block. A caller resolving
+// many labels builds it once instead of calling BlockByLabel, which
+// scans, per label.
+func (r *Routine) BlockIndex() map[string]*Block {
+	idx := make(map[string]*Block, len(r.Blocks))
+	for _, b := range r.Blocks {
+		if _, dup := idx[b.Label]; !dup {
+			idx[b.Label] = b
+		}
+	}
+	return idx
+}
+
 // DataByLabel returns the data item with the given label, or nil.
 func (r *Routine) DataByLabel(label string) *Data {
 	for i := range r.Data {

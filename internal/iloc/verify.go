@@ -29,6 +29,12 @@ func Verify(r *Routine, allowSSA bool) error {
 		}
 		labels[b.Label] = true
 	}
+	data := make(map[string]*Data, len(r.Data))
+	for i := range r.Data {
+		if _, dup := data[r.Data[i].Label]; !dup {
+			data[r.Data[i].Label] = &r.Data[i]
+		}
+	}
 	for bi, b := range r.Blocks {
 		inPhiHead := true
 		for ii, in := range b.Instrs {
@@ -37,7 +43,7 @@ func Verify(r *Routine, allowSSA bool) error {
 				err = checkPhi(r, b, in, allowSSA, inPhiHead)
 			} else {
 				inPhiHead = false
-				err = checkInstr(r, b, ii, in, labels)
+				err = checkInstr(r, b, ii, in, labels, data)
 			}
 			if err != nil {
 				// Every allocation verifies its input, so the location
@@ -82,8 +88,8 @@ func checkPhi(r *Routine, b *Block, in *Instr, allowSSA, inPhiHead bool) error {
 }
 
 // checkInstr checks instruction ii of block b, which is not a φ-node;
-// labels holds the routine's block labels.
-func checkInstr(r *Routine, b *Block, ii int, in *Instr, labels map[string]bool) error {
+// labels holds the routine's block labels and data its data items.
+func checkInstr(r *Routine, b *Block, ii int, in *Instr, labels map[string]bool, data map[string]*Data) error {
 	if in.Op >= numOps {
 		return errors.New("bad opcode")
 	}
@@ -116,11 +122,11 @@ func checkInstr(r *Routine, b *Block, ii int, in *Instr, labels map[string]bool)
 			return errors.New("branch to unknown label")
 		}
 	case OpLda:
-		if r.DataByLabel(in.Label) == nil {
+		if data[in.Label] == nil {
 			return fmt.Errorf("lda of unknown data %q", in.Label)
 		}
 	case OpRload, OpFrload:
-		d := r.DataByLabel(in.Label)
+		d := data[in.Label]
 		if d == nil {
 			return fmt.Errorf("load from unknown data %q", in.Label)
 		}

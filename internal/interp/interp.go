@@ -69,6 +69,7 @@ type Env struct {
 	roLo     int64 // read-only data span [roLo, roHi)
 	roHi     int64
 	routines map[string]*iloc.Routine
+	blocks   map[*iloc.Routine]map[string]*iloc.Block // each routine's BlockIndex
 }
 
 // Outcome reports one execution.
@@ -125,6 +126,10 @@ func New(rt *iloc.Routine, cfg Config) (*Env, error) {
 		e.routines[callee.Name] = callee
 	}
 	e.routines[rt.Name] = rt
+	e.blocks = make(map[*iloc.Routine]map[string]*iloc.Block, len(e.routines))
+	for _, r := range e.routines {
+		e.blocks[r] = r.BlockIndex()
+	}
 
 	frameWords := int64(rt.FrameWords) + int64(cfg.ExtraFrameWords) + maxFPWords(rt) + 8
 	e.frame = frameWords * 8
@@ -291,8 +296,9 @@ func (e *Env) exec(rt *iloc.Routine, args []Value, fpBase int64, depth int, out 
 
 	cur := rt.Entry()
 	ip := 0
+	blocks := e.blocks[rt]
 	branchTo := func(label string) error {
-		b := rt.BlockByLabel(label)
+		b := blocks[label]
 		if b == nil {
 			return fmt.Errorf("interp: jump to unknown label %q", label)
 		}
