@@ -106,9 +106,10 @@ smoke-corpus:
 smoke-jobs:
 	sh scripts/jobs_smoke.sh
 
-# bench runs the go-test benchmark suite once, then the bench/ harness
+# bench runs every go-test benchmark of every package once, so no
+# package microbenchmark can rot unnoticed, then the bench/ harness
 # smoke: every BENCHMARK.json workload, untraced and traced, failing on
 # any wrong allocation. The measured benchmark is `bash bench/run.sh`.
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
+	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 	cd bench && $(GO) test -run TestBenchSmoke ./...

@@ -41,6 +41,9 @@ func (s *Set) Reset(n int) {
 	s.n = n
 }
 
+// Footprint returns the bytes of storage s holds.
+func (s *Set) Footprint() int { return 8 * cap(s.words) }
+
 // Len returns the capacity of the set (the n passed to New or Reset).
 func (s *Set) Len() int { return s.n }
 

@@ -99,49 +99,33 @@ func pruneUnreachable(rt *iloc.Routine) {
 // the entry. Every block is reachable after Build, so the result covers
 // the whole routine.
 func ReversePostorder(rt *iloc.Routine) []*iloc.Block {
-	return new(Orderer).ReversePostorder(rt)
-}
-
-// An Orderer computes reverse postorders in storage it keeps from one
-// call to the next, so ordering a routine again allocates nothing. The
-// zero value is ready to use.
-type Orderer struct {
-	seen  []bool
-	stack []dfsFrame
-	order []*iloc.Block
-}
-
-// dfsFrame is a block on the DFS path and its next successor to visit.
-type dfsFrame struct {
-	b    *iloc.Block
-	next int
-}
-
-// ReversePostorder is the package's ReversePostorder in o's storage. The
-// result is valid until o's next call.
-func (o *Orderer) ReversePostorder(rt *iloc.Routine) []*iloc.Block {
-	o.seen = slices.Grow(o.seen[:0], len(rt.Blocks))[:len(rt.Blocks)]
-	clear(o.seen)
-	o.order = slices.Grow(o.order[:0], len(rt.Blocks))
+	// stack holds the blocks on the DFS path and, for each, the next
+	// successor to visit.
+	type frame struct {
+		b    *iloc.Block
+		next int
+	}
+	seen := make([]bool, len(rt.Blocks))
+	order := make([]*iloc.Block, 0, len(rt.Blocks))
 	entry := rt.Entry()
-	o.seen[entry.Index] = true
-	o.stack = append(o.stack[:0], dfsFrame{b: entry})
-	for len(o.stack) > 0 {
-		top := &o.stack[len(o.stack)-1]
+	seen[entry.Index] = true
+	stack := []frame{{b: entry}}
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
 		if top.next == len(top.b.Succs) {
-			o.order = append(o.order, top.b)
-			o.stack = o.stack[:len(o.stack)-1]
+			order = append(order, top.b)
+			stack = stack[:len(stack)-1]
 			continue
 		}
 		s := top.b.Succs[top.next]
 		top.next++
-		if !o.seen[s.Index] {
-			o.seen[s.Index] = true
-			o.stack = append(o.stack, dfsFrame{b: s})
+		if !seen[s.Index] {
+			seen[s.Index] = true
+			stack = append(stack, frame{b: s})
 		}
 	}
-	slices.Reverse(o.order)
-	return o.order
+	slices.Reverse(order)
+	return order
 }
 
 // SplitCriticalEdges inserts an empty jmp-block on every edge whose source

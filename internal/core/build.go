@@ -3,24 +3,9 @@ package core
 import (
 	"slices"
 
-	"repro/internal/bitset"
-	"repro/internal/ig"
 	"repro/internal/liveness"
 	"repro/internal/remat"
 )
-
-// classScratch is the storage one register class's liveness solves and
-// graph builds reuse. It lives in one allocator, so its lifetime is one
-// allocate call and nothing in it is shared between calls: renumber,
-// build and every coalesce rebuild of every round overwrite it, and a
-// rebuild allocates only where the routine outgrew every earlier one.
-type classScratch struct {
-	live       liveness.Info
-	graph      ig.Graph
-	lv         bitset.Set // the backward walk's live set
-	inCode     []bool
-	acrossCall []bool
-}
 
 // buildGraph constructs the interference graph for one class with
 // Chaitin's backward walk: starting from each block's live-out set, a
@@ -30,17 +15,15 @@ type classScratch struct {
 func (a *allocator) buildGraph(cs *classState) {
 	c := cs.c
 	n := a.rt.NumRegs(c)
-	s := &a.scratch[c]
-	s.graph.Reset(n)
-	s.inCode = resetFlags(s.inCode, n)
-	s.acrossCall = resetFlags(s.acrossCall, n)
-	cs.graph, cs.inCode, cs.acrossCall = &s.graph, s.inCode, s.acrossCall
-	liveness.ComputeInto(&s.live, a.rt, c)
+	cs.graph.Reset(n)
+	cs.inCode = resetTable(cs.inCode, n)
+	cs.acrossCall = resetTable(cs.acrossCall, n)
+	liveness.ComputeInto(&cs.live, a.rt, c, a.tree.Order)
 
-	lv := &s.lv
+	lv := &cs.lv
 	lv.Reset(n)
 	for _, b := range a.rt.Blocks {
-		lv.CopyFrom(s.live.LiveOut[b.Index])
+		lv.CopyFrom(cs.live.LiveOut[b.Index])
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := b.Instrs[i]
 			if in.Op.IsCall() {
@@ -76,12 +59,12 @@ func (a *allocator) buildGraph(cs *classState) {
 	}
 }
 
-// resetFlags returns n false flags in f's storage when it is large
+// resetTable returns n zero elements in s's storage when it is large
 // enough.
-func resetFlags(f []bool, n int) []bool {
-	f = slices.Grow(f[:0], n)[:n]
-	clear(f)
-	return f
+func resetTable[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // coalesceToFixpoint runs one of the pipeline's two coalescing rounds

@@ -36,10 +36,9 @@ func BenchmarkBuildGraph(b *testing.B) {
 	rts, opts := benchCorpus(b)
 	allocs := make([]*allocator, len(rts))
 	for i, rt := range rts {
-		a := &allocator{rt: rt.Clone(), opts: opts, params: strategyParams{remat: true}}
-		ctx := &roundCtx{}
+		a := newAllocator(context.Background(), rt, opts, strategyParams{remat: true}, new(scratch))
 		for _, p := range []*Pass{passCFA, passRenumber} {
-			if err := p.run(a, ctx, &IterationStats{}, &PassStat{}); err != nil {
+			if err := p.run(a, &a.rc, &IterationStats{}, &PassStat{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -51,6 +50,32 @@ func BenchmarkBuildGraph(b *testing.B) {
 		for _, a := range allocs {
 			for _, cs := range a.classes {
 				a.buildGraph(cs)
+			}
+		}
+	}
+}
+
+// BenchmarkRenumber runs the first round's cfa and renumber passes over
+// every corpus routine per op, into one scratch as pooled allocations
+// do. Renumber rewrites its routine, so each op starts from allocators
+// over fresh clones made outside the timer.
+func BenchmarkRenumber(b *testing.B) {
+	rts, opts := benchCorpus(b)
+	sc := new(scratch)
+	allocs := make([]*allocator, len(rts))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j, rt := range rts {
+			allocs[j] = newAllocator(context.Background(), rt, opts, strategyParams{remat: true}, sc)
+		}
+		b.StartTimer()
+		for _, a := range allocs {
+			for _, p := range []*Pass{passCFA, passRenumber} {
+				if err := p.run(a, &a.rc, &IterationStats{}, &PassStat{}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	}

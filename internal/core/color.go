@@ -50,8 +50,9 @@ func (m SpillMetric) evaluate(cost float64, deg int) float64 {
 func (a *allocator) simplify(cs *classState) {
 	k := a.opts.Machine.K(cs.c)
 	n := a.rt.NumRegs(cs.c)
-	deg := make([]int, n)
-	removed := make([]bool, n)
+	cs.deg = resetTable(cs.deg, n)
+	cs.removed = resetTable(cs.removed, n)
+	deg, removed := cs.deg, cs.removed
 	cs.stack = cs.stack[:0]
 
 	// Ranges live across a call can only take the callee-save colors, so
@@ -122,16 +123,20 @@ func (a *allocator) simplify(cs *classState) {
 // selectColors pops the simplify stack and assigns colors 1..k. Biased
 // coloring tries a partner's color first; the one-level lookahead prefers
 // a color that remains available to an uncolored partner (§4.3). It
-// returns the live ranges left uncolored.
-func (a *allocator) selectColors(cs *classState) (spilled []int) {
+// leaves the live ranges left uncolored in cs.spilled.
+func (a *allocator) selectColors(cs *classState) {
 	k := a.opts.Machine.K(cs.c)
 	n := a.rt.NumRegs(cs.c)
-	cs.colors = make([]int, n)
+	cs.colors = resetTable(cs.colors, n)
 	a.findPartners(cs)
+	spilled := cs.spilled[:0]
 
-	forbidden := make([]bool, k+1)
+	cs.forbidden = resetTable(cs.forbidden, k+1)
+	forbidden := cs.forbidden
+	// avail marks the colors v's neighbors hold.
 	avail := func(v int) []bool {
-		f := make([]bool, k+1)
+		f := resetTable(cs.nbColors, k+1)
+		cs.nbColors = f
 		for _, nb := range cs.graph.Neighbors(v) {
 			if col := cs.colors[nb]; col != 0 {
 				f[col] = true
@@ -213,7 +218,7 @@ func (a *allocator) selectColors(cs *classState) (spilled []int) {
 			}
 		}
 	}
-	return spilled
+	cs.spilled = spilled
 }
 
 // rewriteColors replaces every live-range name with its physical color

@@ -17,10 +17,15 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/bitset"
+	"repro/internal/cfg"
 	"repro/internal/disjoint"
+	"repro/internal/dom"
 	"repro/internal/ig"
 	"repro/internal/iloc"
+	"repro/internal/liveness"
 	"repro/internal/remat"
+	"repro/internal/ssa"
 	"repro/internal/target"
 	"repro/internal/telemetry"
 	"repro/internal/verify"
@@ -127,24 +132,44 @@ type Result struct {
 	DegradeReason string
 }
 
-// classState is the allocator's view of one register class.
+// classState is the allocator's view of one register class, and the
+// storage every round of every allocation reuses for it. It lives in a
+// pooled scratch (scratch.go), so nothing in it outlives a pass that
+// did not reset it: renumber resets the live ranges and tags, build
+// the graph and the range flags, costs the costs, simplify the stack
+// and select the colors, and each table is overwritten in place,
+// allocating only where a routine outgrew every earlier one.
 type classState struct {
 	c    iloc.Class
-	sets *disjoint.Sets
+	sets disjoint.Sets // SSA values unioned into live ranges
 	tags []remat.Tag
-	// graph, cost, mustNot, inCode, stack, colors are rebuilt each round;
-	// graph, inCode and acrossCall live in the allocator's scratch.
-	graph    *ig.Graph
-	cost     []float64
-	mustNot  []bool
-	inCode   []bool
-	stack    []int
-	colors   []int
-	partners [][]int
-	// acrossCall marks live ranges live across a call site; the calling
-	// convention restricts them to callee-save colors (those above
-	// Machine.CallerSave).
+	// graph, inCode and acrossCall are rebuilt by build and every
+	// coalesce rebuild. acrossCall marks live ranges live across a call
+	// site; the calling convention restricts them to callee-save colors
+	// (those above Machine.CallerSave).
+	graph      ig.Graph
+	inCode     []bool
 	acrossCall []bool
+	cost       []float64
+	mustNot    []bool
+	stack      []int
+	colors     []int
+	partners   [][]int
+	spilled    []int         // the ranges this round spills
+	slots      map[int]int64 // spilled live range -> fp offset
+	refs       []rangeRefs   // computeCosts' per-range counters
+	deg        []int         // simplify's current degrees
+	removed    []bool        // simplify's removed nodes
+	forbidden  []bool        // select's colors taken by neighbors
+	nbColors   []bool        // select's colors held by a partner's neighbors
+	isSpilled  []bool        // insertSpills' ranges being spilled
+	replaced   []spillTemp   // insertSpills' temporaries in one instruction
+	pending    []pendingCopy // renumber's split copies, by predecessor
+	live       liveness.Info // the latest liveness solve
+	lv         bitset.Set    // build's backward-walk live set
+	ssa        ssa.Graph     // renumber's SSA graph
+	tagWork    []int         // tag propagation's worklist
+	out        []*iloc.Instr // insertSpills' rewritten block
 }
 
 func (cs *classState) find(n int) int { return cs.sets.Find(n) }
@@ -159,12 +184,53 @@ type allocator struct {
 	params strategyParams
 	res    *Result
 
-	classes   [iloc.NumClasses]*classState
-	scratch   [iloc.NumClasses]classScratch
-	frameBase int64 // first fp offset free for spill slots
+	classes [iloc.NumClasses]*classState // the class states of the call's scratch
+
+	// The control-flow analyses round 0's cfa pass computes. No pass
+	// inside the loop adds a block or edits a terminator (jump
+	// threading runs only after the final rewrite), so the edges, the
+	// split critical edges, the dominator tree with its reverse
+	// postorder and frontiers, the loops and Block.Depth all still
+	// hold in every later round.
+	tree  *dom.Tree
+	loops []*cfg.Loop
+	df    [][]int
+
+	rc        roundCtx     // the current round's pass-to-pass state
+	instrs    []iloc.Instr // slab the instructions spill and renumber add are cut from
+	frameBase int64        // first fp offset free for spill slots
 	nextSlot  int
-	slots     [iloc.NumClasses]map[int]int64 // live range -> fp offset
-	roundNo   int                            // current pipeline round (0-based)
+	roundNo   int // current pipeline round (0-based)
+}
+
+// newAllocator returns an allocator over a clone of rt that keeps its
+// per-class tables in sc.
+func newAllocator(ctx context.Context, rt *iloc.Routine, opts Options, params strategyParams, sc *scratch) *allocator {
+	a := &allocator{
+		ctx:    ctx,
+		rt:     rt.Clone(),
+		opts:   opts,
+		params: params,
+		res:    &Result{Machine: opts.Machine},
+	}
+	for c := range sc.classes {
+		cs := &sc.classes[c]
+		cs.c = iloc.Class(c)
+		a.classes[c] = cs
+	}
+	a.frameBase = scanFrameBase(a.rt)
+	return a
+}
+
+// newInstr returns a zero instruction for the routine, cut from the
+// allocator's slab. The slab is not pooled: its instructions end up in
+// the result.
+func (a *allocator) newInstr() *iloc.Instr {
+	if len(a.instrs) == cap(a.instrs) {
+		a.instrs = make([]iloc.Instr, 0, min(64, max(8, 2*cap(a.instrs))))
+	}
+	a.instrs = a.instrs[:len(a.instrs)+1]
+	return &a.instrs[len(a.instrs)-1]
 }
 
 // Allocate maps the routine's virtual registers onto the machine. The
@@ -316,28 +382,22 @@ func allocate(ctx context.Context, rt *iloc.Routine, opts Options, params strate
 			res, err = nil, recovered(rt.Name, "", 0, r)
 		}
 	}()
-	a := &allocator{
-		ctx:    ctx,
-		rt:     rt.Clone(),
-		opts:   opts,
-		params: params,
-		res:    &Result{Machine: opts.Machine},
-	}
-	for c := range a.slots {
-		a.slots[c] = make(map[int]int64)
-	}
-	a.frameBase = scanFrameBase(a.rt)
+	sc := getScratch()
+	defer releaseScratch(sc)
+	return newAllocator(ctx, rt, opts, params, sc).run()
+}
 
-	for iter := 0; iter < opts.MaxIterations; iter++ {
+// run iterates the pipeline until a round colors every live range.
+func (a *allocator) run() (*Result, error) {
+	for iter := 0; iter < a.opts.MaxIterations; iter++ {
 		a.roundNo = iter
 		if err := a.ctxErr(); err != nil {
 			return nil, err
 		}
-		stats, done, err := a.round()
+		done, err := a.round()
 		if err != nil {
 			return nil, err
 		}
-		a.res.Iterations = append(a.res.Iterations, stats)
 		if !done {
 			continue
 		}
@@ -345,8 +405,8 @@ func allocate(ctx context.Context, rt *iloc.Routine, opts Options, params strate
 		return a.res, nil
 	}
 	return nil, &AllocError{
-		Routine: rt.Name, Pass: "loop", Iteration: opts.MaxIterations - 1,
-		Err: fmt.Errorf("allocation did not converge in %d iterations", opts.MaxIterations),
+		Routine: a.rt.Name, Pass: "loop", Iteration: a.opts.MaxIterations - 1,
+		Err: fmt.Errorf("allocation did not converge in %d iterations", a.opts.MaxIterations),
 	}
 }
 
@@ -384,20 +444,23 @@ func scanFrameBase(rt *iloc.Routine) int64 {
 // reassigned by renumber each round, so slots must never be shared
 // across rounds.
 func (a *allocator) resetSlots() {
-	for c := range a.slots {
-		a.slots[c] = make(map[int]int64)
+	for _, cs := range a.classes {
+		if cs.slots == nil {
+			cs.slots = make(map[int]int64)
+		}
+		clear(cs.slots)
 	}
 }
 
 // slotFor returns (allocating if needed) the frame offset of a spilled
 // live range.
-func (a *allocator) slotFor(c iloc.Class, root int) int64 {
-	if off, ok := a.slots[c][root]; ok {
+func (a *allocator) slotFor(cs *classState, root int) int64 {
+	if off, ok := cs.slots[root]; ok {
 		return off
 	}
 	off := a.frameBase + int64(a.nextSlot)*8
 	a.nextSlot++
-	a.slots[c][root] = off
+	cs.slots[root] = off
 	a.rt.FrameWords = int(a.frameBase/8) + a.nextSlot
 	return off
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/iloc"
 )
@@ -27,36 +28,31 @@ func pow10(d int) float64 {
 func (a *allocator) computeCosts(cs *classState) {
 	c := cs.c
 	n := a.rt.NumRegs(c)
-	cs.cost = make([]float64, n)
-	cs.mustNot = make([]bool, n)
+	cs.cost = resetTable(cs.cost, n)
+	cs.mustNot = resetTable(cs.mustNot, n)
+	refs := resetTable(cs.refs, n)
+	cs.refs = refs
 	m := a.opts.Machine
 
 	loadCost := float64(m.MemCycles)
 	storeCost := float64(m.MemCycles)
 
-	// A range must not be respilled only when doing so cannot shrink it:
-	// every definition is spill-born (a reload or rematerialization) and
-	// a single instruction consumes it. Such a range is already minimal —
-	// respilling would just add a load/store shuttle. Crucially, a range
-	// that coalescing merged with real code keeps real definitions or
-	// extra uses and stays spillable; marking it unspillable would let
-	// the infinite cost infect the merged range and leave the colorer
-	// facing unresolvable pressure (found by the random-program tests).
-	spillDefs := make([]int, n)
-	realDefs := make([]int, n)
-	useInstrs := make([]int, n)
-
 	for _, b := range a.rt.Blocks {
 		w := pow10(b.Depth)
-		for _, in := range b.Instrs {
-			counted := map[int]bool{}
-			for _, u := range in.Uses() {
+		for i, in := range b.Instrs {
+			uses := in.Uses()
+			for ui, u := range uses {
 				if u.Class != c || u.N == 0 {
 					continue
 				}
-				if !counted[u.N] {
-					counted[u.N] = true
-					useInstrs[u.N]++
+				refs[u.N].uses++
+				if !slices.Contains(uses[:ui], u) {
+					refs[u.N].useInstrs++
+				}
+				if i > 0 {
+					if d := b.Instrs[i-1].Def(); d.Valid() && d.Class == c && d.N == u.N {
+						refs[u.N].adjacent = true
+					}
 				}
 				t := cs.tags[u.N]
 				if t.Rematerializable() {
@@ -68,9 +64,9 @@ func (a *allocator) computeCosts(cs *classState) {
 			d := in.Def()
 			if d.Valid() && d.Class == c && d.N != 0 {
 				if in.IsSpill {
-					spillDefs[d.N]++
+					refs[d.N].spillDefs++
 				} else {
-					realDefs[d.N]++
+					refs[d.N].realDefs++
 				}
 				t := cs.tags[d.N]
 				if t.Rematerializable() {
@@ -84,48 +80,39 @@ func (a *allocator) computeCosts(cs *classState) {
 		}
 	}
 	for v := 1; v < n; v++ {
-		if spillDefs[v] > 0 && realDefs[v] == 0 && useInstrs[v] <= 1 {
+		r := refs[v]
+		// A range must not be respilled only when doing so cannot
+		// shrink it: every definition is spill-born (a reload or
+		// rematerialization) and a single instruction consumes it.
+		// Such a range is already minimal — respilling would just add a
+		// load/store shuttle. Crucially, a range that coalescing merged
+		// with real code keeps real definitions or extra uses and stays
+		// spillable; marking it unspillable would let the infinite cost
+		// infect the merged range and leave the colorer facing
+		// unresolvable pressure (found by the random-program tests).
+		if r.spillDefs > 0 && r.realDefs == 0 && r.useInstrs <= 1 {
 			cs.mustNot[v] = true
 		}
-	}
-	// Chaitin's adjacency rule: a range with a single definition whose
-	// only use immediately follows it gains nothing from spilling — the
-	// reload would sit exactly where the value already is. Give it
-	// infinite cost so simplify never chooses it.
-	type refs struct {
-		defs, uses int
-		adjacent   bool
-	}
-	seen := make([]refs, n)
-	for _, b := range a.rt.Blocks {
-		for i, in := range b.Instrs {
-			for _, u := range in.Uses() {
-				if u.Class != c || u.N == 0 {
-					continue
-				}
-				seen[u.N].uses++
-				if i > 0 {
-					if d := b.Instrs[i-1].Def(); d.Valid() && d.Class == c && d.N == u.N {
-						seen[u.N].adjacent = true
-					}
-				}
-			}
-			if d := in.Def(); d.Valid() && d.Class == c && d.N != 0 {
-				seen[d.N].defs++
-			}
-		}
-	}
-	for v, r := range seen {
-		if r.defs == 1 && r.uses == 1 && r.adjacent {
+		// Chaitin's adjacency rule: a range with a single definition
+		// whose only use immediately follows it gains nothing from
+		// spilling — the reload would sit exactly where the value
+		// already is. Give it infinite cost so simplify never chooses
+		// it.
+		if r.spillDefs+r.realDefs == 1 && r.uses == 1 && r.adjacent {
 			cs.mustNot[v] = true
 		}
+		if cs.mustNot[v] {
+			cs.cost[v] = math.Inf(1)
+		}
 	}
+}
 
-	for i := range cs.cost {
-		if cs.mustNot[i] {
-			cs.cost[i] = math.Inf(1)
-		}
-	}
+// rangeRefs counts one live range's references for computeCosts.
+type rangeRefs struct {
+	spillDefs, realDefs int // definitions inserted by spill code, and the rest
+	uses                int // operand slots reading the range
+	useInstrs           int // instructions reading the range
+	adjacent            bool
 }
 
 // findPartners records, for biased coloring, the ranges connected by the
@@ -133,14 +120,15 @@ func (a *allocator) computeCosts(cs *classState) {
 // coloring, the allocator finds partners — values connected by splits").
 func (a *allocator) findPartners(cs *classState) {
 	n := a.rt.NumRegs(cs.c)
-	cs.partners = make([][]int, n)
+	// Growing keeps the vectors past the old length, and so their storage.
+	cs.partners = slices.Grow(cs.partners[:0], n)[:n]
+	for i := range cs.partners {
+		cs.partners[i] = cs.partners[i][:0]
+	}
 	add := func(x, y int) {
-		for _, p := range cs.partners[x] {
-			if p == y {
-				return
-			}
+		if !slices.Contains(cs.partners[x], y) {
+			cs.partners[x] = append(cs.partners[x], y)
 		}
-		cs.partners[x] = append(cs.partners[x], y)
 	}
 	a.rt.ForEachInstr(func(_ *iloc.Block, _ int, in *iloc.Instr) {
 		if !in.Op.IsCopy() || in.Dst.Class != cs.c || in.Src[0].IsFP() {

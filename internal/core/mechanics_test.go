@@ -619,12 +619,15 @@ entry:
 `)
 	a := &allocator{rt: rt}
 	cs := &classState{c: iloc.ClassInt}
-	cs.sets = disjointNewFor(rt)
+	cs.sets.Reset(rt.NumRegs(iloc.ClassInt))
 	cs.tags = make([]remat.Tag, rt.NumRegs(iloc.ClassInt))
 	b := rt.Blocks[0]
 	before := len(b.Instrs)
 
-	a.emitParallelCopy(cs, b, []copyPair{{dst: 1, src: 2}, {dst: 2, src: 1}})
+	a.emitParallelCopy(cs, b, []pendingCopy{
+		{pred: b, copyPair: copyPair{dst: 1, src: 2}},
+		{pred: b, copyPair: copyPair{dst: 2, src: 1}},
+	})
 
 	// Three copies must be emitted (temp = one side, then the two
 	// assignments), placed before the terminator.

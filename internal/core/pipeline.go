@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/dom"
-	"repro/internal/iloc"
 	"repro/internal/telemetry"
 )
 
@@ -44,14 +43,10 @@ type PassStat struct {
 	Remat     int
 }
 
-// roundCtx carries the state that flows between the passes of one round:
-// the control-flow analyses the early passes produce and the uncolored
-// ranges select hands to spill insertion.
+// roundCtx carries the state that flows between the passes of one
+// round; the uncolored ranges select hands to spill insertion are each
+// class's classState.spilled.
 type roundCtx struct {
-	tree  *dom.Tree
-	loops []*cfg.Loop
-
-	spilled  [iloc.NumClasses][]int
 	anySpill bool
 
 	stop bool // end this round early and go around the loop again
@@ -132,7 +127,10 @@ func PassPhase(name string) string {
 var passCFA = &Pass{
 	name:  "cfa",
 	phase: "cfa",
-	run: func(a *allocator, ctx *roundCtx, _ *IterationStats, _ *PassStat) error {
+	run: func(a *allocator, _ *roundCtx, _ *IterationStats, _ *PassStat) error {
+		if a.tree != nil {
+			return nil // a later round: round 0's analyses still hold
+		}
 		if err := cfg.Build(a.rt); err != nil {
 			return err
 		}
@@ -143,7 +141,7 @@ var passCFA = &Pass{
 		if err != nil {
 			return err
 		}
-		ctx.tree, ctx.loops = tree, loops
+		a.tree, a.loops, a.df = tree, loops, dom.Frontiers(tree, a.rt)
 		return nil
 	},
 }
@@ -151,8 +149,8 @@ var passCFA = &Pass{
 var passRenumber = &Pass{
 	name:  "renumber",
 	phase: "renum",
-	run: func(a *allocator, ctx *roundCtx, st *IterationStats, ps *PassStat) error {
-		splits, err := a.renumber(ctx.tree, ctx.loops)
+	run: func(a *allocator, _ *roundCtx, st *IterationStats, ps *PassStat) error {
+		splits, err := a.renumber()
 		if err != nil {
 			return err
 		}
@@ -242,12 +240,13 @@ var passProfitableSpills = &Pass{
 		// instructions outright, registers or no registers. Handle these
 		// before coloring and go around the loop again.
 		for ci, cs := range a.classes {
-			var neg []int
+			neg := cs.spilled[:0]
 			for v := 1; v < a.rt.NumRegs(cs.c); v++ {
 				if cs.inCode[v] && cs.find(v) == v && !cs.mustNot[v] && cs.cost[v] < 0 {
 					neg = append(neg, v)
 				}
 			}
+			cs.spilled = neg
 			if len(neg) > 0 {
 				a.resetSlots()
 				spilled, remat := a.insertSpills(cs, neg)
@@ -278,10 +277,10 @@ var passSelect = &Pass{
 	phase: "color",
 	run: func(a *allocator, ctx *roundCtx, st *IterationStats, ps *PassStat) error {
 		for ci, cs := range a.classes {
-			ctx.spilled[ci] = a.selectColors(cs)
-			st.Spilled[ci] = len(ctx.spilled[ci])
-			ps.Spilled += len(ctx.spilled[ci])
-			if len(ctx.spilled[ci]) > 0 {
+			a.selectColors(cs)
+			st.Spilled[ci] = len(cs.spilled)
+			ps.Spilled += len(cs.spilled)
+			if len(cs.spilled) > 0 {
 				ctx.anySpill = true
 			}
 		}
@@ -309,11 +308,11 @@ var passSpillInsert = &Pass{
 	name:  "spill",
 	phase: "spill",
 	when:  func(_ *allocator, ctx *roundCtx) bool { return ctx.anySpill },
-	run: func(a *allocator, ctx *roundCtx, st *IterationStats, ps *PassStat) error {
+	run: func(a *allocator, _ *roundCtx, st *IterationStats, ps *PassStat) error {
 		a.resetSlots()
 		for ci, cs := range a.classes {
-			if len(ctx.spilled[ci]) > 0 {
-				spilled, remat := a.insertSpills(cs, ctx.spilled[ci])
+			if len(cs.spilled) > 0 {
+				spilled, remat := a.insertSpills(cs, cs.spilled)
 				st.Remat[ci] += remat
 				ps.Spilled += spilled
 				ps.Remat += remat
@@ -323,47 +322,49 @@ var passSpillInsert = &Pass{
 	},
 }
 
-// round drives one trip through the pipeline. done is true when select
-// colored every live range and the code has been rewritten to physical
-// colors.
+// round drives one trip through the pipeline, recording its statistics
+// as the result's next iteration. done is true when select colored
+// every live range and the code has been rewritten to physical colors.
 //
 // Telemetry: each executed pass runs inside a telemetry span — the
 // span's clock is the PassStat timing source, so the trace, the metrics
 // histograms and the -stats table can never disagree — and the whole
 // round is wrapped in an iteration span. With no sink installed the
 // spans are zero-allocation no-ops that still read the clock.
-func (a *allocator) round() (IterationStats, bool, error) {
-	var st IterationStats
-	ctx := &roundCtx{}
+func (a *allocator) round() (bool, error) {
+	a.res.Iterations = append(a.res.Iterations, IterationStats{Passes: make([]PassStat, 0, len(allocPipeline))})
+	st := &a.res.Iterations[len(a.res.Iterations)-1]
+	a.rc = roundCtx{}
+	ctx := &a.rc
 	tel := a.opts.Telemetry
 	iterSpan := tel.StartSpan(telemetry.CatIteration, "iteration")
 	iterSpan.Arg("iteration", int64(a.roundNo))
 	for _, p := range allocPipeline {
 		if err := a.ctxErr(); err != nil {
 			iterSpan.End()
-			return st, false, err
+			return false, err
 		}
 		if p.when != nil && !p.when(a, ctx) {
 			continue
 		}
-		ps := PassStat{Name: p.name}
+		st.Passes = append(st.Passes, PassStat{Name: p.name})
+		ps := &st.Passes[len(st.Passes)-1]
 		sp := tel.StartSpan(telemetry.CatPass, p.name)
-		err := a.runPass(p, ctx, &st, &ps)
-		ps.Time = endPassSpan(&sp, &ps)
+		err := a.runPass(p, ctx, st, ps)
+		ps.Time = endPassSpan(&sp, ps)
 		if tel.Enabled() {
 			tel.Observe(p.metric, ps.Time.Nanoseconds())
 		}
-		st.Passes = append(st.Passes, ps)
 		if err != nil {
 			iterSpan.End()
-			return st, false, err
+			return false, err
 		}
 		if ctx.stop || ctx.done {
 			break
 		}
 	}
 	iterSpan.End()
-	return st, ctx.done, nil
+	return ctx.done, nil
 }
 
 // endPassSpan annotates the span with the pass's recorded effect (only
@@ -436,9 +437,6 @@ func (a *allocator) runPass(p *Pass, ctx *roundCtx, st *IterationStats, ps *Pass
 func (a *allocator) graphStats(ps *PassStat) {
 	ps.Nodes, ps.Edges = 0, 0
 	for _, cs := range a.classes {
-		if cs == nil || cs.graph == nil {
-			continue
-		}
 		for v := 1; v < len(cs.inCode); v++ {
 			if cs.inCode[v] && cs.find(v) == v {
 				ps.Nodes++

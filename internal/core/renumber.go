@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/cfg"
-	"repro/internal/disjoint"
-	"repro/internal/dom"
 	"repro/internal/iloc"
 	"repro/internal/liveness"
 	"repro/internal/remat"
@@ -25,32 +23,27 @@ import (
 // In chaitin steps 4–6 collapse to "union every value reaching each
 // φ" with no splits, recreating Chaitin's live ranges, and tags are
 // computed afterwards by his whole-range rule.
-func (a *allocator) renumber(tree *dom.Tree, loops []*cfg.Loop) (splits int, err error) {
+func (a *allocator) renumber() (splits int, err error) {
 	// Liveness for both classes must precede SSA construction (the
 	// liveness solver rejects φ-nodes).
-	for c := iloc.Class(0); c < iloc.NumClasses; c++ {
-		liveness.ComputeInto(&a.scratch[c].live, a.rt, c)
+	for _, cs := range a.classes {
+		liveness.ComputeInto(&cs.live, a.rt, cs.c, a.tree.Order)
 	}
-	var graphs [iloc.NumClasses]*ssa.Graph
-	for c := iloc.Class(0); c < iloc.NumClasses; c++ {
-		g, err := ssa.Build(a.rt, c, tree, &a.scratch[c].live)
-		if err != nil {
+	for _, cs := range a.classes {
+		if err := ssa.BuildInto(&cs.ssa, a.rt, cs.c, a.tree, a.df, &cs.live); err != nil {
 			return 0, fmt.Errorf("core: renumber: %w", err)
 		}
-		graphs[c] = g
 	}
 
-	for c := iloc.Class(0); c < iloc.NumClasses; c++ {
-		cs := &classState{c: c}
-		a.classes[c] = cs
-		g := graphs[c]
-		cs.sets = disjoint.New(g.NumValues)
+	for _, cs := range a.classes {
+		g := &cs.ssa
+		cs.sets.Reset(g.NumValues)
 
 		if a.params.remat {
-			cs.tags = remat.Propagate(g)
+			cs.tags = remat.PropagateInto(cs.tags, &cs.tagWork, g)
 			splits += a.renumberRemat(cs)
 		} else {
-			cs.tags = make([]remat.Tag, g.NumValues)
+			cs.tags = resetTable(cs.tags, g.NumValues)
 			a.renumberChaitin(cs)
 		}
 
@@ -66,7 +59,7 @@ func (a *allocator) renumber(tree *dom.Tree, loops []*cfg.Loop) (splits int, err
 	if a.params.remat && a.roundNo == 0 &&
 		a.params.split != SplitNone && a.params.split != SplitAtPhis {
 		for _, cs := range a.classes {
-			splits += a.applyLoopSplits(cs, loops)
+			splits += a.applyLoopSplits(cs, a.loops)
 		}
 	}
 	return splits, nil
@@ -94,9 +87,10 @@ func (a *allocator) renumberRemat(cs *classState) int {
 		b.Instrs = kept
 	}
 
-	// Step 6: φ operands. Group the needed splits by predecessor block so
-	// each group can be sequentialized as one parallel copy.
-	pending := make(map[*iloc.Block][]copyPair)
+	// Step 6: φ operands. Collect the needed splits with their
+	// predecessor blocks, to sequentialize each block's group as one
+	// parallel copy.
+	pending := cs.pending[:0]
 	splits := 0
 	for _, b := range a.rt.Blocks {
 		kept := b.Instrs[:0]
@@ -112,20 +106,27 @@ func (a *allocator) renumberRemat(cs *classState) int {
 					cs.tags[root] = remat.Meet(cs.tags[arg.N], cs.tags[res])
 					continue
 				}
-				pred := b.Preds[i]
-				pending[pred] = append(pending[pred], copyPair{dst: res, src: arg.N})
+				pending = append(pending, pendingCopy{pred: b.Preds[i], copyPair: copyPair{dst: res, src: arg.N}})
 				splits++
 			}
 			// φ removed (not kept).
 		}
 		b.Instrs = kept
 	}
+	cs.pending = pending
 
-	// Emit each block's splits as a sequentialized parallel copy. The
-	// destinations are φ results (distinct), the sources end-of-block
-	// values; a cycle (swap) needs one temporary.
-	for pred, pairs := range pending {
-		a.emitParallelCopy(cs, pred, pairs)
+	// Emit each block's splits as a sequentialized parallel copy, the
+	// blocks in code order. The destinations are φ results (distinct),
+	// the sources end-of-block values; a cycle (swap) needs one
+	// temporary.
+	slices.SortStableFunc(pending, func(x, y pendingCopy) int { return x.pred.Index - y.pred.Index })
+	for len(pending) > 0 {
+		n := 1
+		for n < len(pending) && pending[n].pred == pending[0].pred {
+			n++
+		}
+		a.emitParallelCopy(cs, pending[0].pred, pending[:n])
+		pending = pending[n:]
 	}
 	return splits
 }
@@ -133,20 +134,29 @@ func (a *allocator) renumberRemat(cs *classState) int {
 // copyPair is one dst ← src element of a parallel copy.
 type copyPair struct{ dst, src int }
 
+// pendingCopy is a split copy waiting for the end of its predecessor
+// block.
+type pendingCopy struct {
+	pred *iloc.Block
+	copyPair
+}
+
 // emitParallelCopy appends split copies for the (dst ← src) pairs to the
 // end of pred (before its terminator), in an order that preserves the
-// parallel-copy semantics of the φ-nodes they replace.
-func (a *allocator) emitParallelCopy(cs *classState, pred *iloc.Block, pairs []copyPair) {
+// parallel-copy semantics of the φ-nodes they replace. It consumes
+// pairs.
+func (a *allocator) emitParallelCopy(cs *classState, pred *iloc.Block, pairs []pendingCopy) {
 	// Work on union-find roots? No: these are SSA value names, pre-union
 	// within this step they are distinct values; dst names are φ results
 	// and never sources of the same parallel copy unless a φ result feeds
 	// another φ through this same edge.
 	emit := func(dst, src int) {
-		cp := iloc.MakeMov(iloc.Reg{Class: cs.c, N: dst}, iloc.Reg{Class: cs.c, N: src})
+		cp := a.newInstr()
+		*cp = *iloc.MakeMov(iloc.Reg{Class: cs.c, N: dst}, iloc.Reg{Class: cs.c, N: src})
 		cp.IsSplit = true
 		pred.AppendBeforeTerminator(cp)
 	}
-	remaining := append([]copyPair(nil), pairs...)
+	remaining := pairs
 	for len(remaining) > 0 {
 		progressed := false
 		for i := 0; i < len(remaining); i++ {
@@ -259,10 +269,4 @@ func (a *allocator) computeChaitinTags(cs *classState) {
 			cs.tags[i] = remat.BottomTag()
 		}
 	}
-}
-
-// disjointNewFor builds a fresh union-find forest sized to the routine's
-// integer register space (white-box test helper).
-func disjointNewFor(rt *iloc.Routine) *disjoint.Sets {
-	return disjoint.New(rt.NumRegs(iloc.ClassInt))
 }

@@ -22,7 +22,8 @@ func errUncolored(a *allocator, in *iloc.Instr) error {
 // pipeline's stats.
 func (a *allocator) insertSpills(cs *classState, spilled []int) (n, remat int) {
 	c := cs.c
-	isSpilled := make(map[int]bool, len(spilled))
+	isSpilled := resetTable(cs.isSpilled, a.rt.NumRegs(c))
+	cs.isSpilled = isSpilled
 	for _, v := range spilled {
 		isSpilled[v] = true
 		n++
@@ -34,7 +35,7 @@ func (a *allocator) insertSpills(cs *classState, spilled []int) (n, remat int) {
 	a.res.RematSpills += remat
 
 	for _, b := range a.rt.Blocks {
-		out := make([]*iloc.Instr, 0, len(b.Instrs)+8)
+		out := cs.out[:0]
 		for _, in := range b.Instrs {
 			d := in.Def()
 			defSpilled := d.Valid() && d.Class == c && d.N != 0 && isSpilled[d.N]
@@ -50,31 +51,37 @@ func (a *allocator) insertSpills(cs *classState, spilled []int) (n, remat int) {
 
 			// Reload (or rematerialize) each spilled use into a fresh
 			// temporary; one temporary per range per instruction.
-			replaced := make(map[int]iloc.Reg)
+			replaced := cs.replaced[:0]
 			uses := in.Uses()
 			for ui := range uses {
 				u := uses[ui]
 				if u.Class != c || u.N == 0 || !isSpilled[u.N] {
 					continue
 				}
-				t, ok := replaced[u.N]
+				t, ok := iloc.NoReg, false
+				for _, r := range replaced {
+					if r.n == u.N {
+						t, ok = r.temp, true
+						break
+					}
+				}
 				if !ok {
 					t = a.rt.NewReg(c)
-					replaced[u.N] = t
-					tag := cs.tagOf(u.N)
-					if tag.Rematerializable() {
-						ri := tag.Instr.Clone()
+					replaced = append(replaced, spillTemp{n: u.N, temp: t})
+					ri := a.newInstr()
+					if tag := cs.tagOf(u.N); tag.Rematerializable() {
+						*ri = *tag.Instr
 						ri.Dst = t
 						ri.IsSpill = true
 						ri.IsSplit = false
-						out = append(out, ri)
 					} else {
-						out = append(out, &iloc.Instr{
+						*ri = iloc.Instr{
 							Op:  reloadOp(c),
 							Dst: t, Src: [2]iloc.Reg{iloc.FP, iloc.NoReg},
-							Imm: a.slotFor(c, u.N), IsSpill: true,
-						})
+							Imm: a.slotFor(cs, u.N), IsSpill: true,
+						}
 					}
+					out = append(out, ri)
 				}
 				if in.Op == iloc.OpPhi {
 					in.Phi.Args[ui] = t
@@ -82,25 +89,34 @@ func (a *allocator) insertSpills(cs *classState, spilled []int) (n, remat int) {
 					in.Src[ui] = t
 				}
 			}
+			cs.replaced = replaced
 
 			if defSpilled { // ⊥ range: redirect the def and store it
 				t := a.rt.NewReg(c)
 				in.Dst = t
-				out = append(out, in)
-				st := &iloc.Instr{
+				st := a.newInstr()
+				*st = iloc.Instr{
 					Op:  storeOp(c),
 					Dst: iloc.NoReg,
 					Src: [2]iloc.Reg{t, iloc.FP},
-					Imm: a.slotFor(c, d.N), IsSpill: true,
+					Imm: a.slotFor(cs, d.N), IsSpill: true,
 				}
-				out = append(out, st)
+				out = append(out, in, st)
 				continue
 			}
 			out = append(out, in)
 		}
-		b.Instrs = out
+		cs.out = out
+		b.Instrs = append(b.Instrs[:0], out...)
 	}
 	return n, remat
+}
+
+// spillTemp is the temporary one spilled range is reloaded into for
+// one instruction.
+type spillTemp struct {
+	n    int
+	temp iloc.Reg
 }
 
 func reloadOp(c iloc.Class) iloc.Op {

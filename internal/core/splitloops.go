@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/cfg"
 	"repro/internal/iloc"
 	"repro/internal/liveness"
@@ -49,7 +51,9 @@ func (a *allocator) applyLoopSplits(cs *classState, loops []*cfg.Loop) int {
 	var selected []*cfg.Loop
 	switch a.params.split {
 	case SplitAllLoops, SplitInactiveLoops:
-		selected = loops
+		// A copy: the sort below must not reorder the allocator's
+		// cached loops.
+		selected = slices.Clone(loops)
 	case SplitOuterLoops:
 		for _, l := range loops {
 			if l.Depth == 1 {
@@ -71,8 +75,8 @@ func (a *allocator) applyLoopSplits(cs *classState, loops []*cfg.Loop) int {
 	splits := 0
 	alreadySplit := make(map[int]bool) // scheme 3: outermost loop only
 	for _, l := range selected {
-		live := &a.scratch[cs.c].live
-		liveness.ComputeInto(live, a.rt, cs.c)
+		live := &cs.live
+		liveness.ComputeInto(live, a.rt, cs.c, a.tree.Order)
 		inLoop := make(map[*iloc.Block]bool, len(l.Blocks))
 		for _, b := range l.Blocks {
 			inLoop[b] = true

@@ -5,6 +5,8 @@
 // disjoint-set union" role described in §4.1 of the paper.
 package disjoint
 
+import "slices"
+
 // Sets is a union-find forest over the integers 0..n-1, using union by
 // rank and path halving.
 type Sets struct {
@@ -15,12 +17,25 @@ type Sets struct {
 
 // New returns a forest of n singleton sets.
 func New(n int) *Sets {
-	s := &Sets{parent: make([]int32, n), rank: make([]int8, n), count: n}
+	s := new(Sets)
+	s.Reset(n)
+	return s
+}
+
+// Reset makes s a forest of n singleton sets, reusing its storage when
+// that is large enough. The zero value may be Reset.
+func (s *Sets) Reset(n int) {
+	s.parent = slices.Grow(s.parent[:0], n)[:n]
 	for i := range s.parent {
 		s.parent[i] = int32(i)
 	}
-	return s
+	s.rank = slices.Grow(s.rank[:0], n)[:n]
+	clear(s.rank)
+	s.count = n
 }
+
+// Footprint returns the bytes of storage s holds.
+func (s *Sets) Footprint() int { return 4*cap(s.parent) + cap(s.rank) }
 
 // Len returns the number of elements in the forest.
 func (s *Sets) Len() int { return len(s.parent) }

@@ -46,6 +46,16 @@ func (g *Graph) Reset(n int) {
 	}
 }
 
+// Footprint returns the bytes of storage g holds, adjacency vectors
+// included.
+func (g *Graph) Footprint() int {
+	b := 8*cap(g.matrix) + 4*cap(g.degree) + 24*cap(g.adj)
+	for _, v := range g.adj[:cap(g.adj)] {
+		b += 4 * cap(v)
+	}
+	return b
+}
+
 // Len returns the number of nodes.
 func (g *Graph) Len() int { return g.n }
 

@@ -1,6 +1,9 @@
 package iloc
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Block is a basic block: a label, a straight-line instruction sequence
 // ending in at most one terminator, and its CFG edges. Edges are filled in
@@ -179,7 +182,10 @@ func (r *Routine) ForEachInstr(f func(b *Block, i int, in *Instr)) {
 
 // Clone returns a deep copy of the routine (blocks, instructions, data).
 // CFG edges are remapped into the clone; analysis results such as Depth
-// are preserved.
+// are preserved. The blocks, the instructions, the instruction lists
+// and the edge lists are each cut from one slab, every list capped at
+// its length, so appending to one block's list never writes into
+// another's.
 func (r *Routine) Clone() *Routine {
 	c := &Routine{
 		Name:       r.Name,
@@ -194,24 +200,55 @@ func (r *Routine) Clone() *Routine {
 		c.Data[i] = d
 		c.Data[i].Init = append([]float64(nil), d.Init...)
 	}
-	old2new := make(map[*Block]*Block, len(r.Blocks))
+	nInstrs, nEdges := 0, 0
 	for _, b := range r.Blocks {
-		nb := &Block{Index: b.Index, Label: b.Label, Depth: b.Depth}
-		nb.Instrs = make([]*Instr, len(b.Instrs))
-		for i, in := range b.Instrs {
-			nb.Instrs[i] = in.Clone()
-		}
-		c.Blocks = append(c.Blocks, nb)
-		old2new[b] = nb
+		nInstrs += len(b.Instrs)
+		nEdges += len(b.Succs) + len(b.Preds)
 	}
-	for _, b := range r.Blocks {
-		nb := old2new[b]
-		for _, s := range b.Succs {
-			nb.Succs = append(nb.Succs, old2new[s])
+	blocks := make([]Block, len(r.Blocks))
+	instrs := make([]Instr, nInstrs)
+	lists := make([]*Instr, nInstrs)
+	edges := make([]*Block, nEdges)
+	c.Blocks = make([]*Block, len(r.Blocks))
+	for i, b := range r.Blocks {
+		nb := &blocks[i]
+		nb.Index, nb.Label, nb.Depth = b.Index, b.Label, b.Depth
+		n := len(b.Instrs)
+		nb.Instrs, lists = lists[:n:n], lists[n:]
+		for j, in := range b.Instrs {
+			instrs[j] = *in
+			if in.Phi != nil {
+				instrs[j].Phi = &Phi{Args: append([]Reg(nil), in.Phi.Args...)}
+			}
+			nb.Instrs[j] = &instrs[j]
 		}
-		for _, p := range b.Preds {
-			nb.Preds = append(nb.Preds, old2new[p])
+		instrs = instrs[n:]
+		c.Blocks[i] = nb
+	}
+	// An edge's target is found by its Index when that is current, and
+	// by a scan otherwise; an edge to a block outside the routine maps
+	// to nil.
+	clone := func(x *Block) *Block {
+		i := x.Index
+		if i < 0 || i >= len(r.Blocks) || r.Blocks[i] != x {
+			if i = slices.Index(r.Blocks, x); i < 0 {
+				return nil
+			}
 		}
+		return c.Blocks[i]
+	}
+	cloneEdges := func(from []*Block) []*Block {
+		n := len(from)
+		to := edges[:n:n]
+		edges = edges[n:]
+		for i, x := range from {
+			to[i] = clone(x)
+		}
+		return to
+	}
+	for i, b := range r.Blocks {
+		c.Blocks[i].Succs = cloneEdges(b.Succs)
+		c.Blocks[i].Preds = cloneEdges(b.Preds)
 	}
 	return c
 }

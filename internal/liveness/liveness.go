@@ -25,8 +25,7 @@ type Info struct {
 	UEVar   []*bitset.Set // upward-exposed uses per block
 	Kill    []*bitset.Set // registers defined per block
 
-	tmp   bitset.Set  // the transfer function's scratch set
-	order cfg.Orderer // storage for the solver's visiting order
+	tmp bitset.Set // the transfer function's scratch set
 }
 
 // Compute solves liveness for class c. CFG edges must be built, and the
@@ -34,15 +33,18 @@ type Info struct {
 // next needed).
 func Compute(rt *iloc.Routine, c iloc.Class) *Info {
 	info := new(Info)
-	ComputeInto(info, rt, c)
+	ComputeInto(info, rt, c, cfg.ReversePostorder(rt))
 	return info
 }
 
 // ComputeInto is Compute solving into info, reusing the sets and scratch
 // an earlier solve left there: a solve over at most as many blocks and
 // registers as an earlier one allocates nothing. It overwrites every set
-// of the earlier solution, including any a caller still holds.
-func ComputeInto(info *Info, rt *iloc.Routine, c iloc.Class) {
+// of the earlier solution, including any a caller still holds. rpo is a
+// reverse postorder of the routine's blocks, such as dom.Tree.Order;
+// the fixpoint is the same in any order, and this one reaches it in the
+// fewest sweeps.
+func ComputeInto(info *Info, rt *iloc.Routine, c iloc.Class, rpo []*iloc.Block) {
 	nb := len(rt.Blocks)
 	n := rt.NumRegs(c)
 	info.Class = c
@@ -70,7 +72,6 @@ func ComputeInto(info *Info, rt *iloc.Routine, c iloc.Class) {
 
 	// Backward problem: iterate blocks in postorder (reverse RPO) until
 	// the fixpoint.
-	rpo := info.order.ReversePostorder(rt)
 	tmp := &info.tmp
 	tmp.Reset(n)
 	for changed := true; changed; {
@@ -93,6 +94,20 @@ func ComputeInto(info *Info, rt *iloc.Routine, c iloc.Class) {
 			}
 		}
 	}
+}
+
+// Footprint returns the bytes of storage info holds.
+func (info *Info) Footprint() int {
+	b := info.tmp.Footprint()
+	for _, sets := range [...][]*bitset.Set{info.LiveIn, info.LiveOut, info.UEVar, info.Kill} {
+		b += 8 * cap(sets)
+		for _, s := range sets[:cap(sets)] {
+			if s != nil {
+				b += s.Footprint()
+			}
+		}
+	}
+	return b
 }
 
 // resetSets returns nb empty sets of capacity n, reusing the sets in

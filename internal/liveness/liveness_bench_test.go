@@ -36,7 +36,8 @@ func corpusRoutines(tb testing.TB) []*iloc.Routine {
 
 // BenchmarkCompute solves both classes of every corpus routine per op:
 // "fresh" with Compute, "reused" with ComputeInto on the storage earlier
-// solves left, as the allocator's rounds solve.
+// solves left and a precomputed visiting order, as the allocator's
+// rounds solve.
 func BenchmarkCompute(b *testing.B) {
 	rts := corpusRoutines(b)
 	b.Run("fresh", func(b *testing.B) {
@@ -51,11 +52,16 @@ func BenchmarkCompute(b *testing.B) {
 	})
 	b.Run("reused", func(b *testing.B) {
 		var infos [iloc.NumClasses]Info
+		rpos := make([][]*iloc.Block, len(rts))
+		for i, rt := range rts {
+			rpos[i] = cfg.ReversePostorder(rt)
+		}
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, rt := range rts {
+			for j, rt := range rts {
 				for c := iloc.Class(0); c < iloc.NumClasses; c++ {
-					ComputeInto(&infos[c], rt, c)
+					ComputeInto(&infos[c], rt, c, rpos[j])
 				}
 			}
 		}
@@ -68,8 +74,9 @@ func TestComputeIntoReusesStorage(t *testing.T) {
 	rts := corpusRoutines(t)
 	var info Info
 	for _, rt := range rts {
+		rpo := cfg.ReversePostorder(rt)
 		for c := iloc.Class(0); c < iloc.NumClasses; c++ {
-			ComputeInto(&info, rt, c)
+			ComputeInto(&info, rt, c, rpo)
 			want := Compute(rt, c)
 			for _, b := range rt.Blocks {
 				i := b.Index
@@ -81,8 +88,9 @@ func TestComputeIntoReusesStorage(t *testing.T) {
 		}
 	}
 	rt := rts[0]
-	ComputeInto(&info, rt, iloc.ClassInt)
-	if n := testing.AllocsPerRun(10, func() { ComputeInto(&info, rt, iloc.ClassInt) }); n != 0 {
+	rpo := cfg.ReversePostorder(rt)
+	ComputeInto(&info, rt, iloc.ClassInt, rpo)
+	if n := testing.AllocsPerRun(10, func() { ComputeInto(&info, rt, iloc.ClassInt, rpo) }); n != 0 {
 		t.Fatalf("re-solving into same-shape storage allocated %v times, want 0", n)
 	}
 }

@@ -17,6 +17,7 @@ package remat
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -164,38 +165,27 @@ func initialTag(in *iloc.Instr) Tag {
 // returns the final tag of every value (indexed by value number; index 0
 // is ⊤ and unused). On a well-formed graph every value ends at Inst or ⊥.
 func Propagate(g *ssa.Graph) []Tag {
-	tags := make([]Tag, g.NumValues)
 	var work []int
+	return PropagateInto(nil, &work, g)
+}
 
-	// evaluate recomputes the tag of the value defined by in.
-	evaluate := func(v int) Tag {
-		in := g.DefOf[v]
-		switch {
-		case in.Op == iloc.OpPhi:
-			t := TopTag()
-			for _, a := range in.Phi.Args {
-				t = Meet(t, tags[a.N])
-			}
-			return t
-		case in.Op.IsCopy():
-			if NeverKilled(in) {
-				return InstTag(in)
-			}
-			return tags[in.Src[0].N]
-		default:
-			return initialTag(in)
-		}
-	}
-
+// PropagateInto is Propagate writing the tags into tags' storage and
+// keeping its worklist in *work, so a propagation over at most as many
+// values as an earlier one allocates nothing. It returns the tags,
+// g.NumValues of them.
+func PropagateInto(tags []Tag, work *[]int, g *ssa.Graph) []Tag {
+	tags = slices.Grow(tags[:0], g.NumValues)[:g.NumValues]
+	clear(tags)
+	wl := (*work)[:0]
 	for v := 1; v < g.NumValues; v++ {
 		tags[v] = initialTag(g.DefOf[v])
 		if tags[v].Kind != Top {
-			work = append(work, v)
+			wl = append(wl, v)
 		}
 	}
-	for len(work) > 0 {
-		v := work[len(work)-1]
-		work = work[:len(work)-1]
+	for len(wl) > 0 {
+		v := wl[len(wl)-1]
+		wl = wl[:len(wl)-1]
 		for _, use := range g.UsesOf[v] {
 			if use.Op != iloc.OpPhi && !use.Op.IsCopy() {
 				continue
@@ -204,12 +194,32 @@ func Propagate(g *ssa.Graph) []Tag {
 			if g.DefOf[w] != use {
 				continue // the use is a copy source feeding a different value? impossible in SSA, but be safe
 			}
-			nt := evaluate(w)
+			nt := evaluate(tags, use)
 			if !Equal(nt, tags[w]) {
 				tags[w] = Meet(tags[w], nt) // monotone: only ever lower
-				work = append(work, w)
+				wl = append(wl, w)
 			}
 		}
 	}
+	*work = wl
 	return tags
+}
+
+// evaluate recomputes the tag of the value the instruction in defines.
+func evaluate(tags []Tag, in *iloc.Instr) Tag {
+	switch {
+	case in.Op == iloc.OpPhi:
+		t := TopTag()
+		for _, a := range in.Phi.Args {
+			t = Meet(t, tags[a.N])
+		}
+		return t
+	case in.Op.IsCopy():
+		if NeverKilled(in) {
+			return InstTag(in)
+		}
+		return tags[in.Src[0].N]
+	default:
+		return initialTag(in)
+	}
 }

@@ -35,6 +35,7 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/bitset"
 	"repro/internal/cfg"
 	"repro/internal/iloc"
 	"repro/internal/interp"
@@ -152,8 +153,13 @@ func (c *checker) run() error {
 		c.flag("structure", "CFG: %v", err)
 		return c.err()
 	}
-	c.rule("use-before-def", func() { c.checkUseBeforeDef(rt) })
-	c.rule("caller-save", func() { c.checkCallerSave(rt) })
+	// Both liveness rules read one solve per class.
+	var lives [iloc.NumClasses]*liveness.Info
+	for cl := range lives {
+		lives[cl] = liveness.Compute(rt, iloc.Class(cl))
+	}
+	c.rule("use-before-def", func() { c.checkUseBeforeDef(rt, &lives) })
+	c.rule("caller-save", func() { c.checkCallerSave(rt, &lives) })
 	c.rule("spill-slots", func() { c.checkSpillSlots(rt) })
 	c.rule("remat", c.checkRemat)
 	if c.opts.Differential && len(c.violations) == 0 {
@@ -209,10 +215,9 @@ func (c *checker) checkBounds() {
 // Physical registers hold no values at routine entry (parameters arrive
 // through getparam), so the entry's live-in set must be empty apart from
 // the always-defined frame pointer.
-func (c *checker) checkUseBeforeDef(rt *iloc.Routine) {
+func (c *checker) checkUseBeforeDef(rt *iloc.Routine, lives *[iloc.NumClasses]*liveness.Info) {
 	for cl := iloc.Class(0); cl < iloc.NumClasses; cl++ {
-		info := liveness.Compute(rt, cl)
-		info.LiveIn[rt.Entry().Index].ForEach(func(r int) {
+		lives[cl].LiveIn[rt.Entry().Index].ForEach(func(r int) {
 			if r != 0 {
 				c.flag("use-before-def", "register %s%d read before any definition on some path",
 					bankPrefix(cl), r)
@@ -224,11 +229,12 @@ func (c *checker) checkUseBeforeDef(rt *iloc.Routine) {
 // checkCallerSave: walking each block backward from its live-out set, no
 // register in the caller-save band (colors 1..CallerSave) may be live
 // across a call — the callee is free to clobber it.
-func (c *checker) checkCallerSave(rt *iloc.Routine) {
+func (c *checker) checkCallerSave(rt *iloc.Routine, lives *[iloc.NumClasses]*liveness.Info) {
+	var live bitset.Set
 	for cl := iloc.Class(0); cl < iloc.NumClasses; cl++ {
-		info := liveness.Compute(rt, cl)
+		live.Reset(rt.NumRegs(cl))
 		for _, b := range rt.Blocks {
-			live := info.LiveOut[b.Index].Copy()
+			live.CopyFrom(lives[cl].LiveOut[b.Index])
 			for i := len(b.Instrs) - 1; i >= 0; i-- {
 				in := b.Instrs[i]
 				if in.Op.IsCall() {
