@@ -150,11 +150,11 @@ func TestCLIRallocMultiFile(t *testing.T) {
 }
 
 // Duplicate inputs hit the content-addressed cache; -stats reports it.
-// One worker: two workers can allocate both copies at once, and the
-// cache does not merge in-flight misses.
+// With several workers the second copy waits for the first's
+// allocation instead of repeating it.
 func TestCLIRallocCache(t *testing.T) {
 	bin := buildCmd(t, "ralloc")
-	out, stderr := runCmd(t, bin, "", "-j", "1", "-cache", "-stats", "-regs", "6",
+	out, stderr := runCmd(t, bin, "", "-cache", "-stats", "-regs", "6",
 		"testdata/sumabs.iloc", "testdata/sumabs.iloc")
 	if strings.Count(out, "routine sumabs") != 2 {
 		t.Fatalf("both copies should be printed:\n%s", out)

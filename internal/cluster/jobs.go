@@ -42,9 +42,9 @@ const maxJobRoutes = 8192
 // combined content key of all units — each unit's driver-cache key
 // hashed in order — so the whole batch routes as one and lands where
 // its units' cached results live.
-func jobKey(body []byte) string {
+func (p *Proxy) jobKey(body []byte) string {
 	h := sha256.New()
-	for _, key := range routeKeys(body, &server.BatchRequest{}, 0) {
+	for _, key := range p.routeKeys(body, server.KindBatch) {
 		fmt.Fprintf(h, "%s\x00", key)
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -83,7 +83,7 @@ func (p *Proxy) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	p.routeOne(w, r, body, jobKey(body), func(ur *upstreamResponse) {
+	p.routeOne(w, r, body, p.jobKey(body), func(ur *upstreamResponse) {
 		var jr server.JobResponse
 		if ur.status == http.StatusOK && json.Unmarshal(ur.body, &jr) == nil {
 			p.rememberJob(jr.JobID, ur.backend.id)

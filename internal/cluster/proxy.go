@@ -156,6 +156,7 @@ func (c Config) withDefaults() Config {
 type Proxy struct {
 	cfg      Config
 	ring     *Ring
+	memo     *server.Memo
 	backends map[string]*Backend
 	client   *http.Client
 	mux      *http.ServeMux
@@ -182,6 +183,7 @@ func New(cfg Config) (*Proxy, error) {
 	}
 	p := &Proxy{
 		cfg:      cfg,
+		memo:     server.NewMemo(server.DefaultOptions()),
 		backends: make(map[string]*Backend),
 		client:   &http.Client{Transport: cfg.Transport},
 		stop:     make(chan struct{}),
@@ -287,24 +289,19 @@ func (p *Proxy) Backend(id string) *Backend { return p.backends[id] }
 // Owner returns the backend ID owning a routing key.
 func (p *Proxy) Owner(key string) string { return p.ring.Owner(key) }
 
-// routeKeys returns the routing keys of a request body: each unit's
-// driver-cache content key, from the backend's own decoder under the
-// serving default options — the address the backend will cache the
-// unit under. limit > 0 keys only the first limit units. A body that
-// does not decode routes whole by the hash of its bytes (one key); the
-// backend produces the authoritative 400.
-func routeKeys(body []byte, req server.Request, limit int) []string {
-	units, err := server.DecodeUnits(bytes.NewReader(body), req, server.DefaultOptions())
+// routeKeys returns the routing keys of a request body of the given
+// kind: each unit's driver-cache content key under the serving default
+// options — the address the backend will cache the unit under. The
+// proxy's memo answers a body it has routed before without decoding
+// it; a new body is decoded by the backend's own decoder (DecodeUnits)
+// and keyed by KeyFor. A body that does not decode routes whole by the
+// hash of its bytes (one key); the backend produces the authoritative
+// 400.
+func (p *Proxy) routeKeys(body []byte, kind server.Kind) []driver.Key {
+	keys, err := p.memo.Keys(kind, body)
 	if err != nil {
 		sum := sha256.Sum256(body)
-		return []string{hex.EncodeToString(sum[:])}
-	}
-	if limit > 0 && len(units) > limit {
-		units = units[:limit]
-	}
-	keys := make([]string, len(units))
-	for i, u := range units {
-		keys[i] = string(driver.KeyFor(u.Routine, *u.Options))
+		return []driver.Key{driver.Key(hex.EncodeToString(sum[:]))}
 	}
 	return keys
 }
@@ -321,9 +318,9 @@ func (p *Proxy) requestID(r *http.Request) string {
 
 // readBody drains a bounded request body.
 func (p *Proxy) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, p.cfg.MaxBodyBytes))
+	body, err := server.ReadBody(w, r, p.cfg.MaxBodyBytes)
 	if err != nil {
-		server.WriteJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: "bad request body: " + err.Error()})
+		server.WriteJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
 		return nil, false
 	}
 	return body, true
@@ -341,7 +338,7 @@ func (p *Proxy) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	}
 	// Keyed by the first routine alone: the callees of a multi-routine
 	// program follow it to the same backend.
-	p.routeOne(w, r, body, routeKeys(body, &server.AllocateRequest{}, 1)[0], nil)
+	p.routeOne(w, r, body, string(p.routeKeys(body, server.KindAllocate)[0]), nil)
 }
 
 // routeOne relays one request to the ring with failover and answers
@@ -601,19 +598,21 @@ func (p *Proxy) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Each unit routes by its own content key. A body that does not
 	// decode has one raw key, so it relays whole to one owner.
-	var req server.BatchRequest
-	keys := routeKeys(body, &req, 0)
+	keys := p.routeKeys(body, server.KindBatch)
 
 	// Group unit indices by ring owner. One owner: the whole batch
 	// relays as-is (with failover); several: scatter sub-batches and
 	// merge, preserving input order.
 	groups := make(map[string][]int)
 	for i, key := range keys {
-		owner := p.ring.Owner(key)
+		owner := p.ring.Owner(string(key))
 		groups[owner] = append(groups[owner], i)
 	}
-	if len(groups) == 1 {
-		p.routeOne(w, r, body, keys[0], nil)
+	// Several owners means the body decoded, so the sub-batches can be
+	// cut from it; a failure here is the backend's 400 to give.
+	var req server.BatchRequest
+	if len(groups) == 1 || server.DecodeBody(bytes.NewReader(body), &req) != nil {
+		p.routeOne(w, r, body, string(keys[0]), nil)
 		return
 	}
 	p.scatter(w, r, &req, keys, groups)
@@ -626,7 +625,7 @@ func (p *Proxy) handleBatch(w http.ResponseWriter, r *http.Request) {
 // units cannot be duplicated or lost — a sub-batch that cannot be
 // served conclusively fails the whole request (as a 429 or a relayed
 // backend error), never a partial merge.
-func (p *Proxy) scatter(w http.ResponseWriter, r *http.Request, req *server.BatchRequest, keys []string, groups map[string][]int) {
+func (p *Proxy) scatter(w http.ResponseWriter, r *http.Request, req *server.BatchRequest, keys []driver.Key, groups map[string][]int) {
 	tel := p.cfg.Telemetry
 	sp := tel.StartSpan(telemetry.CatServer, "proxy/v1/batch")
 	defer func() { tel.Observe("proxy.request.wall", sp.End().Nanoseconds()) }()
@@ -659,7 +658,7 @@ func (p *Proxy) scatter(w http.ResponseWriter, r *http.Request, req *server.Batc
 			}
 			// The group key is its first unit's key: the ring maps it
 			// to this owner, and failover walks the owner's successors.
-			ur, err := p.do(ctx, http.MethodPost, "/v1/batch", r.Header, body, keys[idxs[0]])
+			ur, err := p.do(ctx, http.MethodPost, "/v1/batch", r.Header, body, string(keys[idxs[0]]))
 			results <- subResult{idxs: idxs, ur: ur, err: err}
 		}()
 	}

@@ -35,7 +35,26 @@ type Unit struct {
 	// kernel name); it does not contribute to the cache key.
 	Name    string
 	Routine *iloc.Routine
+	// Load, when Routine is nil, produces the routine on demand. The
+	// engine calls it only when the unit misses the cache, so a caller
+	// that already knows Key can skip parsing a routine whose result is
+	// cached.
+	Load    func() (*iloc.Routine, error)
 	Options *core.Options
+	// Key, when set, is the unit's content key, KeyFor of its routine
+	// under its options; the engine uses it instead of computing it.
+	Key Key
+}
+
+// routine returns the unit's routine, loading it if need be.
+func (u *Unit) routine() (*iloc.Routine, error) {
+	switch {
+	case u.Routine != nil:
+		return u.Routine, nil
+	case u.Load != nil:
+		return u.Load()
+	}
+	return nil, fmt.Errorf("driver: unit has no routine")
 }
 
 // Config configures an Engine.
@@ -72,9 +91,13 @@ type Config struct {
 // UnitResult is the outcome of one unit. Exactly one of Result and Err
 // is set.
 type UnitResult struct {
-	Name     string
-	Result   *core.Result
-	Err      error
+	Name   string
+	Result *core.Result
+	Err    error
+	// Key is the content key the unit was looked up and cached under;
+	// empty when the engine has no cache or never got as far as keying
+	// the unit.
+	Key      Key
 	CacheHit bool
 	// CacheTier says which tier satisfied a hit ("l1" memory, "l2"
 	// disk) when the cache reports tiers; empty otherwise.
@@ -238,6 +261,7 @@ func (e *Engine) Run(ctx context.Context, units []Unit) *Batch {
 	depth.Set(int64(len(units)))
 	start := time.Now()
 	jobs := make(chan int)
+	flights := &inflight{}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -252,7 +276,7 @@ func (e *Engine) Run(ctx context.Context, units []Unit) *Batch {
 					// allocator or the cache. An expired *deadline* is
 					// not a skip — the unit still runs so the allocator
 					// can return its spill-everywhere degradation.
-					b.Results[i] = UnitResult{Name: units[i].Name, Err: cerr, Worker: worker}
+					b.Results[i] = UnitResult{Name: units[i].Name, Key: units[i].Key, Err: cerr, Worker: worker}
 					if e.cfg.OnUnitDone != nil {
 						e.cfg.OnUnitDone(i, b.Results[i])
 					}
@@ -260,29 +284,21 @@ func (e *Engine) Run(ctx context.Context, units []Unit) *Batch {
 				}
 				wsink.Observe("driver.queue.wait", time.Since(start).Nanoseconds())
 				sp := wsink.StartSpan(telemetry.CatUnit, units[i].Name)
-				res, hit, tier, err := e.allocate(ctx, units[i], wsink)
+				r := e.allocate(ctx, units[i], wsink, flights)
 				if sp.Active() {
-					if hit {
+					if r.CacheHit {
 						sp.Arg("cache_hit", 1)
 					}
-					if err != nil {
+					if r.Err != nil {
 						sp.Arg("failed", 1)
 					}
-					if res != nil && res.Degraded {
+					if r.Result != nil && r.Result.Degraded {
 						sp.Arg("degraded", 1)
 					}
 				}
-				wall := sp.End()
-				wsink.Observe("driver.unit.wall", wall.Nanoseconds())
-				b.Results[i] = UnitResult{
-					Name:      units[i].Name,
-					Result:    res,
-					Err:       err,
-					CacheHit:  hit,
-					CacheTier: tier,
-					Worker:    worker,
-					Wall:      wall,
-				}
+				r.Name, r.Worker, r.Wall = units[i].Name, worker, sp.End()
+				wsink.Observe("driver.unit.wall", r.Wall.Nanoseconds())
+				b.Results[i] = r
 				if e.cfg.OnUnitDone != nil {
 					e.cfg.OnUnitDone(i, b.Results[i])
 				}
@@ -344,21 +360,21 @@ func (e *Engine) Run(ctx context.Context, units []Unit) *Batch {
 // a worker goroutine that panics would kill the whole process. Any panic
 // escaping a unit is recovered into a *core.AllocError so it fails that
 // unit alone.
-func (e *Engine) allocate(ctx context.Context, u Unit, wsink *telemetry.Sink) (res *core.Result, hit bool, tier string, err error) {
+func (e *Engine) allocate(ctx context.Context, u Unit, wsink *telemetry.Sink, flights *inflight) (r UnitResult) {
 	defer func() {
-		if r := recover(); r != nil {
-			res, hit, tier = nil, false, ""
-			err = &core.AllocError{Routine: u.Name, Err: fmt.Errorf("driver: panic in worker: %v", r)}
+		if v := recover(); v != nil {
+			r = UnitResult{Err: &core.AllocError{Routine: u.Name, Err: fmt.Errorf("driver: panic in worker: %v", v)}}
 		}
 	}()
-	return e.allocateUnit(ctx, u, wsink)
+	return e.allocateUnit(ctx, u, wsink, flights)
 }
 
 // allocateUnit handles one unit: cache lookup, allocation, cache fill.
 // The worker's sink overrides the options' own so that allocator spans
 // land on the worker's trace thread; Telemetry is excluded from the
-// cache key, so this cannot split cache entries.
-func (e *Engine) allocateUnit(ctx context.Context, u Unit, wsink *telemetry.Sink) (*core.Result, bool, string, error) {
+// cache key, so this cannot split cache entries. The result carries
+// everything but the name, worker and wall time.
+func (e *Engine) allocateUnit(ctx context.Context, u Unit, wsink *telemetry.Sink, flights *inflight) UnitResult {
 	opts := e.cfg.Options
 	if u.Options != nil {
 		opts = *u.Options
@@ -366,46 +382,96 @@ func (e *Engine) allocateUnit(ctx context.Context, u Unit, wsink *telemetry.Sink
 	if wsink != nil {
 		opts.Telemetry = wsink
 	}
-	if u.Routine == nil {
-		return nil, false, "", fmt.Errorf("driver: unit has no routine")
-	}
 	cache := e.cfg.Cache
 	if cache == nil {
-		res, err := core.Allocate(ctx, u.Routine, opts)
-		return res, false, "", err
+		rt, err := u.routine()
+		if err != nil {
+			return UnitResult{Err: err}
+		}
+		res, err := core.Allocate(ctx, rt, opts)
+		return UnitResult{Result: res, Err: err}
 	}
-	key := KeyFor(u.Routine, opts)
-	var (
-		res  *core.Result
-		tier string
-		ok   bool
-	)
-	if tg, tiered := cache.(TierGetter); tiered {
-		res, tier, ok = tg.GetTier(key)
-	} else {
-		res, ok = cache.Get(key)
+	key := u.Key
+	if key == "" {
+		rt, err := u.routine()
+		if err != nil {
+			return UnitResult{Err: err}
+		}
+		key = KeyFor(rt, opts)
+	}
+	res, tier, ok := lookup(cache, key)
+	if !ok {
+		// Another worker of this run allocating the same key: wait for
+		// it and look again. Its result may not have been cached (an
+		// error, a deadline degradation); then this worker allocates.
+		done, leader := flights.join(key)
+		if leader {
+			defer close(done)
+		} else {
+			<-done
+			res, tier, ok = lookup(cache, key)
+		}
 	}
 	if ok {
 		wsink.Instant(telemetry.CatCache, "hit")
-		return res, true, tier, nil
+		return UnitResult{Result: res, Key: key, CacheHit: true, CacheTier: tier}
 	}
 	wsink.Instant(telemetry.CatCache, "miss")
-	res, err := core.Allocate(ctx, u.Routine, opts)
+	rt, err := u.routine()
 	if err != nil {
-		return nil, false, "", err
+		return UnitResult{Key: key, Err: err}
+	}
+	res, err = core.Allocate(ctx, rt, opts)
+	if err != nil {
+		return UnitResult{Key: key, Err: err}
 	}
 	if res.Degraded && res.DegradeReason == core.DegradeReasonDeadline {
 		// A deadline-shaped degradation reflects this request's time
 		// budget, not the routine: caching it would serve spill-everywhere
 		// code to a later request with all the time in the world.
-		return res, false, "", nil
+		return UnitResult{Result: res, Key: key}
 	}
 	if op, persists := cache.(OptionsPutter); persists {
 		op.PutOptions(key, res, CanonicalOptionsKey(opts))
 	} else {
 		cache.Put(key, res)
 	}
-	return res, false, "", nil
+	return UnitResult{Result: res, Key: key}
+}
+
+// lookup reads key from cache, with its tier when the cache has tiers.
+func lookup(cache ResultCache, key Key) (*core.Result, string, bool) {
+	if tg, tiered := cache.(TierGetter); tiered {
+		return tg.GetTier(key)
+	}
+	res, ok := cache.Get(key)
+	return res, "", ok
+}
+
+// inflight records the keys the workers of one Run have started to
+// allocate, so duplicate units of a batch allocate once.
+type inflight struct {
+	mu sync.Mutex
+	m  map[Key]chan struct{}
+}
+
+// join returns the channel closed once key's first allocation in this
+// run has finished, and whether the caller is that allocation (and so
+// must close it). A finished key stays recorded until the run ends: a
+// worker that missed just before the leader's cache fill still waits on
+// it and then finds the result.
+func (f *inflight) join(key Key) (done chan struct{}, leader bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if done, ok := f.m[key]; ok {
+		return done, false
+	}
+	if f.m == nil {
+		f.m = make(map[Key]chan struct{})
+	}
+	done = make(chan struct{})
+	f.m[key] = done
+	return done, true
 }
 
 // Allocate runs one batch with a throwaway engine — the convenience

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -258,5 +259,80 @@ func TestFullSuiteDeterminism(t *testing.T) {
 		if iloc.Print(seq.Results[i].Result.Routine) != iloc.Print(par.Results[i].Result.Routine) {
 			t.Fatalf("%s: parallel output differs from sequential", units[i].Name)
 		}
+	}
+}
+
+// TestDuplicateMissesMerge gives eight workers eight copies of one
+// routine on a cold cache: one allocates it, and the others wait and
+// hit, each with its own snapshot of the one result.
+func TestDuplicateMissesMerge(t *testing.T) {
+	rt := suite.ByName("sgemm").Routine()
+	units := make([]Unit, 8)
+	for i := range units {
+		units[i] = Unit{Name: fmt.Sprintf("sgemm/%d", i), Routine: rt}
+	}
+	for run := 0; run < 5; run++ {
+		cache := NewCache(0)
+		b := New(Config{Options: core.Options{Machine: target.WithRegs(6)}, Workers: 8, Cache: cache}).Run(context.Background(), units)
+		if err := b.FirstErr(); err != nil {
+			t.Fatal(err)
+		}
+		if b.Stats.CacheMisses != 1 || b.Stats.CacheHits != len(units)-1 {
+			t.Fatalf("run %d: %d misses, %d hits; want 1 allocation and %d hits", run, b.Stats.CacheMisses, b.Stats.CacheHits, len(units)-1)
+		}
+		want := iloc.Print(b.Results[0].Result.Routine)
+		for i, r := range b.Results {
+			if got := iloc.Print(r.Result.Routine); got != want {
+				t.Fatalf("run %d: copy %d differs", run, i)
+			}
+			if i > 0 && r.Result.Routine == b.Results[0].Result.Routine {
+				t.Fatalf("run %d: copy %d shares copy 0's routine", run, i)
+			}
+		}
+	}
+}
+
+// TestDuplicateMissesUncachedLeader: when the first allocation of a key
+// is not cached (here a deadline degradation), every duplicate waiting
+// on it allocates for itself rather than returning empty.
+func TestDuplicateMissesUncachedLeader(t *testing.T) {
+	rt := suite.ByName("sgemm").Routine()
+	units := make([]Unit, 4)
+	for i := range units {
+		units[i] = Unit{Name: "sgemm", Routine: rt}
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	b := New(Config{Options: core.Options{Machine: target.WithRegs(6), Strategy: "remat"}, Workers: 4, Cache: NewCache(0)}).Run(ctx, units)
+	for i, r := range b.Results {
+		if r.Err != nil || r.Result == nil || r.Result.DegradeReason != core.DegradeReasonDeadline || r.CacheHit {
+			t.Fatalf("copy %d: %+v", i, r)
+		}
+	}
+}
+
+// TestUnitKeyAndLoad: a unit with a known key is looked up under it and
+// loads its routine only on a miss; the result reports the key used.
+func TestUnitKeyAndLoad(t *testing.T) {
+	opts := core.Options{Machine: target.WithRegs(6), Strategy: "remat"}
+	rt := suite.ByName("fehl").Routine()
+	key := KeyFor(rt, opts)
+	var loads atomic.Int32
+	unit := Unit{Name: "fehl", Key: key, Load: func() (*iloc.Routine, error) {
+		loads.Add(1)
+		return rt, nil
+	}}
+	eng := New(Config{Options: opts, Cache: NewCache(0)})
+	for run, wantHit := range []bool{false, true} {
+		r := eng.Run(context.Background(), []Unit{unit}).Results[0]
+		if r.Err != nil || r.CacheHit != wantHit || r.Key != key {
+			t.Fatalf("run %d: err %v hit %t key %s; want hit %t key %s", run, r.Err, r.CacheHit, r.Key, wantHit, key)
+		}
+	}
+	if n := loads.Load(); n != 1 {
+		t.Fatalf("Load called %d times, want once (the miss)", n)
+	}
+	if r := eng.Run(context.Background(), []Unit{{Name: "fehl", Routine: rt}}).Results[0]; !r.CacheHit || r.Key != key {
+		t.Fatalf("a routine unit reports hit %t key %s; want the hit under %s", r.CacheHit, r.Key, key)
 	}
 }

@@ -14,14 +14,19 @@ import (
 )
 
 // decodeUnits is the decode-or-400 step of every allocation endpoint:
-// req's units under the server defaults, or false after answering 400.
-// An unknown strategy or machine name additionally lists the
-// registered names in the body so a client can self-correct without a
-// second round trip.
-func (s *Server) decodeUnits(w http.ResponseWriter, r *http.Request, info *requestInfo, req Request) ([]driver.Unit, bool) {
-	units, err := DecodeUnits(r.Body, req, s.cfg.Options)
+// the units of a body of the given kind under the server defaults, or
+// false after answering 400. The body is read once, and the server's
+// memo answers a body it has served before with no decode, parse or
+// KeyFor; fill, non-nil for a body the memo does not hold, remembers it
+// from the results of running its units. An unknown strategy or
+// machine name additionally lists the registered names in the body so
+// a client can self-correct without a second round trip.
+func (s *Server) decodeUnits(w http.ResponseWriter, r *http.Request, info *requestInfo, kind Kind) (units []driver.Unit, fill func([]driver.UnitResult), ok bool) {
+	body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
 	if err == nil {
-		return units, true
+		if units, fill, err = s.memo.Units(kind, body); err == nil {
+			return units, fill, true
+		}
 	}
 	resp := ErrorResponse{Error: err.Error(), RequestID: info.id}
 	var unknownStrategy *core.UnknownStrategyError
@@ -33,28 +38,29 @@ func (s *Server) decodeUnits(w http.ResponseWriter, r *http.Request, info *reque
 		resp.Machines = unknownMachine.Registered
 	}
 	WriteJSON(w, http.StatusBadRequest, resp)
-	return nil, false
+	return nil, nil, false
 }
 
 // handleAllocate serves POST /v1/allocate: one ILOC source text holding
 // one or more routines, all allocated under the same options.
 func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request, info *requestInfo) {
-	if units, ok := s.decodeUnits(w, r, info, &AllocateRequest{}); ok {
-		s.serve(w, r, info, units)
+	if units, fill, ok := s.decodeUnits(w, r, info, KindAllocate); ok {
+		s.serve(w, r, info, units, fill)
 	}
 }
 
 // handleBatch serves POST /v1/batch: named units, each optionally
 // carrying its own options.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, info *requestInfo) {
-	if units, ok := s.decodeUnits(w, r, info, &BatchRequest{}); ok {
-		s.serve(w, r, info, units)
+	if units, fill, ok := s.decodeUnits(w, r, info, KindBatch); ok {
+		s.serve(w, r, info, units, fill)
 	}
 }
 
 // serve is the shared allocation path: admission, deadline, engine run,
-// response shaping.
-func (s *Server) serve(w http.ResponseWriter, r *http.Request, info *requestInfo, units []driver.Unit) {
+// memo fill, response shaping. The memo is filled from the keys the
+// workers computed, so a new body costs no hashing beyond its one sum.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, info *requestInfo, units []driver.Unit, fill func([]driver.UnitResult)) {
 	deadline, ok := ParseDeadline(r, s.cfg.DefaultDeadline, s.cfg.MaxDeadline)
 	if !ok {
 		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad X-Deadline-Ms header", RequestID: info.id})
@@ -84,6 +90,9 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, info *requestInfo
 		})
 	}
 	batch := eng.Run(ctx, units)
+	if fill != nil {
+		fill(batch.Results)
+	}
 
 	resp := AllocateResponse{
 		RequestID: info.id,

@@ -78,7 +78,7 @@ func (s *Server) auditUnit(reqID, jobID string, u driver.Unit, r driver.UnitResu
 		CacheTier: r.CacheTier,
 		AllocMs:   float64(r.Wall) / float64(time.Millisecond),
 	}
-	rec.ContentKey = string(driver.KeyFor(u.Routine, *u.Options))
+	rec.ContentKey = string(r.Key)
 	rec.Strategy = u.Options.Canonical().Strategy
 	switch {
 	case r.Err != nil:
@@ -94,7 +94,9 @@ func (s *Server) auditUnit(reqID, jobID string, u driver.Unit, r driver.UnitResu
 // handleJobSubmit serves POST /v1/jobs: admit the batch, answer with
 // the job ID, run in the background.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request, info *requestInfo) {
-	units, ok := s.decodeUnits(w, r, info, &BatchRequest{})
+	// A job's results arrive after its request is answered, so the job
+	// path reads the memo but leaves filling it to the sync paths.
+	units, _, ok := s.decodeUnits(w, r, info, KindBatch)
 	if !ok {
 		return
 	}

@@ -1,12 +1,16 @@
 package server
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -25,22 +29,235 @@ import (
 // or *BatchRequest.
 type Request interface {
 	// DriverUnits returns the request's units under the default
-	// options def. Each unit's Options is its own resolved copy, and
-	// its Verify field says whether the post-allocation checker runs.
+	// options def. Each unit's Options points at its resolved options,
+	// which units of one body may share and nobody mutates; its Verify
+	// field says whether the post-allocation checker runs.
 	DriverUnits(def core.Options) ([]driver.Unit, error)
 }
 
-// DecodeUnits decodes body strictly into req and returns req's units
-// under def. An unknown field is an error, so a misspelled option name
-// ("stratgy") is a 400 rather than a silent fall-through to the
-// defaults. Every error is the client's: rallocd answers it as a 400.
-func DecodeUnits(body io.Reader, req Request, def core.Options) ([]driver.Unit, error) {
+// Kind is the body shape an allocation endpoint expects. It is part of
+// a body's identity in a Memo: the same bytes mean different units, or
+// none, on different endpoints.
+type Kind byte
+
+const (
+	// KindAllocate is the AllocateRequest of POST /v1/allocate.
+	KindAllocate Kind = 'a'
+	// KindBatch is the BatchRequest of POST /v1/batch and POST /v1/jobs.
+	KindBatch Kind = 'b'
+)
+
+// request returns an empty request of kind k.
+func (k Kind) request() Request {
+	if k == KindAllocate {
+		return &AllocateRequest{}
+	}
+	return &BatchRequest{}
+}
+
+// maxPresize bounds the buffer ReadBody allocates up front on the
+// strength of a Content-Length header alone.
+const maxPresize = 1 << 20
+
+// ReadBody reads r's body whole, failing past max bytes. The buffer is
+// presized from Content-Length, so a body arrives in one allocation.
+// Every error is the client's, worded as DecodeUnits words a body it
+// could not read.
+func ReadBody(w http.ResponseWriter, r *http.Request, max int64) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, max)
+	n := r.ContentLength
+	if n < 0 || n > maxPresize {
+		n = 512
+	}
+	buf := make([]byte, 0, n+1) // the extra byte takes the read that sees EOF
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		k, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+k]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("bad request body: %w", err)
+		}
+	}
+}
+
+// DecodeBody decodes body strictly into req. An unknown field is an
+// error, so a misspelled option name ("stratgy") is a 400 rather than a
+// silent fall-through to the defaults.
+func DecodeBody(body io.Reader, req Request) error {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(req); err != nil {
-		return nil, fmt.Errorf("bad request body: %w", err)
+		return fmt.Errorf("bad request body: %w", err)
+	}
+	return nil
+}
+
+// DecodeUnits decodes body strictly into req and returns req's units
+// under def. Every error is the client's: rallocd answers it as a 400.
+func DecodeUnits(body io.Reader, req Request, def core.Options) ([]driver.Unit, error) {
+	if err := DecodeBody(body, req); err != nil {
+		return nil, err
 	}
 	return req.DriverUnits(def)
+}
+
+// memoCap is how many bodies a Memo remembers.
+const memoCap = 2048
+
+// Memo remembers the request bodies an endpoint has decoded and keyed:
+// for each, every unit's name, content key and resolved options. A
+// repeat of the same bytes then skips the JSON decode, the ILOC parse
+// and KeyFor. A body is identified by sha256 of its Kind and its raw
+// bytes, and what the memo holds for it is a pure function of those
+// bytes under the default options fixed at construction, so it cannot
+// name a wrong key; results stay in the content-keyed cache. A body that
+// failed to decode is never remembered. The memo holds at most memoCap
+// bodies, forgetting the oldest first, and keeps none of their bytes.
+// Safe for concurrent use.
+type Memo struct {
+	def core.Options
+
+	mu    sync.Mutex
+	units map[memoSum][]memoUnit
+	order []memoSum // insertion order, a ring once it holds memoCap
+	next  int       // the ring slot the next insertion overwrites
+}
+
+type memoSum [sha256.Size]byte
+
+// memoUnit is what a Memo holds per unit. name is a copy, since a
+// parsed routine's name points into the body's text; opts is the
+// decoded unit's own pointer, so units of one body that share options
+// share it here too.
+type memoUnit struct {
+	name string
+	key  driver.Key
+	opts *core.Options
+}
+
+// NewMemo returns an empty memo for bodies decoded under def.
+func NewMemo(def core.Options) *Memo {
+	return &Memo{def: def, units: make(map[memoSum][]memoUnit)}
+}
+
+// Len returns how many bodies the memo holds.
+func (m *Memo) Len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.units)
+}
+
+func memoSumOf(kind Kind, body []byte) memoSum {
+	h := sha256.New()
+	h.Write([]byte{byte(kind)})
+	h.Write(body)
+	var sum memoSum
+	h.Sum(sum[:0])
+	return sum
+}
+
+func (m *Memo) get(sum memoSum) []memoUnit {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.units[sum]
+}
+
+func (m *Memo) put(sum memoSum, units []memoUnit) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.units[sum]; ok {
+		return
+	}
+	if len(m.order) < memoCap {
+		m.order = append(m.order, sum)
+	} else {
+		delete(m.units, m.order[m.next])
+		m.order[m.next] = sum
+		m.next = (m.next + 1) % memoCap
+	}
+	m.units[sum] = units
+}
+
+// Units returns the units of a body of the given kind. A remembered
+// body's units carry their Name, Options and Key, and a Load that
+// decodes the body again, once for all of them, only when one misses
+// the cache; fill is nil. Otherwise the units are DecodeUnits's, and
+// fill, given the results of running them, remembers the body if every
+// unit was keyed. err is DecodeUnits's.
+func (m *Memo) Units(kind Kind, body []byte) (units []driver.Unit, fill func([]driver.UnitResult), err error) {
+	sum := memoSumOf(kind, body)
+	if rec := m.get(sum); rec != nil {
+		lb := &lazyBody{kind: kind, body: body, def: m.def}
+		units = make([]driver.Unit, len(rec))
+		for i, u := range rec {
+			units[i] = driver.Unit{Name: u.name, Key: u.key, Options: u.opts,
+				Load: func() (*iloc.Routine, error) { return lb.routine(i) }}
+		}
+		return units, nil, nil
+	}
+	if units, err = DecodeUnits(bytes.NewReader(body), kind.request(), m.def); err != nil {
+		return nil, nil, err
+	}
+	return units, func(results []driver.UnitResult) {
+		rec := make([]memoUnit, len(units))
+		for i, r := range results {
+			if r.Key == "" {
+				return
+			}
+			rec[i] = memoUnit{name: strings.Clone(units[i].Name), key: r.Key, opts: units[i].Options}
+		}
+		m.put(sum, rec)
+	}, nil
+}
+
+// Keys returns the content keys of the units of a body of the given
+// kind: remembered, or computed by DecodeUnits and KeyFor and then
+// remembered. err is DecodeUnits's.
+func (m *Memo) Keys(kind Kind, body []byte) ([]driver.Key, error) {
+	sum := memoSumOf(kind, body)
+	rec := m.get(sum)
+	if rec == nil {
+		units, err := DecodeUnits(bytes.NewReader(body), kind.request(), m.def)
+		if err != nil {
+			return nil, err
+		}
+		rec = make([]memoUnit, len(units))
+		for i, u := range units {
+			rec[i] = memoUnit{name: strings.Clone(u.Name), key: driver.KeyFor(u.Routine, *u.Options), opts: u.Options}
+		}
+		m.put(sum, rec)
+	}
+	keys := make([]driver.Key, len(rec))
+	for i, u := range rec {
+		keys[i] = u.key
+	}
+	return keys, nil
+}
+
+// lazyBody decodes a remembered body again, at most once, for those of
+// one request's units that miss the cache.
+type lazyBody struct {
+	once  sync.Once
+	kind  Kind
+	body  []byte
+	def   core.Options
+	units []driver.Unit
+	err   error
+}
+
+func (lb *lazyBody) routine(i int) (*iloc.Routine, error) {
+	lb.once.Do(func() {
+		lb.units, lb.err = DecodeUnits(bytes.NewReader(lb.body), lb.kind.request(), lb.def)
+	})
+	if lb.err != nil {
+		return nil, lb.err
+	}
+	return lb.units[i].Routine, nil
 }
 
 // DriverUnits parses the program and returns one unit per routine, all
@@ -59,8 +276,7 @@ func (req *AllocateRequest) DriverUnits(def core.Options) ([]driver.Unit, error)
 	}
 	units := make([]driver.Unit, len(routines))
 	for i, rt := range routines {
-		o := opts
-		units[i] = driver.Unit{Name: rt.Name, Routine: rt, Options: &o}
+		units[i] = driver.Unit{Name: rt.Name, Routine: rt, Options: &opts}
 	}
 	return units, nil
 }

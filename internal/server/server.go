@@ -173,11 +173,12 @@ func (c Config) withDefaults() Config {
 
 // Server is the allocation service. Construct with New; the zero value
 // is not useful. A Server is safe for concurrent use — its only
-// mutable state is the admission channels, the request counter and the
-// readiness flag.
+// mutable state is the admission channels, the request counter, the
+// readiness flag and the request memo.
 type Server struct {
 	cfg    Config
 	engine *driver.Engine
+	memo   *Memo
 	jobs   *jobs.Manager
 	mux    *http.ServeMux
 
@@ -202,6 +203,7 @@ func New(cfg Config) *Server {
 			Cache:     cfg.Cache,
 			Telemetry: cfg.Telemetry,
 		}),
+		memo:  NewMemo(cfg.Options),
 		slots: make(chan struct{}, cfg.MaxInFlight),
 		queue: make(chan struct{}, cfg.MaxInFlight+cfg.MaxQueue),
 	}
@@ -391,7 +393,6 @@ func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Reque
 			WriteJSON(sw, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only", RequestID: id})
 			return
 		}
-		r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
 		h(sw, r, info)
 	})
 }
