@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check ci fmt vet build test test-bench-harness race verify fuzz smoke-server smoke-store smoke-cluster smoke-jobs smoke-strategies smoke-corpus bench
+.PHONY: check ci fmt vet build test test-bench-harness race verify fuzz smoke-server smoke-store smoke-cluster smoke-jobs smoke-strategies smoke-corpus bench loc
 
 check: fmt vet build test test-bench-harness race verify fuzz smoke-strategies smoke-server smoke-store smoke-cluster smoke-jobs smoke-corpus
 
@@ -113,3 +113,9 @@ smoke-jobs:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 	cd bench && $(GO) test -run TestBenchSmoke ./...
+
+# loc prints the line count of the non-test Go sources outside bench/,
+# the size figure a change reports before and after. It gates nothing
+# and is not part of check or ci.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.git/*' | xargs cat | wc -l

@@ -128,23 +128,33 @@ func main() {
 	if *warmFrom != "" && *cacheDir == "" {
 		fail(fmt.Errorf("-warm-from requires -cache-dir (nowhere to persist the bundle)"))
 	}
-	l1 := driver.NewCache(*cacheSize)
 	l1Desc := fmt.Sprintf("%d entries (lru)", *cacheSize)
 	if *cacheSize == 0 {
 		l1Desc = "unbounded"
 	}
-	var tiered *store.Tiered
+	var disk *store.Disk
+	if *cacheDir != "" {
+		var err error
+		if disk, err = store.OpenDisk(*cacheDir); err != nil {
+			fail(err)
+		}
+		fmt.Fprintf(os.Stderr, "rallocd: cache: l1 %s, l2 %s (%d entries on disk)\n",
+			l1Desc, *cacheDir, disk.Stats().Entries)
+	} else {
+		fmt.Fprintf(os.Stderr, "rallocd: cache: l1 %s, no disk tier (-cache-dir to persist)\n", l1Desc)
+	}
+	tiered := store.NewTiered(driver.NewCache(*cacheSize), disk)
 	cfg := server.Config{
-		Options:         opts,
-		Workers:         *jobs,
-		MaxInFlight:     *maxInflight,
-		MaxQueue:        *maxQueue,
-		MaxJobs:         *maxJobs,
-		JobRetention:    *jobRetention,
-		DefaultDeadline: *defaultDeadline,
-		MaxDeadline:     *maxDeadline,
-		Telemetry:       sink,
-		InstanceID:      *instanceID,
+		Options:      opts,
+		Workers:      *jobs,
+		Store:        tiered,
+		MaxInFlight:  *maxInflight,
+		MaxQueue:     *maxQueue,
+		MaxJobs:      *maxJobs,
+		JobRetention: *jobRetention,
+		Limits:       server.Limits{DefaultDeadline: *defaultDeadline, MaxDeadline: *maxDeadline},
+		Telemetry:    sink,
+		InstanceID:   *instanceID,
 	}
 
 	// The audit stream: one record per allocation verdict, batched to a
@@ -186,19 +196,6 @@ func main() {
 			dest = *auditURL
 		}
 		fmt.Fprintf(os.Stderr, "rallocd: audit stream to %s, %s\n", dest, mode)
-	}
-	if *cacheDir != "" {
-		disk, err := store.OpenDisk(*cacheDir)
-		if err != nil {
-			fail(err)
-		}
-		tiered = store.NewTiered(l1, disk)
-		cfg.Store = tiered
-		fmt.Fprintf(os.Stderr, "rallocd: cache: l1 %s, l2 %s (%d entries on disk)\n",
-			l1Desc, *cacheDir, disk.Stats().Entries)
-	} else {
-		cfg.Cache = l1
-		fmt.Fprintf(os.Stderr, "rallocd: cache: l1 %s, no disk tier (-cache-dir to persist)\n", l1Desc)
 	}
 	srv := server.New(cfg)
 

@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/server"
 	"repro/internal/telemetry"
 )
 
@@ -84,8 +85,7 @@ func main() {
 		ProbeInterval:    *probeInterval,
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,
-		DefaultDeadline:  *defaultDeadline,
-		MaxDeadline:      *maxDeadline,
+		Limits:           server.Limits{DefaultDeadline: *defaultDeadline, MaxDeadline: *maxDeadline},
 		Telemetry:        &telemetry.Sink{Metrics: telemetry.NewRegistry()},
 		OnBreakerTransition: func(backend string, from, to cluster.BreakerState) {
 			fmt.Fprintf(os.Stderr, "rallocproxy: breaker %s: %s -> %s\n", backend, from, to)

@@ -77,13 +77,9 @@ func (p *Proxy) jobBackend(id string) string {
 // handleJobSubmit serves POST /v1/jobs: route the whole batch (with
 // failover) to the ring owner of its combined content key, remember
 // which backend accepted it, relay the answer.
-func (p *Proxy) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
+func (p *Proxy) handleJobSubmit(w http.ResponseWriter, r *http.Request, info *server.RequestInfo) {
 	p.cfg.Telemetry.Count("proxy.jobs.submitted", 1)
-	body, ok := p.readBody(w, r)
-	if !ok {
-		return
-	}
-	p.routeOne(w, r, body, p.jobKey(body), func(ur *upstreamResponse) {
+	p.routeOne(w, r, info.ID, info.Body, p.jobKey(info.Body), func(ur *upstreamResponse) {
 		var jr server.JobResponse
 		if ur.status == http.StatusOK && json.Unmarshal(ur.body, &jr) == nil {
 			p.rememberJob(jr.JobID, ur.backend.id)
@@ -97,7 +93,6 @@ func (p *Proxy) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // stream, so live result streams flow through.
 func (p *Proxy) handleJobForward(w http.ResponseWriter, r *http.Request) {
 	tel := p.cfg.Telemetry
-	tel.Count("proxy.requests", 1)
 	id := r.PathValue("id")
 	if owner := p.jobBackend(id); owner != "" {
 		if b := p.backends[owner]; b != nil {
@@ -134,7 +129,6 @@ func (p *Proxy) broadcastJob(w http.ResponseWriter, r *http.Request, id string) 
 	server.WriteJSON(w, http.StatusNotFound, server.ErrorResponse{
 		Error: fmt.Sprintf("unknown job %s (no backend claims it)", id),
 	})
-	p.cfg.Telemetry.Count("proxy.status.4xx", 1)
 }
 
 // probeJob asks one backend whether it knows the job (a HEAD-shaped
@@ -182,13 +176,8 @@ func (p *Proxy) forwardStream(w http.ResponseWriter, r *http.Request, b *Backend
 		return false
 	}
 	defer resp.Body.Close()
-	for _, h := range []string{"Content-Type", "X-Request-ID", server.BackendHeader, "Retry-After"} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
+	copyContract(w.Header(), resp.Header)
 	w.WriteHeader(resp.StatusCode)
-	p.cfg.Telemetry.Count(fmt.Sprintf("proxy.status.%dxx", resp.StatusCode/100), 1)
 	flusher, _ := w.(http.Flusher)
 	buf := make([]byte, 32<<10)
 	for {
@@ -213,11 +202,6 @@ func (p *Proxy) forwardStream(w http.ResponseWriter, r *http.Request, b *Backend
 // answer 404 and are skipped; if none has one, the proxy answers 404
 // too.
 func (p *Proxy) handleAudit(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		server.WriteJSON(w, http.StatusMethodNotAllowed, server.ErrorResponse{Error: "GET only"})
-		return
-	}
 	query := ""
 	if r.URL.RawQuery != "" {
 		query = "?" + r.URL.RawQuery

@@ -18,6 +18,7 @@ import (
 	"repro/internal/driver"
 	"repro/internal/iloc"
 	"repro/internal/server"
+	"repro/internal/store"
 )
 
 // postBytes posts body bytes as they are to url.
@@ -117,7 +118,7 @@ func TestRouteKeysMemo(t *testing.T) {
 // the backend's 400 every time and never remembered; an oversized body
 // is the proxy's own 400 with the message it always had.
 func TestProxyMemoRepeatAndBadBodies(t *testing.T) {
-	c := newTestCluster(t, 2, func(cfg *Config) { cfg.MaxBodyBytes = 1 << 12 })
+	c := newTestCluster(t, 2, nil)
 	body := programBody(t)
 	var answers []server.AllocateResponse
 	for try := 0; try < 2; try++ {
@@ -130,7 +131,7 @@ func TestProxyMemoRepeatAndBadBodies(t *testing.T) {
 	sameCode(t, answers[0], answers[1])
 
 	bad := marshal(t, server.AllocateRequest{ILOC: "not iloc at all"})
-	huge := marshal(t, server.AllocateRequest{ILOC: unitSource(0) + strings.Repeat("\n", 1<<12)})
+	huge := marshal(t, server.AllocateRequest{ILOC: unitSource(0) + strings.Repeat("\n", server.MaxBodyBytes)})
 	for _, b := range []struct {
 		body []byte
 		want string
@@ -186,7 +187,7 @@ func TestProxyBatchScatterRepeat(t *testing.T) {
 // one-entry cache lost a remembered body's results decodes it again and
 // answers with the same code, while many clients post it at once.
 func TestProxyMemoEvictedAndConcurrent(t *testing.T) {
-	backend := httptest.NewServer(server.New(server.Config{InstanceID: "b1", Cache: driver.NewCache(1), MaxQueue: 64}).Handler())
+	backend := httptest.NewServer(server.New(server.Config{InstanceID: "b1", Store: store.NewTiered(driver.NewCache(1), nil), MaxQueue: 64}).Handler())
 	t.Cleanup(backend.Close)
 	p, err := New(Config{Backends: []string{backend.URL}, ProbeInterval: -1})
 	if err != nil {

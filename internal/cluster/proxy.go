@@ -84,16 +84,8 @@ type Config struct {
 	// (<= 0: 1s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// DefaultDeadline applies when the client sends no X-Deadline-Ms
-	// (0: 30s); MaxDeadline clamps client-requested deadlines (0: 2m).
-	// The budget covers all retries, and its remainder is forwarded to
-	// the chosen backend as its own X-Deadline-Ms.
-	DefaultDeadline time.Duration
-	MaxDeadline     time.Duration
-	// MaxBodyBytes bounds request bodies (0: 16 MiB).
-	MaxBodyBytes int64
-	// RetryAfter is the backoff hint for proxy-originated 429s (0: 1s).
-	RetryAfter time.Duration
+	// Limits are the request deadlines, as rallocd's.
+	server.Limits
 	// Transport performs the upstream requests (nil:
 	// http.DefaultTransport). The fault-injection tests hook
 	// faultnet.Transport here.
@@ -125,18 +117,7 @@ func (c Config) withDefaults() Config {
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 500 * time.Millisecond
 	}
-	if c.DefaultDeadline <= 0 {
-		c.DefaultDeadline = 30 * time.Second
-	}
-	if c.MaxDeadline <= 0 {
-		c.MaxDeadline = 2 * time.Minute
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 16 << 20
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
+	c.Limits = c.Limits.WithDefaults()
 	if c.Transport == nil {
 		c.Transport = http.DefaultTransport
 	}
@@ -157,12 +138,12 @@ type Proxy struct {
 	cfg      Config
 	ring     *Ring
 	memo     *server.Memo
+	shell    *server.Shell
 	backends map[string]*Backend
 	client   *http.Client
 	mux      *http.ServeMux
 
-	ready  atomic.Bool
-	reqSeq atomic.Int64
+	ready atomic.Bool
 
 	// jobOwner maps a job ID to the backend that accepted it (bounded
 	// FIFO; see jobs.go).
@@ -184,6 +165,7 @@ func New(cfg Config) (*Proxy, error) {
 	p := &Proxy{
 		cfg:      cfg,
 		memo:     server.NewMemo(server.DefaultOptions()),
+		shell:    server.NewShell("proxy", cfg.Telemetry),
 		backends: make(map[string]*Backend),
 		client:   &http.Client{Transport: cfg.Transport},
 		stop:     make(chan struct{}),
@@ -216,16 +198,19 @@ func New(cfg Config) (*Proxy, error) {
 	p.ready.Store(true)
 
 	p.mux = http.NewServeMux()
-	p.mux.HandleFunc("/v1/allocate", p.handleAllocate)
-	p.mux.HandleFunc("/v1/batch", p.handleBatch)
-	p.mux.HandleFunc("POST /v1/jobs", p.handleJobSubmit)
+	// The allocation endpoints run in the same request shell as
+	// rallocd's; the job GET forwards stay outside it, since their
+	// NDJSON relay flushes through the ResponseWriter.
+	p.mux.Handle("/v1/allocate", p.shell.Wrap("proxy/v1/allocate", p.handleAllocate))
+	p.mux.Handle("/v1/batch", p.shell.Wrap("proxy/v1/batch", p.handleBatch))
+	p.mux.Handle("POST /v1/jobs", p.shell.Wrap("proxy/v1/jobs", p.handleJobSubmit))
 	p.mux.HandleFunc("GET /v1/jobs/{id}", p.handleJobForward)
 	p.mux.HandleFunc("GET /v1/jobs/{id}/results", p.handleJobForward)
 	p.mux.HandleFunc("DELETE /v1/jobs/{id}", p.handleJobForward)
-	p.mux.HandleFunc("/v1/audit", p.handleAudit)
-	p.mux.HandleFunc("/v1/strategies", p.handleForwardGET)
-	p.mux.HandleFunc("/v1/machines", p.handleForwardGET)
-	p.mux.HandleFunc("/v1/cluster", p.handleCluster)
+	p.mux.HandleFunc("/v1/audit", server.Only(http.MethodGet, p.handleAudit))
+	p.mux.HandleFunc("/v1/strategies", server.Only(http.MethodGet, p.handleForwardGET))
+	p.mux.HandleFunc("/v1/machines", server.Only(http.MethodGet, p.handleForwardGET))
+	p.mux.HandleFunc("/v1/cluster", server.Only(http.MethodGet, p.handleCluster))
 	p.mux.HandleFunc("/healthz", p.handleHealthz)
 	p.mux.HandleFunc("/readyz", p.handleReadyz)
 	p.mux.HandleFunc("/metrics", p.handleMetrics)
@@ -234,9 +219,6 @@ func New(cfg Config) (*Proxy, error) {
 
 // Handler returns the proxy's HTTP handler tree.
 func (p *Proxy) Handler() http.Handler { return p.mux }
-
-// Metrics returns the telemetry registry backing /metrics.
-func (p *Proxy) Metrics() *telemetry.Registry { return p.cfg.Telemetry.Metrics }
 
 // SetReady flips the /readyz verdict; the daemon clears it when a
 // cluster drain begins.
@@ -308,57 +290,26 @@ func (p *Proxy) routeKeys(body []byte, kind server.Kind) []driver.Key {
 
 // --- request handling ---
 
-// requestID resolves the client-supplied X-Request-ID or generates one.
-func (p *Proxy) requestID(r *http.Request) string {
-	if id := r.Header.Get("X-Request-ID"); id != "" {
-		return id
-	}
-	return fmt.Sprintf("proxy-%06d", p.reqSeq.Add(1))
-}
-
-// readBody drains a bounded request body.
-func (p *Proxy) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := server.ReadBody(w, r, p.cfg.MaxBodyBytes)
-	if err != nil {
-		server.WriteJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
-		return nil, false
-	}
-	return body, true
-}
-
-func (p *Proxy) handleAllocate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		server.WriteJSON(w, http.StatusMethodNotAllowed, server.ErrorResponse{Error: "POST only"})
-		return
-	}
-	body, ok := p.readBody(w, r)
-	if !ok {
-		return
-	}
+func (p *Proxy) handleAllocate(w http.ResponseWriter, r *http.Request, info *server.RequestInfo) {
 	// Keyed by the first routine alone: the callees of a multi-routine
 	// program follow it to the same backend.
-	p.routeOne(w, r, body, string(p.routeKeys(body, server.KindAllocate)[0]), nil)
+	p.routeOne(w, r, info.ID, info.Body, string(p.routeKeys(info.Body, server.KindAllocate)[0]), nil)
 }
 
 // routeOne relays one request to the ring with failover and answers
-// with whatever coherent response the cluster produced. onAnswer, when
-// non-nil, sees the backend's answer before it is relayed.
-func (p *Proxy) routeOne(w http.ResponseWriter, r *http.Request, body []byte, key string, onAnswer func(*upstreamResponse)) {
-	tel := p.cfg.Telemetry
-	sp := tel.StartSpan(telemetry.CatServer, "proxy"+r.URL.Path)
-	defer func() { tel.Observe("proxy.request.wall", sp.End().Nanoseconds()) }()
-	tel.Count("proxy.requests", 1)
-
-	ctx, cancel, ok := p.budget(w, r)
+// with whatever coherent response the cluster produced. id is the
+// request ID every attempt forwards; onAnswer, when non-nil, sees the
+// backend's answer before it is relayed.
+func (p *Proxy) routeOne(w http.ResponseWriter, r *http.Request, id string, body []byte, key string, onAnswer func(*upstreamResponse)) {
+	ctx, cancel, ok := p.budget(w, r, id)
 	if !ok {
 		return
 	}
 	defer cancel()
 
-	ur, err := p.do(ctx, r.Method, r.URL.Path, r.Header, body, key)
+	ur, err := p.do(ctx, r.Method, r.URL.Path, r.Header, id, body, key)
 	if err != nil {
-		p.shed(w, p.requestID(r), err)
+		p.shed(w, id, err)
 		return
 	}
 	if onAnswer != nil {
@@ -370,10 +321,10 @@ func (p *Proxy) routeOne(w http.ResponseWriter, r *http.Request, body []byte, ke
 // budget derives the request's deadline-budget context from its
 // X-Deadline-Ms header; the budget covers every retry the request
 // makes. A malformed header is answered 400 and ok is false.
-func (p *Proxy) budget(w http.ResponseWriter, r *http.Request) (ctx context.Context, cancel context.CancelFunc, ok bool) {
+func (p *Proxy) budget(w http.ResponseWriter, r *http.Request, id string) (ctx context.Context, cancel context.CancelFunc, ok bool) {
 	deadline, ok := server.ParseDeadline(r, p.cfg.DefaultDeadline, p.cfg.MaxDeadline)
 	if !ok {
-		server.WriteJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: "bad X-Deadline-Ms header", RequestID: p.requestID(r)})
+		server.WriteJSON(w, http.StatusBadRequest, server.ErrorResponse{Error: "bad X-Deadline-Ms header", RequestID: id})
 		return nil, nil, false
 	}
 	ctx, cancel = context.WithTimeout(r.Context(), deadline)
@@ -402,7 +353,7 @@ var (
 // largest Retry-After a backend sent. Returns the first conclusive
 // response (2xx/4xx, or the last 429 when every backend is shedding),
 // or an error once attempts or the deadline budget run out.
-func (p *Proxy) do(ctx context.Context, method, path string, hdr http.Header, body []byte, key string) (*upstreamResponse, error) {
+func (p *Proxy) do(ctx context.Context, method, path string, hdr http.Header, reqID string, body []byte, key string) (*upstreamResponse, error) {
 	tel := p.cfg.Telemetry
 	seq := p.ring.Sequence(key, p.cfg.FailoverReplicas)
 	if len(seq) == 0 {
@@ -450,7 +401,7 @@ func (p *Proxy) do(ctx context.Context, method, path string, hdr http.Header, bo
 				tel.Count("proxy.retries", 1)
 			}
 			b.requests.Add(1)
-			ur, err := p.try(ctx, b, method, path, hdr, body)
+			ur, err := p.try(ctx, b, method, path, hdr, reqID, body)
 			if err != nil {
 				tel.Count("proxy.upstream.errors", 1)
 				b.noteFailure()
@@ -510,8 +461,10 @@ func (p *Proxy) do(ctx context.Context, method, path string, hdr http.Header, bo
 }
 
 // try performs one upstream attempt, reading the whole response body
-// so mid-body truncation surfaces here as a retriable error.
-func (p *Proxy) try(ctx context.Context, b *Backend, method, path string, hdr http.Header, body []byte) (*upstreamResponse, error) {
+// so mid-body truncation surfaces here as a retriable error. The
+// attempt carries the client's Content-Type and Accept and, as
+// X-Request-ID, the request's ID.
+func (p *Proxy) try(ctx context.Context, b *Backend, method, path string, hdr http.Header, reqID string, body []byte) (*upstreamResponse, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -520,10 +473,13 @@ func (p *Proxy) try(ctx context.Context, b *Backend, method, path string, hdr ht
 	if err != nil {
 		return nil, err
 	}
-	for _, h := range []string{"Content-Type", "X-Request-ID", "Accept"} {
+	for _, h := range []string{"Content-Type", "Accept"} {
 		if v := hdr.Get(h); v != "" {
 			req.Header.Set(h, v)
 		}
+	}
+	if reqID != "" {
+		req.Header.Set("X-Request-ID", reqID)
 	}
 	// The backend gets what is left of the budget, so its own deadline
 	// degradation engages before the proxy's budget dies.
@@ -560,41 +516,36 @@ func parseRetryAfter(h http.Header) time.Duration {
 	return time.Duration(sec) * time.Second
 }
 
-// relay copies a backend answer to the client, preserving the headers
-// that carry the serving contract.
-func (p *Proxy) relay(w http.ResponseWriter, ur *upstreamResponse) {
+// copyContract copies the headers that carry the serving contract from
+// a backend's answer to the client's.
+func copyContract(dst, src http.Header) {
 	for _, h := range []string{"Content-Type", "X-Request-ID", server.BackendHeader, "Retry-After"} {
-		if v := ur.header.Get(h); v != "" {
-			w.Header().Set(h, v)
+		if v := src.Get(h); v != "" {
+			dst.Set(h, v)
 		}
 	}
+}
+
+// relay copies a backend answer to the client.
+func (p *Proxy) relay(w http.ResponseWriter, ur *upstreamResponse) {
+	copyContract(w.Header(), ur.header)
 	w.Header().Set("X-Ralloc-Proxy-Attempts", strconv.Itoa(ur.attempts))
 	w.WriteHeader(ur.status)
 	w.Write(ur.body)
-	p.cfg.Telemetry.Count(fmt.Sprintf("proxy.status.%dxx", ur.status/100), 1)
 }
 
 // shed answers a request the cluster could not serve: always 429 +
 // Retry-After, never a 5xx — the cluster-level mirror of the backend's
 // admission contract. err says why (budget, exhausted, unavailable).
 func (p *Proxy) shed(w http.ResponseWriter, id string, err error) {
-	server.WriteShed(w, p.cfg.RetryAfter, "cluster cannot serve the request now: "+err.Error(), id)
+	server.WriteShed(w, "cluster cannot serve the request now: "+err.Error(), id)
 	p.cfg.Telemetry.Count("proxy.shed", 1)
-	p.cfg.Telemetry.Count("proxy.status.4xx", 1)
 }
 
 // --- batch scatter-gather ---
 
-func (p *Proxy) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		server.WriteJSON(w, http.StatusMethodNotAllowed, server.ErrorResponse{Error: "POST only"})
-		return
-	}
-	body, ok := p.readBody(w, r)
-	if !ok {
-		return
-	}
+func (p *Proxy) handleBatch(w http.ResponseWriter, r *http.Request, info *server.RequestInfo) {
+	body := info.Body
 
 	// Each unit routes by its own content key. A body that does not
 	// decode has one raw key, so it relays whole to one owner.
@@ -612,10 +563,10 @@ func (p *Proxy) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// cut from it; a failure here is the backend's 400 to give.
 	var req server.BatchRequest
 	if len(groups) == 1 || server.DecodeBody(bytes.NewReader(body), &req) != nil {
-		p.routeOne(w, r, body, string(keys[0]), nil)
+		p.routeOne(w, r, info.ID, body, string(keys[0]), nil)
 		return
 	}
-	p.scatter(w, r, &req, keys, groups)
+	p.scatter(w, r, info.ID, &req, keys, groups)
 }
 
 // scatter fans a batch's unit groups out to their ring owners
@@ -624,20 +575,15 @@ func (p *Proxy) handleBatch(w http.ResponseWriter, r *http.Request) {
 // sub-batch and every sub-response must answer exactly its units, so
 // units cannot be duplicated or lost — a sub-batch that cannot be
 // served conclusively fails the whole request (as a 429 or a relayed
-// backend error), never a partial merge.
-func (p *Proxy) scatter(w http.ResponseWriter, r *http.Request, req *server.BatchRequest, keys []driver.Key, groups map[string][]int) {
-	tel := p.cfg.Telemetry
-	sp := tel.StartSpan(telemetry.CatServer, "proxy/v1/batch")
-	defer func() { tel.Observe("proxy.request.wall", sp.End().Nanoseconds()) }()
-	tel.Count("proxy.requests", 1)
-	tel.Count("proxy.scatter", 1)
-
-	ctx, cancel, ok := p.budget(w, r)
+// backend error), never a partial merge. Every sub-batch carries the
+// request's ID, reqID.
+func (p *Proxy) scatter(w http.ResponseWriter, r *http.Request, reqID string, req *server.BatchRequest, keys []driver.Key, groups map[string][]int) {
+	p.cfg.Telemetry.Count("proxy.scatter", 1)
+	ctx, cancel, ok := p.budget(w, r, reqID)
 	if !ok {
 		return
 	}
 	defer cancel()
-	reqID := p.requestID(r)
 
 	type subResult struct {
 		idxs []int
@@ -658,7 +604,7 @@ func (p *Proxy) scatter(w http.ResponseWriter, r *http.Request, req *server.Batc
 			}
 			// The group key is its first unit's key: the ring maps it
 			// to this owner, and failover walks the owner's successors.
-			ur, err := p.do(ctx, http.MethodPost, "/v1/batch", r.Header, body, string(keys[idxs[0]]))
+			ur, err := p.do(ctx, http.MethodPost, "/v1/batch", r.Header, reqID, body, string(keys[idxs[0]]))
 			results <- subResult{idxs: idxs, ur: ur, err: err}
 		}()
 	}
@@ -723,9 +669,7 @@ func (p *Proxy) scatter(w http.ResponseWriter, r *http.Request, req *server.Batc
 	}
 	sort.Strings(ids)
 	w.Header().Set(server.BackendHeader, strings.Join(ids, ","))
-	w.Header().Set("X-Request-ID", reqID)
 	server.WriteJSON(w, http.StatusOK, merged)
-	tel.Count("proxy.status.2xx", 1)
 }
 
 // mergeStats folds one sub-batch's stats into the merged response:
@@ -753,22 +697,12 @@ func mergeStats(dst *server.BatchStats, src server.BatchStats) {
 // GET /v1/machines) to any available backend — the listing is
 // identical cluster-wide.
 func (p *Proxy) handleForwardGET(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		server.WriteJSON(w, http.StatusMethodNotAllowed, server.ErrorResponse{Error: "GET only"})
-		return
-	}
-	p.routeOne(w, r, nil, r.URL.Path, nil)
+	p.routeOne(w, r, r.Header.Get("X-Request-ID"), nil, r.URL.Path, nil)
 }
 
 // handleCluster reports the cluster's shape: ring backends in failover
 // health, breaker states, probe and failure counts.
 func (p *Proxy) handleCluster(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		server.WriteJSON(w, http.StatusMethodNotAllowed, server.ErrorResponse{Error: "GET only"})
-		return
-	}
 	server.WriteJSON(w, http.StatusOK, ClusterStatus{Ready: p.ready.Load(), Backends: p.Status()})
 }
 

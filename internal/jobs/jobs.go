@@ -261,11 +261,21 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Run == nil {
 		return nil, errors.New("jobs: Config.Run is required")
 	}
-	return &Manager{
+	m := &Manager{
 		cfg:   cfg,
 		jobs:  make(map[string]*Job),
 		tombs: make(map[string]struct{}),
-	}, nil
+	}
+	m.publishLocked()
+	return m, nil
+}
+
+// publishLocked writes the jobs.active and jobs.retained gauges. The
+// manager is their only writer, and it writes them whenever either
+// count changes.
+func (m *Manager) publishLocked() {
+	m.cfg.Telemetry.Gauge("jobs.active").Set(int64(m.active))
+	m.cfg.Telemetry.Gauge("jobs.retained").Set(int64(len(m.finished)))
 }
 
 // Submit admits one batch as a job, returning as soon as it is queued.
@@ -299,7 +309,7 @@ func (m *Manager) Submit(units []driver.Unit, requestID string) (*Job, error) {
 	j.cond = sync.NewCond(&j.mu)
 	m.jobs[j.ID] = j
 	m.active++
-	tel.Gauge("jobs.active").Set(int64(m.active))
+	m.publishLocked()
 	m.mu.Unlock()
 	tel.Count("jobs.submitted", 1)
 
@@ -404,13 +414,13 @@ func (m *Manager) finalize(j *Job, fillErr error) {
 	}
 	m.mu.Lock()
 	m.active--
-	tel.Gauge("jobs.active").Set(int64(m.active))
 	m.finished = append(m.finished, j.ID)
 	// Bound retained terminal jobs: evict oldest-finished first.
 	for over := len(m.finished) - m.cfg.MaxRetained; over > 0; over-- {
 		m.expireLocked(m.finished[0])
 		m.finished = m.finished[1:]
 	}
+	m.publishLocked()
 	m.mu.Unlock()
 }
 
@@ -447,6 +457,7 @@ func (m *Manager) Cancel(id string) (*Job, Presence) {
 // reapLocked expires terminal jobs older than the retention window.
 func (m *Manager) reapLocked() {
 	cutoff := m.cfg.Now().Add(-m.cfg.Retention)
+	n := len(m.finished)
 	for len(m.finished) > 0 {
 		j, ok := m.jobs[m.finished[0]]
 		if ok {
@@ -459,6 +470,9 @@ func (m *Manager) reapLocked() {
 			m.expireLocked(m.finished[0])
 		}
 		m.finished = m.finished[1:]
+	}
+	if len(m.finished) != n {
+		m.publishLocked()
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/driver"
 	"repro/internal/store"
 )
 
@@ -84,7 +83,7 @@ func TestBundleEndpointRoundTrip(t *testing.T) {
 // TestBundleEndpointWithoutStore: a memory-only daemon answers 404, and
 // non-GET methods 405.
 func TestBundleEndpointWithoutStore(t *testing.T) {
-	ts := newTestServer(t, Config{Cache: driver.NewCache(0)})
+	ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/v1/cache/bundle")
 	if err != nil {
 		t.Fatal(err)

@@ -15,20 +15,18 @@ import (
 
 // decodeUnits is the decode-or-400 step of every allocation endpoint:
 // the units of a body of the given kind under the server defaults, or
-// false after answering 400. The body is read once, and the server's
-// memo answers a body it has served before with no decode, parse or
-// KeyFor; fill, non-nil for a body the memo does not hold, remembers it
-// from the results of running its units. An unknown strategy or
-// machine name additionally lists the registered names in the body so
-// a client can self-correct without a second round trip.
-func (s *Server) decodeUnits(w http.ResponseWriter, r *http.Request, info *requestInfo, kind Kind) (units []driver.Unit, fill func([]driver.UnitResult), ok bool) {
-	body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
+// false after answering 400. The server's memo answers a body it has
+// served before with no decode, parse or KeyFor; fill, non-nil for a
+// body the memo does not hold, remembers it from the results of running
+// its units. An unknown strategy or machine name additionally lists the
+// registered names in the body so a client can self-correct without a
+// second round trip.
+func (s *Server) decodeUnits(w http.ResponseWriter, info *RequestInfo, kind Kind) (units []driver.Unit, fill func([]driver.UnitResult), ok bool) {
+	units, fill, err := s.memo.Units(kind, info.Body)
 	if err == nil {
-		if units, fill, err = s.memo.Units(kind, body); err == nil {
-			return units, fill, true
-		}
+		return units, fill, true
 	}
-	resp := ErrorResponse{Error: err.Error(), RequestID: info.id}
+	resp := ErrorResponse{Error: err.Error(), RequestID: info.ID}
 	var unknownStrategy *core.UnknownStrategyError
 	if errors.As(err, &unknownStrategy) {
 		resp.Strategies = unknownStrategy.Registered
@@ -41,35 +39,31 @@ func (s *Server) decodeUnits(w http.ResponseWriter, r *http.Request, info *reque
 	return nil, nil, false
 }
 
-// handleAllocate serves POST /v1/allocate: one ILOC source text holding
-// one or more routines, all allocated under the same options.
-func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request, info *requestInfo) {
-	if units, fill, ok := s.decodeUnits(w, r, info, KindAllocate); ok {
-		s.serve(w, r, info, units, fill)
-	}
-}
-
-// handleBatch serves POST /v1/batch: named units, each optionally
-// carrying its own options.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, info *requestInfo) {
-	if units, fill, ok := s.decodeUnits(w, r, info, KindBatch); ok {
-		s.serve(w, r, info, units, fill)
+// handleSync serves a synchronous allocation endpoint whose body is of
+// the given kind: POST /v1/allocate, one ILOC source text holding one or
+// more routines, all allocated under the same options; or POST
+// /v1/batch, named units, each optionally carrying its own options.
+func (s *Server) handleSync(kind Kind) func(http.ResponseWriter, *http.Request, *RequestInfo) {
+	return func(w http.ResponseWriter, r *http.Request, info *RequestInfo) {
+		if units, fill, ok := s.decodeUnits(w, info, kind); ok {
+			s.serve(w, r, info, units, fill)
+		}
 	}
 }
 
 // serve is the shared allocation path: admission, deadline, engine run,
 // memo fill, response shaping. The memo is filled from the keys the
 // workers computed, so a new body costs no hashing beyond its one sum.
-func (s *Server) serve(w http.ResponseWriter, r *http.Request, info *requestInfo, units []driver.Unit, fill func([]driver.UnitResult)) {
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, info *RequestInfo, units []driver.Unit, fill func([]driver.UnitResult)) {
 	deadline, ok := ParseDeadline(r, s.cfg.DefaultDeadline, s.cfg.MaxDeadline)
 	if !ok {
-		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad X-Deadline-Ms header", RequestID: info.id})
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad X-Deadline-Ms header", RequestID: info.ID})
 		return
 	}
 
 	release, err := s.admit(r.Context().Done())
 	if err != nil {
-		s.shed(w, info, "server saturated, retry later")
+		WriteShed(w, "server saturated, retry later", info.ID)
 		return
 	}
 	defer release()
@@ -84,9 +78,9 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, info *requestInfo
 	// sink instead, so batch spans land on the request's trace thread;
 	// the cache and metrics registry stay the shared ones either way.
 	eng := s.engine
-	if info.sink != nil && info.sink.Trace != nil {
+	if info.Sink != nil && info.Sink.Trace != nil {
 		eng = driver.New(driver.Config{
-			Options: s.cfg.Options, Workers: s.cfg.Workers, Cache: s.cfg.Cache, Telemetry: info.sink,
+			Options: s.cfg.Options, Workers: s.cfg.Workers, Cache: s.cfg.Store, Telemetry: info.Sink,
 		})
 	}
 	batch := eng.Run(ctx, units)
@@ -95,7 +89,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, info *requestInfo
 	}
 
 	resp := AllocateResponse{
-		RequestID: info.id,
+		RequestID: info.ID,
 		Results:   make([]UnitResponse, len(batch.Results)),
 		Stats: BatchStats{
 			Routines:      batch.Stats.Routines,
@@ -114,7 +108,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, info *requestInfo
 	}
 	if s.cfg.Audit != nil {
 		for i, ur := range batch.Results {
-			s.auditUnit(info.id, "", units[i], ur)
+			s.auditUnit(info.ID, "", units[i], ur)
 		}
 	}
 	tel := s.cfg.Telemetry
@@ -159,11 +153,6 @@ func (s *Server) unitResponse(u driver.Unit, ur driver.UnitResult) UnitResponse 
 // strategies, in registration order, with their one-line descriptions.
 // Clients select one per request via the options "strategy" field.
 func (s *Server) handleStrategies(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "GET only"})
-		return
-	}
 	strategies := core.Strategies()
 	resp := StrategiesResponse{Strategies: make([]StrategyInfo, len(strategies))}
 	for i, st := range strategies {
@@ -177,11 +166,6 @@ func (s *Server) handleStrategies(w http.ResponseWriter, r *http.Request) {
 // per request via the options "machine" field (or "regs=N" for an
 // unregistered sweep point).
 func (s *Server) handleMachines(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "GET only"})
-		return
-	}
 	zoo := machines.All()
 	resp := MachinesResponse{Machines: make([]MachineInfo, len(zoo))}
 	for i, e := range zoo {
@@ -220,39 +204,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // lines — the same format the CLIs write under -metrics. The result
 // cache's per-tier stats are refreshed into the registry (store.*
 // gauges) on every scrape, so warm-vs-cold serving is visible without
-// instrumenting the cache hot path.
+// instrumenting the cache hot path. Every other name has one writer:
+// the layer that owns it (jobs.*, audit.*, server.*).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.publishCacheMetrics()
-	js := s.jobs.Stats()
 	reg := s.cfg.Telemetry.Metrics
-	reg.Gauge("jobs.active").Set(int64(js.Active))
-	reg.Gauge("jobs.retained").Set(int64(js.Retained))
-	if log := s.cfg.Audit; log != nil {
-		as := log.Stats()
-		reg.Gauge("audit.logged").Set(as.Logged)
-		reg.Gauge("audit.flushed").Set(as.Flushed)
-	}
+	s.cfg.Store.PublishMetrics(reg)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_, _ = s.cfg.Telemetry.Metrics.WriteTo(w)
-}
-
-// publishCacheMetrics writes the current cache stats into the
-// telemetry registry: both tiers when a persistent store is
-// configured, the L1 shape alone for a plain in-memory cache.
-func (s *Server) publishCacheMetrics() {
-	reg := s.cfg.Telemetry.Metrics
-	if s.cfg.Store != nil {
-		s.cfg.Store.PublishMetrics(reg)
-		return
-	}
-	if c, ok := s.cfg.Cache.(*driver.Cache); ok {
-		cs := c.Stats()
-		reg.Gauge("store.l1.hits").Set(int64(cs.Hits))
-		reg.Gauge("store.l1.misses").Set(int64(cs.Misses))
-		reg.Gauge("store.l1.evictions").Set(int64(cs.Evictions))
-		reg.Gauge("store.l1.entries").Set(int64(cs.Entries))
-		reg.Gauge("store.l1.hit_rate_pct").Set(int64(100 * cs.HitRate()))
-	}
+	_, _ = reg.WriteTo(w)
 }
 
 // handleBundle serves GET /v1/cache/bundle: a tar.gz snapshot of the
@@ -261,13 +219,8 @@ func (s *Server) publishCacheMetrics() {
 // `ralloc-bundle export -url` can warm a cold cache from it. Servers
 // without a persistent tier answer 404.
 func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "GET only"})
-		return
-	}
 	st := s.cfg.Store
-	if st == nil || st.Disk() == nil {
+	if st.Disk() == nil {
 		WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "no persistent cache tier (start rallocd with -cache-dir)"})
 		return
 	}

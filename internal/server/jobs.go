@@ -31,7 +31,7 @@ func (s *Server) runJobUnits(ctx context.Context, units []driver.Unit, onUnit fu
 	eng := driver.New(driver.Config{
 		Options:    s.cfg.Options,
 		Workers:    s.cfg.Workers,
-		Cache:      s.cfg.Cache,
+		Cache:      s.cfg.Store,
 		Telemetry:  s.cfg.Telemetry,
 		OnUnitDone: onUnit,
 	})
@@ -93,29 +93,23 @@ func (s *Server) auditUnit(reqID, jobID string, u driver.Unit, r driver.UnitResu
 
 // handleJobSubmit serves POST /v1/jobs: admit the batch, answer with
 // the job ID, run in the background.
-func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request, info *requestInfo) {
+func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request, info *RequestInfo) {
 	// A job's results arrive after its request is answered, so the job
 	// path reads the memo but leaves filling it to the sync paths.
-	units, _, ok := s.decodeUnits(w, r, info, KindBatch)
+	units, _, ok := s.decodeUnits(w, info, KindBatch)
 	if !ok {
 		return
 	}
-	j, err := s.jobs.Submit(units, info.id)
+	j, err := s.jobs.Submit(units, info.ID)
 	if err != nil {
 		if errors.Is(err, jobs.ErrQueueFull) {
-			s.shed(w, info, "job queue full, retry later")
+			WriteShed(w, "job queue full, retry later", info.ID)
 			return
 		}
-		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), RequestID: info.id})
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), RequestID: info.ID})
 		return
 	}
 	WriteJSON(w, http.StatusOK, s.jobResponse(j))
-}
-
-// shed answers 429 + Retry-After — the admission verdict for both the
-// sync paths and the job table.
-func (s *Server) shed(w http.ResponseWriter, info *requestInfo, msg string) {
-	WriteShed(w, s.cfg.RetryAfter, msg, info.id)
 }
 
 // jobResponse shapes one job snapshot for the wire, stamped with the
@@ -226,11 +220,6 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // operator — or the jobs smoke test — can assert zero drops without
 // reading the sink. Servers without an audit stream answer 404.
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "GET only"})
-		return
-	}
 	log := s.cfg.Audit
 	if log == nil {
 		WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "no audit stream (start rallocd with -audit-dir or -audit-url)"})

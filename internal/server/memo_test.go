@@ -14,6 +14,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/driver"
 	"repro/internal/machines"
+	"repro/internal/store"
 )
 
 // memoServer boots a server whose memo the test can inspect.
@@ -149,8 +150,8 @@ func TestMemoKindSeparatesEndpoints(t *testing.T) {
 // over the size limit is still refused with the message it always had.
 func TestMemoNeverStoresBadBodies(t *testing.T) {
 	src := testSource(t)
-	srv, ts := memoServer(t, Config{MaxBodyBytes: 4096})
-	huge := mustMarshal(t, AllocateRequest{ILOC: src + strings.Repeat("\n", 4096)})
+	srv, ts := memoServer(t, Config{})
+	huge := mustMarshal(t, AllocateRequest{ILOC: src + strings.Repeat("\n", MaxBodyBytes)})
 	cases := []struct {
 		path string
 		body []byte
@@ -201,7 +202,7 @@ func TestMemoNeverStoresBadBodies(t *testing.T) {
 // cache decodes again on its units' miss, and each unit allocates its
 // own routine: the code matches the first answer byte for byte.
 func TestMemoHitReparsesEvicted(t *testing.T) {
-	srv, ts := memoServer(t, Config{Cache: driver.NewCache(1)})
+	srv, ts := memoServer(t, Config{Store: store.NewTiered(driver.NewCache(1), nil)})
 	prog := mustMarshal(t, AllocateRequest{ILOC: programSource(t)})
 	status, raw := postRaw(t, ts.URL+"/v1/allocate", prog)
 	if status != http.StatusOK {
@@ -265,7 +266,7 @@ func TestMemoCap(t *testing.T) {
 // shared lazy decode and the shared options. Every answer carries the
 // same code.
 func TestMemoConcurrentIdenticalBodies(t *testing.T) {
-	srv, ts := memoServer(t, Config{Cache: driver.NewCache(1), MaxQueue: 64})
+	srv, ts := memoServer(t, Config{Store: store.NewTiered(driver.NewCache(1), nil), MaxQueue: 64})
 	body := mustMarshal(t, AllocateRequest{ILOC: programSource(t)})
 	evict := mustMarshal(t, AllocateRequest{ILOC: testSource(t)})
 	var (

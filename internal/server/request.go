@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"crypto/rand"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,19 +13,190 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/iloc"
+	"repro/internal/telemetry"
 )
 
 // This file is the request contract of the allocation service, in one
-// place: how a body becomes driver units, how X-Deadline-Ms becomes a
-// time budget, and how JSON answers and 429s are written. rallocd's
-// handlers and rallocproxy's routing (internal/cluster) both call it,
-// so a request means the same thing at both hops: the proxy's routing
-// keys are the content keys the backend caches under.
+// place: the request shell every allocation endpoint runs in (request
+// ID, method gate, accounting, panic containment), the limits, how a
+// body becomes driver units, how X-Deadline-Ms becomes a time budget,
+// and how JSON answers and 429s are written. rallocd's handlers and
+// rallocproxy's routing (internal/cluster) both call it, so a request
+// means the same thing at both hops: the proxy's routing keys are the
+// content keys the backend caches under, and the ID the client sees is
+// the one every backend logs.
+
+// MaxBodyBytes bounds every request body at both hops; a larger body
+// is a 400.
+const MaxBodyBytes = 16 << 20
+
+// RetryAfter is the backoff hint of every 429 either hop originates.
+const RetryAfter = time.Second
+
+// Limits are the time bounds of a request, shared by rallocd and
+// rallocproxy.
+type Limits struct {
+	// DefaultDeadline applies when the client sends no X-Deadline-Ms
+	// header (0: 30s). MaxDeadline clamps client-requested deadlines
+	// (0: 2m). At the proxy the budget covers every retry, and its
+	// remainder is forwarded to the chosen backend as its own
+	// X-Deadline-Ms.
+	DefaultDeadline time.Duration
+	MaxDeadline     time.Duration
+}
+
+// WithDefaults returns l with its zero fields defaulted.
+func (l Limits) WithDefaults() Limits {
+	if l.DefaultDeadline <= 0 {
+		l.DefaultDeadline = 30 * time.Second
+	}
+	if l.MaxDeadline <= 0 {
+		l.MaxDeadline = 2 * time.Minute
+	}
+	return l
+}
+
+// Shell is the request shell of the allocation endpoints (POST
+// /v1/allocate, /v1/batch and /v1/jobs) at both hops. Per request it
+// settles the ID, gates the method, reads the body under MaxBodyBytes,
+// opens a telemetry span on the request's own trace thread, contains a
+// handler panic as a 500, and counts the outcome: <prefix>.requests, <prefix>.status.Nxx,
+// <prefix>.request.wall and <prefix>.panics are written here and
+// nowhere else, so requests always equals the sum of the status counts.
+// Safe for concurrent use.
+type Shell struct {
+	tel                    *telemetry.Sink
+	prefix                 string
+	requests, wall, panics string
+	mint                   string // the random half of the IDs this shell mints
+	seq                    atomic.Int64
+}
+
+// NewShell returns the shell of one hop, counting under prefix
+// ("server" or "proxy") into tel.
+func NewShell(prefix string, tel *telemetry.Sink) *Shell {
+	var b [4]byte
+	// crypto/rand.Read does not fail on the platforms Go supports; were
+	// it to, a zero prefix still leaves this shell's IDs unique.
+	_, _ = rand.Read(b[:])
+	return &Shell{
+		tel:      tel,
+		prefix:   prefix,
+		requests: prefix + ".requests",
+		wall:     prefix + ".request.wall",
+		panics:   prefix + ".panics",
+		mint:     "req-" + hex.EncodeToString(b[:]),
+	}
+}
+
+// RequestInfo is one request's identity inside the shell.
+type RequestInfo struct {
+	// ID is the client's X-Request-ID, or the one the first hop minted;
+	// a proxy forwards it on every upstream attempt.
+	ID string
+	// Sink is the telemetry sink on the request's own trace thread.
+	Sink *telemetry.Sink
+	// Body is the request body, read whole.
+	Body []byte
+}
+
+// Wrap mounts h in the shell; name names the request's span. The ID
+// is the client's X-Request-ID when it sent one, and is minted
+// otherwise: a random per-shell prefix and a sequence number, so IDs
+// minted by different processes, or by two instances in one process,
+// never collide. It is set on the response's X-Request-ID header before
+// h runs. A body the shell cannot read is its own 400.
+func (sh *Shell) Wrap(name string, h func(http.ResponseWriter, *http.Request, *RequestInfo)) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seq := sh.seq.Add(1)
+		id := r.Header.Get("X-Request-ID")
+		if id == "" {
+			id = fmt.Sprintf("%s-%06d", sh.mint, seq)
+		}
+		w.Header().Set("X-Request-ID", id)
+
+		tel := sh.tel
+		// With a tracer, each request gets its own trace thread, named
+		// by its ID, so a trace of a busy server reads as one lane per
+		// request.
+		sink := tel
+		if tel != nil && tel.Trace != nil {
+			sink = tel.WithTID(1000 + seq)
+			sink.Trace.SetThreadName(1000+seq, id)
+		}
+
+		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		sp := sink.StartSpan(telemetry.CatServer, name)
+		defer func() {
+			if v := recover(); v != nil {
+				tel.Count(sh.panics, 1)
+				// Best effort: if the handler already wrote, the client
+				// sees a truncated body; either way the process survives.
+				WriteJSON(sw, http.StatusInternalServerError, ErrorResponse{
+					Error:     fmt.Sprintf("internal error: %v", v),
+					RequestID: id,
+				})
+			}
+			if sp.Active() {
+				sp.StrArg("id", id)
+				sp.Arg("status", int64(sw.status))
+			}
+			wall := sp.End()
+			tel.Count(sh.requests, 1)
+			tel.Count(fmt.Sprintf("%s.status.%dxx", sh.prefix, sw.status/100), 1)
+			tel.Observe(sh.wall, wall.Nanoseconds())
+		}()
+		if !allowMethod(sw, r, http.MethodPost, id) {
+			return
+		}
+		body, err := readBody(sw, r)
+		if err != nil {
+			WriteJSON(sw, http.StatusBadRequest, ErrorResponse{Error: err.Error(), RequestID: id})
+			return
+		}
+		h(sw, r, &RequestInfo{ID: id, Sink: sink, Body: body})
+	})
+}
+
+// statusWriter records the status code a handler wrote so the shell
+// can count outcomes per class.
+type statusWriter struct {
+	http.ResponseWriter
+	status int
+}
+
+func (w *statusWriter) WriteHeader(code int) {
+	w.status = code
+	w.ResponseWriter.WriteHeader(code)
+}
+
+// Only gates a route on one method. It is the method check of every
+// gated route at both hops; the shell applies the same check to the
+// allocation endpoints.
+func Only(method string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if allowMethod(w, r, method, "") {
+			h(w, r)
+		}
+	}
+}
+
+// allowMethod reports whether r uses method, and otherwise answers 405
+// with the Allow header and a "<METHOD> only" error.
+func allowMethod(w http.ResponseWriter, r *http.Request, method, requestID string) bool {
+	if r.Method == method {
+		return true
+	}
+	w.Header().Set("Allow", method)
+	WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: method + " only", RequestID: requestID})
+	return false
+}
 
 // Request is a body shape of the allocation endpoints: *AllocateRequest
 // or *BatchRequest.
@@ -55,16 +228,16 @@ func (k Kind) request() Request {
 	return &BatchRequest{}
 }
 
-// maxPresize bounds the buffer ReadBody allocates up front on the
+// maxPresize bounds the buffer readBody allocates up front on the
 // strength of a Content-Length header alone.
 const maxPresize = 1 << 20
 
-// ReadBody reads r's body whole, failing past max bytes. The buffer is
-// presized from Content-Length, so a body arrives in one allocation.
+// readBody reads r's body whole, failing past MaxBodyBytes. The buffer
+// is presized from Content-Length, so a body arrives in one allocation.
 // Every error is the client's, worded as DecodeUnits words a body it
 // could not read.
-func ReadBody(w http.ResponseWriter, r *http.Request, max int64) ([]byte, error) {
-	body := http.MaxBytesReader(w, r.Body, max)
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	n := r.ContentLength
 	if n < 0 || n > maxPresize {
 		n = 512
@@ -343,12 +516,9 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 
 // WriteShed answers 429 + Retry-After: the admission verdict of a
 // saturated server and of a cluster that cannot serve the request now.
-// The backoff hint is retryAfter in whole seconds, at least one.
-func WriteShed(w http.ResponseWriter, retryAfter time.Duration, msg, requestID string) {
-	sec := int(retryAfter / time.Second)
-	if sec < 1 {
-		sec = 1
-	}
+// The backoff hint is RetryAfter in whole seconds.
+func WriteShed(w http.ResponseWriter, msg, requestID string) {
+	const sec = int(RetryAfter / time.Second)
 	w.Header().Set("Retry-After", strconv.Itoa(sec))
 	WriteJSON(w, http.StatusTooManyRequests, ErrorResponse{Error: msg, RequestID: requestID, RetryAfterSec: sec})
 }

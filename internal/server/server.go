@@ -19,15 +19,20 @@
 //     the response carries the guaranteed-terminating spill-everywhere
 //     degradation with reason "deadline" rather than timing out empty.
 //   - Request identity. Every request gets an ID (client-supplied
-//     X-Request-ID or generated), echoed in the response header and
-//     body and attached to the request's telemetry span on its own
-//     trace thread.
+//     X-Request-ID, or minted unique across processes), echoed in the
+//     response header and body, stamped on its audit records and
+//     attached to the request's telemetry span on its own trace
+//     thread. Behind rallocproxy the ID is the one the proxy forwards.
 //   - Panic isolation. The allocator contains its own panics; the
 //     serving layer adds a second boundary so a handler bug fails one
 //     request with a 500, never the process.
 //   - Operational surface. /healthz (liveness), /readyz (readiness,
 //     flipped off during drain), /metrics (the telemetry registry's
 //     flat dump), and /debug/pprof + /debug/vars.
+//
+// Request identity and panic isolation live in the request shell
+// (Shell, in request.go), which rallocproxy mounts its allocation
+// endpoints in too.
 package server
 
 import (
@@ -59,13 +64,11 @@ type Config struct {
 	Options core.Options
 	// Workers bounds each batch's worker pool (<= 0: GOMAXPROCS).
 	Workers int
-	// Cache is the shared content-addressed result cache; nil builds an
-	// unbounded in-memory one. Deadline-degraded results are never
+	// Store is the shared content-addressed result cache; nil builds an
+	// unbounded memory-only one. Its per-tier stats feed the store.*
+	// gauges on /metrics, and its disk tier, if it has one, is exported
+	// via GET /v1/cache/bundle. Deadline-degraded results are never
 	// cached.
-	Cache driver.ResultCache
-	// Store, when non-nil, is the tiered persistent result store: it
-	// becomes the Cache, its per-tier stats feed the store.* gauges on
-	// /metrics, and its disk tier is exported via GET /v1/cache/bundle.
 	Store *store.Tiered
 	// MaxInFlight bounds requests allocating concurrently (<= 0:
 	// GOMAXPROCS).
@@ -75,15 +78,8 @@ type Config struct {
 	// (< 0: no queue — shed whenever all slots are busy; 0: default
 	// 4*MaxInFlight).
 	MaxQueue int
-	// DefaultDeadline applies when the client sends no X-Deadline-Ms
-	// header (0: 30s). MaxDeadline clamps client-requested deadlines
-	// (0: 2m).
-	DefaultDeadline time.Duration
-	MaxDeadline     time.Duration
-	// MaxBodyBytes bounds request bodies (0: 16 MiB).
-	MaxBodyBytes int64
-	// RetryAfter is the backoff hint sent with 429 (0: 1s).
-	RetryAfter time.Duration
+	// Limits are the request deadlines.
+	Limits
 	// Audit, when non-nil, receives one record per allocation verdict —
 	// sync and async paths alike. The server never closes it; the
 	// daemon that built the logger flushes and closes it on shutdown.
@@ -135,18 +131,7 @@ func (c Config) withDefaults() Config {
 	case c.MaxQueue == 0:
 		c.MaxQueue = 4 * c.MaxInFlight
 	}
-	if c.DefaultDeadline <= 0 {
-		c.DefaultDeadline = 30 * time.Second
-	}
-	if c.MaxDeadline <= 0 {
-		c.MaxDeadline = 2 * time.Minute
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 16 << 20
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
+	c.Limits = c.Limits.WithDefaults()
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 64
 	}
@@ -156,10 +141,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxRetainedJobs <= 0 {
 		c.MaxRetainedJobs = 256
 	}
-	if c.Store != nil {
-		c.Cache = c.Store
-	} else if c.Cache == nil {
-		c.Cache = driver.NewCache(0)
+	if c.Store == nil {
+		c.Store = store.NewTiered(driver.NewCache(0), nil)
 	}
 	if c.Telemetry == nil {
 		c.Telemetry = &telemetry.Sink{Metrics: telemetry.NewRegistry()}
@@ -173,12 +156,13 @@ func (c Config) withDefaults() Config {
 
 // Server is the allocation service. Construct with New; the zero value
 // is not useful. A Server is safe for concurrent use — its only
-// mutable state is the admission channels, the request counter, the
-// readiness flag and the request memo.
+// mutable state is the admission channels, the request shell's
+// counter, the readiness flag and the request memo.
 type Server struct {
 	cfg    Config
 	engine *driver.Engine
 	memo   *Memo
+	shell  *Shell
 	jobs   *jobs.Manager
 	mux    *http.ServeMux
 
@@ -187,7 +171,6 @@ type Server struct {
 	slots chan struct{}
 	queue chan struct{}
 
-	reqSeq   atomic.Int64
 	ready    atomic.Bool
 	inflight atomic.Int64
 }
@@ -200,10 +183,11 @@ func New(cfg Config) *Server {
 		engine: driver.New(driver.Config{
 			Options:   cfg.Options,
 			Workers:   cfg.Workers,
-			Cache:     cfg.Cache,
+			Cache:     cfg.Store,
 			Telemetry: cfg.Telemetry,
 		}),
 		memo:  NewMemo(cfg.Options),
+		shell: NewShell("server", cfg.Telemetry),
 		slots: make(chan struct{}, cfg.MaxInFlight),
 		queue: make(chan struct{}, cfg.MaxInFlight+cfg.MaxQueue),
 	}
@@ -223,16 +207,16 @@ func New(cfg Config) *Server {
 	})
 
 	s.mux = http.NewServeMux()
-	s.mux.Handle("/v1/allocate", s.instrument("/v1/allocate", s.handleAllocate))
-	s.mux.Handle("/v1/batch", s.instrument("/v1/batch", s.handleBatch))
-	s.mux.Handle("POST /v1/jobs", s.instrument("/v1/jobs", s.handleJobSubmit))
+	s.mux.Handle("/v1/allocate", s.shell.Wrap("/v1/allocate", s.handleSync(KindAllocate)))
+	s.mux.Handle("/v1/batch", s.shell.Wrap("/v1/batch", s.handleSync(KindBatch)))
+	s.mux.Handle("POST /v1/jobs", s.shell.Wrap("/v1/jobs", s.handleJobSubmit))
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobStatus)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/results", s.handleJobResults)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
-	s.mux.HandleFunc("/v1/audit", s.handleAudit)
-	s.mux.HandleFunc("/v1/strategies", s.handleStrategies)
-	s.mux.HandleFunc("/v1/machines", s.handleMachines)
-	s.mux.HandleFunc("/v1/cache/bundle", s.handleBundle)
+	s.mux.HandleFunc("/v1/audit", Only(http.MethodGet, s.handleAudit))
+	s.mux.HandleFunc("/v1/strategies", Only(http.MethodGet, s.handleStrategies))
+	s.mux.HandleFunc("/v1/machines", Only(http.MethodGet, s.handleMachines))
+	s.mux.HandleFunc("/v1/cache/bundle", Only(http.MethodGet, s.handleBundle))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -269,24 +253,11 @@ func (s *Server) InstanceID() string { return s.cfg.InstanceID }
 // deadline fires.
 func (s *Server) InFlight() int64 { return s.inflight.Load() }
 
-// Jobs returns the async job manager behind /v1/jobs.
-func (s *Server) Jobs() *jobs.Manager { return s.jobs }
-
 // Close cancels every live async job and waits for their runners — the
 // server's half of a drain. Finished jobs stay pollable until the
 // listener itself goes away; the audit logger (owned by the daemon) is
 // closed after this returns, so the last verdicts still land.
 func (s *Server) Close() { s.jobs.Close() }
-
-// Metrics returns the telemetry registry backing /metrics.
-func (s *Server) Metrics() *telemetry.Registry { return s.cfg.Telemetry.Metrics }
-
-// Cache returns the shared result cache.
-func (s *Server) Cache() driver.ResultCache { return s.cfg.Cache }
-
-// Store returns the tiered persistent store, or nil when the server
-// runs on a plain in-memory cache.
-func (s *Server) Store() *store.Tiered { return s.cfg.Store }
 
 // SetReady flips the /readyz verdict. The daemon clears it when a drain
 // begins so load balancers stop routing new work while in-flight
@@ -329,76 +300,4 @@ func (s *Server) admit(done <-chan struct{}) (release func(), err error) {
 		<-s.slots
 		<-s.queue
 	}, nil
-}
-
-// statusWriter records the status code a handler wrote so the
-// instrumentation can count outcomes per class.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// instrument wraps an allocation handler with the per-request
-// machinery: request ID assignment, a telemetry span on the request's
-// own trace thread, outcome counters, and panic containment (a handler
-// panic answers 500 and increments server.panics; the process lives
-// on).
-func (s *Server) instrument(name string, h func(http.ResponseWriter, *http.Request, *requestInfo)) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		seq := s.reqSeq.Add(1)
-		id := r.Header.Get("X-Request-ID")
-		if id == "" {
-			id = fmt.Sprintf("req-%06d", seq)
-		}
-		w.Header().Set("X-Request-ID", id)
-
-		tel := s.cfg.Telemetry
-		// Each request gets its own trace thread, named by its ID, so a
-		// trace of a busy server reads as one lane per request.
-		sink := tel.WithTID(1000 + seq)
-		if sink != nil && sink.Trace != nil {
-			sink.Trace.SetThreadName(1000+seq, id)
-		}
-		info := &requestInfo{id: id, sink: sink}
-
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		sp := sink.StartSpan(telemetry.CatServer, name)
-		defer func() {
-			if v := recover(); v != nil {
-				tel.Count("server.panics", 1)
-				// Best effort: if the handler already wrote, the client
-				// sees a truncated body; either way the process survives.
-				WriteJSON(sw, http.StatusInternalServerError, ErrorResponse{
-					Error:     fmt.Sprintf("internal error: %v", v),
-					RequestID: id,
-				})
-			}
-			if sp.Active() {
-				sp.StrArg("id", id)
-				sp.Arg("status", int64(sw.status))
-			}
-			wall := sp.End()
-			tel.Count("server.requests", 1)
-			tel.Count(fmt.Sprintf("server.status.%dxx", sw.status/100), 1)
-			tel.Observe("server.request.wall", wall.Nanoseconds())
-		}()
-
-		if r.Method != http.MethodPost {
-			sw.Header().Set("Allow", http.MethodPost)
-			WriteJSON(sw, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only", RequestID: id})
-			return
-		}
-		h(sw, r, info)
-	})
-}
-
-// requestInfo carries one request's identity through the handler chain.
-type requestInfo struct {
-	id   string
-	sink *telemetry.Sink
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/driver"
+	"repro/internal/store"
 	"repro/internal/target"
 	"repro/internal/telemetry"
 )
@@ -406,7 +407,7 @@ func TestDeadlineDegradesOverHTTP(t *testing.T) {
 // source with a generous budget afterwards gets the real allocation.
 func TestDeadlineResultNotCached(t *testing.T) {
 	cache := driver.NewCache(0)
-	ts := newTestServer(t, Config{Cache: cache})
+	ts := newTestServer(t, Config{Store: store.NewTiered(cache, nil)})
 	core.PanicHook = func(routine, pass string) {
 		if pass == "build" {
 			time.Sleep(40 * time.Millisecond)
@@ -499,7 +500,7 @@ func TestOpsEndpoints(t *testing.T) {
 func TestPanicIsolation(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	srv := New(Config{Telemetry: &telemetry.Sink{Metrics: reg}})
-	h := srv.instrument("/boom", func(http.ResponseWriter, *http.Request, *requestInfo) {
+	h := srv.shell.Wrap("/boom", func(http.ResponseWriter, *http.Request, *RequestInfo) {
 		panic("handler bug")
 	})
 	ts := httptest.NewServer(h)

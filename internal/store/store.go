@@ -103,11 +103,14 @@ func (t *Tiered) GetTier(key driver.Key) (*core.Result, string, bool) {
 	if t == nil {
 		return nil, "", false
 	}
+	if t.disk == nil {
+		// One tier is no tier: a memory-only store reports hits as a
+		// plain driver.Cache does.
+		res, ok := t.l1.Get(key)
+		return res, "", ok
+	}
 	if res, ok := t.l1.Get(key); ok {
 		return res, TierMemory, true
-	}
-	if t.disk == nil {
-		return nil, "", false
 	}
 	res, ok := t.disk.Get(key)
 	if !ok {
@@ -177,7 +180,8 @@ func (t *Tiered) Stats() Stats {
 
 // PublishMetrics writes the current per-tier stats into a telemetry
 // registry as store.* gauges — the server calls it on every /metrics
-// scrape, so the registry view is always current at read time.
+// scrape, so the registry view is always current at read time. A
+// memory-only store publishes the L1 gauges alone.
 func (t *Tiered) PublishMetrics(reg *telemetry.Registry) {
 	if t == nil || reg == nil {
 		return
@@ -191,6 +195,9 @@ func (t *Tiered) PublishMetrics(reg *telemetry.Registry) {
 		reg.Gauge("store." + tier + ".hit_rate_pct").Set(int64(100 * rate))
 	}
 	pub(TierMemory, s.L1, s.L1HitRate)
+	if t.disk == nil {
+		return
+	}
 	pub(TierDisk, s.L2, s.L2HitRate)
 	reg.Gauge("store.quarantined").Set(int64(s.Quarantined))
 	reg.Gauge("store.flush.writes").Set(int64(s.FlushWrites))

@@ -30,9 +30,7 @@ package regalloc
 
 import (
 	"context"
-	"net/http"
 
-	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/ctrans"
@@ -40,7 +38,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/iloc"
 	"repro/internal/interp"
-	"repro/internal/jobs"
 	"repro/internal/machines"
 	"repro/internal/store"
 	"repro/internal/suite"
@@ -317,58 +314,6 @@ func AllocateBatch(units []DriverUnit, cfg DriverConfig) *DriverBatch {
 func AllocateBatchContext(ctx context.Context, units []DriverUnit, cfg DriverConfig) *DriverBatch {
 	return driver.Allocate(ctx, units, cfg)
 }
-
-// Audit stream types (internal/audit): an AuditLogger records one
-// AuditRecord per allocation verdict on a bounded, batched stream that
-// never blocks the caller (records drop, counted, when the buffer
-// fills — unless AuditConfig.BlockOnFull). AuditFileSink writes a
-// rotating NDJSON file set; AuditHTTPSink POSTs batches to a
-// collector; any AuditSink implementation drops in. This is the stream
-// behind rallocd's -audit-dir/-audit-url and GET /v1/audit. See "Async
-// jobs & audit stream" in docs/ALGORITHMS.md for the record schema and
-// loss semantics.
-type (
-	AuditLogger   = audit.Logger
-	AuditRecord   = audit.Record
-	AuditConfig   = audit.Config
-	AuditStats    = audit.Stats
-	AuditSink     = audit.Sink
-	AuditFileSink = audit.FileSink
-	AuditHTTPSink = audit.HTTPSink
-)
-
-// NewAuditLogger builds an audit stream delivering to cfg.Sink. Close
-// it to flush and release the sink.
-func NewAuditLogger(cfg AuditConfig) (*AuditLogger, error) { return audit.New(cfg) }
-
-// NewAuditFileSink opens a rotating NDJSON audit sink rooted at dir.
-func NewAuditFileSink(dir string, cfg audit.FileSinkConfig) (*AuditFileSink, error) {
-	return audit.NewFileSink(dir, cfg)
-}
-
-// NewAuditHTTPSink builds a sink POSTing NDJSON batches to url (nil
-// client = http.DefaultClient).
-func NewAuditHTTPSink(url string, client *http.Client) *AuditHTTPSink {
-	return audit.NewHTTPSink(url, client)
-}
-
-// Async job manager types (internal/jobs): a JobManager runs submitted
-// unit batches in the background with bounded admission, progress
-// snapshots, per-unit result streaming (Job.WaitUnit), cancellation
-// and bounded retention of finished jobs. This is the engine behind
-// rallocd's POST /v1/jobs lifecycle; the Run/Gate hooks in
-// JobManagerConfig keep it reusable over any unit runner.
-type (
-	JobManager       = jobs.Manager
-	JobManagerConfig = jobs.Config
-	Job              = jobs.Job
-	JobSnapshot      = jobs.Snapshot
-	JobState         = jobs.State
-)
-
-// NewJobManager builds an async job manager; Close cancels live jobs
-// and waits for their runners.
-func NewJobManager(cfg JobManagerConfig) (*JobManager, error) { return jobs.NewManager(cfg) }
 
 // Telemetry types (internal/telemetry): a TelemetrySink carries an
 // optional metrics registry and an optional trace recorder; set it on
