@@ -50,13 +50,17 @@ verify:
 	$(GO) test -run 'TestKernelsVerify' ./internal/suite
 
 # fuzz gives each native fuzz target a short smoke run; longer runs are
-# the same commands with a bigger -fuzztime.
+# the same commands with a bigger -fuzztime. FuzzDecodeEntry's seeds are
+# whole store entries, which the default 60 s minimizer would spend the
+# run shrinking, so its minimizer gets 1 s per new input.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/iloc
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProgram$$' -fuzztime 5s ./internal/iloc
 	$(GO) test -run '^$$' -fuzz FuzzAllocate -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzLookupStrategy -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 5s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 5s ./internal/corpus
+	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 5s -fuzzminimizetime 1s ./internal/store
 
 # smoke-strategies runs one small kernel through every registered
 # allocation strategy with the verifier on and degradation disabled:

@@ -31,6 +31,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -84,13 +85,17 @@ func (s Spec) withDefaults() Spec {
 }
 
 // Validate rejects specs that cannot generate: non-positive counts or
-// structural knobs. Pressure and call density have no upper bound —
-// a pathological corpus is a legitimate one; the allocator is supposed
-// to cope.
+// structural knobs, or a non-finite call density (NaN would break the
+// String/ParseSpec round trip that names a corpus). Pressure and call
+// density have no upper bound — a pathological corpus is a legitimate
+// one; the allocator is supposed to cope.
 func (s Spec) Validate() error {
 	n := s.withDefaults()
 	if n.Count < 1 {
 		return fmt.Errorf("corpus: count must be positive (got %d)", n.Count)
+	}
+	if math.IsNaN(n.CallDensity) || math.IsInf(n.CallDensity, 0) {
+		return fmt.Errorf("corpus: calls must be finite (got %v)", n.CallDensity)
 	}
 	if n.MaxDepth < 1 || n.Regions < 1 || n.Pressure < 1 || n.DataWords < 1 {
 		return fmt.Errorf("corpus: depth, regions, pressure and words must be positive (spec %s)", n.String())

@@ -42,11 +42,40 @@ func TestSpecParseErrors(t *testing.T) {
 		"count=-5",
 		"depth=-1",
 		"pressure=-2",
+		"calls=NaN",
+		"calls=nan",
+		"calls=Inf",
+		"calls=-Inf",
+		"calls=1e400",
 	} {
 		if _, err := ParseSpec(text); err == nil {
 			t.Errorf("ParseSpec(%q) succeeded, want error", text)
 		}
 	}
+}
+
+// FuzzParseSpec: every spec ParseSpec accepts is the corpus its
+// canonical string names, so ParseSpec(s.String()) gives s back.
+func FuzzParseSpec(f *testing.F) {
+	for _, text := range []string{
+		"", "count=10", "calls=-1", "calls=NaN", "seed=-9,calls=1e-400",
+		"count=1000,seed=42,depth=3,regions=8,calls=0.2,pressure=6,words=16",
+	} {
+		f.Add(text)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		s, err := ParseSpec(text)
+		if err != nil {
+			return
+		}
+		back, err := ParseSpec(s.String())
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) accepted %q, whose canonical form %q fails: %v", text, s, s.String(), err)
+		}
+		if back != s {
+			t.Fatalf("ParseSpec(%q) = %v does not round-trip: %v", text, s, back)
+		}
+	})
 }
 
 // TestGenerateDeterministic is the reproducibility contract: the spec

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -63,6 +64,8 @@ type Config struct {
 	// not carry their own.
 	Options core.Options
 	// Workers bounds the worker pool; <= 0 means runtime.GOMAXPROCS(0).
+	// Worker 0 is the goroutine that calls Run, so a pool of n spawns
+	// n-1 goroutines and a one-unit batch runs on the caller alone.
 	Workers int
 	// Cache, when non-nil, is consulted before and filled after each
 	// allocation. Sharing one cache across engines and runs is safe. A
@@ -73,15 +76,16 @@ type Config struct {
 	// degradation counters, cache traffic, a queue-depth gauge and a
 	// queue-wait histogram) and trace events: one span per batch, one
 	// span per unit on its worker's trace thread, and a cache hit/miss
-	// instant per lookup. Each pool worker gets tid w+1 (tid 0 stays
-	// the caller's), and the sink is threaded into every unit's
-	// core.Options so allocator pass spans nest under the unit span.
+	// instant per lookup. Each pool worker gets tid w+1 (tid 0 keeps
+	// the batch span, though worker 0 runs on the caller), and the sink
+	// is threaded into every unit's core.Options so allocator pass spans
+	// nest under the unit span.
 	Telemetry *telemetry.Sink
-	// OnUnitDone, when non-nil, is called from the worker goroutine the
-	// moment unit i's result is recorded — before the batch as a whole
-	// finishes. This is how the async job API streams partial progress
-	// and how per-verdict audit records are emitted without waiting for
-	// the slowest unit. Calls arrive concurrently from different
+	// OnUnitDone, when non-nil, is called from the worker goroutine
+	// (the caller's own for worker 0) the moment unit i's result is
+	// recorded — before the batch as a whole finishes. This is how the
+	// async job API streams partial progress and how per-verdict audit
+	// records are emitted without waiting for the slowest unit. Calls arrive concurrently from different
 	// workers (each index exactly once); the callback must be safe for
 	// concurrent use and should return quickly — it runs on the
 	// allocation worker.
@@ -203,7 +207,7 @@ func (b *Batch) FirstErr() error {
 
 // Engine is a reusable batch allocator. The zero value is not useful;
 // construct with New. An Engine is safe for sequential reuse; each Run
-// builds its own pool.
+// builds its own pool, with the calling goroutine as its worker 0.
 type Engine struct {
 	cfg Config
 }
@@ -260,56 +264,63 @@ func (e *Engine) Run(ctx context.Context, units []Unit) *Batch {
 	depth := tel.Gauge("driver.queue.depth")
 	depth.Set(int64(len(units)))
 	start := time.Now()
-	jobs := make(chan int)
 	flights := &inflight{}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			wsink := tel.WithTID(int64(worker + 1))
-			for i := range jobs {
-				depth.Add(-1)
-				if cerr := ctx.Err(); errors.Is(cerr, context.Canceled) {
-					// The batch was abandoned before this unit started:
-					// report the cancellation without touching the
-					// allocator or the cache. An expired *deadline* is
-					// not a skip — the unit still runs so the allocator
-					// can return its spill-everywhere degradation.
-					b.Results[i] = UnitResult{Name: units[i].Name, Key: units[i].Key, Err: cerr, Worker: worker}
-					if e.cfg.OnUnitDone != nil {
-						e.cfg.OnUnitDone(i, b.Results[i])
-					}
-					continue
-				}
-				wsink.Observe("driver.queue.wait", time.Since(start).Nanoseconds())
-				sp := wsink.StartSpan(telemetry.CatUnit, units[i].Name)
-				r := e.allocate(ctx, units[i], wsink, flights)
-				if sp.Active() {
-					if r.CacheHit {
-						sp.Arg("cache_hit", 1)
-					}
-					if r.Err != nil {
-						sp.Arg("failed", 1)
-					}
-					if r.Result != nil && r.Result.Degraded {
-						sp.Arg("degraded", 1)
-					}
-				}
-				r.Name, r.Worker, r.Wall = units[i].Name, worker, sp.End()
-				wsink.Observe("driver.unit.wall", r.Wall.Nanoseconds())
-				b.Results[i] = r
+	// Each worker claims its next unit index from one counter, so no
+	// unit waits on a hand-off between goroutines. The caller is worker
+	// 0; only the other workers-1 are spawned.
+	var next atomic.Int64
+	work := func(worker int) {
+		wsink := tel.WithTID(int64(worker + 1))
+		for i := int(next.Add(1) - 1); i < len(units); i = int(next.Add(1) - 1) {
+			depth.Add(-1)
+			if cerr := ctx.Err(); errors.Is(cerr, context.Canceled) {
+				// The batch was abandoned before this unit started:
+				// report the cancellation without touching the
+				// allocator or the cache. An expired *deadline* is
+				// not a skip — the unit still runs so the allocator
+				// can return its spill-everywhere degradation.
+				b.Results[i] = UnitResult{Name: units[i].Name, Key: units[i].Key, Err: cerr, Worker: worker}
 				if e.cfg.OnUnitDone != nil {
 					e.cfg.OnUnitDone(i, b.Results[i])
 				}
+				continue
 			}
-		}(w)
+			wsink.Observe("driver.queue.wait", time.Since(start).Nanoseconds())
+			sp := wsink.StartSpan(telemetry.CatUnit, units[i].Name)
+			r := e.allocate(ctx, units[i], wsink, flights)
+			if sp.Active() {
+				if r.CacheHit {
+					sp.Arg("cache_hit", 1)
+				}
+				if r.Err != nil {
+					sp.Arg("failed", 1)
+				}
+				if r.Result != nil && r.Result.Degraded {
+					sp.Arg("degraded", 1)
+				}
+			}
+			r.Name, r.Worker, r.Wall = units[i].Name, worker, sp.End()
+			wsink.Observe("driver.unit.wall", r.Wall.Nanoseconds())
+			b.Results[i] = r
+			if e.cfg.OnUnitDone != nil {
+				e.cfg.OnUnitDone(i, b.Results[i])
+			}
+		}
 	}
-	for i := range units {
-		jobs <- i
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
 	}
-	close(jobs)
-	wg.Wait()
+	func() {
+		// Should OnUnitDone panic on the caller, the spawned workers
+		// still finish before the panic leaves Run.
+		defer wg.Wait()
+		work(0)
+	}()
 	b.Stats.Wall = time.Since(start)
 
 	for _, r := range b.Results {

@@ -159,19 +159,64 @@ func decodeEntry(data []byte) (*decodedEntry, error) {
 	return &decodedEntry{OptionsKey: string(opt), Meta: meta, Code: code}, nil
 }
 
+// check reports metadata that contradicts the parsed code it restores
+// onto. The payload hash is not a MAC, so a hash-valid entry from a
+// peer's bundle can carry any metadata; an interpreter sizes its
+// register file from NextReg and its frame from FrameWords, so a
+// contradiction here would crash it rather than fail one routine.
+// Parameters keep their virtual names in allocated code (getparam
+// reads by index), so only the instructions' registers must fit.
+func (m *entryMeta) check(rt *iloc.Routine) error {
+	if m.FrameWords < 0 {
+		return fmt.Errorf("store: entry meta: negative frame size %d", m.FrameWords)
+	}
+	var named [iloc.NumClasses]int
+	note := func(r iloc.Reg) {
+		if r.Valid() && r.N >= named[r.Class] {
+			named[r.Class] = r.N + 1
+		}
+	}
+	rt.ForEachInstr(func(_ *iloc.Block, _ int, in *iloc.Instr) {
+		note(in.Def())
+		for _, r := range in.Uses() {
+			note(r)
+		}
+	})
+	for c := iloc.Class(0); c < iloc.NumClasses; c++ {
+		if m.NextReg[c] < named[c] {
+			return fmt.Errorf("store: entry meta: %s register bank of %d below the %d the code names",
+				c, m.NextReg[c], named[c])
+		}
+		if m.NextReg[c] > target.MaxRegs {
+			return fmt.Errorf("store: entry meta: %s register bank of %d exceeds %d", c, m.NextReg[c], target.MaxRegs)
+		}
+		if bank := max(m.NextReg[c], 1); m.CallerSave[c] < 0 || m.CallerSave[c] >= bank {
+			return fmt.Errorf("store: entry meta: %s caller-save count %d outside the bank of %d", c, m.CallerSave[c], bank)
+		}
+	}
+	return nil
+}
+
 // result reconstructs the core.Result an entry encodes. The routine is
-// re-parsed from its printed form and the print-invisible fields
-// restored from the metadata, so the caller gets exactly what the cold
-// allocation returned — including byte-identical iloc.Print output.
+// re-parsed from its printed form, the print-invisible fields restored
+// from the metadata once they agree with the code, and the whole
+// verified, so the caller gets exactly what the cold allocation
+// returned — including byte-identical iloc.Print output.
 func (e *decodedEntry) result() (*core.Result, error) {
 	rt, err := iloc.Parse(string(e.Code))
 	if err != nil {
 		return nil, fmt.Errorf("store: entry code: %w", err)
 	}
+	if err := e.Meta.check(rt); err != nil {
+		return nil, err
+	}
 	rt.Allocated = e.Meta.Allocated
 	rt.FrameWords = e.Meta.FrameWords
 	rt.CallerSave = e.Meta.CallerSave
 	rt.NextReg = e.Meta.NextReg
+	if err := iloc.Verify(rt, false); err != nil {
+		return nil, fmt.Errorf("store: entry code: %w", err)
+	}
 	return &core.Result{
 		Routine:       rt,
 		Iterations:    e.Meta.Iterations,
