@@ -52,7 +52,9 @@ verify:
 # fuzz gives each native fuzz target a short smoke run; longer runs are
 # the same commands with a bigger -fuzztime. FuzzDecodeEntry's seeds are
 # whole store entries, which the default 60 s minimizer would spend the
-# run shrinking, so its minimizer gets 1 s per new input.
+# run shrinking, so its minimizer gets 1 s per new input; FuzzImportBundle's
+# are whole bundles, each new one found several times a second, so its
+# minimizer gets one attempt.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/iloc
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProgram$$' -fuzztime 5s ./internal/iloc
@@ -61,6 +63,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 5s ./internal/corpus
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 5s -fuzzminimizetime 1s ./internal/store
+	$(GO) test -run '^$$' -fuzz FuzzImportBundle -fuzztime 5s -fuzzminimizetime 1x ./internal/store
 
 # smoke-strategies runs one small kernel through every registered
 # allocation strategy with the verifier on and degradation disabled:

@@ -29,8 +29,9 @@
 // /metrics as audit.dropped); -audit-block trades that for lossless
 // delivery that can stall allocations when the sink stalls.
 //
-// The result cache is bounded by default (-cache-size 4096; 0 removes
-// the bound) and in-memory only unless -cache-dir names a directory:
+// The result cache is bounded by default (-cache-size 4096, about 4 MB
+// of compact result snapshots for typical routines; 0 removes the
+// bound) and in-memory only unless -cache-dir names a directory:
 // then a persistent disk tier sits behind the LRU, survives restarts,
 // and can be snapshotted as a bundle. -warm-from imports a bundle —
 // a local file or a peer's /v1/cache/bundle URL — at boot, *before*
@@ -85,7 +86,7 @@ func main() {
 	regs := flag.Int("regs", 16, "default registers per class")
 	verify := flag.Bool("verify", true, "run the post-allocation verifier on every result by default")
 	jobs := flag.Int("j", 0, "per-batch worker pool size (0 = number of CPUs)")
-	cacheSize := flag.Int("cache-size", 4096, "in-memory result-cache capacity in entries (0 = unbounded; the daemon defaults to a bound so a long-lived process cannot grow without limit)")
+	cacheSize := flag.Int("cache-size", 4096, "in-memory result-cache capacity in entries, each a compact snapshot of about 1 KB for a 40-instruction routine (0 = unbounded; the daemon defaults to a bound so a long-lived process cannot grow without limit)")
 	cacheDir := flag.String("cache-dir", "", "persist the result cache in this directory (disk tier survives restarts; serves GET /v1/cache/bundle)")
 	warmFrom := flag.String("warm-from", "", "import a cache bundle (file path or http(s) URL, e.g. a peer's /v1/cache/bundle) into -cache-dir before flipping /readyz")
 	maxInflight := flag.Int("max-inflight", 0, "requests allocating concurrently (0 = number of CPUs)")

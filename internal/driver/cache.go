@@ -114,6 +114,9 @@ type CacheStats struct {
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
 	Entries   int    `json:"entries"`
+	// Bytes is the encoded size of the result snapshots held (in-memory
+	// caches only).
+	Bytes int64 `json:"bytes"`
 }
 
 // HitRate returns hits / (hits + misses), or 0 before any lookup.
@@ -125,21 +128,24 @@ func (s CacheStats) HitRate() float64 {
 }
 
 // Cache is a bounded, concurrency-safe, content-addressed store of
-// finished allocations with LRU eviction. Stored results are snapshots:
-// Get returns a fresh copy whose Routine the caller may mutate freely.
+// finished allocations with LRU eviction. Each entry is one immutable
+// core.Snapshot, a few hundred pointer-free bytes: Put encodes before
+// it takes the lock, and Get decodes a fresh Result, which the caller
+// may mutate freely, after it lets the lock go.
 type Cache struct {
 	mu        sync.Mutex
 	capacity  int        // max entries; 0 means unbounded
 	order     *list.List // front = most recently used; values are *cacheEntry
 	entries   map[Key]*list.Element
+	bytes     int64 // sum of the entries' snapshot sizes
 	hits      uint64
 	misses    uint64
 	evictions uint64
 }
 
 type cacheEntry struct {
-	key Key
-	res *core.Result
+	key  Key
+	snap core.Snapshot
 }
 
 // NewCache returns a cache holding at most capacity entries (0 =
@@ -152,42 +158,58 @@ func NewCache(capacity int) *Cache {
 	}
 }
 
-// Get looks the key up, counting a hit or miss. The returned Result is
-// an independent snapshot (cloned routine, copied iteration records).
+// Get looks the key up, counting a hit or miss, and decodes the entry
+// into a fresh Result. A snapshot that fails to decode, which only a
+// codec bug could cause, reads as a miss.
 func (c *Cache) Get(key Key) (*core.Result, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
 		c.misses++
+		c.mu.Unlock()
 		return nil, false
 	}
 	c.hits++
 	c.order.MoveToFront(el)
-	return snapshotResult(el.Value.(*cacheEntry).res), true
+	snap := el.Value.(*cacheEntry).snap
+	c.mu.Unlock()
+	res, err := snap.Result()
+	return res, err == nil
 }
 
-// Put stores an independent snapshot of res under key, evicting the
-// least recently used entry if the cache is full.
+// Put stores a snapshot of res under key, evicting the least recently
+// used entry if the cache is full.
 func (c *Cache) Put(key Key, res *core.Result) {
+	if c == nil {
+		return
+	}
+	c.PutSnapshot(key, core.NewSnapshot(res))
+}
+
+// PutSnapshot stores an already encoded result, for a caller that
+// keeps the same snapshot elsewhere too (the disk tier's write queue).
+func (c *Cache) PutSnapshot(key Key, snap core.Snapshot) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.bytes += int64(snap.Size())
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).res = snapshotResult(res)
+		e := el.Value.(*cacheEntry)
+		c.bytes -= int64(e.snap.Size())
+		e.snap = snap
 		c.order.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, res: snapshotResult(res)})
+	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, snap: snap})
 	if c.capacity > 0 && c.order.Len() > c.capacity {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
+		oldest := c.order.Remove(c.order.Back()).(*cacheEntry)
+		delete(c.entries, oldest.key)
+		c.bytes -= int64(oldest.snap.Size())
 		c.evictions++
 	}
 }
@@ -209,16 +231,5 @@ func (c *Cache) Stats() CacheStats {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: c.order.Len()}
-}
-
-// snapshotResult copies a Result deeply enough that the caller and the
-// cache cannot observe each other's mutations: the routine is cloned and
-// the iteration records copied (their contents are never mutated after
-// Allocate returns).
-func snapshotResult(res *core.Result) *core.Result {
-	c := *res
-	c.Routine = res.Routine.Clone()
-	c.Iterations = append([]core.IterationStats(nil), res.Iterations...)
-	return &c
+	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: c.order.Len(), Bytes: c.bytes}
 }

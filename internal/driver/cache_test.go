@@ -153,24 +153,44 @@ func TestCacheHitSemanticallyIdentical(t *testing.T) {
 	}
 }
 
-// TestCacheSnapshotIsolation: mutating a returned routine must not
-// corrupt the cached copy.
+// TestCacheSnapshotIsolation: the cache and its callers never share
+// mutable storage. Writing into the routine or the pass stats of the
+// result that was stored, or of a hit, must leave every later hit as
+// the allocation produced it.
 func TestCacheSnapshotIsolation(t *testing.T) {
 	k := suite.ByName("fehl")
 	eng := New(Config{Options: core.Options{Machine: target.WithRegs(6)}, Cache: NewCache(0)})
-	first := eng.Run(context.Background(), []Unit{{Name: "fehl", Routine: k.Routine()}}).Results[0].Result
-	want := iloc.Print(first.Routine)
-
-	// Vandalize the returned clone.
-	first.Routine.Blocks[0].Instrs = nil
-	first.Routine.Name = "clobbered"
-
-	second := eng.Run(context.Background(), []Unit{{Name: "fehl", Routine: k.Routine()}}).Results[0]
-	if !second.CacheHit {
-		t.Fatal("expected a hit")
+	run := func() UnitResult {
+		return eng.Run(context.Background(), []Unit{{Name: "fehl", Routine: k.Routine()}}).Results[0]
 	}
-	if got := iloc.Print(second.Result.Routine); got != want {
-		t.Fatalf("cached entry was corrupted by caller mutation:\n%s", got)
+	stored := run().Result // the miss: the cache holds a snapshot of this result
+	wantCode := iloc.Print(stored.Routine)
+	var wantIters []core.IterationStats
+	for _, it := range stored.Iterations {
+		it.Passes = append([]core.PassStat(nil), it.Passes...)
+		wantIters = append(wantIters, it)
+	}
+	vandalize := func(res *core.Result) {
+		res.Routine.Blocks[0].Instrs[0].Imm = 12345
+		res.Routine.Blocks[0].Instrs = nil
+		res.Routine.Name = "clobbered"
+		res.Iterations[0].Coalesced = 12345
+		res.Iterations[0].Passes[0].Nodes = 12345
+	}
+
+	vandalize(stored)
+	for i := range 2 {
+		hit := run()
+		if !hit.CacheHit {
+			t.Fatal("expected a hit")
+		}
+		if got := iloc.Print(hit.Result.Routine); got != wantCode {
+			t.Fatalf("hit %d: cached routine was corrupted by caller mutation:\n%s", i, got)
+		}
+		if !reflect.DeepEqual(hit.Result.Iterations, wantIters) {
+			t.Fatalf("hit %d: cached iteration stats were corrupted by caller mutation:\n%+v", i, hit.Result.Iterations)
+		}
+		vandalize(hit.Result)
 	}
 }
 

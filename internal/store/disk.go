@@ -52,7 +52,8 @@ type Disk struct {
 
 type diskWrite struct {
 	key  driver.Key
-	data []byte
+	snap core.Snapshot
+	opt  string // the canonical options key the entry records
 	// ack, when non-nil, marks a flush barrier: the flusher closes it
 	// once every write queued before it has hit the filesystem.
 	ack chan struct{}
@@ -188,16 +189,19 @@ func (d *Disk) quarantine(key driver.Key, path string) {
 	d.entries.Add(-1)
 }
 
-// Put queues the entry for the background flusher; with the queue full
-// it writes synchronously instead of dropping.
-func (d *Disk) Put(key driver.Key, data []byte) {
+// put queues a result snapshot for the background flusher, which
+// encodes and writes its entry, so the caller pays for neither the
+// print nor the hash. With the queue full it writes synchronously
+// instead of dropping.
+func (d *Disk) put(key driver.Key, snap core.Snapshot, optionsKey string) {
 	if d == nil || !validKey(key) {
 		return
 	}
+	w := diskWrite{key: key, snap: snap, opt: optionsKey}
 	d.mu.Lock()
 	if !d.closed {
 		select {
-		case d.queue <- diskWrite{key: key, data: data}:
+		case d.queue <- w:
 			d.mu.Unlock()
 			return
 		default:
@@ -206,7 +210,7 @@ func (d *Disk) Put(key driver.Key, data []byte) {
 	d.mu.Unlock()
 	// Queue full or tier closed: write in the caller.
 	d.flushSync.Add(1)
-	d.write(key, data)
+	d.land(w)
 }
 
 // Flush blocks until every write queued before the call is on disk.
@@ -250,8 +254,22 @@ func (d *Disk) flusher() {
 			close(w.ack)
 			continue
 		}
-		d.write(w.key, w.data)
+		d.land(w)
 	}
+}
+
+// land encodes a queued snapshot's entry and writes it.
+func (d *Disk) land(w diskWrite) {
+	res, err := w.snap.Result()
+	var data []byte
+	if err == nil {
+		data, err = encodeResult(res, w.opt)
+	}
+	if err != nil {
+		d.flushErrors.Add(1)
+		return
+	}
+	d.write(w.key, data)
 }
 
 // write lands one entry atomically: unique temp file, then rename. A

@@ -61,8 +61,7 @@ func TestEntryMetaMustAgreeWithCode(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer d.Close()
-			d.Put(key, bad)
-			d.Flush()
+			d.write(key, bad)
 			if _, ok := d.Get(key); ok {
 				t.Fatal("contradictory entry was served")
 			}

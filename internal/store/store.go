@@ -128,22 +128,16 @@ func (t *Tiered) Put(key driver.Key, res *core.Result) {
 // PutOptions implements driver.OptionsPutter: the engine hands over
 // the canonical options key alongside the result so the disk entry
 // records what configuration produced it (surfaced by
-// `ralloc-bundle inspect`).
+// `ralloc-bundle inspect`). The request path pays for one snapshot,
+// which L1 keeps and the disk tier queues; the flusher builds the disk
+// entry from it.
 func (t *Tiered) PutOptions(key driver.Key, res *core.Result, optionsKey string) {
 	if t == nil || res == nil {
 		return
 	}
-	t.l1.Put(key, res)
-	if t.disk == nil {
-		return
-	}
-	// Encode before queueing: the bytes are a private snapshot, so the
-	// caller may mutate the result freely while the flusher writes.
-	data, err := encodeResult(res, optionsKey)
-	if err != nil {
-		return
-	}
-	t.disk.Put(key, data)
+	snap := core.NewSnapshot(res)
+	t.l1.PutSnapshot(key, snap)
+	t.disk.put(key, snap, optionsKey)
 }
 
 // Flush blocks until queued disk writes have landed.
@@ -195,6 +189,7 @@ func (t *Tiered) PublishMetrics(reg *telemetry.Registry) {
 		reg.Gauge("store." + tier + ".hit_rate_pct").Set(int64(100 * rate))
 	}
 	pub(TierMemory, s.L1, s.L1HitRate)
+	reg.Gauge("store.l1.bytes").Set(s.L1.Bytes)
 	if t.disk == nil {
 		return
 	}

@@ -23,7 +23,7 @@ import (
 
 // allocateKernel runs one real allocation of a suite kernel — the
 // store's tests exercise genuine results, not synthetic stand-ins.
-func allocateKernel(t *testing.T, name string) (*core.Result, driver.Key, string) {
+func allocateKernel(t testing.TB, name string) (*core.Result, driver.Key, string) {
 	t.Helper()
 	opts := core.Options{Machine: target.WithRegs(6), Strategy: "remat"}
 	rt := suite.ByName(name).Routine()
@@ -211,8 +211,7 @@ func TestCorruptionQuarantined(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer d.Close()
-			d.Put(key, good)
-			d.Flush()
+			d.write(key, good)
 			path := d.entryPath(key)
 			if err := os.WriteFile(path, tc.mutate(good), 0o644); err != nil {
 				t.Fatal(err)
@@ -231,9 +230,8 @@ func TestCorruptionQuarantined(t *testing.T) {
 				t.Fatalf("quarantine copy missing: %v", err)
 			}
 
-			// The slot re-fills on the next Put and serves again.
-			d.Put(key, good)
-			d.Flush()
+			// The slot re-fills on the next write and serves again.
+			d.write(key, good)
 			if _, ok := d.Get(key); !ok {
 				t.Fatal("re-filled entry not served")
 			}
@@ -251,13 +249,10 @@ func TestRenameFaultLeavesNoPartial(t *testing.T) {
 	}
 	defer d.Close()
 	res, key, optKey := allocateKernel(t, "fehl")
-	data, err := encodeResult(res, optKey)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := core.NewSnapshot(res)
 
 	d.renameFn = func(string, string) error { return os.ErrPermission }
-	d.Put(key, data)
+	d.put(key, snap, optKey)
 	d.Flush()
 	if _, ok := d.Get(key); ok {
 		t.Fatal("entry readable despite failed rename")
@@ -275,7 +270,7 @@ func TestRenameFaultLeavesNoPartial(t *testing.T) {
 
 	// Healed: the same Put path works once renames succeed again.
 	d.renameFn = os.Rename
-	d.Put(key, data)
+	d.put(key, snap, optKey)
 	d.Flush()
 	if _, ok := d.Get(key); !ok {
 		t.Fatal("entry not served after rename recovered")
@@ -302,8 +297,14 @@ func TestConcurrentAccess(t *testing.T) {
 				case 0:
 					tiered.PutOptions(key, res, optKey)
 				case 1:
-					if got, ok := tiered.Get(key); ok && got.Routine == nil {
+					got, ok := tiered.Get(key)
+					if ok && got.Routine == nil {
 						t.Error("hit without a routine")
+					} else if ok {
+						// Hits are the caller's own: writing one races
+						// with nothing another goroutine reads.
+						got.Routine.Blocks[0].Instrs[0].Imm = int64(g)
+						got.Iterations[0].Passes[0].Nodes = g
 					}
 				default:
 					tiered.Flush()
@@ -555,7 +556,7 @@ type bundleMember struct {
 
 // buildBundle writes a tar.gz with exactly the given members — the
 // hostile-input counterpart of ExportBundle.
-func buildBundle(t *testing.T, members []bundleMember) []byte {
+func buildBundle(t testing.TB, members []bundleMember) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	gz := gzip.NewWriter(&buf)
