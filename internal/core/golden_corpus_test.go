@@ -19,7 +19,9 @@ import (
 // of every pass of every iteration. A change that alters one allocation
 // or one PassStat count anywhere in either corpus changes the digest.
 // The constants were computed before the allocator's hot path was made
-// allocation-lean, so they hold the lean rounds to the original output.
+// allocation-lean, so they hold the lean rounds to the original output;
+// the spill-everywhere and ssa-spill digests were computed before the
+// two constructions came to share one rewrite.
 var goldenCorpusDigests = []struct {
 	spec, machine, strategy, digest string
 }{
@@ -35,6 +37,10 @@ var goldenCorpusDigests = []struct {
 		"c5121e46699075dacd80a81b0e563a6d8b09123c677e18a84e9c5214cf6be15a"},
 	{"count=200,seed=11,depth=3,pressure=8", "embedded-8", "remat:split=all-loops",
 		"9ecc22e4768b8b4851fd9b81e926f4fffe037dcad824f29fec2d97cb4e070a2e"},
+	{"count=200,seed=7", "x86-64", "spill-everywhere",
+		"acd438d2b3a605bf3ad9776d7fe41108fe04407f353f82c888b20836fec979ad"},
+	{"count=200,seed=11,depth=3,pressure=8", "embedded-8", "ssa-spill",
+		"848259b546666d593de4dc53bc1ea60ee42cfc3f2e993cf9060cd32a15eff2e0"},
 }
 
 func TestGoldenCorpusDigests(t *testing.T) {

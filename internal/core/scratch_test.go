@@ -24,7 +24,7 @@ type reuseItem struct {
 }
 
 // reuseItems returns every routine of the golden corpora under each
-// golden machine and strategy, with the suite's largest kernel
+// golden machine and iterated strategy, with the suite's largest kernel
 // (twldrv, the biggest scratch footprint measured) allocated after
 // every 25th: each small routine after it runs on tables the big one
 // grew, stale contents past its own size included.
@@ -33,6 +33,9 @@ func reuseItems(t *testing.T) []reuseItem {
 	big := suite.ByName("twldrv").Routine()
 	var items []reuseItem
 	for _, g := range goldenCorpusDigests {
+		if g.strategy == "spill-everywhere" || g.strategy == "ssa-spill" {
+			continue // linear constructions: no scratch, no rounds
+		}
 		spec, err := corpus.ParseSpec(g.spec)
 		if err != nil {
 			t.Fatal(err)
