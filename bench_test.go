@@ -177,25 +177,24 @@ func BenchmarkAblation(b *testing.B) {
 		{"no-coalescing-no-bias", "remat:split=all-phis,no-coalesce,no-bias"},
 	}
 	for _, cfg := range configs {
-		b.Run(cfg.name, func(b *testing.B) {
-			var total int64
-			for i := 0; i < b.N; i++ {
-				total = 0
-				for _, k := range suite.All() {
-					res, err := core.Allocate(context.Background(), k.Routine(), core.Options{Machine: m, Strategy: cfg.strategy})
-					if err != nil {
-						b.Fatal(err)
-					}
-					out, err := k.Execute(res.Routine)
-					if err != nil {
-						b.Fatal(err)
-					}
-					total += out.Cycles(2, 1)
-				}
-			}
-			b.ReportMetric(float64(total), "suitecycles")
-		})
+		b.Run(cfg.name, func(b *testing.B) { benchSuiteCycles(b, m, cfg.strategy) })
 	}
+}
+
+// benchSuiteCycles runs the whole suite, each kernel compiled with its
+// callees under one strategy spec, and reports the summed dynamic cycles.
+func benchSuiteCycles(b *testing.B, m *target.Machine, spec string) {
+	var row experiments.StrategyMatrixRow
+	for i := 0; i < b.N; i++ {
+		rows, err := experiments.StrategyMatrix(m, 0, spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if row = rows[0]; row.Failed != 0 {
+			b.Fatalf("%s: %d kernels failed to allocate", spec, row.Failed)
+		}
+	}
+	b.ReportMetric(float64(row.Cycles), "suitecycles")
 }
 
 // BenchmarkDriverSuite allocates the whole suite through the batch
@@ -278,29 +277,13 @@ func BenchmarkAllocateSuite(b *testing.B) {
 
 // BenchmarkSpillMetric sweeps the spill-candidate metrics over the whole
 // suite (the paper: "the metric for picking spill candidates is
-// critical") and reports total spill cycles as the quality metric.
+// critical") and reports the suite's total dynamic cycles as the
+// quality metric.
 func BenchmarkSpillMetric(b *testing.B) {
 	m := target.WithRegs(6)
 	for _, metric := range []core.SpillMetric{
 		core.MetricCostOverDegree, core.MetricCostOverDegreeSquared, core.MetricCost,
 	} {
-		b.Run(metric.String(), func(b *testing.B) {
-			var total int64
-			for i := 0; i < b.N; i++ {
-				total = 0
-				for _, k := range suite.All() {
-					res, err := core.Allocate(context.Background(), k.Routine(), core.Options{Machine: m, Strategy: "remat:metric=" + metric.String()})
-					if err != nil {
-						b.Fatal(err)
-					}
-					out, err := k.Execute(res.Routine)
-					if err != nil {
-						b.Fatal(err)
-					}
-					total += out.Cycles(2, 1)
-				}
-			}
-			b.ReportMetric(float64(total), "suitecycles")
-		})
+		b.Run(metric.String(), func(b *testing.B) { benchSuiteCycles(b, m, "remat:metric="+metric.String()) })
 	}
 }

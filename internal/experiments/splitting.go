@@ -1,36 +1,12 @@
 package experiments
 
 import (
-	"context"
-
 	"fmt"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/iloc"
-	"repro/internal/interp"
-	"repro/internal/suite"
 	"repro/internal/target"
 )
-
-// runStrategy allocates the kernel and its callees under one strategy
-// spec and executes the allocated program.
-func runStrategy(k *suite.Kernel, m *target.Machine, strategy string) (*interp.Outcome, error) {
-	opts := core.Options{Machine: m, Strategy: strategy}
-	res, err := core.Allocate(context.Background(), k.Routine(), opts)
-	if err != nil {
-		return nil, err
-	}
-	var callees []*iloc.Routine
-	for _, callee := range k.CalleeRoutines() {
-		cres, err := core.Allocate(context.Background(), callee, opts)
-		if err != nil {
-			return nil, err
-		}
-		callees = append(callees, cres.Routine)
-	}
-	return k.ExecuteWith(res.Routine, callees)
-}
 
 // SplittingRow compares §6's splitting schemes against the plain
 // rematerializing allocator on one kernel: spill-code cycles under each
@@ -61,34 +37,27 @@ func SplittingStudy(m *target.Machine) ([]SplittingRow, error) {
 	if m == nil {
 		m = target.WithRegs(6)
 	}
-	baseMachine := target.Huge()
-	var rows []SplittingRow
-	for _, k := range suite.All() {
-		base, err := runStrategy(k, baseMachine, "remat")
-		if err != nil {
-			return nil, fmt.Errorf("splitting %s baseline: %w", k.Name, err)
+	configs := []suiteConfig{{target.Huge(), "remat"}, {m, "remat"}}
+	for _, s := range SplittingSchemes {
+		configs = append(configs, suiteConfig{m, "remat:split=" + s.String()})
+	}
+	runs, err := runSuite(configs, 0, nil)
+	if err == nil {
+		err = firstErr(runs)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("splitting: %w", err)
+	}
+	rows := make([]SplittingRow, len(runs[0]))
+	for ki, base := range runs[0] {
+		rows[ki] = SplittingRow{
+			Program:  base.kernel.Program,
+			Routine:  base.kernel.Name,
+			Baseline: spillCycles(runs[1][ki], base, m),
 		}
-		baseCycles := base.Cycles(int64(m.MemCycles), int64(m.OtherCycles))
-
-		row := SplittingRow{Program: k.Program, Routine: k.Name}
-		plain, err := runStrategy(k, m, "remat")
-		if err != nil {
-			return nil, fmt.Errorf("splitting %s plain: %w", k.Name, err)
+		for _, schemeRuns := range runs[2:] {
+			rows[ki].Cycles = append(rows[ki].Cycles, spillCycles(schemeRuns[ki], base, m))
 		}
-		row.Baseline = plain.Cycles(int64(m.MemCycles), int64(m.OtherCycles)) - baseCycles
-
-		for _, s := range SplittingSchemes {
-			res, err := core.Allocate(context.Background(), k.Routine(), core.Options{Machine: m, Strategy: "remat:split=" + s.String()})
-			if err != nil {
-				return nil, fmt.Errorf("splitting %s %v: %w", k.Name, s, err)
-			}
-			out, err := k.Execute(res.Routine)
-			if err != nil {
-				return nil, fmt.Errorf("splitting %s %v: %w", k.Name, s, err)
-			}
-			row.Cycles = append(row.Cycles, out.Cycles(int64(m.MemCycles), int64(m.OtherCycles))-baseCycles)
-		}
-		rows = append(rows, row)
 	}
 	return rows, nil
 }

@@ -1,14 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/driver"
-	"repro/internal/iloc"
-	"repro/internal/suite"
 	"repro/internal/target"
 )
 
@@ -37,81 +33,53 @@ type StrategyMatrixRow struct {
 	AllocMs float64
 }
 
-// StrategyMatrix allocates every suite kernel (and its callees) under
-// every registered strategy as one driver batch, executes the allocated
-// programs, and returns one row per strategy in registration order. A
-// nil machine measures at the calibrated pressure point (6+6 registers,
-// as Table 1). Jobs bounds the batch worker pool (0 = number of CPUs).
-func StrategyMatrix(m *target.Machine, jobs int) ([]StrategyMatrixRow, error) {
+// StrategyMatrix runs the suite under each strategy spec, every
+// registered strategy when specs is empty, and returns one row per spec
+// in order (registration order by default). A nil machine measures at
+// the calibrated pressure point (6+6 registers, as Table 1). Jobs bounds
+// the batch worker pool (0 = number of CPUs).
+func StrategyMatrix(m *target.Machine, jobs int, specs ...string) ([]StrategyMatrixRow, error) {
 	if m == nil {
 		m = target.WithRegs(6)
 	}
-	strategies := core.Strategies()
-	kernels := suite.All()
-
-	// One batch covers the whole matrix; the plan records, per strategy
-	// and kernel, where the main routine and its callees landed.
-	type alloc struct {
-		main    int
-		callees []int
+	var strategies []*core.Strategy
+	if len(specs) == 0 {
+		strategies = core.Strategies()
 	}
-	var units []driver.Unit
-	plan := make([][]alloc, len(strategies))
-	for si, s := range strategies {
-		opts := core.Options{Machine: m, Strategy: s.Name()}
-		plan[si] = make([]alloc, len(kernels))
-		for ki, k := range kernels {
-			plan[si][ki].main = len(units)
-			units = append(units, driver.Unit{
-				Name:    fmt.Sprintf("%s/%s", k.Name, s.Name()),
-				Routine: k.Routine(), Options: &opts,
-			})
-			for i, crt := range k.CalleeRoutines() {
-				plan[si][ki].callees = append(plan[si][ki].callees, len(units))
-				units = append(units, driver.Unit{
-					Name:    fmt.Sprintf("%s/callee%d/%s", k.Name, i, s.Name()),
-					Routine: crt, Options: &opts,
-				})
-			}
+	for _, spec := range specs {
+		s, err := core.LookupStrategy(spec)
+		if err != nil {
+			return nil, fmt.Errorf("strategy matrix: %w", err)
 		}
+		strategies = append(strategies, s)
 	}
-	batch := driver.New(driver.Config{Workers: jobs}).Run(context.Background(), units)
+	configs := make([]suiteConfig, len(strategies))
+	for si, s := range strategies {
+		configs[si] = suiteConfig{m, s.Spec()}
+	}
+	runs, err := runSuite(configs, jobs, nil)
+	if err != nil {
+		return nil, fmt.Errorf("strategy matrix: %w", err)
+	}
 
 	mem, oth := int64(m.MemCycles), int64(m.OtherCycles)
 	rows := make([]StrategyMatrixRow, len(strategies))
 	for si, s := range strategies {
 		row := StrategyMatrixRow{Strategy: s.Spec(), Description: s.Description()}
-		for ki, k := range kernels {
-			a := plan[si][ki]
-			main := batch.Results[a.main]
-			if main.Err != nil {
-				row.Failed++
-				continue
-			}
-			row.Spilled += main.Result.SpilledRanges
-			row.Remat += main.Result.RematSpills
-			if main.Result.Degraded {
-				row.Degraded++
-			}
-			row.AllocMs += float64(main.Wall.Microseconds()) / 1000
-			var callees []*iloc.Routine
-			ok := true
-			for _, i := range a.callees {
-				if batch.Results[i].Err != nil {
-					ok = false
-					break
+		for _, run := range runs[si] {
+			if main := run.main; main.Err == nil {
+				row.Spilled += main.Result.SpilledRanges
+				row.Remat += main.Result.RematSpills
+				if main.Result.Degraded {
+					row.Degraded++
 				}
-				callees = append(callees, batch.Results[i].Result.Routine)
+				row.AllocMs += float64(main.Wall.Microseconds()) / 1000
 			}
-			if !ok {
+			if run.err != nil {
 				row.Failed++
 				continue
 			}
-			out, err := k.ExecuteWith(main.Result.Routine, callees)
-			if err != nil {
-				return nil, fmt.Errorf("strategy matrix: %s under %s: %w", k.Name, s.Name(), err)
-			}
-			row.Cycles += out.Cycles(mem, oth)
+			row.Cycles += run.out.Cycles(mem, oth)
 		}
 		rows[si] = row
 	}

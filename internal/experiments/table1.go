@@ -6,16 +6,12 @@
 package experiments
 
 import (
-	"context"
-
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/iloc"
 	"repro/internal/interp"
-	"repro/internal/suite"
 	"repro/internal/target"
 )
 
@@ -77,22 +73,10 @@ type Table1Config struct {
 	Cache *driver.Cache
 }
 
-// table1Alloc locates one measurement configuration's allocations in
-// the batch: the main routine's unit index and its callees'.
-type table1Alloc struct {
-	main    int
-	callees []int
-}
-
-// Table 1 measures three configurations per kernel: the huge-machine
-// zero-spill baseline, Chaitin's allocator, and the rematerializing
-// allocator on the standard machine.
-const table1Configs = 3
-
-// Table1 reproduces the paper's Table 1 over the synthetic suite. All
-// allocations — every kernel, callee and configuration — run as one
-// batch through the driver; the interpreter measurements then execute
-// in suite order.
+// Table1 reproduces the paper's Table 1 over the synthetic suite from
+// three runs of the suite: the huge-machine zero-spill baseline,
+// Chaitin's allocator and the rematerializing allocator on the standard
+// machine.
 func Table1(cfg Table1Config) ([]Table1Row, error) {
 	if cfg.Standard == nil {
 		cfg.Standard = target.WithRegs(6)
@@ -100,86 +84,37 @@ func Table1(cfg Table1Config) ([]Table1Row, error) {
 	if cfg.Baseline == nil {
 		cfg.Baseline = target.Huge()
 	}
-	machines := [table1Configs]*target.Machine{cfg.Baseline, cfg.Standard, cfg.Standard}
-	strategies := [table1Configs]string{"remat", "chaitin", "remat"}
-
-	kernels := suite.All()
-	var units []driver.Unit
-	plan := make([][table1Configs]table1Alloc, len(kernels))
-	for ki, k := range kernels {
-		rt := k.Routine()
-		calleeRts := k.CalleeRoutines()
-		for ci := 0; ci < table1Configs; ci++ {
-			// Callees are allocated with the same options, so the measured
-			// program is consistently compiled end to end.
-			opts := core.Options{Machine: machines[ci], Strategy: strategies[ci]}
-			plan[ki][ci].main = len(units)
-			units = append(units, driver.Unit{
-				Name:    fmt.Sprintf("%s/%s@%s", k.Name, strategies[ci], machines[ci].Name),
-				Routine: rt, Options: &opts,
-			})
-			for i, crt := range calleeRts {
-				plan[ki][ci].callees = append(plan[ki][ci].callees, len(units))
-				units = append(units, driver.Unit{
-					Name:    fmt.Sprintf("%s/callee%d/%s@%s", k.Name, i, strategies[ci], machines[ci].Name),
-					Routine: crt, Options: &opts,
-				})
-			}
-		}
+	runs, err := runSuite([]suiteConfig{
+		{cfg.Baseline, "remat"}, {cfg.Standard, "chaitin"}, {cfg.Standard, "remat"},
+	}, cfg.Jobs, cfg.Cache)
+	if err == nil {
+		err = firstErr(runs)
 	}
-	batch := driver.New(driver.Config{Workers: cfg.Jobs, Cache: cfg.Cache}).Run(context.Background(), units)
-	if err := batch.FirstErr(); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("table1: %w", err)
 	}
 
 	var rows []Table1Row
-	for ki, k := range kernels {
-		row, differs, err := table1Row(k, batch, plan[ki], cfg)
-		if err != nil {
-			return nil, fmt.Errorf("table1 %s/%s: %w", k.Program, k.Name, err)
-		}
-		if differs || cfg.IncludeUnchanged {
+	for ki := range runs[0] {
+		row := table1Row(runs[0][ki], runs[1][ki], runs[2][ki], cfg.Standard)
+		if row.Optimistic != row.Remat || cfg.IncludeUnchanged {
 			rows = append(rows, row)
 		}
 	}
 	return rows, nil
 }
 
-// runAllocated executes one configuration's allocated program.
-func runAllocated(k *suite.Kernel, batch *driver.Batch, a table1Alloc) (*interp.Outcome, error) {
-	var callees []*iloc.Routine
-	for _, i := range a.callees {
-		callees = append(callees, batch.Results[i].Result.Routine)
+func table1Row(base, opt, rem kernelRun, m *target.Machine) Table1Row {
+	row := Table1Row{
+		Program:    base.kernel.Program,
+		Routine:    base.kernel.Name,
+		Optimistic: spillCycles(opt, base, m),
+		Remat:      spillCycles(rem, base, m),
 	}
-	return k.ExecuteWith(batch.Results[a.main].Result.Routine, callees)
-}
-
-func table1Row(k *suite.Kernel, batch *driver.Batch, allocs [table1Configs]table1Alloc, cfg Table1Config) (Table1Row, bool, error) {
-	row := Table1Row{Program: k.Program, Routine: k.Name}
-
-	base, err := runAllocated(k, batch, allocs[0])
-	if err != nil {
-		return row, false, fmt.Errorf("baseline: %w", err)
-	}
-	opt, err := runAllocated(k, batch, allocs[1])
-	if err != nil {
-		return row, false, fmt.Errorf("optimistic: %w", err)
-	}
-	rem, err := runAllocated(k, batch, allocs[2])
-	if err != nil {
-		return row, false, fmt.Errorf("remat: %w", err)
-	}
-
-	mem := int64(cfg.Standard.MemCycles)
-	oth := int64(cfg.Standard.OtherCycles)
-	baseCycles := base.Cycles(mem, oth)
-	row.Optimistic = opt.Cycles(mem, oth) - baseCycles
-	row.Remat = rem.Cycles(mem, oth) - baseCycles
-
 	if row.Optimistic != 0 {
 		denom := float64(row.Optimistic)
 		pct := func(ops []iloc.Op) float64 {
-			d := categoryCycles(opt, cfg.Standard, ops) - categoryCycles(rem, cfg.Standard, ops)
+			d := categoryCycles(opt.out, m, ops) - categoryCycles(rem.out, m, ops)
 			return 100 * float64(d) / denom
 		}
 		row.PctLoad = pct(loadOps)
@@ -189,7 +124,7 @@ func table1Row(k *suite.Kernel, batch *driver.Batch, allocs [table1Configs]table
 		row.PctAddi = pct(addiOps)
 		row.PctTotal = 100 * float64(row.Optimistic-row.Remat) / denom
 	}
-	return row, row.Optimistic != row.Remat, nil
+	return row
 }
 
 // FormatTable1 renders rows in the paper's layout.
