@@ -25,7 +25,9 @@ import (
 // (e.g. coalesce counts during costs) are left zero.
 type PassStat struct {
 	Name string
-	Time time.Duration
+	// Time is the pass's wall time. Disk entries keep only what the
+	// allocation determines, so a result restored from one has none.
+	Time time.Duration `json:",omitempty"`
 
 	// Nodes and Edges are the interference graph size (both classes
 	// summed) after a graph-touching pass: live-range roots present in

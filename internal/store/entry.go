@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/iloc"
@@ -28,6 +29,8 @@ import (
 // the cold allocation that produced it. Everything iloc.Print does not
 // carry (frame size, caller-save counts, the iteration statistics, the
 // machine) rides in the metadata JSON and is restored after parsing.
+// The iteration statistics keep every count but no pass wall time, so
+// two cold allocations of one key write byte-identical entries.
 //
 // Every read re-hashes the sections against the header's sum: a
 // truncated, bit-flipped or torn entry fails validation and is treated
@@ -47,7 +50,9 @@ const (
 // entryMeta is the JSON metadata section: the Result fields (and
 // Routine fields) that the printed code does not carry. Entries written
 // before PassStat became the only timing record also carry a "Times"
-// object per iteration; decoding ignores it.
+// object per iteration, which decoding ignores, and entries written
+// before pass times were dropped a "Time" per pass, which decodes as
+// written.
 type entryMeta struct {
 	Name          string                `json:"name"`
 	Strategy      string                `json:"strategy,omitempty"`
@@ -78,7 +83,7 @@ func encodeResult(res *core.Result, optionsKey string) ([]byte, error) {
 		RematSpills:   res.RematSpills,
 		Degraded:      res.Degraded,
 		DegradeReason: res.DegradeReason,
-		Iterations:    res.Iterations,
+		Iterations:    withoutTimes(res.Iterations),
 		Machine:       res.Machine,
 		Allocated:     res.Routine.Allocated,
 		FrameWords:    res.Routine.FrameWords,
@@ -90,6 +95,19 @@ func encodeResult(res *core.Result, optionsKey string) ([]byte, error) {
 		return nil, fmt.Errorf("store: encode meta: %w", err)
 	}
 	return frameEntry([]byte(optionsKey), metaJSON, []byte(iloc.Print(res.Routine))), nil
+}
+
+// withoutTimes copies iterations with every pass's wall time zeroed.
+func withoutTimes(iterations []core.IterationStats) []core.IterationStats {
+	out := make([]core.IterationStats, len(iterations))
+	for i, it := range iterations {
+		it.Passes = slices.Clone(it.Passes)
+		for j := range it.Passes {
+			it.Passes[j].Time = 0
+		}
+		out[i] = it
+	}
+	return out
 }
 
 // frameEntry lays out the header and the three sections.

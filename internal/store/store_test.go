@@ -71,8 +71,10 @@ func TestEntryRoundTrip(t *testing.T) {
 
 // TestEntryWithOldTimesDecodes: entries written before pass timing
 // moved to PassStat alone carry a per-iteration "Times" object in their
-// meta JSON. Such an entry (an old -cache-dir tree or bundle) must still
-// decode and serve byte-identical code.
+// meta JSON, and entries written before entries dropped wall times a
+// "Time" in every pass. Such an entry (an old -cache-dir tree or
+// bundle) must still decode, serve byte-identical code and keep every
+// pass count.
 func TestEntryWithOldTimesDecodes(t *testing.T) {
 	res, _, optKey := allocateKernel(t, "fehl")
 	data, err := encodeResult(res, optKey)
@@ -92,6 +94,7 @@ func TestEntryWithOldTimesDecodes(t *testing.T) {
 	if n := strings.Count(old, `"Times"`); n != len(res.Iterations) || n == 0 {
 		t.Fatalf("injected %d Times objects for %d iterations", n, len(res.Iterations))
 	}
+	old = strings.ReplaceAll(old, `"Nodes":`, `"Time":13427,"Nodes":`)
 	e, err = decodeEntry(frameEntry([]byte(optKey), []byte(old), e.Code))
 	if err != nil {
 		t.Fatal(err)
@@ -103,9 +106,47 @@ func TestEntryWithOldTimesDecodes(t *testing.T) {
 	if iloc.Print(got.Routine) != iloc.Print(res.Routine) {
 		t.Fatal("old-format entry serves different code")
 	}
+	want := res.Iterations[0].Passes[0]
+	want.Time = 13427
 	if got.Routine.FrameWords != res.Routine.FrameWords || len(got.Iterations) != len(res.Iterations) ||
-		got.Iterations[0].Passes[0] != res.Iterations[0].Passes[0] {
+		got.Iterations[0].Passes[0] != want {
 		t.Fatalf("old-format entry lost result fields: got %+v", got)
+	}
+}
+
+// TestColdEntriesByteIdentical: two independent cold allocations of one
+// routine write the same entry bytes, so replicas that computed the
+// same result export identical bundles. Pass wall times differ between
+// the two runs; entries keep only the counts.
+func TestColdEntriesByteIdentical(t *testing.T) {
+	first, _, optKey := allocateKernel(t, "fehl")
+	second, _, _ := allocateKernel(t, "fehl")
+	a, err := encodeResult(first, optKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := encodeResult(second, optKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("two cold allocations encode differently:\n%s\n%s", a, b)
+	}
+	e, err := decodeEntry(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, it := range first.Iterations {
+		for j, ps := range it.Passes {
+			ps.Time = 0
+			if got.Iterations[i].Passes[j] != ps {
+				t.Fatalf("iteration %d pass %d: got %+v, want %+v", i, j, got.Iterations[i].Passes[j], ps)
+			}
+		}
 	}
 }
 
