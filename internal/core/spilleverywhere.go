@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/iloc"
+	"repro/internal/target"
 )
 
 // spillEverywhere is the graceful-degradation allocator: every virtual
@@ -29,8 +30,21 @@ func spillEverywhere(input *iloc.Routine, opts Options) (res *Result, err error)
 		}
 	}()
 
-	m := opts.Machine
 	rt := input.Clone()
+	register := func(_ iloc.Class, n int) int { return n }
+	return spillAll(rt, opts.Machine, "spill-everywhere", register, nil)
+}
+
+// spillAll is the rewrite both spill-everywhere constructions share: in
+// one linear pass over rt, each use reloads its register's slot into a
+// scratch color just before the instruction, and each definition
+// computes into scratch color 1 and stores it to its slot. slot keys a
+// register's slot (the register itself, or its φ-web's root): registers
+// of one key share a frame word, assigned in order of first reference.
+// keep reports whether a definition's store is kept; nil keeps every
+// store. The routine must hold no φ-node. pass names the construction in
+// errors and in the result's one PassStat.
+func spillAll(rt *iloc.Routine, m *target.Machine, pass string, slot func(iloc.Class, int) int, keep func(iloc.Class, int) bool) (*Result, error) {
 	frameBase := scanFrameBase(rt)
 	nextSlot := 0
 	var slots [iloc.NumClasses]map[int]int64
@@ -38,12 +52,13 @@ func spillEverywhere(input *iloc.Routine, opts Options) (res *Result, err error)
 		slots[c] = make(map[int]int64)
 	}
 	slotFor := func(c iloc.Class, n int) int64 {
-		if off, ok := slots[c][n]; ok {
+		key := slot(c, n)
+		if off, ok := slots[c][key]; ok {
 			return off
 		}
 		off := frameBase + int64(nextSlot)*8
 		nextSlot++
-		slots[c][n] = off
+		slots[c][key] = off
 		return off
 	}
 
@@ -52,7 +67,7 @@ func spillEverywhere(input *iloc.Routine, opts Options) (res *Result, err error)
 		out := make([]*iloc.Instr, 0, 3*len(b.Instrs))
 		for _, in := range b.Instrs {
 			if in.Op == iloc.OpPhi {
-				return nil, fmt.Errorf("core: spill-everywhere: φ-node in %s", input.Name)
+				return nil, fmt.Errorf("core: %s: φ-node in %s", pass, rt.Name)
 			}
 			// Reload each distinct spilled use into its own scratch color.
 			assigned := map[iloc.Reg]iloc.Reg{}
@@ -67,8 +82,8 @@ func spillEverywhere(input *iloc.Routine, opts Options) (res *Result, err error)
 					col := next[u.Class]
 					next[u.Class]++
 					if col > m.K(u.Class) {
-						return nil, fmt.Errorf("core: spill-everywhere: %q needs %d scratch %s registers, machine %s has %d",
-							in, col, u.Class, m.Name, m.K(u.Class))
+						return nil, fmt.Errorf("core: %s: %q needs %d scratch %s registers, machine %s has %d",
+							pass, in, col, u.Class, m.Name, m.K(u.Class))
 					}
 					t = iloc.Reg{Class: u.Class, N: col}
 					assigned[u] = t
@@ -81,18 +96,20 @@ func spillEverywhere(input *iloc.Routine, opts Options) (res *Result, err error)
 				}
 				in.Src[i] = t
 			}
-			// The definition computes into scratch color 1 (written only
-			// after the sources are read) and is stored to its slot.
+			// The definition computes into scratch color 1, written only
+			// after the sources are read.
 			if d := in.Def(); d.Valid() && d.N != 0 {
 				t := iloc.Reg{Class: d.Class, N: 1}
 				in.Dst = t
 				out = append(out, in)
-				out = append(out, &iloc.Instr{
-					Op:  storeOp(d.Class),
-					Dst: iloc.NoReg,
-					Src: [2]iloc.Reg{t, iloc.FP},
-					Imm: slotFor(d.Class, d.N), IsSpill: true,
-				})
+				if keep == nil || keep(d.Class, d.N) {
+					out = append(out, &iloc.Instr{
+						Op:  storeOp(d.Class),
+						Dst: iloc.NoReg,
+						Src: [2]iloc.Reg{t, iloc.FP},
+						Imm: slotFor(d.Class, d.N), IsSpill: true,
+					})
+				}
 				continue
 			}
 			out = append(out, in)
@@ -108,7 +125,7 @@ func spillEverywhere(input *iloc.Routine, opts Options) (res *Result, err error)
 	}
 
 	ranges := len(slots[iloc.ClassInt]) + len(slots[iloc.ClassFlt])
-	st.Passes = []PassStat{{Name: "spill-everywhere", Spilled: ranges}}
+	st.Passes = []PassStat{{Name: pass, Spilled: ranges}}
 	return &Result{
 		Routine:       rt,
 		Iterations:    []IterationStats{st},

@@ -42,7 +42,6 @@ func ssaSpill(input *iloc.Routine, opts Options) (res *Result, err error) {
 		}
 	}()
 
-	m := opts.Machine
 	rt := input.Clone()
 	if err := cfg.Build(rt); err != nil {
 		return nil, err
@@ -78,14 +77,17 @@ func ssaSpill(input *iloc.Routine, opts Options) (res *Result, err error) {
 		webs[c] = disjoint.New(graphs[c].NumValues)
 	}
 	for _, b := range rt.Blocks {
+		kept := b.Instrs[:0]
 		for _, in := range b.Instrs {
 			if in.Op != iloc.OpPhi {
+				kept = append(kept, in)
 				continue
 			}
 			for _, arg := range in.Phi.Args {
 				webs[in.Dst.Class].Union(in.Dst.N, arg.N)
 			}
 		}
+		b.Instrs = kept
 	}
 
 	// A web's slot is read only by the non-φ uses of its values; a web
@@ -104,92 +106,7 @@ func ssaSpill(input *iloc.Routine, opts Options) (res *Result, err error) {
 		}
 	}
 
-	frameBase := scanFrameBase(rt)
-	nextSlot := 0
-	var slots [iloc.NumClasses]map[int]int64
-	for c := range slots {
-		slots[c] = make(map[int]int64)
-	}
-	slotFor := func(c iloc.Class, n int) int64 {
-		root := webs[c].Find(n)
-		if off, ok := slots[c][root]; ok {
-			return off
-		}
-		off := frameBase + int64(nextSlot)*8
-		nextSlot++
-		slots[c][root] = off
-		return off
-	}
-
-	var st IterationStats
-	for _, b := range rt.Blocks {
-		out := make([]*iloc.Instr, 0, 3*len(b.Instrs))
-		for _, in := range b.Instrs {
-			if in.Op == iloc.OpPhi {
-				continue // resolved in memory: dest and args share one slot
-			}
-			// Reload each distinct spilled use into its own scratch color.
-			assigned := map[iloc.Reg]iloc.Reg{}
-			next := [iloc.NumClasses]int{1, 1}
-			for i := 0; i < in.Op.NSrc(); i++ {
-				u := in.Src[i]
-				if !u.Valid() || u.N == 0 {
-					continue
-				}
-				t, ok := assigned[u]
-				if !ok {
-					col := next[u.Class]
-					next[u.Class]++
-					if col > m.K(u.Class) {
-						return nil, fmt.Errorf("core: ssa-spill: %q needs %d scratch %s registers, machine %s has %d",
-							in, col, u.Class, m.Name, m.K(u.Class))
-					}
-					t = iloc.Reg{Class: u.Class, N: col}
-					assigned[u] = t
-					out = append(out, &iloc.Instr{
-						Op:  reloadOp(u.Class),
-						Dst: t, Src: [2]iloc.Reg{iloc.FP, iloc.NoReg},
-						Imm: slotFor(u.Class, u.N), IsSpill: true,
-					})
-					st.Spilled[u.Class]++
-				}
-				in.Src[i] = t
-			}
-			// The definition computes into scratch color 1 (written only
-			// after the sources are read); its store is elided when the
-			// web's slot is never read.
-			if d := in.Def(); d.Valid() && d.N != 0 {
-				t := iloc.Reg{Class: d.Class, N: 1}
-				in.Dst = t
-				out = append(out, in)
-				if slotRead[d.Class][webs[d.Class].Find(d.N)] {
-					out = append(out, &iloc.Instr{
-						Op:  storeOp(d.Class),
-						Dst: iloc.NoReg,
-						Src: [2]iloc.Reg{t, iloc.FP},
-						Imm: slotFor(d.Class, d.N), IsSpill: true,
-					})
-				}
-				continue
-			}
-			out = append(out, in)
-		}
-		b.Instrs = out
-	}
-
-	rt.FrameWords = int(frameBase/8) + nextSlot
-	rt.Allocated = true
-	for c := range rt.NextReg {
-		rt.NextReg[c] = m.Regs[c]
-		rt.CallerSave[c] = m.CallerSave
-	}
-
-	ranges := len(slots[iloc.ClassInt]) + len(slots[iloc.ClassFlt])
-	st.Passes = []PassStat{{Name: "ssa-spill", Spilled: ranges}}
-	return &Result{
-		Routine:       rt,
-		Iterations:    []IterationStats{st},
-		SpilledRanges: ranges,
-		Machine:       m,
-	}, nil
+	web := func(c iloc.Class, n int) int { return webs[c].Find(n) }
+	read := func(c iloc.Class, n int) bool { return slotRead[c][webs[c].Find(n)] }
+	return spillAll(rt, opts.Machine, "ssa-spill", web, read)
 }
