@@ -4,16 +4,16 @@
 
 GO ?= go
 
-.PHONY: check ci fmt vet build test test-bench-harness race verify fuzz smoke-server smoke-store smoke-cluster smoke-jobs smoke-strategies smoke-corpus bench loc
+.PHONY: check ci fmt vet build test test-bench-harness race verify fuzz smoke-experiments smoke-server smoke-store smoke-cluster smoke-jobs smoke-strategies smoke-corpus bench loc
 
-check: fmt vet build test test-bench-harness race verify fuzz smoke-strategies smoke-server smoke-store smoke-cluster smoke-jobs smoke-corpus
+check: fmt vet build test test-bench-harness race verify fuzz smoke-strategies smoke-experiments smoke-server smoke-store smoke-cluster smoke-jobs smoke-corpus
 
 # ci runs exactly what .github/workflows/ci.yml runs, in the same
 # order: the gates, the fuzz smoke, the strategy-matrix smoke, the
-# serving smoke, the persistent-cache smoke, the cluster chaos smoke,
-# the async-job/audit smoke, the corpus smoke, then the bench harness
-# smoke. Performance is gated by the bounds in BENCHMARK.json, not here.
-ci: fmt vet build test test-bench-harness race fuzz smoke-strategies smoke-server smoke-store smoke-cluster smoke-jobs smoke-corpus bench
+# experiments smoke, the serving smoke, the persistent-cache smoke, the
+# cluster chaos smoke, the async-job/audit smoke, the corpus smoke, then
+# the bench harness smoke. Performance is gated by the bounds in BENCHMARK.json, not here.
+ci: fmt vet build test test-bench-harness race fuzz smoke-strategies smoke-experiments smoke-server smoke-store smoke-cluster smoke-jobs smoke-corpus bench
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -73,6 +73,13 @@ smoke-strategies:
 		echo "smoke-strategies: $$s"; \
 		$(GO) run ./cmd/ralloc -strategy "$$s" -strict testdata/fig1.iloc >/dev/null || exit 1; \
 	done
+
+# smoke-experiments regenerates every table, figure and study once,
+# the register sweep and its shared result cache included, and fails on
+# any error (a kernel that fails to allocate or computes a wrong
+# answer). One Table 2 run keeps it to about a second.
+smoke-experiments:
+	$(GO) run ./cmd/experiments -all -runs 1 >/dev/null
 
 # smoke-server boots rallocd on an ephemeral port, pushes one verified
 # allocation through it with rallocload, and asserts a clean SIGTERM
