@@ -28,14 +28,31 @@ func New(n int) *Set {
 	return s
 }
 
+// View returns a set of capacity n over the first Words(n) words of
+// words, which it shares rather than copies: writes through the set
+// change words, and later changes to words show through the set. The
+// view is capped at those words, so nothing done through it reaches
+// words beyond them (a Reset to a larger capacity moves it to storage
+// of its own). words must hold Words(n) words whose bits from n up are
+// clear.
+func View(words []uint64, n int) Set {
+	w := Words(n)
+	return Set{words: words[:w:w], n: n}
+}
+
+// Words returns the number of 64-bit words a set of capacity n holds.
+func Words(n int) int {
+	if n < 0 {
+		panic("bitset: negative capacity")
+	}
+	return (n + wordBits - 1) / wordBits
+}
+
 // Reset empties s and sets its capacity to n, reusing its storage when
 // that is large enough, so a set resized to at most its largest earlier
 // capacity allocates nothing. The zero value may be Reset.
 func (s *Set) Reset(n int) {
-	if n < 0 {
-		panic("bitset: negative capacity")
-	}
-	w := (n + wordBits - 1) / wordBits
+	w := Words(n)
 	s.words = slices.Grow(s.words[:0], w)[:w]
 	clear(s.words)
 	s.n = n

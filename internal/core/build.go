@@ -3,60 +3,99 @@ package core
 import (
 	"slices"
 
+	"repro/internal/iloc"
 	"repro/internal/liveness"
 	"repro/internal/remat"
 )
 
-// buildGraph constructs the interference graph for one class with
-// Chaitin's backward walk: starting from each block's live-out set, a
-// definition interferes with everything currently live — except that a
-// copy does not interfere with its own source, which is what lets
-// coalescing and biased coloring combine the two ends.
-func (a *allocator) buildGraph(cs *classState) {
-	c := cs.c
-	n := a.rt.NumRegs(c)
-	cs.graph.Reset(n)
-	cs.inCode = resetTable(cs.inCode, n)
-	cs.acrossCall = resetTable(cs.acrossCall, n)
-	liveness.ComputeInto(&cs.live, a.rt, c, a.tree.Order)
+// solveLiveness solves liveness for every class into its live, in one
+// walk of the code.
+func (a *allocator) solveLiveness() {
+	var infos [iloc.NumClasses]*liveness.Info
+	for c, cs := range a.classes {
+		infos[c] = &cs.live
+	}
+	liveness.ComputeAllInto(&infos, a.rt, a.tree.Order)
+}
 
-	lv := &cs.lv
-	lv.Reset(n)
+// buildGraph solves liveness for one class and rebuilds its
+// interference graph, as a coalesce rebuild needs.
+func (a *allocator) buildGraph(cs *classState) {
+	liveness.ComputeInto(&cs.live, a.rt, cs.c, a.tree.Order)
+	a.buildFromLive(cs)
+}
+
+// buildFromLive constructs the interference graphs of the classes css
+// from their current liveness solutions, all in one backward walk of
+// the code (Chaitin's): starting from each block's live-out set, a
+// definition interferes with everything currently live — except that
+// a copy does not interfere with its own source, which is what lets
+// coalescing and biased coloring combine the two ends.
+func (a *allocator) buildFromLive(css ...*classState) {
+	var by [iloc.NumClasses]*classState
+	for _, cs := range css {
+		n := a.rt.NumRegs(cs.c)
+		cs.graph.Reset(n)
+		cs.inCode = resetTable(cs.inCode, n)
+		cs.acrossCall = resetTable(cs.acrossCall, n)
+		cs.lv.Reset(n)
+		by[cs.c] = cs
+	}
 	for _, b := range a.rt.Blocks {
-		lv.CopyFrom(cs.live.LiveOut[b.Index])
+		for _, cs := range css {
+			cs.lv.CopyFrom(cs.live.LiveOut[b.Index])
+		}
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := b.Instrs[i]
 			if in.Op.IsCall() {
 				// Everything live across the call must survive the
 				// callee clobbering the caller-save colors.
-				lv.ForEach(func(x int) { cs.acrossCall[x] = true })
+				for _, cs := range css {
+					cs.lv.ForEach(func(x int) { cs.acrossCall[x] = true })
+				}
 			}
-			d := in.Def()
-			if d.Valid() && d.Class == c && d.N != 0 {
-				cs.inCode[d.N] = true
-				copySrc := -1
-				if in.Op.IsCopy() && in.Src[0].Class == c && in.Src[0].N != 0 {
-					copySrc = in.Src[0].N
-					lv.Remove(copySrc)
-				}
-				lv.ForEach(func(x int) {
-					if x != d.N {
-						cs.graph.AddEdge(d.N, x)
-					}
-				})
-				lv.Remove(d.N)
-				if copySrc >= 0 {
-					lv.Add(copySrc)
-				}
+			if cs := classOf(&by, in.Def()); cs != nil {
+				cs.define(in)
 			}
 			for _, u := range in.Uses() {
-				if u.Class == c && u.N != 0 {
+				if cs := classOf(&by, u); cs != nil {
 					cs.inCode[u.N] = true
-					lv.Add(u.N)
+					cs.lv.Add(u.N)
 				}
 			}
 		}
 	}
+}
+
+// define steps the backward walk over in, which defines a register of
+// cs's class: the register interferes with everything live below in
+// but a copy's own source, and is dead above it.
+func (cs *classState) define(in *iloc.Instr) {
+	d, lv := in.Dst.N, &cs.lv
+	cs.inCode[d] = true
+	copySrc := -1
+	if in.Op.IsCopy() && in.Src[0].Class == cs.c && in.Src[0].N != 0 {
+		copySrc = in.Src[0].N
+		lv.Remove(copySrc)
+	}
+	lv.ForEach(func(x int) {
+		if x != d {
+			cs.graph.AddEdge(d, x)
+		}
+	})
+	lv.Remove(d)
+	if copySrc >= 0 {
+		lv.Add(copySrc)
+	}
+}
+
+// classOf returns the state in by of r's class, or nil when r is no
+// register, the reserved register 0, or of a class by leaves out.
+func classOf(by *[iloc.NumClasses]*classState, r iloc.Reg) *classState {
+	if r.N == 0 || r.Class >= iloc.NumClasses {
+		return nil
+	}
+	return by[r.Class]
 }
 
 // resetTable returns n zero elements in s's storage when it is large
@@ -101,10 +140,10 @@ func (a *allocator) coalescePass(cs *classState, splitRound bool) int {
 	k := a.opts.Machine.K(cs.c)
 	removed := 0
 	for _, b := range a.rt.Blocks {
-		kept := b.Instrs[:0]
-		for _, in := range b.Instrs {
+		kept := 0
+		for i, in := range b.Instrs {
 			if !in.Op.IsCopy() || in.Dst.Class != cs.c || in.IsSplit != splitRound || in.Src[0].IsFP() {
-				kept = append(kept, in)
+				keep(b.Instrs, &kept, i)
 				continue
 			}
 			d, s := cs.find(in.Dst.N), cs.find(in.Src[0].N)
@@ -113,11 +152,11 @@ func (a *allocator) coalescePass(cs *classState, splitRound bool) int {
 				continue
 			}
 			if cs.graph.Interfere(d, s) {
-				kept = append(kept, in)
+				keep(b.Instrs, &kept, i)
 				continue
 			}
 			if splitRound && cs.graph.CombinedSignificant(d, s, k) >= k {
-				kept = append(kept, in)
+				keep(b.Instrs, &kept, i)
 				continue
 			}
 			root, _ := cs.sets.Union(d, s)
@@ -128,9 +167,12 @@ func (a *allocator) coalescePass(cs *classState, splitRound bool) int {
 			}
 			removed++
 		}
-		b.Instrs = kept
+		b.Instrs = b.Instrs[:kept]
 	}
 	if removed > 0 {
+		// No tag fold: each merge above already met the two roots'
+		// tags, and a root's tag is at or below every member's (see
+		// foldTags), so a fold would change nothing.
 		a.rewriteToRoots(cs)
 	}
 	return removed

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"repro/internal/iloc"
-	"repro/internal/liveness"
 	"repro/internal/remat"
 	"repro/internal/ssa"
 )
@@ -26,9 +25,7 @@ import (
 func (a *allocator) renumber() (splits int, err error) {
 	// Liveness for both classes must precede SSA construction (the
 	// liveness solver rejects φ-nodes).
-	for _, cs := range a.classes {
-		liveness.ComputeInto(&cs.live, a.rt, cs.c, a.tree.Order)
-	}
+	a.solveLiveness()
 	for _, cs := range a.classes {
 		if err := ssa.BuildInto(&cs.ssa, a.rt, cs.c, a.tree, a.df, &cs.live); err != nil {
 			return 0, fmt.Errorf("core: renumber: %w", err)
@@ -40,17 +37,19 @@ func (a *allocator) renumber() (splits int, err error) {
 		cs.sets.Reset(g.NumValues)
 
 		if a.params.remat {
-			cs.tags = remat.PropagateInto(cs.tags, &cs.tagWork, g)
+			cs.tags = remat.PropagateInto(restart(cs.tags, &cs.tagsHW), &cs.tagWork, g)
 			splits += a.renumberRemat(cs)
 		} else {
-			cs.tags = resetTable(cs.tags, g.NumValues)
+			cs.tags = resetTable(restart(cs.tags, &cs.tagsHW), g.NumValues)
 			a.renumberChaitin(cs)
 		}
-
-		a.rewriteToRoots(cs)
-		// In chaitin tags are computed after coalescing (the whole-
-		// range rule must not see copies that coalescing will delete);
-		// see round().
+	}
+	a.rewriteToRoots(a.classes[:]...)
+	for _, cs := range a.classes {
+		// In chaitin the tags are all ⊤ until they are computed after
+		// coalescing (the whole-range rule must not see copies that
+		// coalescing will delete); see round().
+		cs.foldTags()
 	}
 	// Loop-based splitting (§6) runs once both classes are φ-free — and
 	// only in the first round: re-splitting ranges that spill code
@@ -72,8 +71,8 @@ func (a *allocator) renumberRemat(cs *classState) int {
 
 	// Step 5: copies with identical inst tags are unioned and removed.
 	for _, b := range a.rt.Blocks {
-		kept := b.Instrs[:0]
-		for _, in := range b.Instrs {
+		kept := 0
+		for i, in := range b.Instrs {
 			if in.Op.IsCopy() && in.Dst.Class == c && !in.Src[0].IsFP() {
 				td, ts := cs.tags[in.Dst.N], cs.tags[in.Src[0].N]
 				if td.Kind == remat.Inst && remat.Equal(td, ts) {
@@ -82,21 +81,21 @@ func (a *allocator) renumberRemat(cs *classState) int {
 					continue // copy removed
 				}
 			}
-			kept = append(kept, in)
+			keep(b.Instrs, &kept, i)
 		}
-		b.Instrs = kept
+		b.Instrs = b.Instrs[:kept]
 	}
 
 	// Step 6: φ operands. Collect the needed splits with their
 	// predecessor blocks, to sequentialize each block's group as one
 	// parallel copy.
-	pending := cs.pending[:0]
+	pending := restart(cs.pending, &cs.pendingHW)
 	splits := 0
 	for _, b := range a.rt.Blocks {
-		kept := b.Instrs[:0]
-		for _, in := range b.Instrs {
+		kept := 0
+		for i, in := range b.Instrs {
 			if in.Op != iloc.OpPhi || in.Dst.Class != c {
-				kept = append(kept, in)
+				keep(b.Instrs, &kept, i)
 				continue
 			}
 			res := in.Dst.N
@@ -111,7 +110,7 @@ func (a *allocator) renumberRemat(cs *classState) int {
 			}
 			// φ removed (not kept).
 		}
-		b.Instrs = kept
+		b.Instrs = b.Instrs[:kept]
 	}
 	cs.pending = pending
 
@@ -129,6 +128,17 @@ func (a *allocator) renumberRemat(cs *classState) int {
 		pending = pending[n:]
 	}
 	return splits
+}
+
+// keep moves instrs[i] down to instrs[*kept], the next slot an in-place
+// filter keeps, and advances *kept. The slot is written only once an
+// earlier instruction was dropped; until then every kept instruction is
+// already in place.
+func keep(instrs []*iloc.Instr, kept *int, i int) {
+	if *kept != i {
+		instrs[*kept] = instrs[i]
+	}
+	*kept++
 }
 
 // copyPair is one dst ← src element of a parallel copy.
@@ -200,36 +210,44 @@ func (a *allocator) emitParallelCopy(cs *classState, pred *iloc.Block, pairs []p
 // reaching each φ-node").
 func (a *allocator) renumberChaitin(cs *classState) {
 	for _, b := range a.rt.Blocks {
-		kept := b.Instrs[:0]
-		for _, in := range b.Instrs {
+		kept := 0
+		for i, in := range b.Instrs {
 			if in.Op != iloc.OpPhi || in.Dst.Class != cs.c {
-				kept = append(kept, in)
+				keep(b.Instrs, &kept, i)
 				continue
 			}
 			for _, arg := range in.Phi.Args {
 				cs.sets.Union(in.Dst.N, arg.N)
 			}
 		}
-		b.Instrs = kept
+		b.Instrs = b.Instrs[:kept]
 	}
 }
 
-// rewriteToRoots renames every class-c register in the code to the
-// representative of its live range.
-func (a *allocator) rewriteToRoots(cs *classState) {
-	c := cs.c
+// rewriteToRoots renames every register of the classes css in the code
+// to the representative of its live range, in one walk.
+func (a *allocator) rewriteToRoots(css ...*classState) {
+	var by [iloc.NumClasses]*classState
+	for _, cs := range css {
+		by[cs.c] = cs
+	}
 	a.rt.ForEachInstr(func(_ *iloc.Block, _ int, in *iloc.Instr) {
 		for i := 0; i < in.Op.NSrc(); i++ {
-			if in.Src[i].Class == c && in.Src[i].N != 0 {
+			if cs := classOf(&by, in.Src[i]); cs != nil {
 				in.Src[i].N = cs.find(in.Src[i].N)
 			}
 		}
-		if d := in.Def(); d.Valid() && d.Class == c && d.N != 0 {
+		if cs := classOf(&by, in.Def()); cs != nil {
 			in.Dst.N = cs.find(in.Dst.N)
 		}
 	})
-	// Fold tags onto roots so tagOf is consistent regardless of which
-	// member the map was written through.
+}
+
+// foldTags meets every value's tag into its live range's root, so
+// tagOf is consistent regardless of which member a tag was written
+// through. After it each root's tag is at or below every member's, and
+// later unions keep that by meeting the two roots' tags.
+func (cs *classState) foldTags() {
 	for v := 1; v < cs.sets.Len(); v++ {
 		r := cs.find(v)
 		if r != v && v < len(cs.tags) {

@@ -35,7 +35,7 @@ func (a *allocator) insertSpills(cs *classState, spilled []int) (n, remat int) {
 	a.res.RematSpills += remat
 
 	for _, b := range a.rt.Blocks {
-		out := cs.out[:0]
+		out := restart(cs.out, &cs.outHW)
 		for _, in := range b.Instrs {
 			d := in.Def()
 			defSpilled := d.Valid() && d.Class == c && d.N != 0 && isSpilled[d.N]

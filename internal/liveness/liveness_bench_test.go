@@ -37,7 +37,9 @@ func corpusRoutines(tb testing.TB) []*iloc.Routine {
 // BenchmarkCompute solves both classes of every corpus routine per op:
 // "fresh" with Compute, "reused" with ComputeInto on the storage earlier
 // solves left and a precomputed visiting order, as the allocator's
-// rounds solve.
+// coalesce rebuilds solve, and "both" with ComputeAllInto on that
+// storage, one walk for both classes, as renumber and the build pass
+// solve.
 func BenchmarkCompute(b *testing.B) {
 	rts := corpusRoutines(b)
 	b.Run("fresh", func(b *testing.B) {
@@ -66,10 +68,25 @@ func BenchmarkCompute(b *testing.B) {
 			}
 		}
 	})
+	b.Run("both", func(b *testing.B) {
+		infos := [iloc.NumClasses]*Info{new(Info), new(Info)}
+		rpos := make([][]*iloc.Block, len(rts))
+		for i, rt := range rts {
+			rpos[i] = cfg.ReversePostorder(rt)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j, rt := range rts {
+				ComputeAllInto(&infos, rt, rpos[j])
+			}
+		}
+	})
 }
 
 // ComputeInto must give Compute's solution whatever the storage held,
-// and a re-solve into storage of the same shape must not allocate.
+// and a re-solve into storage of the same shape, by ComputeInto or by
+// ComputeAllInto, must not allocate.
 func TestComputeIntoReusesStorage(t *testing.T) {
 	rts := corpusRoutines(t)
 	var info Info
@@ -92,5 +109,10 @@ func TestComputeIntoReusesStorage(t *testing.T) {
 	ComputeInto(&info, rt, iloc.ClassInt, rpo)
 	if n := testing.AllocsPerRun(10, func() { ComputeInto(&info, rt, iloc.ClassInt, rpo) }); n != 0 {
 		t.Fatalf("re-solving into same-shape storage allocated %v times, want 0", n)
+	}
+	all := [iloc.NumClasses]*Info{new(Info), new(Info)}
+	ComputeAllInto(&all, rt, rpo)
+	if n := testing.AllocsPerRun(10, func() { ComputeAllInto(&all, rt, rpo) }); n != 0 {
+		t.Fatalf("re-solving both classes into same-shape storage allocated %v times, want 0", n)
 	}
 }

@@ -39,16 +39,20 @@ type Graph struct {
 	OrigOf []int
 
 	// The storage BuildInto reuses from one build to the next.
-	counts    []int           // per-register name counts, then per-value use counts
-	defBlocks [][]*iloc.Block // definition blocks per original register
-	defFlat   []*iloc.Block
+	counts    []int   // per-register definition-block counts, then per-value use counts
+	defBlocks [][]int // indices of the definition blocks per original register
+	defFlat   []int
 	hasPhi    []int // per block: the last register given a φ there
 	inWork    []int // per block: the last register that queued it
-	work      []*iloc.Block
-	stacks    [][]int // renaming stacks per original register
-	stackFlat []int
-	defined   []int // originals defined along the dominator-tree path, in order
+	work      []int // indices of the blocks left to visit
+	cur       []int // per original register: the value it names at this point of the walk
+	prev      []int // per value: the value its register named before it
 	usesFlat  []*iloc.Instr
+	nUses     int // uses the renaming walk counted
+	// hwValues and hwUses are the most values and uses a build since the
+	// last Forget wrote: past them the pointer tables hold nothing, so
+	// Forget clears only those prefixes.
+	hwValues, hwUses int
 	// phis and args are slabs the build's φ-nodes and their argument
 	// lists are cut from. A φ lives only until renumber removes it, so
 	// the next build overwrites them; a slab that fills is replaced by
@@ -80,33 +84,35 @@ func Build(rt *iloc.Routine, c iloc.Class, tree *dom.Tree, live *liveness.Info) 
 }
 
 // BuildInto is Build filling g, with df the dominance frontiers of tree.
-// It reuses the tables and φ-node slabs an earlier build left in g, so a
+// The definition blocks of each register come from live's Kill sets. It
+// reuses the tables and φ-node slabs an earlier build left in g, so a
 // build no larger than an earlier one allocates nothing. It overwrites
 // the earlier graph, including any table or φ-node a caller still holds.
 func BuildInto(g *Graph, rt *iloc.Routine, c iloc.Class, tree *dom.Tree, df [][]int, live *liveness.Info) error {
 	nOrig := rt.NumRegs(c)
 	nb := len(rt.Blocks)
-	// Definition sites per original register. nNames[v] counts the names
-	// v is given: one per definition, and below one per φ-node.
-	nNames := resetInts(g.counts, nOrig)
-	g.counts = nNames
-	nDefs := 0
-	forEachDef(rt, c, func(v int, _ *iloc.Block) {
-		nNames[v]++
-		nDefs++
-	})
-	g.defBlocks, g.defFlat = carve(g.defBlocks, g.defFlat, nNames, nDefs)
+	g.noteHighWater()
+	// Definition blocks per original register, in block order: block b
+	// defines v exactly when v is in Kill(b).
+	counts := resetInts(g.counts, nOrig)
+	total := 0
+	for _, k := range live.Kill {
+		k.ForEach(func(v int) {
+			counts[v]++
+			total++
+		})
+	}
+	g.defBlocks, g.defFlat = carve(g.defBlocks, g.defFlat, counts, total)
 	defBlocks := g.defBlocks
-	forEachDef(rt, c, func(v int, b *iloc.Block) {
-		defBlocks[v] = append(defBlocks[v], b)
-	})
+	for bi, k := range live.Kill {
+		k.ForEach(func(v int) { defBlocks[v] = append(defBlocks[v], bi) })
+	}
 
 	// Insert pruned φ-nodes. A φ's destination and arguments name the
 	// original register it merges until the renaming walk reaches them.
 	// hasPhi[b] and inWork[b] hold the last register that put a φ in
 	// block b or queued b, so one pair of arrays serves every register.
 	g.phis, g.args = g.phis[:0], g.args[:0]
-	nPhis := 0
 	hasPhi, inWork := resetInts(g.hasPhi, nb), resetInts(g.inWork, nb)
 	g.hasPhi, g.inWork = hasPhi, inWork
 	work := g.work[:0]
@@ -115,24 +121,22 @@ func BuildInto(g *Graph, rt *iloc.Routine, c iloc.Class, tree *dom.Tree, df [][]
 			continue
 		}
 		work = append(work[:0], defBlocks[v]...)
-		for _, b := range work {
-			inWork[b.Index] = v
+		for _, bi := range work {
+			inWork[bi] = v
 		}
 		for len(work) > 0 {
 			d := work[len(work)-1]
 			work = work[:len(work)-1]
-			for _, fi := range df[d.Index] {
+			for _, fi := range df[d] {
 				f := rt.Blocks[fi]
 				if hasPhi[fi] == v || !live.LiveIn[fi].Has(v) {
 					continue // pruning: dead φ never inserted
 				}
 				hasPhi[fi] = v
 				f.InsertBefore(0, g.newPhi(iloc.Reg{Class: c, N: v}, len(f.Preds)))
-				nPhis++
-				nNames[v]++
 				if inWork[fi] != v {
 					inWork[fi] = v
-					work = append(work, f)
+					work = append(work, fi)
 				}
 			}
 		}
@@ -140,14 +144,20 @@ func BuildInto(g *Graph, rt *iloc.Routine, c iloc.Class, tree *dom.Tree, df [][]
 	g.work = work
 
 	// Rename over the dominator tree. Every definition and every φ mints
-	// one value, so the value tables and name stacks are sized up front.
-	names := nDefs + nPhis
+	// one value, and no instruction defines more than one, so the value
+	// tables are sized to the instructions up front. The walk counts
+	// each value's uses as it renames them.
+	size := 1
+	for _, b := range rt.Blocks {
+		size += len(b.Instrs)
+	}
 	g.Class = c
-	g.DefOf = append(slices.Grow(g.DefOf[:0], 1+names), nil)
-	g.DefBlockOf = append(slices.Grow(g.DefBlockOf[:0], 1+names), nil)
-	g.OrigOf = append(slices.Grow(g.OrigOf[:0], 1+names), 0)
-	g.stacks, g.stackFlat = carve(g.stacks, g.stackFlat, nNames, names)
-	g.defined = slices.Grow(g.defined[:0], names)
+	g.DefOf = append(slices.Grow(g.DefOf[:0], size), nil)
+	g.DefBlockOf = append(slices.Grow(g.DefBlockOf[:0], size), nil)
+	g.OrigOf = append(slices.Grow(g.OrigOf[:0], size), 0)
+	g.prev = append(slices.Grow(g.prev[:0], size), 0)
+	g.counts, g.nUses = append(slices.Grow(counts[:0], size), 0), 0
+	g.cur = resetInts(g.cur, nOrig)
 	g.rt, g.tree, g.renameErr = rt, tree, nil
 	g.walk(rt.Entry().Index)
 	err := g.renameErr
@@ -158,15 +168,8 @@ func BuildInto(g *Graph, rt *iloc.Routine, c iloc.Class, tree *dom.Tree, df [][]
 	g.NumValues = len(g.DefOf)
 	rt.NextReg[c] = g.NumValues
 
-	// Def-use chains: count each value's uses, then fill in code order.
-	nUses := resetInts(g.counts, g.NumValues)
-	g.counts = nUses
-	total := 0
-	forEachUse(rt, c, func(v int, _ *iloc.Instr) {
-		nUses[v]++
-		total++
-	})
-	g.UsesOf, g.usesFlat = carve(g.UsesOf, g.usesFlat, nUses, total)
+	// Def-use chains, filled in code order.
+	g.UsesOf, g.usesFlat = carve(g.UsesOf, g.usesFlat, g.counts, g.nUses)
 	forEachUse(rt, c, func(v int, in *iloc.Instr) {
 		g.UsesOf[v] = append(g.UsesOf[v], in)
 	})
@@ -195,23 +198,25 @@ func (g *Graph) newPhi(dst iloc.Reg, n int) *iloc.Instr {
 	return &p.in
 }
 
-// newName mints the value for one definition of orig.
+// newName mints the value for one definition of orig, which names it
+// until the walk leaves the block.
 func (g *Graph) newName(orig int, def *iloc.Instr, b *iloc.Block) int {
 	v := len(g.DefOf)
 	g.DefOf = append(g.DefOf, def)
 	g.DefBlockOf = append(g.DefBlockOf, b)
 	g.OrigOf = append(g.OrigOf, orig)
-	g.stacks[orig] = append(g.stacks[orig], v)
-	g.defined = append(g.defined, orig)
+	g.prev = append(g.prev, g.cur[orig])
+	g.counts = append(g.counts, 0)
+	g.cur[orig] = v
 	return v
 }
 
 // top returns the value orig names at a use in the block labelled
-// label, or in one of its φ arguments when phi is set. The error's
-// location is formatted only when there is an error.
+// label, or in one of its φ arguments when phi is set, and counts the
+// use. The error's location is formatted only when there is an error.
 func (g *Graph) top(orig int, label string, phi bool) int {
-	st := g.stacks[orig]
-	if len(st) == 0 {
+	v := g.cur[orig]
+	if v == 0 {
 		if g.renameErr == nil {
 			if phi {
 				label += "(φ)"
@@ -221,14 +226,16 @@ func (g *Graph) top(orig int, label string, phi bool) int {
 		}
 		return 0
 	}
-	return st[len(st)-1]
+	g.counts[v]++
+	g.nUses++
+	return v
 }
 
 // walk renames block bi and then the blocks it dominates.
 func (g *Graph) walk(bi int) {
 	c := g.Class
 	b := g.rt.Blocks[bi]
-	mark := len(g.defined)
+	first := len(g.DefOf)
 	for _, in := range b.Instrs {
 		if in.Op == iloc.OpPhi {
 			if in.Dst.Class != c {
@@ -246,6 +253,7 @@ func (g *Graph) walk(bi int) {
 			in.Dst = iloc.Reg{Class: c, N: g.newName(d.N, in, b)}
 		}
 	}
+	last := len(g.DefOf)
 	for _, s := range b.Succs {
 		pi := s.PredIndex(b)
 		for _, in := range s.Instrs {
@@ -263,32 +271,42 @@ func (g *Graph) walk(bi int) {
 	for _, child := range g.tree.Children[bi] {
 		g.walk(child)
 	}
-	for _, orig := range g.defined[mark:] {
-		g.stacks[orig] = g.stacks[orig][:len(g.stacks[orig])-1]
+	// Leaving the block, each register it defined names again what it
+	// named on entry.
+	for v := last - 1; v >= first; v-- {
+		g.cur[g.OrigOf[v]] = g.prev[v]
 	}
-	g.defined = g.defined[:mark]
 }
 
 // Forget drops g's references into the routine it was built over,
 // keeping the storage for the next BuildInto. The graph is empty after.
+// It clears only the prefixes the builds since the last Forget wrote.
 func (g *Graph) Forget() {
-	clear(g.DefOf[:cap(g.DefOf)])
-	clear(g.DefBlockOf[:cap(g.DefBlockOf)])
-	clear(g.UsesOf[:cap(g.UsesOf)])
-	clear(g.usesFlat[:cap(g.usesFlat)])
-	clear(g.defBlocks[:cap(g.defBlocks)])
-	clear(g.defFlat[:cap(g.defFlat)])
-	clear(g.work[:cap(g.work)])
+	g.noteHighWater()
+	clear(g.DefOf[:g.hwValues])
+	clear(g.DefBlockOf[:g.hwValues])
+	clear(g.UsesOf[:g.hwValues])
+	clear(g.usesFlat[:g.hwUses])
+	g.hwValues, g.hwUses = 0, 0
 	g.DefOf, g.DefBlockOf, g.UsesOf, g.OrigOf = g.DefOf[:0], g.DefBlockOf[:0], g.UsesOf[:0], g.OrigOf[:0]
+	g.usesFlat = g.usesFlat[:0]
 	g.NumValues = 0
+}
+
+// noteHighWater raises the high-water marks to the tables' lengths,
+// before a build truncates them or Forget clears them. Each table only
+// grows within a build, so its length then is the most it held.
+func (g *Graph) noteHighWater() {
+	g.hwValues = max(g.hwValues, len(g.DefOf), len(g.DefBlockOf), len(g.UsesOf))
+	g.hwUses = max(g.hwUses, len(g.usesFlat))
 }
 
 // Footprint returns the bytes of storage g holds for reuse.
 func (g *Graph) Footprint() int {
 	const ptr, slice = 8, 24
-	return ptr*(cap(g.DefOf)+cap(g.DefBlockOf)+cap(g.defFlat)+cap(g.work)+cap(g.usesFlat)) +
-		slice*(cap(g.UsesOf)+cap(g.defBlocks)+cap(g.stacks)) +
-		8*(cap(g.OrigOf)+cap(g.counts)+cap(g.hasPhi)+cap(g.inWork)+cap(g.stackFlat)+cap(g.defined)) +
+	return ptr*(cap(g.DefOf)+cap(g.DefBlockOf)+cap(g.usesFlat)) +
+		slice*(cap(g.UsesOf)+cap(g.defBlocks)) +
+		8*(cap(g.OrigOf)+cap(g.counts)+cap(g.hasPhi)+cap(g.inWork)+cap(g.cur)+cap(g.prev)+cap(g.defFlat)+cap(g.work)) +
 		int(unsafe.Sizeof(phiNode{}))*cap(g.phis) + int(unsafe.Sizeof(iloc.Reg{}))*cap(g.args)
 }
 
@@ -313,18 +331,6 @@ func carve[T any](out [][]T, flat []T, counts []int, total int) ([][]T, []T) {
 		off += n
 	}
 	return out, flat
-}
-
-// forEachDef calls f for every definition of a class-c register, with
-// its block, in code order.
-func forEachDef(rt *iloc.Routine, c iloc.Class, f func(v int, b *iloc.Block)) {
-	for _, b := range rt.Blocks {
-		for _, in := range b.Instrs {
-			if d := in.Def(); d.Valid() && d.Class == c && d.N != 0 {
-				f(d.N, b)
-			}
-		}
-	}
 }
 
 // forEachUse calls f for every use of a class-c value, in code order.

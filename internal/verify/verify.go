@@ -153,11 +153,8 @@ func (c *checker) run() error {
 		c.flag("structure", "CFG: %v", err)
 		return c.err()
 	}
-	// Both liveness rules read one solve per class.
-	var lives [iloc.NumClasses]*liveness.Info
-	for cl := range lives {
-		lives[cl] = liveness.Compute(rt, iloc.Class(cl))
-	}
+	// Both liveness rules read one solve of every class.
+	lives := liveness.ComputeAll(rt)
 	c.rule("use-before-def", func() { c.checkUseBeforeDef(rt, &lives) })
 	c.rule("caller-save", func() { c.checkCallerSave(rt, &lives) })
 	c.rule("spill-slots", func() { c.checkSpillSlots(rt) })
