@@ -129,7 +129,8 @@ bench:
 	cd bench && $(GO) test -run TestBenchSmoke ./...
 
 # loc prints the line count of the non-test Go sources outside bench/,
-# the size figure a change reports before and after. It gates nothing
-# and is not part of check or ci.
+# the size figure a change reports before and after. It skips
+# .bench_build/, where a harness build leaves the toolchain's temporary
+# Go files. It gates nothing and is not part of check or ci.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.git/*' | xargs cat | wc -l
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.git/*' ! -path './.bench_build/*' | xargs cat | wc -l
