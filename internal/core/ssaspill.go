@@ -56,10 +56,7 @@ func ssaSpill(input *iloc.Routine, opts Options) (res *Result, err error) {
 
 	// Liveness for both classes must precede SSA construction (the
 	// solver rejects φ-nodes), then each class converts to pruned SSA.
-	var lives [iloc.NumClasses]*liveness.Info
-	for c := iloc.Class(0); c < iloc.NumClasses; c++ {
-		lives[c] = liveness.Compute(rt, c)
-	}
+	lives := liveness.ComputeAll(rt)
 	var graphs [iloc.NumClasses]*ssa.Graph
 	for c := iloc.Class(0); c < iloc.NumClasses; c++ {
 		g, err := ssa.Build(rt, c, tree, lives[c])
