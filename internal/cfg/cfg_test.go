@@ -127,7 +127,7 @@ dead:
 
 func TestBuildErrors(t *testing.T) {
 	rt := iloc.MustParse(diamondSrc)
-	rt.Blocks[0].Instrs[0].Label = "nope"
+	rt.Blocks[0].Instrs[0].Label = iloc.NewLabelIndex(rt).Intern("nope")
 	if err := Build(rt); err == nil {
 		t.Fatal("bad br target not caught")
 	}
@@ -141,7 +141,7 @@ func TestReversePostorder(t *testing.T) {
 	}
 	pos := map[string]int{}
 	for i, b := range rpo {
-		pos[b.Label] = i
+		pos[rt.Labels[b.Label]] = i
 	}
 	if pos["entry"] != 0 {
 		t.Fatal("entry not first")
@@ -173,7 +173,7 @@ func TestSplitCriticalEdges(t *testing.T) {
 		}
 		for _, s := range b.Succs {
 			if len(s.Preds) > 1 {
-				t.Fatalf("critical edge %s->%s remains", b.Label, s.Label)
+				t.Fatalf("critical edge %s->%s remains", rt.Labels[b.Label], rt.Labels[s.Label])
 			}
 		}
 	}
@@ -195,16 +195,16 @@ func TestAnalyzeDepthsSimpleLoop(t *testing.T) {
 	if len(loops) != 1 {
 		t.Fatalf("loops = %d, want 1", len(loops))
 	}
-	if loops[0].Header.Label != "join" {
-		t.Fatalf("loop header = %s", loops[0].Header.Label)
+	if rt.Labels[loops[0].Header.Label] != "join" {
+		t.Fatalf("loop header = %s", rt.Labels[loops[0].Header.Label])
 	}
 	for _, b := range rt.Blocks {
 		want := 0
-		if b.Label == "join" {
+		if rt.Labels[b.Label] == "join" {
 			want = 1
 		}
 		if b.Depth != want {
-			t.Errorf("depth(%s) = %d, want %d", b.Label, b.Depth, want)
+			t.Errorf("depth(%s) = %d, want %d", rt.Labels[b.Label], b.Depth, want)
 		}
 	}
 }
@@ -220,7 +220,7 @@ func TestAnalyzeNestedLoops(t *testing.T) {
 	}
 	depth := map[string]int{}
 	for _, b := range rt.Blocks {
-		depth[b.Label] = b.Depth
+		depth[rt.Labels[b.Label]] = b.Depth
 	}
 	if depth["inner"] != 2 {
 		t.Errorf("inner depth = %d, want 2", depth["inner"])
@@ -234,7 +234,7 @@ func TestAnalyzeNestedLoops(t *testing.T) {
 	// Parent links.
 	var inner, outer *Loop
 	for _, l := range loops {
-		switch l.Header.Label {
+		switch rt.Labels[l.Header.Label] {
 		case "inner":
 			inner = l
 		case "outer":

@@ -74,14 +74,14 @@ func CheckDefined(rt *iloc.Routine) error {
 			cur[c] = defIn[c][b.Index].Copy()
 		}
 		for _, in := range b.Instrs {
-			for _, u := range in.Uses() {
-				if u.N != 0 && !cur[u.Class].Has(u.N) {
+			for _, u := range rt.Uses(in) {
+				if u.N != 0 && !cur[u.Class].Has(int(u.N)) {
 					return fmt.Errorf("cfg: %s/%s: %q uses %s before any definition on some path",
-						rt.Name, b.Label, in, u)
+						rt.Name, rt.LabelText(b.Label), rt.InstrString(in), u)
 				}
 			}
 			if d := in.Def(); d.Valid() && d.N != 0 {
-				cur[d.Class].Add(d.N)
+				cur[d.Class].Add(int(d.N))
 			}
 		}
 	}
@@ -94,7 +94,7 @@ func transfer(b *iloc.Block, c iloc.Class, in, out *bitset.Set) {
 	out.CopyFrom(in)
 	for _, instr := range b.Instrs {
 		if d := instr.Def(); d.Valid() && d.Class == c && d.N != 0 {
-			out.Add(d.N)
+			out.Add(int(d.N))
 		}
 	}
 }

@@ -57,10 +57,10 @@ func (a *allocator) buildFromLive(css ...*classState) {
 			if cs := classOf(&by, in.Def()); cs != nil {
 				cs.define(in)
 			}
-			for _, u := range in.Uses() {
+			for _, u := range a.rt.Uses(in) {
 				if cs := classOf(&by, u); cs != nil {
 					cs.inCode[u.N] = true
-					cs.lv.Add(u.N)
+					cs.lv.Add(int(u.N))
 				}
 			}
 		}
@@ -71,11 +71,11 @@ func (a *allocator) buildFromLive(css ...*classState) {
 // cs's class: the register interferes with everything live below in
 // but a copy's own source, and is dead above it.
 func (cs *classState) define(in *iloc.Instr) {
-	d, lv := in.Dst.N, &cs.lv
+	d, lv := int(in.Dst.N), &cs.lv
 	cs.inCode[d] = true
 	copySrc := -1
 	if in.Op.IsCopy() && in.Src[0].Class == cs.c && in.Src[0].N != 0 {
-		copySrc = in.Src[0].N
+		copySrc = int(in.Src[0].N)
 		lv.Remove(copySrc)
 	}
 	lv.ForEach(func(x int) {
@@ -146,7 +146,7 @@ func (a *allocator) coalescePass(cs *classState, splitRound bool) int {
 				keep(b.Instrs, &kept, i)
 				continue
 			}
-			d, s := cs.find(in.Dst.N), cs.find(in.Src[0].N)
+			d, s := cs.find(int(in.Dst.N)), cs.find(int(in.Src[0].N))
 			if d == s {
 				removed++ // redundant copy: both ends already one range
 				continue

@@ -30,16 +30,16 @@ func checkNoCallerSaveAcrossCalls(t *testing.T, rt *iloc.Routine, m *target.Mach
 					lv.ForEach(func(r int) {
 						if r >= 1 && r <= m.CallerSave {
 							t.Errorf("machine %s: caller-save r%d (class %d) live across %q",
-								m, r, c, in)
+								m, r, c, rt.InstrString(in))
 						}
 					})
 				}
 				if d := in.Def(); d.Valid() && d.Class == c && d.N != 0 {
-					lv.Remove(d.N)
+					lv.Remove(int(d.N))
 				}
-				for _, u := range in.Uses() {
+				for _, u := range rt.Uses(in) {
 					if u.Class == c && u.N != 0 {
-						lv.Add(u.N)
+						lv.Add(int(u.N))
 					}
 				}
 			}

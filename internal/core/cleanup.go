@@ -12,22 +12,32 @@ import (
 // allocator split, in both modes.
 func (a *allocator) threadJumps() error {
 	rt := a.rt
-	// An empty block is a non-entry block holding exactly one jmp.
-	hop := make(map[string]string)
+	// An empty block is a non-entry block holding exactly one jmp;
+	// hop[l] is the target of the empty block labelled l, or -1.
+	var hop []iloc.Label
 	for _, b := range rt.Blocks[1:] {
 		if len(b.Instrs) == 1 && b.Instrs[0].Op == iloc.OpJmp {
+			if hop == nil {
+				hop = make([]iloc.Label, len(rt.Labels))
+				for i := range hop {
+					hop[i] = -1
+				}
+			}
 			hop[b.Label] = b.Instrs[0].Label
 		}
 	}
-	if len(hop) == 0 {
+	if hop == nil {
 		return nil
 	}
 	// Resolve chains of empty blocks; a cycle of empty jumps (an empty
-	// infinite loop) resolves to itself and is left alone.
-	final := func(l string) string {
-		seen := map[string]bool{}
-		for hop[l] != "" && !seen[l] {
-			seen[l] = true
+	// infinite loop) resolves to the first label it revisits and is left
+	// alone. seen[l] == walk marks the labels the current walk passed.
+	seen := make([]int, len(hop))
+	walk := 0
+	final := func(l iloc.Label) iloc.Label {
+		walk++
+		for hop[l] >= 0 && seen[l] != walk {
+			seen[l] = walk
 			l = hop[l]
 		}
 		return l

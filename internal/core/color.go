@@ -232,7 +232,7 @@ func (a *allocator) rewriteColors() error {
 		for _, in := range b.Instrs {
 			if in.Op.IsCopy() && !in.Src[0].IsFP() {
 				cs := a.classes[in.Dst.Class]
-				if cs.colors[cs.find(in.Dst.N)] == cs.colors[cs.find(in.Src[0].N)] {
+				if cs.colors[cs.find(int(in.Dst.N))] == cs.colors[cs.find(int(in.Src[0].N))] {
 					continue // same register: dead copy
 				}
 			}
@@ -246,14 +246,14 @@ func (a *allocator) rewriteColors() error {
 		a.rt.ForEachInstr(func(_ *iloc.Block, _ int, in *iloc.Instr) {
 			for i := 0; i < in.Op.NSrc(); i++ {
 				if in.Src[i].Class == c && in.Src[i].N != 0 {
-					in.Src[i].N = cs.colors[cs.find(in.Src[i].N)]
+					in.Src[i].N = int32(cs.colors[cs.find(int(in.Src[i].N))])
 					if in.Src[i].N == 0 && err == nil {
 						err = errUncolored(a, in)
 					}
 				}
 			}
 			if d := in.Def(); d.Valid() && d.Class == c && d.N != 0 {
-				in.Dst.N = cs.colors[cs.find(in.Dst.N)]
+				in.Dst.N = int32(cs.colors[cs.find(int(in.Dst.N))])
 				if in.Dst.N == 0 && err == nil {
 					err = errUncolored(a, in)
 				}

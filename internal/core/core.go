@@ -190,6 +190,7 @@ type allocator struct {
 
 	classes [iloc.NumClasses]*classState // the class states of the call's scratch
 	passes  *[]PassStat                  // the scratch's buffer for a round's pass stats
+	phiSlab *[]iloc.Reg                  // the scratch's φ operand slab
 
 	// The control-flow analyses round 0's cfa pass computes. No pass
 	// inside the loop adds a block or edits a terminator (jump
@@ -212,12 +213,13 @@ type allocator struct {
 // per-class tables in sc.
 func newAllocator(ctx context.Context, rt *iloc.Routine, opts Options, params strategyParams, sc *scratch) *allocator {
 	a := &allocator{
-		ctx:    ctx,
-		rt:     rt.Clone(),
-		opts:   opts,
-		params: params,
-		res:    &Result{Machine: opts.Machine},
-		passes: &sc.passes,
+		ctx:     ctx,
+		rt:      rt.Clone(),
+		opts:    opts,
+		params:  params,
+		res:     &Result{Machine: opts.Machine},
+		passes:  &sc.passes,
+		phiSlab: &sc.phiSlab,
 	}
 	for c := range sc.classes {
 		cs := &sc.classes[c]

@@ -20,12 +20,12 @@ func checkRegBounds(t *testing.T, rt *iloc.Routine, m *target.Machine) {
 			if !r.Valid() {
 				return
 			}
-			if r.N < 0 || r.N >= m.Regs[r.Class] {
-				t.Fatalf("register %s out of machine range in %q (block %s)", r, in, b.Label)
+			if r.N < 0 || int(r.N) >= m.Regs[r.Class] {
+				t.Fatalf("register %s out of machine range in %q (block %s)", r, rt.InstrString(in), rt.Labels[b.Label])
 			}
 		}
 		check(in.Def())
-		for _, u := range in.Uses() {
+		for _, u := range rt.Uses(in) {
 			check(u)
 		}
 	})

@@ -40,7 +40,7 @@ func (a *allocator) computeCosts(cs *classState) {
 	for _, b := range a.rt.Blocks {
 		w := pow10(b.Depth)
 		for i, in := range b.Instrs {
-			uses := in.Uses()
+			uses := a.rt.Uses(in)
 			for ui, u := range uses {
 				if u.Class != c || u.N == 0 {
 					continue
@@ -134,7 +134,7 @@ func (a *allocator) findPartners(cs *classState) {
 		if !in.Op.IsCopy() || in.Dst.Class != cs.c || in.Src[0].IsFP() {
 			return
 		}
-		d, s := cs.find(in.Dst.N), cs.find(in.Src[0].N)
+		d, s := cs.find(int(in.Dst.N)), cs.find(int(in.Src[0].N))
 		if d != s {
 			add(d, s)
 			add(s, d)

@@ -105,7 +105,7 @@ entry:
 	// Spill slots must start above fp+0.
 	res.Routine.ForEachInstr(func(_ *iloc.Block, _ int, in *iloc.Instr) {
 		if in.IsSpill && (in.Op == iloc.OpStoreai || in.Op == iloc.OpLoadai) && in.Imm == 0 {
-			t.Fatalf("spill slot collides with routine frame use: %q", in)
+			t.Fatalf("spill slot collides with routine frame use: %q", res.Routine.InstrString(in))
 		}
 	})
 	got, err := mustRun(t, res.Routine)
@@ -637,7 +637,7 @@ entry:
 	}
 	// Simulate the emitted sequence on a register file: it must realize
 	// the parallel swap r1,r2 = r2,r1.
-	regs := map[int]int64{1: 10, 2: 20}
+	regs := map[int32]int64{1: 10, 2: 20}
 	for _, in := range b.Instrs[before-1 : len(b.Instrs)-1] {
 		if in.Op == iloc.OpMov {
 			regs[in.Dst.N] = regs[in.Src[0].N]
@@ -657,7 +657,7 @@ func TestJumpThreadingRemovesEmptyBlocks(t *testing.T) {
 	}
 	for _, b := range res.Routine.Blocks {
 		if len(b.Instrs) == 1 && b.Instrs[0].Op == iloc.OpJmp && b != res.Routine.Entry() {
-			t.Fatalf("empty jump block %s survived threading\n%s", b.Label, iloc.Print(res.Routine))
+			t.Fatalf("empty jump block %s survived threading\n%s", res.Routine.Labels[b.Label], iloc.Print(res.Routine))
 		}
 	}
 	out, err := mustRun(t, res.Routine, interp.Int(10))
@@ -708,7 +708,7 @@ done:
 	}
 	loopLdis := 0
 	for _, b := range res.Routine.Blocks {
-		if b.Depth > 0 || b.Label == "loop" {
+		if b.Depth > 0 || res.Routine.Labels[b.Label] == "loop" {
 			for _, in := range b.Instrs {
 				if in.Op == iloc.OpLdi && in.Imm == 5 {
 					loopLdis++

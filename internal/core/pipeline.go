@@ -134,13 +134,7 @@ var passCFA = &Pass{
 		if a.tree != nil {
 			return nil // a later round: round 0's analyses still hold
 		}
-		if err := cfg.Build(a.rt); err != nil {
-			return err
-		}
-		if _, err := cfg.SplitCriticalEdges(a.rt); err != nil {
-			return err
-		}
-		tree, loops, err := cfg.Analyze(a.rt)
+		tree, loops, err := cfg.Prepare(a.rt)
 		if err != nil {
 			return err
 		}

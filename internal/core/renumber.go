@@ -26,6 +26,9 @@ func (a *allocator) renumber() (splits int, err error) {
 	// Liveness for both classes must precede SSA construction (the
 	// liveness solver rejects φ-nodes).
 	a.solveLiveness()
+	// The φ-nodes' operands go to the scratch's slab: the code is in
+	// SSA form only until the loop below removes every φ.
+	a.rt.PhiSlab = (*a.phiSlab)[:0]
 	for _, cs := range a.classes {
 		if err := ssa.BuildInto(&cs.ssa, a.rt, cs.c, a.tree, a.df, &cs.live); err != nil {
 			return 0, fmt.Errorf("core: renumber: %w", err)
@@ -44,6 +47,7 @@ func (a *allocator) renumber() (splits int, err error) {
 			a.renumberChaitin(cs)
 		}
 	}
+	*a.phiSlab, a.rt.PhiSlab = a.rt.PhiSlab[:0], nil
 	a.rewriteToRoots(a.classes[:]...)
 	for _, cs := range a.classes {
 		// In chaitin the tags are all ⊤ until they are computed after
@@ -76,7 +80,7 @@ func (a *allocator) renumberRemat(cs *classState) int {
 			if in.Op.IsCopy() && in.Dst.Class == c && !in.Src[0].IsFP() {
 				td, ts := cs.tags[in.Dst.N], cs.tags[in.Src[0].N]
 				if td.Kind == remat.Inst && remat.Equal(td, ts) {
-					root, _ := cs.sets.Union(in.Dst.N, in.Src[0].N)
+					root, _ := cs.sets.Union(int(in.Dst.N), int(in.Src[0].N))
 					cs.tags[root] = td
 					continue // copy removed
 				}
@@ -98,14 +102,14 @@ func (a *allocator) renumberRemat(cs *classState) int {
 				keep(b.Instrs, &kept, i)
 				continue
 			}
-			res := in.Dst.N
-			for i, arg := range in.Phi.Args {
+			res := int(in.Dst.N)
+			for i, arg := range a.rt.PhiArgs(in) {
 				if a.params.split != SplitAtPhis && remat.Equal(cs.tags[arg.N], cs.tags[res]) {
-					root, _ := cs.sets.Union(arg.N, res)
+					root, _ := cs.sets.Union(int(arg.N), res)
 					cs.tags[root] = remat.Meet(cs.tags[arg.N], cs.tags[res])
 					continue
 				}
-				pending = append(pending, pendingCopy{pred: b.Preds[i], copyPair: copyPair{dst: res, src: arg.N}})
+				pending = append(pending, pendingCopy{pred: b.Preds[i], copyPair: copyPair{dst: res, src: int(arg.N)}})
 				splits++
 			}
 			// φ removed (not kept).
@@ -162,7 +166,7 @@ func (a *allocator) emitParallelCopy(cs *classState, pred *iloc.Block, pairs []p
 	// another φ through this same edge.
 	emit := func(dst, src int) {
 		cp := a.newInstr()
-		*cp = *iloc.MakeMov(iloc.Reg{Class: cs.c, N: dst}, iloc.Reg{Class: cs.c, N: src})
+		*cp = *iloc.MakeMov(iloc.Reg{Class: cs.c, N: int32(dst)}, iloc.Reg{Class: cs.c, N: int32(src)})
 		cp.IsSplit = true
 		pred.AppendBeforeTerminator(cp)
 	}
@@ -195,10 +199,10 @@ func (a *allocator) emitParallelCopy(cs *classState, pred *iloc.Block, pairs []p
 		tmp := a.rt.NewReg(cs.c)
 		cs.sets.Grow(a.rt.NumRegs(cs.c))
 		cs.tags = append(cs.tags, cs.tags[cs.sets.Find(brk.src)])
-		emit(tmp.N, brk.src)
+		emit(int(tmp.N), brk.src)
 		for i := range remaining {
 			if remaining[i].src == brk.src {
-				remaining[i].src = tmp.N
+				remaining[i].src = int(tmp.N)
 			}
 		}
 	}
@@ -216,8 +220,8 @@ func (a *allocator) renumberChaitin(cs *classState) {
 				keep(b.Instrs, &kept, i)
 				continue
 			}
-			for _, arg := range in.Phi.Args {
-				cs.sets.Union(in.Dst.N, arg.N)
+			for _, arg := range a.rt.PhiArgs(in) {
+				cs.sets.Union(int(in.Dst.N), int(arg.N))
 			}
 		}
 		b.Instrs = b.Instrs[:kept]
@@ -234,11 +238,11 @@ func (a *allocator) rewriteToRoots(css ...*classState) {
 	a.rt.ForEachInstr(func(_ *iloc.Block, _ int, in *iloc.Instr) {
 		for i := 0; i < in.Op.NSrc(); i++ {
 			if cs := classOf(&by, in.Src[i]); cs != nil {
-				in.Src[i].N = cs.find(in.Src[i].N)
+				in.Src[i].N = int32(cs.find(int(in.Src[i].N)))
 			}
 		}
 		if cs := classOf(&by, in.Def()); cs != nil {
-			in.Dst.N = cs.find(in.Dst.N)
+			in.Dst.N = int32(cs.find(int(in.Dst.N)))
 		}
 	})
 }

@@ -159,10 +159,10 @@ func checkCachedCFA(a *allocator) error {
 		cb := a.rt.Blocks[i]
 		if b.Label != cb.Label || b.Index != cb.Index || b.Depth != cb.Depth {
 			return fmt.Errorf("block %d is %s (index %d, depth %d), cached %s (index %d, depth %d)",
-				i, b.Label, b.Index, b.Depth, cb.Label, cb.Index, cb.Depth)
+				i, rt.Labels[b.Label], b.Index, b.Depth, a.rt.Labels[cb.Label], cb.Index, cb.Depth)
 		}
 		if !sameBlocks(b.Succs, cb.Succs) || !sameBlocks(b.Preds, cb.Preds) {
-			return fmt.Errorf("block %s: edges differ", b.Label)
+			return fmt.Errorf("block %s: edges differ", rt.Labels[b.Label])
 		}
 	}
 	if !reflect.DeepEqual(tree.Idom, a.tree.Idom) {
@@ -184,7 +184,7 @@ func checkCachedCFA(a *allocator) error {
 		cl := a.loops[i]
 		if l.Header.Index != cl.Header.Index || l.Depth != cl.Depth || !sameBlocks(l.Blocks, cl.Blocks) {
 			return fmt.Errorf("loop %d at %s (depth %d), cached at %s (depth %d)",
-				i, l.Header.Label, l.Depth, cl.Header.Label, cl.Depth)
+				i, rt.Labels[l.Header.Label], l.Depth, a.rt.Labels[cl.Header.Label], cl.Depth)
 		}
 	}
 	return nil

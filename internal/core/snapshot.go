@@ -15,7 +15,7 @@ import (
 
 // A Snapshot is a finished allocation frozen into one byte slice that
 // holds no pointers: the result cache keeps one per entry instead of a
-// cloned routine of 128-byte instructions, so an entry costs a few
+// cloned routine of 64-byte instructions, so an entry costs a few
 // hundred bytes and the garbage collector never scans it. It carries
 // everything iloc.(*Routine).Clone copies and every Result field; only
 // the machine, which results share and never mutate, stays a pointer.
@@ -53,8 +53,8 @@ const (
 // snapEncoder holds NewSnapshot's string section and body while it
 // encodes; both are pooled, and the snapshot is one exact-size copy.
 type snapEncoder struct {
-	strs, body                                  []byte
-	instrs, edges, phis, phiArgs, passes, inits int
+	strs, body                   []byte
+	instrs, edges, passes, inits int
 }
 
 var snapEncoders = sync.Pool{New: func() any { return new(snapEncoder) }}
@@ -69,9 +69,9 @@ func NewSnapshot(res *Result) Snapshot {
 	*e = snapEncoder{strs: e.strs[:0], body: e.body[:0]}
 	e.result(res)
 
-	var hdr [8 * binary.MaxVarintLen64]byte
+	var hdr [5 * binary.MaxVarintLen64]byte
 	h := hdr[:0]
-	for _, n := range []int{len(e.strs), e.instrs, e.edges, e.phis, e.phiArgs, e.passes, e.inits} {
+	for _, n := range []int{len(e.strs), e.instrs, e.edges, e.passes, e.inits} {
 		h = binary.AppendUvarint(h, uint64(n))
 	}
 	data := make([]byte, 0, len(h)+len(e.strs)+len(e.body))
@@ -106,12 +106,12 @@ func (e *snapEncoder) float(f float64) {
 // reg packs a class below 3 and a non-negative number into one varint;
 // anything else is escaped as class 3, the class byte and the number.
 func (e *snapEncoder) reg(r iloc.Reg) {
-	if r.Class < 3 && r.N >= 0 && r.N < 1<<60 {
+	if r.Class < 3 && r.N >= 0 {
 		e.uvarint(uint64(r.N)<<2 | uint64(r.Class))
 		return
 	}
 	e.body = append(e.body, 3, byte(r.Class))
-	e.int(r.N)
+	e.int(int(r.N))
 }
 
 func (e *snapEncoder) result(res *Result) {
@@ -196,10 +196,18 @@ func (e *snapEncoder) routine(r *iloc.Routine) {
 			e.float(f)
 		}
 	}
+	e.count(len(r.Labels))
+	for _, l := range r.Labels {
+		e.string(l)
+	}
+	e.count(len(r.PhiSlab))
+	for _, a := range r.PhiSlab {
+		e.reg(a)
+	}
 	e.count(len(r.Blocks))
 	for _, b := range r.Blocks {
 		e.int(b.Index)
-		e.string(b.Label)
+		e.int(int(b.Label))
 		e.int(b.Depth)
 		e.count(len(b.Instrs))
 		e.instrs += len(b.Instrs)
@@ -246,16 +254,16 @@ func (e *snapEncoder) instr(in *iloc.Instr) {
 	if math.Float64bits(in.FImm) != 0 {
 		f |= snapFImm
 	}
-	if in.Label != "" {
+	if in.Label != 0 {
 		f |= snapLabel
 	}
-	if in.Label2 != "" {
+	if in.Label2 != 0 {
 		f |= snapLabel2
 	}
 	if in.Cond != 0 {
 		f |= snapCond
 	}
-	if in.Phi != nil {
+	if in.Phi != (iloc.PhiArgs{}) {
 		f |= snapPhi
 	}
 	if in.IsSplit {
@@ -282,21 +290,17 @@ func (e *snapEncoder) instr(in *iloc.Instr) {
 		e.float(in.FImm)
 	}
 	if f&snapLabel != 0 {
-		e.string(in.Label)
+		e.int(int(in.Label))
 	}
 	if f&snapLabel2 != 0 {
-		e.string(in.Label2)
+		e.int(int(in.Label2))
 	}
 	if f&snapCond != 0 {
 		e.body = append(e.body, byte(in.Cond))
 	}
 	if f&snapPhi != 0 {
-		e.count(len(in.Phi.Args))
-		e.phis++
-		e.phiArgs += len(in.Phi.Args)
-		for _, r := range in.Phi.Args {
-			e.reg(r)
-		}
+		e.int(int(in.Phi.Off))
+		e.int(int(in.Phi.Len))
 	}
 }
 
@@ -324,13 +328,12 @@ type resultBox struct {
 // Result decodes a fresh Result, cutting the blocks, instructions,
 // instruction lists and edge lists from one slab each as Clone does.
 // Empty slices come back as Clone and the allocator leave them: nil
-// Params, Init, φ arguments, Iterations and Passes, and non-nil Data,
-// Instrs, Succs and Preds.
+// Params, Init, Labels, PhiSlab, Iterations and Passes, and non-nil
+// Data, Instrs, Succs and Preds.
 func (s Snapshot) Result() (*Result, error) {
 	d := snapDecoder{buf: s.data}
 	nStrs := d.count()
-	nInstrs, nEdges, nPhis, nPhiArgs := d.count(), d.count(), d.count(), d.count()
-	nPasses, nInits := d.count(), d.count()
+	nInstrs, nEdges, nPasses, nInits := d.count(), d.count(), d.count(), d.count()
 	if d.bad || nStrs > len(d.buf)-d.off {
 		return nil, errSnapshot
 	}
@@ -375,7 +378,7 @@ func (s Snapshot) Result() (*Result, error) {
 	}
 	if d.bool() {
 		res.Routine = &box.rt
-		if !d.routine(&box.rt, nInstrs, nEdges, nPhis, nPhiArgs, nInits) {
+		if !d.routine(&box.rt, nInstrs, nEdges, nInits) {
 			return nil, errSnapshot
 		}
 	}
@@ -411,6 +414,16 @@ func (d *snapDecoder) int64() int64 {
 }
 
 func (d *snapDecoder) int() int { return int(d.int64()) }
+
+// int32 reads an int, which is bad outside the int32 range.
+func (d *snapDecoder) int32() int32 {
+	v := d.int64()
+	if v != int64(int32(v)) {
+		d.bad = true
+		return 0
+	}
+	return int32(v)
+}
 
 // count reads a length or an index, which is bad if it exceeds the
 // snapshot's length, as no valid one can.
@@ -456,10 +469,14 @@ func (d *snapDecoder) float() float64 {
 func (d *snapDecoder) reg() iloc.Reg {
 	v := d.uvarint()
 	if cc := v & 3; cc != 3 {
-		return iloc.Reg{Class: iloc.Class(cc), N: int(v >> 2)}
+		if v>>2 > iloc.MaxRegNum {
+			d.bad = true
+			return iloc.NoReg
+		}
+		return iloc.Reg{Class: iloc.Class(cc), N: int32(v >> 2)}
 	}
 	c := iloc.Class(d.byte())
-	return iloc.Reg{Class: c, N: d.int()}
+	return iloc.Reg{Class: c, N: d.int32()}
 }
 
 func (d *snapDecoder) passStat(ps *PassStat) {
@@ -496,7 +513,7 @@ func (d *snapDecoder) passStat(ps *PassStat) {
 
 // routine decodes into r, reporting false when a count overruns its
 // slab.
-func (d *snapDecoder) routine(r *iloc.Routine, nInstrs, nEdges, nPhis, nPhiArgs, nInits int) bool {
+func (d *snapDecoder) routine(r *iloc.Routine, nInstrs, nEdges, nInits int) bool {
 	r.Name = d.string()
 	for c := range iloc.NumClasses {
 		r.NextReg[c] = d.int()
@@ -531,6 +548,19 @@ func (d *snapDecoder) routine(r *iloc.Routine, nInstrs, nEdges, nPhis, nPhiArgs,
 		}
 	}
 
+	if n := d.count(); n > 0 {
+		r.Labels = make([]string, n)
+		for i := range r.Labels {
+			r.Labels[i] = d.string()
+		}
+	}
+	if n := d.count(); n > 0 {
+		r.PhiSlab = make([]iloc.Reg, n)
+		for i := range r.PhiSlab {
+			r.PhiSlab[i] = d.reg()
+		}
+	}
+
 	nBlocks := d.count()
 	if d.bad {
 		return false
@@ -543,12 +573,6 @@ func (d *snapDecoder) routine(r *iloc.Routine, nInstrs, nEdges, nPhis, nPhiArgs,
 	}
 	instrs := make([]iloc.Instr, nInstrs)
 	lists := make([]*iloc.Instr, nInstrs)
-	var phis []iloc.Phi
-	var args []iloc.Reg
-	if nPhis > 0 {
-		phis = make([]iloc.Phi, nPhis)
-		args = make([]iloc.Reg, nPhiArgs)
-	}
 	edges := func() []*iloc.Block {
 		n := d.count()
 		if n > len(ptrs) {
@@ -569,7 +593,7 @@ func (d *snapDecoder) routine(r *iloc.Routine, nInstrs, nEdges, nPhis, nPhiArgs,
 	for i := range blocks {
 		b := &blocks[i]
 		b.Index = d.int()
-		b.Label = d.string()
+		b.Label = iloc.Label(d.int32())
 		b.Depth = d.int()
 		n := d.count()
 		if n > len(instrs) {
@@ -579,7 +603,7 @@ func (d *snapDecoder) routine(r *iloc.Routine, nInstrs, nEdges, nPhis, nPhiArgs,
 		for j := range b.Instrs {
 			in := &instrs[j]
 			b.Instrs[j] = in
-			if !d.instr(in, &phis, &args) {
+			if !d.instr(in) {
 				return false
 			}
 		}
@@ -593,9 +617,8 @@ func (d *snapDecoder) routine(r *iloc.Routine, nInstrs, nEdges, nPhis, nPhiArgs,
 	return true
 }
 
-// instr decodes one instruction, cutting a φ's node and arguments from
-// the slabs.
-func (d *snapDecoder) instr(in *iloc.Instr, phis *[]iloc.Phi, args *[]iloc.Reg) bool {
+// instr decodes one instruction.
+func (d *snapDecoder) instr(in *iloc.Instr) bool {
 	in.Op = iloc.Op(d.byte())
 	f := d.uvarint()
 	in.Dst, in.Src[0], in.Src[1] = iloc.NoReg, iloc.NoReg, iloc.NoReg
@@ -615,28 +638,16 @@ func (d *snapDecoder) instr(in *iloc.Instr, phis *[]iloc.Phi, args *[]iloc.Reg) 
 		in.FImm = d.float()
 	}
 	if f&snapLabel != 0 {
-		in.Label = d.string()
+		in.Label = iloc.Label(d.int32())
 	}
 	if f&snapLabel2 != 0 {
-		in.Label2 = d.string()
+		in.Label2 = iloc.Label(d.int32())
 	}
 	if f&snapCond != 0 {
 		in.Cond = iloc.Cond(d.byte())
 	}
 	if f&snapPhi != 0 {
-		if len(*phis) == 0 {
-			return false
-		}
-		in.Phi, *phis = &(*phis)[0], (*phis)[1:]
-		if n := d.count(); n > 0 {
-			if n > len(*args) {
-				return false
-			}
-			in.Phi.Args, *args = (*args)[:n:n], (*args)[n:]
-			for i := range in.Phi.Args {
-				in.Phi.Args[i] = d.reg()
-			}
-		}
+		in.Phi = iloc.PhiArgs{Off: d.int32(), Len: d.int32()}
 	}
 	in.IsSplit = f&snapSplit != 0
 	in.IsSpill = f&snapSpill != 0

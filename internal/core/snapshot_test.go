@@ -71,12 +71,15 @@ func vandalize(res *Result) {
 	if res.Routine == nil {
 		return
 	}
+	for i := range res.Routine.Labels {
+		res.Routine.Labels[i] = "clobbered"
+	}
+	for i := range res.Routine.PhiSlab {
+		res.Routine.PhiSlab[i] = iloc.IntReg(77)
+	}
 	for _, b := range res.Routine.Blocks {
 		for _, in := range b.Instrs {
-			in.Imm, in.Label = 99, "clobbered"
-			if in.Phi != nil && len(in.Phi.Args) > 0 {
-				in.Phi.Args[0] = iloc.IntReg(77)
-			}
+			in.Imm, in.Label, in.Phi.Len = 99, 12345, 3
 		}
 		b.Instrs = append(b.Instrs, iloc.MakeLdi(iloc.IntReg(1), 1))
 		b.Succs = append(b.Succs, b)
@@ -96,12 +99,12 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 		reflect.TypeOf(Result{}):         {"Routine", "Iterations", "SpilledRanges", "RematSpills", "Strategy", "Machine", "Degraded", "DegradeReason"},
 		reflect.TypeOf(IterationStats{}): {"Spilled", "Remat", "Coalesced", "Splits", "Passes"},
 		reflect.TypeOf(PassStat{}):       {"Name", "Time", "Nodes", "Edges", "Coalesced", "Splits", "Spilled", "Remat"},
-		reflect.TypeOf(iloc.Routine{}):   {"Name", "Params", "Data", "Blocks", "NextReg", "Allocated", "FrameWords", "CallerSave"},
+		reflect.TypeOf(iloc.Routine{}):   {"Name", "Params", "Data", "Blocks", "Labels", "PhiSlab", "NextReg", "Allocated", "FrameWords", "CallerSave"},
 		reflect.TypeOf(iloc.Block{}):     {"Index", "Label", "Instrs", "Succs", "Preds", "Depth"},
-		reflect.TypeOf(iloc.Instr{}):     {"Op", "Dst", "Src", "Imm", "FImm", "Label", "Label2", "Cond", "Phi", "IsSplit", "IsSpill"},
+		reflect.TypeOf(iloc.Instr{}):     {"Op", "Cond", "IsSplit", "IsSpill", "Dst", "Src", "Label", "Label2", "Phi", "Imm", "FImm"},
 		reflect.TypeOf(iloc.Data{}):      {"Label", "ReadOnly", "Words", "Init", "IsFloat"},
 		reflect.TypeOf(iloc.Param{}):     {"Reg"},
-		reflect.TypeOf(iloc.Phi{}):       {"Args"},
+		reflect.TypeOf(iloc.PhiArgs{}):   {"Off", "Len"},
 		reflect.TypeOf(iloc.Reg{}):       {"Class", "N"},
 	}
 	for typ, fields := range want {
@@ -118,28 +121,31 @@ func TestSnapshotCoversEveryField(t *testing.T) {
 // TestSnapshotEveryFieldSet round-trips a hand-built result in which
 // every field the codec writes is set, including the awkward cases:
 // φ-nodes with and without arguments, a stale block Index, an edge to
-// a block outside the routine, the escaped register forms, negative
-// counts, -0.0 and huge immediates, and a pass outside the pipeline.
+// a block outside the routine, the escaped register forms, labels
+// outside the table, negative counts, -0.0 and huge immediates, and a
+// pass outside the pipeline.
 func TestSnapshotEveryFieldSet(t *testing.T) {
 	rt := &iloc.Routine{
 		Name:       "every",
 		Params:     []iloc.Param{{Reg: iloc.IntReg(3)}, {Reg: iloc.NoReg}, {Reg: iloc.Reg{Class: 9, N: 4}}},
 		Data:       []iloc.Data{{Label: "tab", ReadOnly: true, Words: 3, Init: []float64{-1.5, 0, math.MaxFloat64}, IsFloat: true}, {Label: "z", Words: 1}},
+		Labels:     []string{"elsewhere", "entry", "loop", ""},
+		PhiSlab:    []iloc.Reg{iloc.IntReg(1), iloc.FltReg(2), iloc.NoReg, {Class: 9, N: -4}},
 		NextReg:    [iloc.NumClasses]int{40, 1 << 40},
 		Allocated:  true,
 		FrameWords: 6,
 		CallerSave: [iloc.NumClasses]int{5, -2},
 	}
-	outside := &iloc.Block{Index: 1, Label: "elsewhere"}
-	b0 := &iloc.Block{Index: 0, Label: "entry", Depth: 2}
-	b1 := &iloc.Block{Index: 7, Label: "loop", Depth: -1} // stale Index
+	outside := &iloc.Block{Index: 1, Label: 0}
+	b0 := &iloc.Block{Index: 0, Label: 1, Depth: 2}
+	b1 := &iloc.Block{Index: 7, Label: 2, Depth: -1} // stale Index
 	b0.Instrs = []*iloc.Instr{
-		{Op: iloc.OpPhi, Dst: iloc.IntReg(5), Src: [2]iloc.Reg{iloc.NoReg, iloc.NoReg}, Phi: &iloc.Phi{Args: []iloc.Reg{iloc.IntReg(1), iloc.FltReg(2), iloc.NoReg}}},
-		{Op: iloc.OpPhi, Dst: iloc.IntReg(6), Src: [2]iloc.Reg{iloc.NoReg, iloc.NoReg}, Phi: &iloc.Phi{}},
-		{Op: iloc.OpLdi, Dst: iloc.Reg{Class: iloc.ClassInt, N: -3}, Imm: math.MinInt64, IsSpill: true},
+		{Op: iloc.OpPhi, Dst: iloc.IntReg(5), Src: [2]iloc.Reg{iloc.NoReg, iloc.NoReg}, Phi: iloc.PhiArgs{Off: 0, Len: 3}},
+		{Op: iloc.OpPhi, Dst: iloc.IntReg(6), Src: [2]iloc.Reg{iloc.NoReg, iloc.NoReg}, Phi: iloc.PhiArgs{Off: 3}},
+		{Op: iloc.OpLdi, Dst: iloc.Reg{Class: iloc.ClassInt, N: -3}, Imm: math.MinInt64, IsSpill: true, Label: -1, Label2: math.MaxInt32},
 		iloc.MakeFldi(iloc.FltReg(1), math.Copysign(0, -1)),
-		{Op: iloc.OpMov, Dst: iloc.IntReg(2), Src: [2]iloc.Reg{iloc.IntReg(1 << 61), iloc.Reg{Class: 2, N: 8}}, IsSplit: true},
-		{Op: iloc.OpBr, Src: [2]iloc.Reg{iloc.IntReg(4), iloc.NoReg}, Label: "loop", Label2: "entry", Cond: 3},
+		{Op: iloc.OpMov, Dst: iloc.IntReg(2), Src: [2]iloc.Reg{iloc.IntReg(iloc.MaxRegNum), iloc.Reg{Class: 2, N: 8}}, IsSplit: true},
+		{Op: iloc.OpBr, Src: [2]iloc.Reg{iloc.IntReg(4), iloc.NoReg}, Label: 2, Label2: 1, Cond: 3},
 	}
 	b1.Instrs = []*iloc.Instr{}
 	b0.Succs = []*iloc.Block{b1, b0, outside}

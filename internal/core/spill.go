@@ -9,7 +9,7 @@ import (
 // errUncolored reports a register that survived to rewrite without a
 // color — an internal invariant violation.
 func errUncolored(a *allocator, in *iloc.Instr) error {
-	return fmt.Errorf("core: %s: uncolored register in %q", a.rt.Name, in)
+	return fmt.Errorf("core: %s: uncolored register in %q", a.rt.Name, a.rt.InstrString(in))
 }
 
 // insertSpills converts each uncolored live range into tiny ranges. A ⊥
@@ -45,14 +45,14 @@ func (a *allocator) insertSpills(cs *classState, spilled []int) (n, remat int) {
 			// instructions are never-killed instructions or copies, so
 			// dropping them loses no side effect — and drops their
 			// operand reloads with them.
-			if defSpilled && cs.tagOf(d.N).Rematerializable() {
+			if defSpilled && cs.tagOf(int(d.N)).Rematerializable() {
 				continue
 			}
 
 			// Reload (or rematerialize) each spilled use into a fresh
 			// temporary; one temporary per range per instruction.
 			replaced := cs.replaced[:0]
-			uses := in.Uses()
+			uses := a.rt.Uses(in)
 			for ui := range uses {
 				u := uses[ui]
 				if u.Class != c || u.N == 0 || !isSpilled[u.N] {
@@ -69,7 +69,7 @@ func (a *allocator) insertSpills(cs *classState, spilled []int) (n, remat int) {
 					t = a.rt.NewReg(c)
 					replaced = append(replaced, spillTemp{n: u.N, temp: t})
 					ri := a.newInstr()
-					if tag := cs.tagOf(u.N); tag.Rematerializable() {
+					if tag := cs.tagOf(int(u.N)); tag.Rematerializable() {
 						*ri = *tag.Instr
 						ri.Dst = t
 						ri.IsSpill = true
@@ -78,16 +78,12 @@ func (a *allocator) insertSpills(cs *classState, spilled []int) (n, remat int) {
 						*ri = iloc.Instr{
 							Op:  reloadOp(c),
 							Dst: t, Src: [2]iloc.Reg{iloc.FP, iloc.NoReg},
-							Imm: a.slotFor(cs, u.N), IsSpill: true,
+							Imm: a.slotFor(cs, int(u.N)), IsSpill: true,
 						}
 					}
 					out = append(out, ri)
 				}
-				if in.Op == iloc.OpPhi {
-					in.Phi.Args[ui] = t
-				} else {
-					in.Src[ui] = t
-				}
+				uses[ui] = t
 			}
 			cs.replaced = replaced
 
@@ -99,7 +95,7 @@ func (a *allocator) insertSpills(cs *classState, spilled []int) (n, remat int) {
 					Op:  storeOp(c),
 					Dst: iloc.NoReg,
 					Src: [2]iloc.Reg{t, iloc.FP},
-					Imm: a.slotFor(cs, d.N), IsSpill: true,
+					Imm: a.slotFor(cs, int(d.N)), IsSpill: true,
 				}
 				out = append(out, in, st)
 				continue
@@ -115,7 +111,7 @@ func (a *allocator) insertSpills(cs *classState, spilled []int) (n, remat int) {
 // spillTemp is the temporary one spilled range is reloaded into for
 // one instruction.
 type spillTemp struct {
-	n    int
+	n    int32
 	temp iloc.Reg
 }
 

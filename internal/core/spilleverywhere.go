@@ -83,14 +83,14 @@ func spillAll(rt *iloc.Routine, m *target.Machine, pass string, slot func(iloc.C
 					next[u.Class]++
 					if col > m.K(u.Class) {
 						return nil, fmt.Errorf("core: %s: %q needs %d scratch %s registers, machine %s has %d",
-							pass, in, col, u.Class, m.Name, m.K(u.Class))
+							pass, rt.InstrString(in), col, u.Class, m.Name, m.K(u.Class))
 					}
-					t = iloc.Reg{Class: u.Class, N: col}
+					t = iloc.Reg{Class: u.Class, N: int32(col)}
 					assigned[u] = t
 					out = append(out, &iloc.Instr{
 						Op:  reloadOp(u.Class),
 						Dst: t, Src: [2]iloc.Reg{iloc.FP, iloc.NoReg},
-						Imm: slotFor(u.Class, u.N), IsSpill: true,
+						Imm: slotFor(u.Class, int(u.N)), IsSpill: true,
 					})
 					st.Spilled[u.Class]++
 				}
@@ -102,12 +102,12 @@ func spillAll(rt *iloc.Routine, m *target.Machine, pass string, slot func(iloc.C
 				t := iloc.Reg{Class: d.Class, N: 1}
 				in.Dst = t
 				out = append(out, in)
-				if keep == nil || keep(d.Class, d.N) {
+				if keep == nil || keep(d.Class, int(d.N)) {
 					out = append(out, &iloc.Instr{
 						Op:  storeOp(d.Class),
 						Dst: iloc.NoReg,
 						Src: [2]iloc.Reg{t, iloc.FP},
-						Imm: slotFor(d.Class, d.N), IsSpill: true,
+						Imm: slotFor(d.Class, int(d.N)), IsSpill: true,
 					})
 				}
 				continue

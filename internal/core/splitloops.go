@@ -112,11 +112,11 @@ func (a *allocator) applyLoopSplits(cs *classState, loops []*cfg.Loop) int {
 func rangeActiveIn(l *cfg.Loop, c iloc.Class, r int, cs *classState) bool {
 	for _, b := range l.Blocks {
 		for _, in := range b.Instrs {
-			if d := in.Def(); d.Valid() && d.Class == c && cs.find(d.N) == r {
+			if d := in.Def(); d.Valid() && d.Class == c && cs.find(int(d.N)) == r {
 				return true
 			}
-			for _, u := range in.Uses() {
-				if u.Class == c && u.N != 0 && cs.find(u.N) == r {
+			for _, u := range in.Src[:in.Op.NSrc()] { // the code is φ-free
+				if u.Class == c && u.N != 0 && cs.find(int(u.N)) == r {
 					return true
 				}
 			}
@@ -163,17 +163,17 @@ func (a *allocator) splitAroundLoop(cs *classState, l *cfg.Loop, inLoop map[*ilo
 
 	for _, b := range l.Blocks {
 		for _, in := range b.Instrs {
-			if d := in.Def(); d.Valid() && d.Class == c && cs.find(d.N) == r {
+			if d := in.Def(); d.Valid() && d.Class == c && cs.find(int(d.N)) == r {
 				in.Dst = rp
 			}
 			for i := 0; i < in.Op.NSrc(); i++ {
-				if in.Src[i].Class == c && in.Src[i].N != 0 && cs.find(in.Src[i].N) == r {
+				if in.Src[i].Class == c && in.Src[i].N != 0 && cs.find(int(in.Src[i].N)) == r {
 					in.Src[i] = rp
 				}
 			}
 		}
 	}
-	old := iloc.Reg{Class: c, N: cs.find(r)}
+	old := iloc.Reg{Class: c, N: int32(cs.find(r))}
 	for _, p := range entries {
 		cp := iloc.MakeMov(rp, old)
 		cp.IsSplit = true

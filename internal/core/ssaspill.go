@@ -43,13 +43,7 @@ func ssaSpill(input *iloc.Routine, opts Options) (res *Result, err error) {
 	}()
 
 	rt := input.Clone()
-	if err := cfg.Build(rt); err != nil {
-		return nil, err
-	}
-	if _, err := cfg.SplitCriticalEdges(rt); err != nil {
-		return nil, err
-	}
-	tree, _, err := cfg.Analyze(rt)
+	tree, _, err := cfg.Prepare(rt)
 	if err != nil {
 		return nil, err
 	}
@@ -80,8 +74,8 @@ func ssaSpill(input *iloc.Routine, opts Options) (res *Result, err error) {
 				kept = append(kept, in)
 				continue
 			}
-			for _, arg := range in.Phi.Args {
-				webs[in.Dst.Class].Union(in.Dst.N, arg.N)
+			for _, arg := range rt.PhiArgs(in) {
+				webs[in.Dst.Class].Union(int(in.Dst.N), int(arg.N))
 			}
 		}
 		b.Instrs = kept

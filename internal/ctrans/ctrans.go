@@ -43,7 +43,7 @@ func Translate(rt *iloc.Routine) (string, error) {
 			usesDisplay = true
 		case iloc.OpCall:
 			usesCalls = true
-			callees[in.Label] = true
+			callees[rt.LabelText(in.Label)] = true
 		case iloc.OpSetarg, iloc.OpFsetarg, iloc.OpGetret, iloc.OpFgetret:
 			usesCalls = true
 		}
@@ -124,7 +124,7 @@ func Translate(rt *iloc.Routine) (string, error) {
 	b.WriteString("\n")
 
 	for _, blk := range rt.Blocks {
-		fmt.Fprintf(&b, "%s:\n", cLabel(blk.Label))
+		fmt.Fprintf(&b, "%s:\n", cLabel(rt.LabelText(blk.Label)))
 		emitted := 0
 		for _, in := range blk.Instrs {
 			stmt, err := stmtFor(rt, in)
@@ -157,13 +157,14 @@ func reg(r iloc.Reg) string {
 		return "fp"
 	}
 	if r.Class == iloc.ClassInt {
-		return "r" + strconv.Itoa(r.N)
+		return "r" + strconv.Itoa(int(r.N))
 	}
-	return "f" + strconv.Itoa(r.N)
+	return "f" + strconv.Itoa(int(r.N))
 }
 
 func stmtFor(rt *iloc.Routine, in *iloc.Instr) (string, error) {
 	d := reg(in.Dst)
+	label := rt.LabelText(in.Label)
 	s0, s1 := "", ""
 	if in.Op.NSrc() > 0 {
 		s0 = reg(in.Src[0])
@@ -212,7 +213,7 @@ func stmtFor(rt *iloc.Routine, in *iloc.Instr) (string, error) {
 	case iloc.OpFldi:
 		return fmt.Sprintf("%s = %s; i++;", d, strconv.FormatFloat(in.FImm, 'g', -1, 64)), nil
 	case iloc.OpLda:
-		return fmt.Sprintf("%s = (long) %s; i++;", d, in.Label), nil
+		return fmt.Sprintf("%s = (long) %s; i++;", d, label), nil
 	case iloc.OpMov, iloc.OpFmov:
 		return fmt.Sprintf("%s = %s; c++;", d, s0), nil
 
@@ -237,9 +238,9 @@ func stmtFor(rt *iloc.Routine, in *iloc.Instr) (string, error) {
 	case iloc.OpFstoreai:
 		return fmt.Sprintf("*((double *) (%s + %s)) = %s; s++;", s1, imm, s0), nil
 	case iloc.OpRload:
-		return fmt.Sprintf("%s = %s[%d]; l++;", d, in.Label, in.Imm/8), nil
+		return fmt.Sprintf("%s = %s[%d]; l++;", d, label, in.Imm/8), nil
 	case iloc.OpFrload:
-		return fmt.Sprintf("%s = %s[%d]; l++;", d, in.Label, in.Imm/8), nil
+		return fmt.Sprintf("%s = %s[%d]; l++;", d, label, in.Imm/8), nil
 
 	case iloc.OpCvtif:
 		return fmt.Sprintf("%s = (double) %s;", d, s0), nil
@@ -260,7 +261,7 @@ func stmtFor(rt *iloc.Routine, in *iloc.Instr) (string, error) {
 	case iloc.OpFsetarg:
 		return fmt.Sprintf("farg[%d] = %s; s++;", in.Imm, s0), nil
 	case iloc.OpCall:
-		if in.Label == rt.Name {
+		if label == rt.Name {
 			// Self-recursion: the definition's real signature is known,
 			// so route the slots and latch through it directly.
 			var argv []string
@@ -277,16 +278,16 @@ func stmtFor(rt *iloc.Routine, in *iloc.Instr) (string, error) {
 					latch = "fret"
 				}
 			})
-			return fmt.Sprintf("%s = %s(%s);", latch, in.Label, strings.Join(argv, ", ")), nil
+			return fmt.Sprintf("%s = %s(%s);", latch, label, strings.Join(argv, ", ")), nil
 		}
-		return fmt.Sprintf("%s();", in.Label), nil
+		return fmt.Sprintf("%s();", label), nil
 	case iloc.OpGetret:
 		return fmt.Sprintf("%s = iret;", d), nil
 	case iloc.OpFgetret:
 		return fmt.Sprintf("%s = fret;", d), nil
 
 	case iloc.OpJmp:
-		return fmt.Sprintf("goto %s;", cLabel(in.Label)), nil
+		return fmt.Sprintf("goto %s;", cLabel(label)), nil
 	case iloc.OpBr:
 		var op string
 		switch in.Cond {
@@ -303,7 +304,7 @@ func stmtFor(rt *iloc.Routine, in *iloc.Instr) (string, error) {
 		case iloc.CondNE:
 			op = "!="
 		}
-		return fmt.Sprintf("if (%s %s 0) goto %s; else goto %s;", s0, op, cLabel(in.Label), cLabel(in.Label2)), nil
+		return fmt.Sprintf("if (%s %s 0) goto %s; else goto %s;", s0, op, cLabel(label), cLabel(rt.LabelText(in.Label2))), nil
 	case iloc.OpRet:
 		return "return 0;", nil
 	case iloc.OpRetr:
@@ -311,5 +312,5 @@ func stmtFor(rt *iloc.Routine, in *iloc.Instr) (string, error) {
 	case iloc.OpRetf:
 		return fmt.Sprintf("return %s;", s0), nil
 	}
-	return "", fmt.Errorf("ctrans: cannot translate %s", in)
+	return "", fmt.Errorf("ctrans: cannot translate %s", rt.InstrString(in))
 }

@@ -182,9 +182,8 @@ b:
 
 func TestRejectsPhi(t *testing.T) {
 	rt := iloc.MustParse("routine f()\na:\n ldi r1, 1\n retr r1\n")
-	rt.Blocks[0].Instrs = append([]*iloc.Instr{
-		{Op: iloc.OpPhi, Dst: iloc.IntReg(1), Phi: &iloc.Phi{Args: []iloc.Reg{iloc.IntReg(1)}}},
-	}, rt.Blocks[0].Instrs...)
+	phi := rt.NewPhi(iloc.IntReg(1), 1)
+	rt.Blocks[0].Instrs = append([]*iloc.Instr{&phi}, rt.Blocks[0].Instrs...)
 	if _, err := Translate(rt); err == nil {
 		t.Fatal("φ accepted")
 	}

@@ -6,6 +6,8 @@
 package dom
 
 import (
+	"slices"
+
 	"repro/internal/iloc"
 )
 
@@ -24,41 +26,54 @@ type Tree struct {
 	Order []*iloc.Block
 
 	rpoNum []int // block index -> position in Order
+	// pre and post number each block in a walk of the tree (-1 outside
+	// it): a dominates b exactly when a's interval [pre, post] holds b's.
+	pre, post []int
 }
 
 // Compute returns the dominator tree of the routine's CFG (edges must be
 // built), rooted at the entry block.
 func Compute(rt *iloc.Routine) *Tree {
 	n := len(rt.Blocks)
+	// One slab holds the per-block ints and one the per-block flags.
+	ints := make([]int, 5*n)
 	t := &Tree{
-		Idom:     make([]int, n),
+		Idom:     ints[0:n:n],
 		Children: make([][]int, n),
-		rpoNum:   make([]int, n),
+		rpoNum:   ints[n : 2*n : 2*n],
+		pre:      ints[2*n : 3*n : 3*n],
+		post:     ints[3*n : 4*n : 4*n],
 	}
-	for i := range t.Idom {
-		t.Idom[i] = -1
-		t.rpoNum[i] = -1
+	for i := range ints[:4*n] {
+		ints[i] = -1
 	}
+	flags := make([]bool, 2*n)
+	seen, processed := flags[:n], flags[n:]
 
-	// Reverse postorder from the entry.
-	seen := make([]bool, n)
-	var post []*iloc.Block
-	var dfs func(b *iloc.Block)
-	dfs = func(b *iloc.Block) {
-		seen[b.Index] = true
-		for _, s := range b.Succs {
-			if !seen[s.Index] {
-				dfs(s)
-			}
-		}
-		post = append(post, b)
-	}
+	// Reverse postorder from the entry, by a depth-first walk that
+	// visits successors in order.
+	type frame struct{ b, next int }
+	stack := make([]frame, 0, 16)
+	order := make([]*iloc.Block, 0, n)
 	root := rt.Entry()
-	dfs(root)
-	order := make([]*iloc.Block, len(post))
-	for i, b := range post {
-		order[len(post)-1-i] = b
+	seen[root.Index] = true
+	stack = append(stack, frame{b: root.Index})
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		b := rt.Blocks[top.b]
+		if top.next == len(b.Succs) {
+			order = append(order, b)
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		s := b.Succs[top.next]
+		top.next++
+		if !seen[s.Index] {
+			seen[s.Index] = true
+			stack = append(stack, frame{b: s.Index})
+		}
 	}
+	slices.Reverse(order)
 	t.Order = order
 	for i, b := range order {
 		t.rpoNum[b.Index] = i
@@ -66,7 +81,6 @@ func Compute(rt *iloc.Routine) *Tree {
 
 	// The root's Idom stays -1. processed marks nodes whose Idom chain is
 	// valid.
-	processed := make([]bool, n)
 	processed[root.Index] = true
 
 	// intersect walks both chains up to the common ancestor; walking off
@@ -114,23 +128,55 @@ func Compute(rt *iloc.Routine) *Tree {
 			}
 		}
 	}
+
+	// Each block's children, in index order, are cut from the slab's
+	// last n ints; a leaf's list stays nil.
+	counts := ints[4*n:]
+	for b := 0; b < n; b++ {
+		if p := t.Idom[b]; p >= 0 {
+			counts[p]++
+		}
+	}
+	off := 0
+	for b, k := range counts {
+		if k > 0 {
+			t.Children[b] = counts[off : off : off+k]
+			off += k
+		}
+	}
 	for b := 0; b < n; b++ {
 		if p := t.Idom[b]; p >= 0 {
 			t.Children[p] = append(t.Children[p], b)
 		}
+	}
+
+	// Number the tree's blocks on and off a depth-first walk.
+	clock := 0
+	t.pre[root.Index] = clock
+	stack = append(stack[:0], frame{b: root.Index})
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if top.next == len(t.Children[top.b]) {
+			clock++
+			t.post[top.b] = clock
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		c := t.Children[top.b][top.next]
+		top.next++
+		clock++
+		t.pre[c] = clock
+		stack = append(stack, frame{b: c})
 	}
 	return t
 }
 
 // Dominates reports whether block a dominates block b (reflexive).
 func (t *Tree) Dominates(a, b int) bool {
-	for b != -1 {
-		if a == b {
-			return true
-		}
-		b = t.Idom[b]
+	if t.pre[b] < 0 {
+		return a == b // b is outside the tree
 	}
-	return false
+	return t.pre[a] <= t.pre[b] && t.post[b] <= t.post[a]
 }
 
 // Frontiers returns the dominance frontier of every block, per Cytron et

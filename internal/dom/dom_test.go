@@ -59,10 +59,10 @@ func TestDominatesReflexiveAndTransitive(t *testing.T) {
 	tr := Compute(rt)
 	for _, b := range rt.Blocks {
 		if !tr.Dominates(b.Index, b.Index) {
-			t.Fatalf("Dominates not reflexive at %s", b.Label)
+			t.Fatalf("Dominates not reflexive at %s", rt.Labels[b.Label])
 		}
 		if !tr.Dominates(rt.Entry().Index, b.Index) {
-			t.Fatalf("entry must dominate %s", b.Label)
+			t.Fatalf("entry must dominate %s", rt.Labels[b.Label])
 		}
 	}
 }

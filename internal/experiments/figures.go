@@ -9,7 +9,6 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/ctrans"
-	"repro/internal/dom"
 	"repro/internal/iloc"
 	"repro/internal/interp"
 	"repro/internal/liveness"
@@ -182,13 +181,10 @@ func Figure3() (*Figure3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.Build(rt); err != nil {
+	tree, _, err := cfg.Prepare(rt)
+	if err != nil {
 		return nil, err
 	}
-	if _, err := cfg.SplitCriticalEdges(rt); err != nil {
-		return nil, err
-	}
-	tree := dom.Compute(rt)
 	live := liveness.Compute(rt, iloc.ClassInt)
 	g, err := ssa.Build(rt, iloc.ClassInt, tree, live)
 	if err != nil {

@@ -6,13 +6,26 @@ import "fmt"
 // benchmark suite and tests use it instead of text when they need to hold
 // on to register handles.
 type Builder struct {
-	rt  *Routine
-	cur *Block
+	rt     *Routine
+	cur    *Block
+	labels *LabelIndex
+	blocks []*Block // per label: the block it labels, if any
 }
 
 // NewBuilder starts a routine with the given name.
 func NewBuilder(name string) *Builder {
-	return &Builder{rt: &Routine{Name: name}}
+	rt := &Routine{Name: name}
+	return &Builder{rt: rt, labels: NewLabelIndex(rt)}
+}
+
+// Label returns the routine's label with the given text, adding it to
+// the label table if it is new.
+func (b *Builder) Label(text string) Label {
+	l := b.labels.Intern(text)
+	for len(b.blocks) <= int(l) {
+		b.blocks = append(b.blocks, nil)
+	}
+	return l
 }
 
 // IntParam declares an integer parameter and returns its register.
@@ -46,12 +59,14 @@ func (b *Builder) Data(label string, readOnly bool, words int, isFloat bool, ini
 
 // Block starts (or continues) the basic block with the given label.
 func (b *Builder) Block(label string) {
-	if blk := b.rt.BlockByLabel(label); blk != nil {
+	l := b.Label(label)
+	if blk := b.blocks[l]; blk != nil {
 		b.cur = blk
 		return
 	}
-	blk := &Block{Label: label, Index: len(b.rt.Blocks)}
+	blk := &Block{Label: l, Index: len(b.rt.Blocks)}
 	b.rt.Blocks = append(b.rt.Blocks, blk)
+	b.blocks[l] = blk
 	b.cur = blk
 }
 
@@ -61,7 +76,7 @@ func (b *Builder) Emit(in *Instr) *Instr {
 		b.Block("entry")
 	}
 	if t := b.cur.Terminator(); t != nil {
-		panic(fmt.Sprintf("iloc.Builder: emit after terminator in %s", b.cur.Label))
+		panic(fmt.Sprintf("iloc.Builder: emit after terminator in %s", b.rt.LabelText(b.cur.Label)))
 	}
 	b.cur.Instrs = append(b.cur.Instrs, in)
 	return in
@@ -71,7 +86,7 @@ func (b *Builder) Emit(in *Instr) *Instr {
 
 func (b *Builder) Ldi(dst Reg, imm int64) *Instr    { return b.Emit(MakeLdi(dst, imm)) }
 func (b *Builder) Fldi(dst Reg, f float64) *Instr   { return b.Emit(MakeFldi(dst, f)) }
-func (b *Builder) Lda(dst Reg, label string) *Instr { return b.Emit(MakeLda(dst, label)) }
+func (b *Builder) Lda(dst Reg, label string) *Instr { return b.Emit(MakeLda(dst, b.Label(label))) }
 func (b *Builder) Mov(dst, src Reg) *Instr          { return b.Emit(MakeMov(dst, src)) }
 
 func (b *Builder) Bin(op Op, dst, x, y Reg) *Instr { return b.Emit(MakeBin(op, dst, x, y)) }
@@ -122,10 +137,10 @@ func (b *Builder) Fgetparam(dst Reg, i int64) *Instr {
 }
 
 func (b *Builder) Jmp(label string) *Instr {
-	return b.Emit(&Instr{Op: OpJmp, Dst: NoReg, Label: label})
+	return b.Emit(&Instr{Op: OpJmp, Dst: NoReg, Label: b.Label(label)})
 }
 func (b *Builder) Br(cond Cond, r Reg, ifTrue, ifFalse string) *Instr {
-	return b.Emit(&Instr{Op: OpBr, Dst: NoReg, Src: [2]Reg{r, NoReg}, Cond: cond, Label: ifTrue, Label2: ifFalse})
+	return b.Emit(&Instr{Op: OpBr, Dst: NoReg, Src: [2]Reg{r, NoReg}, Cond: cond, Label: b.Label(ifTrue), Label2: b.Label(ifFalse)})
 }
 func (b *Builder) Ret() *Instr { return b.Emit(&Instr{Op: OpRet, Dst: NoReg}) }
 func (b *Builder) Retr(r Reg) *Instr {

@@ -63,6 +63,8 @@ func FuzzParse(f *testing.F) {
 	f.Add("routine a(r1)\ndata t rw 4 = 1 2 3 4\nx:\n lda r2, t\n load r3, r2\n add r3, r3, r1\n retr r3\n")
 	f.Add("routine a()\nx:\n br ge r1, x, y\ny:\n ret\n")
 	f.Add("routine \xffbad()\nx:\n ret\n")
+	f.Add("routine a()\nx:\n ldi r2147483647, 1\n retr r2147483647\n")
+	f.Add("routine a()\nx:\n mov r1, r4294967297\n retr r1\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<14 {
 			t.Skip("oversized input")
@@ -107,6 +109,7 @@ func FuzzParseProgram(f *testing.F) {
 	f.Add("# routine b()\nroutine a()\nx:\n ret ; routine c()\n")
 	f.Add("routine a()\nx:\n ret\nroutine a()\ny:\n ret\n")
 	f.Add("\u00a0routine a()\nx:\n ret\n\u2003routine b()\ny:\n ret\n")
+	f.Add("routine a(f2147483647)\nx:\n retf f2147483647\nroutine b()\ny:\n ldi r2147483648, 1\n retr r1\n")
 	f.Add("routine main(r1)\nentry:\n getparam r1, 0\n setarg r1, 0\n call leaf\n getret r2\n retr r2\n" +
 		"; leaf\nroutine leaf(r1)\ndata k ro 2 = 1.5 2\nentry:\n getparam r1, 0\n frload f1, k, 8\n retf f1\n")
 	f.Fuzz(func(t *testing.T, src string) {

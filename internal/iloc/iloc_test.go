@@ -38,8 +38,8 @@ func TestParseBasics(t *testing.T) {
 	if len(rt.Blocks) != 3 {
 		t.Fatalf("blocks = %d", len(rt.Blocks))
 	}
-	if rt.Blocks[1].Label != "loop" {
-		t.Fatalf("block 1 label = %q", rt.Blocks[1].Label)
+	if l := rt.Labels[rt.Blocks[1].Label]; l != "loop" {
+		t.Fatalf("block 1 label = %q", l)
 	}
 	if got := len(rt.Blocks[1].Instrs); got != 6 {
 		t.Fatalf("loop has %d instrs", got)
@@ -115,12 +115,15 @@ func TestFPOperandAllowed(t *testing.T) {
 	if !in.Src[0].IsFP() {
 		t.Fatalf("src0 = %v, want fp", in.Src[0])
 	}
-	if in.String() != "addi r1, fp, 8" {
-		t.Fatalf("String = %q", in.String())
+	if s := rt.InstrString(in); s != "addi r1, fp, 8" {
+		t.Fatalf("String = %q", s)
 	}
 }
 
 func TestInstrString(t *testing.T) {
+	rt := &Routine{Labels: []string{"tab", "a", "b", "top", "t"}}
+	phi := rt.NewPhi(IntReg(3), 2)
+	copy(rt.PhiArgs(&phi), []Reg{IntReg(1), IntReg(2)})
 	cases := []struct {
 		in   *Instr
 		want string
@@ -128,39 +131,41 @@ func TestInstrString(t *testing.T) {
 		{MakeLdi(IntReg(4), 42), "ldi r4, 42"},
 		{MakeFldi(FltReg(2), 1.5), "fldi f2, 1.5"},
 		{MakeFldi(FltReg(2), 3), "fldi f2, 3.0"},
-		{MakeLda(IntReg(1), "tab"), "lda r1, tab"},
+		{MakeLda(IntReg(1), 0), "lda r1, tab"},
 		{MakeMov(IntReg(1), IntReg(2)), "mov r1, r2"},
 		{MakeMov(FltReg(1), FltReg(2)), "fmov f1, f2"},
 		{MakeBin(OpAdd, IntReg(3), IntReg(1), IntReg(2)), "add r3, r1, r2"},
-		{&Instr{Op: OpBr, Cond: CondGE, Src: [2]Reg{IntReg(7), NoReg}, Label: "a", Label2: "b"}, "br ge r7, a, b"},
-		{&Instr{Op: OpJmp, Label: "top"}, "jmp top"},
+		{&Instr{Op: OpBr, Cond: CondGE, Src: [2]Reg{IntReg(7), NoReg}, Label: 1, Label2: 2}, "br ge r7, a, b"},
+		{&Instr{Op: OpJmp, Label: 3}, "jmp top"},
 		{&Instr{Op: OpRet}, "ret"},
-		{&Instr{Op: OpRload, Dst: IntReg(2), Label: "t", Imm: 8}, "rload r2, t, 8"},
-		{&Instr{Op: OpPhi, Dst: IntReg(3), Phi: &Phi{Args: []Reg{IntReg(1), IntReg(2)}}}, "phi r3, r1, r2"},
+		{&Instr{Op: OpRload, Dst: IntReg(2), Label: 4, Imm: 8}, "rload r2, t, 8"},
+		{&phi, "phi r3, r1, r2"},
 	}
 	for _, c := range cases {
-		if got := c.in.String(); got != c.want {
+		if got := rt.InstrString(c.in); got != c.want {
 			t.Errorf("String = %q, want %q", got, c.want)
 		}
 	}
 }
 
 func TestSplitSpillMarkersPrint(t *testing.T) {
+	rt := new(Routine)
 	in := MakeMov(IntReg(1), IntReg(2))
 	in.IsSplit = true
-	if !strings.Contains(in.String(), "; split") {
-		t.Fatalf("split marker missing: %q", in.String())
+	if s := rt.InstrString(in); !strings.Contains(s, "; split") {
+		t.Fatalf("split marker missing: %q", s)
 	}
 	in2 := MakeLdi(IntReg(1), 0)
 	in2.IsSpill = true
-	if !strings.Contains(in2.String(), "; spill") {
-		t.Fatalf("spill marker missing: %q", in2.String())
+	if s := rt.InstrString(in2); !strings.Contains(s, "; spill") {
+		t.Fatalf("spill marker missing: %q", s)
 	}
 }
 
 func TestUsesAndDef(t *testing.T) {
+	rt := new(Routine)
 	add := MakeBin(OpAdd, IntReg(3), IntReg(1), IntReg(2))
-	if u := add.Uses(); len(u) != 2 || u[0] != IntReg(1) || u[1] != IntReg(2) {
+	if u := rt.Uses(add); len(u) != 2 || u[0] != IntReg(1) || u[1] != IntReg(2) {
 		t.Fatalf("Uses = %v", u)
 	}
 	if add.Def() != IntReg(3) {
@@ -170,8 +175,8 @@ func TestUsesAndDef(t *testing.T) {
 	if st.Def().Valid() {
 		t.Fatal("store has no def")
 	}
-	phi := &Instr{Op: OpPhi, Dst: IntReg(3), Phi: &Phi{Args: []Reg{IntReg(1), IntReg(2)}}}
-	if u := phi.Uses(); len(u) != 2 {
+	phi := rt.NewPhi(IntReg(3), 2)
+	if u := rt.Uses(&phi); len(u) != 2 {
 		t.Fatalf("phi Uses = %v", u)
 	}
 	if phi.Def() != IntReg(3) {
@@ -260,15 +265,15 @@ func TestVerifyCatchesBadRoutines(t *testing.T) {
 		rt   *Routine
 		want string
 	}{
-		{"unknown branch target", mutate(func(rt *Routine) { rt.Blocks[1].Instrs[5].Label = "nowhere" }),
+		{"unknown branch target", mutate(func(rt *Routine) { rt.Blocks[1].Instrs[5].Label = NewLabelIndex(rt).Intern("nowhere") }),
 			`sumabs/loop[5] "br ge r5, nowhere, done": branch to unknown label`},
 		{"missing terminator", mutate(func(rt *Routine) {
 			last := rt.Blocks[len(rt.Blocks)-1]
 			last.Instrs = last.Instrs[:0]
 		}), `sumabs: final block done does not end in a terminator`},
 		{"φ outside SSA", mutate(func(rt *Routine) {
-			phi := &Instr{Op: OpPhi, Dst: IntReg(3), Phi: &Phi{Args: []Reg{IntReg(3), IntReg(3)}}}
-			rt.Blocks[1].Instrs = append([]*Instr{phi}, rt.Blocks[1].Instrs...)
+			phi := rt.NewPhi(IntReg(3), 2)
+			rt.Blocks[1].Instrs = append([]*Instr{&phi}, rt.Blocks[1].Instrs...)
 		}), `sumabs/loop[0] "phi r3, r3, r3": φ outside SSA form`},
 		{"register out of range", mutate(func(rt *Routine) { rt.Blocks[0].Instrs[0].Dst = IntReg(99) }),
 			`sumabs/entry[0] "ldi r99, 8": dst: register r99 outside virtual space [0,6)`},
@@ -380,11 +385,15 @@ func TestBlockHelpers(t *testing.T) {
 
 func TestFreshLabel(t *testing.T) {
 	rt := MustParse(sampleSrc)
-	if l := rt.FreshLabel("newblk"); l != "newblk" {
-		t.Fatalf("FreshLabel = %q", l)
+	x := NewLabelIndex(rt)
+	if l := rt.Labels[x.FreshBlockLabel("newblk")]; l != "newblk" {
+		t.Fatalf("FreshBlockLabel = %q", l)
 	}
-	if l := rt.FreshLabel("loop"); l == "loop" || rt.BlockByLabel(l) != nil {
-		t.Fatalf("FreshLabel collided: %q", l)
+	if l := rt.Labels[x.FreshBlockLabel("loop")]; l != "loop.1" || rt.BlockByLabel(l) != nil {
+		t.Fatalf("FreshBlockLabel collided: %q", l)
+	}
+	if l := rt.Labels[x.FreshBlockLabel("newblk")]; l != "newblk.1" {
+		t.Fatalf("FreshBlockLabel reused a label it handed out: %q", l)
 	}
 }
 

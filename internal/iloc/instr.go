@@ -3,11 +3,15 @@ package iloc
 // Reg names a register: a class plus a number. Before allocation the
 // number is a virtual register id; after allocation it is a physical
 // register (color). Integer register 0 is the reserved frame pointer in
-// both spaces.
+// both spaces. A Reg is 8 bytes; the parser rejects a number above
+// MaxRegNum.
 type Reg struct {
 	Class Class
-	N     int
+	N     int32
 }
+
+// MaxRegNum is the largest register number a Reg holds.
+const MaxRegNum = 1<<31 - 1
 
 // NoReg is the absent register.
 var NoReg = Reg{Class: noClass, N: -1}
@@ -28,32 +32,31 @@ func (r Reg) String() string {
 }
 
 // IntReg returns the integer register with number n.
-func IntReg(n int) Reg { return Reg{Class: ClassInt, N: n} }
+func IntReg(n int) Reg { return Reg{Class: ClassInt, N: int32(n)} }
 
 // FltReg returns the float register with number n.
-func FltReg(n int) Reg { return Reg{Class: ClassFlt, N: n} }
+func FltReg(n int) Reg { return Reg{Class: ClassFlt, N: int32(n)} }
 
-// Phi holds the variable-arity operand list of a φ-node. Args[i] is the
-// value flowing in from the i'th predecessor of the node's block (indices
-// track Block.Preds).
-type Phi struct {
-	Args []Reg
+// Label names an entry of its routine's label table (Routine.Labels): a
+// block's label, the data item an lda or rload reads, or a callee. It
+// names the label, not a block position, so it stays valid when blocks
+// are added, removed or reordered.
+type Label int32
+
+// PhiArgs locates a φ-node's operands in its routine's PhiSlab: Len
+// registers from Off. Operand i is the value flowing in from the i'th
+// predecessor of the node's block (indices track Block.Preds).
+type PhiArgs struct {
+	Off, Len int32
 }
 
 // Instr is a single ILOC instruction. Fields beyond Op are meaningful
-// only when the op's shape says so (see the Op accessors).
+// only when the op's shape says so (see the Op accessors). It holds no
+// pointer and is 64 bytes: labels and φ operands live in tables of the
+// routine, which Routine.InstrString and Routine.Uses read.
 type Instr struct {
-	Op     Op
-	Dst    Reg    // result register, NoReg if none
-	Src    [2]Reg // register sources (Op.NSrc of them)
-	Imm    int64  // integer immediate
-	FImm   float64
-	Label  string // primary label (lda/rload/jmp/br true-target)
-	Label2 string // br false-target
-	Cond   Cond   // br condition
-
-	Phi *Phi // operands of a φ-node (Op == OpPhi only)
-
+	Op   Op
+	Cond Cond // br condition
 	// IsSplit marks a copy inserted by renumber to isolate values with
 	// different rematerialization tags; only conservative coalescing may
 	// remove it.
@@ -61,15 +64,14 @@ type Instr struct {
 	// IsSpill marks loads/stores/remats inserted by the spill phase;
 	// their targets are tiny live ranges that must not be spilled again.
 	IsSpill bool
-}
 
-// Uses returns the register sources of the instruction. For a φ it
-// returns the argument list.
-func (in *Instr) Uses() []Reg {
-	if in.Op == OpPhi {
-		return in.Phi.Args
-	}
-	return in.Src[:in.Op.NSrc()]
+	Dst    Reg    // result register, NoReg if none
+	Src    [2]Reg // register sources (Op.NSrc of them)
+	Label  Label  // primary label (lda/rload/call/jmp/br true-target)
+	Label2 Label  // br false-target
+	Phi    PhiArgs
+	Imm    int64 // integer immediate
+	FImm   float64
 }
 
 // Def returns the register the instruction defines, or NoReg.
@@ -78,22 +80,6 @@ func (in *Instr) Def() Reg {
 		return in.Dst
 	}
 	return NoReg
-}
-
-// Clone returns a deep copy of the instruction.
-func (in *Instr) Clone() *Instr {
-	c := *in
-	if in.Phi != nil {
-		c.Phi = &Phi{Args: append([]Reg(nil), in.Phi.Args...)}
-	}
-	return &c
-}
-
-// String renders the instruction in the canonical assembly syntax used by
-// the parser and printer.
-func (in *Instr) String() string {
-	var buf [64]byte
-	return string(in.appendTo(buf[:0]))
 }
 
 // Convenience constructors used by the builder, the spill phase and tests.
@@ -105,7 +91,7 @@ func MakeLdi(dst Reg, imm int64) *Instr { return &Instr{Op: OpLdi, Dst: dst, Imm
 func MakeFldi(dst Reg, f float64) *Instr { return &Instr{Op: OpFldi, Dst: dst, FImm: f} }
 
 // MakeLda builds "lda rD, label".
-func MakeLda(dst Reg, label string) *Instr { return &Instr{Op: OpLda, Dst: dst, Label: label} }
+func MakeLda(dst Reg, label Label) *Instr { return &Instr{Op: OpLda, Dst: dst, Label: label} }
 
 // MakeMov builds the copy appropriate to the class of dst.
 func MakeMov(dst, src Reg) *Instr {

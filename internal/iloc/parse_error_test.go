@@ -62,6 +62,12 @@ func TestParseErrorMessages(t *testing.T) {
 		{"routine a()\nx:\n lda r1\n", "line 3: lda: missing operand"},
 		{"routine a()\nx:\n ret r1\n", "line 3: ret: trailing operands [r1]"},
 		{"routine a()\nx:\n\tbr\tge\tr1,x,x ; c\n ret\n", "line 4: instruction after terminator \"br ge r1, x, x\""},
+		// A register number must fit the 31 bits of Reg.N: truncating
+		// r4294967297 would make it alias r1.
+		{"routine a()\nx:\n ldi r2147483648, 1\n", "line 3: bad register \"r2147483648\""},
+		{"routine a()\nx:\n mov r1, r4294967297\n", "line 3: bad register \"r4294967297\""},
+		{"routine a(f2147483648)\nx:\n ret\n", "line 1: parameter: bad register \"f2147483648\""},
+		{"routine a()\nx:\n fldi f99999999999999999999, 1.0\n", "line 3: bad register \"f99999999999999999999\""},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)

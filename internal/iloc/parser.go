@@ -2,6 +2,7 @@ package iloc
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -17,7 +18,7 @@ import (
 //	op operands                     ; instruction, operands comma-separated
 //	; comment  or  # comment
 //
-// Instructions follow Instr.String's syntax exactly, so Print output
+// Instructions follow Routine.InstrString's syntax exactly, so Print output
 // round-trips. Control falls through from a block without a terminator to
 // the next block in the file.
 // A ParseError locates a syntax error in the source handed to Parse or
@@ -70,11 +71,15 @@ func ParseProgram(src string) ([]*Routine, error) {
 // header ends the routine before it; otherwise a second header is an
 // error.
 func parse(src string, program bool) ([]*Routine, error) {
-	p := &parser{program: program, names: map[string]bool{}, labels: map[string]bool{}, data: map[string]bool{}}
-	// Size the slabs for src at about one instruction per line.
+	p := &parser{program: program, names: map[string]bool{}, data: map[string]bool{}}
+	// Size the slabs for src at about one instruction per line, and the
+	// label index at about one label per block.
 	lines := min(strings.Count(src, "\n")+1, 4096)
 	p.instrs.buf = make([]Instr, 0, lines)
 	p.blocks.buf = make([]Block, 0, lines/4+1)
+	p.labels.ids = make(map[string]Label, lines/4+1)
+	p.labels.isBlock = make([]bool, 0, lines/4+1)
+	p.labelBuf = make([]string, 0, lines/4+1)
 	for ln, rest, more := 1, src, true; more; ln++ {
 		var line string
 		line, rest, more = strings.Cut(rest, "\n")
@@ -121,12 +126,13 @@ type parser struct {
 	out     []*Routine
 	names   map[string]bool // routine names already read (program only)
 
-	rt     *Routine
-	blocks slab[Block] // the routine's blocks; Instrs unset until finish
-	starts []int       // starts[i] indexes block i's first instruction in instrs.run()
-	instrs slab[Instr]
-	labels map[string]bool // block labels of rt
-	data   map[string]bool // data labels of rt
+	rt       *Routine
+	blocks   slab[Block] // the routine's blocks; Instrs unset until finish
+	starts   []int       // starts[i] indexes block i's first instruction in instrs.run()
+	instrs   slab[Instr]
+	labels   LabelIndex // rt's label table, built in labelBuf
+	labelBuf []string
+	data     map[string]bool // data labels of rt
 }
 
 // slab hands out values from shared backing arrays. Its run is the
@@ -229,6 +235,7 @@ func (p *parser) finish() error {
 		}
 		p.names[rt.Name] = true
 	}
+	rt.Labels = slices.Clone(p.labelBuf)
 	ptrs := make([]*Instr, len(instrs))
 	for i := range instrs {
 		ptrs[i] = &instrs[i]
@@ -249,7 +256,6 @@ func (p *parser) finish() error {
 	p.out = append(p.out, rt)
 	p.rt = nil
 	p.starts = p.starts[:0]
-	clear(p.labels)
 	clear(p.data)
 	return nil
 }
@@ -291,6 +297,7 @@ func (p *parser) header(s string) error {
 		return fmt.Errorf("routine needs a name")
 	}
 	p.rt = &Routine{Name: name}
+	p.labels.reset(&p.labelBuf)
 	args := strings.TrimSpace(s[open+1 : closeP])
 	if args == "" {
 		return nil
@@ -394,7 +401,7 @@ func (p *parser) label(name string) error {
 	if name == "" {
 		return fmt.Errorf("empty label")
 	}
-	if p.labels[name] {
+	if p.labels.hasBlock(name) {
 		return fmt.Errorf("duplicate label %q", name)
 	}
 	p.newBlock(name)
@@ -402,9 +409,17 @@ func (p *parser) label(name string) error {
 }
 
 func (p *parser) newBlock(label string) {
-	p.labels[label] = true
-	p.blocks.add().Label = label
+	p.blocks.add().Label = p.labels.block(label)
 	p.starts = append(p.starts, len(p.instrs.run()))
+}
+
+// takeLabel interns op's next operand as a label.
+func (p *parser) takeLabel(op Op, ops *operands) (Label, error) {
+	t, err := ops.take(op)
+	if err != nil {
+		return 0, err
+	}
+	return p.labels.Intern(t), nil
 }
 
 func (p *parser) instr(s string) error {
@@ -416,7 +431,8 @@ func (p *parser) instr(s string) error {
 		p.newBlock("entry")
 	}
 	if n := len(p.instrs.run()); n > p.starts[len(p.starts)-1] && p.instrs.last().Op.IsTerminator() {
-		return fmt.Errorf("instruction after terminator %q", p.instrs.last())
+		p.rt.Labels = p.labelBuf // the message prints the terminator's labels
+		return fmt.Errorf("instruction after terminator %q", p.rt.InstrString(p.instrs.last()))
 	}
 	return p.parseInstr(p.instrs.add(), s)
 }
@@ -489,16 +505,16 @@ func (p *parser) parseInstr(in *Instr, s string) error {
 	case OpPhi:
 		return fmt.Errorf("phi is not accepted in source text")
 	case OpJmp:
-		in.Label, err = ops.take(op)
+		in.Label, err = p.takeLabel(op, &ops)
 		return err
 	case OpBr:
 		if in.Src[0], err = p.takeReg(op, &ops, ClassInt); err != nil {
 			return err
 		}
-		if in.Label, err = ops.take(op); err != nil {
+		if in.Label, err = p.takeLabel(op, &ops); err != nil {
 			return err
 		}
-		if in.Label2, err = ops.take(op); err != nil {
+		if in.Label2, err = p.takeLabel(op, &ops); err != nil {
 			return err
 		}
 		if !ops.done {
@@ -521,7 +537,7 @@ func (p *parser) parseInstr(in *Instr, s string) error {
 		}
 	}
 	if op.HasLabel() {
-		if in.Label, err = ops.take(op); err != nil {
+		if in.Label, err = p.takeLabel(op, &ops); err != nil {
 			return err
 		}
 	}
@@ -577,8 +593,8 @@ func (p *parser) takeReg(op Op, ops *operands, want Class) (Reg, error) {
 }
 
 func (p *parser) noteReg(r Reg) {
-	if r.N >= p.rt.NextReg[r.Class] {
-		p.rt.NextReg[r.Class] = r.N + 1
+	if n := int(r.N); n >= p.rt.NextReg[r.Class] {
+		p.rt.NextReg[r.Class] = n + 1
 	}
 }
 
@@ -599,11 +615,11 @@ func parseReg(s string) (Reg, error) {
 		return NoReg, fmt.Errorf("bad register %q", s)
 	}
 	n, err := strconv.Atoi(s[1:])
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || n > MaxRegNum {
 		return NoReg, fmt.Errorf("bad register %q", s)
 	}
 	if n == 0 {
 		return NoReg, fmt.Errorf("register %s0 is reserved", string(s[0]))
 	}
-	return Reg{Class: c, N: n}, nil
+	return Reg{Class: c, N: int32(n)}, nil
 }

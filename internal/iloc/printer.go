@@ -14,14 +14,15 @@ func printSize(r *Routine) int {
 		n += 32 + 8*len(d.Init)
 	}
 	for _, b := range r.Blocks {
-		n += len(b.Label) + 2 + 32*len(b.Instrs)
+		n += len(r.LabelText(b.Label)) + 2 + 32*len(b.Instrs)
 	}
 	return n
 }
 
 // AppendPrint appends the textual form of r accepted by Parse to dst
 // and returns the extended buffer. It is the one formatter of the
-// package: Print, Instr.String and Reg.String all render through it.
+// package: Print, Routine.InstrString and Reg.String all render
+// through it.
 func AppendPrint(dst []byte, r *Routine) []byte {
 	dst = append(dst, "routine "...)
 	dst = append(dst, r.Name...)
@@ -56,11 +57,11 @@ func AppendPrint(dst []byte, r *Routine) []byte {
 		dst = append(dst, '\n')
 	}
 	for _, blk := range r.Blocks {
-		dst = append(dst, blk.Label...)
+		dst = append(dst, r.LabelText(blk.Label)...)
 		dst = append(dst, ":\n"...)
 		for _, in := range blk.Instrs {
 			dst = append(dst, "    "...)
-			dst = in.appendTo(dst)
+			dst = r.appendInstr(dst, in)
 			dst = append(dst, '\n')
 		}
 	}
@@ -82,10 +83,17 @@ func (r Reg) appendTo(dst []byte) []byte {
 	return strconv.AppendInt(dst, int64(r.N), 10)
 }
 
-// appendTo appends the instruction in the canonical assembly syntax:
-// the mnemonic, then its operands separated by ", ", then the split and
-// spill markers as comments.
-func (in *Instr) appendTo(dst []byte) []byte {
+// InstrString renders in, an instruction of r, in the canonical
+// assembly syntax used by the parser and printer.
+func (r *Routine) InstrString(in *Instr) string {
+	var buf [64]byte
+	return string(r.appendInstr(buf[:0], in))
+}
+
+// appendInstr appends in, an instruction of r, in the canonical
+// assembly syntax: the mnemonic, then its operands separated by ", ",
+// then the split and spill markers as comments.
+func (r *Routine) appendInstr(dst []byte, in *Instr) []byte {
 	dst = append(dst, in.Op.String()...)
 	n := 0 // operands written
 	sep := func(dst []byte) []byte {
@@ -98,17 +106,19 @@ func (in *Instr) appendTo(dst []byte) []byte {
 	switch in.Op {
 	case OpPhi:
 		dst = in.Dst.appendTo(sep(dst))
-		for _, a := range in.Phi.Args {
-			dst = a.appendTo(sep(dst))
+		if r.phiInSlab(in) {
+			for _, a := range r.PhiArgs(in) {
+				dst = a.appendTo(sep(dst))
+			}
 		}
 	case OpBr:
 		dst = append(dst, ' ')
 		dst = append(dst, in.Cond.String()...)
 		dst = in.Src[0].appendTo(sep(dst))
-		dst = append(sep(dst), in.Label...)
-		dst = append(sep(dst), in.Label2...)
+		dst = append(sep(dst), r.LabelText(in.Label)...)
+		dst = append(sep(dst), r.LabelText(in.Label2)...)
 	case OpJmp:
-		dst = append(sep(dst), in.Label...)
+		dst = append(sep(dst), r.LabelText(in.Label)...)
 	default:
 		if in.Op.HasDst() {
 			dst = in.Dst.appendTo(sep(dst))
@@ -117,7 +127,7 @@ func (in *Instr) appendTo(dst []byte) []byte {
 			dst = in.Src[i].appendTo(sep(dst))
 		}
 		if in.Op.HasLabel() {
-			dst = append(sep(dst), in.Label...)
+			dst = append(sep(dst), r.LabelText(in.Label)...)
 		}
 		if in.Op.HasImm() {
 			dst = strconv.AppendInt(sep(dst), in.Imm, 10)

@@ -1,16 +1,16 @@
 package iloc
 
 import (
-	"fmt"
 	"slices"
+	"strconv"
 )
 
 // Block is a basic block: a label, a straight-line instruction sequence
 // ending in at most one terminator, and its CFG edges. Edges are filled in
 // by cfg.Build.
 type Block struct {
-	Index  int // position in Routine.Blocks
-	Label  string
+	Index  int   // position in Routine.Blocks
+	Label  Label // the block's label in Routine.Labels
 	Instrs []*Instr
 
 	Succs []*Block
@@ -80,6 +80,14 @@ type Routine struct {
 	Data   []Data
 	Blocks []*Block
 
+	// Labels is the label table Block.Label, Instr.Label and
+	// Instr.Label2 index. Each text appears once. Entries are only ever
+	// appended, never rewritten, so clones share the table's storage.
+	Labels []string
+	// PhiSlab holds the operands of the routine's φ-nodes; each node's
+	// Instr.Phi locates its run (see PhiArgs).
+	PhiSlab []Reg
+
 	// NextReg[class] is the first unused virtual register number of the
 	// class. Virtual numbering starts at 1; number 0 is reserved.
 	NextReg [NumClasses]int
@@ -102,7 +110,7 @@ func (r *Routine) NewReg(c Class) Reg {
 	}
 	n := r.NextReg[c]
 	r.NextReg[c]++
-	return Reg{Class: c, N: n}
+	return Reg{Class: c, N: int32(n)}
 }
 
 // NumRegs returns the size of the virtual register space for a class
@@ -114,27 +122,67 @@ func (r *Routine) NumRegs(c Class) int {
 	return r.NextReg[c]
 }
 
-// BlockByLabel returns the block with the given label, or nil.
-func (r *Routine) BlockByLabel(label string) *Block {
+// LabelText returns the text of label l, or "" if l is not in the
+// table.
+func (r *Routine) LabelText(l Label) string {
+	if l < 0 || int(l) >= len(r.Labels) {
+		return ""
+	}
+	return r.Labels[l]
+}
+
+// BlockByLabel returns the block labelled text, or nil.
+func (r *Routine) BlockByLabel(text string) *Block {
 	for _, b := range r.Blocks {
-		if b.Label == label {
+		if r.LabelText(b.Label) == text {
 			return b
 		}
 	}
 	return nil
 }
 
-// BlockIndex maps each block label to its block. A caller resolving
-// many labels builds it once instead of calling BlockByLabel, which
-// scans, per label.
-func (r *Routine) BlockIndex() map[string]*Block {
-	idx := make(map[string]*Block, len(r.Blocks))
+// BlockOf returns a table mapping each label to the first block it
+// labels, nil for a label of no block. A caller resolving many branch
+// targets builds it once.
+func (r *Routine) BlockOf() []*Block {
+	of := make([]*Block, len(r.Labels))
 	for _, b := range r.Blocks {
-		if _, dup := idx[b.Label]; !dup {
-			idx[b.Label] = b
+		if l := b.Label; l >= 0 && int(l) < len(of) && of[l] == nil {
+			of[l] = b
 		}
 	}
-	return idx
+	return of
+}
+
+// PhiArgs returns the operands of φ-node in, a window on r.PhiSlab:
+// writing an element rewrites the operand.
+func (r *Routine) PhiArgs(in *Instr) []Reg {
+	lo, hi := int(in.Phi.Off), int(in.Phi.Off)+int(in.Phi.Len)
+	return r.PhiSlab[lo:hi:hi]
+}
+
+// phiInSlab reports whether φ-node in's operand run lies in r.PhiSlab.
+func (r *Routine) phiInSlab(in *Instr) bool {
+	return in.Phi.Off >= 0 && in.Phi.Len >= 0 && int(in.Phi.Off)+int(in.Phi.Len) <= len(r.PhiSlab)
+}
+
+// NewPhi returns a φ-node defining dst with n operands, each dst, which
+// it appends to r.PhiSlab.
+func (r *Routine) NewPhi(dst Reg, n int) Instr {
+	off := len(r.PhiSlab)
+	for i := 0; i < n; i++ {
+		r.PhiSlab = append(r.PhiSlab, dst)
+	}
+	return Instr{Op: OpPhi, Dst: dst, Phi: PhiArgs{Off: int32(off), Len: int32(n)}}
+}
+
+// Uses returns the register sources of in. For a φ it returns the
+// operand list.
+func (r *Routine) Uses(in *Instr) []Reg {
+	if in.Op == OpPhi {
+		return r.PhiArgs(in)
+	}
+	return in.Src[:in.Op.NSrc()]
 }
 
 // DataByLabel returns the data item with the given label, or nil.
@@ -180,7 +228,9 @@ func (r *Routine) ForEachInstr(f func(b *Block, i int, in *Instr)) {
 	}
 }
 
-// Clone returns a deep copy of the routine (blocks, instructions, data).
+// Clone returns a deep copy of the routine (blocks, instructions, data,
+// φ operands); only the label table, whose entries are never
+// rewritten, is shared, capped so an append to either copy's reallocates.
 // CFG edges are remapped into the clone; analysis results such as Depth
 // are preserved. The blocks, the instructions, the instruction lists
 // and the edge lists are each cut from one slab, every list capped at
@@ -190,6 +240,8 @@ func (r *Routine) Clone() *Routine {
 	c := &Routine{
 		Name:       r.Name,
 		Params:     append([]Param(nil), r.Params...),
+		Labels:     r.Labels[:len(r.Labels):len(r.Labels)],
+		PhiSlab:    append([]Reg(nil), r.PhiSlab...),
 		NextReg:    r.NextReg,
 		Allocated:  r.Allocated,
 		FrameWords: r.FrameWords,
@@ -217,9 +269,6 @@ func (r *Routine) Clone() *Routine {
 		nb.Instrs, lists = lists[:n:n], lists[n:]
 		for j, in := range b.Instrs {
 			instrs[j] = *in
-			if in.Phi != nil {
-				instrs[j].Phi = &Phi{Args: append([]Reg(nil), in.Phi.Args...)}
-			}
 			nb.Instrs[j] = &instrs[j]
 		}
 		instrs = instrs[n:]
@@ -253,15 +302,72 @@ func (r *Routine) Clone() *Routine {
 	return c
 }
 
-// freshLabel returns a label not used by any block, derived from base.
-func (r *Routine) FreshLabel(base string) string {
-	if r.BlockByLabel(base) == nil {
-		return base
-	}
-	for i := 1; ; i++ {
-		l := fmt.Sprintf("%s.%d", base, i)
-		if r.BlockByLabel(l) == nil {
-			return l
+// LabelIndex finds a routine's labels by text and knows which label
+// blocks. It indexes the table once, so each lookup is a map probe
+// rather than a scan of the table or of the blocks.
+type LabelIndex struct {
+	table   *[]string // the label table it indexes and appends to
+	ids     map[string]Label
+	isBlock []bool // per label: whether a block has it
+}
+
+// NewLabelIndex indexes r's label table and the labels of its blocks.
+func NewLabelIndex(r *Routine) *LabelIndex {
+	x := &LabelIndex{table: &r.Labels, ids: make(map[string]Label, len(r.Labels)), isBlock: make([]bool, len(r.Labels))}
+	for i, text := range r.Labels {
+		if _, dup := x.ids[text]; !dup {
+			x.ids[text] = Label(i)
 		}
 	}
+	for _, b := range r.Blocks {
+		if b.Label >= 0 && int(b.Label) < len(x.isBlock) {
+			x.isBlock[b.Label] = true
+		}
+	}
+	return x
+}
+
+// reset empties x and *table, and points x at table.
+func (x *LabelIndex) reset(table *[]string) {
+	*table = (*table)[:0]
+	x.table = table
+	clear(x.ids)
+	x.isBlock = x.isBlock[:0]
+}
+
+// block interns text as a block's label.
+func (x *LabelIndex) block(text string) Label {
+	l := x.Intern(text)
+	x.isBlock[l] = true
+	return l
+}
+
+// Intern returns the label whose text is text, appending it to the
+// table if it is new.
+func (x *LabelIndex) Intern(text string) Label {
+	if l, ok := x.ids[text]; ok {
+		return l
+	}
+	l := Label(len(*x.table))
+	*x.table = append(*x.table, text)
+	x.ids[text] = l
+	x.isBlock = append(x.isBlock, false)
+	return l
+}
+
+// hasBlock reports whether a block has the label text.
+func (x *LabelIndex) hasBlock(text string) bool {
+	l, ok := x.ids[text]
+	return ok && x.isBlock[l]
+}
+
+// FreshBlockLabel returns a label no block has, derived from base: base
+// itself if it is free, else the first free one of base.1, base.2, ...
+// It marks the label as a block's.
+func (x *LabelIndex) FreshBlockLabel(base string) Label {
+	text := base
+	for i := 1; x.hasBlock(text); i++ {
+		text = base + "." + strconv.Itoa(i)
+	}
+	return x.block(text)
 }

@@ -63,3 +63,25 @@ func BenchmarkPrint(b *testing.B) {
 		}
 	}
 }
+
+var cloneSink *iloc.Routine
+
+// BenchmarkClone clones every routine of one serve-warm body per op:
+// the copy core.Allocate makes of each input before it rewrites it.
+func BenchmarkClone(b *testing.B) {
+	var progs [][]*iloc.Routine
+	for _, body := range serveWarmBodies(b) {
+		rts, err := iloc.ParseProgram(body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs = append(progs, rts)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, rt := range progs[i%len(progs)] {
+			cloneSink = rt.Clone()
+		}
+	}
+}

@@ -22,12 +22,16 @@ func Verify(r *Routine, allowSSA bool) error {
 	if len(r.Blocks) == 0 {
 		return fmt.Errorf("%s: no blocks", r.Name)
 	}
-	labels := make(map[string]bool, len(r.Blocks))
+	// isBlock[l] reports whether label l labels a block.
+	isBlock := make([]bool, len(r.Labels))
 	for _, b := range r.Blocks {
-		if labels[b.Label] {
-			return fmt.Errorf("%s: duplicate block label %q", r.Name, b.Label)
+		if b.Label < 0 || int(b.Label) >= len(r.Labels) {
+			return fmt.Errorf("%s: block label %d outside the label table", r.Name, b.Label)
 		}
-		labels[b.Label] = true
+		if isBlock[b.Label] {
+			return fmt.Errorf("%s: duplicate block label %q", r.Name, r.Labels[b.Label])
+		}
+		isBlock[b.Label] = true
 	}
 	data := make(map[string]*Data, len(r.Data))
 	for i := range r.Data {
@@ -43,16 +47,16 @@ func Verify(r *Routine, allowSSA bool) error {
 				err = checkPhi(r, b, in, allowSSA, inPhiHead)
 			} else {
 				inPhiHead = false
-				err = checkInstr(r, b, ii, in, labels, data)
+				err = checkInstr(r, b, ii, in, isBlock, data)
 			}
 			if err != nil {
 				// Every allocation verifies its input, so the location
 				// is formatted here, on failure only.
-				return fmt.Errorf("%s/%s[%d] %q: %w", r.Name, b.Label, ii, in, err)
+				return fmt.Errorf("%s/%s[%d] %q: %w", r.Name, r.Labels[b.Label], ii, r.InstrString(in), err)
 			}
 		}
 		if b.Terminator() == nil && bi == len(r.Blocks)-1 {
-			return fmt.Errorf("%s: final block %s does not end in a terminator", r.Name, b.Label)
+			return fmt.Errorf("%s: final block %s does not end in a terminator", r.Name, r.Labels[b.Label])
 		}
 	}
 	return nil
@@ -67,13 +71,14 @@ func checkPhi(r *Routine, b *Block, in *Instr, allowSSA, inPhiHead bool) error {
 	if !inPhiHead {
 		return errors.New("φ not at block head")
 	}
-	if in.Phi == nil {
+	if !r.phiInSlab(in) {
 		return errors.New("φ without operands")
 	}
-	if len(b.Preds) > 0 && len(in.Phi.Args) != len(b.Preds) {
-		return fmt.Errorf("φ has %d args for %d preds", len(in.Phi.Args), len(b.Preds))
+	args := r.PhiArgs(in)
+	if len(b.Preds) > 0 && len(args) != len(b.Preds) {
+		return fmt.Errorf("φ has %d args for %d preds", len(args), len(b.Preds))
 	}
-	for _, a := range in.Phi.Args {
+	for _, a := range args {
 		if err := checkReg(r, a, in.Dst.Class); err != nil {
 			return err
 		}
@@ -88,8 +93,9 @@ func checkPhi(r *Routine, b *Block, in *Instr, allowSSA, inPhiHead bool) error {
 }
 
 // checkInstr checks instruction ii of block b, which is not a φ-node;
-// labels holds the routine's block labels and data its data items.
-func checkInstr(r *Routine, b *Block, ii int, in *Instr, labels map[string]bool, data map[string]*Data) error {
+// isBlock marks the labels of the routine's blocks and data holds its
+// data items.
+func checkInstr(r *Routine, b *Block, ii int, in *Instr, isBlock []bool, data map[string]*Data) error {
 	if in.Op >= numOps {
 		return errors.New("bad opcode")
 	}
@@ -109,32 +115,34 @@ func checkInstr(r *Routine, b *Block, ii int, in *Instr, labels map[string]bool,
 			return fmt.Errorf("src%d: %w", i, err)
 		}
 	}
+	isBlockLabel := func(l Label) bool { return l >= 0 && int(l) < len(isBlock) && isBlock[l] }
+	label := r.LabelText(in.Label)
 	switch in.Op {
 	case OpJmp:
-		if !labels[in.Label] {
-			return fmt.Errorf("jump to unknown label %q", in.Label)
+		if !isBlockLabel(in.Label) {
+			return fmt.Errorf("jump to unknown label %q", label)
 		}
 	case OpBr:
 		if in.Cond == CondNone {
 			return errors.New("br without condition")
 		}
-		if !labels[in.Label] || !labels[in.Label2] {
+		if !isBlockLabel(in.Label) || !isBlockLabel(in.Label2) {
 			return errors.New("branch to unknown label")
 		}
 	case OpLda:
-		if data[in.Label] == nil {
-			return fmt.Errorf("lda of unknown data %q", in.Label)
+		if data[label] == nil {
+			return fmt.Errorf("lda of unknown data %q", label)
 		}
 	case OpRload, OpFrload:
-		d := data[in.Label]
+		d := data[label]
 		if d == nil {
-			return fmt.Errorf("load from unknown data %q", in.Label)
+			return fmt.Errorf("load from unknown data %q", label)
 		}
 		if !d.ReadOnly {
-			return fmt.Errorf("%s from writable data %q", in.Op, in.Label)
+			return fmt.Errorf("%s from writable data %q", in.Op, label)
 		}
 		if in.Imm < 0 || in.Imm/8 >= int64(d.Words) {
-			return fmt.Errorf("offset %d outside %q", in.Imm, in.Label)
+			return fmt.Errorf("offset %d outside %q", in.Imm, label)
 		}
 	case OpGetparam:
 		return checkParamIndex(r, in.Imm, ClassInt)
@@ -145,7 +153,7 @@ func checkInstr(r *Routine, b *Block, ii int, in *Instr, labels map[string]bool,
 			return fmt.Errorf("slot index %d out of range", in.Imm)
 		}
 	case OpCall:
-		if in.Label == "" {
+		if label == "" {
 			return errors.New("call without a target")
 		}
 		// The target routine is resolved at link/execution time.
@@ -160,7 +168,7 @@ func checkReg(r *Routine, reg Reg, want Class) error {
 	if reg.Class != want {
 		return fmt.Errorf("register %s has class %s, want %s", reg, reg.Class, want)
 	}
-	if !r.Allocated && reg.N >= r.NumRegs(reg.Class) {
+	if !r.Allocated && int(reg.N) >= r.NumRegs(reg.Class) {
 		return fmt.Errorf("register %s outside virtual space [0,%d)", reg, r.NumRegs(reg.Class))
 	}
 	return nil

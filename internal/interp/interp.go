@@ -69,7 +69,7 @@ type Env struct {
 	roLo     int64 // read-only data span [roLo, roHi)
 	roHi     int64
 	routines map[string]*iloc.Routine
-	blocks   map[*iloc.Routine]map[string]*iloc.Block // each routine's BlockIndex
+	blocks   map[*iloc.Routine][]*iloc.Block // each routine's BlockOf
 }
 
 // Outcome reports one execution.
@@ -126,9 +126,9 @@ func New(rt *iloc.Routine, cfg Config) (*Env, error) {
 		e.routines[callee.Name] = callee
 	}
 	e.routines[rt.Name] = rt
-	e.blocks = make(map[*iloc.Routine]map[string]*iloc.Block, len(e.routines))
+	e.blocks = make(map[*iloc.Routine][]*iloc.Block, len(e.routines))
 	for _, r := range e.routines {
-		e.blocks[r] = r.BlockIndex()
+		e.blocks[r] = r.BlockOf()
 	}
 
 	frameWords := int64(rt.FrameWords) + int64(cfg.ExtraFrameWords) + maxFPWords(rt) + 8
@@ -226,15 +226,16 @@ func (e *Env) FloatAt(addr int64) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(e.mem[addr:]))
 }
 
-func (e *Env) checkAddr(addr int64, store bool, in *iloc.Instr) error {
+// checkAddr checks an access of instruction in of routine rt.
+func (e *Env) checkAddr(addr int64, store bool, rt *iloc.Routine, in *iloc.Instr) error {
 	if addr < 0 || addr+8 > int64(len(e.mem)) {
-		return fmt.Errorf("interp: %s: address %d out of bounds [0,%d)", in, addr, len(e.mem))
+		return fmt.Errorf("interp: %s: address %d out of bounds [0,%d)", rt.InstrString(in), addr, len(e.mem))
 	}
 	if addr%8 != 0 {
-		return fmt.Errorf("interp: %s: unaligned address %d", in, addr)
+		return fmt.Errorf("interp: %s: unaligned address %d", rt.InstrString(in), addr)
 	}
 	if store && addr >= e.roLo && addr < e.roHi {
-		return fmt.Errorf("interp: %s: store into read-only data at %d", in, addr)
+		return fmt.Errorf("interp: %s: store into read-only data at %d", rt.InstrString(in), addr)
 	}
 	return nil
 }
@@ -297,10 +298,13 @@ func (e *Env) exec(rt *iloc.Routine, args []Value, fpBase int64, depth int, out 
 	cur := rt.Entry()
 	ip := 0
 	blocks := e.blocks[rt]
-	branchTo := func(label string) error {
-		b := blocks[label]
+	branchTo := func(l iloc.Label) error {
+		var b *iloc.Block
+		if l >= 0 && int(l) < len(blocks) {
+			b = blocks[l]
+		}
 		if b == nil {
-			return fmt.Errorf("interp: jump to unknown label %q", label)
+			return fmt.Errorf("interp: jump to unknown label %q", rt.LabelText(l))
 		}
 		cur, ip = b, 0
 		return nil
@@ -332,7 +336,7 @@ func (e *Env) exec(rt *iloc.Routine, args []Value, fpBase int64, depth int, out 
 			ri[in.Dst.N] = ri[in.Src[0].N] * ri[in.Src[1].N]
 		case iloc.OpDiv:
 			if ri[in.Src[1].N] == 0 {
-				return retval{}, fmt.Errorf("interp: %s: division by zero", in)
+				return retval{}, fmt.Errorf("interp: %s: division by zero", rt.InstrString(in))
 			}
 			ri[in.Dst.N] = ri[in.Src[0].N] / ri[in.Src[1].N]
 		case iloc.OpAnd:
@@ -356,7 +360,7 @@ func (e *Env) exec(rt *iloc.Routine, args []Value, fpBase int64, depth int, out 
 		case iloc.OpLdi:
 			ri[in.Dst.N] = in.Imm
 		case iloc.OpLda:
-			ri[in.Dst.N] = e.DataAddr(in.Label)
+			ri[in.Dst.N] = e.DataAddr(rt.LabelText(in.Label))
 		case iloc.OpMov:
 			ri[in.Dst.N] = ri[in.Src[0].N]
 
@@ -367,7 +371,7 @@ func (e *Env) exec(rt *iloc.Routine, args []Value, fpBase int64, depth int, out 
 			} else if in.Op == iloc.OpLoadao {
 				addr += ri[in.Src[1].N]
 			}
-			if err := e.checkAddr(addr, false, in); err != nil {
+			if err := e.checkAddr(addr, false, rt, in); err != nil {
 				return retval{}, err
 			}
 			ri[in.Dst.N] = e.IntAt(addr)
@@ -376,12 +380,12 @@ func (e *Env) exec(rt *iloc.Routine, args []Value, fpBase int64, depth int, out 
 			if in.Op == iloc.OpStoreai {
 				addr += in.Imm
 			}
-			if err := e.checkAddr(addr, true, in); err != nil {
+			if err := e.checkAddr(addr, true, rt, in); err != nil {
 				return retval{}, err
 			}
 			e.SetInt(addr, ri[in.Src[0].N])
 		case iloc.OpRload:
-			ri[in.Dst.N] = e.IntAt(e.DataAddr(in.Label) + in.Imm)
+			ri[in.Dst.N] = e.IntAt(e.DataAddr(rt.LabelText(in.Label)) + in.Imm)
 
 		case iloc.OpFadd:
 			rf[in.Dst.N] = rf[in.Src[0].N] + rf[in.Src[1].N]
@@ -407,7 +411,7 @@ func (e *Env) exec(rt *iloc.Routine, args []Value, fpBase int64, depth int, out 
 			} else if in.Op == iloc.OpFloadao {
 				addr += ri[in.Src[1].N]
 			}
-			if err := e.checkAddr(addr, false, in); err != nil {
+			if err := e.checkAddr(addr, false, rt, in); err != nil {
 				return retval{}, err
 			}
 			rf[in.Dst.N] = e.FloatAt(addr)
@@ -416,12 +420,12 @@ func (e *Env) exec(rt *iloc.Routine, args []Value, fpBase int64, depth int, out 
 			if in.Op == iloc.OpFstoreai {
 				addr += in.Imm
 			}
-			if err := e.checkAddr(addr, true, in); err != nil {
+			if err := e.checkAddr(addr, true, rt, in); err != nil {
 				return retval{}, err
 			}
 			e.SetFloat(addr, rf[in.Src[0].N])
 		case iloc.OpFrload:
-			rf[in.Dst.N] = e.FloatAt(e.DataAddr(in.Label) + in.Imm)
+			rf[in.Dst.N] = e.FloatAt(e.DataAddr(rt.LabelText(in.Label)) + in.Imm)
 
 		case iloc.OpCvtif:
 			rf[in.Dst.N] = float64(ri[in.Src[0].N])
@@ -454,9 +458,9 @@ func (e *Env) exec(rt *iloc.Routine, args []Value, fpBase int64, depth int, out 
 		case iloc.OpFsetarg:
 			setPending(in.Imm, Float(rf[in.Src[0].N]))
 		case iloc.OpCall:
-			callee, ok := e.routines[in.Label]
+			callee, ok := e.routines[rt.LabelText(in.Label)]
 			if !ok {
-				return retval{}, fmt.Errorf("interp: call to unknown routine %q", in.Label)
+				return retval{}, fmt.Errorf("interp: call to unknown routine %q", rt.LabelText(in.Label))
 			}
 			calleeFrame := int(int64(callee.FrameWords) + maxFPWords(callee) + 8)
 			calleeFP := e.Alloc(calleeFrame)

@@ -102,7 +102,7 @@ func ComputeAllInto(infos *[iloc.NumClasses]*Info, rt *iloc.Routine, rpo []*iloc
 		}
 		for _, in := range b.Instrs {
 			if in.Op == iloc.OpPhi {
-				panic(fmt.Sprintf("liveness: φ-node in %s/%s", rt.Name, b.Label))
+				panic(fmt.Sprintf("liveness: φ-node in %s/%s", rt.Name, rt.LabelText(b.Label)))
 			}
 			for _, u := range in.Src[:in.Op.NSrc()] {
 				if u.N == 0 || u.Class >= iloc.NumClasses || n[u.Class] == 0 {

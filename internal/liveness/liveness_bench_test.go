@@ -99,7 +99,7 @@ func TestComputeIntoReusesStorage(t *testing.T) {
 				i := b.Index
 				if !info.LiveIn[i].Equal(want.LiveIn[i]) || !info.LiveOut[i].Equal(want.LiveOut[i]) ||
 					!info.UEVar[i].Equal(want.UEVar[i]) || !info.Kill[i].Equal(want.Kill[i]) {
-					t.Fatalf("%s class %d block %s: reused solve differs from a fresh one", rt.Name, c, b.Label)
+					t.Fatalf("%s class %d block %s: reused solve differs from a fresh one", rt.Name, c, rt.Labels[b.Label])
 				}
 			}
 		}

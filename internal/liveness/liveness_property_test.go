@@ -50,13 +50,13 @@ func TestPropertyDataflowEquationsHold(t *testing.T) {
 					out.UnionWith(li.LiveIn[s.Index])
 				}
 				if !out.Equal(li.LiveOut[b.Index]) {
-					t.Fatalf("seed %d %s class %v: LiveOut equation violated", seed, b.Label, c)
+					t.Fatalf("seed %d %s class %v: LiveOut equation violated", seed, rt.Labels[b.Label], c)
 				}
 				in := li.LiveOut[b.Index].Copy()
 				in.DifferenceWith(li.Kill[b.Index])
 				in.UnionWith(li.UEVar[b.Index])
 				if !in.Equal(li.LiveIn[b.Index]) {
-					t.Fatalf("seed %d %s class %v: LiveIn equation violated", seed, b.Label, c)
+					t.Fatalf("seed %d %s class %v: LiveIn equation violated", seed, rt.Labels[b.Label], c)
 				}
 			}
 		}
@@ -84,12 +84,12 @@ func TestPropertyAgainstBruteForce(t *testing.T) {
 			}
 			seen[b.Index] = true
 			for _, in := range b.Instrs {
-				for _, u := range in.Uses() {
-					if u.Class == c && u.N == r {
+				for _, u := range rt.Uses(in) {
+					if u.Class == c && int(u.N) == r {
 						return true
 					}
 				}
-				if d := in.Def(); d.Valid() && d.Class == c && d.N == r {
+				if d := in.Def(); d.Valid() && d.Class == c && int(d.N) == r {
 					return false
 				}
 			}
@@ -106,7 +106,7 @@ func TestPropertyAgainstBruteForce(t *testing.T) {
 				want := bruteLiveIn(b, r, make([]bool, len(rt.Blocks)))
 				if got := li.LiveIn[b.Index].Has(r); got != want {
 					t.Fatalf("seed %d: LiveIn(%s, r%d) = %v, brute force says %v",
-						seed, b.Label, r, got, want)
+						seed, rt.Labels[b.Label], r, got, want)
 				}
 			}
 		}

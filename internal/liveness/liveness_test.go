@@ -169,9 +169,8 @@ a:
     ldi r1, 1
     retr r1
 `)
-	rt.Blocks[0].Instrs = append([]*iloc.Instr{
-		{Op: iloc.OpPhi, Dst: iloc.IntReg(1), Phi: &iloc.Phi{Args: []iloc.Reg{iloc.IntReg(1)}}},
-	}, rt.Blocks[0].Instrs...)
+	phi := rt.NewPhi(iloc.IntReg(1), 1)
+	rt.Blocks[0].Instrs = append([]*iloc.Instr{&phi}, rt.Blocks[0].Instrs...)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on φ")

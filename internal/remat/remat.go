@@ -66,7 +66,9 @@ func stripDst(in *iloc.Instr) string {
 		parts = append(parts, in.Src[i].String())
 	}
 	if in.Op.HasLabel() {
-		parts = append(parts, in.Label)
+		// A tag does not know its routine, so a label prints as its
+		// index in the routine's label table.
+		parts = append(parts, "L"+strconv.Itoa(int(in.Label)))
 	}
 	if in.Op.HasImm() {
 		parts = append(parts, strconv.FormatInt(in.Imm, 10))
@@ -190,11 +192,11 @@ func PropagateInto(tags []Tag, work *[]int, g *ssa.Graph) []Tag {
 			if use.Op != iloc.OpPhi && !use.Op.IsCopy() {
 				continue
 			}
-			w := use.Dst.N
+			w := int(use.Dst.N)
 			if g.DefOf[w] != use {
 				continue // the use is a copy source feeding a different value? impossible in SSA, but be safe
 			}
-			nt := evaluate(tags, use)
+			nt := evaluate(g.Routine, tags, use)
 			if !Equal(nt, tags[w]) {
 				tags[w] = Meet(tags[w], nt) // monotone: only ever lower
 				wl = append(wl, w)
@@ -205,12 +207,13 @@ func PropagateInto(tags []Tag, work *[]int, g *ssa.Graph) []Tag {
 	return tags
 }
 
-// evaluate recomputes the tag of the value the instruction in defines.
-func evaluate(tags []Tag, in *iloc.Instr) Tag {
+// evaluate recomputes the tag of the value the instruction in, of
+// routine rt, defines.
+func evaluate(rt *iloc.Routine, tags []Tag, in *iloc.Instr) Tag {
 	switch {
 	case in.Op == iloc.OpPhi:
 		t := TopTag()
-		for _, a := range in.Phi.Args {
+		for _, a := range rt.PhiArgs(in) {
 			t = Meet(t, tags[a.N])
 		}
 		return t

@@ -54,9 +54,9 @@ func TestMeetTable(t *testing.T) {
 }
 
 func TestInstrEqual(t *testing.T) {
-	lda1 := iloc.MakeLda(iloc.IntReg(1), "a")
-	lda2 := iloc.MakeLda(iloc.IntReg(9), "a")
-	lda3 := iloc.MakeLda(iloc.IntReg(1), "b")
+	lda1 := iloc.MakeLda(iloc.IntReg(1), 0)
+	lda2 := iloc.MakeLda(iloc.IntReg(9), 0)
+	lda3 := iloc.MakeLda(iloc.IntReg(1), 1)
 	if !InstrEqual(lda1, lda2) {
 		t.Fatal("same label lda must be equal")
 	}
@@ -81,17 +81,17 @@ func TestNeverKilled(t *testing.T) {
 	yes := []*iloc.Instr{
 		iloc.MakeLdi(iloc.IntReg(1), 5),
 		iloc.MakeFldi(iloc.FltReg(1), 2.5),
-		iloc.MakeLda(iloc.IntReg(1), "tab"),
+		iloc.MakeLda(iloc.IntReg(1), 0),
 		iloc.MakeImm(iloc.OpAddi, iloc.IntReg(1), iloc.FP, 8),
 		iloc.MakeImm(iloc.OpSubi, iloc.IntReg(1), iloc.FP, 8),
-		{Op: iloc.OpRload, Dst: iloc.IntReg(1), Label: "t", Imm: 0},
+		{Op: iloc.OpRload, Dst: iloc.IntReg(1), Label: 0, Imm: 0},
 		{Op: iloc.OpGetparam, Dst: iloc.IntReg(1), Imm: 0},
 		{Op: iloc.OpFgetparam, Dst: iloc.FltReg(1), Imm: 1},
 		iloc.MakeMov(iloc.IntReg(1), iloc.FP), // copy of fp
 	}
 	for _, in := range yes {
 		if !NeverKilled(in) {
-			t.Errorf("%s should be never-killed", in)
+			t.Errorf("%s should be never-killed", InstTag(in))
 		}
 	}
 	no := []*iloc.Instr{
@@ -102,7 +102,7 @@ func TestNeverKilled(t *testing.T) {
 	}
 	for _, in := range no {
 		if NeverKilled(in) {
-			t.Errorf("%s must not be never-killed", in)
+			t.Errorf("%s must not be never-killed", InstTag(in))
 		}
 	}
 }
@@ -173,7 +173,7 @@ done:
 	// No value remains ⊤.
 	for v := 1; v < g.NumValues; v++ {
 		if tags[v].Kind == Top {
-			t.Errorf("value %d stuck at ⊤ (%s)", v, g.DefOf[v])
+			t.Errorf("value %d stuck at ⊤ (%s)", v, g.Routine.InstrString(g.DefOf[v]))
 		}
 	}
 }
@@ -257,7 +257,7 @@ entry:
 			want = Bottom // copy of the loaded value
 		}
 		if tags[v].Kind != want {
-			t.Errorf("value %d (%s): tag %v, want kind %d", v, d, tags[v], want)
+			t.Errorf("value %d (%s): tag %v, want kind %d", v, g.Routine.InstrString(d), tags[v], want)
 		}
 	}
 	_ = g
@@ -324,7 +324,7 @@ func randomTag(kind uint8, op uint8, imm int64) Tag {
 		ops := []*iloc.Instr{
 			iloc.MakeLdi(iloc.IntReg(1), imm%5),
 			iloc.MakeFldi(iloc.FltReg(1), float64(imm%3)),
-			iloc.MakeLda(iloc.IntReg(1), "t"),
+			iloc.MakeLda(iloc.IntReg(1), 0),
 			iloc.MakeImm(iloc.OpAddi, iloc.IntReg(1), iloc.FP, imm%7),
 		}
 		return InstTag(ops[int(op)%len(ops)])

@@ -244,7 +244,7 @@ func (g *gen) instr() {
 	if len(g.cfg.Callees) > 0 && g.cfg.CallDensity > 0 && g.rng.Float64() < g.cfg.CallDensity {
 		x := g.anyInt()
 		g.b.Emit(&iloc.Instr{Op: iloc.OpSetarg, Dst: iloc.NoReg, Src: [2]iloc.Reg{x, iloc.NoReg}, Imm: 0})
-		g.b.Emit(&iloc.Instr{Op: iloc.OpCall, Dst: iloc.NoReg, Label: g.cfg.Callees[g.rng.Intn(len(g.cfg.Callees))]})
+		g.b.Emit(&iloc.Instr{Op: iloc.OpCall, Dst: iloc.NoReg, Label: g.b.Label(g.cfg.Callees[g.rng.Intn(len(g.cfg.Callees))])})
 		g.b.Emit(&iloc.Instr{Op: iloc.OpGetret, Dst: g.defInt(), Src: [2]iloc.Reg{iloc.NoReg, iloc.NoReg}})
 		return
 	}
@@ -290,9 +290,9 @@ func (g *gen) instr() {
 	case 9: // rload/frload from read-only data (never-killed loads)
 		off := int64(g.rng.Intn(g.cfg.DataWords)) * 8
 		if g.rng.Intn(2) == 0 {
-			g.b.Emit(&iloc.Instr{Op: iloc.OpRload, Dst: g.defInt(), Src: [2]iloc.Reg{iloc.NoReg, iloc.NoReg}, Label: g.cfg.LabelPrefix + "iodat", Imm: off})
+			g.b.Emit(&iloc.Instr{Op: iloc.OpRload, Dst: g.defInt(), Src: [2]iloc.Reg{iloc.NoReg, iloc.NoReg}, Label: g.b.Label(g.cfg.LabelPrefix + "iodat"), Imm: off})
 		} else {
-			g.b.Emit(&iloc.Instr{Op: iloc.OpFrload, Dst: g.defFlt(), Src: [2]iloc.Reg{iloc.NoReg, iloc.NoReg}, Label: g.cfg.LabelPrefix + "rodat", Imm: off})
+			g.b.Emit(&iloc.Instr{Op: iloc.OpFrload, Dst: g.defFlt(), Src: [2]iloc.Reg{iloc.NoReg, iloc.NoReg}, Label: g.b.Label(g.cfg.LabelPrefix + "rodat"), Imm: off})
 		}
 	case 10: // indexed load from a constant base
 		base := g.b.Int()

@@ -38,6 +38,10 @@ type Graph struct {
 	// OrigOf[v] is the register number the value had before renaming.
 	OrigOf []int
 
+	// Routine is the routine the graph was built over; its PhiSlab
+	// holds the φ-nodes' operands.
+	Routine *iloc.Routine
+
 	// The storage BuildInto reuses from one build to the next.
 	counts    []int   // per-register definition-block counts, then per-value use counts
 	defBlocks [][]int // indices of the definition blocks per original register
@@ -53,22 +57,14 @@ type Graph struct {
 	// last Forget wrote: past them the pointer tables hold nothing, so
 	// Forget clears only those prefixes.
 	hwValues, hwUses int
-	// phis and args are slabs the build's φ-nodes and their argument
-	// lists are cut from. A φ lives only until renumber removes it, so
-	// the next build overwrites them; a slab that fills is replaced by
-	// one twice its size, and the φ-nodes already cut keep the old one.
-	phis []phiNode
-	args []iloc.Reg
+	// phis holds the build's φ-nodes, and phiAt the index of each one's
+	// block. A φ lives only until renumber removes it, so the next
+	// build overwrites them. Their operands go to the routine's PhiSlab.
+	phis  []iloc.Instr
+	phiAt []int
 	// The renaming walk's state.
-	rt        *iloc.Routine
 	tree      *dom.Tree
 	renameErr error
-}
-
-// phiNode is a φ instruction together with its operand list.
-type phiNode struct {
-	in  iloc.Instr
-	phi iloc.Phi
 }
 
 // Build converts the class-c registers of rt to pruned SSA in place and
@@ -85,9 +81,11 @@ func Build(rt *iloc.Routine, c iloc.Class, tree *dom.Tree, live *liveness.Info) 
 
 // BuildInto is Build filling g, with df the dominance frontiers of tree.
 // The definition blocks of each register come from live's Kill sets. It
-// reuses the tables and φ-node slabs an earlier build left in g, so a
-// build no larger than an earlier one allocates nothing. It overwrites
-// the earlier graph, including any table or φ-node a caller still holds.
+// reuses the tables and φ-node slab an earlier build left in g, so a
+// build no larger than an earlier one allocates nothing but the φ
+// operands it appends to rt.PhiSlab and the longer instruction lists of
+// the blocks that get φ-nodes. It overwrites the earlier graph,
+// including any table or φ-node a caller still holds.
 func BuildInto(g *Graph, rt *iloc.Routine, c iloc.Class, tree *dom.Tree, df [][]int, live *liveness.Info) error {
 	nOrig := rt.NumRegs(c)
 	nb := len(rt.Blocks)
@@ -108,11 +106,11 @@ func BuildInto(g *Graph, rt *iloc.Routine, c iloc.Class, tree *dom.Tree, df [][]
 		k.ForEach(func(v int) { defBlocks[v] = append(defBlocks[v], bi) })
 	}
 
-	// Insert pruned φ-nodes. A φ's destination and arguments name the
+	// Place pruned φ-nodes. A φ's destination and arguments name the
 	// original register it merges until the renaming walk reaches them.
 	// hasPhi[b] and inWork[b] hold the last register that put a φ in
 	// block b or queued b, so one pair of arrays serves every register.
-	g.phis, g.args = g.phis[:0], g.args[:0]
+	g.phis, g.phiAt = g.phis[:0], g.phiAt[:0]
 	hasPhi, inWork := resetInts(g.hasPhi, nb), resetInts(g.inWork, nb)
 	g.hasPhi, g.inWork = hasPhi, inWork
 	work := g.work[:0]
@@ -133,7 +131,8 @@ func BuildInto(g *Graph, rt *iloc.Routine, c iloc.Class, tree *dom.Tree, df [][]
 					continue // pruning: dead φ never inserted
 				}
 				hasPhi[fi] = v
-				f.InsertBefore(0, g.newPhi(iloc.Reg{Class: c, N: v}, len(f.Preds)))
+				g.phis = append(g.phis, rt.NewPhi(iloc.Reg{Class: c, N: int32(v)}, len(f.Preds)))
+				g.phiAt = append(g.phiAt, fi)
 				if inWork[fi] != v {
 					inWork[fi] = v
 					work = append(work, fi)
@@ -142,6 +141,7 @@ func BuildInto(g *Graph, rt *iloc.Routine, c iloc.Class, tree *dom.Tree, df [][]
 		}
 	}
 	g.work = work
+	g.insertPhis(rt, hasPhi)
 
 	// Rename over the dominator tree. Every definition and every φ mints
 	// one value, and no instruction defines more than one, so the value
@@ -158,10 +158,10 @@ func BuildInto(g *Graph, rt *iloc.Routine, c iloc.Class, tree *dom.Tree, df [][]
 	g.prev = append(slices.Grow(g.prev[:0], size), 0)
 	g.counts, g.nUses = append(slices.Grow(counts[:0], size), 0), 0
 	g.cur = resetInts(g.cur, nOrig)
-	g.rt, g.tree, g.renameErr = rt, tree, nil
+	g.Routine, g.tree, g.renameErr = rt, tree, nil
 	g.walk(rt.Entry().Index)
 	err := g.renameErr
-	g.rt, g.tree, g.renameErr = nil, nil, nil
+	g.tree, g.renameErr = nil, nil
 	if err != nil {
 		return err
 	}
@@ -176,26 +176,30 @@ func BuildInto(g *Graph, rt *iloc.Routine, c iloc.Class, tree *dom.Tree, df [][]
 	return nil
 }
 
-// newPhi returns a φ-node for dst with n arguments, each dst, cut from
-// g's slabs.
-func (g *Graph) newPhi(dst iloc.Reg, n int) *iloc.Instr {
-	if len(g.phis) == cap(g.phis) {
-		g.phis = make([]phiNode, 0, max(16, 2*cap(g.phis)))
+// insertPhis puts each block's φ-nodes at its head in one splice, the
+// φ of a later original register first. count is scratch of one int
+// per block.
+func (g *Graph) insertPhis(rt *iloc.Routine, count []int) {
+	if len(g.phis) == 0 {
+		return
 	}
-	if len(g.args)+n > cap(g.args) {
-		g.args = make([]iloc.Reg, 0, max(64, 2*cap(g.args), n))
+	clear(count)
+	for _, bi := range g.phiAt {
+		count[bi]++
 	}
-	g.phis = g.phis[:len(g.phis)+1]
-	p := &g.phis[len(g.phis)-1]
-	off := len(g.args)
-	g.args = g.args[:off+n]
-	args := g.args[off : off+n : off+n]
-	for i := range args {
-		args[i] = dst
+	for bi, k := range count {
+		if k > 0 {
+			b := rt.Blocks[bi]
+			n := len(b.Instrs)
+			b.Instrs = slices.Grow(b.Instrs, k)[:n+k]
+			copy(b.Instrs[k:], b.Instrs[:n])
+		}
 	}
-	p.phi = iloc.Phi{Args: args}
-	p.in = iloc.Instr{Op: iloc.OpPhi, Dst: dst, Phi: &p.phi}
-	return &p.in
+	// Block b's φ-nodes fill its first count[b] slots from the back.
+	for i, bi := range g.phiAt {
+		count[bi]--
+		rt.Blocks[bi].Instrs[count[bi]] = &g.phis[i]
+	}
 }
 
 // newName mints the value for one definition of orig, which names it
@@ -211,13 +215,13 @@ func (g *Graph) newName(orig int, def *iloc.Instr, b *iloc.Block) int {
 	return v
 }
 
-// top returns the value orig names at a use in the block labelled
-// label, or in one of its φ arguments when phi is set, and counts the
-// use. The error's location is formatted only when there is an error.
-func (g *Graph) top(orig int, label string, phi bool) int {
+// top returns the value orig names at a use in the block labelled l,
+// or in one of its φ arguments when phi is set, and counts the use. The error's location is formatted only when there is an error.
+func (g *Graph) top(orig int, l iloc.Label, phi bool) int {
 	v := g.cur[orig]
 	if v == 0 {
 		if g.renameErr == nil {
+			label := g.Routine.LabelText(l)
 			if phi {
 				label += "(φ)"
 			}
@@ -234,23 +238,23 @@ func (g *Graph) top(orig int, label string, phi bool) int {
 // walk renames block bi and then the blocks it dominates.
 func (g *Graph) walk(bi int) {
 	c := g.Class
-	b := g.rt.Blocks[bi]
+	b := g.Routine.Blocks[bi]
 	first := len(g.DefOf)
 	for _, in := range b.Instrs {
 		if in.Op == iloc.OpPhi {
 			if in.Dst.Class != c {
 				continue
 			}
-			in.Dst = iloc.Reg{Class: c, N: g.newName(in.Dst.N, in, b)}
+			in.Dst.N = int32(g.newName(int(in.Dst.N), in, b))
 			continue
 		}
 		for i := range in.Src[:in.Op.NSrc()] {
 			if in.Src[i].Class == c && in.Src[i].N != 0 {
-				in.Src[i] = iloc.Reg{Class: c, N: g.top(in.Src[i].N, b.Label, false)}
+				in.Src[i].N = int32(g.top(int(in.Src[i].N), b.Label, false))
 			}
 		}
 		if d := in.Def(); d.Valid() && d.Class == c && d.N != 0 {
-			in.Dst = iloc.Reg{Class: c, N: g.newName(d.N, in, b)}
+			in.Dst.N = int32(g.newName(int(d.N), in, b))
 		}
 	}
 	last := len(g.DefOf)
@@ -265,7 +269,8 @@ func (g *Graph) walk(bi int) {
 			}
 			// Each argument is renamed once, from its own predecessor,
 			// so it still names the original register here.
-			in.Phi.Args[pi] = iloc.Reg{Class: c, N: g.top(in.Phi.Args[pi].N, s.Label, true)}
+			arg := &g.Routine.PhiArgs(in)[pi]
+			arg.N = int32(g.top(int(arg.N), s.Label, true))
 		}
 	}
 	for _, child := range g.tree.Children[bi] {
@@ -289,6 +294,7 @@ func (g *Graph) Forget() {
 	clear(g.usesFlat[:g.hwUses])
 	g.hwValues, g.hwUses = 0, 0
 	g.DefOf, g.DefBlockOf, g.UsesOf, g.OrigOf = g.DefOf[:0], g.DefBlockOf[:0], g.UsesOf[:0], g.OrigOf[:0]
+	g.Routine = nil
 	g.usesFlat = g.usesFlat[:0]
 	g.NumValues = 0
 }
@@ -306,8 +312,8 @@ func (g *Graph) Footprint() int {
 	const ptr, slice = 8, 24
 	return ptr*(cap(g.DefOf)+cap(g.DefBlockOf)+cap(g.usesFlat)) +
 		slice*(cap(g.UsesOf)+cap(g.defBlocks)) +
-		8*(cap(g.OrigOf)+cap(g.counts)+cap(g.hasPhi)+cap(g.inWork)+cap(g.cur)+cap(g.prev)+cap(g.defFlat)+cap(g.work)) +
-		int(unsafe.Sizeof(phiNode{}))*cap(g.phis) + int(unsafe.Sizeof(iloc.Reg{}))*cap(g.args)
+		8*(cap(g.OrigOf)+cap(g.counts)+cap(g.hasPhi)+cap(g.inWork)+cap(g.cur)+cap(g.prev)+cap(g.defFlat)+cap(g.work)+cap(g.phiAt)) +
+		int(unsafe.Sizeof(iloc.Instr{}))*cap(g.phis)
 }
 
 // resetInts returns n zeros in s's storage when it is large enough.
@@ -337,9 +343,9 @@ func carve[T any](out [][]T, flat []T, counts []int, total int) ([][]T, []T) {
 func forEachUse(rt *iloc.Routine, c iloc.Class, f func(v int, in *iloc.Instr)) {
 	for _, b := range rt.Blocks {
 		for _, in := range b.Instrs {
-			for _, u := range in.Uses() {
+			for _, u := range rt.Uses(in) {
 				if u.Class == c && u.N != 0 {
-					f(u.N, in)
+					f(int(u.N), in)
 				}
 			}
 		}

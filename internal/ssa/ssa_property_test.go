@@ -73,25 +73,25 @@ func TestPropertyUsesDominatedByDefs(t *testing.T) {
 				if in.Dst.Class != c {
 					return
 				}
-				for i, a := range in.Phi.Args {
+				for i, a := range rt.PhiArgs(in) {
 					if a.N == 0 {
 						continue
 					}
 					pred := b.Preds[i]
 					if db := defBlock[a.N]; db != nil && !tree.Dominates(db.Index, pred.Index) {
 						t.Fatalf("seed %d: φ arg v%d def in %s does not dominate pred %s",
-							seed, a.N, db.Label, pred.Label)
+							seed, a.N, rt.Labels[db.Label], rt.Labels[pred.Label])
 					}
 				}
 				return
 			}
-			for _, u := range in.Uses() {
+			for _, u := range rt.Uses(in) {
 				if u.Class != c || u.N == 0 {
 					continue
 				}
 				if db := defBlock[u.N]; db != nil && !tree.Dominates(db.Index, b.Index) {
 					t.Fatalf("seed %d: use of v%d in %s not dominated by def in %s",
-						seed, u.N, b.Label, db.Label)
+						seed, u.N, rt.Labels[b.Label], rt.Labels[db.Label])
 				}
 			}
 		})

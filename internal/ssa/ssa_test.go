@@ -79,7 +79,7 @@ func TestFig1PhiPlacement(t *testing.T) {
 	var phiBlocks []string
 	rt.ForEachInstr(func(b *iloc.Block, _ int, in *iloc.Instr) {
 		if in.Op == iloc.OpPhi {
-			phiBlocks = append(phiBlocks, b.Label)
+			phiBlocks = append(phiBlocks, rt.Labels[b.Label])
 		}
 	})
 	// loop1: φ for r2 (loop counter). loop2: φ for p (r1) and r4.
@@ -111,7 +111,7 @@ func TestSingleAssignmentProperty(t *testing.T) {
 		defs := map[int]int{}
 		rt.ForEachInstr(func(_ *iloc.Block, _ int, in *iloc.Instr) {
 			if d := in.Def(); d.Valid() && d.Class == c && d.N != 0 {
-				defs[d.N]++
+				defs[int(d.N)]++
 			}
 		})
 		for v, n := range defs {
@@ -130,9 +130,9 @@ func TestDefUseChains(t *testing.T) {
 	// Every use in the code must be recorded, and every recorded use real.
 	count := map[int]int{}
 	rt.ForEachInstr(func(_ *iloc.Block, _ int, in *iloc.Instr) {
-		for _, u := range in.Uses() {
+		for _, u := range rt.Uses(in) {
 			if u.Class == iloc.ClassInt && u.N != 0 {
-				count[u.N]++
+				count[int(u.N)]++
 			}
 		}
 	})
@@ -192,11 +192,12 @@ join:
 	if phi.Op != iloc.OpPhi {
 		t.Fatal("φ not at head of join")
 	}
-	if len(phi.Phi.Args) != 2 {
-		t.Fatalf("φ arity = %d", len(phi.Phi.Args))
+	args := rt.PhiArgs(phi)
+	if len(args) != 2 {
+		t.Fatalf("φ arity = %d", len(args))
 	}
 	// Arguments must be the two distinct values from the arms.
-	a0, a1 := phi.Phi.Args[0].N, phi.Phi.Args[1].N
+	a0, a1 := args[0].N, args[1].N
 	if a0 == a1 {
 		t.Fatal("φ args should differ")
 	}
@@ -293,7 +294,7 @@ done:
 	}
 	// One arg comes from entry's ldi, the other from the addi in the loop.
 	ops := map[iloc.Op]bool{}
-	for _, a := range phi.Phi.Args {
+	for _, a := range rt.PhiArgs(phi) {
 		ops[g.DefOf[a.N].Op] = true
 	}
 	if !ops[iloc.OpLdi] || !ops[iloc.OpAddi] {
@@ -307,7 +308,7 @@ func TestOtherClassUntouched(t *testing.T) {
 	seen := map[int]bool{}
 	rt.ForEachInstr(func(_ *iloc.Block, _ int, in *iloc.Instr) {
 		if d := in.Def(); d.Valid() && d.Class == iloc.ClassFlt {
-			seen[d.N] = true
+			seen[int(d.N)] = true
 		}
 	})
 	for _, want := range []int{1, 2, 3} {

@@ -190,13 +190,13 @@ func (m *entryMeta) check(rt *iloc.Routine) error {
 	}
 	var named [iloc.NumClasses]int
 	note := func(r iloc.Reg) {
-		if r.Valid() && r.N >= named[r.Class] {
-			named[r.Class] = r.N + 1
+		if r.Valid() && int(r.N) >= named[r.Class] {
+			named[r.Class] = int(r.N) + 1
 		}
 	}
 	rt.ForEachInstr(func(_ *iloc.Block, _ int, in *iloc.Instr) {
 		note(in.Def())
-		for _, r := range in.Uses() {
+		for _, r := range rt.Uses(in) {
 			note(r)
 		}
 	})

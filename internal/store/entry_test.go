@@ -137,13 +137,13 @@ func checkEntry(t *testing.T, data []byte) {
 		t.Fatalf("accepted entry does not verify: %v", err)
 	}
 	check := func(r iloc.Reg) {
-		if r.Valid() && r.N >= rt.NumRegs(r.Class) {
+		if r.Valid() && int(r.N) >= rt.NumRegs(r.Class) {
 			t.Fatalf("accepted entry names %s outside its bank of %d", r, rt.NumRegs(r.Class))
 		}
 	}
 	rt.ForEachInstr(func(_ *iloc.Block, _ int, in *iloc.Instr) {
 		check(in.Def())
-		for _, u := range in.Uses() {
+		for _, u := range rt.Uses(in) {
 			check(u)
 		}
 	})

@@ -194,14 +194,14 @@ func (c *checker) checkBounds() {
 		if !r.Valid() {
 			return
 		}
-		if r.N < 0 || r.N >= c.m.Regs[r.Class] {
+		if r.N < 0 || int(r.N) >= c.m.Regs[r.Class] {
 			c.flag("bounds", "register %s outside the %d-register %s bank in %q",
-				r, c.m.Regs[r.Class], r.Class, in)
+				r, c.m.Regs[r.Class], r.Class, c.allocated.InstrString(in))
 		}
 	}
 	c.allocated.ForEachInstr(func(_ *iloc.Block, _ int, in *iloc.Instr) {
 		check(in.Def(), in)
-		for _, u := range in.Uses() {
+		for _, u := range c.allocated.Uses(in) {
 			check(u, in)
 		}
 	})
@@ -238,16 +238,16 @@ func (c *checker) checkCallerSave(rt *iloc.Routine, lives *[iloc.NumClasses]*liv
 					live.ForEach(func(r int) {
 						if r >= 1 && r <= c.m.CallerSave {
 							c.flag("caller-save", "caller-save register %s%d live across %q",
-								bankPrefix(cl), r, in)
+								bankPrefix(cl), r, rt.InstrString(in))
 						}
 					})
 				}
 				if d := in.Def(); d.Valid() && d.Class == cl && d.N != 0 {
-					live.Remove(d.N)
+					live.Remove(int(d.N))
 				}
-				for _, u := range in.Uses() {
+				for _, u := range rt.Uses(in) {
 					if u.Class == cl && u.N != 0 {
-						live.Add(u.N)
+						live.Add(int(u.N))
 					}
 				}
 			}
@@ -304,17 +304,17 @@ func (c *checker) checkSpillSlots(rt *iloc.Routine) {
 			return
 		}
 		if sa.off < 0 || sa.off+8 > frameBytes {
-			c.flag("spill-slots", "slot %d outside the %d-word frame in %q", sa.off, rt.FrameWords, in)
+			c.flag("spill-slots", "slot %d outside the %d-word frame in %q", sa.off, rt.FrameWords, rt.InstrString(in))
 			return
 		}
 		if sa.off%8 != 0 {
-			c.flag("spill-slots", "unaligned slot %d in %q", sa.off, in)
+			c.flag("spill-slots", "unaligned slot %d in %q", sa.off, rt.InstrString(in))
 			return
 		}
 		if sa.store {
 			if prev, ok := classOf[sa.off]; ok && prev != sa.class {
 				c.flag("spill-slots", "slot %d aliased across banks (%s and %s) in %q",
-					sa.off, prev, sa.class, in)
+					sa.off, prev, sa.class, rt.InstrString(in))
 			} else {
 				classOf[sa.off] = sa.class
 			}
@@ -341,7 +341,7 @@ func (c *checker) checkSpillSlots(rt *iloc.Routine) {
 			case iloc.OpLoadai, iloc.OpFloadai:
 				if instr.IsSpill && instr.Src[0].IsFP() && !out[instr.Imm] && report {
 					c.flag("spill-slots", "slot %d read before any store on some path in %q",
-						instr.Imm, instr)
+						instr.Imm, rt.InstrString(instr))
 				}
 			}
 		}
@@ -427,12 +427,12 @@ func (c *checker) checkRemat() {
 			return
 		}
 		if !in.Op.RematCandidate() {
-			c.flag("remat", "spill-phase instruction %q is neither slot traffic nor a never-killed recomputation", in)
+			c.flag("remat", "spill-phase instruction %q is neither slot traffic nor a never-killed recomputation", c.allocated.InstrString(in))
 			return
 		}
-		for _, u := range in.Uses() {
+		for _, u := range c.allocated.Uses(in) {
 			if !u.IsFP() {
-				c.flag("remat", "rematerialized %q reads %s, which is not always available", in, u)
+				c.flag("remat", "rematerialized %q reads %s, which is not always available", c.allocated.InstrString(in), u)
 			}
 		}
 	})

@@ -131,7 +131,7 @@ func TestRejectsUnallocatedFlag(t *testing.T) {
 func TestRejectsOutOfBankRegister(t *testing.T) {
 	m := target.Standard()
 	input, alloc := allocate(t, selfContained, core.Options{Machine: m, Strategy: "remat"})
-	findOp(t, alloc, iloc.OpLdi, 5).Dst.N = m.Regs[iloc.ClassInt] // first color past the bank
+	findOp(t, alloc, iloc.OpLdi, 5).Dst.N = int32(m.Regs[iloc.ClassInt]) // first color past the bank
 	expectRule(t, input, alloc, m, "bounds")
 }
 
@@ -195,12 +195,12 @@ func TestRejectsCallerSaveViolation(t *testing.T) {
 	m := target.Standard()
 	input, alloc := allocate(t, acrossCall, core.Options{Machine: m, Strategy: "remat"})
 	cs := findOp(t, alloc, iloc.OpLdi, 7).Dst.N
-	if cs <= m.CallerSave {
+	if int(cs) <= m.CallerSave {
 		t.Fatalf("test premise broken: value across call in caller-save color %d", cs)
 	}
 	// Retarget it to a caller-save color nothing else touches, so the
 	// value genuinely stays live across the call in the mutant.
-	used := map[int]bool{}
+	used := map[int32]bool{}
 	alloc.ForEachInstr(func(_ *iloc.Block, _ int, in *iloc.Instr) {
 		if in.Dst.Valid() && in.Dst.Class == iloc.ClassInt {
 			used[in.Dst.N] = true
@@ -211,8 +211,8 @@ func TestRejectsCallerSaveViolation(t *testing.T) {
 			}
 		}
 	})
-	victim := 0
-	for c := 1; c <= m.CallerSave; c++ {
+	victim := int32(0)
+	for c := int32(1); int(c) <= m.CallerSave; c++ {
 		if !used[c] {
 			victim = c
 			break
@@ -274,8 +274,8 @@ func TestReportsAllViolations(t *testing.T) {
 	// Widen the virtual space so the out-of-bank colors still pass the
 	// structural register check and reach the bounds rule.
 	alloc.NextReg[iloc.ClassInt] = m.Regs[iloc.ClassInt] + 8
-	findOp(t, alloc, iloc.OpLdi, 5).Dst.N = m.Regs[iloc.ClassInt]
-	findOp(t, alloc, iloc.OpLdi, 7).Dst.N = m.Regs[iloc.ClassInt] + 3
+	findOp(t, alloc, iloc.OpLdi, 5).Dst.N = int32(m.Regs[iloc.ClassInt])
+	findOp(t, alloc, iloc.OpLdi, 7).Dst.N = int32(m.Regs[iloc.ClassInt] + 3)
 	err := verify.Check(input, alloc, m, verify.Options{})
 	var ve *verify.Error
 	if !errors.As(err, &ve) {
