@@ -44,8 +44,9 @@ race:
 	$(GO) test -race ./...
 
 # verify runs the independent post-allocation checker over the whole
-# benchmark suite: every kernel and callee, both allocator modes, at
-# standard and starved register counts, asserting zero degradations.
+# benchmark suite: every kernel and callee, the chaitin and remat
+# strategies, at standard and starved register counts, asserting zero
+# degradations.
 verify:
 	$(GO) test -run 'TestKernelsVerify' ./internal/suite
 

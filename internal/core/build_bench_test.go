@@ -37,10 +37,11 @@ func BenchmarkBuildGraph(b *testing.B) {
 	allocs := make([]*allocator, len(rts))
 	for i, rt := range rts {
 		a := newAllocator(context.Background(), rt, opts, strategyParams{remat: true}, new(scratch))
-		for _, p := range []*Pass{passCFA, passRenumber} {
-			if err := p.run(a, &a.rc, &IterationStats{}, &PassStat{}); err != nil {
-				b.Fatal(err)
-			}
+		if err := a.cfa(); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := a.renumber(); err != nil {
+			b.Fatal(err)
 		}
 		allocs[i] = a
 	}
@@ -72,10 +73,11 @@ func BenchmarkRenumber(b *testing.B) {
 		}
 		b.StartTimer()
 		for _, a := range allocs {
-			for _, p := range []*Pass{passCFA, passRenumber} {
-				if err := p.run(a, &a.rc, &IterationStats{}, &PassStat{}); err != nil {
-					b.Fatal(err)
-				}
+			if err := a.cfa(); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := a.renumber(); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}

@@ -96,9 +96,9 @@ func (o Options) Canonical() Options {
 }
 
 // IterationStats describes one round of the allocator: aggregate counts
-// and the per-pass breakdown the pipeline runner records (see
-// pipeline.go). Each PassStat's Time is the round's only timing record;
-// Table 2 groups it by PassPhase.
+// and the per-pass breakdown round records (see pipeline.go). Each
+// PassStat's Time is the round's only timing record; Table 2 groups it
+// by PassPhase.
 type IterationStats struct {
 	Spilled   [iloc.NumClasses]int // live ranges spilled this round
 	Remat     [iloc.NumClasses]int // subset of Spilled handled by rematerialization
@@ -168,6 +168,7 @@ type classState struct {
 	live       liveness.Info // the latest liveness solve
 	lv         bitset.Set    // build's backward-walk live set
 	ssa        ssa.Graph     // renumber's SSA graph
+	names      []int32       // renumber's live-range name of each SSA value
 	tagWork    []int         // tag propagation's worklist
 	out        []*iloc.Instr // insertSpills' rewritten block
 	// The most elements of tags, pending and out any pass wrote since
@@ -202,11 +203,11 @@ type allocator struct {
 	loops []*cfg.Loop
 	df    [][]int
 
-	rc        roundCtx     // the current round's pass-to-pass state
 	instrs    []iloc.Instr // slab the instructions spill and renumber add are cut from
 	frameBase int64        // first fp offset free for spill slots
 	nextSlot  int
-	roundNo   int // current pipeline round (0-based)
+	roundNo   int    // current round (0-based)
+	running   string // the pass running now, "" between passes
 }
 
 // newAllocator returns an allocator over a clone of rt that keeps its
@@ -258,9 +259,9 @@ func (a *allocator) newInstr() *iloc.Instr {
 // Allocate is safe for concurrent use, including calls sharing the same
 // input routine or Machine: the input is only read (verified and
 // cloned), the Machine is never written, all working state lives in the
-// per-call allocator, and the package-level pass pipeline is immutable
-// after init. The driver package relies on this to allocate whole
-// modules in parallel.
+// per-call allocator, and the package-level pass and strategy tables
+// are never written after init. The driver package relies on this to
+// allocate whole modules in parallel.
 func Allocate(ctx context.Context, rt *iloc.Routine, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -353,8 +354,8 @@ func allocateOrDegrade(ctx context.Context, rt *iloc.Routine, opts Options, stra
 	return dres, nil
 }
 
-// runStrategy executes one strategy's pipeline and, when requested,
-// the allocator-independent verifier over its output. A verifier
+// runStrategy executes one strategy and, when requested, the
+// allocator-independent verifier over its output. A verifier
 // rejection is an allocation failure like any other — the caller
 // degrades or errors — so every strategy's output is held to the same
 // standard whatever its construction.
@@ -366,7 +367,16 @@ func runStrategy(ctx context.Context, rt *iloc.Routine, opts Options, strat *Str
 	if err := ctx.Err(); err != nil {
 		return nil, &AllocError{Routine: rt.Name, Pass: "context", Err: err}
 	}
-	res, err := strat.run(ctx, rt, opts, strat.params)
+	var res *Result
+	var err error
+	switch strat.name {
+	case "spill-everywhere":
+		res, err = spillEverywhere(rt, opts)
+	case "ssa-spill":
+		res, err = ssaSpill(rt, opts)
+	default: // chaitin and remat: Figure 2
+		res, err = allocate(ctx, rt, opts, strat.params)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -381,27 +391,34 @@ func runStrategy(ctx context.Context, rt *iloc.Routine, opts Options, strat *Str
 	return res, nil
 }
 
-// allocate runs the iterated build–color–spill pipeline with panic
-// containment: any panic escaping a pass (or the loop scaffolding)
-// surfaces as an *AllocError instead of unwinding into the caller.
+// allocate runs Figure 2's allocator over a clone of rt. It is the one
+// place a panic is contained: a panic anywhere inside — an allocator
+// bug, a violated invariant, or the PanicHook fault injector — is
+// recovered into a structured *AllocError naming the routine and the
+// pass and round running at the time, so one poisoned routine fails as
+// an error value rather than unwinding the caller (or a whole driver
+// batch).
 func allocate(ctx context.Context, rt *iloc.Routine, opts Options, params strategyParams) (res *Result, err error) {
+	var a *allocator
 	defer func() {
 		if r := recover(); r != nil {
-			res, err = nil, recovered(rt.Name, "", 0, r)
+			pass, round := "", 0
+			if a != nil {
+				pass, round = a.running, a.roundNo
+			}
+			res, err = nil, recovered(rt.Name, pass, round, r)
 		}
 	}()
 	sc := getScratch()
 	defer releaseScratch(sc)
-	return newAllocator(ctx, rt, opts, params, sc).run()
+	a = newAllocator(ctx, rt, opts, params, sc)
+	return a.run()
 }
 
-// run iterates the pipeline until a round colors every live range.
+// run repeats round until it colors every live range.
 func (a *allocator) run() (*Result, error) {
 	for iter := 0; iter < a.opts.MaxIterations; iter++ {
 		a.roundNo = iter
-		if err := a.ctxErr(); err != nil {
-			return nil, err
-		}
 		done, err := a.round()
 		if err != nil {
 			return nil, err

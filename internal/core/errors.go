@@ -66,10 +66,11 @@ func recovered(routine, pass string, iteration int, v any) *AllocError {
 }
 
 // PanicHook is a fault-injection point for robustness tests: when
-// non-nil it runs at the start of every pipeline pass and may panic to
-// simulate an allocator bug in that pass. It is consulted only by the
-// pass runner — never by the spill-everywhere fallback — so tests can
-// prove that a poisoned pipeline still degrades to a sound allocation.
+// non-nil it runs at the start of every pass of the allocator's round
+// and may panic to simulate an allocator bug in that pass. It is
+// consulted only there — never by the spill-everywhere fallback — so
+// tests can prove that a poisoned round still degrades to a sound
+// allocation.
 // Production code must leave it nil; it is not consulted concurrently
 // with being set (set it before allocating, clear it after).
 var PanicHook func(routine, pass string)

@@ -22,7 +22,8 @@ import (
 // degraded or not.
 func FuzzAllocate(f *testing.F) {
 	// Seeds: the repository's example files, generator output at a few
-	// shapes, and small hand-written routines covering calls and spills.
+	// shapes, small hand-written routines covering calls and spills, and a
+	// chain of loops with far more SSA values than live ranges.
 	if paths, err := filepath.Glob("../../testdata/*.iloc"); err == nil {
 		for _, p := range paths {
 			if b, err := os.ReadFile(p); err == nil {
@@ -36,6 +37,7 @@ func FuzzAllocate(f *testing.F) {
 	}
 	f.Add("routine k()\nentry:\n ldi r1, 7\n call g\n getret r2\n add r3, r1, r2\n retr r3\n")
 	f.Add("routine k()\ndata a rw 8 = 1 2 3 4 5 6 7 8\nentry:\n lda r1, a\n load r2, r1\n loadai r3, r1, 8\n loadai r4, r1, 16\n add r5, r2, r3\n add r5, r5, r4\n retr r5\n")
+	f.Add(loopChain(200))
 
 	machines := []*target.Machine{target.Standard(), target.WithRegs(4)}
 	f.Fuzz(func(t *testing.T, src string) {

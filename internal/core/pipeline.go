@@ -11,15 +11,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file turns Figure 2's allocator loop into an explicit pipeline:
-// each phase — build, the two coalescing rounds, spill costs, simplify,
-// biased select, spill insertion — is a Pass with a uniform signature,
-// and a small runner executes them in order, timing every pass and
-// recording what it did (graph size, coalesces, spills, splits) into the
-// Result. The paper presents the allocator exactly this way ("the
-// allocator iterates the sequence renumber, build, coalesce, ...", §4),
-// and keeping the stages first-class lets the experiment drivers report
-// where allocation time goes without re-instrumenting the loop.
+// This file is Figure 2: round runs the allocator's passes once, in the
+// paper's order ("the allocator iterates the sequence renumber, build,
+// coalesce, ...", §4), and run (core.go) repeats it until a round
+// colors every live range. Each pass runs through pass, which times it
+// and records what it did (graph size, coalesces, spills, splits) in
+// the Result, so the experiment drivers report where allocation time
+// goes without re-instrumenting the loop.
 
 // PassStat records one execution of one pipeline pass within one
 // iteration of the allocator loop. Fields that do not apply to a pass
@@ -46,70 +44,57 @@ type PassStat struct {
 	Remat     int
 }
 
-// roundCtx carries the state that flows between the passes of one
-// round; the uncolored ranges select hands to spill insertion are each
-// class's classState.spilled.
-type roundCtx struct {
-	anySpill bool
+// The passes' ids, in the order round runs them.
+const (
+	passCFA = iota
+	passRenumber
+	passBuild
+	passCoalesce
+	passCoalesceCons
+	passTags
+	passCosts
+	passSpillProfitable
+	passSimplify
+	passSelect
+	passRewrite
+	passSpill
+	numPasses
+)
 
-	stop bool // end this round early and go around the loop again
-	done bool // allocation complete: code rewritten to physical colors
+// passTable names each pass, by id, and the Table 2 row its wall time
+// accrues to. PassNames, PassPhase and the snapshot's pass-name codes
+// (id+1) all read it.
+var passTable = [numPasses]struct{ name, phase string }{
+	passCFA:             {"cfa", "cfa"},
+	passRenumber:        {"renumber", "renum"},
+	passBuild:           {"build", "build"},
+	passCoalesce:        {"coalesce", "build"},
+	passCoalesceCons:    {"coalesce-cons", "build"},
+	passTags:            {"tags", "build"},
+	passCosts:           {"costs", "costs"},
+	passSpillProfitable: {"spill-profitable", "spill"},
+	passSimplify:        {"simplify", "color"},
+	passSelect:          {"select", "color"},
+	passRewrite:         {"rewrite", "color"},
+	passSpill:           {"spill", "spill"},
 }
 
-// A Pass is one named stage of the allocator pipeline. All passes share
-// one signature: they mutate the allocator's working routine and
-// per-class state, report what they did through the stat, and steer the
-// round through the context (stop/done).
-type Pass struct {
-	// name identifies the pass in stats output.
-	name string
-	// metric is the pass's timing-histogram name ("core.pass.<name>"),
-	// precomputed by init so the hot loop never builds strings.
-	metric string
-	// phase names the Table 2 row this pass's wall time accrues to
-	// (see PassPhase).
-	phase string
-	// when gates the pass; nil means always run. Skipped passes do not
-	// appear in the iteration's stats.
-	when func(a *allocator, ctx *roundCtx) bool
-	// run does the work.
-	run func(a *allocator, ctx *roundCtx, st *IterationStats, ps *PassStat) error
-}
-
-// Name returns the pass's name as it appears in stats output.
-func (p *Pass) Name() string { return p.name }
-
-// allocPipeline is Figure 2's loop body in order. One trip through it is
-// one iteration of the spill/color loop; the runner stops early when a
-// pass sets stop (profitable spills found) or when rewrite marks the
-// allocation done.
-var allocPipeline = []*Pass{
-	passCFA,
-	passRenumber,
-	passBuild,
-	passCoalesceAggressive,
-	passCoalesceConservative,
-	passChaitinTags,
-	passCosts,
-	passProfitableSpills,
-	passSimplify,
-	passSelect,
-	passRewrite,
-	passSpillInsert,
-}
+// passMetric is each pass's timing histogram, "core.pass.<name>", built
+// once so a round builds no strings.
+var passMetric [numPasses]string
 
 func init() {
-	for _, p := range allocPipeline {
-		p.metric = "core.pass." + p.name
+	for id, p := range passTable {
+		passMetric[id] = "core.pass." + p.name
 	}
 }
 
 // PassNames lists the pipeline's passes in execution order (conditional
 // passes included).
 func PassNames() []string {
-	names := make([]string, len(allocPipeline))
-	for i, p := range allocPipeline {
-		names[i] = p.name
+	names := make([]string, numPasses)
+	for id, p := range passTable {
+		names[id] = p.name
 	}
 	return names
 }
@@ -119,7 +104,7 @@ func PassNames() []string {
 // a name outside the pipeline, such as the untimed records of the
 // spill-everywhere and ssa-spill strategies.
 func PassPhase(name string) string {
-	for _, p := range allocPipeline {
+	for _, p := range passTable {
 		if p.name == name {
 			return p.phase
 		}
@@ -127,249 +112,181 @@ func PassPhase(name string) string {
 	return ""
 }
 
-var passCFA = &Pass{
-	name:  "cfa",
-	phase: "cfa",
-	run: func(a *allocator, _ *roundCtx, _ *IterationStats, _ *PassStat) error {
-		if a.tree != nil {
-			return nil // a later round: round 0's analyses still hold
-		}
-		tree, loops, err := cfg.Prepare(a.rt)
-		if err != nil {
-			return err
-		}
-		a.tree, a.loops, a.df = tree, loops, dom.Frontiers(tree, a.rt)
-		return nil
-	},
-}
+// round runs Figure 2 once and records its statistics as the result's
+// next iteration. done is true when select colored every live range
+// and the code has been rewritten to physical colors; otherwise the
+// round inserted spill code and the loop goes round again. The round
+// runs inside an iteration span.
+func (a *allocator) round() (done bool, err error) {
+	a.res.Iterations = append(a.res.Iterations, IterationStats{})
+	st := &a.res.Iterations[len(a.res.Iterations)-1]
+	*a.passes = (*a.passes)[:0]
+	span := a.opts.Telemetry.StartSpan(telemetry.CatIteration, "iteration")
+	span.Arg("iteration", int64(a.roundNo))
+	defer func() {
+		span.End()
+		st.Passes = slices.Clone(*a.passes)
+	}()
 
-var passRenumber = &Pass{
-	name:  "renumber",
-	phase: "renum",
-	run: func(a *allocator, _ *roundCtx, st *IterationStats, ps *PassStat) error {
-		splits, err := a.renumber()
-		if err != nil {
-			return err
-		}
-		st.Splits = splits
-		ps.Splits = splits
-		return nil
-	},
-}
-
-var passBuild = &Pass{
-	name:  "build",
-	phase: "build",
-	run: func(a *allocator, _ *roundCtx, _ *IterationStats, ps *PassStat) error {
+	if err := a.pass(passCFA, func(*PassStat) error { return a.cfa() }); err != nil {
+		return false, err
+	}
+	if err := a.pass(passRenumber, func(ps *PassStat) (err error) {
+		ps.Splits, err = a.renumber()
+		st.Splits = ps.Splits
+		return err
+	}); err != nil {
+		return false, err
+	}
+	if err := a.pass(passBuild, func(ps *PassStat) error {
 		a.solveLiveness()
 		a.buildFromLive(a.classes[:]...)
 		a.graphStats(ps)
 		return nil
-	},
-}
-
-var passCoalesceAggressive = &Pass{
-	name:  "coalesce",
-	phase: "build",
-	run: func(a *allocator, _ *roundCtx, st *IterationStats, ps *PassStat) error {
-		// Unrestricted coalescing of ordinary copies (§4.2's first
-		// round), on the graph the build pass just built.
-		ps.Coalesced = a.coalesceToFixpoint(false)
-		st.Coalesced += ps.Coalesced
-		a.graphStats(ps)
+	}); err != nil {
+		return false, err
+	}
+	// Unrestricted coalescing of ordinary copies (§4.2's first round),
+	// on the graph build just built.
+	if err := a.pass(passCoalesce, func(ps *PassStat) error {
+		a.coalesce(st, ps, false)
 		return nil
-	},
-}
-
-var passCoalesceConservative = &Pass{
-	name:  "coalesce-cons",
-	phase: "build",
-	when: func(a *allocator, _ *roundCtx) bool {
-		return a.params.remat && !a.params.noCoalesce
-	},
-	run: func(a *allocator, _ *roundCtx, st *IterationStats, ps *PassStat) error {
-		// Conservative coalescing of split copies (§4.2's second round):
-		// a split merges only when the combined range provably still
-		// simplifies. The first round's last scan left the graph exact,
-		// so this round starts on it without a rebuild.
-		ps.Coalesced = a.coalesceToFixpoint(true)
-		st.Coalesced += ps.Coalesced
-		a.graphStats(ps)
-		return nil
-	},
-}
-
-var passChaitinTags = &Pass{
-	name:  "tags",
-	phase: "build",
-	when:  func(a *allocator, _ *roundCtx) bool { return !a.params.remat },
-	run: func(a *allocator, _ *roundCtx, _ *IterationStats, _ *PassStat) error {
-		// Chaitin's whole-range rule: a live range rematerializes only
-		// if all of its remaining definitions are the same never-killed
-		// instruction. Evaluated after coalescing so deleted copies do
-		// not count as definitions.
-		for _, cs := range a.classes {
-			a.computeChaitinTags(cs)
+	}); err != nil {
+		return false, err
+	}
+	// Conservative coalescing of split copies (§4.2's second round): a
+	// split merges only when the combined range provably still
+	// simplifies. The first round's last scan left the graph exact, so
+	// this round starts on it without a rebuild.
+	if a.params.remat && !a.params.noCoalesce {
+		if err := a.pass(passCoalesceCons, func(ps *PassStat) error {
+			a.coalesce(st, ps, true)
+			return nil
+		}); err != nil {
+			return false, err
 		}
-		return nil
-	},
-}
-
-var passCosts = &Pass{
-	name:  "costs",
-	phase: "costs",
-	run: func(a *allocator, _ *roundCtx, _ *IterationStats, _ *PassStat) error {
+	}
+	// Chaitin's whole-range rule: a live range rematerializes only if
+	// all of its remaining definitions are the same never-killed
+	// instruction. Evaluated after coalescing so deleted copies do not
+	// count as definitions.
+	if !a.params.remat {
+		if err := a.pass(passTags, func(*PassStat) error {
+			for _, cs := range a.classes {
+				a.computeChaitinTags(cs)
+			}
+			return nil
+		}); err != nil {
+			return false, err
+		}
+	}
+	if err := a.pass(passCosts, func(*PassStat) error {
 		for _, cs := range a.classes {
 			a.computeCosts(cs)
 		}
 		return nil
-	},
-}
-
-var passProfitableSpills = &Pass{
-	name:  "spill-profitable",
-	phase: "spill",
-	run: func(a *allocator, ctx *roundCtx, st *IterationStats, ps *PassStat) error {
-		// Profitable spills (§5.2: "some spills are profitable"): a
-		// rematerializable range whose deleted definitions outweigh its
-		// per-use recomputation has negative cost — spilling it removes
-		// instructions outright, registers or no registers. Handle these
-		// before coloring and go around the loop again.
-		for ci, cs := range a.classes {
-			neg := cs.spilled[:0]
-			for v := 1; v < a.rt.NumRegs(cs.c); v++ {
-				if cs.inCode[v] && cs.find(v) == v && !cs.mustNot[v] && cs.cost[v] < 0 {
-					neg = append(neg, v)
-				}
-			}
-			cs.spilled = neg
-			if len(neg) > 0 {
-				a.resetSlots()
-				spilled, remat := a.insertSpills(cs, neg)
-				st.Spilled[ci] += spilled
-				st.Remat[ci] += remat
-				ps.Spilled += spilled
-				ps.Remat += remat
-				ctx.stop = true
-			}
-		}
+	}); err != nil {
+		return false, err
+	}
+	profitable := false
+	if err := a.pass(passSpillProfitable, func(ps *PassStat) error {
+		profitable = a.spillProfitable(st, ps)
 		return nil
-	},
-}
-
-var passSimplify = &Pass{
-	name:  "simplify",
-	phase: "color",
-	run: func(a *allocator, _ *roundCtx, _ *IterationStats, _ *PassStat) error {
+	}); err != nil || profitable {
+		return false, err
+	}
+	if err := a.pass(passSimplify, func(*PassStat) error {
 		for _, cs := range a.classes {
 			a.simplify(cs)
 		}
 		return nil
-	},
-}
-
-var passSelect = &Pass{
-	name:  "select",
-	phase: "color",
-	run: func(a *allocator, ctx *roundCtx, st *IterationStats, ps *PassStat) error {
+	}); err != nil {
+		return false, err
+	}
+	anySpill := false
+	if err := a.pass(passSelect, func(ps *PassStat) error {
 		for ci, cs := range a.classes {
 			a.selectColors(cs)
 			st.Spilled[ci] = len(cs.spilled)
 			ps.Spilled += len(cs.spilled)
-			if len(cs.spilled) > 0 {
-				ctx.anySpill = true
-			}
 		}
+		anySpill = ps.Spilled > 0
 		return nil
-	},
-}
-
-var passRewrite = &Pass{
-	name:  "rewrite",
-	phase: "color",
-	when:  func(_ *allocator, ctx *roundCtx) bool { return !ctx.anySpill },
-	run: func(a *allocator, ctx *roundCtx, _ *IterationStats, _ *PassStat) error {
+	}); err != nil {
+		return false, err
+	}
+	if anySpill {
+		return false, a.pass(passSpill, func(ps *PassStat) error {
+			a.spillSelected(st, ps)
+			return nil
+		})
+	}
+	if err := a.pass(passRewrite, func(*PassStat) error {
 		if err := a.rewriteColors(); err != nil {
 			return err
 		}
-		if err := a.threadJumps(); err != nil {
-			return err
-		}
-		ctx.done = true
-		return nil
-	},
+		return a.threadJumps()
+	}); err != nil {
+		return false, err
+	}
+	return true, nil
 }
 
-var passSpillInsert = &Pass{
-	name:  "spill",
-	phase: "spill",
-	when:  func(_ *allocator, ctx *roundCtx) bool { return ctx.anySpill },
-	run: func(a *allocator, _ *roundCtx, st *IterationStats, ps *PassStat) error {
-		a.resetSlots()
-		for ci, cs := range a.classes {
-			if len(cs.spilled) > 0 {
-				spilled, remat := a.insertSpills(cs, cs.spilled)
-				st.Remat[ci] += remat
-				ps.Spilled += spilled
-				ps.Remat += remat
-			}
-		}
-		return nil
-	},
-}
-
-// round drives one trip through the pipeline, recording its statistics
-// as the result's next iteration. done is true when select colored
-// every live range and the code has been rewritten to physical colors.
-//
-// Telemetry: each executed pass runs inside a telemetry span — the
-// span's clock is the PassStat timing source, so the trace, the metrics
-// histograms and the -stats table can never disagree — and the whole
-// round is wrapped in an iteration span. With no sink installed the
-// spans are zero-allocation no-ops that still read the clock.
-func (a *allocator) round() (bool, error) {
-	a.res.Iterations = append(a.res.Iterations, IterationStats{})
-	st := &a.res.Iterations[len(a.res.Iterations)-1]
-	*a.passes = (*a.passes)[:0]
-	done, err := a.runPasses(st)
-	st.Passes = slices.Clone(*a.passes)
-	return done, err
-}
-
-// runPasses runs the round's passes, recording each one's stats in the
-// scratch's pass buffer.
-func (a *allocator) runPasses(st *IterationStats) (bool, error) {
-	a.rc = roundCtx{}
-	ctx := &a.rc
+// pass runs one pass of the round: it checks the context, then calls
+// PanicHook and body inside the pass's telemetry span. The span's clock
+// times the PassStat body fills in, so the trace, the core.pass.<name>
+// histogram and the -stats table never disagree; with no sink installed
+// the span is a zero-allocation no-op that still reads the clock. A
+// body's error comes back labelled with the pass and round, and a
+// panic unwinds to allocate's recover, which labels it from a.running.
+func (a *allocator) pass(id int, body func(ps *PassStat) error) error {
+	if err := a.ctxErr(); err != nil {
+		return err
+	}
+	name := passTable[id].name
+	*a.passes = append(*a.passes, PassStat{Name: name})
+	ps := &(*a.passes)[len(*a.passes)-1]
 	tel := a.opts.Telemetry
-	iterSpan := tel.StartSpan(telemetry.CatIteration, "iteration")
-	iterSpan.Arg("iteration", int64(a.roundNo))
-	for _, p := range allocPipeline {
-		if err := a.ctxErr(); err != nil {
-			iterSpan.End()
-			return false, err
-		}
-		if p.when != nil && !p.when(a, ctx) {
-			continue
-		}
-		*a.passes = append(*a.passes, PassStat{Name: p.name})
-		ps := &(*a.passes)[len(*a.passes)-1]
-		sp := tel.StartSpan(telemetry.CatPass, p.name)
-		err := a.runPass(p, ctx, st, ps)
+	sp := tel.StartSpan(telemetry.CatPass, name)
+	defer func() {
 		ps.Time = endPassSpan(&sp, ps)
 		if tel.Enabled() {
-			tel.Observe(p.metric, ps.Time.Nanoseconds())
+			tel.Observe(passMetric[id], ps.Time.Nanoseconds())
 		}
-		if err != nil {
-			iterSpan.End()
-			return false, err
-		}
-		if ctx.stop || ctx.done {
-			break
-		}
+	}()
+	a.running = name
+	if hook := PanicHook; hook != nil {
+		hook(a.rt.Name, name)
 	}
-	iterSpan.End()
-	return ctx.done, nil
+	err := body(ps)
+	a.running = ""
+	if err != nil {
+		return &AllocError{Routine: a.rt.Name, Pass: name, Iteration: a.roundNo, Err: err}
+	}
+	return nil
+}
+
+// cfa prepares the CFG in round 0: it splits critical edges and
+// computes the dominator tree, frontiers and loops. Later rounds keep
+// round 0's analyses, which still hold (see allocator.tree).
+func (a *allocator) cfa() error {
+	if a.tree != nil {
+		return nil
+	}
+	tree, loops, err := cfg.Prepare(a.rt)
+	if err != nil {
+		return err
+	}
+	a.tree, a.loops, a.df = tree, loops, dom.Frontiers(tree, a.rt)
+	return nil
+}
+
+// coalesce runs one of §4.2's two coalescing rounds (see
+// coalesceToFixpoint) and records what it removed.
+func (a *allocator) coalesce(st *IterationStats, ps *PassStat, splitRound bool) {
+	ps.Coalesced = a.coalesceToFixpoint(splitRound)
+	st.Coalesced += ps.Coalesced
+	a.graphStats(ps)
 }
 
 // endPassSpan annotates the span with the pass's recorded effect (only
@@ -401,9 +318,9 @@ func endPassSpan(sp *telemetry.Span, ps *PassStat) time.Duration {
 }
 
 // ctxErr reports the allocation's context state as a structured
-// *AllocError (pass "context"), or nil while the context is live. The
-// pipeline consults it between passes and between iterations — the
-// boundaries where the allocator can be abandoned without leaving
+// *AllocError (pass "context"), or nil while the context is live. pass
+// consults it before every pass, so between passes and between rounds
+// — the boundaries where the allocator can be abandoned without leaving
 // half-mutated state, and the only places it can run for long.
 func (a *allocator) ctxErr() error {
 	if a.ctx == nil {
@@ -411,28 +328,6 @@ func (a *allocator) ctxErr() error {
 	}
 	if err := a.ctx.Err(); err != nil {
 		return &AllocError{Routine: a.rt.Name, Pass: "context", Iteration: a.roundNo, Err: err}
-	}
-	return nil
-}
-
-// runPass executes one pipeline pass with panic containment: a panic
-// anywhere inside the pass — an allocator bug, a violated invariant, or
-// the PanicHook fault injector — is recovered into a structured
-// *AllocError naming the routine, pass and iteration, so one poisoned
-// routine fails as an error value rather than unwinding the caller (or
-// a whole driver batch). Ordinary pass errors get the same wrapping for
-// a uniform error taxonomy.
-func (a *allocator) runPass(p *Pass, ctx *roundCtx, st *IterationStats, ps *PassStat) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = recovered(a.rt.Name, p.name, a.roundNo, r)
-		}
-	}()
-	if hook := PanicHook; hook != nil {
-		hook(a.rt.Name, p.name)
-	}
-	if err := p.run(a, ctx, st, ps); err != nil {
-		return &AllocError{Routine: a.rt.Name, Pass: p.name, Iteration: a.roundNo, Err: err}
 	}
 	return nil
 }

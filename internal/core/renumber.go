@@ -48,13 +48,15 @@ func (a *allocator) renumber() (splits int, err error) {
 		}
 	}
 	*a.phiSlab, a.rt.PhiSlab = a.rt.PhiSlab[:0], nil
-	a.rewriteToRoots(a.classes[:]...)
 	for _, cs := range a.classes {
 		// In chaitin the tags are all ⊤ until they are computed after
 		// coalescing (the whole-range rule must not see copies that
 		// coalescing will delete); see round().
 		cs.foldTags()
+		cs.compact()
+		a.rt.NextReg[cs.c] = cs.sets.Len()
 	}
+	a.rewriteToNames()
 	// Loop-based splitting (§6) runs once both classes are φ-free — and
 	// only in the first round: re-splitting ranges that spill code
 	// already fragmented compounds pressure every iteration and can keep
@@ -228,21 +230,51 @@ func (a *allocator) renumberChaitin(cs *classState) {
 	}
 }
 
-// rewriteToRoots renames every register of the classes css in the code
-// to the representative of its live range, in one walk.
-func (a *allocator) rewriteToRoots(css ...*classState) {
-	var by [iloc.NumClasses]*classState
-	for _, cs := range css {
-		by[cs.c] = cs
-	}
+// rewriteToRoots renames every register of cs's class in the code to
+// the representative of its live range, in one walk.
+func (a *allocator) rewriteToRoots(cs *classState) {
 	a.rt.ForEachInstr(func(_ *iloc.Block, _ int, in *iloc.Instr) {
 		for i := 0; i < in.Op.NSrc(); i++ {
-			if cs := classOf(&by, in.Src[i]); cs != nil {
-				in.Src[i].N = int32(cs.find(int(in.Src[i].N)))
+			if r := in.Src[i]; r.Class == cs.c && r.N != 0 {
+				in.Src[i].N = int32(cs.find(int(r.N)))
 			}
 		}
-		if cs := classOf(&by, in.Def()); cs != nil {
-			in.Dst.N = int32(cs.find(int(in.Dst.N)))
+		if d := in.Def(); d.Class == cs.c && d.N != 0 {
+			in.Dst.N = int32(cs.find(int(d.N)))
+		}
+	})
+}
+
+// compact names the class's live ranges 1..L in ascending root order
+// and moves each root's tag to its new name; rewriteToNames then
+// renames the code. Without it NextReg stays the SSA value count, and
+// build's liveness and interference matrix grow with values rather
+// than live ranges. The names keep the roots' order and Compact keeps
+// their ranks, so every tie break later passes make by name or by
+// union is unchanged.
+func (cs *classState) compact() {
+	k := 0
+	for v := range cs.sets.Len() {
+		if cs.find(v) == v {
+			cs.tags[k] = cs.tags[v] // k <= v: no tag still to move is overwritten
+			k++
+		}
+	}
+	cs.names = cs.sets.Compact(cs.names)
+	cs.tags = restart(cs.tags, &cs.tagsHW)[:k]
+}
+
+// rewriteToNames renames every register in the code to its live
+// range's name from compact, in one walk.
+func (a *allocator) rewriteToNames() {
+	a.rt.ForEachInstr(func(_ *iloc.Block, _ int, in *iloc.Instr) {
+		for i := 0; i < in.Op.NSrc(); i++ {
+			if cs := classOf(&a.classes, in.Src[i]); cs != nil {
+				in.Src[i].N = cs.names[in.Src[i].N]
+			}
+		}
+		if cs := classOf(&a.classes, in.Def()); cs != nil {
+			in.Dst.N = cs.names[in.Dst.N]
 		}
 	})
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -53,44 +54,81 @@ func TestDegradationOnNonConvergence(t *testing.T) {
 	runSame(t, rt, res.Routine, interp.Int(4))
 }
 
-// A panic seeded into a pipeline pass is contained: with degradation
-// disabled it surfaces as a structured *AllocError naming the pass, and
-// by default the allocation degrades to a sound spill-everywhere result.
+// A panic seeded into any pass is contained: with degradation disabled
+// it surfaces as a structured *AllocError naming the routine, the pass
+// and the round, with the stack at the panic; by default the
+// allocation degrades to a verified spill-everywhere result. Each pass
+// is poisoned where it runs: tags under chaitin, coalesce-cons under
+// remat, spill on a starved machine, and one pass in the second round
+// the starved machine needs.
 func TestPanicContainment(t *testing.T) {
-	PanicHook = func(_, pass string) {
-		if pass == "build" {
-			panic("injected fault")
-		}
+	type poison struct {
+		pass     string
+		round    int
+		strategy string
+		machine  *target.Machine
 	}
+	var cases []poison
+	for _, name := range PassNames() {
+		c := poison{pass: name, strategy: "remat", machine: target.Standard()}
+		switch name {
+		case "tags":
+			c.strategy = "chaitin"
+		case "spill":
+			c.machine = target.WithRegs(3)
+		}
+		cases = append(cases, c)
+	}
+	cases = append(cases, poison{pass: "build", round: 1, strategy: "remat", machine: target.WithRegs(3)})
 	defer func() { PanicHook = nil }()
 
-	rt := iloc.MustParse(fig1Src)
-	_, err := Allocate(context.Background(), rt, Options{Machine: target.Standard(), Strategy: "remat", DisableDegradation: true})
-	if err == nil {
-		t.Fatal("expected the injected panic to surface as an error")
-	}
-	var ae *AllocError
-	if !errors.As(err, &ae) {
-		t.Fatalf("error is not an *AllocError: %v", err)
-	}
-	if ae.Pass != "build" || ae.Routine != rt.Name || ae.Iteration != 0 {
-		t.Fatalf("AllocError = {Routine:%q Pass:%q Iteration:%d}", ae.Routine, ae.Pass, ae.Iteration)
-	}
-	if ae.Stack == "" {
-		t.Fatal("recovered panic lost its stack trace")
-	}
-	if !strings.Contains(err.Error(), "injected fault") {
-		t.Fatalf("error message lost the panic value: %v", err)
-	}
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%s/round%d", c.pass, c.round), func(t *testing.T) {
+			// The hook panics the c.round-th time the pass starts in
+			// each allocation.
+			seen := 0
+			PanicHook = func(_, pass string) {
+				if pass != c.pass {
+					return
+				}
+				if seen == c.round {
+					panic("injected fault")
+				}
+				seen++
+			}
+			rt := iloc.MustParse(fig1Src)
+			opts := Options{Machine: c.machine, Strategy: c.strategy, DisableDegradation: true}
+			_, err := Allocate(context.Background(), rt, opts)
+			if err == nil {
+				t.Fatal("expected the injected panic to surface as an error")
+			}
+			var ae *AllocError
+			if !errors.As(err, &ae) {
+				t.Fatalf("error is not an *AllocError: %v", err)
+			}
+			if ae.Pass != c.pass || ae.Routine != rt.Name || ae.Iteration != c.round {
+				t.Fatalf("AllocError = {Routine:%q Pass:%q Iteration:%d}, want {%q %q %d}",
+					ae.Routine, ae.Pass, ae.Iteration, rt.Name, c.pass, c.round)
+			}
+			if ae.Stack == "" {
+				t.Fatal("recovered panic lost its stack trace")
+			}
+			if !strings.Contains(err.Error(), "injected fault") {
+				t.Fatalf("error message lost the panic value: %v", err)
+			}
 
-	res, err := Allocate(context.Background(), rt, Options{Machine: target.Standard(), Strategy: "remat", Verify: true})
-	if err != nil {
-		t.Fatalf("degradation did not rescue the poisoned pipeline: %v", err)
+			seen = 0
+			opts.DisableDegradation, opts.Verify = false, true
+			res, err := Allocate(context.Background(), rt, opts)
+			if err != nil {
+				t.Fatalf("degradation did not rescue the poisoned pipeline: %v", err)
+			}
+			if !res.Degraded || !strings.Contains(res.DegradeReason, "injected fault") {
+				t.Fatalf("Degraded=%v reason=%q", res.Degraded, res.DegradeReason)
+			}
+			runSame(t, rt, res.Routine, interp.Int(4))
+		})
 	}
-	if !res.Degraded || !strings.Contains(res.DegradeReason, "injected fault") {
-		t.Fatalf("Degraded=%v reason=%q", res.Degraded, res.DegradeReason)
-	}
-	runSame(t, rt, res.Routine, interp.Int(4))
 }
 
 // The spill-everywhere fallback on its own: every virtual register gets

@@ -26,7 +26,7 @@ import (
 // back to back, then the body in Result field order. Integers are
 // varints, a float is its eight bytes, a string is its length (its
 // bytes are the next ones in the string section), and a pass name of
-// the allocator's pipeline is its index there.
+// the allocator's round is its id plus one.
 type Snapshot struct {
 	data    []byte
 	machine *target.Machine
@@ -145,9 +145,9 @@ func (e *snapEncoder) result(res *Result) {
 // its six counts are non-zero, and those counts.
 func (e *snapEncoder) passStat(ps *PassStat) {
 	code := 0
-	for i, p := range allocPipeline {
+	for id, p := range passTable {
 		if p.name == ps.Name {
-			code = i + 1
+			code = id + 1
 			break
 		}
 	}
@@ -484,8 +484,8 @@ func (d *snapDecoder) passStat(ps *PassStat) {
 	switch {
 	case code == 0:
 		ps.Name = d.string()
-	case code <= len(allocPipeline):
-		ps.Name = allocPipeline[code-1].name
+	case code <= numPasses:
+		ps.Name = passTable[code-1].name
 	default:
 		d.bad = true
 	}

@@ -12,6 +12,49 @@ func errUncolored(a *allocator, in *iloc.Instr) error {
 	return fmt.Errorf("core: %s: uncolored register in %q", a.rt.Name, a.rt.InstrString(in))
 }
 
+// spillProfitable gives spill code to every live range whose spill
+// cost is negative and reports whether there was one. Such spills are
+// profitable (§5.2): a rematerializable range whose deleted
+// definitions outweigh its per-use recomputation removes instructions
+// outright, registers or no registers, so they go in before coloring
+// and the loop goes round again.
+func (a *allocator) spillProfitable(st *IterationStats, ps *PassStat) bool {
+	found := false
+	for ci, cs := range a.classes {
+		neg := cs.spilled[:0]
+		for v := 1; v < a.rt.NumRegs(cs.c); v++ {
+			if cs.inCode[v] && cs.find(v) == v && !cs.mustNot[v] && cs.cost[v] < 0 {
+				neg = append(neg, v)
+			}
+		}
+		cs.spilled = neg
+		if len(neg) > 0 {
+			a.resetSlots()
+			spilled, remat := a.insertSpills(cs, neg)
+			st.Spilled[ci] += spilled
+			st.Remat[ci] += remat
+			ps.Spilled += spilled
+			ps.Remat += remat
+			found = true
+		}
+	}
+	return found
+}
+
+// spillSelected gives spill code to the live ranges select left
+// uncolored.
+func (a *allocator) spillSelected(st *IterationStats, ps *PassStat) {
+	a.resetSlots()
+	for ci, cs := range a.classes {
+		if len(cs.spilled) > 0 {
+			spilled, remat := a.insertSpills(cs, cs.spilled)
+			st.Remat[ci] += remat
+			ps.Spilled += spilled
+			ps.Remat += remat
+		}
+	}
+}
+
 // insertSpills converts each uncolored live range into tiny ranges. A ⊥
 // range gets Chaitin's heavyweight treatment — a store after every
 // definition, a reload before every use. A never-killed range is

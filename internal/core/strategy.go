@@ -1,21 +1,18 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"strings"
-
-	"repro/internal/iloc"
 )
 
 // This file is the allocation-strategy layer: a named, registered
-// pipeline per allocator variant. A strategy spec — a registered name,
+// allocator variant per strategy. A strategy spec — a registered name,
 // optionally followed by ":" and comma-separated parameters
 // ("remat:split=all-loops,no-bias") — is the one way to say which
 // allocator runs: Table 1's two columns (chaitin, remat), §6's
 // splitting schemes, §2's spill metric, §4's ablation switches, and the
 // spill-everywhere baselines. LookupStrategy parses a spec once into a
-// strategyParams value the pipeline passes read; Spec renders that
+// strategyParams value the passes of round read; Spec renders that
 // value back as the canonical text the driver's cache key, audit
 // records and Result.Strategy all carry.
 
@@ -43,16 +40,11 @@ type strategyParams struct {
 // Strategy is one registered allocation strategy, or a parameterized
 // derivation of one (LookupStrategy of a "name:k=v,..." spec). The
 // built-ins — chaitin, remat, spill-everywhere, ssa-spill — are the
-// whole registry.
+// whole registry; runStrategy dispatches on the name, and only chaitin
+// and remat, which run Figure 2, take parameters.
 type Strategy struct {
 	name        string
 	description string
-	// run is the pipeline: it allocates one routine under defaulted
-	// options and the strategy's parameters.
-	run func(ctx context.Context, rt *iloc.Routine, opts Options, p strategyParams) (*Result, error)
-	// param applies one "key" (hasVal false) or "key=value" parameter
-	// to p; nil means the strategy takes no parameters.
-	param func(p *strategyParams, key, val string, hasVal bool) error
 	// params is the parsed configuration and spec its canonical text.
 	params strategyParams
 	spec   string
@@ -99,7 +91,7 @@ func canonicalSpec(name string, p strategyParams) string {
 // withParams derives a parameterized copy of the strategy, applying the
 // parameters in order (a repeated key's last value wins).
 func (s *Strategy) withParams(raw []string) (*Strategy, error) {
-	if s.param == nil {
+	if s.name != "chaitin" && s.name != "remat" {
 		return nil, fmt.Errorf("strategy %q takes no parameters", s.name)
 	}
 	d := *s
@@ -109,7 +101,7 @@ func (s *Strategy) withParams(raw []string) (*Strategy, error) {
 			continue
 		}
 		key, val, hasVal := strings.Cut(p, "=")
-		if err := s.param(&d.params, key, val, hasVal); err != nil {
+		if err := d.params.set(key, val, hasVal); err != nil {
 			return nil, fmt.Errorf("strategy %q: %w", s.name, err)
 		}
 	}
@@ -162,12 +154,6 @@ func LookupStrategy(spec string) (*Strategy, error) {
 	return nil, &UnknownStrategyError{Name: name, Registered: StrategyNames()}
 }
 
-// runIterated is the shared pipeline of the chaitin and remat
-// strategies: the iterated build–color–spill loop of Figure 2.
-func runIterated(ctx context.Context, rt *iloc.Routine, opts Options, p strategyParams) (*Result, error) {
-	return allocate(ctx, rt, opts, p)
-}
-
 // splitSchemeByName maps the spec names of the §6 schemes.
 func splitSchemeByName(name string) (SplitScheme, error) {
 	for _, s := range []SplitScheme{SplitNone, SplitAllLoops, SplitOuterLoops, SplitInactiveLoops, SplitAtPhis} {
@@ -200,40 +186,37 @@ func spillMetricByName(name string) (SpillMetric, error) {
 	return MetricCostOverDegree, fmt.Errorf("unknown spill metric %q", name)
 }
 
-// metricParam is the one parameter chaitin and remat share.
-func metricParam(p *strategyParams, key, val string, _ bool) error {
-	if key != "metric" {
-		return fmt.Errorf("unknown parameter %q", key)
-	}
-	m, err := spillMetricByName(val)
-	if err != nil {
-		return err
-	}
-	p.metric = m
-	return nil
-}
-
-// rematParam parses the remat strategy's parameters: §6's splitting
-// schemes, the spill metric, and the paper's ablation switches. The
-// switches are bare flags and reject any "=value".
-func rematParam(p *strategyParams, key, val string, hasVal bool) error {
+// set applies one "key" (hasVal false) or "key=value" parameter. Both
+// strategies take the spill metric; remat also takes §6's splitting
+// schemes and the paper's ablation switches, which are bare flags and
+// reject any "=value".
+func (p *strategyParams) set(key, val string, hasVal bool) error {
 	var flag *bool
-	switch key {
-	case "split":
+	switch {
+	case key == "metric":
+		m, err := spillMetricByName(val)
+		if err != nil {
+			return err
+		}
+		p.metric = m
+		return nil
+	case !p.remat:
+		return fmt.Errorf("unknown parameter %q", key)
+	case key == "split":
 		s, err := splitSchemeByName(val)
 		if err != nil {
 			return err
 		}
 		p.split = s
 		return nil
-	case "no-coalesce":
+	case key == "no-coalesce":
 		flag = &p.noCoalesce
-	case "no-bias":
+	case key == "no-bias":
 		flag = &p.noBias
-	case "no-lookahead":
+	case key == "no-lookahead":
 		flag = &p.noLookahead
 	default:
-		return metricParam(p, key, val, hasVal)
+		return fmt.Errorf("unknown parameter %q", key)
 	}
 	if hasVal {
 		return fmt.Errorf("parameter %q is a flag and takes no value", key)
@@ -243,39 +226,26 @@ func rematParam(p *strategyParams, key, val string, hasVal bool) error {
 }
 
 // strategies is the registry, in registration order.
-var strategies []*Strategy
-
-func init() {
-	strategies = []*Strategy{
-		{
-			name:        "chaitin",
-			description: "Chaitin-style optimistic coloring with whole-range rematerialization (the paper's Table 1 baseline)",
-			run:         runIterated,
-			param:       metricParam,
-		},
-		{
-			name:        "remat",
-			description: "the paper's allocator: per-value tags, splits, conservative coalescing, biased coloring",
-			run:         runIterated,
-			param:       rematParam,
-			params:      strategyParams{remat: true},
-		},
-		{
-			name:        "spill-everywhere",
-			description: "guaranteed-terminating baseline: every value lives in a frame slot, reloaded per use (Bouchez/Darte/Rastello)",
-			run: func(_ context.Context, rt *iloc.Routine, opts Options, _ strategyParams) (*Result, error) {
-				return spillEverywhere(rt, opts)
-			},
-		},
-		{
-			name:        "ssa-spill",
-			description: "SSA-form spill-everywhere: one slot per φ-congruence web, dead stores elided, sparse-liveness-pruned φs",
-			run: func(_ context.Context, rt *iloc.Routine, opts Options, _ strategyParams) (*Result, error) {
-				return ssaSpill(rt, opts)
-			},
-		},
-	}
-	for _, s := range strategies {
-		s.spec = s.name
-	}
+var strategies = []*Strategy{
+	{
+		name:        "chaitin",
+		spec:        "chaitin",
+		description: "Chaitin-style optimistic coloring with whole-range rematerialization (the paper's Table 1 baseline)",
+	},
+	{
+		name:        "remat",
+		spec:        "remat",
+		description: "the paper's allocator: per-value tags, splits, conservative coalescing, biased coloring",
+		params:      strategyParams{remat: true},
+	},
+	{
+		name:        "spill-everywhere",
+		spec:        "spill-everywhere",
+		description: "guaranteed-terminating baseline: every value lives in a frame slot, reloaded per use (Bouchez/Darte/Rastello)",
+	},
+	{
+		name:        "ssa-spill",
+		spec:        "ssa-spill",
+		description: "SSA-form spill-everywhere: one slot per φ-congruence web, dead stores elided, sparse-liveness-pruned φs",
+	},
 }

@@ -70,6 +70,32 @@ func (s *Sets) Union(x, y int) (root int, merged bool) {
 	return rx, true
 }
 
+// Compact renames the sets' representatives 0, 1, ... in ascending
+// order and drops every other element, leaving one singleton per set.
+// Each representative keeps its rank, so later unions choose the
+// representatives they would have chosen under the old names. It
+// returns, in names' storage, the new name of every old element's set.
+func (s *Sets) Compact(names []int32) []int32 {
+	n := len(s.parent)
+	names = slices.Grow(names[:0], n)[:n]
+	k := 0
+	for x := range n {
+		if s.parent[x] == int32(x) {
+			names[x] = int32(k)
+			s.rank[k] = s.rank[x] // k <= x: no rank still to read is overwritten
+			k++
+		}
+	}
+	for x := range n {
+		names[x] = names[s.Find(x)]
+	}
+	for i := range k {
+		s.parent[i] = int32(i)
+	}
+	s.parent, s.rank, s.count = s.parent[:k], s.rank[:k], k
+	return names
+}
+
 // Same reports whether x and y are in the same set.
 func (s *Sets) Same(x, y int) bool { return s.Find(x) == s.Find(y) }
 

@@ -124,3 +124,43 @@ func TestQuickAgainstNaive(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Compact names the representatives densely in ascending order, and
+// unions after it choose the representatives the uncompacted forest
+// chooses, under the new names.
+func TestCompactKeepsRoots(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		const n = 60
+		a, b := New(n), New(n)
+		for step := 0; step < rng.Intn(80); step++ {
+			x, y := rng.Intn(n), rng.Intn(n)
+			a.Union(x, y)
+			b.Union(x, y)
+		}
+		count := b.Count()
+		names := b.Compact(nil)
+		if b.Len() != count || b.Count() != count {
+			t.Fatalf("Len %d, Count %d after Compact, want %d", b.Len(), b.Count(), count)
+		}
+		prev := int32(-1)
+		for x := 0; x < n; x++ {
+			if a.Find(x) == x {
+				if names[x] != prev+1 {
+					t.Fatalf("representative %d named %d, want %d", x, names[x], prev+1)
+				}
+				prev = names[x]
+			}
+		}
+		for step := 0; step < 60; step++ {
+			x, y := rng.Intn(n), rng.Intn(n)
+			a.Union(x, y)
+			b.Union(int(names[x]), int(names[y]))
+			for z := 0; z < n; z++ {
+				if got, want := b.Find(int(names[z])), int(names[a.Find(z)]); got != want {
+					t.Fatalf("trial %d: element %d's set is %d after Compact, want %d", trial, z, got, want)
+				}
+			}
+		}
+	}
+}

@@ -288,16 +288,22 @@ func (g *Graph) walk(bi int) {
 // It clears only the prefixes the builds since the last Forget wrote.
 func (g *Graph) Forget() {
 	g.noteHighWater()
-	clear(g.DefOf[:g.hwValues])
-	clear(g.DefBlockOf[:g.hwValues])
-	clear(g.UsesOf[:g.hwValues])
-	clear(g.usesFlat[:g.hwUses])
+	clearPrefix(g.DefOf, g.hwValues)
+	clearPrefix(g.DefBlockOf, g.hwValues)
+	clearPrefix(g.UsesOf, g.hwValues)
+	clearPrefix(g.usesFlat, g.hwUses)
 	g.hwValues, g.hwUses = 0, 0
 	g.DefOf, g.DefBlockOf, g.UsesOf, g.OrigOf = g.DefOf[:0], g.DefBlockOf[:0], g.UsesOf[:0], g.OrigOf[:0]
 	g.Routine = nil
 	g.usesFlat = g.usesFlat[:0]
 	g.NumValues = 0
 }
+
+// clearPrefix clears s's first n elements, or all of its capacity when
+// that is smaller. The high-water mark is the longest of several
+// tables, and a build that failed while renaming never carved UsesOf
+// to DefOf's length.
+func clearPrefix[T any](s []T, n int) { clear(s[:min(n, cap(s))]) }
 
 // noteHighWater raises the high-water marks to the tables' lengths,
 // before a build truncates them or Forget clears them. Each table only

@@ -231,6 +231,31 @@ entry:
 	}
 }
 
+// A build that fails while renaming leaves a graph Forget can still
+// clear: on a new graph the def tables then outrun the uncarved use
+// tables.
+func TestForgetAfterFailedBuild(t *testing.T) {
+	rt := iloc.MustParse(`
+routine f()
+entry:
+    ldi r2, 1
+    retr r1
+`)
+	if err := cfg.Build(rt); err != nil {
+		t.Fatal(err)
+	}
+	tree := dom.Compute(rt)
+	live := liveness.Compute(rt, iloc.ClassInt)
+	g := new(Graph)
+	if err := BuildInto(g, rt, iloc.ClassInt, tree, dom.Frontiers(tree, rt), live); err == nil {
+		t.Fatal("use of undefined register not reported")
+	}
+	g.Forget()
+	if g.Routine != nil || len(g.DefOf) != 0 {
+		t.Fatalf("Forget left Routine %v and %d values", g.Routine, len(g.DefOf))
+	}
+}
+
 // A register defined on one path only reaches the join through a φ
 // whose argument from the other path has no definition; the error names
 // the φ's block.
