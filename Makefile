@@ -61,6 +61,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProgram$$' -fuzztime 5s ./internal/iloc
 	$(GO) test -run '^$$' -fuzz FuzzAllocate -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzLookupStrategy -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzGraph -fuzztime 5s ./internal/ig
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 5s ./internal/corpus
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime 5s -fuzzminimizetime 1s ./internal/store

@@ -1,8 +1,9 @@
 // Package bitset provides dense bit sets sized at construction time.
 //
-// The allocator uses bit sets for liveness vectors and for the triangular
-// bit matrix of the interference graph, so the operations here are tuned
-// for word-at-a-time traversal rather than generality.
+// The allocator uses bit sets for liveness vectors, which the
+// interference graph's builder ORs into its bit matrix a word at a
+// time, so the operations here are tuned for word-at-a-time traversal
+// rather than generality.
 package bitset
 
 import (
@@ -57,6 +58,11 @@ func (s *Set) Reset(n int) {
 	clear(s.words)
 	s.n = n
 }
+
+// Bits returns the set's words, shared rather than copied: element i is
+// bit i%64 of word i/64, and the bits from Len() up are clear. The
+// caller must not write them.
+func (s *Set) Bits() []uint64 { return s.words }
 
 // Footprint returns the bytes of storage s holds.
 func (s *Set) Footprint() int { return 8 * cap(s.words) }

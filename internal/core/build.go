@@ -8,21 +8,22 @@ import (
 	"repro/internal/remat"
 )
 
-// solveLiveness solves liveness for every class into its live, in one
-// walk of the code.
-func (a *allocator) solveLiveness() {
+// solveLiveness solves liveness for the classes css into their live,
+// in one walk of the code.
+func (a *allocator) solveLiveness(css ...*classState) {
 	var infos [iloc.NumClasses]*liveness.Info
-	for c, cs := range a.classes {
-		infos[c] = &cs.live
+	for _, cs := range css {
+		infos[cs.c] = &cs.live
 	}
 	liveness.ComputeAllInto(&infos, a.rt, a.tree.Order)
 }
 
-// buildGraph solves liveness for one class and rebuilds its
-// interference graph, as a coalesce rebuild needs.
-func (a *allocator) buildGraph(cs *classState) {
-	liveness.ComputeInto(&cs.live, a.rt, cs.c, a.tree.Order)
-	a.buildFromLive(cs)
+// buildGraph solves liveness for the classes css and rebuilds their
+// interference graphs: the build pass does it for every class, and a
+// coalesce rebuild for the classes whose scan removed a copy.
+func (a *allocator) buildGraph(css ...*classState) {
+	a.solveLiveness(css...)
+	a.buildFromLive(css...)
 }
 
 // buildFromLive constructs the interference graphs of the classes css
@@ -43,7 +44,8 @@ func (a *allocator) buildFromLive(css ...*classState) {
 	}
 	for _, b := range a.rt.Blocks {
 		for _, cs := range css {
-			cs.lv.CopyFrom(cs.live.LiveOut[b.Index])
+			out := cs.live.LiveOutOf(b.Index)
+			cs.lv.CopyFrom(&out)
 		}
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := b.Instrs[i]
@@ -69,7 +71,8 @@ func (a *allocator) buildFromLive(css ...*classState) {
 
 // define steps the backward walk over in, which defines a register of
 // cs's class: the register interferes with everything live below in
-// but a copy's own source, and is dead above it.
+// but a copy's own source, and is dead above it. The live words go
+// into the register's matrix row at once; only new edges cost more.
 func (cs *classState) define(in *iloc.Instr) {
 	d, lv := int(in.Dst.N), &cs.lv
 	cs.inCode[d] = true
@@ -78,11 +81,7 @@ func (cs *classState) define(in *iloc.Instr) {
 		copySrc = int(in.Src[0].N)
 		lv.Remove(copySrc)
 	}
-	lv.ForEach(func(x int) {
-		if x != d {
-			cs.graph.AddEdge(d, x)
-		}
-	})
+	cs.graph.AddEdges(d, lv.Bits())
 	lv.Remove(d)
 	if copySrc >= 0 {
 		lv.Add(copySrc)
@@ -113,49 +112,71 @@ func resetTable[T any](s []T, n int) []T {
 // last scan changed nothing. The build pass leaves it exact for the
 // first round, and the first round leaves it exact for the second, so
 // neither round starts with a rebuild.
+//
+// The classes share each scan, rewrite and rebuild, one walk of the
+// code apiece, but a class's coalescing reads and writes only its own
+// live ranges, graph and copies: each class makes the decisions, in
+// the order, a round over that class alone would, and a class drops
+// out once its scan removes nothing.
 func (a *allocator) coalesceToFixpoint(splitRound bool) int {
-	removed := 0
-	for _, cs := range a.classes {
-		for {
-			m := a.coalescePass(cs, splitRound)
-			removed += m
-			if m == 0 {
-				break
+	total := 0
+	classes := a.classes
+	active := classes[:]
+	for {
+		removed := a.coalescePass(active, splitRound)
+		n := 0
+		for _, cs := range active {
+			if m := removed[cs.c]; m > 0 {
+				total += m
+				active[n] = cs
+				n++
 			}
-			a.buildGraph(cs)
 		}
+		if n == 0 {
+			return total
+		}
+		active = active[:n]
+		// No tag fold: each merge already met the two roots' tags, and
+		// a root's tag is at or below every member's (see foldTags), so
+		// a fold would change nothing.
+		a.rewriteToRoots(active...)
+		a.buildGraph(active...)
 	}
-	return removed
 }
 
-// coalescePass scans for removable copies of one kind, for
-// coalesceToFixpoint: unrestricted over ordinary copies, then (in
-// remat) conservative over split copies. Ordinary copies
-// (splitRound false) coalesce whenever the ends do not interfere; split
-// copies additionally require the merged node to have fewer than k
-// neighbors of significant degree, so the combined range provably still
-// simplifies. The graph is updated in place (Merge) so later decisions in
-// the same pass see earlier ones.
-func (a *allocator) coalescePass(cs *classState, splitRound bool) int {
-	k := a.opts.Machine.K(cs.c)
-	removed := 0
+// coalescePass scans the classes css for removable copies of one kind,
+// for coalesceToFixpoint, and returns how many it removed of each
+// class: unrestricted over ordinary copies, then (in remat)
+// conservative over split copies. Ordinary copies (splitRound false)
+// coalesce whenever the ends do not interfere; split copies
+// additionally require the merged node to have fewer than k neighbors
+// of significant degree, so the combined range provably still
+// simplifies. The graph is updated in place (Merge) so later decisions
+// in the same pass see earlier ones.
+func (a *allocator) coalescePass(css []*classState, splitRound bool) (removed [iloc.NumClasses]int) {
+	var by [iloc.NumClasses]*classState
+	for _, cs := range css {
+		by[cs.c] = cs
+	}
 	for _, b := range a.rt.Blocks {
 		kept := 0
 		for i, in := range b.Instrs {
-			if !in.Op.IsCopy() || in.Dst.Class != cs.c || in.IsSplit != splitRound || in.Src[0].IsFP() {
+			if !in.Op.IsCopy() || in.Dst.Class >= iloc.NumClasses || by[in.Dst.Class] == nil ||
+				in.IsSplit != splitRound || in.Src[0].IsFP() {
 				keep(b.Instrs, &kept, i)
 				continue
 			}
+			cs := by[in.Dst.Class]
 			d, s := cs.find(int(in.Dst.N)), cs.find(int(in.Src[0].N))
 			if d == s {
-				removed++ // redundant copy: both ends already one range
+				removed[cs.c]++ // redundant copy: both ends already one range
 				continue
 			}
 			if cs.graph.Interfere(d, s) {
 				keep(b.Instrs, &kept, i)
 				continue
 			}
-			if splitRound && cs.graph.CombinedSignificant(d, s, k) >= k {
+			if k := a.opts.Machine.K(cs.c); splitRound && cs.graph.CombinedSignificant(d, s, k) >= k {
 				keep(b.Instrs, &kept, i)
 				continue
 			}
@@ -165,15 +186,9 @@ func (a *allocator) coalescePass(cs *classState, splitRound bool) int {
 			if root < len(cs.tags) && other < len(cs.tags) {
 				cs.tags[root] = remat.Meet(cs.tags[root], cs.tags[other])
 			}
-			removed++
+			removed[cs.c]++
 		}
 		b.Instrs = b.Instrs[:kept]
-	}
-	if removed > 0 {
-		// No tag fold: each merge above already met the two roots'
-		// tags, and a root's tag is at or below every member's (see
-		// foldTags), so a fold would change nothing.
-		a.rewriteToRoots(cs)
 	}
 	return removed
 }

@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/cfg"
@@ -190,7 +191,7 @@ type allocator struct {
 	res    *Result
 
 	classes [iloc.NumClasses]*classState // the class states of the call's scratch
-	passes  *[]PassStat                  // the scratch's buffer for a round's pass stats
+	passes  []PassStat                   // the slab every round's pass stats are cut from
 	phiSlab *[]iloc.Reg                  // the scratch's φ operand slab
 
 	// The control-flow analyses round 0's cfa pass computes. No pass
@@ -203,6 +204,10 @@ type allocator struct {
 	loops []*cfg.Loop
 	df    [][]int
 
+	// inputNames[c], when set, maps each class-c register of the clone
+	// to its number in the input (see denseInputNames).
+	inputNames [iloc.NumClasses][]int32
+
 	instrs    []iloc.Instr // slab the instructions spill and renumber add are cut from
 	frameBase int64        // first fp offset free for spill slots
 	nextSlot  int
@@ -210,16 +215,31 @@ type allocator struct {
 	running   string // the pass running now, "" between passes
 }
 
+// resultSlab is the one allocation that holds a result, the statistics
+// of its first two rounds (most allocations take one or two) and room
+// for those rounds' pass stats.
+type resultSlab struct {
+	res    Result
+	iters  [2]IterationStats
+	passes [2 * roundPasses]PassStat
+}
+
+// roundPasses is the most passes one round runs: coalesce-cons and
+// tags exclude each other, and so do spill and rewrite.
+const roundPasses = numPasses - 2
+
 // newAllocator returns an allocator over a clone of rt that keeps its
 // per-class tables in sc.
 func newAllocator(ctx context.Context, rt *iloc.Routine, opts Options, params strategyParams, sc *scratch) *allocator {
+	rs := &resultSlab{res: Result{Machine: opts.Machine}}
+	rs.res.Iterations = rs.iters[:0]
 	a := &allocator{
 		ctx:     ctx,
 		rt:      rt.Clone(),
 		opts:    opts,
 		params:  params,
-		res:     &Result{Machine: opts.Machine},
-		passes:  &sc.passes,
+		res:     &rs.res,
+		passes:  rs.passes[:0],
 		phiSlab: &sc.phiSlab,
 	}
 	for c := range sc.classes {
@@ -228,7 +248,78 @@ func newAllocator(ctx context.Context, rt *iloc.Routine, opts Options, params st
 		a.classes[c] = cs
 	}
 	a.frameBase = scanFrameBase(a.rt)
+	a.denseInputNames()
 	return a
+}
+
+// denseInputNames renames the registers of every class whose register
+// space is far larger than the code can name — each instruction names
+// at most three registers — to 1..R in ascending order, so the tables
+// round 0 sizes by NextReg before renumber compacts the names grow with
+// the code, not with its largest register number. Order is kept, so
+// the allocation is the one the input's own names give; the input's
+// names stay in inputNames for error texts. Register 0, the frame
+// pointer, keeps its number.
+func (a *allocator) denseInputNames() {
+	rt := a.rt
+	instrs := 0
+	for _, b := range rt.Blocks {
+		instrs += len(b.Instrs)
+	}
+	for c := range iloc.NumClasses {
+		if rt.NextReg[c] <= 3*instrs+len(rt.Params)+1 {
+			continue
+		}
+		names := []int32{0}
+		forEachRegRef(rt, iloc.Class(c), func(r *iloc.Reg) { names = append(names, r.N) })
+		slices.Sort(names)
+		names = slices.Compact(names)
+		forEachRegRef(rt, iloc.Class(c), func(r *iloc.Reg) {
+			n, _ := slices.BinarySearch(names, r.N)
+			r.N = int32(n)
+		})
+		rt.NextReg[c] = len(names)
+		a.inputNames[c] = names
+	}
+}
+
+// forEachRegRef calls f with every class-c register operand of rt other
+// than the frame pointer: parameters, sources, destinations and φ
+// arguments.
+func forEachRegRef(rt *iloc.Routine, c iloc.Class, f func(r *iloc.Reg)) {
+	visit := func(r *iloc.Reg) {
+		if r.Class == c && r.N > 0 {
+			f(r)
+		}
+	}
+	for i := range rt.Params {
+		visit(&rt.Params[i].Reg)
+	}
+	for _, b := range rt.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == iloc.OpPhi {
+				args := rt.PhiArgs(in)
+				for i := range args {
+					visit(&args[i])
+				}
+			} else {
+				for i := range in.Src[:in.Op.NSrc()] {
+					visit(&in.Src[i])
+				}
+			}
+			if in.Op.HasDst() {
+				visit(&in.Dst)
+			}
+		}
+	}
+}
+
+// inputReg returns the input's name for register r of the clone.
+func (a *allocator) inputReg(r iloc.Reg) iloc.Reg {
+	if r.Class < iloc.NumClasses && a.inputNames[r.Class] != nil && r.N >= 0 && int(r.N) < len(a.inputNames[r.Class]) {
+		r.N = a.inputNames[r.Class][r.N]
+	}
+	return r
 }
 
 // newInstr returns a zero instruction for the routine, cut from the
@@ -297,7 +388,9 @@ func Allocate(ctx context.Context, rt *iloc.Routine, opts Options) (*Result, err
 	}
 	sp.End()
 	tel.Count("core.allocations", 1)
-	tel.Count("core.allocations.strategy."+opts.Strategy, 1)
+	if tel.Enabled() {
+		tel.Count("core.allocations.strategy."+opts.Strategy, 1)
+	}
 	if res != nil {
 		tel.Count("core.iterations", int64(len(res.Iterations)))
 		tel.Count("core.spilled_ranges", int64(res.SpilledRanges))

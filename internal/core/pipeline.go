@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"time"
 
@@ -120,12 +119,18 @@ func PassPhase(name string) string {
 func (a *allocator) round() (done bool, err error) {
 	a.res.Iterations = append(a.res.Iterations, IterationStats{})
 	st := &a.res.Iterations[len(a.res.Iterations)-1]
-	*a.passes = (*a.passes)[:0]
+	// The round's pass stats are the next run of the slab, capped at
+	// the passes it ran so that no round's stats share storage with
+	// another's. A round past the slab's gets a slab of its own.
+	if cap(a.passes)-len(a.passes) < roundPasses {
+		a.passes = make([]PassStat, 0, roundPasses)
+	}
+	first := len(a.passes)
 	span := a.opts.Telemetry.StartSpan(telemetry.CatIteration, "iteration")
 	span.Arg("iteration", int64(a.roundNo))
 	defer func() {
 		span.End()
-		st.Passes = slices.Clone(*a.passes)
+		st.Passes = a.passes[first:len(a.passes):len(a.passes)]
 	}()
 
 	if err := a.pass(passCFA, func(*PassStat) error { return a.cfa() }); err != nil {
@@ -139,8 +144,7 @@ func (a *allocator) round() (done bool, err error) {
 		return false, err
 	}
 	if err := a.pass(passBuild, func(ps *PassStat) error {
-		a.solveLiveness()
-		a.buildFromLive(a.classes[:]...)
+		a.buildGraph(a.classes[:]...)
 		a.graphStats(ps)
 		return nil
 	}); err != nil {
@@ -244,8 +248,8 @@ func (a *allocator) pass(id int, body func(ps *PassStat) error) error {
 		return err
 	}
 	name := passTable[id].name
-	*a.passes = append(*a.passes, PassStat{Name: name})
-	ps := &(*a.passes)[len(*a.passes)-1]
+	a.passes = append(a.passes, PassStat{Name: name})
+	ps := &a.passes[len(a.passes)-1]
 	tel := a.opts.Telemetry
 	sp := tel.StartSpan(telemetry.CatPass, name)
 	defer func() {

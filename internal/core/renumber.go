@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
 	"repro/internal/iloc"
+	"repro/internal/liveness"
 	"repro/internal/remat"
 	"repro/internal/ssa"
 )
@@ -25,27 +27,36 @@ import (
 func (a *allocator) renumber() (splits int, err error) {
 	// Liveness for both classes must precede SSA construction (the
 	// liveness solver rejects φ-nodes).
-	a.solveLiveness()
+	a.solveLiveness(a.classes[:]...)
 	// The φ-nodes' operands go to the scratch's slab: the code is in
 	// SSA form only until the loop below removes every φ.
 	a.rt.PhiSlab = (*a.phiSlab)[:0]
-	for _, cs := range a.classes {
-		if err := ssa.BuildInto(&cs.ssa, a.rt, cs.c, a.tree, a.df, &cs.live); err != nil {
-			return 0, fmt.Errorf("core: renumber: %w", err)
+	var graphs [iloc.NumClasses]*ssa.Graph
+	var lives [iloc.NumClasses]*liveness.Info
+	for c, cs := range a.classes {
+		graphs[c], lives[c] = &cs.ssa, &cs.live
+	}
+	if err := ssa.BuildAllInto(&graphs, a.rt, a.tree, a.df, &lives); err != nil {
+		var undef *ssa.UndefinedUseError
+		if errors.As(err, &undef) {
+			undef.Reg = a.inputReg(undef.Reg)
 		}
+		return 0, fmt.Errorf("core: renumber: %w", err)
 	}
 
 	for _, cs := range a.classes {
 		g := &cs.ssa
 		cs.sets.Reset(g.NumValues)
-
 		if a.params.remat {
 			cs.tags = remat.PropagateInto(restart(cs.tags, &cs.tagsHW), &cs.tagWork, g)
-			splits += a.renumberRemat(cs)
 		} else {
 			cs.tags = resetTable(restart(cs.tags, &cs.tagsHW), g.NumValues)
-			a.renumberChaitin(cs)
 		}
+	}
+	if a.params.remat {
+		splits = a.renumberRemat()
+	} else {
+		a.renumberChaitin()
 	}
 	*a.phiSlab, a.rt.PhiSlab = a.rt.PhiSlab[:0], nil
 	for _, cs := range a.classes {
@@ -70,16 +81,17 @@ func (a *allocator) renumber() (splits int, err error) {
 	return splits, nil
 }
 
-// renumberRemat performs steps 5 and 6 for one class and returns the
-// number of split copies inserted.
-func (a *allocator) renumberRemat(cs *classState) int {
-	c := cs.c
-
+// renumberRemat performs steps 5 and 6 for both classes, one walk of
+// the code each, and returns the number of split copies inserted. Each
+// class's unions and split copies come in the order a walk of that
+// class alone would make them, and every split copy of the integer
+// class comes before any of the float class at the end of a block.
+func (a *allocator) renumberRemat() int {
 	// Step 5: copies with identical inst tags are unioned and removed.
 	for _, b := range a.rt.Blocks {
 		kept := 0
 		for i, in := range b.Instrs {
-			if in.Op.IsCopy() && in.Dst.Class == c && !in.Src[0].IsFP() {
+			if cs := classOf(&a.classes, in.Dst); cs != nil && in.Op.IsCopy() && !in.Src[0].IsFP() {
 				td, ts := cs.tags[in.Dst.N], cs.tags[in.Src[0].N]
 				if td.Kind == remat.Inst && remat.Equal(td, ts) {
 					root, _ := cs.sets.Union(int(in.Dst.N), int(in.Src[0].N))
@@ -95,12 +107,15 @@ func (a *allocator) renumberRemat(cs *classState) int {
 	// Step 6: φ operands. Collect the needed splits with their
 	// predecessor blocks, to sequentialize each block's group as one
 	// parallel copy.
-	pending := restart(cs.pending, &cs.pendingHW)
+	for _, cs := range a.classes {
+		cs.pending = restart(cs.pending, &cs.pendingHW)
+	}
 	splits := 0
 	for _, b := range a.rt.Blocks {
 		kept := 0
 		for i, in := range b.Instrs {
-			if in.Op != iloc.OpPhi || in.Dst.Class != c {
+			cs := classOf(&a.classes, in.Dst)
+			if in.Op != iloc.OpPhi || cs == nil {
 				keep(b.Instrs, &kept, i)
 				continue
 			}
@@ -111,27 +126,29 @@ func (a *allocator) renumberRemat(cs *classState) int {
 					cs.tags[root] = remat.Meet(cs.tags[arg.N], cs.tags[res])
 					continue
 				}
-				pending = append(pending, pendingCopy{pred: b.Preds[i], copyPair: copyPair{dst: res, src: int(arg.N)}})
+				cs.pending = append(cs.pending, pendingCopy{pred: b.Preds[i], copyPair: copyPair{dst: res, src: int(arg.N)}})
 				splits++
 			}
 			// φ removed (not kept).
 		}
 		b.Instrs = b.Instrs[:kept]
 	}
-	cs.pending = pending
 
 	// Emit each block's splits as a sequentialized parallel copy, the
 	// blocks in code order. The destinations are φ results (distinct),
 	// the sources end-of-block values; a cycle (swap) needs one
 	// temporary.
-	slices.SortStableFunc(pending, func(x, y pendingCopy) int { return x.pred.Index - y.pred.Index })
-	for len(pending) > 0 {
-		n := 1
-		for n < len(pending) && pending[n].pred == pending[0].pred {
-			n++
+	for _, cs := range a.classes {
+		pending := cs.pending
+		slices.SortStableFunc(pending, func(x, y pendingCopy) int { return x.pred.Index - y.pred.Index })
+		for len(pending) > 0 {
+			n := 1
+			for n < len(pending) && pending[n].pred == pending[0].pred {
+				n++
+			}
+			a.emitParallelCopy(cs, pending[0].pred, pending[:n])
+			pending = pending[n:]
 		}
-		a.emitParallelCopy(cs, pending[0].pred, pending[:n])
-		pending = pending[n:]
 	}
 	return splits
 }
@@ -213,12 +230,13 @@ func (a *allocator) emitParallelCopy(cs *classState, pred *iloc.Block, pairs []p
 // renumberChaitin unions every value reaching each φ with the φ's result
 // and deletes the φ — the paper's description of the pre-rematerialization
 // renumber ("form live ranges by unioning together all the values
-// reaching each φ-node").
-func (a *allocator) renumberChaitin(cs *classState) {
+// reaching each φ-node") — for both classes in one walk.
+func (a *allocator) renumberChaitin() {
 	for _, b := range a.rt.Blocks {
 		kept := 0
 		for i, in := range b.Instrs {
-			if in.Op != iloc.OpPhi || in.Dst.Class != cs.c {
+			cs := classOf(&a.classes, in.Dst)
+			if in.Op != iloc.OpPhi || cs == nil {
 				keep(b.Instrs, &kept, i)
 				continue
 			}
@@ -230,17 +248,21 @@ func (a *allocator) renumberChaitin(cs *classState) {
 	}
 }
 
-// rewriteToRoots renames every register of cs's class in the code to
-// the representative of its live range, in one walk.
-func (a *allocator) rewriteToRoots(cs *classState) {
+// rewriteToRoots renames every register of the classes css in the
+// code to the representative of its live range, in one walk.
+func (a *allocator) rewriteToRoots(css ...*classState) {
+	var by [iloc.NumClasses]*classState
+	for _, cs := range css {
+		by[cs.c] = cs
+	}
 	a.rt.ForEachInstr(func(_ *iloc.Block, _ int, in *iloc.Instr) {
 		for i := 0; i < in.Op.NSrc(); i++ {
-			if r := in.Src[i]; r.Class == cs.c && r.N != 0 {
-				in.Src[i].N = int32(cs.find(int(r.N)))
+			if cs := classOf(&by, in.Src[i]); cs != nil {
+				in.Src[i].N = int32(cs.find(int(in.Src[i].N)))
 			}
 		}
-		if d := in.Def(); d.Class == cs.c && d.N != 0 {
-			in.Dst.N = int32(cs.find(int(d.N)))
+		if cs := classOf(&by, in.Def()); cs != nil {
+			in.Dst.N = int32(cs.find(int(in.Dst.N)))
 		}
 	})
 }

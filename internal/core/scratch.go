@@ -14,9 +14,6 @@ import (
 // the pooled scratches have grown to the routines' size.
 type scratch struct {
 	classes [iloc.NumClasses]classState
-	// passes collects a round's pass stats; the result keeps an exact
-	// copy, not a slice sized for every pass the round might run.
-	passes []PassStat
 	// phiSlab is the routine's PhiSlab while renumber has it in SSA form.
 	phiSlab []iloc.Reg
 }
@@ -59,7 +56,7 @@ func releaseScratch(s *scratch) bool {
 
 // footprint returns the bytes of table storage s holds.
 func (s *scratch) footprint() int {
-	b := bytesOf(s.passes) + bytesOf(s.phiSlab)
+	b := bytesOf(s.phiSlab)
 	for c := range s.classes {
 		cs := &s.classes[c]
 		b += cs.sets.Footprint() + cs.graph.Footprint() + cs.live.Footprint() +

@@ -82,7 +82,8 @@ func (a *allocator) applyLoopSplits(cs *classState, loops []*cfg.Loop) int {
 			inLoop[b] = true
 		}
 		var candidates []int
-		live.LiveIn[l.Header.Index].ForEach(func(r int) {
+		headerIn := live.LiveInOf(l.Header.Index)
+		headerIn.ForEach(func(r int) {
 			r = cs.find(r)
 			if a.params.split == SplitInactiveLoops {
 				if alreadySplit[r] || rangeActiveIn(l, cs.c, r, cs) {
@@ -136,7 +137,7 @@ func (a *allocator) splitAroundLoop(cs *classState, l *cfg.Loop, inLoop map[*ilo
 	var exits []*iloc.Block
 	for _, b := range l.Blocks {
 		for _, s := range b.Succs {
-			if !inLoop[s] && live.LiveIn[s.Index].Has(r) {
+			if in := live.LiveInOf(s.Index); !inLoop[s] && in.Has(r) {
 				if len(s.Preds) > 1 {
 					return false // unexpected critical edge; skip conservatively
 				}

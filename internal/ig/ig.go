@@ -1,7 +1,9 @@
 // Package ig implements the interference graph with the dual
-// representation Chaitin advocated and the paper retains: a triangular
-// bit matrix for constant-time interference queries plus adjacency
-// vectors for fast neighbor iteration.
+// representation Chaitin advocated and the paper retains: a bit matrix
+// for constant-time interference queries plus adjacency vectors for
+// fast neighbor iteration. The matrix is square and stored row by row,
+// so each node's row is a run of words that a whole live set can be
+// ORed into at once (AddEdges).
 package ig
 
 import (
@@ -11,13 +13,17 @@ import (
 )
 
 // Graph is an undirected interference graph over nodes 0..n-1. Node ids
-// are live-range names (union-find roots); node 0 — the reserved register
-// — is never used but keeps indexing aligned with register numbers.
+// are live-range names; node 0 — the reserved register — is never used
+// but keeps indexing aligned with register numbers.
 type Graph struct {
-	n      int
-	matrix []uint64 // triangular bit matrix, bit(i,j) with i > j
+	n, w   int      // nodes, and words per matrix row
+	matrix []uint64 // row i is words [i*w, (i+1)*w): bit j set when i and j interfere
+	// adj[i][:degree[i]] are i's neighbors. A vector is stored back only
+	// when it grows, so building and resetting the graph write no
+	// pointers.
 	adj    [][]int32
 	degree []int32
+	edges  int
 }
 
 // New returns an empty graph over n nodes.
@@ -33,17 +39,14 @@ func New(n int) *Graph {
 // nothing, and neither does adding back edges the vectors held before.
 // Vectors returned by Neighbors before the call are overwritten.
 func (g *Graph) Reset(n int) {
-	g.n = n
-	words := (n*(n-1)/2 + 63) / 64
+	g.n, g.w, g.edges = n, (n+63)/64, 0
+	words := n * g.w
 	g.matrix = slices.Grow(g.matrix[:0], words)[:words]
 	clear(g.matrix)
 	g.degree = slices.Grow(g.degree[:0], n)[:n]
 	clear(g.degree)
 	// Growing keeps the vectors past the old length, and so their storage.
 	g.adj = slices.Grow(g.adj[:0], n)[:n]
-	for i := range g.adj {
-		g.adj[i] = g.adj[i][:0]
-	}
 }
 
 // Footprint returns the bytes of storage g holds, adjacency vectors
@@ -59,12 +62,9 @@ func (g *Graph) Footprint() int {
 // Len returns the number of nodes.
 func (g *Graph) Len() int { return g.n }
 
-func (g *Graph) bit(i, j int) (word, mask uint64) {
-	if i < j {
-		i, j = j, i
-	}
-	idx := i*(i-1)/2 + j
-	return uint64(idx / 64), 1 << uint(idx%64)
+// bit locates j in row i of the matrix.
+func (g *Graph) bit(i, j int) (word int, mask uint64) {
+	return i*g.w + j/64, 1 << uint(j%64)
 }
 
 // Interfere reports whether nodes i and j are adjacent.
@@ -90,10 +90,84 @@ func (g *Graph) AddEdge(i, j int) {
 		return
 	}
 	g.matrix[w] |= m
-	g.adj[i] = append(g.adj[i], int32(j))
-	g.adj[j] = append(g.adj[j], int32(i))
+	w, m = g.bit(j, i)
+	g.matrix[w] |= m
+	g.push(i, j)
+	g.push(j, i)
+	g.edges++
+}
+
+// AddEdges connects i with every node in set, a bit set of the graph's
+// nodes in words (bit j%64 of word j/64 stands for node j), as AddEdge
+// would one node at a time in ascending order. It ORs set into i's row
+// a word at a time and then does per-edge work only for the edges that
+// are new. set must hold exactly a row's words, (Len()+63)/64; i
+// itself and bits from Len() up are ignored.
+func (g *Graph) AddEdges(i int, set []uint64) {
+	if i < 0 || i >= g.n {
+		panic(fmt.Sprintf("ig: node %d outside [0,%d)", i, g.n))
+	}
+	if len(set) != g.w {
+		panic(fmt.Sprintf("ig: set of %d words for a row of %d", len(set), g.w))
+	}
+	row := g.matrix[i*g.w : (i+1)*g.w]
+	iw, im := i/64, uint64(1)<<uint(i%64)
+	// i's own degree and vector stay in locals while the new edges are
+	// appended; the vector is stored back only if it grew.
+	d0, d, v := g.degree[i], g.degree[i], g.adj[i]
+	grew := false
+	for wi, x := range set {
+		x &^= row[wi]
+		if wi == iw {
+			x &^= im
+		}
+		if wi == g.w-1 && g.n%64 != 0 {
+			x &= 1<<uint(g.n%64) - 1
+		}
+		row[wi] |= x
+		for ; x != 0; x &= x - 1 {
+			j := wi*64 + bits.TrailingZeros64(x)
+			g.matrix[j*g.w+iw] |= im
+			if int(d) == len(v) {
+				v = append(v[:d], int32(j))
+				v, grew = v[:cap(v)], true
+			} else {
+				v[d] = int32(j)
+			}
+			d++
+			g.push(j, i)
+		}
+	}
+	if grew {
+		g.adj[i] = v
+	}
+	g.degree[i] = d
+	g.edges += int(d - d0)
+}
+
+// push appends j to i's adjacency vector.
+func (g *Graph) push(i, j int) {
+	d, v := int(g.degree[i]), g.adj[i]
+	if d == len(v) {
+		v = append(v[:d], int32(j))
+		g.adj[i] = v[:cap(v)]
+	} else {
+		v[d] = int32(j)
+	}
 	g.degree[i]++
-	g.degree[j]++
+}
+
+// disconnect clears the edge (i,j) from the matrix, the degrees and
+// j's adjacency vector; i's vector is the caller's to fix.
+func (g *Graph) disconnect(i, j int) {
+	w, m := g.bit(i, j)
+	g.matrix[w] &^= m
+	w, m = g.bit(j, i)
+	g.matrix[w] &^= m
+	g.removeFromAdj(j, i)
+	g.degree[i]--
+	g.degree[j]--
+	g.edges--
 }
 
 // Degree returns the number of neighbors of i.
@@ -101,16 +175,10 @@ func (g *Graph) Degree(i int) int { return int(g.degree[i]) }
 
 // Neighbors returns the adjacency vector of i; the caller must not
 // modify it.
-func (g *Graph) Neighbors(i int) []int32 { return g.adj[i] }
+func (g *Graph) Neighbors(i int) []int32 { return g.adj[i][:g.degree[i]] }
 
 // NumEdges returns the number of edges in the graph.
-func (g *Graph) NumEdges() int {
-	c := 0
-	for _, w := range g.matrix {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
+func (g *Graph) NumEdges() int { return g.edges }
 
 // Merge folds node b into node a: every neighbor of b becomes a neighbor
 // of a, and b is left isolated. The coalescer uses it to keep
@@ -119,36 +187,28 @@ func (g *Graph) Merge(a, b int) {
 	if a == b {
 		return
 	}
-	for _, nb := range g.adj[b] {
+	for _, nb := range g.Neighbors(b) {
 		j := int(nb)
 		if j == a {
 			continue
 		}
-		// Drop the (b,j) edge from j's vector and the matrix; add (a,j).
-		w, m := g.bit(b, j)
-		g.matrix[w] &^= m
-		g.removeFromAdj(j, b)
-		g.degree[j]--
+		// Drop the (b,j) edge; add (a,j).
+		g.disconnect(b, j)
 		g.AddEdge(a, j)
 	}
 	// If a and b interfered (should not happen for coalesced copies),
 	// clear that edge too.
 	if g.Interfere(a, b) {
-		w, m := g.bit(a, b)
-		g.matrix[w] &^= m
-		g.removeFromAdj(a, b)
-		g.degree[a]--
+		g.disconnect(b, a)
 	}
-	g.adj[b] = g.adj[b][:0]
 	g.degree[b] = 0
 }
 
 func (g *Graph) removeFromAdj(i, j int) {
-	v := g.adj[i]
+	v := g.Neighbors(i)
 	for k, x := range v {
 		if int(x) == j {
 			v[k] = v[len(v)-1]
-			g.adj[i] = v[:len(v)-1]
 			return
 		}
 	}
@@ -158,7 +218,7 @@ func (g *Graph) removeFromAdj(i, j int) {
 // k ("significant degree" in §4.2's conservative-coalescing test).
 func (g *Graph) SignificantNeighbors(i, k int) int {
 	c := 0
-	for _, nb := range g.adj[i] {
+	for _, nb := range g.Neighbors(i) {
 		if int(g.degree[nb]) >= k {
 			c++
 		}
@@ -172,7 +232,7 @@ func (g *Graph) SignificantNeighbors(i, k int) int {
 // combines a and b only when this count is < k.
 func (g *Graph) CombinedSignificant(a, b, k int) int {
 	c := 0
-	for _, nb := range g.adj[a] {
+	for _, nb := range g.Neighbors(a) {
 		if int(nb) == b {
 			continue
 		}
@@ -186,7 +246,7 @@ func (g *Graph) CombinedSignificant(a, b, k int) int {
 			c++
 		}
 	}
-	for _, nb := range g.adj[b] {
+	for _, nb := range g.Neighbors(b) {
 		// Shared neighbors were counted with a's.
 		if int(nb) == a || g.Interfere(int(nb), a) {
 			continue

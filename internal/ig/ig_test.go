@@ -183,11 +183,16 @@ func TestCombinedSignificant(t *testing.T) {
 }
 
 // Property: matrix and adjacency representations agree after random
-// edge insertions and merges.
+// edge insertions, on graphs of one word and of three words a row.
 func TestQuickDualRepresentation(t *testing.T) {
+	for _, n := range []int{30, 130} {
+		testQuickDualRepresentation(t, n)
+	}
+}
+
+func testQuickDualRepresentation(t *testing.T, n int) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		const n = 30
 		g := New(n)
 		ref := make(map[[2]int]bool)
 		addRef := func(i, j int) {
@@ -199,7 +204,7 @@ func TestQuickDualRepresentation(t *testing.T) {
 			}
 			ref[[2]int{i, j}] = true
 		}
-		for step := 0; step < 200; step++ {
+		for step := 0; step < 200*n/30; step++ {
 			i, j := rng.Intn(n), rng.Intn(n)
 			g.AddEdge(i, j)
 			addRef(i, j)
@@ -227,15 +232,21 @@ func TestQuickDualRepresentation(t *testing.T) {
 	}
 }
 
-// Property: Merge preserves the neighbor set (modulo the merged pair).
+// Property: Merge preserves the neighbor set (modulo the merged pair),
+// on graphs of one word and of three words a row.
 func TestQuickMerge(t *testing.T) {
+	for _, n := range []int{20, 130} {
+		testQuickMerge(t, n)
+	}
+}
+
+func testQuickMerge(t *testing.T, n int) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		const n = 20
 		g := New(n)
 		type edge [2]int
 		edges := map[edge]bool{}
-		for step := 0; step < 60; step++ {
+		for step := 0; step < 3*n; step++ {
 			i, j := rng.Intn(n), rng.Intn(n)
 			if i == j {
 				continue

@@ -9,7 +9,6 @@ package liveness
 import (
 	"fmt"
 	"slices"
-	"unsafe"
 
 	"repro/internal/bitset"
 	"repro/internal/cfg"
@@ -20,10 +19,14 @@ import (
 // indexed by Block.Index and sized to the routine's register space for
 // the class; the reserved register 0 never appears.
 //
-// The sets are views (bitset.View) of one slab of words, so a solve
-// touches one array and allocates nothing once the slab is large
-// enough. A view is capped at its own words: writing through one set
-// never changes another.
+// A solve writes one slab of words and nothing else, so it touches one
+// array and allocates nothing once the slab is large enough. LiveInOf,
+// LiveOutOf, UEVarOf and KillOf read a block's sets as views of the
+// slab. Compute and ComputeAll, which solve into fresh storage, also
+// fill the LiveIn, LiveOut, UEVar and Kill tables with such views; a
+// solve by ComputeInto or ComputeAllInto leaves those tables nil. A view
+// is capped at its own words: writing through one set never changes
+// another.
 type Info struct {
 	Class   iloc.Class
 	LiveIn  []*bitset.Set
@@ -35,8 +38,9 @@ type Info struct {
 	// the four runs of w words from offset families*w*b.
 	words []uint64
 	w, n  int
-	sets  []bitset.Set  // the views, family by family
-	ptrs  []*bitset.Set // LiveIn, LiveOut, UEVar and Kill, cut from one array
+	// stale[b] is set while some successor of block b has a LiveIn the
+	// solver has not yet unioned into b's LiveOut.
+	stale []bool
 }
 
 // The four set families, in their order within a block's words.
@@ -54,6 +58,7 @@ const (
 func Compute(rt *iloc.Routine, c iloc.Class) *Info {
 	info := new(Info)
 	ComputeInto(info, rt, c, cfg.ReversePostorder(rt))
+	info.fillTables(len(rt.Blocks))
 	return info
 }
 
@@ -65,14 +70,18 @@ func ComputeAll(rt *iloc.Routine) [iloc.NumClasses]*Info {
 		infos[c] = new(Info)
 	}
 	ComputeAllInto(&infos, rt, cfg.ReversePostorder(rt))
+	for _, info := range infos {
+		info.fillTables(len(rt.Blocks))
+	}
 	return infos
 }
 
 // ComputeInto is Compute solving into info, reusing the slab an earlier
 // solve left there: a solve over at most as many blocks and register
-// words as an earlier one allocates nothing. The sets of the earlier
-// solution are overwritten or, when the slab grows, left behind; a
-// caller must not keep them. rpo is a reverse postorder of the
+// words as an earlier one allocates nothing. It leaves info's tables
+// nil; read the sets through LiveInOf, LiveOutOf, UEVarOf and KillOf.
+// The sets of the earlier solution are overwritten or, when the slab
+// grows, left behind; a caller must not keep them. rpo is a reverse postorder of the
 // routine's blocks, such as dom.Tree.Order; the fixpoint is the same in
 // any order, and this one reaches it in the fewest sweeps.
 func ComputeInto(info *Info, rt *iloc.Routine, c iloc.Class, rpo []*iloc.Block) {
@@ -140,24 +149,50 @@ func outOfRange(rt *iloc.Routine, r iloc.Reg) {
 }
 
 // reset sizes info for nb blocks of class-c registers below n, with
-// every set empty, and points the exported sets at their words.
+// every set empty, and drops the tables of an earlier Compute.
 func (info *Info) reset(c iloc.Class, nb, n int) {
 	w := bitset.Words(n)
 	info.Class, info.w, info.n = c, w, n
 	info.words = slices.Grow(info.words[:0], families*nb*w)[:families*nb*w]
 	clear(info.words)
-	info.sets = slices.Grow(info.sets[:0], families*nb)[:families*nb]
-	info.ptrs = slices.Grow(info.ptrs[:0], families*nb)[:families*nb]
-	for f := 0; f < families; f++ {
-		for b := 0; b < nb; b++ {
-			i := f*nb + b
-			info.sets[i] = bitset.View(info.words[(families*b+f)*w:], n)
-			info.ptrs[i] = &info.sets[i]
-		}
+	info.stale = slices.Grow(info.stale[:0], nb)[:nb]
+	for b := range info.stale {
+		info.stale[b] = true
 	}
-	family := func(f int) []*bitset.Set { return info.ptrs[f*nb : (f+1)*nb : (f+1)*nb] }
+	info.LiveIn, info.LiveOut, info.UEVar, info.Kill = nil, nil, nil, nil
+}
+
+// fillTables points the exported tables at views of the nb blocks'
+// sets, for Compute and ComputeAll.
+func (info *Info) fillTables(nb int) {
+	sets := make([]bitset.Set, families*nb)
+	ptrs := make([]*bitset.Set, families*nb)
+	for i := range sets {
+		f, b := i/nb, i%nb
+		sets[i] = info.view(f, b)
+		ptrs[i] = &sets[i]
+	}
+	family := func(f int) []*bitset.Set { return ptrs[f*nb : (f+1)*nb : (f+1)*nb] }
 	info.LiveIn, info.LiveOut, info.UEVar, info.Kill = family(famIn), family(famOut), family(famUE), family(famKill)
 }
+
+// view returns family f's set of block b as a view of the slab.
+func (info *Info) view(f, b int) bitset.Set {
+	return bitset.View(info.words[(families*b+f)*info.w:], info.n)
+}
+
+// LiveInOf returns block b's live-in set, a view of the slab that the
+// next solve into info overwrites.
+func (info *Info) LiveInOf(b int) bitset.Set { return info.view(famIn, b) }
+
+// LiveOutOf returns block b's live-out set, as LiveInOf does.
+func (info *Info) LiveOutOf(b int) bitset.Set { return info.view(famOut, b) }
+
+// UEVarOf returns block b's upward-exposed uses, as LiveInOf does.
+func (info *Info) UEVarOf(b int) bitset.Set { return info.view(famUE, b) }
+
+// KillOf returns the registers block b defines, as LiveInOf does.
+func (info *Info) KillOf(b int) bitset.Set { return info.view(famKill, b) }
 
 // local returns block b's UEVar and Kill words.
 func (info *Info) local(b int) (ue, kill []uint64) {
@@ -170,12 +205,18 @@ func (info *Info) local(b int) (ue, kill []uint64) {
 // blocks in postorder (reverse RPO) until no LiveIn changes:
 // LiveOut(b) = ∪ LiveIn(s) over successors s, and
 // LiveIn(b) = UEVar(b) ∪ (LiveOut(b) − Kill(b)).
+// A sweep re-evaluates only the blocks a changed LiveIn made stale, so
+// on acyclic code the sweep that confirms the fixpoint reads no sets.
 func (info *Info) fixpoint(rpo []*iloc.Block) {
-	w, words := info.w, info.words
+	w, words, stale := info.w, info.words, info.stale
 	for changed := true; changed; {
 		changed = false
 		for i := len(rpo) - 1; i >= 0; i-- {
 			b := rpo[i]
+			if !stale[b.Index] {
+				continue
+			}
+			stale[b.Index] = false
 			blk := words[families*w*b.Index : families*w*(b.Index+1)]
 			in, out := blk[famIn*w:(famIn+1)*w], blk[famOut*w:(famOut+1)*w]
 			ue, kill := blk[famUE*w:(famUE+1)*w], blk[famKill*w:(famKill+1)*w]
@@ -185,23 +226,29 @@ func (info *Info) fixpoint(rpo []*iloc.Block) {
 					out[j] |= sin[j]
 				}
 			}
+			grew := false
 			for j := range in {
 				if x := ue[j] | out[j]&^kill[j]; x != in[j] {
 					in[j] = x
-					changed = true
+					grew = true
 				}
+			}
+			if grew {
+				for _, p := range b.Preds {
+					stale[p.Index] = true
+				}
+				changed = true
 			}
 		}
 	}
 }
 
-// Footprint returns the bytes of storage info holds, the slab counted
-// once however many views share it.
-func (info *Info) Footprint() int {
-	return 8*cap(info.words) + int(unsafe.Sizeof(bitset.Set{}))*cap(info.sets) + 8*cap(info.ptrs)
-}
+// Footprint returns the bytes of storage a solve into info reuses: the
+// slab and the stale flags.
+func (info *Info) Footprint() int { return 8*cap(info.words) + cap(info.stale) }
 
 // LiveAcross reports whether register r is live out of block b.
-func (in *Info) LiveAcross(b *iloc.Block, r int) bool {
-	return in.LiveOut[b.Index].Has(r)
+func (info *Info) LiveAcross(b *iloc.Block, r int) bool {
+	out := info.LiveOutOf(b.Index)
+	return out.Has(r)
 }

@@ -97,8 +97,9 @@ func TestComputeIntoReusesStorage(t *testing.T) {
 			want := Compute(rt, c)
 			for _, b := range rt.Blocks {
 				i := b.Index
-				if !info.LiveIn[i].Equal(want.LiveIn[i]) || !info.LiveOut[i].Equal(want.LiveOut[i]) ||
-					!info.UEVar[i].Equal(want.UEVar[i]) || !info.Kill[i].Equal(want.Kill[i]) {
+				in, out, ue, kill := info.LiveInOf(i), info.LiveOutOf(i), info.UEVarOf(i), info.KillOf(i)
+				if !in.Equal(want.LiveIn[i]) || !out.Equal(want.LiveOut[i]) ||
+					!ue.Equal(want.UEVar[i]) || !kill.Equal(want.Kill[i]) {
 					t.Fatalf("%s class %d block %s: reused solve differs from a fresh one", rt.Name, c, rt.Labels[b.Label])
 				}
 			}

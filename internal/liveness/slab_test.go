@@ -42,19 +42,36 @@ func (info *Info) families() [][]*bitset.Set {
 	return [][]*bitset.Set{info.LiveIn, info.LiveOut, info.UEVar, info.Kill}
 }
 
-// sameSolution reports how got differs from want, set for set.
-func sameSolution(got, want *Info) error {
+// setsOf lists info's sets as its accessors give them, family by
+// family, for a routine of nb blocks.
+func (info *Info) setsOf(nb int) [][]*bitset.Set {
+	fams := make([][]*bitset.Set, families)
+	for b := range nb {
+		for f, s := range [families]bitset.Set{info.LiveInOf(b), info.LiveOutOf(b), info.UEVarOf(b), info.KillOf(b)} {
+			fams[f] = append(fams[f], &s)
+		}
+	}
+	return fams
+}
+
+// sameSolution reports how got differs from want, set for set, reading
+// both through the accessors.
+func sameSolution(got, want *Info, nb int) error {
 	if got.Class != want.Class {
 		return fmt.Errorf("class %v, want %v", got.Class, want.Class)
 	}
-	wf := want.families()
-	for f, sets := range got.families() {
-		if len(sets) != len(wf[f]) {
-			return fmt.Errorf("family %d: %d sets, want %d", f, len(sets), len(wf[f]))
+	return sameSets(got.setsOf(nb), want.setsOf(nb))
+}
+
+// sameSets reports how got differs from want, set for set.
+func sameSets(got, want [][]*bitset.Set) error {
+	for f, sets := range got {
+		if len(sets) != len(want[f]) {
+			return fmt.Errorf("family %d: %d sets, want %d", f, len(sets), len(want[f]))
 		}
 		for b, s := range sets {
-			if !s.Equal(wf[f][b]) {
-				return fmt.Errorf("family %d, block %d: %v, want %v", f, b, s, wf[f][b])
+			if !s.Equal(want[f][b]) {
+				return fmt.Errorf("family %d, block %d: %v, want %v", f, b, s, want[f][b])
 			}
 		}
 	}
@@ -62,23 +79,33 @@ func sameSolution(got, want *Info) error {
 }
 
 // The both-class solve gives each class exactly what a solve of that
-// class alone gives, set for set, whatever either storage held before.
+// class alone gives, set for set, whatever either storage held before;
+// the accessors of a solve into reused storage give exactly the sets
+// Compute's and ComputeAll's tables hold; and a solve into reused
+// storage leaves no tables behind.
 func TestComputeAllMatchesComputeInto(t *testing.T) {
 	all := [iloc.NumClasses]*Info{new(Info), new(Info)}
 	var one Info
 	for _, rt := range slabRoutines(t) {
+		nb := len(rt.Blocks)
 		rpo := cfg.ReversePostorder(rt)
 		ComputeAllInto(&all, rt, rpo)
 		for c := iloc.Class(0); c < iloc.NumClasses; c++ {
 			ComputeInto(&one, rt, c, rpo)
-			if err := sameSolution(all[c], &one); err != nil {
+			if err := sameSolution(all[c], &one, nb); err != nil {
 				t.Fatalf("%s, class %v: both-class solve: %v", rt.Name, c, err)
+			}
+			if one.LiveIn != nil || one.LiveOut != nil || one.UEVar != nil || one.Kill != nil {
+				t.Fatalf("%s, class %v: ComputeInto left tables behind", rt.Name, c)
+			}
+			if err := sameSets(one.setsOf(nb), Compute(rt, c).families()); err != nil {
+				t.Fatalf("%s, class %v: accessors against Compute's tables: %v", rt.Name, c, err)
 			}
 		}
 		fresh := ComputeAll(rt)
 		for c := range fresh {
-			if err := sameSolution(fresh[c], all[c]); err != nil {
-				t.Fatalf("%s, class %d: ComputeAll: %v", rt.Name, c, err)
+			if err := sameSets(all[c].setsOf(nb), fresh[c].families()); err != nil {
+				t.Fatalf("%s, class %d: accessors against ComputeAll's tables: %v", rt.Name, c, err)
 			}
 		}
 	}

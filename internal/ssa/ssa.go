@@ -43,16 +43,16 @@ type Graph struct {
 	Routine *iloc.Routine
 
 	// The storage BuildInto reuses from one build to the next.
-	counts    []int   // per-register definition-block counts, then per-value use counts
+	counts    []int   // per-register definition-block counts, then per-value use counts (chain's offsets)
 	defBlocks [][]int // indices of the definition blocks per original register
 	defFlat   []int
-	hasPhi    []int // per block: the last register given a φ there
-	inWork    []int // per block: the last register that queued it
-	work      []int // indices of the blocks left to visit
-	cur       []int // per original register: the value it names at this point of the walk
-	prev      []int // per value: the value its register named before it
+	hasPhi    []int    // per block: the last register given a φ there
+	inWork    []int    // per block: the last register that queued it
+	work      []int    // indices of the blocks left to visit
+	cur       []int    // per original register: the value it names at this point of the walk
+	prev      []int    // per value: the value its register named before it
+	uses      []useRec // the uses the renaming walk met, in its order
 	usesFlat  []*iloc.Instr
-	nUses     int // uses the renaming walk counted
 	// hwValues and hwUses are the most values and uses a build since the
 	// last Forget wrote: past them the pointer tables hold nothing, so
 	// Forget clears only those prefixes.
@@ -62,10 +62,14 @@ type Graph struct {
 	// build overwrites them. Their operands go to the routine's PhiSlab.
 	phis  []iloc.Instr
 	phiAt []int
-	// The renaming walk's state.
-	tree      *dom.Tree
+	// renameErr is the first undefined use the renaming walk met.
 	renameErr error
 }
+
+// useRec is one use the renaming walk met: instruction pos of the
+// block with index block reads value v. Positions, not pointers, keep
+// the record out of the collector's way; chain resolves them.
+type useRec struct{ v, block, pos int32 }
 
 // Build converts the class-c registers of rt to pruned SSA in place and
 // returns the value graph. Critical edges must already be split and the
@@ -87,6 +91,67 @@ func Build(rt *iloc.Routine, c iloc.Class, tree *dom.Tree, live *liveness.Info) 
 // the blocks that get φ-nodes. It overwrites the earlier graph,
 // including any table or φ-node a caller still holds.
 func BuildInto(g *Graph, rt *iloc.Routine, c iloc.Class, tree *dom.Tree, df [][]int, live *liveness.Info) error {
+	var gs [iloc.NumClasses]*Graph
+	var lives [iloc.NumClasses]*liveness.Info
+	gs[c], lives[c] = g, live
+	return BuildAllInto(&gs, rt, tree, df, &lives)
+}
+
+// BuildAllInto is BuildInto for every class at once: gs[c] receives
+// class c's graph, built from lives[c], and a class whose graph is nil
+// is left alone. Each class gets exactly the values, φ-nodes and
+// def-use chains its own BuildInto gives, but one walk over the
+// dominator tree renames every class and records the chains as it
+// goes. A block's φ-nodes of a later class come before those of an
+// earlier one, as they would after one BuildInto per class in class
+// order, and the error is the one those calls would stop at: the first
+// undefined use of the earliest class that has one.
+func BuildAllInto(gs *[iloc.NumClasses]*Graph, rt *iloc.Routine, tree *dom.Tree, df [][]int, lives *[iloc.NumClasses]*liveness.Info) error {
+	// Every definition and every φ mints one value, and no instruction
+	// defines more than one, so the value tables are sized to the
+	// instructions (φ-nodes included) up front.
+	size := 1
+	for _, b := range rt.Blocks {
+		size += len(b.Instrs)
+	}
+	var count []int // per block: the φ-nodes every class puts there
+	for c, g := range gs {
+		if g == nil {
+			continue
+		}
+		g.placePhis(rt, iloc.Class(c), df, lives[c])
+		size += len(g.phis)
+		if count == nil {
+			count = g.hasPhi
+		}
+	}
+	insertPhis(gs, rt, count)
+	for c, g := range gs {
+		if g != nil {
+			g.startRename(rt, iloc.Class(c), size)
+		}
+	}
+	walk(gs, rt, tree, rt.Entry().Index)
+	for _, g := range gs {
+		if g != nil && g.renameErr != nil {
+			return g.renameErr
+		}
+	}
+	for c, g := range gs {
+		if g != nil {
+			g.NumValues = len(g.DefOf)
+			rt.NextReg[c] = g.NumValues
+			g.chain()
+		}
+	}
+	return nil
+}
+
+// placePhis places the pruned φ-nodes of class c in g.phis, with their
+// blocks in g.phiAt. A φ's destination and arguments name the original
+// register it merges until the renaming walk reaches them. The
+// definition blocks of each register come from live's Kill sets.
+func (g *Graph) placePhis(rt *iloc.Routine, c iloc.Class, df [][]int, live *liveness.Info) {
 	nOrig := rt.NumRegs(c)
 	nb := len(rt.Blocks)
 	g.noteHighWater()
@@ -94,20 +159,21 @@ func BuildInto(g *Graph, rt *iloc.Routine, c iloc.Class, tree *dom.Tree, df [][]
 	// defines v exactly when v is in Kill(b).
 	counts := resetInts(g.counts, nOrig)
 	total := 0
-	for _, k := range live.Kill {
+	for bi := range nb {
+		k := live.KillOf(bi)
 		k.ForEach(func(v int) {
 			counts[v]++
 			total++
 		})
 	}
 	g.defBlocks, g.defFlat = carve(g.defBlocks, g.defFlat, counts, total)
+	g.counts = counts
 	defBlocks := g.defBlocks
-	for bi, k := range live.Kill {
+	for bi := range nb {
+		k := live.KillOf(bi)
 		k.ForEach(func(v int) { defBlocks[v] = append(defBlocks[v], bi) })
 	}
 
-	// Place pruned φ-nodes. A φ's destination and arguments name the
-	// original register it merges until the renaming walk reaches them.
 	// hasPhi[b] and inWork[b] hold the last register that put a φ in
 	// block b or queued b, so one pair of arrays serves every register.
 	g.phis, g.phiAt = g.phis[:0], g.phiAt[:0]
@@ -126,12 +192,11 @@ func BuildInto(g *Graph, rt *iloc.Routine, c iloc.Class, tree *dom.Tree, df [][]
 			d := work[len(work)-1]
 			work = work[:len(work)-1]
 			for _, fi := range df[d] {
-				f := rt.Blocks[fi]
-				if hasPhi[fi] == v || !live.LiveIn[fi].Has(v) {
+				if in := live.LiveInOf(fi); hasPhi[fi] == v || !in.Has(v) {
 					continue // pruning: dead φ never inserted
 				}
 				hasPhi[fi] = v
-				g.phis = append(g.phis, rt.NewPhi(iloc.Reg{Class: c, N: int32(v)}, len(f.Preds)))
+				g.phis = append(g.phis, rt.NewPhi(iloc.Reg{Class: c, N: int32(v)}, len(rt.Blocks[fi].Preds)))
 				g.phiAt = append(g.phiAt, fi)
 				if inWork[fi] != v {
 					inWork[fi] = v
@@ -141,51 +206,25 @@ func BuildInto(g *Graph, rt *iloc.Routine, c iloc.Class, tree *dom.Tree, df [][]
 		}
 	}
 	g.work = work
-	g.insertPhis(rt, hasPhi)
-
-	// Rename over the dominator tree. Every definition and every φ mints
-	// one value, and no instruction defines more than one, so the value
-	// tables are sized to the instructions up front. The walk counts
-	// each value's uses as it renames them.
-	size := 1
-	for _, b := range rt.Blocks {
-		size += len(b.Instrs)
-	}
-	g.Class = c
-	g.DefOf = append(slices.Grow(g.DefOf[:0], size), nil)
-	g.DefBlockOf = append(slices.Grow(g.DefBlockOf[:0], size), nil)
-	g.OrigOf = append(slices.Grow(g.OrigOf[:0], size), 0)
-	g.prev = append(slices.Grow(g.prev[:0], size), 0)
-	g.counts, g.nUses = append(slices.Grow(counts[:0], size), 0), 0
-	g.cur = resetInts(g.cur, nOrig)
-	g.Routine, g.tree, g.renameErr = rt, tree, nil
-	g.walk(rt.Entry().Index)
-	err := g.renameErr
-	g.tree, g.renameErr = nil, nil
-	if err != nil {
-		return err
-	}
-	g.NumValues = len(g.DefOf)
-	rt.NextReg[c] = g.NumValues
-
-	// Def-use chains, filled in code order.
-	g.UsesOf, g.usesFlat = carve(g.UsesOf, g.usesFlat, g.counts, g.nUses)
-	forEachUse(rt, c, func(v int, in *iloc.Instr) {
-		g.UsesOf[v] = append(g.UsesOf[v], in)
-	})
-	return nil
 }
 
-// insertPhis puts each block's φ-nodes at its head in one splice, the
-// φ of a later original register first. count is scratch of one int
-// per block.
-func (g *Graph) insertPhis(rt *iloc.Routine, count []int) {
-	if len(g.phis) == 0 {
-		return
-	}
+// insertPhis puts each block's φ-nodes at its head in one splice: a
+// later class's before an earlier one's, and within a class the φ of a
+// later original register first. count is scratch of one int per
+// block.
+func insertPhis(gs *[iloc.NumClasses]*Graph, rt *iloc.Routine, count []int) {
 	clear(count)
-	for _, bi := range g.phiAt {
-		count[bi]++
+	placed := false
+	for _, g := range gs {
+		if g != nil {
+			for _, bi := range g.phiAt {
+				count[bi]++
+				placed = true
+			}
+		}
+	}
+	if !placed {
+		return
 	}
 	for bi, k := range count {
 		if k > 0 {
@@ -195,11 +234,31 @@ func (g *Graph) insertPhis(rt *iloc.Routine, count []int) {
 			copy(b.Instrs[k:], b.Instrs[:n])
 		}
 	}
-	// Block b's φ-nodes fill its first count[b] slots from the back.
-	for i, bi := range g.phiAt {
-		count[bi]--
-		rt.Blocks[bi].Instrs[count[bi]] = &g.phis[i]
+	// Block b's φ-nodes fill its first count[b] slots from the back,
+	// the earliest class first.
+	for _, g := range gs {
+		if g == nil {
+			continue
+		}
+		for i, bi := range g.phiAt {
+			count[bi]--
+			rt.Blocks[bi].Instrs[count[bi]] = &g.phis[i]
+		}
 	}
+}
+
+// startRename readies g's value tables for a renaming walk of rt's
+// class-c registers that mints at most size values.
+func (g *Graph) startRename(rt *iloc.Routine, c iloc.Class, size int) {
+	g.Class = c
+	g.DefOf = append(slices.Grow(g.DefOf[:0], size), nil)
+	g.DefBlockOf = append(slices.Grow(g.DefBlockOf[:0], size), nil)
+	g.OrigOf = append(slices.Grow(g.OrigOf[:0], size), 0)
+	g.prev = append(slices.Grow(g.prev[:0], size), 0)
+	g.counts = append(slices.Grow(g.counts[:0], size), 0)
+	g.uses = g.uses[:0]
+	g.cur = resetInts(g.cur, rt.NumRegs(c))
+	g.Routine, g.renameErr = rt, nil
 }
 
 // newName mints the value for one definition of orig, which names it
@@ -215,71 +274,130 @@ func (g *Graph) newName(orig int, def *iloc.Instr, b *iloc.Block) int {
 	return v
 }
 
-// top returns the value orig names at a use in the block labelled l,
-// or in one of its φ arguments when phi is set, and counts the use. The error's location is formatted only when there is an error.
-func (g *Graph) top(orig int, l iloc.Label, phi bool) int {
+// use returns the value orig names where instruction pos of block b
+// reads it (as a φ argument when phi is set), and records the use.
+func (g *Graph) use(orig int, b *iloc.Block, pos int, phi bool) int {
 	v := g.cur[orig]
 	if v == 0 {
 		if g.renameErr == nil {
-			label := g.Routine.LabelText(l)
+			at := g.Routine.LabelText(b.Label)
 			if phi {
-				label += "(φ)"
+				at += "(φ)"
 			}
-			g.renameErr = fmt.Errorf("ssa: use of undefined register %s%d at %s",
-				map[iloc.Class]string{iloc.ClassInt: "r", iloc.ClassFlt: "f"}[g.Class], orig, label)
+			g.renameErr = &UndefinedUseError{Reg: iloc.Reg{Class: g.Class, N: int32(orig)}, At: at}
 		}
 		return 0
 	}
 	g.counts[v]++
-	g.nUses++
+	g.uses = append(g.uses, useRec{v: int32(v), block: int32(b.Index), pos: int32(pos)})
 	return v
 }
 
-// walk renames block bi and then the blocks it dominates.
-func (g *Graph) walk(bi int) {
-	c := g.Class
-	b := g.Routine.Blocks[bi]
-	first := len(g.DefOf)
-	for _, in := range b.Instrs {
+// UndefinedUseError reports a use of a register that no definition
+// reaches.
+type UndefinedUseError struct {
+	Reg iloc.Reg // the register, as the code named it before renaming
+	At  string   // the label of the use's block; "(φ)" marks a φ operand
+}
+
+func (e *UndefinedUseError) Error() string {
+	return fmt.Sprintf("ssa: use of undefined register %s%d at %s",
+		map[iloc.Class]string{iloc.ClassInt: "r", iloc.ClassFlt: "f"}[e.Reg.Class], e.Reg.N, e.At)
+}
+
+// of returns the graph in gs of r's class, or nil when r is no
+// register, the reserved register 0, or of a class gs leaves out.
+func of(gs *[iloc.NumClasses]*Graph, r iloc.Reg) *Graph {
+	if r.N == 0 || r.Class >= iloc.NumClasses {
+		return nil
+	}
+	return gs[r.Class]
+}
+
+// walk renames block bi and then the blocks it dominates, every class
+// with a graph in gs at once.
+func walk(gs *[iloc.NumClasses]*Graph, rt *iloc.Routine, tree *dom.Tree, bi int) {
+	b := rt.Blocks[bi]
+	var first, last [iloc.NumClasses]int
+	for c, g := range gs {
+		if g != nil {
+			first[c] = len(g.DefOf)
+		}
+	}
+	for pos, in := range b.Instrs {
 		if in.Op == iloc.OpPhi {
-			if in.Dst.Class != c {
-				continue
+			if g := of(gs, in.Dst); g != nil {
+				in.Dst.N = int32(g.newName(int(in.Dst.N), in, b))
 			}
-			in.Dst.N = int32(g.newName(int(in.Dst.N), in, b))
 			continue
 		}
 		for i := range in.Src[:in.Op.NSrc()] {
-			if in.Src[i].Class == c && in.Src[i].N != 0 {
-				in.Src[i].N = int32(g.top(int(in.Src[i].N), b.Label, false))
+			if g := of(gs, in.Src[i]); g != nil {
+				in.Src[i].N = int32(g.use(int(in.Src[i].N), b, pos, false))
 			}
 		}
-		if d := in.Def(); d.Valid() && d.Class == c && d.N != 0 {
-			in.Dst.N = int32(g.newName(int(d.N), in, b))
+		if d := in.Def(); d.Valid() {
+			if g := of(gs, d); g != nil {
+				in.Dst.N = int32(g.newName(int(d.N), in, b))
+			}
 		}
 	}
-	last := len(g.DefOf)
+	for c, g := range gs {
+		if g != nil {
+			last[c] = len(g.DefOf)
+		}
+	}
 	for _, s := range b.Succs {
 		pi := s.PredIndex(b)
-		for _, in := range s.Instrs {
+		for pos, in := range s.Instrs {
 			if in.Op != iloc.OpPhi {
 				break
 			}
-			if in.Dst.Class != c {
-				continue
-			}
 			// Each argument is renamed once, from its own predecessor,
 			// so it still names the original register here.
-			arg := &g.Routine.PhiArgs(in)[pi]
-			arg.N = int32(g.top(int(arg.N), s.Label, true))
+			if g := of(gs, in.Dst); g != nil {
+				arg := &rt.PhiArgs(in)[pi]
+				arg.N = int32(g.use(int(arg.N), s, pos, true))
+			}
 		}
 	}
-	for _, child := range g.tree.Children[bi] {
-		g.walk(child)
+	for _, child := range tree.Children[bi] {
+		walk(gs, rt, tree, child)
 	}
 	// Leaving the block, each register it defined names again what it
 	// named on entry.
-	for v := last - 1; v >= first; v-- {
-		g.cur[g.OrigOf[v]] = g.prev[v]
+	for c, g := range gs {
+		if g == nil {
+			continue
+		}
+		for v := last[c] - 1; v >= first[c]; v-- {
+			g.cur[g.OrigOf[v]] = g.prev[v]
+		}
+	}
+}
+
+// chain fills UsesOf from the uses the walk recorded, each value's in
+// the order the walk met them, all cut from one array and each capped
+// at its length.
+func (g *Graph) chain() {
+	blocks := g.Routine.Blocks
+	g.usesFlat = slices.Grow(g.usesFlat[:0], len(g.uses))[:len(g.uses)]
+	// counts holds each value's use count, then where its uses start,
+	// then where they end.
+	off := 0
+	for v, n := range g.counts {
+		g.counts[v] = off
+		off += n
+	}
+	for _, u := range g.uses {
+		g.usesFlat[g.counts[u.v]] = blocks[u.block].Instrs[u.pos]
+		g.counts[u.v]++
+	}
+	g.UsesOf = slices.Grow(g.UsesOf[:0], len(g.counts))[:len(g.counts)]
+	start := 0
+	for v, end := range g.counts {
+		g.UsesOf[v] = g.usesFlat[start:end:end]
+		start = end
 	}
 }
 
@@ -295,13 +413,13 @@ func (g *Graph) Forget() {
 	g.hwValues, g.hwUses = 0, 0
 	g.DefOf, g.DefBlockOf, g.UsesOf, g.OrigOf = g.DefOf[:0], g.DefBlockOf[:0], g.UsesOf[:0], g.OrigOf[:0]
 	g.Routine = nil
-	g.usesFlat = g.usesFlat[:0]
+	g.usesFlat, g.uses = g.usesFlat[:0], g.uses[:0]
 	g.NumValues = 0
 }
 
 // clearPrefix clears s's first n elements, or all of its capacity when
 // that is smaller. The high-water mark is the longest of several
-// tables, and a build that failed while renaming never carved UsesOf
+// tables, and a build that failed while renaming never filled UsesOf
 // to DefOf's length.
 func clearPrefix[T any](s []T, n int) { clear(s[:min(n, cap(s))]) }
 
@@ -319,7 +437,7 @@ func (g *Graph) Footprint() int {
 	return ptr*(cap(g.DefOf)+cap(g.DefBlockOf)+cap(g.usesFlat)) +
 		slice*(cap(g.UsesOf)+cap(g.defBlocks)) +
 		8*(cap(g.OrigOf)+cap(g.counts)+cap(g.hasPhi)+cap(g.inWork)+cap(g.cur)+cap(g.prev)+cap(g.defFlat)+cap(g.work)+cap(g.phiAt)) +
-		int(unsafe.Sizeof(iloc.Instr{}))*cap(g.phis)
+		int(unsafe.Sizeof(iloc.Instr{}))*cap(g.phis) + int(unsafe.Sizeof(useRec{}))*cap(g.uses)
 }
 
 // resetInts returns n zeros in s's storage when it is large enough.
@@ -343,17 +461,4 @@ func carve[T any](out [][]T, flat []T, counts []int, total int) ([][]T, []T) {
 		off += n
 	}
 	return out, flat
-}
-
-// forEachUse calls f for every use of a class-c value, in code order.
-func forEachUse(rt *iloc.Routine, c iloc.Class, f func(v int, in *iloc.Instr)) {
-	for _, b := range rt.Blocks {
-		for _, in := range b.Instrs {
-			for _, u := range rt.Uses(in) {
-				if u.Class == c && u.N != 0 {
-					f(int(u.N), in)
-				}
-			}
-		}
-	}
 }
