@@ -22,7 +22,8 @@ func checkNoCallerSaveAcrossCalls(t *testing.T, rt *iloc.Routine, m *target.Mach
 	for c := iloc.Class(0); c < iloc.NumClasses; c++ {
 		live := liveness.Compute(rt, c)
 		for _, b := range rt.Blocks {
-			lv := live.LiveOut[b.Index].Copy()
+			out := live.LiveOutOf(b.Index)
+			lv := out.Copy()
 			for i := len(b.Instrs) - 1; i >= 0; i-- {
 				in := b.Instrs[i]
 				if in.Op.IsCall() {

@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/cfg"
@@ -171,11 +170,7 @@ type classState struct {
 	ssa        ssa.Graph     // renumber's SSA graph
 	names      []int32       // renumber's live-range name of each SSA value
 	tagWork    []int         // tag propagation's worklist
-	out        []*iloc.Instr // insertSpills' rewritten block
-	// The most elements of tags, pending and out any pass wrote since
-	// the scratch was last released (see restart): past them those
-	// tables hold no pointers, so releaseScratch clears only up to them.
-	tagsHW, pendingHW, outHW int
+	out        []*iloc.Instr // insertSpills' rewritten block; empty between blocks
 }
 
 func (cs *classState) find(n int) int { return cs.sets.Find(n) }
@@ -204,9 +199,9 @@ type allocator struct {
 	loops []*cfg.Loop
 	df    [][]int
 
-	// inputNames[c], when set, maps each class-c register of the clone
-	// to its number in the input (see denseInputNames).
-	inputNames [iloc.NumClasses][]int32
+	// inputNames maps the clone's registers back to the input's, for
+	// the classes iloc.(*Routine).DenseRegs renamed.
+	inputNames iloc.RegNames
 
 	instrs    []iloc.Instr // slab the instructions spill and renumber add are cut from
 	frameBase int64        // first fp offset free for spill slots
@@ -248,78 +243,8 @@ func newAllocator(ctx context.Context, rt *iloc.Routine, opts Options, params st
 		a.classes[c] = cs
 	}
 	a.frameBase = scanFrameBase(a.rt)
-	a.denseInputNames()
+	a.inputNames = a.rt.DenseRegs()
 	return a
-}
-
-// denseInputNames renames the registers of every class whose register
-// space is far larger than the code can name — each instruction names
-// at most three registers — to 1..R in ascending order, so the tables
-// round 0 sizes by NextReg before renumber compacts the names grow with
-// the code, not with its largest register number. Order is kept, so
-// the allocation is the one the input's own names give; the input's
-// names stay in inputNames for error texts. Register 0, the frame
-// pointer, keeps its number.
-func (a *allocator) denseInputNames() {
-	rt := a.rt
-	instrs := 0
-	for _, b := range rt.Blocks {
-		instrs += len(b.Instrs)
-	}
-	for c := range iloc.NumClasses {
-		if rt.NextReg[c] <= 3*instrs+len(rt.Params)+1 {
-			continue
-		}
-		names := []int32{0}
-		forEachRegRef(rt, iloc.Class(c), func(r *iloc.Reg) { names = append(names, r.N) })
-		slices.Sort(names)
-		names = slices.Compact(names)
-		forEachRegRef(rt, iloc.Class(c), func(r *iloc.Reg) {
-			n, _ := slices.BinarySearch(names, r.N)
-			r.N = int32(n)
-		})
-		rt.NextReg[c] = len(names)
-		a.inputNames[c] = names
-	}
-}
-
-// forEachRegRef calls f with every class-c register operand of rt other
-// than the frame pointer: parameters, sources, destinations and φ
-// arguments.
-func forEachRegRef(rt *iloc.Routine, c iloc.Class, f func(r *iloc.Reg)) {
-	visit := func(r *iloc.Reg) {
-		if r.Class == c && r.N > 0 {
-			f(r)
-		}
-	}
-	for i := range rt.Params {
-		visit(&rt.Params[i].Reg)
-	}
-	for _, b := range rt.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == iloc.OpPhi {
-				args := rt.PhiArgs(in)
-				for i := range args {
-					visit(&args[i])
-				}
-			} else {
-				for i := range in.Src[:in.Op.NSrc()] {
-					visit(&in.Src[i])
-				}
-			}
-			if in.Op.HasDst() {
-				visit(&in.Dst)
-			}
-		}
-	}
-}
-
-// inputReg returns the input's name for register r of the clone.
-func (a *allocator) inputReg(r iloc.Reg) iloc.Reg {
-	if r.Class < iloc.NumClasses && a.inputNames[r.Class] != nil && r.N >= 0 && int(r.N) < len(a.inputNames[r.Class]) {
-		r.N = a.inputNames[r.Class][r.N]
-	}
-	return r
 }
 
 // newInstr returns a zero instruction for the routine, cut from the
@@ -502,10 +427,13 @@ func allocate(ctx context.Context, rt *iloc.Routine, opts Options, params strate
 			res, err = nil, recovered(rt.Name, pass, round, r)
 		}
 	}()
+	// A scratch goes back to the pool only when the call returns: one a
+	// panic interrupted may hold a table half written, and is dropped.
 	sc := getScratch()
-	defer releaseScratch(sc)
 	a = newAllocator(ctx, rt, opts, params, sc)
-	return a.run()
+	res, err = a.run()
+	releaseScratch(sc)
+	return res, err
 }
 
 // run repeats round until it colors every live range.

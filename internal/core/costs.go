@@ -56,7 +56,7 @@ func (a *allocator) computeCosts(cs *classState) {
 				}
 				t := cs.tags[u.N]
 				if t.Rematerializable() {
-					cs.cost[u.N] += float64(m.Cycles(t.Instr.Op)) * w
+					cs.cost[u.N] += float64(m.Cycles(t.Op)) * w
 				} else {
 					cs.cost[u.N] += loadCost * w
 				}

@@ -3,13 +3,17 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/cfg"
 	"repro/internal/iloc"
+	"repro/internal/interp"
 	"repro/internal/rgen"
 	"repro/internal/target"
 	"repro/internal/verify"
@@ -19,12 +23,15 @@ import (
 // whatever parses and verifies as input ILOC, Allocate must finish
 // without a panic escaping, and — for inputs with no undefined uses —
 // every allocation it hands back must satisfy the independent checker,
-// degraded or not.
+// degraded or not. The checker's own differential run skips routines
+// with parameters, so those without calls run here: the input and each
+// allocation at a few argument values (see checkSameRuns).
 func FuzzAllocate(f *testing.F) {
 	// Seeds: the repository's example files, generator output at a few
 	// shapes, small hand-written routines covering calls and spills, a
-	// chain of loops with far more SSA values than live ranges, and one
-	// whose only register is r2000000.
+	// chain of loops with far more SSA values than live ranges, one
+	// whose only register is r2000000, a 3-instruction routine naming
+	// r2000000, and one that returns 1/0.0 or 1/-0.0 by its argument.
 	if paths, err := filepath.Glob("../../testdata/*.iloc"); err == nil {
 		for _, p := range paths {
 			if b, err := os.ReadFile(p); err == nil {
@@ -40,6 +47,8 @@ func FuzzAllocate(f *testing.F) {
 	f.Add("routine k()\ndata a rw 8 = 1 2 3 4 5 6 7 8\nentry:\n lda r1, a\n load r2, r1\n loadai r3, r1, 8\n loadai r4, r1, 16\n add r5, r2, r3\n add r5, r5, r4\n retr r5\n")
 	f.Add(loopChain(200))
 	f.Add(sparseChain(100))
+	f.Add("routine k()\nentry:\n ldi r2000000, 5\n addi r2000001, r2000000, 2\n retr r2000001\n")
+	f.Add(signedZeroSrc)
 
 	machines := []*target.Machine{target.Standard(), target.WithRegs(4)}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -61,16 +70,14 @@ func FuzzAllocate(f *testing.F) {
 		if instrs > 1000 || words > 1<<16 {
 			t.Skip("routine too large")
 		}
-		// The checks below size their tables by the largest register
-		// number, so a single "ldi r100000000, 1" line would make them
-		// the test's memory bill; the allocator names registers densely
-		// and allocates any register space, but only small ones are
-		// checked.
-		small := rt.NextReg[iloc.ClassInt] <= 128 && rt.NextReg[iloc.ClassFlt] <= 128
-		// CheckDefined needs CFG edges; run it on a clone so the input
-		// handed to Allocate stays pristine.
+		// CheckDefined needs CFG edges and sizes its tables by the
+		// largest register number. It runs on a clone named densely, as
+		// Allocate names its own, so the input handed to Allocate stays
+		// pristine and "ldi r100000000, 1" costs what "ldi r1, 1" does.
 		probe := rt.Clone()
-		defined := small && cfg.Build(probe) == nil && cfg.CheckDefined(probe) == nil
+		probe.DenseRegs()
+		defined := cfg.Build(probe) == nil && cfg.CheckDefined(probe) == nil
+		run := defined && len(rt.Params) > 0 && !hasCall(rt)
 
 		for _, m := range machines {
 			res, err := Allocate(context.Background(), rt, Options{Machine: m, Strategy: "remat"})
@@ -90,6 +97,130 @@ func FuzzAllocate(f *testing.F) {
 				t.Fatalf("%s: allocation rejected by verifier (degraded=%v): %v\ninput:\n%s\noutput:\n%s",
 					m.Name, res.Degraded, verr, iloc.Print(rt), iloc.Print(res.Routine))
 			}
+			if run {
+				checkSameRuns(t, m.Name, rt, res.Routine)
+			}
 		}
 	})
+}
+
+// hasCall reports whether rt calls a routine.
+func hasCall(rt *iloc.Routine) bool {
+	for _, b := range rt.Blocks {
+		if slices.ContainsFunc(b.Instrs, func(in *iloc.Instr) bool { return in.Op.IsCall() }) {
+			return true
+		}
+	}
+	return false
+}
+
+// The argument values checkSameRuns passes: run i passes fuzzInts[i] to
+// every integer parameter and fuzzFloats[i] to every float one.
+var (
+	fuzzInts   = [...]int64{-1, 0, 1}
+	fuzzFloats = [...]float64{math.Copysign(0, -1), 0, 1.5}
+)
+
+// runImage is what one interpreter run leaves: the outcome, the words
+// of the writable data in order, and whether every watched word still
+// holds the value it was filled with.
+type runImage struct {
+	out  *interp.Outcome
+	data []int64
+	kept bool
+}
+
+func (a runImage) String() string {
+	return fmt.Sprintf("int %d, float %v (has %t)", a.out.RetInt, a.out.RetFloat, a.out.HasRet)
+}
+
+func (a runImage) same(b runImage) bool {
+	return a.out.HasRet == b.out.HasRet && a.out.RetInt == b.out.RetInt &&
+		math.Float64bits(a.out.RetFloat) == math.Float64bits(b.out.RetFloat) && slices.Equal(a.data, b.data)
+}
+
+// runAt runs rt at args in a frame extra words larger than its own, with
+// each address in watch first set to fill.
+func runAt(rt *iloc.Routine, extra int64, args []interp.Value, watch []int64, fill int64) (runImage, error) {
+	e, err := interp.New(rt, interp.Config{MaxSteps: 100_000, ExtraFrameWords: int(extra)})
+	if err != nil {
+		return runImage{}, err
+	}
+	for _, a := range watch {
+		e.SetInt(a, fill)
+	}
+	o, err := e.Run(args...)
+	if err != nil {
+		return runImage{}, err
+	}
+	im := runImage{out: o, kept: true}
+	for _, d := range rt.Data {
+		for w := range d.Words {
+			if !d.ReadOnly {
+				im.data = append(im.data, e.IntAt(e.DataAddr(d.Label)+int64(w)*8))
+			}
+		}
+	}
+	for _, a := range watch {
+		im.kept = im.kept && e.IntAt(a) == fill
+	}
+	return im, nil
+}
+
+// frameEnd returns the first address past rt's frame and data.
+func frameEnd(t *testing.T, rt *iloc.Routine) int64 {
+	e, err := interp.New(rt, interp.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.Alloc(0)
+}
+
+// checkSameRuns runs the input in and its allocation out at each set of
+// argument values and fails t when they return different bits or leave
+// different writable data. Both run in frames of one size, so their data
+// sit at the same addresses. An argument set is skipped when the input
+// faults or runs out of steps, and when the input reaches out's spill
+// slots through a computed address: it runs once with every slot
+// holding 0 and once with every slot holding -1, and is skipped if the
+// two runs differ or either changed a slot.
+func checkSameRuns(t *testing.T, machine string, in, out *iloc.Routine) {
+	t.Helper()
+	var slots []int64
+	out.ForEachInstr(func(_ *iloc.Block, _ int, i *iloc.Instr) {
+		if i.IsSpill && (i.Op.IsLoad() && i.Src[0].IsFP() || i.Op.IsStore() && i.Src[1].IsFP()) {
+			slots = append(slots, i.Imm)
+		}
+	})
+	// The two routines have the same data, so the difference of their
+	// ends is the difference of their frames.
+	grow := frameEnd(t, out) - frameEnd(t, in)
+	inExtra, outExtra := max(grow, 0)/8, max(-grow, 0)/8
+	for i := range fuzzInts {
+		args := make([]interp.Value, len(in.Params))
+		for j, p := range in.Params {
+			args[j] = interp.Int(fuzzInts[i])
+			if p.Reg.Class == iloc.ClassFlt {
+				args[j] = interp.Float(fuzzFloats[i])
+			}
+		}
+		want, err := runAt(in, inExtra, args, slots, 0)
+		if err != nil || !want.kept {
+			continue
+		}
+		if len(slots) > 0 {
+			if other, err := runAt(in, inExtra, args, slots, -1); err != nil || !other.kept || !want.same(other) {
+				continue
+			}
+		}
+		got, err := runAt(out, outExtra, args, nil, 0)
+		if err != nil {
+			t.Fatalf("%s, arguments %v: the allocation fails where the input runs: %v\ninput:\n%s\noutput:\n%s",
+				machine, args, err, iloc.Print(in), iloc.Print(out))
+		}
+		if !got.same(want) {
+			t.Fatalf("%s, arguments %v: the allocation returns %s with data %v, the input %s with data %v\ninput:\n%s\noutput:\n%s",
+				machine, args, got, got.data, want, want.data, iloc.Print(in), iloc.Print(out))
+		}
+	}
 }

@@ -625,8 +625,8 @@ entry:
 	before := len(b.Instrs)
 
 	a.emitParallelCopy(cs, b, []pendingCopy{
-		{pred: b, copyPair: copyPair{dst: 1, src: 2}},
-		{pred: b, copyPair: copyPair{dst: 2, src: 1}},
+		{pred: b.Index, copyPair: copyPair{dst: 1, src: 2}},
+		{pred: b.Index, copyPair: copyPair{dst: 2, src: 1}},
 	})
 
 	// Three copies must be emitted (temp = one side, then the two

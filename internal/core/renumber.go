@@ -39,7 +39,7 @@ func (a *allocator) renumber() (splits int, err error) {
 	if err := ssa.BuildAllInto(&graphs, a.rt, a.tree, a.df, &lives); err != nil {
 		var undef *ssa.UndefinedUseError
 		if errors.As(err, &undef) {
-			undef.Reg = a.inputReg(undef.Reg)
+			undef.Reg = a.inputNames.Input(undef.Reg)
 		}
 		return 0, fmt.Errorf("core: renumber: %w", err)
 	}
@@ -48,9 +48,9 @@ func (a *allocator) renumber() (splits int, err error) {
 		g := &cs.ssa
 		cs.sets.Reset(g.NumValues)
 		if a.params.remat {
-			cs.tags = remat.PropagateInto(restart(cs.tags, &cs.tagsHW), &cs.tagWork, g)
+			cs.tags = remat.PropagateInto(cs.tags, &cs.tagWork, g)
 		} else {
-			cs.tags = resetTable(restart(cs.tags, &cs.tagsHW), g.NumValues)
+			cs.tags = resetTable(cs.tags, g.NumValues)
 		}
 	}
 	if a.params.remat {
@@ -108,7 +108,7 @@ func (a *allocator) renumberRemat() int {
 	// predecessor blocks, to sequentialize each block's group as one
 	// parallel copy.
 	for _, cs := range a.classes {
-		cs.pending = restart(cs.pending, &cs.pendingHW)
+		cs.pending = cs.pending[:0]
 	}
 	splits := 0
 	for _, b := range a.rt.Blocks {
@@ -126,7 +126,7 @@ func (a *allocator) renumberRemat() int {
 					cs.tags[root] = remat.Meet(cs.tags[arg.N], cs.tags[res])
 					continue
 				}
-				cs.pending = append(cs.pending, pendingCopy{pred: b.Preds[i], copyPair: copyPair{dst: res, src: int(arg.N)}})
+				cs.pending = append(cs.pending, pendingCopy{pred: b.Preds[i].Index, copyPair: copyPair{dst: res, src: int(arg.N)}})
 				splits++
 			}
 			// φ removed (not kept).
@@ -140,13 +140,13 @@ func (a *allocator) renumberRemat() int {
 	// temporary.
 	for _, cs := range a.classes {
 		pending := cs.pending
-		slices.SortStableFunc(pending, func(x, y pendingCopy) int { return x.pred.Index - y.pred.Index })
+		slices.SortStableFunc(pending, func(x, y pendingCopy) int { return x.pred - y.pred })
 		for len(pending) > 0 {
 			n := 1
 			for n < len(pending) && pending[n].pred == pending[0].pred {
 				n++
 			}
-			a.emitParallelCopy(cs, pending[0].pred, pending[:n])
+			a.emitParallelCopy(cs, a.rt.Blocks[pending[0].pred], pending[:n])
 			pending = pending[n:]
 		}
 	}
@@ -168,9 +168,9 @@ func keep(instrs []*iloc.Instr, kept *int, i int) {
 type copyPair struct{ dst, src int }
 
 // pendingCopy is a split copy waiting for the end of its predecessor
-// block.
+// block, the block with index pred.
 type pendingCopy struct {
-	pred *iloc.Block
+	pred int
 	copyPair
 }
 
@@ -283,7 +283,7 @@ func (cs *classState) compact() {
 		}
 	}
 	cs.names = cs.sets.Compact(cs.names)
-	cs.tags = restart(cs.tags, &cs.tagsHW)[:k]
+	cs.tags = cs.tags[:k]
 }
 
 // rewriteToNames renames every register in the code to its live

@@ -32,23 +32,15 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
 // releaseScratch returns s to the pool unless its footprint exceeds
-// maxPooledScratch, and reports whether it did. A pooled scratch first
-// drops its references into the finished routine, so the pool never
-// keeps a caller's result alive.
+// maxPooledScratch, and reports whether it did. No other table holds a
+// routine pointer between calls, so dropping the SSA graphs' keeps the
+// pool from holding a caller's result alive.
 func releaseScratch(s *scratch) bool {
 	if s.footprint() > maxPooledScratch {
 		return false
 	}
 	for c := range s.classes {
-		cs := &s.classes[c]
-		cs.tags = restart(cs.tags, &cs.tagsHW)
-		cs.out = restart(cs.out, &cs.outHW)
-		cs.pending = restart(cs.pending, &cs.pendingHW)
-		clear(cs.tags[:cs.tagsHW])
-		clear(cs.out[:cs.outHW])
-		clear(cs.pending[:cs.pendingHW])
-		cs.tagsHW, cs.outHW, cs.pendingHW = 0, 0, 0
-		cs.ssa.Forget()
+		s.classes[c].ssa.Forget()
 	}
 	scratchPool.Put(s)
 	return true
@@ -73,15 +65,6 @@ func (s *scratch) footprint() int {
 		}
 	}
 	return b
-}
-
-// restart returns s emptied for a pass to refill, first raising *hw to
-// the length s had. A table holding pointers is only appended to
-// between restarts, so *hw then bounds the elements written since
-// releaseScratch last cleared them.
-func restart[T any](s []T, hw *int) []T {
-	*hw = max(*hw, len(s))
-	return s[:0]
 }
 
 // bytesOf returns the bytes of s's backing array.

@@ -10,15 +10,16 @@ import (
 	"repro/internal/dom"
 	"repro/internal/iloc"
 	"repro/internal/machines"
+	"repro/internal/remat"
 	"repro/internal/suite"
 )
 
-// releaseScratch clears only the prefix of each pointer-bearing table
-// that the calls since the last release wrote. After the suite's
-// largest kernel and then a small routine ran on one scratch, so the
-// small one's tables are short prefixes of what the kernel wrote, no
-// table of the released scratch may still point into a routine
-// anywhere up to its capacity.
+// No pooled table holds a routine pointer past its length, and
+// releaseScratch clears the SSA graphs, the only ones that hold any
+// within it. After the suite's largest kernel and then a small routine
+// ran on one scratch, so the small one's tables are short prefixes of
+// what the kernel wrote, no table of the released scratch may still
+// point into a routine anywhere up to its capacity.
 func TestReleasedScratchHoldsNoRoutine(t *testing.T) {
 	spec, err := corpus.ParseSpec("count=4,seed=7")
 	if err != nil {
@@ -57,6 +58,16 @@ func TestReleasedScratchHoldsNoRoutine(t *testing.T) {
 		routinePointers(reflect.ValueOf(sc).Elem(), "scratch", &held)
 		if len(held) > 0 {
 			t.Fatalf("%s: the released scratch still points into a routine at %d places, first %s", spec, len(held), held[0])
+		}
+	}
+}
+
+// Tags and pending split copies are values: neither can hold a pointer
+// into a routine, so the tables of them need no clearing.
+func TestRoundValuesHoldNoRoutine(t *testing.T) {
+	for _, typ := range []reflect.Type{reflect.TypeOf(remat.Tag{}), reflect.TypeOf(pendingCopy{})} {
+		if mayReachRoutine(typ) {
+			t.Errorf("a %v can hold a routine pointer", typ)
 		}
 	}
 }

@@ -87,7 +87,7 @@ func TestOversizedScratchNotPooled(t *testing.T) {
 	if !releaseScratch(small) {
 		t.Fatal("a scratch under the cap was not pooled")
 	}
-	// A matrix of n(n-1)/2 bits is over the cap from about 4,100 nodes.
+	// A square matrix of n² bits is over the cap from about 2,900 nodes.
 	big := new(scratch)
 	big.classes[iloc.ClassFlt].graph.Reset(5000)
 	if big.footprint() <= maxPooledScratch {

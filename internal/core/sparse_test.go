@@ -70,8 +70,23 @@ func TestSparseRegisterErrorsNameInputRegisters(t *testing.T) {
 // frame pointer renamed to 1000k+7: the same order, far apart.
 func spreadRegisters(rt *iloc.Routine) *iloc.Routine {
 	c := rt.Clone()
+	spread := func(r *iloc.Reg) {
+		if r.N > 0 {
+			r.N = 1000*r.N + 7
+		}
+	}
+	for i := range c.Params {
+		spread(&c.Params[i].Reg)
+	}
+	c.ForEachInstr(func(_ *iloc.Block, _ int, in *iloc.Instr) {
+		for i := range in.Src[:in.Op.NSrc()] {
+			spread(&in.Src[i])
+		}
+		if in.Op.HasDst() {
+			spread(&in.Dst)
+		}
+	})
 	for cl := range iloc.NumClasses {
-		forEachRegRef(c, iloc.Class(cl), func(r *iloc.Reg) { r.N = 1000*r.N + 7 })
 		if c.NextReg[cl] > 0 {
 			c.NextReg[cl] = 1000*(c.NextReg[cl]-1) + 8
 		}

@@ -78,7 +78,7 @@ func (a *allocator) insertSpills(cs *classState, spilled []int) (n, remat int) {
 	a.res.RematSpills += remat
 
 	for _, b := range a.rt.Blocks {
-		out := restart(cs.out, &cs.outHW)
+		out := cs.out[:0]
 		for _, in := range b.Instrs {
 			d := in.Def()
 			defSpilled := d.Valid() && d.Class == c && d.N != 0 && isSpilled[d.N]
@@ -113,10 +113,8 @@ func (a *allocator) insertSpills(cs *classState, spilled []int) (n, remat int) {
 					replaced = append(replaced, spillTemp{n: u.N, temp: t})
 					ri := a.newInstr()
 					if tag := cs.tagOf(int(u.N)); tag.Rematerializable() {
-						*ri = *tag.Instr
-						ri.Dst = t
+						*ri = tag.Instr(t)
 						ri.IsSpill = true
-						ri.IsSplit = false
 					} else {
 						*ri = iloc.Instr{
 							Op:  reloadOp(c),
@@ -145,8 +143,9 @@ func (a *allocator) insertSpills(cs *classState, spilled []int) (n, remat int) {
 			}
 			out = append(out, in)
 		}
-		cs.out = out
 		b.Instrs = append(b.Instrs[:0], out...)
+		clear(out) // the pooled table holds no instruction past its block
+		cs.out = out[:0]
 	}
 	return n, remat
 }

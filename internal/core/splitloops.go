@@ -75,8 +75,8 @@ func (a *allocator) applyLoopSplits(cs *classState, loops []*cfg.Loop) int {
 	splits := 0
 	alreadySplit := make(map[int]bool) // scheme 3: outermost loop only
 	for _, l := range selected {
+		a.solveLiveness(cs)
 		live := &cs.live
-		liveness.ComputeInto(live, a.rt, cs.c, a.tree.Order)
 		inLoop := make(map[*iloc.Block]bool, len(l.Blocks))
 		for _, b := range l.Blocks {
 			inLoop[b] = true

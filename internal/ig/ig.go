@@ -214,18 +214,6 @@ func (g *Graph) removeFromAdj(i, j int) {
 	}
 }
 
-// SignificantNeighbors counts the neighbors of i whose degree is at least
-// k ("significant degree" in §4.2's conservative-coalescing test).
-func (g *Graph) SignificantNeighbors(i, k int) int {
-	c := 0
-	for _, nb := range g.Neighbors(i) {
-		if int(g.degree[nb]) >= k {
-			c++
-		}
-	}
-	return c
-}
-
 // CombinedSignificant counts the distinct neighbors of the would-be
 // merged node a∪b that have significant degree (≥ k), treating a shared
 // neighbor's degree as its current degree. Conservative coalescing

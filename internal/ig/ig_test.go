@@ -152,21 +152,6 @@ func TestMergeSharedNeighbor(t *testing.T) {
 	}
 }
 
-func TestSignificantNeighbors(t *testing.T) {
-	// Star: center 1 connected to 2,3,4; also 2-3 so 2,3 have degree 2.
-	g := New(6)
-	g.AddEdge(1, 2)
-	g.AddEdge(1, 3)
-	g.AddEdge(1, 4)
-	g.AddEdge(2, 3)
-	if got := g.SignificantNeighbors(1, 2); got != 2 {
-		t.Fatalf("sig(1,k=2) = %d, want 2 (nodes 2 and 3)", got)
-	}
-	if got := g.SignificantNeighbors(1, 3); got != 0 {
-		t.Fatalf("sig(1,k=3) = %d, want 0", got)
-	}
-}
-
 func TestCombinedSignificant(t *testing.T) {
 	// a=1, b=2 share neighbor 3 (degree 2); 4 is neighbor of a only
 	// (degree 1). k=2: 3's degree drops to 1 after merge -> count 0.

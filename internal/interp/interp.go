@@ -70,6 +70,7 @@ type Env struct {
 	roHi     int64
 	routines map[string]*iloc.Routine
 	blocks   map[*iloc.Routine][]*iloc.Block // each routine's BlockOf
+	names    map[*iloc.Routine]iloc.RegNames // the input register names of each clone dense made
 }
 
 // Outcome reports one execution.
@@ -105,6 +106,8 @@ func (o *Outcome) Count(ops ...iloc.Op) int64 {
 }
 
 // New builds an environment for the routine: frame, then static data.
+// A routine whose register names are sparse runs as a densely named
+// clone (see dense); error texts still name its registers as it does.
 func New(rt *iloc.Routine, cfg Config) (*Env, error) {
 	if err := iloc.Verify(rt, false); err != nil {
 		return nil, fmt.Errorf("interp: %w", err)
@@ -115,7 +118,7 @@ func New(rt *iloc.Routine, cfg Config) (*Env, error) {
 	if cfg.MaxDepth == 0 {
 		cfg.MaxDepth = 256
 	}
-	e := &Env{rt: rt, cfg: cfg, data: make(map[string]int64), routines: make(map[string]*iloc.Routine)}
+	e := &Env{cfg: cfg, data: make(map[string]int64), routines: make(map[string]*iloc.Routine)}
 	for _, callee := range cfg.Routines {
 		if err := iloc.Verify(callee, false); err != nil {
 			return nil, fmt.Errorf("interp: callee: %w", err)
@@ -123,9 +126,10 @@ func New(rt *iloc.Routine, cfg Config) (*Env, error) {
 		if _, dup := e.routines[callee.Name]; dup {
 			return nil, fmt.Errorf("interp: duplicate routine %q", callee.Name)
 		}
-		e.routines[callee.Name] = callee
+		e.routines[callee.Name] = e.dense(callee)
 	}
-	e.routines[rt.Name] = rt
+	e.rt = e.dense(rt)
+	e.routines[rt.Name] = e.rt
 	e.blocks = make(map[*iloc.Routine][]*iloc.Block, len(e.routines))
 	for _, r := range e.routines {
 		e.blocks[r] = r.BlockOf()
@@ -169,6 +173,35 @@ func New(rt *iloc.Routine, cfg Config) (*Env, error) {
 		e.roHi = e.roLo
 	}
 	return e, nil
+}
+
+// dense returns the routine activations of rt run: rt, or a clone
+// named densely (iloc.(*Routine).DenseRegs) when rt's names are sparse
+// and it is not allocated, so register files grow with the code, not
+// with its largest register number.
+func (e *Env) dense(rt *iloc.Routine) *iloc.Routine {
+	if rt.Allocated || !rt.SparseRegs() {
+		return rt
+	}
+	c := rt.Clone()
+	if e.names == nil {
+		e.names = make(map[*iloc.Routine]iloc.RegNames)
+	}
+	e.names[c] = c.DenseRegs()
+	return c
+}
+
+// instrString prints instruction in of rt as its input names it.
+func (e *Env) instrString(rt *iloc.Routine, in *iloc.Instr) string {
+	if names, ok := e.names[rt]; ok {
+		named := *in
+		named.Dst = names.Input(named.Dst)
+		for i := range named.Src {
+			named.Src[i] = names.Input(named.Src[i])
+		}
+		in = &named
+	}
+	return rt.InstrString(in)
 }
 
 // maxFPWords scans for the highest fp-relative word the code touches.
@@ -229,13 +262,13 @@ func (e *Env) FloatAt(addr int64) float64 {
 // checkAddr checks an access of instruction in of routine rt.
 func (e *Env) checkAddr(addr int64, store bool, rt *iloc.Routine, in *iloc.Instr) error {
 	if addr < 0 || addr+8 > int64(len(e.mem)) {
-		return fmt.Errorf("interp: %s: address %d out of bounds [0,%d)", rt.InstrString(in), addr, len(e.mem))
+		return fmt.Errorf("interp: %s: address %d out of bounds [0,%d)", e.instrString(rt, in), addr, len(e.mem))
 	}
 	if addr%8 != 0 {
-		return fmt.Errorf("interp: %s: unaligned address %d", rt.InstrString(in), addr)
+		return fmt.Errorf("interp: %s: unaligned address %d", e.instrString(rt, in), addr)
 	}
 	if store && addr >= e.roLo && addr < e.roHi {
-		return fmt.Errorf("interp: %s: store into read-only data at %d", rt.InstrString(in), addr)
+		return fmt.Errorf("interp: %s: store into read-only data at %d", e.instrString(rt, in), addr)
 	}
 	return nil
 }
@@ -336,7 +369,7 @@ func (e *Env) exec(rt *iloc.Routine, args []Value, fpBase int64, depth int, out 
 			ri[in.Dst.N] = ri[in.Src[0].N] * ri[in.Src[1].N]
 		case iloc.OpDiv:
 			if ri[in.Src[1].N] == 0 {
-				return retval{}, fmt.Errorf("interp: %s: division by zero", rt.InstrString(in))
+				return retval{}, fmt.Errorf("interp: %s: division by zero", e.instrString(rt, in))
 			}
 			ri[in.Dst.N] = ri[in.Src[0].N] / ri[in.Src[1].N]
 		case iloc.OpAnd:

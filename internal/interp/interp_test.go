@@ -2,6 +2,7 @@ package interp
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -517,5 +518,43 @@ fin:
 		if out.Counts[op] == 0 {
 			t.Errorf("op %s never executed", op)
 		}
+	}
+}
+
+// A routine naming a register far beyond its size runs as a densely
+// named clone: its register files stay small, the routine is left as it
+// was, and error texts name its registers as it does.
+func TestSparseRegisterNames(t *testing.T) {
+	rt := iloc.MustParse(`
+routine f(r2000000)
+a:
+    getparam r2000000, 0
+    ldi r9000000, 5
+    fldi f7000000, 1.5
+    div r3000000, r9000000, r2000000
+    retr r3000000
+`)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e, err := New(rt, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := e.Run(Int(2))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.RetInt != 2 {
+		t.Fatalf("returned %d, want 2", out.RetInt)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("New and Run allocated %d KiB", alloc>>10)
+	}
+	if rt.NextReg[iloc.ClassInt] != 9000001 || !strings.Contains(iloc.Print(rt), "r9000000") {
+		t.Error("New renamed the routine's registers")
+	}
+	if _, err := e.Run(Int(0)); err == nil || !strings.Contains(err.Error(), "div r3000000, r9000000, r2000000") {
+		t.Errorf("err = %v, want the division named as the routine names it", err)
 	}
 }

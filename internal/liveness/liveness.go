@@ -22,17 +22,10 @@ import (
 // A solve writes one slab of words and nothing else, so it touches one
 // array and allocates nothing once the slab is large enough. LiveInOf,
 // LiveOutOf, UEVarOf and KillOf read a block's sets as views of the
-// slab. Compute and ComputeAll, which solve into fresh storage, also
-// fill the LiveIn, LiveOut, UEVar and Kill tables with such views; a
-// solve by ComputeInto or ComputeAllInto leaves those tables nil. A view
-// is capped at its own words: writing through one set never changes
-// another.
+// slab. A view is capped at its own words: writing through one set
+// never changes another.
 type Info struct {
-	Class   iloc.Class
-	LiveIn  []*bitset.Set
-	LiveOut []*bitset.Set
-	UEVar   []*bitset.Set // upward-exposed uses per block
-	Kill    []*bitset.Set // registers defined per block
+	Class iloc.Class
 
 	// words is the slab: block b's LiveIn, LiveOut, UEVar and Kill are
 	// the four runs of w words from offset families*w*b.
@@ -56,10 +49,10 @@ const (
 // code must not contain φ-nodes (renumber removes them before liveness is
 // next needed).
 func Compute(rt *iloc.Routine, c iloc.Class) *Info {
-	info := new(Info)
-	ComputeInto(info, rt, c, cfg.ReversePostorder(rt))
-	info.fillTables(len(rt.Blocks))
-	return info
+	var infos [iloc.NumClasses]*Info
+	infos[c] = new(Info)
+	ComputeAllInto(&infos, rt, cfg.ReversePostorder(rt))
+	return infos[c]
 }
 
 // ComputeAll solves liveness for every register class, as Compute would
@@ -70,30 +63,15 @@ func ComputeAll(rt *iloc.Routine) [iloc.NumClasses]*Info {
 		infos[c] = new(Info)
 	}
 	ComputeAllInto(&infos, rt, cfg.ReversePostorder(rt))
-	for _, info := range infos {
-		info.fillTables(len(rt.Blocks))
-	}
 	return infos
 }
 
-// ComputeInto is Compute solving into info, reusing the slab an earlier
-// solve left there: a solve over at most as many blocks and register
-// words as an earlier one allocates nothing. It leaves info's tables
-// nil; read the sets through LiveInOf, LiveOutOf, UEVarOf and KillOf.
-// The sets of the earlier solution are overwritten or, when the slab
-// grows, left behind; a caller must not keep them. rpo is a reverse postorder of the
-// routine's blocks, such as dom.Tree.Order; the fixpoint is the same in
-// any order, and this one reaches it in the fewest sweeps.
-func ComputeInto(info *Info, rt *iloc.Routine, c iloc.Class, rpo []*iloc.Block) {
-	var infos [iloc.NumClasses]*Info
-	infos[c] = info
-	ComputeAllInto(&infos, rt, rpo)
-}
-
-// ComputeAllInto is ComputeInto for every class at once: infos[c]
-// receives class c's solution, and one walk of the code gathers the
-// upward-exposed uses and definitions of all of them. A class whose
-// entry is nil is skipped.
+// ComputeAllInto is ComputeAll solving each class whose entry in infos
+// is not nil into the slab an earlier solve left there, so a solve no
+// larger allocates nothing; the earlier sets are overwritten or left
+// behind. rpo is a reverse postorder of the routine's blocks, such as
+// dom.Tree.Order: the fixpoint is the same in any order, and this one
+// reaches it in the fewest sweeps.
 func ComputeAllInto(infos *[iloc.NumClasses]*Info, rt *iloc.Routine, rpo []*iloc.Block) {
 	var n [iloc.NumClasses]uint // each solved class's register space; 0 skips the class
 	for c, info := range infos {
@@ -149,7 +127,7 @@ func outOfRange(rt *iloc.Routine, r iloc.Reg) {
 }
 
 // reset sizes info for nb blocks of class-c registers below n, with
-// every set empty, and drops the tables of an earlier Compute.
+// every set empty.
 func (info *Info) reset(c iloc.Class, nb, n int) {
 	w := bitset.Words(n)
 	info.Class, info.w, info.n = c, w, n
@@ -159,21 +137,6 @@ func (info *Info) reset(c iloc.Class, nb, n int) {
 	for b := range info.stale {
 		info.stale[b] = true
 	}
-	info.LiveIn, info.LiveOut, info.UEVar, info.Kill = nil, nil, nil, nil
-}
-
-// fillTables points the exported tables at views of the nb blocks'
-// sets, for Compute and ComputeAll.
-func (info *Info) fillTables(nb int) {
-	sets := make([]bitset.Set, families*nb)
-	ptrs := make([]*bitset.Set, families*nb)
-	for i := range sets {
-		f, b := i/nb, i%nb
-		sets[i] = info.view(f, b)
-		ptrs[i] = &sets[i]
-	}
-	family := func(f int) []*bitset.Set { return ptrs[f*nb : (f+1)*nb : (f+1)*nb] }
-	info.LiveIn, info.LiveOut, info.UEVar, info.Kill = family(famIn), family(famOut), family(famUE), family(famKill)
 }
 
 // view returns family f's set of block b as a view of the slab.
@@ -246,9 +209,3 @@ func (info *Info) fixpoint(rpo []*iloc.Block) {
 // Footprint returns the bytes of storage a solve into info reuses: the
 // slab and the stale flags.
 func (info *Info) Footprint() int { return 8*cap(info.words) + cap(info.stale) }
-
-// LiveAcross reports whether register r is live out of block b.
-func (info *Info) LiveAcross(b *iloc.Block, r int) bool {
-	out := info.LiveOutOf(b.Index)
-	return out.Has(r)
-}

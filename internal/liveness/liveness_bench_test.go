@@ -35,11 +35,11 @@ func corpusRoutines(tb testing.TB) []*iloc.Routine {
 }
 
 // BenchmarkCompute solves both classes of every corpus routine per op:
-// "fresh" with Compute, "reused" with ComputeInto on the storage earlier
-// solves left and a precomputed visiting order, as the allocator's
-// coalesce rebuilds solve, and "both" with ComputeAllInto on that
-// storage, one walk for both classes, as renumber and the build pass
-// solve.
+// "fresh" with Compute, "reused" with one ComputeAllInto per class on
+// the storage earlier solves left and a precomputed visiting order, as
+// the allocator's coalesce rebuilds solve, and "both" with one
+// ComputeAllInto on that storage, one walk for both classes, as
+// renumber and the build pass solve.
 func BenchmarkCompute(b *testing.B) {
 	rts := corpusRoutines(b)
 	b.Run("fresh", func(b *testing.B) {
@@ -63,7 +63,7 @@ func BenchmarkCompute(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for j, rt := range rts {
 				for c := iloc.Class(0); c < iloc.NumClasses; c++ {
-					ComputeInto(&infos[c], rt, c, rpos[j])
+					solveInto(&infos[c], rt, c, rpos[j])
 				}
 			}
 		}
@@ -84,31 +84,25 @@ func BenchmarkCompute(b *testing.B) {
 	})
 }
 
-// ComputeInto must give Compute's solution whatever the storage held,
-// and a re-solve into storage of the same shape, by ComputeInto or by
-// ComputeAllInto, must not allocate.
+// A one-class solve into reused storage must give Compute's solution
+// whatever the storage held, and a re-solve into storage of the same
+// shape, of one class or of both, must not allocate.
 func TestComputeIntoReusesStorage(t *testing.T) {
 	rts := corpusRoutines(t)
 	var info Info
 	for _, rt := range rts {
 		rpo := cfg.ReversePostorder(rt)
 		for c := iloc.Class(0); c < iloc.NumClasses; c++ {
-			ComputeInto(&info, rt, c, rpo)
-			want := Compute(rt, c)
-			for _, b := range rt.Blocks {
-				i := b.Index
-				in, out, ue, kill := info.LiveInOf(i), info.LiveOutOf(i), info.UEVarOf(i), info.KillOf(i)
-				if !in.Equal(want.LiveIn[i]) || !out.Equal(want.LiveOut[i]) ||
-					!ue.Equal(want.UEVar[i]) || !kill.Equal(want.Kill[i]) {
-					t.Fatalf("%s class %d block %s: reused solve differs from a fresh one", rt.Name, c, rt.Labels[b.Label])
-				}
+			solveInto(&info, rt, c, rpo)
+			if err := sameSolution(&info, Compute(rt, c), len(rt.Blocks)); err != nil {
+				t.Fatalf("%s class %d: reused solve differs from a fresh one: %v", rt.Name, c, err)
 			}
 		}
 	}
 	rt := rts[0]
 	rpo := cfg.ReversePostorder(rt)
-	ComputeInto(&info, rt, iloc.ClassInt, rpo)
-	if n := testing.AllocsPerRun(10, func() { ComputeInto(&info, rt, iloc.ClassInt, rpo) }); n != 0 {
+	solveInto(&info, rt, iloc.ClassInt, rpo)
+	if n := testing.AllocsPerRun(10, func() { solveInto(&info, rt, iloc.ClassInt, rpo) }); n != 0 {
 		t.Fatalf("re-solving into same-shape storage allocated %v times, want 0", n)
 	}
 	all := [iloc.NumClasses]*Info{new(Info), new(Info)}
@@ -116,4 +110,11 @@ func TestComputeIntoReusesStorage(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { ComputeAllInto(&all, rt, rpo) }); n != 0 {
 		t.Fatalf("re-solving both classes into same-shape storage allocated %v times, want 0", n)
 	}
+}
+
+// solveInto solves class c alone into info's storage.
+func solveInto(info *Info, rt *iloc.Routine, c iloc.Class, rpo []*iloc.Block) {
+	var infos [iloc.NumClasses]*Info
+	infos[c] = info
+	ComputeAllInto(&infos, rt, rpo)
 }

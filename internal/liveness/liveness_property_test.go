@@ -24,9 +24,9 @@ func TestPropertyEntryLiveInEmpty(t *testing.T) {
 		}
 		for _, c := range []iloc.Class{iloc.ClassInt, iloc.ClassFlt} {
 			li := liveness.Compute(rt, c)
-			if !li.LiveIn[rt.Entry().Index].Empty() {
+			if !ptr(li.LiveInOf(rt.Entry().Index)).Empty() {
 				t.Fatalf("seed %d class %v: live-in(entry) = %v",
-					seed, c, li.LiveIn[rt.Entry().Index])
+					seed, c, ptr(li.LiveInOf(rt.Entry().Index)))
 			}
 		}
 	}
@@ -47,15 +47,15 @@ func TestPropertyDataflowEquationsHold(t *testing.T) {
 			for _, b := range rt.Blocks {
 				out := bitset.New(n)
 				for _, s := range b.Succs {
-					out.UnionWith(li.LiveIn[s.Index])
+					out.UnionWith(ptr(li.LiveInOf(s.Index)))
 				}
-				if !out.Equal(li.LiveOut[b.Index]) {
+				if !out.Equal(ptr(li.LiveOutOf(b.Index))) {
 					t.Fatalf("seed %d %s class %v: LiveOut equation violated", seed, rt.Labels[b.Label], c)
 				}
-				in := li.LiveOut[b.Index].Copy()
-				in.DifferenceWith(li.Kill[b.Index])
-				in.UnionWith(li.UEVar[b.Index])
-				if !in.Equal(li.LiveIn[b.Index]) {
+				in := ptr(li.LiveOutOf(b.Index)).Copy()
+				in.DifferenceWith(ptr(li.KillOf(b.Index)))
+				in.UnionWith(ptr(li.UEVarOf(b.Index)))
+				if !in.Equal(ptr(li.LiveInOf(b.Index))) {
 					t.Fatalf("seed %d %s class %v: LiveIn equation violated", seed, rt.Labels[b.Label], c)
 				}
 			}
@@ -104,7 +104,7 @@ func TestPropertyAgainstBruteForce(t *testing.T) {
 		for _, b := range rt.Blocks {
 			for r := 1; r < n; r++ {
 				want := bruteLiveIn(b, r, make([]bool, len(rt.Blocks)))
-				if got := li.LiveIn[b.Index].Has(r); got != want {
+				if got := ptr(li.LiveInOf(b.Index)).Has(r); got != want {
 					t.Fatalf("seed %d: LiveIn(%s, r%d) = %v, brute force says %v",
 						seed, rt.Labels[b.Label], r, got, want)
 				}
@@ -112,3 +112,7 @@ func TestPropertyAgainstBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// ptr returns a pointer to a copy of s, for calling the set's methods on
+// an accessor's result.
+func ptr(s bitset.Set) *bitset.Set { return &s }

@@ -27,17 +27,17 @@ a:
 `)
 	li := Compute(rt, iloc.ClassInt)
 	b := rt.Blocks[0].Index
-	if !li.LiveIn[b].Empty() {
-		t.Fatalf("live-in of entry should be empty: %v", li.LiveIn[b])
+	if !li.liveIn(b).Empty() {
+		t.Fatalf("live-in of entry should be empty: %v", li.liveIn(b))
 	}
-	if !li.LiveOut[b].Empty() {
+	if !li.liveOut(b).Empty() {
 		t.Fatal("live-out of exit block should be empty")
 	}
-	if !li.Kill[b].Has(1) || !li.Kill[b].Has(2) || !li.Kill[b].Has(3) {
+	if !li.kill(b).Has(1) || !li.kill(b).Has(2) || !li.kill(b).Has(3) {
 		t.Fatal("kill set wrong")
 	}
-	if !li.UEVar[b].Empty() {
-		t.Fatalf("no upward-exposed uses expected: %v", li.UEVar[b])
+	if !li.ueVar(b).Empty() {
+		t.Fatalf("no upward-exposed uses expected: %v", li.ueVar(b))
 	}
 }
 
@@ -58,23 +58,23 @@ done:
 	li := Compute(rt, iloc.ClassInt)
 	loop := rt.BlockByLabel("loop").Index
 	// r1 and r2 are live around the loop.
-	if !li.LiveIn[loop].Has(1) || !li.LiveIn[loop].Has(2) {
-		t.Fatalf("live-in(loop) = %v, want r1 and r2", li.LiveIn[loop])
+	if !li.liveIn(loop).Has(1) || !li.liveIn(loop).Has(2) {
+		t.Fatalf("live-in(loop) = %v, want r1 and r2", li.liveIn(loop))
 	}
-	if !li.LiveOut[loop].Has(1) || !li.LiveOut[loop].Has(2) {
-		t.Fatalf("live-out(loop) = %v", li.LiveOut[loop])
+	if !li.liveOut(loop).Has(1) || !li.liveOut(loop).Has(2) {
+		t.Fatalf("live-out(loop) = %v", li.liveOut(loop))
 	}
 	// r3 is consumed by the branch in the same block: not live-in.
-	if li.LiveIn[loop].Has(3) {
+	if li.liveIn(loop).Has(3) {
 		t.Fatal("r3 must not be live into loop")
 	}
 	done := rt.BlockByLabel("done").Index
-	if !li.LiveIn[done].Has(2) || li.LiveIn[done].Has(1) {
-		t.Fatalf("live-in(done) = %v, want only r2", li.LiveIn[done])
+	if !li.liveIn(done).Has(2) || li.liveIn(done).Has(1) {
+		t.Fatalf("live-in(done) = %v, want only r2", li.liveIn(done))
 	}
 	entry := rt.BlockByLabel("entry").Index
-	if !li.LiveIn[entry].Empty() {
-		t.Fatalf("entry live-in should be empty, got %v", li.LiveIn[entry])
+	if !li.liveIn(entry).Empty() {
+		t.Fatalf("entry live-in should be empty, got %v", li.liveIn(entry))
 	}
 }
 
@@ -92,12 +92,12 @@ b:
 `)
 	li := Compute(rt, iloc.ClassInt)
 	entry := rt.BlockByLabel("entry").Index
-	if !li.LiveOut[entry].Has(1) || !li.LiveOut[entry].Has(2) {
-		t.Fatalf("live-out(entry) = %v", li.LiveOut[entry])
+	if !li.liveOut(entry).Has(1) || !li.liveOut(entry).Has(2) {
+		t.Fatalf("live-out(entry) = %v", li.liveOut(entry))
 	}
 	a := rt.BlockByLabel("a").Index
-	if !li.LiveIn[a].Has(2) || li.LiveIn[a].Has(1) {
-		t.Fatalf("live-in(a) = %v", li.LiveIn[a])
+	if !li.liveIn(a).Has(2) || li.liveIn(a).Has(1) {
+		t.Fatalf("live-in(a) = %v", li.liveIn(a))
 	}
 }
 
@@ -115,16 +115,16 @@ b:
 	lInt := Compute(rt, iloc.ClassInt)
 	lFlt := Compute(rt, iloc.ClassFlt)
 	bIdx := rt.BlockByLabel("b").Index
-	if !lInt.LiveIn[bIdx].Has(1) {
+	if !lInt.liveIn(bIdx).Has(1) {
 		t.Fatal("r1 live into b")
 	}
-	if !lFlt.LiveIn[bIdx].Has(1) {
+	if !lFlt.liveIn(bIdx).Has(1) {
 		t.Fatal("f1 live into b")
 	}
-	if lInt.LiveIn[bIdx].Has(2) || lFlt.LiveIn[bIdx].Has(2) {
+	if lInt.liveIn(bIdx).Has(2) || lFlt.liveIn(bIdx).Has(2) {
 		t.Fatal("unexpected extra liveness")
 	}
-	if !lFlt.Kill[bIdx].Has(2) {
+	if !lFlt.kill(bIdx).Has(2) {
 		t.Fatal("f2 killed in b")
 	}
 }
@@ -139,26 +139,8 @@ a:
 `)
 	li := Compute(rt, iloc.ClassInt)
 	b := rt.Blocks[0].Index
-	if li.UEVar[b].Has(0) || li.LiveIn[b].Has(0) {
+	if li.ueVar(b).Has(0) || li.liveIn(b).Has(0) {
 		t.Fatal("fp (r0) must not participate in liveness")
-	}
-}
-
-func TestLiveAcross(t *testing.T) {
-	rt := build(t, `
-routine f()
-a:
-    ldi r1, 1
-    jmp b
-b:
-    retr r1
-`)
-	li := Compute(rt, iloc.ClassInt)
-	if !li.LiveAcross(rt.BlockByLabel("a"), 1) {
-		t.Fatal("r1 live across a")
-	}
-	if li.LiveAcross(rt.BlockByLabel("b"), 1) {
-		t.Fatal("r1 not live out of b")
 	}
 }
 

@@ -37,11 +37,6 @@ func slabRoutines(t *testing.T) []*iloc.Routine {
 	return rts
 }
 
-// families lists info's sets, family by family.
-func (info *Info) families() [][]*bitset.Set {
-	return [][]*bitset.Set{info.LiveIn, info.LiveOut, info.UEVar, info.Kill}
-}
-
 // setsOf lists info's sets as its accessors give them, family by
 // family, for a routine of nb blocks.
 func (info *Info) setsOf(nb int) [][]*bitset.Set {
@@ -54,8 +49,14 @@ func (info *Info) setsOf(nb int) [][]*bitset.Set {
 	return fams
 }
 
-// sameSolution reports how got differs from want, set for set, reading
-// both through the accessors.
+// liveIn, liveOut, ueVar and kill return block b's sets as pointers,
+// for the tests to call the sets' methods on.
+func (info *Info) liveIn(b int) *bitset.Set  { s := info.LiveInOf(b); return &s }
+func (info *Info) liveOut(b int) *bitset.Set { s := info.LiveOutOf(b); return &s }
+func (info *Info) ueVar(b int) *bitset.Set   { s := info.UEVarOf(b); return &s }
+func (info *Info) kill(b int) *bitset.Set    { s := info.KillOf(b); return &s }
+
+// sameSolution reports how got differs from want, set for set.
 func sameSolution(got, want *Info, nb int) error {
 	if got.Class != want.Class {
 		return fmt.Errorf("class %v, want %v", got.Class, want.Class)
@@ -79,10 +80,8 @@ func sameSets(got, want [][]*bitset.Set) error {
 }
 
 // The both-class solve gives each class exactly what a solve of that
-// class alone gives, set for set, whatever either storage held before;
-// the accessors of a solve into reused storage give exactly the sets
-// Compute's and ComputeAll's tables hold; and a solve into reused
-// storage leaves no tables behind.
+// class alone gives, set for set, whatever either storage held before,
+// and exactly what Compute and ComputeAll give on fresh storage.
 func TestComputeAllMatchesComputeInto(t *testing.T) {
 	all := [iloc.NumClasses]*Info{new(Info), new(Info)}
 	var one Info
@@ -90,22 +89,17 @@ func TestComputeAllMatchesComputeInto(t *testing.T) {
 		nb := len(rt.Blocks)
 		rpo := cfg.ReversePostorder(rt)
 		ComputeAllInto(&all, rt, rpo)
+		fresh := ComputeAll(rt)
 		for c := iloc.Class(0); c < iloc.NumClasses; c++ {
-			ComputeInto(&one, rt, c, rpo)
+			solveInto(&one, rt, c, rpo)
 			if err := sameSolution(all[c], &one, nb); err != nil {
 				t.Fatalf("%s, class %v: both-class solve: %v", rt.Name, c, err)
 			}
-			if one.LiveIn != nil || one.LiveOut != nil || one.UEVar != nil || one.Kill != nil {
-				t.Fatalf("%s, class %v: ComputeInto left tables behind", rt.Name, c)
+			if err := sameSolution(&one, Compute(rt, c), nb); err != nil {
+				t.Fatalf("%s, class %v: against Compute: %v", rt.Name, c, err)
 			}
-			if err := sameSets(one.setsOf(nb), Compute(rt, c).families()); err != nil {
-				t.Fatalf("%s, class %v: accessors against Compute's tables: %v", rt.Name, c, err)
-			}
-		}
-		fresh := ComputeAll(rt)
-		for c := range fresh {
-			if err := sameSets(all[c].setsOf(nb), fresh[c].families()); err != nil {
-				t.Fatalf("%s, class %d: accessors against ComputeAll's tables: %v", rt.Name, c, err)
+			if err := sameSolution(all[c], fresh[c], nb); err != nil {
+				t.Fatalf("%s, class %v: against ComputeAll: %v", rt.Name, c, err)
 			}
 		}
 	}
@@ -119,7 +113,7 @@ func TestWritingOneViewLeavesTheOthers(t *testing.T) {
 		for c := iloc.Class(0); c < iloc.NumClasses; c++ {
 			info := Compute(rt, c)
 			var sets []*bitset.Set
-			for _, fam := range info.families() {
+			for _, fam := range info.setsOf(len(rt.Blocks)) {
 				sets = append(sets, fam...)
 			}
 			before := make([]*bitset.Set, len(sets))

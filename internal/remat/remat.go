@@ -17,6 +17,7 @@ package remat
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -35,16 +36,38 @@ const (
 	Bottom             // must be spilled and restored
 )
 
-// Tag is a lattice element. The zero Tag is ⊤.
+// Tag is a lattice element. The zero Tag is ⊤. An inst tag holds its
+// instruction by value: every register operand of a never-killed
+// instruction is the frame pointer, so the opcode and the immediates
+// and label say everything, and a tag never points into a routine.
 type Tag struct {
-	Kind  Kind
-	Instr *iloc.Instr // defining instruction when Kind == Inst
+	Kind Kind
+	// The defining instruction's opcode, label and immediates, when
+	// Kind == Inst.
+	Op    iloc.Op
+	Label iloc.Label
+	Imm   int64
+	FImm  float64
 }
 
-// TopTag, BottomTag and InstTag construct lattice elements.
-func TopTag() Tag                { return Tag{Kind: Top} }
-func BottomTag() Tag             { return Tag{Kind: Bottom} }
-func InstTag(in *iloc.Instr) Tag { return Tag{Kind: Inst, Instr: in} }
+// TopTag and BottomTag construct lattice elements.
+func TopTag() Tag    { return Tag{Kind: Top} }
+func BottomTag() Tag { return Tag{Kind: Bottom} }
+
+// InstTag returns the inst tag of the never-killed instruction in.
+func InstTag(in *iloc.Instr) Tag {
+	return Tag{Kind: Inst, Op: in.Op, Label: in.Label, Imm: in.Imm, FImm: in.FImm}
+}
+
+// Instr returns the instruction an inst tag rematerializes, defining
+// dst: its register operands are the frame pointer.
+func (t Tag) Instr(dst iloc.Reg) iloc.Instr {
+	in := iloc.Instr{Op: t.Op, Dst: dst, Src: [2]iloc.Reg{iloc.NoReg, iloc.NoReg}, Label: t.Label, Imm: t.Imm, FImm: t.FImm}
+	for i := range t.Op.NSrc() {
+		in.Src[i] = iloc.FP
+	}
+	return in
+}
 
 // Rematerializable reports whether the tag allows rematerialization.
 func (t Tag) Rematerializable() bool { return t.Kind == Inst }
@@ -56,51 +79,36 @@ func (t Tag) String() string {
 	case Bottom:
 		return "⊥"
 	default:
-		return fmt.Sprintf("inst(%s)", stripDst(t.Instr))
+		return fmt.Sprintf("inst(%s)", t.stripDst())
 	}
 }
 
-func stripDst(in *iloc.Instr) string {
+func (t Tag) stripDst() string {
 	var parts []string
-	for i := 0; i < in.Op.NSrc(); i++ {
-		parts = append(parts, in.Src[i].String())
+	for range t.Op.NSrc() {
+		parts = append(parts, iloc.FP.String())
 	}
-	if in.Op.HasLabel() {
+	if t.Op.HasLabel() {
 		// A tag does not know its routine, so a label prints as its
 		// index in the routine's label table.
-		parts = append(parts, "L"+strconv.Itoa(int(in.Label)))
+		parts = append(parts, "L"+strconv.Itoa(int(t.Label)))
 	}
-	if in.Op.HasImm() {
-		parts = append(parts, strconv.FormatInt(in.Imm, 10))
+	if t.Op.HasImm() {
+		parts = append(parts, strconv.FormatInt(t.Imm, 10))
 	}
-	if in.Op.HasFImm() {
-		parts = append(parts, strconv.FormatFloat(in.FImm, 'g', -1, 64))
+	if t.Op.HasFImm() {
+		parts = append(parts, strconv.FormatFloat(t.FImm, 'g', -1, 64))
 	}
 	if len(parts) == 0 {
-		return in.Op.String()
+		return t.Op.String()
 	}
-	return in.Op.String() + " " + strings.Join(parts, ", ")
+	return t.Op.String() + " " + strings.Join(parts, ", ")
 }
 
-// InstrEqual compares two defining instructions operand by operand, as the
-// paper's meet requires. The destination register is ignored: two ldi of
-// the same constant into different values are the same rematerialization.
-func InstrEqual(a, b *iloc.Instr) bool {
-	if a == b {
-		return true
-	}
-	if a == nil || b == nil || a.Op != b.Op {
-		return false
-	}
-	for i := 0; i < a.Op.NSrc(); i++ {
-		if a.Src[i] != b.Src[i] {
-			return false
-		}
-	}
-	return a.Imm == b.Imm && a.FImm == b.FImm && a.Label == b.Label
-}
-
-// Equal reports whether two tags are the same lattice element.
+// Equal reports whether two tags are the same lattice element: inst
+// tags compare operand by operand, as the paper's meet requires, and a
+// float immediate bit for bit, since 0.0 and -0.0 differ. Destinations
+// are no operands: ldi of one constant into two values is one tag.
 func Equal(a, b Tag) bool {
 	if a.Kind != b.Kind {
 		return false
@@ -108,7 +116,8 @@ func Equal(a, b Tag) bool {
 	if a.Kind != Inst {
 		return true
 	}
-	return InstrEqual(a.Instr, b.Instr)
+	return a.Op == b.Op && a.Label == b.Label && a.Imm == b.Imm &&
+		math.Float64bits(a.FImm) == math.Float64bits(b.FImm)
 }
 
 // Meet is the modified meet operation of §3.2.
@@ -120,7 +129,7 @@ func Meet(a, b Tag) Tag {
 		return a
 	case a.Kind == Bottom || b.Kind == Bottom:
 		return BottomTag()
-	case InstrEqual(a.Instr, b.Instr):
+	case Equal(a, b):
 		return a
 	default:
 		return BottomTag()

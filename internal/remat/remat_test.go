@@ -1,6 +1,7 @@
 package remat
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -53,27 +54,76 @@ func TestMeetTable(t *testing.T) {
 	}
 }
 
+// Inst tags compare their instructions operand by operand, ignoring
+// the destination.
 func TestInstrEqual(t *testing.T) {
+	eq := func(a, b *iloc.Instr) bool { return Equal(InstTag(a), InstTag(b)) }
 	lda1 := iloc.MakeLda(iloc.IntReg(1), 0)
 	lda2 := iloc.MakeLda(iloc.IntReg(9), 0)
 	lda3 := iloc.MakeLda(iloc.IntReg(1), 1)
-	if !InstrEqual(lda1, lda2) {
+	if !eq(lda1, lda2) {
 		t.Fatal("same label lda must be equal")
 	}
-	if InstrEqual(lda1, lda3) {
+	if eq(lda1, lda3) {
 		t.Fatal("different label lda must differ")
 	}
 	addiFP1 := iloc.MakeImm(iloc.OpAddi, iloc.IntReg(1), iloc.FP, 8)
 	addiFP2 := iloc.MakeImm(iloc.OpAddi, iloc.IntReg(2), iloc.FP, 8)
 	addiFP3 := iloc.MakeImm(iloc.OpAddi, iloc.IntReg(2), iloc.FP, 16)
-	if !InstrEqual(addiFP1, addiFP2) || InstrEqual(addiFP1, addiFP3) {
+	if !eq(addiFP1, addiFP2) || eq(addiFP1, addiFP3) {
 		t.Fatal("fp-relative addi equality wrong")
 	}
-	if InstrEqual(lda1, addiFP1) {
+	if eq(lda1, addiFP1) {
 		t.Fatal("different ops equal")
 	}
-	if InstrEqual(nil, lda1) || !InstrEqual(nil, nil) {
-		t.Fatal("nil handling wrong")
+	if Equal(TopTag(), InstTag(lda1)) || !Equal(TopTag(), TopTag()) {
+		t.Fatal("an inst tag equals ⊤, or ⊤ differs from itself")
+	}
+}
+
+// fldi 0.0 and fldi -0.0 are different constants: 1/x tells them
+// apart, so their tags must not meet to either one.
+func TestSignedZeroTagsMeetToBottom(t *testing.T) {
+	pos := InstTag(iloc.MakeFldi(iloc.FltReg(1), 0))
+	neg := InstTag(iloc.MakeFldi(iloc.FltReg(2), math.Copysign(0, -1)))
+	if Equal(pos, neg) {
+		t.Fatalf("%v equals %v", pos, neg)
+	}
+	if got := Meet(pos, neg); got.Kind != Bottom {
+		t.Fatalf("Meet(%v, %v) = %v, want ⊥", pos, neg, got)
+	}
+	nan := InstTag(iloc.MakeFldi(iloc.FltReg(1), math.NaN()))
+	if !Equal(nan, nan) {
+		t.Fatal("a NaN constant's tag differs from itself")
+	}
+}
+
+// Tag.Instr re-issues the tagged instruction into a new destination.
+func TestTagInstrReissues(t *testing.T) {
+	rt := iloc.MustParse(`
+routine f()
+data lab ro 8 = 42
+entry:
+    ldi r1, 7
+    fldi f1, -2.5
+    lda r2, lab
+    addi r3, fp, 16
+    rload r4, lab, 8
+    getparam r5, 0
+    mov r6, fp
+    retr r1
+`)
+	for _, in := range rt.Blocks[0].Instrs {
+		if !NeverKilled(in) {
+			continue
+		}
+		re := InstTag(in).Instr(in.Dst)
+		if got, want := rt.InstrString(&re), rt.InstrString(in); got != want {
+			t.Errorf("re-issued %q, want %q", got, want)
+		}
+		if !Equal(InstTag(&re), InstTag(in)) {
+			t.Errorf("the re-issued %q has another tag", rt.InstrString(in))
+		}
 	}
 }
 
@@ -102,7 +152,7 @@ func TestNeverKilled(t *testing.T) {
 	}
 	for _, in := range no {
 		if NeverKilled(in) {
-			t.Errorf("%s must not be never-killed", InstTag(in))
+			t.Errorf("%s %v must not be never-killed", in.Op, in.Src)
 		}
 	}
 }
@@ -199,7 +249,7 @@ join:
 			if tags[v].Kind != Inst {
 				t.Fatalf("φ of two ldi 7 = %v, want inst", tags[v])
 			}
-			if tags[v].Instr.Imm != 7 {
+			if tags[v].Imm != 7 {
 				t.Fatal("wrong remat instruction")
 			}
 			return

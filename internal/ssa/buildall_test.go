@@ -77,9 +77,9 @@ func sameGraphs(x, y *ssa.Graph, xat, yat map[*iloc.Instr]string) error {
 	return nil
 }
 
-// checkBuildAll builds src's routine into SSA both ways — BuildInto per
-// class in class order, stopping at the first error, and BuildAllInto
-// — and reports how they differ: the error, the printed code with its
+// checkBuildAll builds src's routine into SSA both ways — a one-class
+// BuildAllInto per class in class order, stopping at the first error,
+// and one BuildAllInto of both classes — and reports how they differ: the error, the printed code with its
 // φ-nodes, NextReg, and every class's graph.
 func checkBuildAll(t *testing.T, name string, rt *iloc.Routine) {
 	t.Helper()
@@ -89,19 +89,22 @@ func checkBuildAll(t *testing.T, name string, rt *iloc.Routine) {
 	for c := range graphs {
 		graphs[c] = new(ssa.Graph)
 		if oneErr == nil {
-			oneErr = ssa.BuildInto(graphs[c], one.rt, iloc.Class(c), one.tree, one.df, one.lives[iloc.Class(c)])
+			var gs [iloc.NumClasses]*ssa.Graph
+			var lives [iloc.NumClasses]*liveness.Info
+			gs[c], lives[c] = graphs[c], one.lives[c]
+			oneErr = ssa.BuildAllInto(&gs, one.rt, one.tree, one.df, &lives)
 		}
 	}
 	fused := [iloc.NumClasses]*ssa.Graph{new(ssa.Graph), new(ssa.Graph)}
 	allErr := ssa.BuildAllInto(&fused, all.rt, all.tree, all.df, &all.lives)
 	if fmt.Sprint(oneErr) != fmt.Sprint(allErr) {
-		t.Fatalf("%s: BuildAllInto error %v, BuildInto per class %v", name, allErr, oneErr)
+		t.Fatalf("%s: BuildAllInto error %v, one class at a time %v", name, allErr, oneErr)
 	}
 	if oneErr != nil {
 		return
 	}
 	if got, want := iloc.Print(all.rt), iloc.Print(one.rt); got != want {
-		t.Fatalf("%s: BuildAllInto gave\n%s\nBuildInto per class\n%s", name, got, want)
+		t.Fatalf("%s: BuildAllInto gave\n%s\none class at a time\n%s", name, got, want)
 	}
 	if all.rt.NextReg != one.rt.NextReg {
 		t.Fatalf("%s: NextReg %v, want %v", name, all.rt.NextReg, one.rt.NextReg)
@@ -115,7 +118,7 @@ func checkBuildAll(t *testing.T, name string, rt *iloc.Routine) {
 }
 
 // One renaming walk for both classes gives each class exactly the
-// graph, φ-nodes and error that one BuildInto per class gives: over the
+// graph, φ-nodes and error that building one class at a time gives: over the
 // property corpus, programs of both classes under pressure, and inputs
 // whose uses are undefined in one class or both.
 func TestBuildAllMatchesBuildInto(t *testing.T) {

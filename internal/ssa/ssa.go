@@ -26,10 +26,9 @@ type Graph struct {
 	Class     iloc.Class
 	NumValues int
 
-	// DefOf[v] is the instruction defining value v (possibly a φ);
-	// DefBlockOf[v] is its block. Index 0 is nil.
-	DefOf      []*iloc.Instr
-	DefBlockOf []*iloc.Block
+	// DefOf[v] is the instruction defining value v (possibly a φ).
+	// Index 0 is nil.
+	DefOf []*iloc.Instr
 
 	// UsesOf[v] lists the instructions that read value v (φ-nodes
 	// included); the sparse propagation worklist follows these edges.
@@ -42,7 +41,9 @@ type Graph struct {
 	// holds the φ-nodes' operands.
 	Routine *iloc.Routine
 
-	// The storage BuildInto reuses from one build to the next.
+	// The storage a build reuses from the one before. No table holds a
+	// pointer past its length: a build clears each pointer table by its
+	// length before it shortens it, and so does Forget.
 	counts    []int   // per-register definition-block counts, then per-value use counts (chain's offsets)
 	defBlocks [][]int // indices of the definition blocks per original register
 	defFlat   []int
@@ -53,10 +54,6 @@ type Graph struct {
 	prev      []int    // per value: the value its register named before it
 	uses      []useRec // the uses the renaming walk met, in its order
 	usesFlat  []*iloc.Instr
-	// hwValues and hwUses are the most values and uses a build since the
-	// last Forget wrote: past them the pointer tables hold nothing, so
-	// Forget clears only those prefixes.
-	hwValues, hwUses int
 	// phis holds the build's φ-nodes, and phiAt the index of each one's
 	// block. A φ lives only until renumber removes it, so the next
 	// build overwrites them. Their operands go to the routine's PhiSlab.
@@ -76,36 +73,25 @@ type useRec struct{ v, block, pos int32 }
 // CFG built; live is the pre-SSA liveness solution for the class and tree
 // the dominator tree.
 func Build(rt *iloc.Routine, c iloc.Class, tree *dom.Tree, live *liveness.Info) (*Graph, error) {
-	g := new(Graph)
-	if err := BuildInto(g, rt, c, tree, dom.Frontiers(tree, rt), live); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// BuildInto is Build filling g, with df the dominance frontiers of tree.
-// The definition blocks of each register come from live's Kill sets. It
-// reuses the tables and φ-node slab an earlier build left in g, so a
-// build no larger than an earlier one allocates nothing but the φ
-// operands it appends to rt.PhiSlab and the longer instruction lists of
-// the blocks that get φ-nodes. It overwrites the earlier graph,
-// including any table or φ-node a caller still holds.
-func BuildInto(g *Graph, rt *iloc.Routine, c iloc.Class, tree *dom.Tree, df [][]int, live *liveness.Info) error {
 	var gs [iloc.NumClasses]*Graph
 	var lives [iloc.NumClasses]*liveness.Info
-	gs[c], lives[c] = g, live
-	return BuildAllInto(&gs, rt, tree, df, &lives)
+	gs[c], lives[c] = new(Graph), live
+	if err := BuildAllInto(&gs, rt, tree, dom.Frontiers(tree, rt), &lives); err != nil {
+		return nil, err
+	}
+	return gs[c], nil
 }
 
-// BuildAllInto is BuildInto for every class at once: gs[c] receives
-// class c's graph, built from lives[c], and a class whose graph is nil
-// is left alone. Each class gets exactly the values, φ-nodes and
-// def-use chains its own BuildInto gives, but one walk over the
-// dominator tree renames every class and records the chains as it
-// goes. A block's φ-nodes of a later class come before those of an
-// earlier one, as they would after one BuildInto per class in class
-// order, and the error is the one those calls would stop at: the first
-// undefined use of the earliest class that has one.
+// BuildAllInto is Build for every class whose graph in gs is not nil,
+// from lives[c] and df, the dominance frontiers of tree. One walk over
+// the dominator tree renames every class, and each gets exactly the
+// values, φ-nodes and def-use chains a build of it alone gives. A
+// block's φ-nodes of a later class come before an earlier one's, and
+// the error is the first undefined use of the earliest class with one.
+// A build reuses the storage an earlier one left in gs, so one no
+// larger allocates nothing but the φ operands it appends to rt.PhiSlab
+// and the longer lists of the blocks that get φ-nodes. It overwrites
+// the earlier graphs, including any table or φ-node a caller holds.
 func BuildAllInto(gs *[iloc.NumClasses]*Graph, rt *iloc.Routine, tree *dom.Tree, df [][]int, lives *[iloc.NumClasses]*liveness.Info) error {
 	// Every definition and every φ mints one value, and no instruction
 	// defines more than one, so the value tables are sized to the
@@ -154,7 +140,6 @@ func BuildAllInto(gs *[iloc.NumClasses]*Graph, rt *iloc.Routine, tree *dom.Tree,
 func (g *Graph) placePhis(rt *iloc.Routine, c iloc.Class, df [][]int, live *liveness.Info) {
 	nOrig := rt.NumRegs(c)
 	nb := len(rt.Blocks)
-	g.noteHighWater()
 	// Definition blocks per original register, in block order: block b
 	// defines v exactly when v is in Kill(b).
 	counts := resetInts(g.counts, nOrig)
@@ -251,8 +236,8 @@ func insertPhis(gs *[iloc.NumClasses]*Graph, rt *iloc.Routine, count []int) {
 // class-c registers that mints at most size values.
 func (g *Graph) startRename(rt *iloc.Routine, c iloc.Class, size int) {
 	g.Class = c
+	clear(g.DefOf)
 	g.DefOf = append(slices.Grow(g.DefOf[:0], size), nil)
-	g.DefBlockOf = append(slices.Grow(g.DefBlockOf[:0], size), nil)
 	g.OrigOf = append(slices.Grow(g.OrigOf[:0], size), 0)
 	g.prev = append(slices.Grow(g.prev[:0], size), 0)
 	g.counts = append(slices.Grow(g.counts[:0], size), 0)
@@ -263,10 +248,9 @@ func (g *Graph) startRename(rt *iloc.Routine, c iloc.Class, size int) {
 
 // newName mints the value for one definition of orig, which names it
 // until the walk leaves the block.
-func (g *Graph) newName(orig int, def *iloc.Instr, b *iloc.Block) int {
+func (g *Graph) newName(orig int, def *iloc.Instr) int {
 	v := len(g.DefOf)
 	g.DefOf = append(g.DefOf, def)
-	g.DefBlockOf = append(g.DefBlockOf, b)
 	g.OrigOf = append(g.OrigOf, orig)
 	g.prev = append(g.prev, g.cur[orig])
 	g.counts = append(g.counts, 0)
@@ -327,7 +311,7 @@ func walk(gs *[iloc.NumClasses]*Graph, rt *iloc.Routine, tree *dom.Tree, bi int)
 	for pos, in := range b.Instrs {
 		if in.Op == iloc.OpPhi {
 			if g := of(gs, in.Dst); g != nil {
-				in.Dst.N = int32(g.newName(int(in.Dst.N), in, b))
+				in.Dst.N = int32(g.newName(int(in.Dst.N), in))
 			}
 			continue
 		}
@@ -338,7 +322,7 @@ func walk(gs *[iloc.NumClasses]*Graph, rt *iloc.Routine, tree *dom.Tree, bi int)
 		}
 		if d := in.Def(); d.Valid() {
 			if g := of(gs, d); g != nil {
-				in.Dst.N = int32(g.newName(int(d.N), in, b))
+				in.Dst.N = int32(g.newName(int(d.N), in))
 			}
 		}
 	}
@@ -381,6 +365,7 @@ func walk(gs *[iloc.NumClasses]*Graph, rt *iloc.Routine, tree *dom.Tree, bi int)
 // at its length.
 func (g *Graph) chain() {
 	blocks := g.Routine.Blocks
+	clear(g.usesFlat)
 	g.usesFlat = slices.Grow(g.usesFlat[:0], len(g.uses))[:len(g.uses)]
 	// counts holds each value's use count, then where its uses start,
 	// then where they end.
@@ -393,6 +378,7 @@ func (g *Graph) chain() {
 		g.usesFlat[g.counts[u.v]] = blocks[u.block].Instrs[u.pos]
 		g.counts[u.v]++
 	}
+	clear(g.UsesOf)
 	g.UsesOf = slices.Grow(g.UsesOf[:0], len(g.counts))[:len(g.counts)]
 	start := 0
 	for v, end := range g.counts {
@@ -402,39 +388,21 @@ func (g *Graph) chain() {
 }
 
 // Forget drops g's references into the routine it was built over,
-// keeping the storage for the next BuildInto. The graph is empty after.
-// It clears only the prefixes the builds since the last Forget wrote.
+// keeping the storage for the next build. The graph is empty after.
 func (g *Graph) Forget() {
-	g.noteHighWater()
-	clearPrefix(g.DefOf, g.hwValues)
-	clearPrefix(g.DefBlockOf, g.hwValues)
-	clearPrefix(g.UsesOf, g.hwValues)
-	clearPrefix(g.usesFlat, g.hwUses)
-	g.hwValues, g.hwUses = 0, 0
-	g.DefOf, g.DefBlockOf, g.UsesOf, g.OrigOf = g.DefOf[:0], g.DefBlockOf[:0], g.UsesOf[:0], g.OrigOf[:0]
+	clear(g.DefOf)
+	clear(g.UsesOf)
+	clear(g.usesFlat)
+	g.DefOf, g.UsesOf, g.OrigOf = g.DefOf[:0], g.UsesOf[:0], g.OrigOf[:0]
 	g.Routine = nil
 	g.usesFlat, g.uses = g.usesFlat[:0], g.uses[:0]
 	g.NumValues = 0
 }
 
-// clearPrefix clears s's first n elements, or all of its capacity when
-// that is smaller. The high-water mark is the longest of several
-// tables, and a build that failed while renaming never filled UsesOf
-// to DefOf's length.
-func clearPrefix[T any](s []T, n int) { clear(s[:min(n, cap(s))]) }
-
-// noteHighWater raises the high-water marks to the tables' lengths,
-// before a build truncates them or Forget clears them. Each table only
-// grows within a build, so its length then is the most it held.
-func (g *Graph) noteHighWater() {
-	g.hwValues = max(g.hwValues, len(g.DefOf), len(g.DefBlockOf), len(g.UsesOf))
-	g.hwUses = max(g.hwUses, len(g.usesFlat))
-}
-
 // Footprint returns the bytes of storage g holds for reuse.
 func (g *Graph) Footprint() int {
 	const ptr, slice = 8, 24
-	return ptr*(cap(g.DefOf)+cap(g.DefBlockOf)+cap(g.usesFlat)) +
+	return ptr*(cap(g.DefOf)+cap(g.usesFlat)) +
 		slice*(cap(g.UsesOf)+cap(g.defBlocks)) +
 		8*(cap(g.OrigOf)+cap(g.counts)+cap(g.hasPhi)+cap(g.inWork)+cap(g.cur)+cap(g.prev)+cap(g.defFlat)+cap(g.work)+cap(g.phiAt)) +
 		int(unsafe.Sizeof(iloc.Instr{}))*cap(g.phis) + int(unsafe.Sizeof(useRec{}))*cap(g.uses)

@@ -140,7 +140,7 @@ func TestDefUseChains(t *testing.T) {
 		if len(g.UsesOf[v]) != count[v] {
 			t.Errorf("value %d: chain has %d uses, code has %d", v, len(g.UsesOf[v]), count[v])
 		}
-		if g.DefOf[v] == nil || g.DefBlockOf[v] == nil {
+		if g.DefOf[v] == nil {
 			t.Errorf("value %d has no def record", v)
 		}
 	}
@@ -247,7 +247,9 @@ entry:
 	tree := dom.Compute(rt)
 	live := liveness.Compute(rt, iloc.ClassInt)
 	g := new(Graph)
-	if err := BuildInto(g, rt, iloc.ClassInt, tree, dom.Frontiers(tree, rt), live); err == nil {
+	gs := [iloc.NumClasses]*Graph{iloc.ClassInt: g}
+	lives := [iloc.NumClasses]*liveness.Info{iloc.ClassInt: live}
+	if err := BuildAllInto(&gs, rt, tree, dom.Frontiers(tree, rt), &lives); err == nil {
 		t.Fatal("use of undefined register not reported")
 	}
 	g.Forget()

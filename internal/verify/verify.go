@@ -214,7 +214,8 @@ func (c *checker) checkBounds() {
 // the always-defined frame pointer.
 func (c *checker) checkUseBeforeDef(rt *iloc.Routine, lives *[iloc.NumClasses]*liveness.Info) {
 	for cl := iloc.Class(0); cl < iloc.NumClasses; cl++ {
-		lives[cl].LiveIn[rt.Entry().Index].ForEach(func(r int) {
+		in := lives[cl].LiveInOf(rt.Entry().Index)
+		in.ForEach(func(r int) {
 			if r != 0 {
 				c.flag("use-before-def", "register %s%d read before any definition on some path",
 					bankPrefix(cl), r)
@@ -231,7 +232,8 @@ func (c *checker) checkCallerSave(rt *iloc.Routine, lives *[iloc.NumClasses]*liv
 	for cl := iloc.Class(0); cl < iloc.NumClasses; cl++ {
 		live.Reset(rt.NumRegs(cl))
 		for _, b := range rt.Blocks {
-			live.CopyFrom(lives[cl].LiveOut[b.Index])
+			out := lives[cl].LiveOutOf(b.Index)
+			live.CopyFrom(&out)
 			for i := len(b.Instrs) - 1; i >= 0; i-- {
 				in := b.Instrs[i]
 				if in.Op.IsCall() {

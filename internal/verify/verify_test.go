@@ -3,6 +3,7 @@ package verify_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -286,5 +287,33 @@ func TestReportsAllViolations(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "violation(s)") {
 		t.Fatalf("unexpected message: %v", err)
+	}
+}
+
+// The differential check runs the input, whose register files grew with
+// its largest register number: checking a 3-instruction routine naming
+// r2000000 allocated 16 MB. It now runs a densely named clone.
+func TestCheckSparseInputAllocatesLittle(t *testing.T) {
+	in := iloc.MustParse(`
+routine k()
+entry:
+    ldi r2000000, 5
+    addi r2000001, r2000000, 2
+    retr r2000001
+`)
+	m := target.Standard()
+	res, err := core.Allocate(context.Background(), in, core.Options{Machine: m, Strategy: "remat"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = verify.Check(in, res.Routine, m, verify.Options{Differential: true})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("verify.Check allocated %d KiB", alloc>>10)
 	}
 }
