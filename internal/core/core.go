@@ -156,7 +156,7 @@ type classState struct {
 	colors     []int
 	partners   [][]int
 	spilled    []int         // the ranges this round spills
-	slots      map[int]int64 // spilled live range -> fp offset
+	slots      []int32       // spilled live range -> 1 + its slot's index, or 0
 	refs       []rangeRefs   // computeCosts' per-range counters
 	deg        []int         // simplify's current degrees
 	removed    []bool        // simplify's removed nodes
@@ -203,11 +203,11 @@ type allocator struct {
 	// the classes iloc.(*Routine).DenseRegs renamed.
 	inputNames iloc.RegNames
 
-	instrs    []iloc.Instr // slab the instructions spill and renumber add are cut from
-	frameBase int64        // first fp offset free for spill slots
-	nextSlot  int
-	roundNo   int    // current round (0-based)
-	running   string // the pass running now, "" between passes
+	instrs     []iloc.Instr // slab the instructions spill and renumber add are cut from
+	localWords int          // the routine's own frame words, below every spill slot
+	nextSlot   int
+	roundNo    int    // current round (0-based)
+	running    string // the pass running now, "" between passes
 }
 
 // resultSlab is the one allocation that holds a result, the statistics
@@ -242,7 +242,7 @@ func newAllocator(ctx context.Context, rt *iloc.Routine, opts Options, params st
 		cs.c = iloc.Class(c)
 		a.classes[c] = cs
 	}
-	a.frameBase = scanFrameBase(a.rt)
+	a.localWords = a.rt.LocalWords()
 	a.inputNames = a.rt.DenseRegs()
 	return a
 }
@@ -463,50 +463,22 @@ func verifyResult(input *iloc.Routine, res *Result, opts Options) error {
 		verify.Options{Differential: true, Telemetry: opts.Telemetry})
 }
 
-// scanFrameBase finds the first fp-relative offset beyond any the routine
-// already uses, so spill slots do not collide with its locals.
-func scanFrameBase(rt *iloc.Routine) int64 {
-	var base int64
-	rt.ForEachInstr(func(_ *iloc.Block, _ int, in *iloc.Instr) {
-		switch in.Op {
-		case iloc.OpLoadai, iloc.OpFloadai:
-			if in.Src[0].IsFP() && in.Imm+8 > base {
-				base = in.Imm + 8
-			}
-		case iloc.OpStoreai, iloc.OpFstoreai:
-			if in.Src[1].IsFP() && in.Imm+8 > base {
-				base = in.Imm + 8
-			}
-		case iloc.OpAddi, iloc.OpSubi:
-			if in.Src[0].IsFP() && in.Imm+8 > base {
-				base = in.Imm + 8
-			}
-		}
-	})
-	return base
-}
-
-// resetSlots clears the per-root spill-slot maps. Live-range names are
+// resetSlots empties the spill-slot tables. Live-range names are
 // reassigned by renumber each round, so slots must never be shared
 // across rounds.
 func (a *allocator) resetSlots() {
 	for _, cs := range a.classes {
-		if cs.slots == nil {
-			cs.slots = make(map[int]int64)
-		}
-		clear(cs.slots)
+		cs.slots = resetTable(cs.slots, a.rt.NumRegs(cs.c))
 	}
 }
 
 // slotFor returns (allocating if needed) the frame offset of a spilled
-// live range.
+// live range. Slots follow the routine's own frame words.
 func (a *allocator) slotFor(cs *classState, root int) int64 {
-	if off, ok := cs.slots[root]; ok {
-		return off
+	if cs.slots[root] == 0 {
+		a.nextSlot++
+		cs.slots[root] = int32(a.nextSlot)
+		a.rt.FrameWords = a.localWords + a.nextSlot
 	}
-	off := a.frameBase + int64(a.nextSlot)*8
-	a.nextSlot++
-	cs.slots[root] = off
-	a.rt.FrameWords = int(a.frameBase/8) + a.nextSlot
-	return off
+	return int64(a.localWords+int(cs.slots[root])-1) * 8
 }

@@ -23,16 +23,18 @@ import (
 // whatever parses and verifies as input ILOC, Allocate must finish
 // without a panic escaping, and — for inputs with no undefined uses —
 // every allocation it hands back must satisfy the independent checker,
-// degraded or not. The checker's own differential run skips routines
-// with parameters, so those without calls run here: the input and each
-// allocation at a few argument values (see checkSameRuns).
+// degraded or not. Inputs without calls also run here, the input and
+// each allocation at a few argument values (see checkSameRuns), since
+// the checker's own differential run skips routines with parameters.
 func FuzzAllocate(f *testing.F) {
 	// Seeds: the repository's example files, generator output at a few
 	// shapes, small hand-written routines covering calls and spills, a
 	// chain of loops with far more SSA values than live ranges, one
 	// whose only register is r2000000, a 3-instruction routine naming
-	// r2000000, and one that returns 1/0.0 or 1/-0.0 by its argument.
-	if paths, err := filepath.Glob("../../testdata/*.iloc"); err == nil {
+	// r2000000, one that returns 1/0.0 or 1/-0.0 by its argument, and
+	// the regression corpus.
+	for _, glob := range []string{"../../testdata/*.iloc", "../../testdata/regress/*.iloc"} {
+		paths, _ := filepath.Glob(glob)
 		for _, p := range paths {
 			if b, err := os.ReadFile(p); err == nil {
 				f.Add(string(b))
@@ -77,7 +79,7 @@ func FuzzAllocate(f *testing.F) {
 		probe := rt.Clone()
 		probe.DenseRegs()
 		defined := cfg.Build(probe) == nil && cfg.CheckDefined(probe) == nil
-		run := defined && len(rt.Params) > 0 && !hasCall(rt)
+		run := defined && !hasCall(rt)
 
 		for _, m := range machines {
 			res, err := Allocate(context.Background(), rt, Options{Machine: m, Strategy: "remat"})
@@ -121,13 +123,23 @@ var (
 	fuzzFloats = [...]float64{math.Copysign(0, -1), 0, 1.5}
 )
 
-// runImage is what one interpreter run leaves: the outcome, the words
-// of the writable data in order, and whether every watched word still
-// holds the value it was filled with.
+// fuzzArgs returns rt's arguments for run i of checkSameRuns.
+func fuzzArgs(rt *iloc.Routine, i int) []interp.Value {
+	args := make([]interp.Value, len(rt.Params))
+	for j, p := range rt.Params {
+		args[j] = interp.Int(fuzzInts[i])
+		if p.Reg.Class == iloc.ClassFlt {
+			args[j] = interp.Float(fuzzFloats[i])
+		}
+	}
+	return args
+}
+
+// runImage is what one interpreter run leaves: the outcome and the
+// words of the writable data in order.
 type runImage struct {
 	out  *interp.Outcome
 	data []int64
-	kept bool
 }
 
 func (a runImage) String() string {
@@ -139,21 +151,17 @@ func (a runImage) same(b runImage) bool {
 		math.Float64bits(a.out.RetFloat) == math.Float64bits(b.out.RetFloat) && slices.Equal(a.data, b.data)
 }
 
-// runAt runs rt at args in a frame extra words larger than its own, with
-// each address in watch first set to fill.
-func runAt(rt *iloc.Routine, extra int64, args []interp.Value, watch []int64, fill int64) (runImage, error) {
-	e, err := interp.New(rt, interp.Config{MaxSteps: 100_000, ExtraFrameWords: int(extra)})
+// runAt runs rt at args.
+func runAt(rt *iloc.Routine, args []interp.Value) (runImage, error) {
+	e, err := interp.New(rt, interp.Config{MaxSteps: 100_000})
 	if err != nil {
 		return runImage{}, err
-	}
-	for _, a := range watch {
-		e.SetInt(a, fill)
 	}
 	o, err := e.Run(args...)
 	if err != nil {
 		return runImage{}, err
 	}
-	im := runImage{out: o, kept: true}
+	im := runImage{out: o}
 	for _, d := range rt.Data {
 		for w := range d.Words {
 			if !d.ReadOnly {
@@ -161,59 +169,27 @@ func runAt(rt *iloc.Routine, extra int64, args []interp.Value, watch []int64, fi
 			}
 		}
 	}
-	for _, a := range watch {
-		im.kept = im.kept && e.IntAt(a) == fill
-	}
 	return im, nil
 }
 
-// frameEnd returns the first address past rt's frame and data.
-func frameEnd(t *testing.T, rt *iloc.Routine) int64 {
-	e, err := interp.New(rt, interp.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e.Alloc(0)
-}
-
 // checkSameRuns runs the input in and its allocation out at each set of
-// argument values and fails t when they return different bits or leave
-// different writable data. Both run in frames of one size, so their data
-// sit at the same addresses. An argument set is skipped when the input
-// faults or runs out of steps, and when the input reaches out's spill
-// slots through a computed address: it runs once with every slot
-// holding 0 and once with every slot holding -1, and is skipped if the
-// two runs differ or either changed a slot.
+// argument values, or once when in takes none, and fails t when they
+// return different bits or leave different writable data. Data
+// addresses do not depend on the frame, and spill slots lie above every
+// frame word the input addresses, so the two runs must agree. An
+// argument set is skipped when the input faults or runs out of steps.
 func checkSameRuns(t *testing.T, machine string, in, out *iloc.Routine) {
 	t.Helper()
-	var slots []int64
-	out.ForEachInstr(func(_ *iloc.Block, _ int, i *iloc.Instr) {
-		if i.IsSpill && (i.Op.IsLoad() && i.Src[0].IsFP() || i.Op.IsStore() && i.Src[1].IsFP()) {
-			slots = append(slots, i.Imm)
-		}
-	})
-	// The two routines have the same data, so the difference of their
-	// ends is the difference of their frames.
-	grow := frameEnd(t, out) - frameEnd(t, in)
-	inExtra, outExtra := max(grow, 0)/8, max(-grow, 0)/8
 	for i := range fuzzInts {
-		args := make([]interp.Value, len(in.Params))
-		for j, p := range in.Params {
-			args[j] = interp.Int(fuzzInts[i])
-			if p.Reg.Class == iloc.ClassFlt {
-				args[j] = interp.Float(fuzzFloats[i])
-			}
+		if i > 0 && len(in.Params) == 0 {
+			break
 		}
-		want, err := runAt(in, inExtra, args, slots, 0)
-		if err != nil || !want.kept {
+		args := fuzzArgs(in, i)
+		want, err := runAt(in, args)
+		if err != nil {
 			continue
 		}
-		if len(slots) > 0 {
-			if other, err := runAt(in, inExtra, args, slots, -1); err != nil || !other.kept || !want.same(other) {
-				continue
-			}
-		}
-		got, err := runAt(out, outExtra, args, nil, 0)
+		got, err := runAt(out, args)
 		if err != nil {
 			t.Fatalf("%s, arguments %v: the allocation fails where the input runs: %v\ninput:\n%s\noutput:\n%s",
 				machine, args, err, iloc.Print(in), iloc.Print(out))

@@ -59,7 +59,7 @@ func (s *scratch) footprint() int {
 			bytesOf(cs.refs) + bytesOf(cs.deg) + bytesOf(cs.removed) +
 			bytesOf(cs.forbidden) + bytesOf(cs.nbColors) + bytesOf(cs.isSpilled) +
 			bytesOf(cs.replaced) + bytesOf(cs.pending) + bytesOf(cs.tagWork) +
-			bytesOf(cs.out) + bytesOf(cs.names) + 16*len(cs.slots)
+			bytesOf(cs.out) + bytesOf(cs.names) + bytesOf(cs.slots)
 		for _, p := range cs.partners[:cap(cs.partners)] {
 			b += bytesOf(p)
 		}

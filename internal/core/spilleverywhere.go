@@ -30,36 +30,37 @@ func spillEverywhere(input *iloc.Routine, opts Options) (res *Result, err error)
 		}
 	}()
 
+	// A register is its own slot key; dense names keep the key tables
+	// as small as the code.
 	rt := input.Clone()
+	rt.DenseRegs()
 	register := func(_ iloc.Class, n int) int { return n }
-	return spillAll(rt, opts.Machine, "spill-everywhere", register, nil)
+	return spillAll(rt, input.LocalWords(), opts.Machine, "spill-everywhere", register, nil)
 }
 
 // spillAll is the rewrite both spill-everywhere constructions share: in
 // one linear pass over rt, each use reloads its register's slot into a
 // scratch color just before the instruction, and each definition
 // computes into scratch color 1 and stores it to its slot. slot keys a
-// register's slot (the register itself, or its φ-web's root): registers
-// of one key share a frame word, assigned in order of first reference.
+// register's slot (the register itself, or its φ-web's root, below
+// rt.NumRegs): registers of one key share a frame word, assigned in
+// order of first reference after the input's localWords frame words.
 // keep reports whether a definition's store is kept; nil keeps every
 // store. The routine must hold no φ-node. pass names the construction in
 // errors and in the result's one PassStat.
-func spillAll(rt *iloc.Routine, m *target.Machine, pass string, slot func(iloc.Class, int) int, keep func(iloc.Class, int) bool) (*Result, error) {
-	frameBase := scanFrameBase(rt)
+func spillAll(rt *iloc.Routine, localWords int, m *target.Machine, pass string, slot func(iloc.Class, int) int, keep func(iloc.Class, int) bool) (*Result, error) {
 	nextSlot := 0
-	var slots [iloc.NumClasses]map[int]int64
+	var slots [iloc.NumClasses][]int32 // key -> 1 + its slot's index, or 0
 	for c := range slots {
-		slots[c] = make(map[int]int64)
+		slots[c] = make([]int32, rt.NumRegs(iloc.Class(c)))
 	}
 	slotFor := func(c iloc.Class, n int) int64 {
 		key := slot(c, n)
-		if off, ok := slots[c][key]; ok {
-			return off
+		if slots[c][key] == 0 {
+			nextSlot++
+			slots[c][key] = int32(nextSlot)
 		}
-		off := frameBase + int64(nextSlot)*8
-		nextSlot++
-		slots[c][key] = off
-		return off
+		return int64(localWords+int(slots[c][key])-1) * 8
 	}
 
 	var st IterationStats
@@ -117,19 +118,18 @@ func spillAll(rt *iloc.Routine, m *target.Machine, pass string, slot func(iloc.C
 		b.Instrs = out
 	}
 
-	rt.FrameWords = int(frameBase/8) + nextSlot
+	rt.FrameWords = localWords + nextSlot
 	rt.Allocated = true
 	for c := range rt.NextReg {
 		rt.NextReg[c] = m.Regs[c]
 		rt.CallerSave[c] = m.CallerSave
 	}
 
-	ranges := len(slots[iloc.ClassInt]) + len(slots[iloc.ClassFlt])
-	st.Passes = []PassStat{{Name: pass, Spilled: ranges}}
+	st.Passes = []PassStat{{Name: pass, Spilled: nextSlot}}
 	return &Result{
 		Routine:       rt,
 		Iterations:    []IterationStats{st},
-		SpilledRanges: ranges,
+		SpilledRanges: nextSlot,
 		Machine:       m,
 	}, nil
 }

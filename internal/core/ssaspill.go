@@ -99,5 +99,5 @@ func ssaSpill(input *iloc.Routine, opts Options) (res *Result, err error) {
 
 	web := func(c iloc.Class, n int) int { return webs[c].Find(n) }
 	read := func(c iloc.Class, n int) bool { return slotRead[c][webs[c].Find(n)] }
-	return spillAll(rt, opts.Machine, "ssa-spill", web, read)
+	return spillAll(rt, input.LocalWords(), opts.Machine, "ssa-spill", web, read)
 }

@@ -95,7 +95,7 @@ type Routine struct {
 	// Allocated is set once registers have been mapped to a target machine;
 	// register numbers are then physical colors.
 	Allocated bool
-	// FrameWords is the number of 8-byte spill slots the allocator used.
+	// FrameWords counts the frame words up to the last spill slot.
 	FrameWords int
 	// CallerSave[class] records, for allocated code, how many low colors
 	// the target's calling convention clobbers at a call (the interpreter

@@ -7,9 +7,13 @@
 //
 // Memory is byte-addressed with 8-byte words. The layout is:
 //
-//	[0, frame)            the routine's frame (fp = 0): locals, spill slots
-//	[frame, frame+data)   static data items, in declaration order
-//	[.., ..)              scratch memory handed out by Alloc
+//	[0, data)            static data items, read-only ones first
+//	[data, data+frame)   the frame (fp = data): the routine's LocalWords,
+//	                     its spill slots up to FrameWords, 8 spare words
+//	[.., ..)             memory handed out by Alloc, callee frames too
+//
+// Data addresses depend only on the data, so a routine and its
+// allocation, whose spill slots make its frame larger, agree on them.
 //
 // Loads and stores must be 8-byte aligned and in bounds; stores into
 // read-only data items fail. Both checks catch allocator bugs loudly.
@@ -40,9 +44,6 @@ func Float(f float64) Value { return Value{F: f, IsFloat: true} }
 type Config struct {
 	// MaxSteps bounds retired instructions (default 200 million).
 	MaxSteps int64
-	// ExtraFrameWords pads the frame beyond what the code visibly uses,
-	// for routines that index the frame indirectly.
-	ExtraFrameWords int
 	// Display simulates the lexical-scope display: ldisp rD, L reads
 	// Display[L]. Levels beyond the slice read zero. Entries typically
 	// hold addresses of scratch memory allocated with Env.Alloc.
@@ -64,13 +65,18 @@ type Env struct {
 	rt       *iloc.Routine
 	cfg      Config
 	mem      []byte
-	frame    int64
+	fp       int64 // the main activation's frame base
 	data     map[string]int64
-	roLo     int64 // read-only data span [roLo, roHi)
-	roHi     int64
+	roHi     int64 // read-only data span [0, roHi)
 	routines map[string]*iloc.Routine
-	blocks   map[*iloc.Routine][]*iloc.Block // each routine's BlockOf
+	code     map[*iloc.Routine]code          // each routine's blocks and frame size
 	names    map[*iloc.Routine]iloc.RegNames // the input register names of each clone dense made
+}
+
+// code is what each activation of a routine needs besides the routine.
+type code struct {
+	blocks     []*iloc.Block // BlockOf
+	frameWords int           // the words of each activation's frame
 }
 
 // Outcome reports one execution.
@@ -105,7 +111,7 @@ func (o *Outcome) Count(ops ...iloc.Op) int64 {
 	return n
 }
 
-// New builds an environment for the routine: frame, then static data.
+// New builds an environment for the routine: static data, then frame.
 // A routine whose register names are sparse runs as a densely named
 // clone (see dense); error texts still name its registers as it does.
 func New(rt *iloc.Routine, cfg Config) (*Env, error) {
@@ -130,18 +136,13 @@ func New(rt *iloc.Routine, cfg Config) (*Env, error) {
 	}
 	e.rt = e.dense(rt)
 	e.routines[rt.Name] = e.rt
-	e.blocks = make(map[*iloc.Routine][]*iloc.Block, len(e.routines))
+	e.code = make(map[*iloc.Routine]code, len(e.routines))
 	for _, r := range e.routines {
-		e.blocks[r] = r.BlockOf()
+		e.code[r] = code{blocks: r.BlockOf(), frameWords: max(r.FrameWords, r.LocalWords()) + 8}
 	}
-
-	frameWords := int64(rt.FrameWords) + int64(cfg.ExtraFrameWords) + maxFPWords(rt) + 8
-	e.frame = frameWords * 8
-	e.mem = make([]byte, e.frame)
 
 	// Static data of the main routine and every callee; read-only items
 	// first so they form one contiguous protected span.
-	e.roLo = e.frame
 	all := append([]*iloc.Routine{rt}, cfg.Routines...)
 	for pass := 0; pass < 2; pass++ {
 		for _, r := range all {
@@ -153,14 +154,13 @@ func New(rt *iloc.Routine, cfg Config) (*Env, error) {
 				if _, dup := e.data[d.Label]; dup {
 					return nil, fmt.Errorf("interp: duplicate data label %q across routines", d.Label)
 				}
-				addr := int64(len(e.mem))
+				addr := e.Alloc(d.Words)
 				e.data[d.Label] = addr
-				e.mem = append(e.mem, make([]byte, d.Words*8)...)
 				for w, v := range d.Init {
 					if d.IsFloat {
-						binary.LittleEndian.PutUint64(e.mem[addr+int64(w)*8:], math.Float64bits(v))
+						e.SetFloat(addr+int64(w)*8, v)
 					} else {
-						binary.LittleEndian.PutUint64(e.mem[addr+int64(w)*8:], uint64(int64(v)))
+						e.SetInt(addr+int64(w)*8, int64(v))
 					}
 				}
 				if pass == 0 {
@@ -169,9 +169,7 @@ func New(rt *iloc.Routine, cfg Config) (*Env, error) {
 			}
 		}
 	}
-	if e.roHi == 0 {
-		e.roHi = e.roLo
-	}
+	e.fp = e.Alloc(e.code[e.rt].frameWords)
 	return e, nil
 }
 
@@ -202,24 +200,6 @@ func (e *Env) instrString(rt *iloc.Routine, in *iloc.Instr) string {
 		in = &named
 	}
 	return rt.InstrString(in)
-}
-
-// maxFPWords scans for the highest fp-relative word the code touches.
-func maxFPWords(rt *iloc.Routine) int64 {
-	var hi int64
-	rt.ForEachInstr(func(_ *iloc.Block, _ int, in *iloc.Instr) {
-		fpRel := false
-		switch in.Op {
-		case iloc.OpLoadai, iloc.OpFloadai, iloc.OpAddi, iloc.OpSubi:
-			fpRel = in.Src[0].IsFP()
-		case iloc.OpStoreai, iloc.OpFstoreai:
-			fpRel = in.Src[1].IsFP()
-		}
-		if fpRel && in.Imm/8+1 > hi {
-			hi = in.Imm/8 + 1
-		}
-	})
-	return hi
 }
 
 // Alloc extends memory by words 8-byte words of scratch space and returns
@@ -267,7 +247,7 @@ func (e *Env) checkAddr(addr int64, store bool, rt *iloc.Routine, in *iloc.Instr
 	if addr%8 != 0 {
 		return fmt.Errorf("interp: %s: unaligned address %d", e.instrString(rt, in), addr)
 	}
-	if store && addr >= e.roLo && addr < e.roHi {
+	if store && addr < e.roHi {
 		return fmt.Errorf("interp: %s: store into read-only data at %d", e.instrString(rt, in), addr)
 	}
 	return nil
@@ -278,7 +258,7 @@ func (e *Env) checkAddr(addr int64, store bool, rt *iloc.Routine, in *iloc.Instr
 // include the work of any routines it calls.
 func (e *Env) Run(args ...Value) (*Outcome, error) {
 	out := &Outcome{Counts: make(map[iloc.Op]int64, 32)}
-	ret, err := e.exec(e.rt, args, 0, 0, out)
+	ret, err := e.exec(e.rt, args, e.fp, 0, out)
 	if err != nil {
 		return nil, err
 	}
@@ -330,7 +310,7 @@ func (e *Env) exec(rt *iloc.Routine, args []Value, fpBase int64, depth int, out 
 
 	cur := rt.Entry()
 	ip := 0
-	blocks := e.blocks[rt]
+	blocks := e.code[rt].blocks
 	branchTo := func(l iloc.Label) error {
 		var b *iloc.Block
 		if l >= 0 && int(l) < len(blocks) {
@@ -495,8 +475,7 @@ func (e *Env) exec(rt *iloc.Routine, args []Value, fpBase int64, depth int, out 
 			if !ok {
 				return retval{}, fmt.Errorf("interp: call to unknown routine %q", rt.LabelText(in.Label))
 			}
-			calleeFrame := int(int64(callee.FrameWords) + maxFPWords(callee) + 8)
-			calleeFP := e.Alloc(calleeFrame)
+			calleeFP := e.Alloc(e.code[callee].frameWords)
 			r, err := e.exec(callee, pending, calleeFP, depth+1, out)
 			if err != nil {
 				return retval{}, err

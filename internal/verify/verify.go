@@ -17,9 +17,10 @@
 //	use-before-def  static liveness over the allocated code shows no
 //	              path using a register before it is defined
 //	caller-save   no caller-save color is live across a call
-//	spill-slots   spill slots lie inside the frame, are written before
-//	              they are read on every path, and are never shared
-//	              between the integer and float banks
+//	spill-slots   spill slots lie inside the frame above the words the
+//	              input addresses itself (iloc.(*Routine).LocalWords),
+//	              are written before they are read on every path, and
+//	              are never shared between the integer and float banks
 //	remat         every rematerialization recomputes a never-killed
 //	              instruction whose operands are always available
 //	differential  (optional) both routines execute in the interpreter
@@ -262,157 +263,112 @@ type spillAccess struct {
 	off   int64
 	class iloc.Class
 	store bool
-	in    *iloc.Instr
 }
 
 // spillAccessOf recognizes the allocator's spill traffic: IsSpill
-// loads/stores addressed off the frame pointer.
+// loadai/storeai and their float twins addressed off the frame pointer.
 func spillAccessOf(in *iloc.Instr) (spillAccess, bool) {
-	if !in.IsSpill {
-		return spillAccess{}, false
-	}
-	switch in.Op {
-	case iloc.OpLoadai:
-		if in.Src[0].IsFP() {
-			return spillAccess{off: in.Imm, class: iloc.ClassInt, in: in}, true
-		}
-	case iloc.OpFloadai:
-		if in.Src[0].IsFP() {
-			return spillAccess{off: in.Imm, class: iloc.ClassFlt, in: in}, true
-		}
-	case iloc.OpStoreai:
-		if in.Src[1].IsFP() {
-			return spillAccess{off: in.Imm, class: iloc.ClassInt, store: true, in: in}, true
-		}
-	case iloc.OpFstoreai:
-		if in.Src[1].IsFP() {
-			return spillAccess{off: in.Imm, class: iloc.ClassFlt, store: true, in: in}, true
-		}
+	switch {
+	case !in.IsSpill:
+	case (in.Op == iloc.OpLoadai || in.Op == iloc.OpFloadai) && in.Src[0].IsFP():
+		return spillAccess{off: in.Imm, class: in.Dst.Class}, true
+	case (in.Op == iloc.OpStoreai || in.Op == iloc.OpFstoreai) && in.Src[1].IsFP():
+		return spillAccess{off: in.Imm, class: in.Src[0].Class, store: true}, true
 	}
 	return spillAccess{}, false
 }
 
 // checkSpillSlots: spill traffic stays inside the frame the routine
-// declares, every spilled slot is written before it is read on all
-// paths (forward must-analysis over fp offsets), and no slot serves
-// both register banks — the aliasing the slot-per-live-range discipline
-// must prevent.
+// declares and above the words the input addresses itself (its
+// LocalWords, where slot 0 starts), every slot is written before it is
+// read on all paths (forward must-analysis over slot indices), and no
+// slot serves both register banks — the aliasing the
+// slot-per-live-range discipline must prevent.
 func (c *checker) checkSpillSlots(rt *iloc.Routine) {
-	frameBytes := int64(rt.FrameWords) * 8
-	classOf := map[int64]iloc.Class{} // slot -> bank that stores to it
+	local, frame := int64(c.input.LocalWords())*8, int64(rt.FrameWords)*8
+	slots := int(max(frame-local, 0) / 8)
+	slotOf := func(off int64) (int, bool) {
+		return int((off - local) / 8), off%8 == 0 && off >= local && off+8 <= frame
+	}
+	// The slots each bank stores to, the meet, and one set per block,
+	// over one slab.
+	var sets []bitset.Set
+	if slots > 0 {
+		w := bitset.Words(slots)
+		slab := make([]uint64, (len(rt.Blocks)+3)*w)
+		sets = make([]bitset.Set, len(rt.Blocks)+3)
+		for i := range sets {
+			sets[i] = bitset.View(slab[i*w:], slots)
+		}
+	}
 	rt.ForEachInstr(func(_ *iloc.Block, _ int, in *iloc.Instr) {
 		sa, ok := spillAccessOf(in)
-		if !ok {
-			return
-		}
-		if sa.off < 0 || sa.off+8 > frameBytes {
+		s, _ := slotOf(sa.off)
+		switch other := 1 - sa.class; {
+		case !ok:
+		case sa.off < 0 || sa.off+8 > frame:
 			c.flag("spill-slots", "slot %d outside the %d-word frame in %q", sa.off, rt.FrameWords, rt.InstrString(in))
-			return
-		}
-		if sa.off%8 != 0 {
+		case sa.off%8 != 0:
 			c.flag("spill-slots", "unaligned slot %d in %q", sa.off, rt.InstrString(in))
-			return
-		}
-		if sa.store {
-			if prev, ok := classOf[sa.off]; ok && prev != sa.class {
-				c.flag("spill-slots", "slot %d aliased across banks (%s and %s) in %q",
-					sa.off, prev, sa.class, rt.InstrString(in))
-			} else {
-				classOf[sa.off] = sa.class
-			}
+		case sa.off < local:
+			c.flag("spill-slots", "slot %d aliases the routine's own %d frame words in %q", sa.off, local/8, rt.InstrString(in))
+		case !sa.store:
+		case sets[other].Has(s):
+			c.flag("spill-slots", "slot %d aliased across banks (%s and %s) in %q", sa.off, other, sa.class, rt.InstrString(in))
+		default:
+			sets[sa.class].Add(s)
 		}
 	})
+	if slots == 0 {
+		return
+	}
 
 	// Forward must-analysis: a slot is definitely written at a point when
-	// every path from the entry stores to it first. Any fp-relative
-	// store counts as a write (the program's own frame traffic included);
-	// only the allocator's spill reloads are required to be dominated by
-	// a write — the program's locals follow its own conventions.
-	written := make([]map[int64]bool, len(rt.Blocks))
-	transfer := func(b *iloc.Block, in map[int64]bool, report bool) map[int64]bool {
-		out := make(map[int64]bool, len(in))
-		for k := range in {
-			out[k] = true
+	// every path from the entry stores to it first. Every block starts
+	// at ⊤, every slot written: it is the identity of the meet, so a
+	// loop header's back edge does not erase the stores that dominate
+	// the loop.
+	in, written := &sets[2], sets[3:]
+	for s := range slots {
+		written[0].Add(s)
+	}
+	for i := range written {
+		written[i].CopyFrom(&written[0])
+	}
+	transfer := func(b *iloc.Block, report bool) {
+		in.Clear()
+		if b != rt.Entry() && len(b.Preds) > 0 {
+			in.CopyFrom(&written[b.Preds[0].Index])
+			for _, p := range b.Preds[1:] {
+				in.IntersectWith(&written[p.Index])
+			}
 		}
 		for _, instr := range b.Instrs {
-			switch instr.Op {
-			case iloc.OpStoreai, iloc.OpFstoreai:
-				if instr.Src[1].IsFP() {
-					out[instr.Imm] = true
-				}
-			case iloc.OpLoadai, iloc.OpFloadai:
-				if instr.IsSpill && instr.Src[0].IsFP() && !out[instr.Imm] && report {
-					c.flag("spill-slots", "slot %d read before any store on some path in %q",
-						instr.Imm, rt.InstrString(instr))
-				}
+			sa, ok := spillAccessOf(instr)
+			s, isSlot := slotOf(sa.off)
+			switch {
+			case !ok || !isSlot:
+			case sa.store:
+				in.Add(s)
+			case report && !in.Has(s):
+				c.flag("spill-slots", "slot %d read before any store on some path in %q", sa.off, rt.InstrString(instr))
 			}
 		}
-		return out
-	}
-	// A nil set is ⊤ (everything written): unvisited blocks must start
-	// at ⊤ so a loop header's back edge does not erase the stores that
-	// dominate the loop — ⊤ is the identity of the intersection.
-	blockIn := func(b *iloc.Block) map[int64]bool {
-		if b == rt.Entry() {
-			return map[int64]bool{}
-		}
-		var in map[int64]bool
-		seen := false
-		for _, p := range b.Preds {
-			po := written[p.Index]
-			if po == nil {
-				continue // ⊤: identity for intersection
-			}
-			if !seen {
-				in, seen = po, true
-			} else {
-				in = intersect(in, po)
-			}
-		}
-		if in == nil {
-			in = map[int64]bool{}
-		}
-		return in
 	}
 	rpo := cfg.ReversePostorder(rt)
 	for changed := true; changed; {
 		changed = false
 		for _, b := range rpo {
-			out := transfer(b, blockIn(b), false)
-			if !sameSet(out, written[b.Index]) {
-				written[b.Index] = out
+			transfer(b, false)
+			if !in.Equal(&written[b.Index]) {
+				written[b.Index].CopyFrom(in)
 				changed = true
 			}
 		}
 	}
 	for _, b := range rpo {
-		transfer(b, blockIn(b), true)
+		transfer(b, true)
 	}
-}
-
-func intersect(a, b map[int64]bool) map[int64]bool {
-	if b == nil {
-		return map[int64]bool{}
-	}
-	out := make(map[int64]bool)
-	for k := range a {
-		if b[k] {
-			out[k] = true
-		}
-	}
-	return out
-}
-
-func sameSet(a, b map[int64]bool) bool {
-	if b == nil || len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // checkRemat: a spill-phase instruction that is not slot traffic must be

@@ -317,3 +317,81 @@ entry:
 		t.Errorf("verify.Check allocated %d KiB", alloc>>10)
 	}
 }
+
+// dataAddress returns the address of a data item it stores through,
+// after loads enough to spill on four registers. Spill slots make the
+// allocation's frame larger than the input's; data addresses must not
+// move with it, or the differential rejects a correct allocation.
+const dataAddress = `
+routine k()
+data a rw 4 = 2 4 6 8
+entry:
+    lda r9, a
+    load r1, r9
+    loadai r2, r9, 8
+    loadai r3, r9, 16
+    loadai r4, r9, 24
+    add r5, r1, r2
+    add r6, r3, r4
+    add r7, r5, r6
+    add r7, r7, r1
+    add r7, r7, r2
+    add r7, r7, r3
+    add r7, r7, r4
+    store r7, r9
+    retr r9
+`
+
+func TestDifferentialAcceptsDataAddress(t *testing.T) {
+	m := target.WithRegs(4)
+	for _, spec := range []string{"remat", "spill-everywhere"} {
+		input, alloc := allocate(t, dataAddress, core.Options{Machine: m, Strategy: spec, Verify: true, DisableDegradation: true})
+		if alloc.FrameWords == 0 {
+			t.Fatalf("%s: test premise broken: nothing spilled\n%s", spec, iloc.Print(alloc))
+		}
+		if err := verify.Check(input, alloc, m, verify.Options{Differential: true}); err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+	}
+}
+
+// fpPointer keeps a value in its own frame word fp+8, through a
+// register set from fp, while four registers spill.
+const fpPointer = `
+routine k()
+data a rw 4 = 2 4 6 8
+entry:
+    addi r1, fp, 0
+    lda r3, a
+    load r4, r3
+    loadai r5, r3, 8
+    loadai r6, r3, 16
+    loadai r7, r3, 24
+    ldi r2, 7
+    storeai r2, r1, 8
+    add r9, r4, r5
+    add r9, r9, r6
+    add r9, r9, r7
+    loadai r8, r1, 8
+    add r9, r9, r8
+    retr r9
+`
+
+// A spill slot moved below the input's LocalWords aliases a frame word
+// the routine addresses itself, even inside the declared frame.
+func TestRejectsSlotInOwnFrame(t *testing.T) {
+	m := target.WithRegs(4)
+	input, alloc := allocate(t, fpPointer, core.Options{Machine: m, Strategy: "chaitin"})
+	if err := verify.Check(input, alloc, m, verify.Options{Differential: true}); err != nil {
+		t.Fatal(err)
+	}
+	alloc.ForEachInstr(func(_ *iloc.Block, _ int, in *iloc.Instr) {
+		if in.IsSpill && (in.Op == iloc.OpStoreai || in.Op == iloc.OpLoadai) {
+			in.Imm -= 16 // the first slot, fp+16, moves to fp+0
+		}
+	})
+	expectRule(t, input, alloc, m, "spill-slots")
+	if err := verify.Check(input, alloc, m, verify.Options{}); !strings.Contains(err.Error(), "aliases the routine's own 2 frame words") {
+		t.Fatalf("no aliasing violation in: %v", err)
+	}
+}
