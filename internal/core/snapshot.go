@@ -4,9 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"slices"
 	"sync"
-	"time"
 	"unsafe"
 
 	"repro/internal/iloc"
@@ -16,11 +14,17 @@ import (
 // A Snapshot is a finished allocation frozen into one byte slice that
 // holds no pointers: the result cache keeps one per entry instead of a
 // cloned routine of 64-byte instructions, so an entry costs a few
-// hundred bytes and the garbage collector never scans it. It carries
-// everything iloc.(*Routine).Clone copies and every Result field; only
-// the machine, which results share and never mutate, stays a pointer.
-// A Snapshot is immutable, so any number of goroutines may decode it
-// at once, and each decode is a fresh Result its caller may mutate.
+// hundred bytes and the garbage collector never scans it. It keeps
+// what the allocation determines, exactly what a disk entry keeps: the
+// routine's name, parameters, data and label table, each block's label
+// and instructions, NextReg, CallerSave, Allocated and FrameWords, and
+// every Result field with every pass count. It drops what no cached
+// result is read for: the CFG edges and loop depths (a decoded block's
+// Index is its position), φ arguments, which an allocation has none
+// of, and pass wall times, since a hit took no time. Only the machine,
+// which results share and never mutate, stays a pointer. A Snapshot is
+// immutable, so any number of goroutines may decode it at once, and
+// each decode is a fresh Result its caller may mutate.
 //
 // The encoding is a header of slab sizes, then every string's bytes
 // back to back, then the body in Result field order. Integers are
@@ -45,7 +49,6 @@ const (
 	snapLabel
 	snapLabel2
 	snapCond
-	snapPhi
 	snapSplit
 	snapSpill
 )
@@ -53,8 +56,8 @@ const (
 // snapEncoder holds NewSnapshot's string section and body while it
 // encodes; both are pooled, and the snapshot is one exact-size copy.
 type snapEncoder struct {
-	strs, body                   []byte
-	instrs, edges, passes, inits int
+	strs, body            []byte
+	instrs, passes, inits int
 }
 
 var snapEncoders = sync.Pool{New: func() any { return new(snapEncoder) }}
@@ -69,9 +72,9 @@ func NewSnapshot(res *Result) Snapshot {
 	*e = snapEncoder{strs: e.strs[:0], body: e.body[:0]}
 	e.result(res)
 
-	var hdr [5 * binary.MaxVarintLen64]byte
+	var hdr [4 * binary.MaxVarintLen64]byte
 	h := hdr[:0]
-	for _, n := range []int{len(e.strs), e.instrs, e.edges, e.passes, e.inits} {
+	for _, n := range []int{len(e.strs), e.instrs, e.passes, e.inits} {
 		h = binary.AppendUvarint(h, uint64(n))
 	}
 	data := make([]byte, 0, len(h)+len(e.strs)+len(e.body))
@@ -141,8 +144,8 @@ func (e *snapEncoder) result(res *Result) {
 	}
 }
 
-// passStat writes the pass's name code, its time, a mask of which of
-// its six counts are non-zero, and those counts.
+// passStat writes the pass's name code, a mask of which of its six
+// counts are non-zero, and those counts.
 func (e *snapEncoder) passStat(ps *PassStat) {
 	code := 0
 	for id, p := range passTable {
@@ -155,7 +158,6 @@ func (e *snapEncoder) passStat(ps *PassStat) {
 	if code == 0 {
 		e.string(ps.Name)
 	}
-	e.body = binary.AppendVarint(e.body, int64(ps.Time))
 	counts := [...]int{ps.Nodes, ps.Edges, ps.Coalesced, ps.Splits, ps.Spilled, ps.Remat}
 	var mask byte
 	for i, n := range counts {
@@ -200,40 +202,14 @@ func (e *snapEncoder) routine(r *iloc.Routine) {
 	for _, l := range r.Labels {
 		e.string(l)
 	}
-	e.count(len(r.PhiSlab))
-	for _, a := range r.PhiSlab {
-		e.reg(a)
-	}
 	e.count(len(r.Blocks))
 	for _, b := range r.Blocks {
-		e.int(b.Index)
 		e.int(int(b.Label))
-		e.int(b.Depth)
 		e.count(len(b.Instrs))
 		e.instrs += len(b.Instrs)
 		for _, in := range b.Instrs {
 			e.instr(in)
 		}
-		e.blockEdges(r, b.Succs)
-		e.blockEdges(r, b.Preds)
-	}
-}
-
-// blockEdges writes each edge as its target's position in r.Blocks
-// plus one, or 0 for a target outside the routine. As in Clone, the
-// target's Index is trusted when it is current and scanned for
-// otherwise.
-func (e *snapEncoder) blockEdges(r *iloc.Routine, to []*iloc.Block) {
-	e.count(len(to))
-	e.edges += len(to)
-	for _, x := range to {
-		at := -1
-		if x != nil {
-			if at = x.Index; at < 0 || at >= len(r.Blocks) || r.Blocks[at] != x {
-				at = slices.Index(r.Blocks, x)
-			}
-		}
-		e.count(at + 1)
 	}
 }
 
@@ -262,9 +238,6 @@ func (e *snapEncoder) instr(in *iloc.Instr) {
 	}
 	if in.Cond != 0 {
 		f |= snapCond
-	}
-	if in.Phi != (iloc.PhiArgs{}) {
-		f |= snapPhi
 	}
 	if in.IsSplit {
 		f |= snapSplit
@@ -298,10 +271,6 @@ func (e *snapEncoder) instr(in *iloc.Instr) {
 	if f&snapCond != 0 {
 		e.body = append(e.body, byte(in.Cond))
 	}
-	if f&snapPhi != 0 {
-		e.int(int(in.Phi.Off))
-		e.int(int(in.Phi.Len))
-	}
 }
 
 // errSnapshot reports a snapshot that does not decode. NewSnapshot's
@@ -325,15 +294,14 @@ type resultBox struct {
 	rt  iloc.Routine
 }
 
-// Result decodes a fresh Result, cutting the blocks, instructions,
-// instruction lists and edge lists from one slab each as Clone does.
-// Empty slices come back as Clone and the allocator leave them: nil
-// Params, Init, Labels, PhiSlab, Iterations and Passes, and non-nil
-// Data, Instrs, Succs and Preds.
+// Result decodes a fresh Result, cutting the blocks, instructions and
+// instruction lists from one slab each as Clone does. Empty slices come
+// back as Clone and the allocator leave them: nil Params, Init, Labels,
+// Iterations and Passes, and non-nil Data and Instrs.
 func (s Snapshot) Result() (*Result, error) {
 	d := snapDecoder{buf: s.data}
 	nStrs := d.count()
-	nInstrs, nEdges, nPasses, nInits := d.count(), d.count(), d.count(), d.count()
+	nInstrs, nPasses, nInits := d.count(), d.count(), d.count()
 	if d.bad || nStrs > len(d.buf)-d.off {
 		return nil, errSnapshot
 	}
@@ -378,7 +346,7 @@ func (s Snapshot) Result() (*Result, error) {
 	}
 	if d.bool() {
 		res.Routine = &box.rt
-		if !d.routine(&box.rt, nInstrs, nEdges, nInits) {
+		if !d.routine(&box.rt, nInstrs, nInits) {
 			return nil, errSnapshot
 		}
 	}
@@ -489,7 +457,6 @@ func (d *snapDecoder) passStat(ps *PassStat) {
 	default:
 		d.bad = true
 	}
-	ps.Time = time.Duration(d.int64())
 	mask := d.byte()
 	if mask&1 != 0 {
 		ps.Nodes = d.int()
@@ -513,7 +480,7 @@ func (d *snapDecoder) passStat(ps *PassStat) {
 
 // routine decodes into r, reporting false when a count overruns its
 // slab.
-func (d *snapDecoder) routine(r *iloc.Routine, nInstrs, nEdges, nInits int) bool {
+func (d *snapDecoder) routine(r *iloc.Routine, nInstrs, nInits int) bool {
 	r.Name = d.string()
 	for c := range iloc.NumClasses {
 		r.NextReg[c] = d.int()
@@ -554,47 +521,19 @@ func (d *snapDecoder) routine(r *iloc.Routine, nInstrs, nEdges, nInits int) bool
 			r.Labels[i] = d.string()
 		}
 	}
-	if n := d.count(); n > 0 {
-		r.PhiSlab = make([]iloc.Reg, n)
-		for i := range r.PhiSlab {
-			r.PhiSlab[i] = d.reg()
-		}
-	}
-
 	nBlocks := d.count()
 	if d.bad {
 		return false
 	}
 	blocks := make([]iloc.Block, nBlocks)
-	ptrs := make([]*iloc.Block, nBlocks+nEdges)
-	r.Blocks, ptrs = ptrs[:nBlocks:nBlocks], ptrs[nBlocks:]
-	for i := range blocks {
-		r.Blocks[i] = &blocks[i]
-	}
+	r.Blocks = make([]*iloc.Block, nBlocks)
 	instrs := make([]iloc.Instr, nInstrs)
 	lists := make([]*iloc.Instr, nInstrs)
-	edges := func() []*iloc.Block {
-		n := d.count()
-		if n > len(ptrs) {
-			d.bad = true
-			return nil
-		}
-		var to []*iloc.Block
-		to, ptrs = ptrs[:n:n], ptrs[n:]
-		for i := range to {
-			if at := d.count(); at > nBlocks {
-				d.bad = true
-			} else if at > 0 {
-				to[i] = r.Blocks[at-1]
-			}
-		}
-		return to
-	}
 	for i := range blocks {
 		b := &blocks[i]
-		b.Index = d.int()
+		r.Blocks[i] = b
+		b.Index = i
 		b.Label = iloc.Label(d.int32())
-		b.Depth = d.int()
 		n := d.count()
 		if n > len(instrs) {
 			return false
@@ -608,11 +547,6 @@ func (d *snapDecoder) routine(r *iloc.Routine, nInstrs, nEdges, nInits int) bool
 			}
 		}
 		instrs = instrs[n:]
-		b.Succs = edges()
-		b.Preds = edges()
-		if d.bad {
-			return false
-		}
 	}
 	return true
 }
@@ -645,9 +579,6 @@ func (d *snapDecoder) instr(in *iloc.Instr) bool {
 	}
 	if f&snapCond != 0 {
 		in.Cond = iloc.Cond(d.byte())
-	}
-	if f&snapPhi != 0 {
-		in.Phi = iloc.PhiArgs{Off: d.int32(), Len: d.int32()}
 	}
 	in.IsSplit = f&snapSplit != 0
 	in.IsSpill = f&snapSpill != 0

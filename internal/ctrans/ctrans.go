@@ -98,9 +98,9 @@ func Translate(rt *iloc.Routine) (string, error) {
 		b.WriteString("\n")
 	}
 
-	// The frame holds the routine's own words and its spill slots, with
-	// 64 words to spare.
-	fmt.Fprintf(&b, "static long frame[%d];\n\n", max(rt.FrameWords, rt.LocalWords())+64)
+	// The frame holds the routine's own words and its spill slots; ISO
+	// C has no empty arrays.
+	fmt.Fprintf(&b, "static long frame[%d];\n\n", max(rt.FrameWords, rt.LocalWords(), 1))
 
 	// Signature: one parameter per declared param.
 	var params []string

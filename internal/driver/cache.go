@@ -131,7 +131,10 @@ func (s CacheStats) HitRate() float64 {
 // finished allocations with LRU eviction. Each entry is one immutable
 // core.Snapshot, a few hundred pointer-free bytes: Put encodes before
 // it takes the lock, and Get decodes a fresh Result, which the caller
-// may mutate freely, after it lets the lock go.
+// may mutate freely, after it lets the lock go. A hit carries what the
+// allocation determines and a disk entry carries too: its code, frame,
+// register counts and statistics, but no CFG edges, loop depths or
+// pass wall times, so both cache tiers return the same result.
 type Cache struct {
 	mu        sync.Mutex
 	capacity  int        // max entries; 0 means unbounded

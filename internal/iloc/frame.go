@@ -15,16 +15,16 @@ type fpPtr struct {
 // code addresses above fp: the words loads and stores reach off fp,
 // directly or through a register set from fp by addi, subi or mov, and
 // the word an addi or subi off fp names, rounded up to a whole word.
-// When fp or such a register is used any other way (added, stored,
-// returned, copied again), the code may reach words no offset names,
-// so eight words of slack follow. It is the one count of a routine's
-// frame: spill slots start at LocalWords()*8, and the interpreter and
-// the C translation size frames from it. It makes two linear walks and
+// No slack follows for fp used any other way: a frame is an object of
+// its own (see interp), so input code that reaches past these words
+// through a pointer computed otherwise faults, and no allocation of it
+// is owed anything. It is the one count of a routine's frame: spill
+// slots start at LocalWords()*8, and the interpreter and the C
+// translation size frames from it. It makes two linear walks and
 // allocates only when more than eight instructions set a register from
 // fp.
 func (r *Routine) LocalWords() int {
 	var end int64 // the first byte past every word counted
-	escapes := false
 	var buf [8]fpPtr
 	ptrs := buf[:0]
 	r.ForEachInstr(func(_ *Block, _ int, in *Instr) {
@@ -42,8 +42,6 @@ func (r *Routine) LocalWords() int {
 				ptrs = append(ptrs, fpPtr{in.Dst.N, -in.Imm})
 			case in.Op == OpMov:
 				ptrs = append(ptrs, fpPtr{in.Dst.N, 0})
-			default:
-				escapes = true
 			}
 		}
 	})
@@ -54,24 +52,16 @@ func (r *Routine) LocalWords() int {
 			base, off := addrBase(in)
 			for i, u := range r.Uses(in) {
 				j, ok := slices.BinarySearchFunc(ptrs, u.N, func(p fpPtr, n int32) int { return cmp.Compare(p.n, n) })
-				switch {
-				case u.Class != ClassInt || u.IsFP() || !ok:
-				case i == base:
+				if ok && i == base && u.Class == ClassInt && !u.IsFP() {
 					end = max(end, ptrs[j].off+off+8)
-				default:
-					escapes = true
 				}
 			}
 		})
 	}
-	words := 0
-	if end > 0 {
-		words = int((end-1)/8 + 1)
+	if end <= 0 {
+		return 0
 	}
-	if escapes {
-		words += 8
-	}
-	return words
+	return int((end-1)/8 + 1)
 }
 
 // addrBase returns the operand index of the address a load or store

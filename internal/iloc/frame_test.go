@@ -6,6 +6,9 @@ import (
 	"testing"
 )
 
+// TestLocalWords: fp used any other way (added, stored, returned,
+// indexed, or a pointer from it offset again) adds no words; code that
+// reaches further through such a pointer faults in the interpreter.
 func TestLocalWords(t *testing.T) {
 	for _, tc := range []struct {
 		name, body string
@@ -26,13 +29,13 @@ func TestLocalWords(t *testing.T) {
 		{"use before def", "ldi r2, 0\n jmp b\nb:\n loadai r3, r1, 24\n addi r1, fp, 8\n add r2, r2, r3\n br gt r2, b, c\nc:\n ret", 5},
 		{"largest offset", "addi r1, fp, 0\n addi r1, fp, 32\n loadai r2, r1, 0\n retr r2", 5},
 		{"unaligned", "addi r1, fp, 4\n ldi r2, 7\n storeai r2, r1, 12\n ret", 3},
-		{"fp added", "ldi r1, 8\n add r2, fp, r1\n retr r2", 8},
-		{"fp returned", "loadai r1, fp, 8\n retr fp", 10},
-		{"fp stored", "storeai fp, fp, 0\n ret", 9},
-		{"fp indexed", "ldi r1, 8\n loadao r2, fp, r1\n retr r2", 8},
-		{"pointer returned", "addi r1, fp, 8\n loadai r2, r1, 0\n retr r1", 10},
-		{"pointer offset again", "addi r1, fp, 8\n addi r2, r1, 8\n loadai r3, r2, 0\n retr r3", 10},
-		{"pointer as stored value", "addi r1, fp, 0\n storeai r1, r1, 0\n ret", 9},
+		{"fp added", "ldi r1, 8\n add r2, fp, r1\n retr r2", 0},
+		{"fp returned", "loadai r1, fp, 8\n retr fp", 2},
+		{"fp stored", "storeai fp, fp, 0\n ret", 1},
+		{"fp indexed", "ldi r1, 8\n loadao r2, fp, r1\n retr r2", 0},
+		{"pointer returned", "addi r1, fp, 8\n loadai r2, r1, 0\n retr r1", 2},
+		{"pointer offset again", "addi r1, fp, 8\n addi r2, r1, 8\n loadai r3, r2, 0\n retr r3", 2},
+		{"pointer as stored value", "addi r1, fp, 0\n storeai r1, r1, 0\n ret", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rt := MustParse("routine k()\nentry:\n " + tc.body + "\n")

@@ -279,6 +279,10 @@ func TestVerifyCatchesBadRoutines(t *testing.T) {
 			`sumabs/entry[0] "ldi r99, 8": dst: register r99 outside virtual space [0,6)`},
 		{"rload from rw data", MustParse("routine a()\ndata t rw 2\nx:\n rload r1, t, 0\n retr r1\n"),
 			`a/x[0] "rload r1, t, 0": rload from writable data "t"`},
+		{"unaligned rload", MustParse("routine a()\ndata t ro 2 = 5 6\nx:\n rload r1, t, 3\n retr r1\n"),
+			`a/x[0] "rload r1, t, 3": rload offset 3 is not a multiple of 8`},
+		{"unaligned frload", MustParse("routine a()\ndata t ro 2 = 5 6\nx:\n frload f1, t, 12\n retf f1\n"),
+			`a/x[0] "frload f1, t, 12": frload offset 12 is not a multiple of 8`},
 		{"bad param index", MustParse("routine a(r1)\nx:\n getparam r2, 5\n retr r2\n"),
 			`a/x[0] "getparam r2, 5": parameter index 5 out of range`},
 	}

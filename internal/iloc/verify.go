@@ -11,7 +11,7 @@ import (
 //     fall through to the next block;
 //   - branch and jump targets name existing blocks;
 //   - lda/rload/frload labels name existing data items, and rload/frload
-//     only read read-only data;
+//     only read whole words of read-only data;
 //   - operand registers have the class the op table demands, fp is never
 //     written, and register numbers are within the routine's space;
 //   - φ-nodes appear only when allowSSA is set, only at the head of a
@@ -143,6 +143,9 @@ func checkInstr(r *Routine, b *Block, ii int, in *Instr, isBlock []bool, data ma
 		}
 		if in.Imm < 0 || in.Imm/8 >= int64(d.Words) {
 			return fmt.Errorf("offset %d outside %q", in.Imm, label)
+		}
+		if in.Imm%8 != 0 {
+			return fmt.Errorf("%s offset %d is not a multiple of 8", in.Op, in.Imm)
 		}
 	case OpGetparam:
 		return checkParamIndex(r, in.Imm, ClassInt)

@@ -120,7 +120,7 @@ entry:
     call forever
     ret
 `)
-	e, err := New(loop, Config{MaxDepth: 10})
+	e, err := New(loop, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

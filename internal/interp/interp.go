@@ -5,24 +5,31 @@
 // add-immediates (§5); interpreting the ILOC gives the identical
 // measurements without an offline C toolchain (DESIGN.md §4).
 //
-// Memory is byte-addressed with 8-byte words. The layout is:
+// Memory is a set of objects of 8-byte words, as in C (Leroy and
+// Blazy, "Formal verification of a C-like memory model", 2008): each
+// static data item, each activation's frame and each block Alloc hands
+// out is one object. An address is an object's number times 2^32 plus
+// a byte offset into it, so pointer arithmetic inside an object works
+// as on flat memory, and no object is number 0, so 0 is a null
+// pointer. A frame holds max(FrameWords, LocalWords()) words: the
+// routine's own words, then its spill slots. A callee's frame is freed
+// when the call returns, so a pointer into it then faults.
 //
-//	[0, data)            static data items, read-only ones first
-//	[data, data+frame)   the frame (fp = data): the routine's LocalWords,
-//	                     its spill slots up to FrameWords, 8 spare words
-//	[.., ..)             memory handed out by Alloc, callee frames too
-//
-// Data addresses depend only on the data, so a routine and its
-// allocation, whose spill slots make its frame larger, agree on them.
-//
-// Loads and stores must be 8-byte aligned and in bounds; stores into
-// read-only data items fail. Both checks catch allocator bugs loudly.
+// A load or store must be 8-byte aligned and fall inside a live
+// object, and a store must not write a read-only data item. So input
+// code that reaches past the object it addresses faults instead of
+// reading what lies next to it, and allocator bugs fail loudly. Static
+// data and live frames together hold at most MaxWords words; New and a
+// call that would exceed that fail with ErrMemory.
 package interp
 
 import (
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/iloc"
 )
@@ -54,8 +61,27 @@ type Config struct {
 	// poisoned after the call returns, so an allocation that wrongly
 	// keeps a live value in a caller-save color computes garbage.
 	Routines []*iloc.Routine
-	// MaxDepth bounds call nesting (default 256).
-	MaxDepth int
+}
+
+// maxDepth bounds call nesting.
+const maxDepth = 256
+
+// MaxWords bounds the words static data and live frames hold together.
+const MaxWords = 1 << 20
+
+// ErrMemory reports a routine whose static data and frames would hold
+// more than MaxWords words. It says nothing about the routine's
+// correctness: a check that runs code treats it as no evidence.
+var ErrMemory = errors.New("interp: memory bound exceeded")
+
+// objShift places an object's number above a 32-bit byte offset.
+const objShift = 32
+
+// object is one allocation: a data item, a frame or an Alloc block.
+type object struct {
+	num int64 // unique within its Env, and rising along Env.objs
+	mem []byte
+	ro  bool // a read-only data item
 }
 
 // Env is an execution environment for one routine: its memory image plus
@@ -64,10 +90,10 @@ type Config struct {
 type Env struct {
 	rt       *iloc.Routine
 	cfg      Config
-	mem      []byte
-	fp       int64 // the main activation's frame base
+	objs     []object // live objects; callee frames on top
+	words    int      // the words static data and live frames hold
+	fp       int64    // the main activation's frame base
 	data     map[string]int64
-	roHi     int64 // read-only data span [0, roHi)
 	routines map[string]*iloc.Routine
 	code     map[*iloc.Routine]code          // each routine's blocks and frame size
 	names    map[*iloc.Routine]iloc.RegNames // the input register names of each clone dense made
@@ -111,18 +137,16 @@ func (o *Outcome) Count(ops ...iloc.Op) int64 {
 	return n
 }
 
-// New builds an environment for the routine: static data, then frame.
-// A routine whose register names are sparse runs as a densely named
-// clone (see dense); error texts still name its registers as it does.
+// New builds an environment for the routine: its static data and its
+// callees', then its frame. A routine whose register names are sparse
+// runs as a densely named clone (see dense); error texts still name
+// its registers as it does.
 func New(rt *iloc.Routine, cfg Config) (*Env, error) {
 	if err := iloc.Verify(rt, false); err != nil {
 		return nil, fmt.Errorf("interp: %w", err)
 	}
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = 200_000_000
-	}
-	if cfg.MaxDepth == 0 {
-		cfg.MaxDepth = 256
 	}
 	e := &Env{cfg: cfg, data: make(map[string]int64), routines: make(map[string]*iloc.Routine)}
 	for _, callee := range cfg.Routines {
@@ -138,39 +162,47 @@ func New(rt *iloc.Routine, cfg Config) (*Env, error) {
 	e.routines[rt.Name] = e.rt
 	e.code = make(map[*iloc.Routine]code, len(e.routines))
 	for _, r := range e.routines {
-		e.code[r] = code{blocks: r.BlockOf(), frameWords: max(r.FrameWords, r.LocalWords()) + 8}
+		e.code[r] = code{blocks: r.BlockOf(), frameWords: max(r.FrameWords, r.LocalWords())}
 	}
 
-	// Static data of the main routine and every callee; read-only items
-	// first so they form one contiguous protected span.
 	all := append([]*iloc.Routine{rt}, cfg.Routines...)
-	for pass := 0; pass < 2; pass++ {
-		for _, r := range all {
-			for i := range r.Data {
-				d := &r.Data[i]
-				if d.ReadOnly != (pass == 0) {
-					continue
-				}
-				if _, dup := e.data[d.Label]; dup {
-					return nil, fmt.Errorf("interp: duplicate data label %q across routines", d.Label)
-				}
-				addr := e.Alloc(d.Words)
-				e.data[d.Label] = addr
-				for w, v := range d.Init {
-					if d.IsFloat {
-						e.SetFloat(addr+int64(w)*8, v)
-					} else {
-						e.SetInt(addr+int64(w)*8, int64(v))
-					}
-				}
-				if pass == 0 {
-					e.roHi = int64(len(e.mem))
+	e.words = min(e.code[e.rt].frameWords, MaxWords+1)
+	for _, r := range all {
+		for i := range r.Data {
+			e.words += min(r.Data[i].Words, MaxWords+1)
+		}
+	}
+	if e.words > MaxWords {
+		return nil, fmt.Errorf("%w: the static data and the frame of %s hold over %d words", ErrMemory, rt.Name, MaxWords)
+	}
+	e.objs = append(e.objs, object{}) // number 0: the null pointer
+	for _, r := range all {
+		for i := range r.Data {
+			d := &r.Data[i]
+			if _, dup := e.data[d.Label]; dup {
+				return nil, fmt.Errorf("interp: duplicate data label %q across routines", d.Label)
+			}
+			addr := e.add(d.Words, d.ReadOnly)
+			e.data[d.Label] = addr
+			for w, v := range d.Init {
+				if d.IsFloat {
+					e.SetFloat(addr+int64(w)*8, v)
+				} else {
+					e.SetInt(addr+int64(w)*8, int64(v))
 				}
 			}
 		}
 	}
-	e.fp = e.Alloc(e.code[e.rt].frameWords)
+	e.fp = e.add(e.code[e.rt].frameWords, false)
 	return e, nil
+}
+
+// add appends a live object of words zeroed words, numbered one above
+// the last live object, and returns its address.
+func (e *Env) add(words int, ro bool) int64 {
+	n := e.objs[len(e.objs)-1].num + 1
+	e.objs = append(e.objs, object{num: n, mem: make([]byte, words*8), ro: ro})
+	return n << objShift
 }
 
 // dense returns the routine activations of rt run: rt, or a clone
@@ -202,12 +234,12 @@ func (e *Env) instrString(rt *iloc.Routine, in *iloc.Instr) string {
 	return rt.InstrString(in)
 }
 
-// Alloc extends memory by words 8-byte words of scratch space and returns
-// its base address.
+// Alloc adds an object of words 8-byte words of scratch space, at most
+// 2^29 so that every offset fits below the object number, and returns
+// its base address. It does not count against MaxWords: the caller
+// chooses its size, where code chooses its data and frames.
 func (e *Env) Alloc(words int) int64 {
-	addr := int64(len(e.mem))
-	e.mem = append(e.mem, make([]byte, words*8)...)
-	return addr
+	return e.add(words, false)
 }
 
 // DataAddr returns the address of a static data item.
@@ -219,38 +251,69 @@ func (e *Env) DataAddr(label string) int64 {
 	return a
 }
 
+// word returns the 8 bytes at a byte address, and whether they are
+// read-only; nil when they are not inside one live object.
+func (e *Env) word(addr int64) ([]byte, bool) {
+	n := addr >> objShift
+	i := int(n)
+	if n < 0 || n >= int64(len(e.objs)) || e.objs[n].num != n {
+		var ok bool
+		if i, ok = slices.BinarySearchFunc(e.objs, n, func(o object, n int64) int { return cmp.Compare(o.num, n) }); !ok {
+			return nil, false
+		}
+	}
+	o := &e.objs[i]
+	off := addr & (1<<objShift - 1)
+	if off+8 > int64(len(o.mem)) {
+		return nil, false
+	}
+	return o.mem[off : off+8], o.ro
+}
+
+// mustWord is word for the harness accessors, which panic on a bad
+// address as a slice index would.
+func (e *Env) mustWord(addr int64) []byte {
+	w, _ := e.word(addr)
+	if w == nil {
+		panic(fmt.Sprintf("interp: address %#x outside every live object", addr))
+	}
+	return w
+}
+
 // SetInt stores an integer word at a byte address.
 func (e *Env) SetInt(addr, v int64) {
-	binary.LittleEndian.PutUint64(e.mem[addr:], uint64(v))
+	binary.LittleEndian.PutUint64(e.mustWord(addr), uint64(v))
 }
 
 // SetFloat stores a double at a byte address.
 func (e *Env) SetFloat(addr int64, f float64) {
-	binary.LittleEndian.PutUint64(e.mem[addr:], math.Float64bits(f))
+	binary.LittleEndian.PutUint64(e.mustWord(addr), math.Float64bits(f))
 }
 
 // IntAt reads an integer word.
 func (e *Env) IntAt(addr int64) int64 {
-	return int64(binary.LittleEndian.Uint64(e.mem[addr:]))
+	return int64(binary.LittleEndian.Uint64(e.mustWord(addr)))
 }
 
 // FloatAt reads a double.
 func (e *Env) FloatAt(addr int64) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(e.mem[addr:]))
+	return math.Float64frombits(binary.LittleEndian.Uint64(e.mustWord(addr)))
 }
 
-// checkAddr checks an access of instruction in of routine rt.
-func (e *Env) checkAddr(addr int64, store bool, rt *iloc.Routine, in *iloc.Instr) error {
-	if addr < 0 || addr+8 > int64(len(e.mem)) {
-		return fmt.Errorf("interp: %s: address %d out of bounds [0,%d)", e.instrString(rt, in), addr, len(e.mem))
-	}
+// access returns the word an access of instruction in of routine rt
+// reads or writes.
+func (e *Env) access(addr int64, store bool, rt *iloc.Routine, in *iloc.Instr) ([]byte, error) {
 	if addr%8 != 0 {
-		return fmt.Errorf("interp: %s: unaligned address %d", e.instrString(rt, in), addr)
+		return nil, fmt.Errorf("interp: %s: unaligned address %#x", e.instrString(rt, in), addr)
 	}
-	if store && addr < e.roHi {
-		return fmt.Errorf("interp: %s: store into read-only data at %d", e.instrString(rt, in), addr)
+	w, ro := e.word(addr)
+	if w == nil {
+		return nil, fmt.Errorf("interp: %s: address %#x out of bounds of every live object", e.instrString(rt, in), addr)
 	}
-	return nil
+	if store && ro {
+		return nil, fmt.Errorf("interp: %s: store into read-only data at %#x", e.instrString(rt, in), addr)
+	}
+	return w, nil
 }
 
 // Run executes the routine with the given arguments (one per declared
@@ -258,7 +321,9 @@ func (e *Env) checkAddr(addr int64, store bool, rt *iloc.Routine, in *iloc.Instr
 // include the work of any routines it calls.
 func (e *Env) Run(args ...Value) (*Outcome, error) {
 	out := &Outcome{Counts: make(map[iloc.Op]int64, 32)}
+	live, words := len(e.objs), e.words
 	ret, err := e.exec(e.rt, args, e.fp, 0, out)
+	e.objs, e.words = e.objs[:live], words // frames a fault left live
 	if err != nil {
 		return nil, err
 	}
@@ -283,8 +348,8 @@ var poisonFloat = math.NaN()
 // exec runs one activation of rt with its own register file, frame base
 // and argument list.
 func (e *Env) exec(rt *iloc.Routine, args []Value, fpBase int64, depth int, out *Outcome) (retval, error) {
-	if depth > e.cfg.MaxDepth {
-		return retval{}, fmt.Errorf("interp: call depth exceeds %d", e.cfg.MaxDepth)
+	if depth > maxDepth {
+		return retval{}, fmt.Errorf("interp: call depth exceeds %d", maxDepth)
 	}
 	if len(args) != len(rt.Params) {
 		return retval{}, fmt.Errorf("interp: %s takes %d args, got %d", rt.Name, len(rt.Params), len(args))
@@ -384,19 +449,21 @@ func (e *Env) exec(rt *iloc.Routine, args []Value, fpBase int64, depth int, out 
 			} else if in.Op == iloc.OpLoadao {
 				addr += ri[in.Src[1].N]
 			}
-			if err := e.checkAddr(addr, false, rt, in); err != nil {
+			w, err := e.access(addr, false, rt, in)
+			if err != nil {
 				return retval{}, err
 			}
-			ri[in.Dst.N] = e.IntAt(addr)
+			ri[in.Dst.N] = int64(binary.LittleEndian.Uint64(w))
 		case iloc.OpStore, iloc.OpStoreai:
 			addr := ri[in.Src[1].N]
 			if in.Op == iloc.OpStoreai {
 				addr += in.Imm
 			}
-			if err := e.checkAddr(addr, true, rt, in); err != nil {
+			w, err := e.access(addr, true, rt, in)
+			if err != nil {
 				return retval{}, err
 			}
-			e.SetInt(addr, ri[in.Src[0].N])
+			binary.LittleEndian.PutUint64(w, uint64(ri[in.Src[0].N]))
 		case iloc.OpRload:
 			ri[in.Dst.N] = e.IntAt(e.DataAddr(rt.LabelText(in.Label)) + in.Imm)
 
@@ -424,19 +491,21 @@ func (e *Env) exec(rt *iloc.Routine, args []Value, fpBase int64, depth int, out 
 			} else if in.Op == iloc.OpFloadao {
 				addr += ri[in.Src[1].N]
 			}
-			if err := e.checkAddr(addr, false, rt, in); err != nil {
+			w, err := e.access(addr, false, rt, in)
+			if err != nil {
 				return retval{}, err
 			}
-			rf[in.Dst.N] = e.FloatAt(addr)
+			rf[in.Dst.N] = math.Float64frombits(binary.LittleEndian.Uint64(w))
 		case iloc.OpFstore, iloc.OpFstoreai:
 			addr := ri[in.Src[1].N]
 			if in.Op == iloc.OpFstoreai {
 				addr += in.Imm
 			}
-			if err := e.checkAddr(addr, true, rt, in); err != nil {
+			w, err := e.access(addr, true, rt, in)
+			if err != nil {
 				return retval{}, err
 			}
-			e.SetFloat(addr, rf[in.Src[0].N])
+			binary.LittleEndian.PutUint64(w, math.Float64bits(rf[in.Src[0].N]))
 		case iloc.OpFrload:
 			rf[in.Dst.N] = e.FloatAt(e.DataAddr(rt.LabelText(in.Label)) + in.Imm)
 
@@ -475,11 +544,17 @@ func (e *Env) exec(rt *iloc.Routine, args []Value, fpBase int64, depth int, out 
 			if !ok {
 				return retval{}, fmt.Errorf("interp: call to unknown routine %q", rt.LabelText(in.Label))
 			}
-			calleeFP := e.Alloc(e.code[callee].frameWords)
-			r, err := e.exec(callee, pending, calleeFP, depth+1, out)
+			words := e.code[callee].frameWords
+			if words > MaxWords-e.words {
+				return retval{}, fmt.Errorf("%w: the frame of %s takes %d words, %d of %d are in use", ErrMemory, callee.Name, words, e.words, MaxWords)
+			}
+			e.words += words
+			r, err := e.exec(callee, pending, e.add(words, false), depth+1, out)
 			if err != nil {
 				return retval{}, err
 			}
+			e.objs = e.objs[:len(e.objs)-1]
+			e.words -= words
 			lastRet = r
 			pending = nil
 			if rt.Allocated {

@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -339,6 +341,21 @@ a:
 `); !strings.Contains(err.Error(), "steps") {
 		t.Fatalf("err = %v", err)
 	}
+
+	// Each data item and each frame is an object of its own: an address
+	// past the end of one does not reach the next, and neither does one
+	// below fp.
+	for _, body := range []string{
+		"lda r1, a\n ldi r2, 7\n storeai r2, r1, 16\n ret",
+		"lda r1, b\n loadai r2, r1, -8\n retr r2",
+		"loadai r1, fp, 16\n ldi r2, 24\n loadao r3, fp, r2\n retr r3",
+		"loadai r1, fp, -8\n retr r1",
+	} {
+		err := runErr(t, "routine f()\ndata a rw 2\ndata b rw 2\nentry:\n "+body+"\n")
+		if !strings.Contains(err.Error(), "out of bounds") {
+			t.Errorf("%s: err = %v", body, err)
+		}
+	}
 }
 
 func TestCyclesCostModel(t *testing.T) {
@@ -556,5 +573,74 @@ a:
 	}
 	if _, err := e.Run(Int(0)); err == nil || !strings.Contains(err.Error(), "div r3000000, r9000000, r2000000") {
 		t.Errorf("err = %v, want the division named as the routine names it", err)
+	}
+}
+
+// A frame holds max(FrameWords, LocalWords()) words and no more.
+func TestFrameIsExactlyItsWords(t *testing.T) {
+	rt := iloc.MustParse("routine f()\nentry:\n addi r1, fp, 16\n ldi r2, 40\n add r1, fp, r2\n load r3, r1\n retr r3\n")
+	if _, err := mustNew(t, rt).Run(); err == nil || !strings.Contains(err.Error(), "out of bounds") {
+		t.Fatalf("word 5 of a 3-word frame: err = %v", err)
+	}
+	rt.FrameWords = 6
+	if _, err := mustNew(t, rt).Run(); err != nil {
+		t.Fatalf("word 5 of a 6-word frame: %v", err)
+	}
+}
+
+func mustNew(t *testing.T, rt *iloc.Routine) *Env {
+	t.Helper()
+	e, err := New(rt, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// Static data and live frames hold at most MaxWords words: New refuses
+// a larger frame or data item, and a call that would pass the bound
+// fails, both with ErrMemory and without making the memory.
+func TestMemoryBound(t *testing.T) {
+	for _, src := range []string{
+		fmt.Sprintf("routine f()\nentry:\n ldi r2, 5\n storeai r2, fp, %d\n ret\n", MaxWords*8),
+		fmt.Sprintf("routine f()\ndata a rw %d\nentry:\n ret\n", MaxWords+1),
+		fmt.Sprintf("routine f()\ndata a rw %d\nentry:\n storeai fp, fp, 0\n ret\n", MaxWords),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := New(iloc.MustParse(src), Config{})
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrMemory) {
+			t.Errorf("%q: err = %v, want ErrMemory", src, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("%q: refusing allocated %d KiB", src, alloc>>10)
+		}
+	}
+	// Each activation of deep has a frame of a quarter of the bound.
+	deep := iloc.MustParse(fmt.Sprintf("routine deep(r1)\nentry:\n getparam r1, 0\n storeai r1, fp, %d\n subi r1, r1, 1\n br le r1, done, again\nagain:\n setarg r1, 0\n call deep\n ret\ndone:\n ret\n", (MaxWords/4-1)*8))
+	e := mustNew(t, deep)
+	if _, err := e.Run(Int(4)); err != nil {
+		t.Fatalf("four frames: %v", err)
+	}
+	if _, err := e.Run(Int(5)); !errors.Is(err, ErrMemory) {
+		t.Fatalf("five frames: err = %v, want ErrMemory", err)
+	}
+	if _, err := e.Run(Int(4)); err != nil {
+		t.Fatalf("four frames after a refused run: %v", err)
+	}
+}
+
+// A callee's frame is freed when it returns, so a pointer into it that
+// the callee hands back then faults.
+func TestFreedFrameFaults(t *testing.T) {
+	leak := iloc.MustParse("routine leak()\nentry:\n ldi r1, 9\n storeai r1, fp, 0\n addi r2, fp, 0\n retr r2\n")
+	main := iloc.MustParse("routine main()\nentry:\n call leak\n getret r1\n load r2, r1\n retr r2\n")
+	e, err := New(main, Config{Routines: []*iloc.Routine{leak}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); err == nil || !strings.Contains(err.Error(), "out of bounds") {
+		t.Fatalf("load through a freed frame: err = %v", err)
 	}
 }

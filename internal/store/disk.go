@@ -260,11 +260,7 @@ func (d *Disk) flusher() {
 
 // land encodes a queued snapshot's entry and writes it.
 func (d *Disk) land(w diskWrite) {
-	res, err := w.snap.Result()
-	var data []byte
-	if err == nil {
-		data, err = encodeResult(res, w.opt)
-	}
+	data, err := encodeResult(w.snap, w.opt)
 	if err != nil {
 		d.flushErrors.Add(1)
 		return

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/iloc"
@@ -29,8 +28,8 @@ import (
 // the cold allocation that produced it. Everything iloc.Print does not
 // carry (frame size, caller-save counts, the iteration statistics, the
 // machine) rides in the metadata JSON and is restored after parsing.
-// The iteration statistics keep every count but no pass wall time, so
-// two cold allocations of one key write byte-identical entries.
+// An entry is built from the result-cache snapshot, so it keeps what
+// the snapshot keeps: every iteration count but no pass wall time.
 //
 // Every read re-hashes the sections against the header's sum: a
 // truncated, bit-flipped or torn entry fails validation and is treated
@@ -68,12 +67,17 @@ type entryMeta struct {
 	NextReg       [iloc.NumClasses]int  `json:"next_reg"`
 }
 
-// encodeResult renders a finished allocation as one self-validating
-// entry. optionsKey is the canonical options rendering that fed the
-// content hash (informational: inspect shows it; the file name is the
-// hash itself).
-func encodeResult(res *core.Result, optionsKey string) ([]byte, error) {
-	if res == nil || res.Routine == nil {
+// encodeResult renders the allocation a snapshot holds as one
+// self-validating entry. The snapshot keeps no pass wall times, so two
+// cold allocations of one key write byte-identical entries. optionsKey
+// is the canonical options rendering that fed the content hash
+// (informational: inspect shows it; the file name is the hash itself).
+func encodeResult(snap core.Snapshot, optionsKey string) ([]byte, error) {
+	res, err := snap.Result()
+	if err != nil {
+		return nil, err
+	}
+	if res.Routine == nil {
 		return nil, fmt.Errorf("store: cannot encode a result without a routine")
 	}
 	meta := entryMeta{
@@ -83,7 +87,7 @@ func encodeResult(res *core.Result, optionsKey string) ([]byte, error) {
 		RematSpills:   res.RematSpills,
 		Degraded:      res.Degraded,
 		DegradeReason: res.DegradeReason,
-		Iterations:    withoutTimes(res.Iterations),
+		Iterations:    res.Iterations,
 		Machine:       res.Machine,
 		Allocated:     res.Routine.Allocated,
 		FrameWords:    res.Routine.FrameWords,
@@ -95,19 +99,6 @@ func encodeResult(res *core.Result, optionsKey string) ([]byte, error) {
 		return nil, fmt.Errorf("store: encode meta: %w", err)
 	}
 	return frameEntry([]byte(optionsKey), metaJSON, []byte(iloc.Print(res.Routine))), nil
-}
-
-// withoutTimes copies iterations with every pass's wall time zeroed.
-func withoutTimes(iterations []core.IterationStats) []core.IterationStats {
-	out := make([]core.IterationStats, len(iterations))
-	for i, it := range iterations {
-		it.Passes = slices.Clone(it.Passes)
-		for j := range it.Passes {
-			it.Passes[j].Time = 0
-		}
-		out[i] = it
-	}
-	return out
 }
 
 // frameEntry lays out the header and the three sections.

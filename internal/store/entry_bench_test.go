@@ -35,7 +35,7 @@ func BenchmarkDecodeEntry(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		data, err := encodeResult(res, optKey)
+		data, err := encodeResult(core.NewSnapshot(res), optKey)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -39,7 +39,7 @@ func reframe(t testing.TB, data []byte, mutate func(*entryMeta)) []byte {
 // file from it.
 func TestEntryMetaMustAgreeWithCode(t *testing.T) {
 	res, key, optKey := allocateKernel(t, "fehl")
-	good, err := encodeResult(res, optKey)
+	good, err := encodeResult(core.NewSnapshot(res), optKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func FuzzDecodeEntry(f *testing.F) {
 			if err != nil {
 				f.Fatal(err)
 			}
-			data, err := encodeResult(res, driver.CanonicalOptionsKey(opts))
+			data, err := encodeResult(core.NewSnapshot(res), driver.CanonicalOptionsKey(opts))
 			if err != nil {
 				f.Fatal(err)
 			}
@@ -161,7 +161,7 @@ func reencode(t testing.TB, data []byte) []byte {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	out, err := encodeResult(res, optKey)
+	out, err := encodeResult(core.NewSnapshot(res), optKey)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}

@@ -5,69 +5,141 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/driver"
+	"repro/internal/iloc"
 	"repro/internal/machines"
+	"repro/internal/target"
 	"repro/internal/telemetry"
 )
 
+// entryDigests pins, for each golden corpus and strategy, the sha256
+// of every routine's disk entry in corpus order. They were taken while
+// snapshots still kept CFG edges, φ arguments and pass times and
+// encodeResult stripped the times itself, so they show that entries
+// built from the narrower snapshot are byte-identical to the old ones.
+var entryDigests = []struct{ spec, machine, strategy, digest string }{
+	{"count=200,seed=7", "x86-64", "remat", "49570a60b0d5708b16c82a4ab29564d1998c8204eb90bd5f3493a3a58f08e189"},
+	{"count=200,seed=7", "x86-64", "chaitin", "03b90b7d48089b26db98cabb177e75cab23030589bc0a1f82ebaeb5dfa4e2dce"},
+	{"count=200,seed=7", "x86-64", "spill-everywhere", "f93eff7295d56a5106d287813c2cefe08657b55d6b453279d8791523a67cfe79"},
+	{"count=200,seed=11,depth=3,pressure=8", "embedded-8", "remat", "032292262b8e0e5f927f759f70d6eb499c7d5ccd1ace9ab77a0f5f6268b05a10"},
+	{"count=200,seed=11,depth=3,pressure=8", "embedded-8", "chaitin", "713ac6e2abc6ad9afafb6b0e34c55e558b6b064dc2dbb81fec194976a2808bc9"},
+	{"count=200,seed=11,depth=3,pressure=8", "embedded-8", "spill-everywhere", "0d4540215b5078b616501ca59d093e3545d5132f0c7353573a1cc9ce1ed2de51"},
+}
+
+// goldenCorpus generates a golden corpus's routines and looks up its
+// machine.
+func goldenCorpus(t *testing.T, specText, machine string) ([]*iloc.Routine, *target.Machine) {
+	t.Helper()
+	spec, err := corpus.ParseSpec(specText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	units, err := corpus.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := machines.Lookup(machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return corpus.Routines(units), m
+}
+
 // TestEntryFromSnapshot: the flusher encodes disk entries from the
-// snapshot L1 keeps, so an entry built from a decoded snapshot must
-// equal the entry of the original result, byte for byte, for every
-// routine of the golden corpora under remat, chaitin and
-// spill-everywhere.
+// snapshot L1 keeps, so the entries of every routine of the golden
+// corpora under remat, chaitin and spill-everywhere must hash to the
+// pinned digests.
 func TestEntryFromSnapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus-scale test skipped in -short mode")
 	}
-	for _, c := range []struct{ spec, machine string }{
+	for _, c := range entryDigests {
+		rts, m := goldenCorpus(t, c.spec, c.machine)
+		opts := core.Options{Machine: m, Strategy: c.strategy}
+		optKey := driver.CanonicalOptionsKey(opts)
+		h := sha256.New()
+		for _, rt := range rts {
+			res, err := core.Allocate(context.Background(), rt, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := encodeResult(core.NewSnapshot(res), optKey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(data)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.digest {
+			t.Errorf("%s %s: entries hash to %s, want %s", c.spec, c.strategy, got, c.digest)
+		}
+	}
+}
+
+// TestTiersReturnOneResult: a result read back from L1 and the same
+// result read back from L2 of one store are one cached allocation.
+// Both print byte-identically and carry equal iteration statistics,
+// Result fields and print-invisible routine fields, for every routine
+// of the golden corpora under remat.
+func TestTiersReturnOneResult(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus-scale test skipped in -short mode")
+	}
+	for _, spec := range []struct{ spec, machine string }{
 		{"count=200,seed=7", "x86-64"},
 		{"count=200,seed=11,depth=3,pressure=8", "embedded-8"},
 	} {
-		spec, err := corpus.ParseSpec(c.spec)
+		rts, m := goldenCorpus(t, spec.spec, spec.machine)
+		opts := core.Options{Machine: m, Strategy: "remat"}
+		optKey := driver.CanonicalOptionsKey(opts)
+		st, err := Open(t.TempDir(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		units, err := corpus.Generate(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := machines.Lookup(c.machine)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, strategy := range []string{"remat", "chaitin", "spill-everywhere"} {
-			opts := core.Options{Machine: m, Strategy: strategy}
-			optKey := driver.CanonicalOptionsKey(opts)
-			for _, rt := range corpus.Routines(units) {
-				res, err := core.Allocate(context.Background(), rt, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := encodeResult(res, optKey)
-				if err != nil {
-					t.Fatal(err)
-				}
-				decoded, err := core.NewSnapshot(res).Result()
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := encodeResult(decoded, optKey)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("%s %s %s: entry from the snapshot differs from the result's entry", c.spec, strategy, rt.Name)
-				}
+		for _, rt := range rts {
+			res, err := core.Allocate(context.Background(), rt, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := driver.KeyFor(rt, opts)
+			st.PutOptions(key, res, optKey)
+			l1, tier, ok := st.GetTier(key)
+			if !ok || tier != TierMemory {
+				t.Fatalf("%s: L1 lookup: ok=%v tier=%q", rt.Name, ok, tier)
+			}
+			st.Flush()
+			l2, ok := st.Disk().Get(key)
+			if !ok {
+				t.Fatalf("%s: no L2 entry", rt.Name)
+			}
+			if a, b := iloc.Print(l1.Routine), iloc.Print(l2.Routine); a != b {
+				t.Fatalf("%s: L1 and L2 print differently:\n%s\nvs\n%s", rt.Name, a, b)
+			}
+			if !reflect.DeepEqual(l1.Iterations, l2.Iterations) {
+				t.Fatalf("%s: iterations differ:\nL1 %+v\nL2 %+v", rt.Name, l1.Iterations, l2.Iterations)
+			}
+			a, b := *l1, *l2
+			a.Routine, b.Routine, a.Iterations, b.Iterations = nil, nil, nil, nil
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s: result fields differ:\nL1 %+v\nL2 %+v", rt.Name, a, b)
+			}
+			r1, r2 := l1.Routine, l2.Routine
+			if r1.FrameWords != r2.FrameWords || r1.CallerSave != r2.CallerSave ||
+				r1.NextReg != r2.NextReg || r1.Allocated != r2.Allocated {
+				t.Fatalf("%s: routine fields differ", rt.Name)
 			}
 		}
+		st.Close()
 	}
 }
 
@@ -85,7 +157,7 @@ func TestPutEncodesOffTheCaller(t *testing.T) {
 			st.Close()
 		}
 		res, key, optKey := allocateKernel(t, "fehl")
-		want, err := encodeResult(res, optKey)
+		want, err := encodeResult(core.NewSnapshot(res), optKey)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +178,7 @@ func TestPutEncodesOffTheCaller(t *testing.T) {
 		if !ok || tier != TierMemory {
 			t.Fatalf("closed=%v: ok=%v tier=%q", closed, ok, tier)
 		}
-		if again, _ := encodeResult(hit, optKey); !bytes.Equal(again, want) {
+		if again, _ := encodeResult(core.NewSnapshot(hit), optKey); !bytes.Equal(again, want) {
 			t.Fatalf("closed=%v: the L1 entry saw the caller's later mutation", closed)
 		}
 		if s := st.Stats(); s.FlushWrites != 1 || (s.FlushSync == 1) != closed {
@@ -132,7 +204,7 @@ func FuzzImportBundle(f *testing.F) {
 		res, key, optKey := allocateKernel(f, name)
 		src.PutOptions(key, res, optKey)
 		if good == nil {
-			good, _ = encodeResult(res, optKey)
+			good, _ = encodeResult(core.NewSnapshot(res), optKey)
 		}
 	}
 	var exported bytes.Buffer

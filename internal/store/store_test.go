@@ -38,7 +38,7 @@ func allocateKernel(t testing.TB, name string) (*core.Result, driver.Key, string
 // including everything the printed code does not carry.
 func TestEntryRoundTrip(t *testing.T) {
 	res, _, optKey := allocateKernel(t, "fehl")
-	data, err := encodeResult(res, optKey)
+	data, err := encodeResult(core.NewSnapshot(res), optKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestEntryRoundTrip(t *testing.T) {
 // pass count.
 func TestEntryWithOldTimesDecodes(t *testing.T) {
 	res, _, optKey := allocateKernel(t, "fehl")
-	data, err := encodeResult(res, optKey)
+	data, err := encodeResult(core.NewSnapshot(res), optKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +121,11 @@ func TestEntryWithOldTimesDecodes(t *testing.T) {
 func TestColdEntriesByteIdentical(t *testing.T) {
 	first, _, optKey := allocateKernel(t, "fehl")
 	second, _, _ := allocateKernel(t, "fehl")
-	a, err := encodeResult(first, optKey)
+	a, err := encodeResult(core.NewSnapshot(first), optKey)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := encodeResult(second, optKey)
+	b, err := encodeResult(core.NewSnapshot(second), optKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestRestartSurvival(t *testing.T) {
 // Put. Nothing corrupt is ever served.
 func TestCorruptionQuarantined(t *testing.T) {
 	res, key, optKey := allocateKernel(t, "fehl")
-	good, err := encodeResult(res, optKey)
+	good, err := encodeResult(core.NewSnapshot(res), optKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +485,7 @@ func TestBundleRoundTrip(t *testing.T) {
 // installs.
 func TestBundleHostileMembers(t *testing.T) {
 	res, key, optKey := allocateKernel(t, "fehl")
-	good, err := encodeResult(res, optKey)
+	good, err := encodeResult(core.NewSnapshot(res), optKey)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,6 +32,7 @@
 package verify
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -50,19 +51,13 @@ type Options struct {
 	// Differential enables the interpreter equivalence check on routines
 	// without parameters or calls.
 	Differential bool
-	// MaxSteps bounds each differential execution (default 2 million).
-	MaxSteps int64
 	// Telemetry, when non-nil, receives one span per rule (category
 	// "verify") and verify.* counters. A nil sink costs nothing.
 	Telemetry *telemetry.Sink
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxSteps == 0 {
-		o.MaxSteps = 2_000_000
-	}
-	return o
-}
+// maxSteps bounds each differential execution.
+const maxSteps = 2_000_000
 
 // Violation is one broken rule.
 type Violation struct {
@@ -109,7 +104,7 @@ func (c *checker) flag(rule, format string, args ...any) {
 // returns nil for a clean allocation and an *Error listing every
 // violation otherwise.
 func Check(input, allocated *iloc.Routine, m *target.Machine, opts Options) error {
-	c := &checker{m: m, input: input, allocated: allocated, opts: opts.withDefaults()}
+	c := &checker{m: m, input: input, allocated: allocated, opts: opts}
 	tel := c.opts.Telemetry
 	tel.Count("verify.checks", 1)
 	err := c.run()
@@ -415,7 +410,7 @@ func (c *checker) checkDifferential() {
 	}
 
 	run := func(rt *iloc.Routine) (*interp.Outcome, *interp.Env, error) {
-		e, err := interp.New(rt, interp.Config{MaxSteps: c.opts.MaxSteps})
+		e, err := interp.New(rt, interp.Config{MaxSteps: maxSteps})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -424,11 +419,16 @@ func (c *checker) checkDifferential() {
 	}
 	want, wantEnv, err := run(c.input)
 	if err != nil {
-		// The input itself faults or exceeds the budget; there is no
-		// reference behavior to compare against.
+		// The input itself faults, or exceeds the step or memory
+		// bound; there is no reference behavior to compare against.
 		return
 	}
 	got, gotEnv, err := run(c.allocated)
+	if errors.Is(err, interp.ErrMemory) {
+		// Spill slots took the frame past the interpreter's bound: a
+		// run it refused is no evidence either way.
+		return
+	}
 	if err != nil {
 		c.flag("differential", "allocated code fails where the input succeeds: %v", err)
 		return

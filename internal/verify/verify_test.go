@@ -3,12 +3,14 @@ package verify_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/iloc"
+	"repro/internal/interp"
 	"repro/internal/target"
 	"repro/internal/verify"
 )
@@ -393,5 +395,20 @@ func TestRejectsSlotInOwnFrame(t *testing.T) {
 	expectRule(t, input, alloc, m, "spill-slots")
 	if err := verify.Check(input, alloc, m, verify.Options{}); !strings.Contains(err.Error(), "aliases the routine's own 2 frame words") {
 		t.Fatalf("no aliasing violation in: %v", err)
+	}
+}
+
+// The input's frame and data fill the interpreter's memory bound to the
+// word, so spill slots take the allocation past it. The interpreter
+// refuses that run, which says nothing about the allocation.
+func TestDifferentialIgnoresMemoryBound(t *testing.T) {
+	far := strings.ReplaceAll(fpPointer, "r1, 8", fmt.Sprintf("r1, %d", (interp.MaxWords-5)*8))
+	m := target.WithRegs(4)
+	input, alloc := allocate(t, far, core.Options{Machine: m, Strategy: "chaitin"})
+	if input.LocalWords() != interp.MaxWords-4 || alloc.FrameWords <= input.LocalWords() {
+		t.Fatalf("test premise broken: %d local words, frame of %d", input.LocalWords(), alloc.FrameWords)
+	}
+	if err := verify.Check(input, alloc, m, verify.Options{Differential: true}); err != nil {
+		t.Fatal(err)
 	}
 }
